@@ -42,6 +42,7 @@ from .errors import (
     InfeasibleBlock,
     InputError,
     MjsError,
+    NotConverged,
     NotErgodic,
     NotMss,
     NotNormalized,
@@ -98,6 +99,7 @@ from .perturbation import (
 from .stability import (
     JsrBounds,
     KappaEstimate,
+    MomentOperator,
     StabilityComparison,
     StabilityReport,
     TauEstimate,

@@ -16,7 +16,7 @@ import scipy.optimize
 import scipy.sparse
 
 from .errors import NotNormalized, TooLarge, TooManySequences
-from .model import MjsModel, Partition, simulate_coupled_batch, stationary_distribution
+from .model import MjsModel, Partition, _resolve_init_dist, simulate_coupled_batch
 
 __all__ = [
     "BoundInputs",
@@ -259,13 +259,7 @@ def transition_kernel_enum(
     if model.s**t > cap:
         raise TooManySequences(f"s^t = {model.s**t} exceeds the cap {cap}")
     x0 = np.asarray(x0, dtype=float)
-    if init_dist is None:
-        init = stationary_distribution(model.T).pi
-    elif np.isscalar(init_dist):
-        init = np.zeros(model.s)
-        init[int(init_dist)] = 1.0
-    else:
-        init = np.asarray(init_dist, dtype=float)
+    init, _ = _resolve_init_dist(model, init_dist)
     points: list[np.ndarray] = []
     masses: list[float] = []
 

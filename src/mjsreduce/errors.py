@@ -80,3 +80,7 @@ class Diverged(ComputationError):
 
 class NotMss(ComputationError):
     pass
+
+
+class NotConverged(ComputationError):
+    pass

@@ -21,11 +21,13 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     Diverged,
+    NotConverged,
     NotMss,
     SingularInnerMatrix,
 )
-from .model import MjsModel, Partition, stationary_distribution
+from .model import MjsModel, Partition, _resolve_init_dist, stationary_distribution
 from .clustering import ReductionResult, reduce_model
+from .stability import MomentOperator
 
 __all__ = [
     "LqrSolution",
@@ -39,6 +41,9 @@ __all__ = [
     "cumulative_cost_noisefree",
     "reduced_lqr_suboptimality",
 ]
+
+# Step budget of the closed-loop moment and value fixed-point loops.
+FIXED_POINT_STEPS = 1_000_000
 
 
 def _check_qr(model: MjsModel, Q: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -183,6 +188,31 @@ class CostReport:
     sigma_w: float
     stderr: float | None = None
     diverged: bool = False
+    iterations: int | None = None
+    gap: float | None = None
+
+
+def _mss_operator(Acl: np.ndarray, T: np.ndarray) -> MomentOperator:
+    op = MomentOperator(Acl, T)
+    rho = op.rho()
+    if rho >= 1.0:
+        raise NotMss(f"closed loop has augmented spectral radius {rho:.6f}")
+    return op
+
+
+def _fixed_point(step, start: np.ndarray, what: str) -> tuple[np.ndarray, int, float]:
+    """Iterate step from start until the largest entry change drops below
+    1e-12; NotConverged when FIXED_POINT_STEPS run out first."""
+    cur = start
+    for k in range(1, FIXED_POINT_STEPS + 1):
+        new = step(cur)
+        gap = float(np.abs(new - cur).max())
+        cur = new
+        if gap < 1e-12:
+            return cur, k, gap
+    raise NotConverged(
+        f"{what} did not settle in {FIXED_POINT_STEPS} steps (last change {gap:.3e})"
+    )
 
 
 def closed_loop_average_cost(
@@ -193,31 +223,27 @@ def closed_loop_average_cost(
     Solves the stationary per-mode second moments of the closed loop
     (fixed point of the moment recursion, to 1e-12) and returns
     sum_i tr((Q + K_i' R K_i) Moment_i).  Raises NotMss when the closed
-    loop is not mean-square stable.
+    loop is not mean-square stable, NotConverged when the moment
+    recursion does not settle within FIXED_POINT_STEPS.
     """
-    from .stability import augmented_matrix, spectral_radius
-
     Q, R = _check_qr(model, Q, R)
-    Acl = _closed_loop(model, K)
-    closed = MjsModel(Acl, None, model.T)
-    rho = spectral_radius(augmented_matrix(closed))
-    if rho >= 1.0:
-        raise NotMss(f"closed loop has augmented spectral radius {rho:.6f}")
+    op = _mss_operator(_closed_loop(model, K), model.T)
     pi = stationary_distribution(model.T).pi
     s, n = model.s, model.n
-    mom = np.zeros((s, n, n))
     noise = sigma_w**2 * pi[:, None, None] * np.eye(n)
-    for _ in range(1_000_000):
-        pushed = np.einsum("ijk,ikl,iml->ijm", Acl, mom, Acl) + noise
-        new = np.einsum("ij,ikl->jkl", model.T, pushed)
-        gap = float(np.abs(new - mom).max())
-        mom = new
-        if gap < 1e-12:
-            break
+    mom, iterations, gap = _fixed_point(
+        lambda m: op.apply(m, source=noise), np.zeros((s, n, n)), "closed-loop moments"
+    )
     K = np.asarray(K, dtype=float)
     stage = np.tile(Q, (s, 1, 1)) + np.einsum("ikj,kl,ilm->ijm", K, R, K)
     value = float(np.einsum("ijk,ikj->", stage, mom))
-    return CostReport(value=value, method="closed_form", sigma_w=sigma_w)
+    return CostReport(
+        value=value,
+        method="closed_form",
+        sigma_w=sigma_w,
+        iterations=iterations,
+        gap=gap,
+    )
 
 
 def monte_carlo_cost(
@@ -290,34 +316,21 @@ def cumulative_cost_noisefree(
 
     Uses the closed-loop value matrices: the fixed point of
     V_i = Q + K_i' R K_i + Acl_i' phi_i(V) Acl_i, then
-    sum_i P(w_0 = i) x0' V_i x0.  Requires the closed loop MSS.
+    sum_i P(w_0 = i) x0' V_i x0.  Requires the closed loop MSS (NotMss
+    otherwise); NotConverged when the value recursion does not settle
+    within FIXED_POINT_STEPS.
     """
-    from .stability import augmented_matrix, spectral_radius
-
     Q, R = _check_qr(model, Q, R)
     K = np.asarray(K, dtype=float)
-    Acl = _closed_loop(model, K)
-    closed = MjsModel(Acl, None, model.T)
-    rho = spectral_radius(augmented_matrix(closed))
-    if rho >= 1.0:
-        raise NotMss(f"closed loop has augmented spectral radius {rho:.6f}")
+    op = _mss_operator(_closed_loop(model, K), model.T)
+    init, _ = _resolve_init_dist(model, init_dist)
     stage = np.tile(Q, (model.s, 1, 1)) + np.einsum("ikj,kl,ilm->ijm", K, R, K)
-    V = np.zeros((model.s, model.n, model.n))
-    for _ in range(1_000_000):
-        phi = np.einsum("ij,jkl->ikl", model.T, V)
-        new = stage + np.einsum("ikj,ikl,ilm->ijm", Acl, phi, Acl)
-        gap = float(np.abs(new - V).max())
-        V = new
-        if gap < 1e-12:
-            break
+    V, _, _ = _fixed_point(
+        lambda v: stage + op.adjoint(v),
+        np.zeros((model.s, model.n, model.n)),
+        "closed-loop values",
+    )
     x0 = np.asarray(x0, dtype=float)
-    if init_dist is None:
-        init = stationary_distribution(model.T).pi
-    elif np.isscalar(init_dist):
-        init = np.zeros(model.s)
-        init[int(init_dist)] = 1.0
-    else:
-        init = np.asarray(init_dist, dtype=float)
     return float(sum(init[i] * x0 @ V[i] @ x0 for i in range(model.s)))
 
 

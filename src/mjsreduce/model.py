@@ -17,6 +17,7 @@ from .errors import (
     DimensionMismatch,
     InputError,
     NotErgodic,
+    NotNormalized,
     PartitionMismatch,
 )
 
@@ -280,22 +281,42 @@ def _draw_mode(rng: np.random.Generator, cdf_row: np.ndarray) -> int:
     return min(j, len(cdf_row) - 1)
 
 
-def _initial_mode(
-    rng: np.random.Generator, model: MjsModel, init_dist
-) -> int:
+def _resolve_init_dist(model: MjsModel, init_dist) -> tuple[np.ndarray, int | None]:
+    """The initial mode law as (pi, fixed mode or None).
+
+    None gives the stationary law, an int a fixed mode (pi is then its
+    indicator), a length-s vector the law itself.  Raises
+    DimensionMismatch for a mode outside range(s) or a vector of the
+    wrong shape, NotNormalized for negative entries or a total mass off
+    1 by more than 1e-9.
+    """
     if init_dist is None:
-        pi = stationary_distribution(model.T).pi
-    elif np.isscalar(init_dist):
+        return stationary_distribution(model.T).pi, None
+    if np.isscalar(init_dist):
         mode = int(init_dist)
         if not 0 <= mode < model.s:
             raise DimensionMismatch(f"initial mode {mode} outside range({model.s})")
+        pi = np.zeros(model.s)
+        pi[mode] = 1.0
+        return pi, mode
+    pi = np.asarray(init_dist, dtype=float)
+    if pi.shape != (model.s,):
+        raise DimensionMismatch(
+            f"initial distribution must have shape ({model.s},), got {pi.shape}"
+        )
+    if not (np.all(pi >= 0.0) and abs(pi.sum() - 1.0) <= 1e-9):
+        raise NotNormalized(
+            f"initial distribution must be nonnegative with total mass 1, got {pi}"
+        )
+    return pi, None
+
+
+def _initial_mode(
+    rng: np.random.Generator, model: MjsModel, init_dist
+) -> int:
+    pi, mode = _resolve_init_dist(model, init_dist)
+    if mode is not None:
         return mode
-    else:
-        pi = np.asarray(init_dist, dtype=float)
-        if pi.shape != (model.s,):
-            raise DimensionMismatch(
-                f"initial distribution must have shape ({model.s},), got {pi.shape}"
-            )
     cdf = np.cumsum(pi)
     return _draw_mode(rng, cdf / cdf[-1])
 
@@ -348,7 +369,8 @@ def simulate(
         noise_std: standard deviation of additive iid Gaussian state noise.
         seed: anything np.random.default_rng accepts.
         init_dist: initial mode distribution; None uses the stationary
-            law, an int fixes the mode, a length-s vector gives weights.
+            law, an int fixes the mode, a length-s probability vector
+            gives the law.
         modes: optional injected mode sequence of length H, overriding
             the Markov chain (the rng then only drives noise).
 
@@ -394,14 +416,10 @@ def _batch_modes(
     modes = np.empty((n_traj, horizon), dtype=int)
     if horizon == 0:
         return modes
-    if init_dist is None:
-        pi = stationary_distribution(model.T).pi
-    elif np.isscalar(init_dist):
-        pi = None
-        modes[:, 0] = int(init_dist)
+    pi, mode = _resolve_init_dist(model, init_dist)
+    if mode is not None:
+        modes[:, 0] = mode
     else:
-        pi = np.asarray(init_dist, dtype=float)
-    if pi is not None:
         cdf0 = np.cumsum(pi)
         cdf0 = cdf0 / cdf0[-1]
         modes[:, 0] = np.minimum(

@@ -153,6 +153,21 @@ def test_lqr_cli(tmp_path, capsys):
     assert (tmp_path / "lqr" / "lqr.json").exists()
 
 
+def test_lqr_cli_beyond_dense_cap(tmp_path, capsys):
+    # s n^2 = 70 * 8^2 = 4480 passes the 4096 cap of the dense augmented
+    # matrix, which the mean-square checks no longer build.
+    gen, _ = gen_dir(
+        tmp_path, capsys, name="big", **{"--s": "70", "--r": "7", "--n": "8"}
+    )
+    code, stdout, err = run(
+        capsys, "lqr", str(gen / "model.json"), "--r", "7",
+        "--out", str(tmp_path / "lqr"),
+    )
+    assert code == 0, err
+    payload = json.loads(stdout)
+    assert payload["J_hat"] >= payload["J_star"] * (1.0 - 1e-9) > 0.0
+
+
 def test_experiment_cli(tmp_path, capsys):
     code, stdout, _ = run(
         capsys, "experiment", "fig4", "--trials", "5", "--out", str(tmp_path)

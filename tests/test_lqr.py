@@ -3,7 +3,8 @@ import pytest
 
 from conftest import random_model
 from mjsreduce.clustering import reduce_model
-from mjsreduce.errors import Diverged, NotMss, SingularInnerMatrix
+import mjsreduce.lqr as lqr
+from mjsreduce.errors import Diverged, NotConverged, NotMss, SingularInnerMatrix, TooLarge
 from mjsreduce.lqr import (
     closed_loop_average_cost,
     cumulative_cost_noisefree,
@@ -14,7 +15,7 @@ from mjsreduce.lqr import (
     riccati_solve,
 )
 from mjsreduce.model import MjsModel
-from mjsreduce.stability import second_moment_evolution
+from mjsreduce.stability import augmented_matrix, second_moment_evolution
 from mjsreduce.synth import SynthConfig, generate
 
 SCALAR = MjsModel(
@@ -196,6 +197,36 @@ def test_average_cost_requires_mss():
         cumulative_cost_noisefree(
             loose, np.zeros((1, 0, 1)), EYE1, np.zeros((0, 0)), np.ones(1)
         )
+
+
+def test_average_cost_reports_convergence():
+    sol = riccati_solve(SCALAR, EYE1, EYE1)
+    rep = closed_loop_average_cost(SCALAR, sol.K, EYE1, EYE1, 0.3)
+    assert rep.iterations > 1
+    assert 0.0 <= rep.gap < 1e-12
+
+
+def test_fixed_point_budget_raises(monkeypatch):
+    sol = riccati_solve(SCALAR, EYE1, EYE1)
+    monkeypatch.setattr(lqr, "FIXED_POINT_STEPS", 3)
+    with pytest.raises(NotConverged):
+        closed_loop_average_cost(SCALAR, sol.K, EYE1, EYE1, 0.3)
+    with pytest.raises(NotConverged):
+        cumulative_cost_noisefree(SCALAR, sol.K, EYE1, EYE1, np.ones(1))
+
+
+def test_average_cost_beyond_dense_cap():
+    # s n^2 = 4480: the dense augmented matrix is over its cap, the
+    # matrix-free stability check is not.
+    model, _, _ = generate(SynthConfig(70, 7, 8, 2, seed=3))
+    with pytest.raises(TooLarge):
+        augmented_matrix(model)
+    Q, R = np.eye(8), np.eye(2)
+    sol = riccati_solve(model, Q, R)
+    rep = closed_loop_average_cost(model, sol.K, Q, R, 0.1)
+    assert rep.value > 0.0 and rep.gap < 1e-12
+    total = cumulative_cost_noisefree(model, sol.K, Q, R, np.ones(8), init_dist=0)
+    assert total == pytest.approx(np.ones(8) @ sol.P[0] @ np.ones(8), rel=1e-9)
 
 
 def test_cumulative_cost_matches_moment_route(rng):

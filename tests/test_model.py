@@ -9,6 +9,7 @@ from mjsreduce.errors import (
     DimensionMismatch,
     InputError,
     NotErgodic,
+    NotNormalized,
     PartitionMismatch,
 )
 from mjsreduce.model import (
@@ -28,6 +29,9 @@ from mjsreduce.model import (
     validate_model,
 )
 from mjsreduce.synth import SynthConfig, generate
+from mjsreduce.bounds import transition_kernel_enum
+from mjsreduce.lqr import cumulative_cost_noisefree
+from mjsreduce.stability import second_moment_evolution
 
 
 def test_model_shapes():
@@ -187,6 +191,33 @@ def test_simulate_init_dist_forms():
         simulate(m, [0.0, 0.0], 5, seed=1, init_dist=9)
     with pytest.raises(DimensionMismatch):
         simulate(m, [0.0, 0.0], 5, seed=1, init_dist=[0.5, 0.5])
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        (9, DimensionMismatch),
+        (-1, DimensionMismatch),
+        ([0.5, 0.5], DimensionMismatch),
+        ([0.5, 0.6, 0.0], NotNormalized),
+        ([1.5, -0.5, 0.0], NotNormalized),
+    ],
+)
+def test_init_dist_is_validated_by_every_consumer(bad, error):
+    m = three_state_model()
+    x0 = np.ones(2)
+    calls = (
+        lambda: simulate(m, x0, 3, seed=0, init_dist=bad),
+        lambda: simulate_batch(m, x0, 3, 2, seed=0, init_dist=bad),
+        lambda: second_moment_evolution(m, x0, 2, init_dist=bad),
+        lambda: transition_kernel_enum(m, x0, 2, init_dist=bad),
+        lambda: cumulative_cost_noisefree(
+            m, np.zeros((3, 0, 2)), np.eye(2), np.zeros((0, 0)), x0, init_dist=bad
+        ),
+    )
+    for call in calls:
+        with pytest.raises(error):
+            call()
 
 
 @pytest.mark.invariant

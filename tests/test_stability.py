@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import mjsreduce.stability as stability
 from conftest import random_model
 from mjsreduce.clustering import reduce_model
 from mjsreduce.errors import RhoTooSmall, TooLarge, XiTooSmall
@@ -214,6 +215,36 @@ def test_stability_report_fig4():
     assert rep.tau.value >= 1.0
     d = rep.to_dict()
     assert {"rho_aug", "is_mss", "jsr_lower", "jsr_upper", "tau", "kappa"} <= set(d)
+
+
+def test_stability_report_takes_one_spectral_radius(monkeypatch):
+    # rho_aug comes from MomentOperator.rho(); the tau sweep reuses it
+    # instead of a second dense eig of the augmented matrix.
+    calls = []
+    dense = stability.spectral_radius
+
+    def counted(M, cap=4096):
+        calls.append(np.asarray(M).shape)
+        return dense(M, cap)
+
+    monkeypatch.setattr(stability, "spectral_radius", counted)
+    model, _ = fig4_model()  # s n^2 = 24: the dense path
+    stability_report(model, k_max_tau=4, k_max_jsr=2, k_max_kappa=2)
+    assert calls.count((24, 24)) == 1
+    calls.clear()
+    big, _, _ = generate(SynthConfig(8, 2, 3, 0, seed=2))  # 72: ARPACK
+    rep = stability_report(big, k_max_tau=4, k_max_jsr=2, k_max_kappa=2)
+    assert (72, 72) not in calls
+    assert rep.rho_aug == pytest.approx(dense(augmented_matrix(big)), rel=1e-9)
+
+
+def test_stability_report_rejects_rho_below_rho_aug():
+    model, _ = fig4_model()
+    rho_aug = stability_report(model, k_max_tau=2, k_max_jsr=2, k_max_kappa=2).rho_aug
+    with pytest.raises(RhoTooSmall):
+        stability_report(model, rho=0.9 * rho_aug, k_max_tau=2, k_max_jsr=2, k_max_kappa=2)
+    rep = stability_report(model, rho=rho_aug, k_max_tau=2, k_max_jsr=2, k_max_kappa=2)
+    assert rep.rho_used == rho_aug
 
 
 def test_stability_comparison_report_fields(rng):
