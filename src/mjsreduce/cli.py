@@ -1,12 +1,10 @@
 """Command-line front end.
 
 Subcommands: generate | reduce | evaluate | stability | lqr | experiment.
-Shared flags (--seed, --out, --threads, --full) are accepted by every
-subcommand; MJS_REDUCE_THREADS is the environment fallback for
---threads.  Exit codes: 0 success, 2 input problem (unreadable or
-malformed files, bad flag values), 3 computation failure; the
-stability subcommand additionally returns 1 when the model is not
-mean-square stable.
+Shared flags (--seed, --out, --full) are accepted by every subcommand.
+Exit codes: 0 success, 2 input problem (unreadable or malformed files,
+bad flag values), 3 computation failure; the stability subcommand
+additionally returns 1 when the model is not mean-square stable.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .clustering import misclustering_rate, reduce_model
+from .clustering import BRANCHES, misclustering_rate, reduce_model
 from .errors import InputError, MjsError
 from .experiments import ExperimentSpec, run_experiment
 from .lqr import reduced_lqr_suboptimality
@@ -44,13 +42,6 @@ def _dump(payload: dict, path: str) -> None:
 
 def _print(payload: dict) -> None:
     print(json.dumps(payload, indent=2, default=_json_default))
-
-
-def _resolve_threads(value) -> int:
-    if value is not None:
-        return int(value)
-    env = os.environ.get("MJS_REDUCE_THREADS")
-    return int(env) if env else 1
 
 
 def _load_model_checked(path: str):
@@ -186,7 +177,6 @@ def cmd_experiment(args) -> int:
         grid=tuple(args.grid) if args.grid else None,
         out_dir=args.out,
         full=args.full,
-        threads=_resolve_threads(args.threads),
     )
     print(run_experiment(spec))
     return 0
@@ -196,12 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="root RNG seed")
     common.add_argument("--out", default=".", help="output directory")
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker threads (fallback: MJS_REDUCE_THREADS, then 1)",
-    )
     common.add_argument(
         "--full",
         action="store_true",
@@ -222,13 +206,13 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--eps-a", type=float, default=0.0)
     g.add_argument("--eps-b", type=float, default=0.0)
     g.add_argument("--eps-t", type=float, default=0.0)
-    g.add_argument("--branch", choices=("aggregatable", "lumpable"), default="aggregatable")
+    g.add_argument("--branch", choices=BRANCHES, default="aggregatable")
     g.set_defaults(func=cmd_generate)
 
     r = sub.add_parser("reduce", parents=[common], help="cluster modes and average")
     r.add_argument("model", help="model JSON file")
     r.add_argument("--r", type=int, required=True, help="target number of clusters")
-    r.add_argument("--branch", choices=("aggregatable", "lumpable"), default=None)
+    r.add_argument("--branch", choices=BRANCHES, default=None)
     r.add_argument("--weights", type=float, nargs=3, metavar=("WA", "WB", "WT"))
     r.add_argument("--restarts", type=int, default=50)
     r.add_argument("--pi-weighted", action="store_true", help="stationary-weighted averaging")
@@ -238,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("model", help="model JSON file")
     e.add_argument("--partition", help="partition JSON file (1-based clusters)")
     e.add_argument("--r", type=int, help="cluster first when no partition is given")
-    e.add_argument("--branch", choices=("aggregatable", "lumpable"), default="aggregatable")
+    e.add_argument("--branch", choices=BRANCHES, default="aggregatable")
     e.add_argument("--kmeans-eps", type=float, default=1.0)
     e.add_argument("--weights", type=float, nargs=3, metavar=("WA", "WB", "WT"))
     e.set_defaults(func=cmd_evaluate)
@@ -253,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     lq.add_argument("model", help="model JSON file")
     lq.add_argument("--r", type=int, required=True)
     lq.add_argument("--sigma-w", type=float, default=0.1)
-    lq.add_argument("--branch", choices=("aggregatable", "lumpable"), default=None)
+    lq.add_argument("--branch", choices=BRANCHES, default=None)
     lq.set_defaults(func=cmd_lqr)
 
     ex = sub.add_parser("experiment", parents=[common], help="run a canned protocol")

@@ -18,12 +18,15 @@ import scipy.optimize
 from .errors import (
     BadWeights,
     DegenerateInput,
+    DimensionMismatch,
     RankDeficient,
     SizeMismatch,
 )
 from .model import MjsModel, Partition, stationary_distribution
 
 __all__ = [
+    "BRANCHES",
+    "check_branch",
     "FeatureMatrix",
     "ReductionResult",
     "default_weights",
@@ -34,6 +37,16 @@ __all__ = [
     "average_model",
     "misclustering_rate",
 ]
+
+# The two notions of exact reducibility: equal transition rows within a
+# cluster (aggregatable) or equal cluster-block row sums (lumpable).
+BRANCHES = ("aggregatable", "lumpable")
+
+
+def check_branch(branch: str) -> None:
+    """Raise DimensionMismatch unless branch is one of BRANCHES."""
+    if branch not in BRANCHES:
+        raise DimensionMismatch(f"unknown branch {branch!r}; choose from {BRANCHES}")
 
 
 @dataclass
@@ -280,12 +293,11 @@ def _reduce_one_branch(
     seed,
     pi_weighted: bool,
 ) -> ReductionResult:
+    check_branch(branch)
     if branch == "aggregatable":
         feats = build_features_aggregatable(model, weights)
-    elif branch == "lumpable":
-        feats = build_features_lumpable(model, r, weights)
     else:
-        raise SizeMismatch(f"unknown branch {branch!r}")
+        feats = build_features_lumpable(model, r, weights)
     U, _, _ = np.linalg.svd(feats.phi, full_matrices=False)
     embedding = U[:, :r]
     partition, _, objective = kmeans_partition(

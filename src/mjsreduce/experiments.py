@@ -28,8 +28,7 @@ stay comparable across mode counts.
 Every CSV starts with a provenance comment carrying a hash of the
 resolved configuration, then a header row.  Equal specs reproduce the
 statistical columns byte for byte; only timing columns vary between
-runs.  Trials are parallelized over threads when requested, with seeds
-derived per trial index so the thread count never changes the output.
+runs.  Seeds are derived per trial index.
 """
 
 from __future__ import annotations
@@ -40,13 +39,12 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import BoundInputs, mss_traj_bound
-from .clustering import default_weights, misclustering_rate, reduce_model
+from .clustering import BRANCHES, default_weights, misclustering_rate, reduce_model
 from .errors import InputError
 from .lqr import reduced_lqr_suboptimality, riccati_solve
 from .model import simulate_coupled_batch
@@ -71,7 +69,6 @@ class ExperimentSpec:
     grid: tuple | None = None
     out_dir: str = "."
     full: bool = False
-    threads: int = 1
 
     def __post_init__(self) -> None:
         if self.name not in EXPERIMENT_NAMES:
@@ -87,17 +84,9 @@ class ExperimentSpec:
 
 
 def _child_seed(root: int, *key: int) -> int:
-    """Stable per-trial seed; independent of thread scheduling."""
+    """Stable per-trial seed, derived from the trial's index."""
     ss = np.random.SeedSequence([int(root)] + [int(k) for k in key])
     return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
-def _pmap(fn, args, threads: int) -> list:
-    args = list(args)
-    if threads <= 1 or len(args) <= 1:
-        return [fn(a) for a in args]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, args))
 
 
 def _fmt(v) -> str:
@@ -110,8 +99,9 @@ def _fmt(v) -> str:
     return format(float(v), ".12g")
 
 
-def _demoted_weights(model, t_factor: float = 0.01) -> tuple[float, float, float]:
-    """Default weights with the transition share scaled down."""
+def demoted_weights(model, t_factor: float = 0.01) -> tuple[float, float, float]:
+    """Default weights with the transition share scaled down, for sweeps
+    where the transition features should not steer the clustering."""
     wa, wb, wt = default_weights(model)
     wt *= t_factor
     total = wa + wb + wt
@@ -125,7 +115,7 @@ def resolved_config(spec: ExperimentSpec) -> dict:
         return {
             "s_values": (8, 16, 32, 64) if full else (8, 16, 32),
             "eps_norms": spec.grid or (0.0, 0.25, 1.0, 2.5),
-            "branches": ("aggregatable", "lumpable"),
+            "branches": BRANCHES,
             "trials": spec.trials or (100 if full else 25),
             "r": 4,
             "n": 5,
@@ -182,7 +172,7 @@ def _run_fig2(spec: ExperimentSpec, cfg: dict):
         for ei, eps_norm in enumerate(cfg["eps_norms"]):
             for bi, branch in enumerate(cfg["branches"]):
 
-                def one(trial, s=s, eps_norm=eps_norm, branch=branch, si=si, ei=ei, bi=bi):
+                def one(trial):
                     seed = _child_seed(spec.seed, 2, si, ei, bi, trial)
                     target = float(eps_norm) * s * s
                     model, truth, _ = generate(
@@ -202,12 +192,12 @@ def _run_fig2(spec: ExperimentSpec, cfg: dict):
                         model,
                         cfg["r"],
                         branch=branch,
-                        weights=_demoted_weights(model),
+                        weights=demoted_weights(model),
                         seed=_child_seed(spec.seed, 20, si, ei, bi, trial),
                     )
                     return misclustering_rate(res.partition, truth)
 
-                mrs = _pmap(one, range(cfg["trials"]), spec.threads)
+                mrs = [one(trial) for trial in range(cfg["trials"])]
                 q1, med, q3 = np.percentile(mrs, (25.0, 50.0, 75.0))
                 rows.append([s, eps_norm, branch, med, q1, q3])
     return header, rows
@@ -221,7 +211,7 @@ def _run_fig3a(spec: ExperimentSpec, cfg: dict):
     for ai, eps_ab in enumerate(cfg["eps_ab_norms"]):
         for ti, eps_t in enumerate(cfg["eps_t_norms"]):
 
-            def one(trial, eps_ab=eps_ab, eps_t=eps_t, ai=ai, ti=ti):
+            def one(trial):
                 seed = _child_seed(spec.seed, 3, ai, ti, trial)
                 target_ab = float(eps_ab) * s * s
                 target_t = float(eps_t) * s * s
@@ -249,7 +239,7 @@ def _run_fig3a(spec: ExperimentSpec, cfg: dict):
                 )
                 return res.gap / res.J_star
 
-            vals = _pmap(one, range(cfg["trials"]), spec.threads)
+            vals = [one(trial) for trial in range(cfg["trials"])]
             rows.append([eps_ab, eps_t, float(np.median(vals))])
     return header, rows
 
@@ -261,7 +251,7 @@ def _run_fig3b(spec: ExperimentSpec, cfg: dict):
     Q, R = np.eye(n), np.eye(p)
     for si, s in enumerate(cfg["s_values"]):
 
-        def one(trial, s=s, si=si):
+        def one(trial):
             seed = _child_seed(spec.seed, 4, si, trial)
             model, _, _ = generate(
                 SynthConfig(int(s), r, n, p, seed=seed)
@@ -277,7 +267,7 @@ def _run_fig3b(spec: ExperimentSpec, cfg: dict):
             t_red = time.perf_counter() - t0
             return t_full * 1e3, t_red * 1e3
 
-        pairs = _pmap(one, range(cfg["trials"]), spec.threads)
+        pairs = [one(trial) for trial in range(cfg["trials"])]
         rows.append(
             [
                 s,
@@ -321,8 +311,7 @@ def _run_table2(spec: ExperimentSpec, cfg: dict):
             SynthConfig(s, r, n, p, seed=_child_seed(spec.seed, 6, trial))
         )
 
-        def one(item, model=model, trial=trial):
-            hi, r_hat = item
+        def one(hi, r_hat):
             res = reduced_lqr_suboptimality(
                 model,
                 int(r_hat),
@@ -334,11 +323,8 @@ def _run_table2(spec: ExperimentSpec, cfg: dict):
             )
             return res.gap / res.J_star, res.time_reduced_ms / 1e3
 
-        for (rh, out) in zip(
-            cfg["r_hats"],
-            _pmap(one, enumerate(cfg["r_hats"]), spec.threads),
-        ):
-            per_rhat[rh].append(out)
+        for hi, rh in enumerate(cfg["r_hats"]):
+            per_rhat[rh].append(one(hi, rh))
     rows = []
     for rh in cfg["r_hats"]:
         vals = per_rhat[rh]

@@ -25,7 +25,14 @@ from .errors import (
     NotMss,
     SingularInnerMatrix,
 )
-from .model import MjsModel, Partition, _resolve_init_dist, stationary_distribution
+from .model import (
+    MjsModel,
+    Partition,
+    _batch_modes,
+    _resolve_init_dist,
+    _rollout,
+    stationary_distribution,
+)
 from .clustering import ReductionResult, reduce_model
 from .stability import MomentOperator
 
@@ -265,42 +272,25 @@ def monte_carlo_cost(
     trajectories; the reported stderr is across trajectory means.  A
     state norm passing `blowup` marks the estimate diverged (inf).
     """
-    from .model import _batch_modes
-
     Q, R = _check_qr(model, Q, R)
     K = np.asarray(K, dtype=float)
     Acl = _closed_loop(model, K)
     stage = np.tile(Q, (model.s, 1, 1)) + np.einsum("ikj,kl,ilm->ijm", K, R, K)
     rng = np.random.default_rng(seed)
     modes = _batch_modes(rng, model, n_traj, horizon, None)
-    X = np.tile(
-        np.zeros(model.n) if x0 is None else np.asarray(x0, dtype=float), (n_traj, 1)
-    )
+    start = 0.0 if x0 is None else x0
     totals = np.zeros(n_traj)
-    kept = 0
-    for t in range(horizon):
-        if t >= burn_in:
-            for i in range(model.s):
-                mask = modes[:, t] == i
-                if np.any(mask):
-                    totals[mask] += np.einsum(
-                        "bj,jk,bk->b", X[mask], stage[i], X[mask]
-                    )
-            kept += 1
-        nxt = np.empty_like(X)
-        for i in range(model.s):
-            mask = modes[:, t] == i
-            if np.any(mask):
-                nxt[mask] = X[mask] @ Acl[i].T
-        X = nxt + sigma_w * rng.standard_normal(X.shape)
-        if not np.all(np.isfinite(X)) or np.abs(X).max() > blowup:
+    for t, X in enumerate(_rollout(Acl, modes[None], start, sigma_w, rng)):
+        if t and (not np.all(np.isfinite(X)) or np.abs(X).max() > blowup):
             return CostReport(
                 value=float("inf"),
                 method="monte_carlo",
                 sigma_w=sigma_w,
                 diverged=True,
             )
-    per_traj = totals / max(kept, 1)
+        if burn_in <= t < horizon:
+            totals += np.einsum("bj,bjk,bk->b", X[0], stage[modes[:, t]], X[0])
+    per_traj = totals / max(horizon - burn_in, 1)
     return CostReport(
         value=float(per_traj.mean()),
         method="monte_carlo",

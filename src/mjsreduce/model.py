@@ -276,11 +276,6 @@ def stationary_distribution(T: np.ndarray) -> StationaryDistribution:
     return StationaryDistribution(pi)
 
 
-def _draw_mode(rng: np.random.Generator, cdf_row: np.ndarray) -> int:
-    j = int(np.searchsorted(cdf_row, rng.random(), side="right"))
-    return min(j, len(cdf_row) - 1)
-
-
 def _resolve_init_dist(model: MjsModel, init_dist) -> tuple[np.ndarray, int | None]:
     """The initial mode law as (pi, fixed mode or None).
 
@@ -311,29 +306,56 @@ def _resolve_init_dist(model: MjsModel, init_dist) -> tuple[np.ndarray, int | No
     return pi, None
 
 
-def _initial_mode(
-    rng: np.random.Generator, model: MjsModel, init_dist
-) -> int:
-    pi, mode = _resolve_init_dist(model, init_dist)
-    if mode is not None:
-        return mode
-    cdf = np.cumsum(pi)
-    return _draw_mode(rng, cdf / cdf[-1])
-
-
-def _mode_sequence(
-    rng: np.random.Generator, model: MjsModel, horizon: int, init_dist
+def _batch_modes(
+    rng: np.random.Generator,
+    model: MjsModel,
+    n_traj: int,
+    horizon: int,
+    init_dist,
 ) -> np.ndarray:
-    modes = np.empty(horizon, dtype=int)
+    """n_traj mode paths of the chain, shape (n_traj, horizon).
+
+    One rng.random(n_traj) draw per step, the initial one skipped when
+    init_dist fixes the mode.  A draw u picks the first mode whose
+    cumulative probability exceeds u (searchsorted side="right"), so a
+    mode of probability zero is never picked.
+    """
+    modes = np.empty((n_traj, horizon), dtype=int)
     if horizon == 0:
         return modes
-    cdf = np.cumsum(model.T, axis=1)
-    # Guard against row sums a hair under 1.
+    pi, mode = _resolve_init_dist(model, init_dist)
+    # Row s of the table holds the initial law; normalizing by the last
+    # entry guards against row sums a hair under 1.
+    cdf = np.cumsum(np.vstack([model.T, pi]), axis=1)
     cdf = cdf / cdf[:, -1:]
-    modes[0] = _initial_mode(rng, model, init_dist)
-    for t in range(1, horizon):
-        modes[t] = _draw_mode(rng, cdf[modes[t - 1]])
+    prev = np.full(n_traj, model.s)
+    for t in range(horizon):
+        if t == 0 and mode is not None:
+            modes[:, 0] = mode
+        else:
+            u = rng.random(n_traj)
+            modes[:, t] = np.minimum((cdf[prev] <= u[:, None]).sum(axis=1), model.s - 1)
+        prev = modes[:, t]
     return modes
+
+
+def _rollout(A: np.ndarray, modes: np.ndarray, x0, noise_std: float, rng):
+    """Stream the zero-input states of c jump systems on shared paths.
+
+    A stacks the mode matrices of all c systems, modes of shape (c, N, H)
+    indexes into it, one set of N paths per system.  Yields fresh arrays
+    X_0..X_H of shape (c, N, n); each step adds one (N, n) standard
+    normal draw, scaled by noise_std, to every system alike.
+    """
+    c, N, H = modes.shape
+    X = np.empty((c, N, A.shape[1]))
+    X[:] = x0
+    yield X
+    for t in range(H):
+        X = np.einsum("cbij,cbj->cbi", A[modes[:, :, t]], X)
+        if noise_std > 0.0:
+            X += noise_std * rng.standard_normal((N, X.shape[2]))
+        yield X
 
 
 def _input_at(inputs, t: int, x: np.ndarray, mode: int, p: int) -> np.ndarray:
@@ -382,7 +404,7 @@ def simulate(
         raise DimensionMismatch(f"x0 must have shape ({model.n},), got {x0.shape}")
     rng = np.random.default_rng(seed)
     if modes is None:
-        modes = _mode_sequence(rng, model, horizon, init_dist)
+        modes = _batch_modes(rng, model, 1, horizon, init_dist)[0]
     else:
         modes = np.asarray(modes, dtype=int)
         if modes.shape != (horizon,):
@@ -406,34 +428,6 @@ def simulate(
     return Trajectory(states=states, modes=modes, inputs=used)
 
 
-def _batch_modes(
-    rng: np.random.Generator,
-    model: MjsModel,
-    n_traj: int,
-    horizon: int,
-    init_dist,
-) -> np.ndarray:
-    modes = np.empty((n_traj, horizon), dtype=int)
-    if horizon == 0:
-        return modes
-    pi, mode = _resolve_init_dist(model, init_dist)
-    if mode is not None:
-        modes[:, 0] = mode
-    else:
-        cdf0 = np.cumsum(pi)
-        cdf0 = cdf0 / cdf0[-1]
-        modes[:, 0] = np.minimum(
-            np.searchsorted(cdf0, rng.random(n_traj), side="right"), model.s - 1
-        )
-    cdf = np.cumsum(model.T, axis=1)
-    cdf = cdf / cdf[:, -1:]
-    for t in range(1, horizon):
-        u = rng.random(n_traj)
-        rows = cdf[modes[:, t - 1]]
-        modes[:, t] = np.minimum((rows < u[:, None]).sum(axis=1), model.s - 1)
-    return modes
-
-
 def simulate_batch(
     model: MjsModel,
     x0,
@@ -446,25 +440,14 @@ def simulate_batch(
     """Many zero-input trajectories at once.
 
     Returns (states, modes) with shapes (n_traj, H+1, n) and
-    (n_traj, H).  Mode paths are drawn column-by-column, states advance
-    with one masked matrix product per mode per step.
+    (n_traj, H).  The rng draws the mode paths first, then one
+    (n_traj, n) noise sample per step.
     """
-    x0 = np.asarray(x0, dtype=float)
     rng = np.random.default_rng(seed)
     modes = _batch_modes(rng, model, n_traj, horizon, init_dist)
     states = np.empty((n_traj, horizon + 1, model.n))
-    states[:, 0] = x0
-    X = np.tile(x0, (n_traj, 1))
-    for t in range(horizon):
-        nxt = np.empty_like(X)
-        for i in range(model.s):
-            mask = modes[:, t] == i
-            if np.any(mask):
-                nxt[mask] = X[mask] @ model.A[i].T
-        if noise_std > 0.0:
-            nxt = nxt + noise_std * rng.standard_normal(X.shape)
-        X = nxt
-        states[:, t + 1] = X
+    for t, X in enumerate(_rollout(model.A, modes[None], x0, noise_std, rng)):
+        states[:, t] = X[0]
     return states, modes
 
 
@@ -490,35 +473,17 @@ def simulate_coupled_batch(
             f"s={model.s}, r={reduced.s}, partition covers {partition.s} "
             f"in {partition.r} clusters"
         )
-    x0 = np.asarray(x0, dtype=float)
+    if reduced.n != model.n:
+        raise DimensionMismatch("reduced model state size disagrees with model")
     rng = np.random.default_rng(seed)
     modes = _batch_modes(rng, model, n_traj, horizon, init_dist)
-    states = np.empty((n_traj, horizon + 1, model.n))
-    red_states = np.empty_like(states)
-    states[:, 0] = x0
-    red_states[:, 0] = x0
-    X = np.tile(x0, (n_traj, 1))
-    Xr = X.copy()
-    red_modes = partition.labels[modes] if horizon else modes
-    for t in range(horizon):
-        nxt = np.empty_like(X)
-        nxt_r = np.empty_like(Xr)
-        for i in range(model.s):
-            mask = modes[:, t] == i
-            if np.any(mask):
-                nxt[mask] = X[mask] @ model.A[i].T
-        for k in range(reduced.s):
-            mask = red_modes[:, t] == k
-            if np.any(mask):
-                nxt_r[mask] = Xr[mask] @ reduced.A[k].T
-        if noise_std > 0.0:
-            e = noise_std * rng.standard_normal(X.shape)
-            nxt = nxt + e
-            nxt_r = nxt_r + e
-        X, Xr = nxt, nxt_r
-        states[:, t + 1] = X
-        red_states[:, t + 1] = Xr
-    return states, red_states, modes
+    # The reduced modes follow the original ones in the stacked A.
+    both = np.stack([modes, model.s + partition.labels[modes]])
+    A = np.concatenate([model.A, reduced.A])
+    states = np.empty((2, n_traj, horizon + 1, model.n))
+    for t, X in enumerate(_rollout(A, both, x0, noise_std, rng)):
+        states[:, :, t] = X
+    return states[0], states[1], modes
 
 
 def simulate_coupled(
@@ -552,7 +517,7 @@ def simulate_coupled(
     if x0.shape != (model.n,):
         raise DimensionMismatch(f"x0 must have shape ({model.n},), got {x0.shape}")
     rng = np.random.default_rng(seed)
-    modes = _mode_sequence(rng, model, horizon, init_dist)
+    modes = _batch_modes(rng, model, 1, horizon, init_dist)[0]
     red_modes = partition.labels[modes] if horizon else np.empty(0, dtype=int)
     states = np.empty((horizon + 1, model.n))
     red_states = np.empty((horizon + 1, model.n))

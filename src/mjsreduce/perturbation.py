@@ -16,6 +16,7 @@ from .clustering import (
     FeatureMatrix,
     build_features_aggregatable,
     build_features_lumpable,
+    check_branch,
 )
 from .model import MjsModel, Partition, stationary_distribution
 
@@ -97,6 +98,7 @@ def perturbations(
     "lumpable" compares cluster-block row sums, "aggregatable" compares
     whole transition rows in the l1 norm.
     """
+    check_branch(branch)
     if partition.s != model.s:
         raise SizeMismatch(
             f"partition covers {partition.s} modes, model has {model.s}"
@@ -110,12 +112,10 @@ def perturbations(
             [model.T[:, list(cl)].sum(axis=1) for cl in partition.clusters], axis=1
         )
         eps_T = _pair_sum(G, partition, lambda x, y: float(np.abs(x - y).sum()))
-    elif branch == "aggregatable":
+    else:
         eps_T = _pair_sum(
             model.T, partition, lambda x, y: float(np.abs(x - y).sum())
         )
-    else:
-        raise SizeMismatch(f"unknown branch {branch!r}")
     return PerturbationTriple(eps_A=eps_A, eps_B=eps_B, eps_T=eps_T, branch=branch)
 
 
@@ -217,15 +217,14 @@ def mr_bound(
     eps_combined <= sigma_r / (8 sqrt((2+eps) |C_(1)|)) under which the
     estimated partition is error free.
     """
+    check_branch(branch)
     r = partition.r
     if branch == "aggregatable":
         feats = build_features_aggregatable(model, weights)
         g1 = g2 = g3 = None
-    elif branch == "lumpable":
+    else:
         feats = build_features_lumpable(model, r, weights)
         g1, g2, g3 = _chain_constants(model, r, feats)
-    else:
-        raise SizeMismatch(f"unknown branch {branch!r}")
     eps = perturbations(model, partition, branch)
     eps_combined = combine_perturbations(feats.weights, eps, g3)
     phibar, sigma_r = averaged_feature_matrix(feats, partition)
@@ -297,6 +296,7 @@ def construct_T0(
     violation); by construction the distance never exceeds the measured
     branch perturbation of (T, partition).
     """
+    check_branch(branch)
     T = np.asarray(T, dtype=float)
     if partition.s != T.shape[0]:
         raise SizeMismatch(
@@ -307,7 +307,7 @@ def construct_T0(
         for ck in partition.clusters:
             idx = list(ck)
             T0[idx] = T[idx].mean(axis=0)
-    elif branch == "lumpable":
+    else:
         block = np.stack(
             [T[:, list(cl)].sum(axis=1) for cl in partition.clusters], axis=1
         )
@@ -341,8 +341,6 @@ def construct_T0(
             if not ok:
                 delta[i] = _lp_row_adjustment(T[i], partition, deficits[i], i)
         T0 = T + delta
-    else:
-        raise SizeMismatch(f"unknown branch {branch!r}")
     T0 = np.clip(T0, 0.0, 1.0)
     T0 = T0 / T0.sum(axis=1, keepdims=True)
     if eps_T is not None:

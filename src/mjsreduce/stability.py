@@ -159,32 +159,50 @@ class MomentOperator:
         above, started from the identity stack so that runs are
         reproducible.  When ARPACK fails (e.g. on the many eigenvalues
         of equal modulus of a long periodic chain), the dense eigvals
-        answers up to DEFAULT_SIZE_CAP; above it rho raises NotConverged.
+        answers up to DEFAULT_SIZE_CAP; above it ARPACK runs once more
+        on the shifted operator L + c I, and rho raises NotConverged
+        only when that fails too.
         """
         if self._vanishes():
             return 0.0
         if self.dim <= DENSE_RHO_MAX:
             return self._dense_rho()
         shape = (self.s, self.n, self.n)
-        op = LinearOperator(
-            (self.dim, self.dim),
-            matvec=lambda v: self.apply(v.reshape(shape)).ravel(),
-            dtype=float,
-        )
+
+        def step(v):
+            return self.apply(v.reshape(shape)).ravel()
+
         try:
-            vals = eigs(
-                op, k=1, which="LM", tol=0, v0=self._identity().ravel(),
-                maxiter=ARPACK_RESTARTS, return_eigenvectors=False,
-            )
+            return float(np.abs(self._arpack(step)))
         except ArpackError as exc:
             if self.dim <= DEFAULT_SIZE_CAP:
                 return self._dense_rho()
+            first = exc
+        # In the largest block 2-norm, ||L|| <= c = max_i sum_j
+        # T(j, i) ||A_j||^2, so rho <= c.  Every eigenvalue of L + c I
+        # other than the Perron one, rho + c, is then strictly smaller in
+        # modulus, which leaves ARPACK a single target.
+        norms2 = np.linalg.norm(self.A, 2, axis=(1, 2)) ** 2
+        c = float((self.T * norms2[:, None]).sum(axis=0).max())
+        try:
+            top = self._arpack(lambda v: step(v) + c * v)
+        except ArpackError as exc:
             raise NotConverged(
                 f"ARPACK found no spectral radius of the {self.dim}-dimensional "
-                f"second-moment operator ({exc}), and the dense fallback is "
-                f"capped at {DEFAULT_SIZE_CAP}"
+                f"second-moment operator, neither plain ({first}) nor shifted by "
+                f"{c:.3g} ({exc}), and the dense fallback is capped at "
+                f"{DEFAULT_SIZE_CAP}"
             ) from exc
-        return float(np.abs(vals).max())
+        return max(float(top.real) - c, 0.0)
+
+    def _arpack(self, matvec) -> np.complex128:
+        # The eigenvalue of largest modulus of the operator matvec.
+        op = LinearOperator((self.dim, self.dim), matvec=matvec, dtype=float)
+        vals = eigs(
+            op, k=1, which="LM", tol=0, v0=self._identity().ravel(),
+            maxiter=ARPACK_RESTARTS, return_eigenvectors=False,
+        )
+        return vals[0]
 
     def _dense_rho(self) -> float:
         return spectral_radius(augmented_matrix(MjsModel(self.A, None, self.T)))

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .clustering import check_branch
 from .errors import DegenerateInput, DimensionMismatch
 from .model import MjsModel, Partition
 
@@ -41,8 +42,7 @@ class SynthConfig:
             )
         if min(self.eps_A, self.eps_B, self.eps_T) < 0:
             raise DimensionMismatch("perturbation budgets must be nonnegative")
-        if self.branch not in ("aggregatable", "lumpable"):
-            raise DimensionMismatch(f"unknown branch {self.branch!r}")
+        check_branch(self.branch)
 
 
 def _scaled_gaussian(rng, shape, target, ord=2) -> np.ndarray:

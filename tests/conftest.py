@@ -1,20 +1,7 @@
 import numpy as np
 import pytest
 
-from mjsreduce.clustering import default_weights
 from mjsreduce.model import MjsModel, Partition
-
-
-def demoted_weights(model, t_factor=0.01):
-    """Default weights with the transition share scaled down.
-
-    Mirrors the published recipe for sweeps where the transition
-    features should not steer the clustering.
-    """
-    wa, wb, wt = default_weights(model)
-    wt *= t_factor
-    total = wa + wb + wt
-    return (wa / total, wb / total, wt / total)
 
 
 # Three-state chain used across the metric tests: exactly lumpable for

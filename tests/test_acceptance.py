@@ -15,7 +15,6 @@ import time
 import numpy as np
 import pytest
 
-from conftest import demoted_weights
 from test_bounds import dist, vertex_oracle
 from mjsreduce.bounds import (
     BoundInputs,
@@ -27,7 +26,7 @@ from mjsreduce.bounds import (
     wasserstein_kernel_bound,
 )
 from mjsreduce.clustering import average_model, misclustering_rate, reduce_model
-from mjsreduce.experiments import ExperimentSpec, run_experiment
+from mjsreduce.experiments import ExperimentSpec, demoted_weights, run_experiment
 from mjsreduce.lqr import (
     closed_loop_average_cost,
     monte_carlo_cost,
@@ -44,8 +43,6 @@ from mjsreduce.model import (
 from mjsreduce.perturbation import construct_T0, mr_bound
 from mjsreduce.stability import augmented_matrix, spectral_radius
 from mjsreduce.synth import SynthConfig, fig4_model, generate
-
-THREADS = min(8, os.cpu_count() or 1)
 
 
 def _report(num, ok, detail):
@@ -391,7 +388,7 @@ def test_criterion_8_cost_cross_validation():
 
 def test_criterion_9_trend_replication(tmp_path):
     fig2_path = run_experiment(
-        ExperimentSpec("fig2", out_dir=str(tmp_path), threads=THREADS)
+        ExperimentSpec("fig2", out_dir=str(tmp_path))
     )
     with open(fig2_path) as fh:
         rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
@@ -410,7 +407,7 @@ def test_criterion_9_trend_replication(tmp_path):
                 trend_ok = False
 
     table2_path = run_experiment(
-        ExperimentSpec("table2", out_dir=str(tmp_path), threads=THREADS)
+        ExperimentSpec("table2", out_dir=str(tmp_path))
     )
     with open(table2_path) as fh:
         trows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
@@ -420,7 +417,7 @@ def test_criterion_9_trend_replication(tmp_path):
     )
 
     fig3b_path = run_experiment(
-        ExperimentSpec("fig3b", out_dir=str(tmp_path), threads=THREADS)
+        ExperimentSpec("fig3b", out_dir=str(tmp_path))
     )
     with open(fig3b_path) as fh:
         brows = list(csv.DictReader(line for line in fh if not line.startswith("#")))

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from mjsreduce.cli import _resolve_threads, main
+from mjsreduce.cli import main
 from mjsreduce.model import MjsModel, save_model
 
 
@@ -184,12 +184,7 @@ def test_unknown_command_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["reduce"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "fig4", "--threads", "2"])
+    assert exc.value.code == 2
 
-
-def test_resolve_threads(monkeypatch):
-    monkeypatch.delenv("MJS_REDUCE_THREADS", raising=False)
-    assert _resolve_threads(None) == 1
-    assert _resolve_threads(4) == 4
-    monkeypatch.setenv("MJS_REDUCE_THREADS", "3")
-    assert _resolve_threads(None) == 3
-    assert _resolve_threads(2) == 2

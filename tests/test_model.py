@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import THREE_STATE_T, random_model, three_state_model
+from conftest import THREE_STATE_T, random_model, random_partition, three_state_model
 from mjsreduce.clustering import average_model
 from mjsreduce.errors import (
     DimensionMismatch,
@@ -15,6 +17,7 @@ from mjsreduce.errors import (
 from mjsreduce.model import (
     MjsModel,
     Partition,
+    _batch_modes,
     expand_reduced,
     is_ergodic,
     load_model,
@@ -218,6 +221,93 @@ def test_init_dist_is_validated_by_every_consumer(bad, error):
     for call in calls:
         with pytest.raises(error):
             call()
+
+
+def assert_rel_close(got, want):
+    # 1e-12 relative to the largest state of the oracle path.
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.invariant
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    s=st.integers(1, 6),
+    n=st.integers(1, 4),
+    horizon=st.integers(0, 12),
+    n_traj=st.integers(1, 6),
+)
+def test_batched_paths_match_the_scalar_oracle(seed, s, n, horizon, n_traj):
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, s=s, n=n, p=0, a_scale=rng.uniform(0.1, 1.5))
+    x0 = rng.standard_normal(n)
+    states, modes = simulate_batch(model, x0, horizon, n_traj, seed=seed)
+    for b in range(n_traj):
+        assert_rel_close(states[b], simulate(model, x0, horizon, modes=modes[b]).states)
+    part = random_partition(rng, s, int(rng.integers(1, s + 1)))
+    reduced = random_model(rng, s=part.r, n=n, p=0)
+    full, red, modes = simulate_coupled_batch(
+        model, reduced, part, x0, horizon, n_traj, seed=seed
+    )
+    for b in range(n_traj):
+        assert_rel_close(full[b], simulate(model, x0, horizon, modes=modes[b]).states)
+        oracle = simulate(reduced, x0, horizon, modes=part.labels[modes[b]])
+        assert_rel_close(red[b], oracle.states)
+
+
+@pytest.mark.invariant
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    s=st.integers(1, 6),
+    horizon=st.integers(0, 15),
+    init=st.sampled_from(["stationary", "fixed", "law"]),
+)
+def test_scalar_and_batched_runs_share_the_sampler(seed, s, horizon, init):
+    # Same seed, same draws: modes first, then one noise vector per step.
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, s=s, n=2, p=0)
+    init_dist = {
+        "stationary": None,
+        "fixed": int(rng.integers(s)),
+        "law": rng.dirichlet(np.ones(s)),
+    }[init]
+    x0 = rng.standard_normal(2)
+    kw = dict(noise_std=0.3, seed=seed, init_dist=init_dist)
+    traj = simulate(model, x0, horizon, **kw)
+    states, modes = simulate_batch(model, x0, horizon, 1, **kw)
+    assert np.array_equal(traj.modes, modes[0])
+    assert_rel_close(states[0], traj.states)
+    singletons = Partition([[i] for i in range(s)])
+    full, _ = simulate_coupled(model, model, singletons, x0, horizon, **kw)
+    assert np.array_equal(full.modes, modes[0])
+
+
+def test_coupled_runs_reject_unlinked_models():
+    m, part, x0 = three_state_model(), Partition([[0], [1, 2]]), np.ones(2)
+    other_n = MjsModel(np.zeros((2, 3, 3)), None, np.full((2, 2), 0.5))
+    other_r = MjsModel(np.zeros((3, 2, 2)), None, np.full((3, 3), 1 / 3))
+    runs = (
+        lambda red: simulate_coupled(m, red, part, x0, 3, seed=0),
+        lambda red: simulate_coupled_batch(m, red, part, x0, 3, 2, seed=0),
+    )
+    for run in runs:
+        with pytest.raises(DimensionMismatch):
+            run(other_n)
+        with pytest.raises(PartitionMismatch):
+            run(other_r)
+
+
+def test_mode_sampler_skips_zero_probability_modes():
+    # A draw of exactly 0 equals the cumulative entry of a leading mode of
+    # probability zero, which must not be picked.
+    class Zeros:
+        def random(self, size):
+            return np.zeros(size)
+
+    law = [0.0, 0.5, 0.5]
+    m = MjsModel(np.zeros((3, 1, 1)), None, np.tile(law, (3, 1)))
+    assert np.all(_batch_modes(Zeros(), m, 2, 4, law) == 1)
 
 
 @pytest.mark.invariant

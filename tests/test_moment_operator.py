@@ -146,6 +146,22 @@ def test_arpack_failure_above_cap_raises(monkeypatch):
         MomentOperator(A, T).rho()
 
 
+def test_arpack_failure_above_cap_retries_shifted(monkeypatch):
+    # The cyclic chain defeats plain ARPACK; above the (lowered) cap the
+    # retry on L + c I must answer without the dense eig.
+    rng = np.random.default_rng(0)
+    A, T = draw_modes(rng, 12, 3), draw_chain(rng, 12, "periodic")
+    monkeypatch.setattr(stability, "DEFAULT_SIZE_CAP", 100)
+    monkeypatch.setattr(
+        MomentOperator, "_dense_rho", mock.Mock(side_effect=AssertionError("dense eig used"))
+    )
+    spy = mock.Mock(side_effect=stability.eigs)
+    monkeypatch.setattr(stability, "eigs", spy)
+    rho = MomentOperator(A, T).rho()
+    assert spy.call_count == 2
+    assert_rel_close(rho, dense_rho(A, T))
+
+
 def test_long_periodic_chain_gets_its_radius():
     # A cyclic chain of period 60 has 60 eigenvalues of modulus rho, and
     # ARPACK with k = 1 gives up on it; the dense fallback must answer.

@@ -8,8 +8,8 @@ from conftest import (
     random_partition,
     three_state_model,
 )
-from mjsreduce.clustering import build_features_aggregatable
-from mjsreduce.errors import InfeasibleBlock, SizeMismatch
+from mjsreduce.clustering import build_features_aggregatable, reduce_model
+from mjsreduce.errors import DimensionMismatch, InfeasibleBlock, SizeMismatch
 from mjsreduce.model import MjsModel, Partition
 from mjsreduce.perturbation import (
     averaged_feature_matrix,
@@ -66,8 +66,25 @@ def test_perturbations_validates_sizes(rng):
     m = random_model(rng, s=4)
     with pytest.raises(SizeMismatch):
         perturbations(m, SPLIT, "aggregatable")
-    with pytest.raises(SizeMismatch):
+    with pytest.raises(DimensionMismatch):
         perturbations(m, Partition([[0, 1], [2, 3]]), "nonsense")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m, part: SynthConfig(4, 2, 2, 1, branch="diagonal"),
+        lambda m, part: reduce_model(m, 2, branch="diagonal"),
+        lambda m, part: perturbations(m, part, "diagonal"),
+        lambda m, part: mr_bound(m, part, "diagonal"),
+        lambda m, part: construct_T0(m.T, part, branch="diagonal"),
+    ],
+    ids=["SynthConfig", "reduce_model", "perturbations", "mr_bound", "construct_T0"],
+)
+def test_unknown_branch_is_one_error(rng, call):
+    m = random_model(rng, s=4)
+    with pytest.raises(DimensionMismatch, match="unknown branch 'diagonal'"):
+        call(m, Partition([[0, 1], [2, 3]]))
 
 
 @pytest.mark.invariant
