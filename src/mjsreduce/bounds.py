@@ -354,18 +354,15 @@ def wasserstein_exact(
     m, k = len(a), len(b)
     diff = p.support[:, None, :] - q.support[None, :, :]
     cost = np.linalg.norm(diff, axis=2) ** ell
-    # Equality constraints: row sums then column sums (last one dropped
-    # as redundant).
-    rows = []
-    for i in range(m):
-        row = np.zeros((m, k))
-        row[i, :] = 1.0
-        rows.append(row.ravel())
-    for j in range(k - 1):
-        col = np.zeros((m, k))
-        col[:, j] = 1.0
-        rows.append(col.ravel())
-    A_eq = scipy.sparse.csr_matrix(np.array(rows))
+    # Equality constraints on the row-major plan: row sums then column
+    # sums (last one dropped as redundant).
+    A_eq = scipy.sparse.vstack(
+        [
+            scipy.sparse.kron(scipy.sparse.eye(m), np.ones((1, k))),
+            scipy.sparse.kron(np.ones((1, m)), scipy.sparse.eye(k), format="csr")[:-1],
+        ],
+        format="csr",
+    )
     b_eq = np.concatenate([a, b[:-1]])
     res = scipy.optimize.linprog(
         c=cost.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs"

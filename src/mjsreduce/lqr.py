@@ -132,17 +132,13 @@ def riccati_solve(
     for h in range(1, max_iter + 1):
         _, K, P_new = riccati_operators(model, Q, R, P)
         P_new = 0.5 * (P_new + P_new.transpose(0, 2, 1))
-        p_deltas.append(
-            float(max(np.linalg.norm(P_new[i] - P[i]) for i in range(model.s)))
-        )
+        p_deltas.append(float(np.linalg.norm(P_new - P, axis=(1, 2)).max()))
         P = P_new
-        if float(max(np.linalg.norm(P[i]) for i in range(model.s))) > divergence_cap:
+        if float(np.linalg.norm(P, axis=(1, 2)).max()) > divergence_cap:
             raise Diverged(f"value iteration passed {divergence_cap:.0e} at step {h}")
         if track_gains:
             if K_prev is not None:
-                delta = float(
-                    max(np.linalg.norm(K[i] - K_prev[i], 2) for i in range(model.s))
-                )
+                delta = float(np.linalg.norm(K - K_prev, 2, axis=(1, 2)).max())
                 if delta < tol:
                     return LqrSolution(
                         P=P,
@@ -278,9 +274,9 @@ def monte_carlo_cost(
     stage = np.tile(Q, (model.s, 1, 1)) + np.einsum("ikj,kl,ilm->ijm", K, R, K)
     rng = np.random.default_rng(seed)
     modes = _batch_modes(rng, model, n_traj, horizon, None)
-    start = 0.0 if x0 is None else x0
+    x0 = np.zeros(model.n) if x0 is None else x0
     totals = np.zeros(n_traj)
-    for t, X in enumerate(_rollout(Acl, modes[None], start, sigma_w, rng)):
+    for t, X in enumerate(_rollout(Acl, modes[None], x0, sigma_w, rng)):
         if t and (not np.all(np.isfinite(X)) or np.abs(X).max() > blowup):
             return CostReport(
                 value=float("inf"),

@@ -345,10 +345,15 @@ def _rollout(A: np.ndarray, modes: np.ndarray, x0, noise_std: float, rng):
     A stacks the mode matrices of all c systems, modes of shape (c, N, H)
     indexes into it, one set of N paths per system.  Yields fresh arrays
     X_0..X_H of shape (c, N, n); each step adds one (N, n) standard
-    normal draw, scaled by noise_std, to every system alike.
+    normal draw, scaled by noise_std, to every system alike.  x0 must
+    have shape (n,) (DimensionMismatch otherwise).
     """
     c, N, H = modes.shape
-    X = np.empty((c, N, A.shape[1]))
+    n = A.shape[1]
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (n,):
+        raise DimensionMismatch(f"x0 must have shape ({n},), got {x0.shape}")
+    X = np.empty((c, N, n))
     X[:] = x0
     yield X
     for t in range(H):

@@ -16,8 +16,12 @@ whose (i, j) block is T(j, i) * kron(A_j, A_j).  It is kept as the
 input of tau_estimate, whose matrix-power norms need it, as the
 fallback of MomentOperator.rho when ARPACK fails, and as the oracle the
 tests compare the operator against; it is size-capped.
-The uniform side bounds the joint spectral radius of the mode matrices
-by enumerating products.
+
+The uniform side, jsr_bounds and kappa_estimate, runs on one product
+enumerator, _enumerate_products: each level is one stacked matmul of
+the kept prefixes with every mode and one batched 2-norm call, handed
+to the caller's bound update and prune rule (Gripenberg, Linear Algebra
+Appl. 234, 1996).
 """
 
 from __future__ import annotations
@@ -265,14 +269,36 @@ def _tau_sweep(M: np.ndarray, rho: float, k_max: int) -> TauEstimate:
     )
 
 
-def _prunable(norm_w: float, depth: int, beta: float, lower: float, k_max: int) -> bool:
-    # A prefix is useless once no extension can reach the current lower
-    # bound at any remaining depth: ||W V|| <= ||W|| beta^(k-d).
-    if lower <= 0.0:
-        return False
-    for k in range(depth + 1, k_max + 1):
-        if norm_w * beta ** (k - depth) >= lower**k:
+def _enumerate_products(mats: np.ndarray, k_max: int, budget: int, keep, visit) -> bool:
+    """Walk the products of the mode matrices level by level.
+
+    Level k stacks the products A_{i_1} ... A_{i_k} of the kept prefixes
+    of level k - 1, each extended on the right by every mode, in the
+    order of a nested loop over (prefix, mode).  visit(k, W, norms) sees
+    each level as one (N, n, n) stack W with its 2-norms;
+    keep(k - 1, norms) returns the mask of the prefixes worth extending.
+    Every product, level 1 included, counts against the budget.  Returns
+    complete: False when the budget stopped the walk before level k_max.
+    """
+    if k_max < 1:
+        return True
+    W = mats
+    norms = np.linalg.norm(W, 2, axis=(1, 2))
+    visit(1, W, norms)
+    count = len(mats)
+    for k in range(2, k_max + 1):
+        mask = keep(k - 1, norms)
+        need = int(mask.sum()) * len(mats)
+        if need == 0:
+            return True
+        # Checked before indexing: W[mask] copies the kept prefixes, and
+        # on a level the budget refuses that copy only doubles the peak.
+        if count + need > budget:
             return False
+        W = (W[mask][:, None] @ mats).reshape(-1, *mats.shape[1:])
+        norms = np.linalg.norm(W, 2, axis=(1, 2))
+        count += need
+        visit(k, W, norms)
     return True
 
 
@@ -283,42 +309,30 @@ def jsr_bounds(A_list, k_max: int = 8, budget: int = 100_000) -> JsrBounds:
     max ||W||^{1/k} to the upper bound (minimized over levels).
     Prefixes that provably cannot influence either bound are pruned;
     when the product budget runs out the bounds from completed levels
-    are returned with complete=False.
+    are returned with complete=False.  Level 1 is always enumerated.
     """
-    mats = [np.asarray(A, dtype=float) for A in A_list]
-    norms = [float(np.linalg.norm(A, 2)) for A in mats]
-    beta = max(norms)
-    lower = max(spectral_radius(A, cap=A.shape[0]) for A in mats)
-    upper = beta
-    count = len(mats)
-    frontier = [(A, nr) for A, nr in zip(mats, norms)]
-    levels = 1
-    complete = True
-    for k in range(2, k_max + 1):
-        frontier = [
-            (W, nw)
-            for W, nw in frontier
-            if not _prunable(nw, k - 1, beta, lower, k_max)
-        ]
-        need = len(frontier) * len(mats)
-        if need == 0:
-            break
-        if count + need > budget:
-            complete = False
-            break
-        nxt = []
-        level_norm = 0.0
-        for W, _ in frontier:
-            for A in mats:
-                V = W @ A
-                nv = float(np.linalg.norm(V, 2))
-                level_norm = max(level_norm, nv)
-                lower = max(lower, spectral_radius(V, cap=V.shape[0]) ** (1.0 / k))
-                nxt.append((V, nv))
-        count += need
-        upper = min(upper, level_norm ** (1.0 / k))
-        frontier = nxt
+    mats = np.asarray(A_list, dtype=float)
+    beta = float(np.linalg.norm(mats, 2, axis=(1, 2)).max())
+    lower, upper, levels = 0.0, float("inf"), 0
+
+    # The thresholds are Python float powers: numpy's vectorized powers
+    # may differ in the last bit and so prune a different frontier.
+    def keep(depth, norms):
+        # A prefix is useless once no extension can reach the current
+        # lower bound at any remaining depth: ||W V|| <= ||W|| beta^(k-d).
+        mask = np.zeros(len(norms), dtype=bool)
+        for k in range(depth + 1, k_max + 1):
+            mask |= norms * beta ** (k - depth) >= lower**k
+        return mask
+
+    def visit(k, W, norms):
+        nonlocal lower, upper, levels
+        rho = np.abs(np.linalg.eigvals(W)).max(axis=1)
+        lower = max(lower, float(rho.max()) ** (1.0 / k))
+        upper = min(upper, float(norms.max()) ** (1.0 / k))
         levels = k
+
+    complete = _enumerate_products(mats, max(k_max, 1), budget, keep, visit)
     return JsrBounds(
         lower=lower, upper=upper, k_max=k_max, levels_completed=levels, complete=complete
     )
@@ -339,7 +353,7 @@ def kappa_estimate(
     maximum are pruned, so the returned value is exact over the swept
     depths unless the budget aborts the sweep (complete=False).
     """
-    mats = [np.asarray(A, dtype=float) for A in A_list]
+    mats = np.asarray(A_list, dtype=float)
     if certified_upper is None:
         certified_upper = jsr_bounds(mats, k_max=min(k_max, 6), budget=budget).upper
     if xi < certified_upper - 1e-12:
@@ -347,41 +361,24 @@ def kappa_estimate(
             f"xi = {xi} is below the certified joint-spectral-radius "
             f"upper bound {certified_upper}"
         )
-    norms = [float(np.linalg.norm(A, 2)) for A in mats]
-    beta = max(norms)
+    beta = float(np.linalg.norm(mats, 2, axis=(1, 2)).max())
     best, arg = 1.0, 0
-    count = len(mats)
-    frontier = list(zip(mats, norms))
-    complete = True
-    for k in range(1, k_max + 1):
-        if k == 1:
-            level = frontier
-        else:
-            keep = []
-            for W, nw in frontier:
-                ceil_ok = any(
-                    nw * beta ** (kk - (k - 1)) / xi**kk > best
-                    for kk in range(k, k_max + 1)
-                )
-                if ceil_ok:
-                    keep.append((W, nw))
-            need = len(keep) * len(mats)
-            if need == 0:
-                break
-            if count + need > budget:
-                complete = False
-                break
-            level = []
-            for W, _ in keep:
-                for A in mats:
-                    V = W @ A
-                    level.append((V, float(np.linalg.norm(V, 2))))
-            count += need
-        for _, nv in level:
-            val = nv / xi**k
-            if val > best:
-                best, arg = val, k
-        frontier = level
+
+    def keep(depth, norms):
+        # A subtree is cut once no extension can beat the running
+        # maximum: ||W V|| / xi^k <= ||W|| beta^(k-d) / xi^k.
+        mask = np.zeros(len(norms), dtype=bool)
+        for k in range(depth + 1, k_max + 1):
+            mask |= norms * beta ** (k - depth) / xi**k > best
+        return mask
+
+    def visit(k, W, norms):
+        nonlocal best, arg
+        val = float(norms.max()) / xi**k
+        if val > best:
+            best, arg = val, k
+
+    complete = _enumerate_products(mats, k_max, budget, keep, visit)
     return KappaEstimate(
         value=best,
         xi=xi,
@@ -454,7 +451,6 @@ def stability_report(
     k_max_jsr: int = 8,
     k_max_kappa: int = 12,
     budget: int = 100_000,
-    cap: int = DEFAULT_SIZE_CAP,
 ) -> StabilityReport:
     """All stability diagnostics of one model in a single pass.
 
@@ -462,7 +458,7 @@ def stability_report(
     same lift applies to xi on top of the certified joint-spectral-
     radius upper bound.  A supplied rho below rho_aug raises RhoTooSmall.
     """
-    aug = augmented_matrix(model, cap=cap)
+    aug = augmented_matrix(model)
     rho_aug = MomentOperator(model.A, model.T).rho()
     if rho is None:
         rho_used = default_level(rho_aug)
@@ -531,7 +527,6 @@ def stability_comparison(
     rho_hat: float | None = None,
     xi: float | None = None,
     xi_hat: float | None = None,
-    cap: int = DEFAULT_SIZE_CAP,
     **sweep_kwargs,
 ) -> StabilityComparison:
     """Compare stability levels of a model and its reduction.
@@ -550,15 +545,15 @@ def stability_comparison(
     partition = reduction.partition
     reduced = reduction.reduced
     eps = perturbations(model, partition, branch)
-    rep = stability_report(model, rho=rho, xi=xi, cap=cap, **sweep_kwargs)
-    rep_hat = stability_report(reduced, rho=rho_hat, xi=xi_hat, cap=cap, **sweep_kwargs)
+    rep = stability_report(model, rho=rho, xi=xi, **sweep_kwargs)
+    rep_hat = stability_report(reduced, rho=rho_hat, xi=xi_hat, **sweep_kwargs)
     eps_rho = float(
         np.sqrt(model.s)
         * ((2.0 * rep.a_bar + eps.eps_A) * eps.eps_A + rep.a_bar**2 * eps.eps_T)
     )
     T_bar = construct_T0(model.T, partition, branch=branch)
     expanded = expand_reduced(reduced, partition, T_bar)
-    aug_bar = augmented_matrix(expanded, cap=cap)
+    aug_bar = augmented_matrix(expanded)
     rho_aug_bar = MomentOperator(expanded.A, expanded.T).rho()
     _check_rho(rep_hat.rho_used, rho_aug_bar)
     tau_bar = _tau_sweep(aug_bar, rep_hat.rho_used, sweep_kwargs.get("k_max_tau", 64))

@@ -32,8 +32,8 @@ from mjsreduce.model import (
     validate_model,
 )
 from mjsreduce.synth import SynthConfig, generate
-from mjsreduce.bounds import transition_kernel_enum
-from mjsreduce.lqr import cumulative_cost_noisefree
+from mjsreduce.bounds import empirical_traj_diff, transition_kernel_enum
+from mjsreduce.lqr import cumulative_cost_noisefree, monte_carlo_cost
 from mjsreduce.stability import second_moment_evolution
 
 
@@ -296,6 +296,25 @@ def test_coupled_runs_reject_unlinked_models():
             run(other_n)
         with pytest.raises(PartitionMismatch):
             run(other_r)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda m, part, x0: simulate_batch(m, x0, 3, 2, seed=0),
+        lambda m, part, x0: simulate_coupled_batch(m, m, part, x0, 3, 2, seed=0),
+        lambda m, part, x0: monte_carlo_cost(
+            m, np.zeros((3, 0, 2)), np.eye(2), np.zeros((0, 0)), 0.1, 3, 2, x0=x0
+        ),
+        lambda m, part, x0: empirical_traj_diff(m, m, part, x0, 3, 2, seed=0),
+    ],
+    ids=["simulate_batch", "simulate_coupled_batch", "monte_carlo_cost", "empirical_traj_diff"],
+)
+def test_batched_runs_reject_a_wrong_x0_length(run):
+    m = three_state_model()
+    singletons = Partition([[0], [1], [2]])
+    with pytest.raises(DimensionMismatch):
+        run(m, singletons, np.ones(m.n + 1))
 
 
 def test_mode_sampler_skips_zero_probability_modes():

@@ -1,7 +1,10 @@
+import functools
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mjsreduce.stability as stability
 from conftest import random_model
@@ -152,6 +155,54 @@ def test_kappa_matches_brute_force_products(rng):
             best = max(best, np.linalg.norm(W, 2) / xi**k)
     assert est.value == pytest.approx(best, rel=1e-12)
     assert est.value >= 1.0
+
+
+def all_products(mats, k):
+    """Every product A_{i_1} ... A_{i_k}, multiplied left to right."""
+    return [
+        functools.reduce(np.matmul, (mats[i] for i in seq))
+        for seq in itertools.product(range(len(mats)), repeat=k)
+    ]
+
+
+@pytest.mark.invariant
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    s=st.integers(1, 4),
+    n=st.integers(1, 3),
+    k_max=st.integers(0, 5),
+)
+@example(seed=0, s=3, n=2, k_max=0)
+@example(seed=0, s=3, n=2, k_max=1)
+def test_enumerations_match_unpruned_products(seed, s, n, k_max):
+    # Pruning drops only products that can set neither number, so with
+    # a budget for every product the walk equals the full enumeration.
+    rng = np.random.default_rng(seed)
+    mats = rng.standard_normal((s, n, n)) * rng.uniform(0.2, 1.5) / np.sqrt(n)
+    depth = max(k_max, 1)  # jsr_bounds always enumerates level 1
+    budget = sum(s**k for k in range(1, depth + 1))
+    lower, upper = 0.0, np.inf
+    for k in range(1, depth + 1):
+        level = all_products(mats, k)
+        lower = max(lower, max(spectral_radius(W) for W in level) ** (1 / k))
+        upper = min(upper, max(np.linalg.norm(W, 2) for W in level) ** (1 / k))
+    b = jsr_bounds(mats, k_max=k_max, budget=budget)
+    assert b.complete
+    assert b.lower == pytest.approx(lower, rel=1e-12)
+    assert b.upper == pytest.approx(upper, rel=1e-12)
+    xi = default_level(b.upper)
+    best = max(
+        [1.0]
+        + [
+            np.linalg.norm(W, 2) / xi**k
+            for k in range(1, k_max + 1)
+            for W in all_products(mats, k)
+        ]
+    )
+    est = kappa_estimate(mats, xi, k_max=k_max, budget=budget)
+    assert est.complete
+    assert est.value == pytest.approx(best, rel=1e-12)
 
 
 @pytest.mark.invariant
