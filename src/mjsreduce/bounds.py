@@ -248,11 +248,14 @@ def transition_kernel_enum(
 ) -> KernelDistribution:
     """Exact law of x_t for an autonomous model by path enumeration.
 
-    Walks all mode sequences of length t (pruning zero-probability
-    branches), collecting endpoint states and their probabilities.
-    Points closer than dedup_tol * max(||x0||, 1) are merged, masses
-    added.  Raises TooManySequences when s^t exceeds the cap, TooLarge
-    when the model has inputs.
+    Walks all mode sequences of length t one level at a time (pruning
+    zero-probability branches), in the order of a depth-first walk over
+    the modes, collecting endpoint states and their probabilities.
+    Each point, in that order, is merged into the first kept point that
+    lies within dedup_tol * max(||x0||, 1) and shares its cell of a grid
+    of that width; masses are added in point order.  Raises
+    TooManySequences when s^t exceeds the cap, TooLarge when the model
+    has inputs.
     """
     if model.p and np.any(model.B != 0.0):
         raise TooLarge("transition kernels are defined for autonomous models")
@@ -260,49 +263,66 @@ def transition_kernel_enum(
         raise TooManySequences(f"s^t = {model.s**t} exceeds the cap {cap}")
     x0 = np.asarray(x0, dtype=float)
     init, _ = _resolve_init_dist(model, init_dist)
-    points: list[np.ndarray] = []
-    masses: list[float] = []
-
-    def walk(depth: int, mode: int, x: np.ndarray, q: float) -> None:
-        x = model.A[mode] @ x
-        if depth == t - 1:
-            points.append(x)
-            masses.append(q)
-            return
-        for j in range(model.s):
-            qj = q * model.T[mode, j]
-            if qj > 0.0:
-                walk(depth + 1, j, x, qj)
-
     if t == 0:
-        points, masses = [x0], [1.0]
-    else:
-        for i in range(model.s):
-            if init[i] > 0.0:
-                walk(0, i, x0, float(init[i]))
+        return KernelDistribution(support=np.array([x0]), mass=np.ones(1), t=0)
+    # One row per live path: its last mode, probability and state.
+    modes = np.flatnonzero(init > 0.0)
+    q = init[modes]
+    X = (model.A[modes] @ x0[:, None])[..., 0]
+    for _ in range(t - 1):
+        # Row-major nonzeros: each path's children in mode order, i.e.
+        # the depth-first order of the paths.
+        weights = q[:, None] * model.T[modes]
+        rows, modes = np.nonzero(weights > 0.0)
+        q = weights[rows, modes]
+        X = (model.A[modes] @ X[rows][..., None])[..., 0]
+    tol = dedup_tol * max(float(np.linalg.norm(x0)), 1.0)
+    support, label = _merge_points(X, tol)
+    mass = np.bincount(label, weights=q, minlength=len(support))
+    return KernelDistribution(support=support, mass=mass, t=t)
 
-    scale = max(float(np.linalg.norm(x0)), 1.0)
-    tol = dedup_tol * scale
-    kept: list[np.ndarray] = []
-    kept_mass: list[float] = []
-    # Coarse hash on a rounded grid, exact tolerance check within buckets.
-    buckets: dict[bytes, list[int]] = {}
-    grid = max(tol, 1e-300)
-    for x, q in zip(points, masses):
-        key = np.round(x / grid).astype(np.int64).tobytes()
-        merged = False
-        for idx in buckets.get(key, ()):
-            if np.linalg.norm(kept[idx] - x) <= tol:
-                kept_mass[idx] += q
-                merged = True
+
+def _merge_points(X: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy merge of the rows of X, in row order, into the first kept
+    row within tol in the same cell of a grid of width tol.  Returns
+    the kept rows, in order of appearance, and each row's kept index.
+    """
+    # Equal rows always share a cell and merge into the same kept row,
+    # so the greedy pass only visits the distinct rows.
+    first, inverse = _equal_rows(X)
+    distinct = X[first]
+    keys = np.round(distinct / max(tol, 1e-300)).astype(np.int64)
+    _, cell = _equal_rows(keys)
+    rep = np.arange(len(distinct))
+    kept_in: dict[int, list[int]] = {}
+    for i in np.flatnonzero(np.bincount(cell)[cell] > 1):
+        kept = kept_in.setdefault(int(cell[i]), [])
+        for j in kept:
+            if np.linalg.norm(distinct[j] - distinct[i]) <= tol:
+                rep[i] = j
                 break
-        if not merged:
-            kept.append(x)
-            kept_mass.append(q)
-            buckets.setdefault(key, []).append(len(kept) - 1)
-    return KernelDistribution(
-        support=np.array(kept), mass=np.array(kept_mass), t=t
-    )
+        else:
+            kept.append(i)
+    is_kept = rep == np.arange(len(distinct))
+    index = np.cumsum(is_kept) - 1
+    return distinct[is_kept], index[rep][inverse]
+
+
+def _equal_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Groups of equal rows of X, numbered in order of first appearance:
+    the first row of each group, and each row's group."""
+    order = np.lexsort(X.T)  # stable: equal rows keep row order
+    ordered = X[order]
+    starts = np.ones(len(X), dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    group = np.cumsum(starts) - 1
+    first = order[starts]
+    appearance = np.argsort(first)
+    rank = np.empty_like(appearance)
+    rank[appearance] = np.arange(len(first))
+    inverse = np.empty_like(order)
+    inverse[order] = rank[group]
+    return first[appearance], inverse
 
 
 def kernel_mean_cov(k: KernelDistribution) -> tuple[np.ndarray, np.ndarray]:

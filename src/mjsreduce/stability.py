@@ -11,11 +11,18 @@ MomentOperator applies L and its adjoint matrix-free, in
 O(s n^3 + s^2 n^2) per step, and takes the spectral radius with ARPACK
 on a LinearOperator, so the mean-square checks have no size cap.
 
+The transient constant tau = sup_k ||L^k||_2 / rho^k is swept on dense
+powers of L built column by column (apply_columns), taking the exact
+2-norm of a power only where a cheap upper bound could still raise the
+running maximum.  Above DEFAULT_SIZE_CAP no dense power is formed: L^k
+is completely positive, so ||L^k||_2 <= sqrt(||L^k(I)|| ||L*^k(I)||) in
+the largest block 2-norm, and tau is reported as that upper bound.
+
 The dense form of L is the augmented (s n^2) x (s n^2) block matrix
 whose (i, j) block is T(j, i) * kron(A_j, A_j).  It is kept as the
-input of tau_estimate, whose matrix-power norms need it, as the
-fallback of MomentOperator.rho when ARPACK fails, and as the oracle the
-tests compare the operator against; it is size-capped.
+fallback of MomentOperator.rho when ARPACK fails and as the oracle the
+tests compare the operator against; it is size-capped.  tau_estimate
+takes any such matrix and sweeps its powers directly.
 
 The uniform side, jsr_bounds and kappa_estimate, runs on one product
 enumerator, _enumerate_products: each level is one stacked matmul of
@@ -59,20 +66,33 @@ DEFAULT_SIZE_CAP = 4096
 # 0.5-0.8 vs 0.9 ms, dim 64 1.3-2.4 vs 1.3-1.8 ms, dim 72 1.7-2.8 vs
 # 1.1-1.6 ms, dim 144 11.5 vs 1.7 ms.
 DENSE_RHO_MAX = 64
-# Restart budget of ARPACK; random test models need at most a dozen,
-# and a periodic chain may never converge, so failing costs this much.
+# Restart budgets of ARPACK.  The plain run stops early: random models
+# need at most ten restarts, while on a periodic chain it may never
+# converge, and a failure hands over to the dense eig or the shifted
+# retry, which gets the larger budget.
+ARPACK_PLAIN_RESTARTS = 30
 ARPACK_RESTARTS = 300
+# Relative margin on the cheap norm bounds of the tau sweep, above the
+# rounding of both the bounds and the exact 2-norm.
+BOUND_MARGIN = 1e-12
 
 
 @dataclass
 class TauEstimate:
-    """sup_k ||M^k|| / rho^k over k <= k_max, with the attaining k."""
+    """sup_k ||M^k|| / rho^k over k <= k_max, with the attaining k.
+
+    certified: some K <= k_max has ||M^K|| <= rho^K, so the value is
+    the sup over every k.  exact: False when value is the matrix-free
+    upper bound on the sweep rather than the sweep itself.
+    """
 
     value: float
     rho: float
     argmax_k: int
     k_max: int
     unconverged: bool
+    certified: bool
+    exact: bool
 
 
 @dataclass
@@ -153,6 +173,38 @@ class MomentOperator:
         phi = np.einsum("ij,jkl->ikl", self.T, V)
         return np.einsum("ikj,ikl,ilm->ijm", self.A, phi, self.A)
 
+    def apply_columns(self, P: np.ndarray) -> np.ndarray:
+        """L applied to every column of P, each a flattened stack: the
+        augmented matrix times P, in O(s n^4 + s^2 n^2) per column
+        instead of O(s^2 n^4)."""
+        s, m, cols = self.s, self.n * self.n, P.shape[1]
+        krons = np.einsum("jab,jcd->jacbd", self.A, self.A).reshape(s, m, m)
+        pushed = krons @ P.reshape(s, m, cols)
+        return (self.T.T @ pushed.reshape(s, m * cols)).reshape(s * m, cols)
+
+    def tau(self, rho: float, k_max: int) -> TauEstimate:
+        """sup_k ||L^k||_2 / rho^k over k <= k_max, for a rho the caller
+        has checked against the spectral radius.
+
+        Up to DEFAULT_SIZE_CAP the powers are dense and the value is
+        exact.  Above it, the value is the sweep of the upper bound
+        sqrt(||L^k(I)|| ||L*^k(I)||) in the largest block 2-norm, which
+        holds because L^k is completely positive (exact=False).
+        """
+        if self.dim > DEFAULT_SIZE_CAP:
+            return _tau_sweep(self._power_bounds(k_max), rho, k_max, exact=False)
+        powers = _dense_powers(self.apply_columns, np.eye(self.dim), k_max)
+        return _tau_sweep(powers, rho, k_max, exact=True)
+
+    def _power_bounds(self, k_max: int):
+        # Yields (bound on ||L^k||_2, None) for k = 1..k_max.
+        X = Y = self._identity()
+        for _ in range(k_max):
+            X, Y = self.apply(X), self.adjoint(Y)
+            top = np.linalg.norm(X, 2, axis=(1, 2)).max()
+            top_adj = np.linalg.norm(Y, 2, axis=(1, 2)).max()
+            yield float(np.sqrt(top * top_adj)), None
+
     def rho(self) -> float:
         """Spectral radius of L.
 
@@ -161,11 +213,12 @@ class MomentOperator:
         modes); there eigensolvers return rounding noise instead.
         Otherwise dense eigvals up to DENSE_RHO_MAX and ARPACK eigs
         above, started from the identity stack so that runs are
-        reproducible.  When ARPACK fails (e.g. on the many eigenvalues
-        of equal modulus of a long periodic chain), the dense eigvals
-        answers up to DEFAULT_SIZE_CAP; above it ARPACK runs once more
-        on the shifted operator L + c I, and rho raises NotConverged
-        only when that fails too.
+        reproducible.  When ARPACK fails within ARPACK_PLAIN_RESTARTS
+        (e.g. on the many eigenvalues of equal modulus of a long
+        periodic chain), the dense eigvals answers up to
+        DEFAULT_SIZE_CAP; above it ARPACK runs once more, with
+        ARPACK_RESTARTS, on the shifted operator L + c I, and rho raises
+        NotConverged only when that fails too.
         """
         if self._vanishes():
             return 0.0
@@ -177,7 +230,7 @@ class MomentOperator:
             return self.apply(v.reshape(shape)).ravel()
 
         try:
-            return float(np.abs(self._arpack(step)))
+            return float(np.abs(self._arpack(step, ARPACK_PLAIN_RESTARTS)))
         except ArpackError as exc:
             if self.dim <= DEFAULT_SIZE_CAP:
                 return self._dense_rho()
@@ -189,7 +242,7 @@ class MomentOperator:
         norms2 = np.linalg.norm(self.A, 2, axis=(1, 2)) ** 2
         c = float((self.T * norms2[:, None]).sum(axis=0).max())
         try:
-            top = self._arpack(lambda v: step(v) + c * v)
+            top = self._arpack(lambda v: step(v) + c * v, ARPACK_RESTARTS)
         except ArpackError as exc:
             raise NotConverged(
                 f"ARPACK found no spectral radius of the {self.dim}-dimensional "
@@ -199,12 +252,12 @@ class MomentOperator:
             ) from exc
         return max(float(top.real) - c, 0.0)
 
-    def _arpack(self, matvec) -> np.complex128:
+    def _arpack(self, matvec, restarts: int) -> np.complex128:
         # The eigenvalue of largest modulus of the operator matvec.
         op = LinearOperator((self.dim, self.dim), matvec=matvec, dtype=float)
         vals = eigs(
             op, k=1, which="LM", tol=0, v0=self._identity().ravel(),
-            maxiter=ARPACK_RESTARTS, return_eigenvectors=False,
+            maxiter=restarts, return_eigenvectors=False,
         )
         return vals[0]
 
@@ -252,20 +305,56 @@ def tau_estimate(M: np.ndarray, rho: float, k_max: int = 64) -> TauEstimate:
     """
     M = np.asarray(M, dtype=float)
     _check_rho(rho, spectral_radius(M, cap=M.shape[0]))
-    return _tau_sweep(M, rho, k_max)
+    powers = _dense_powers(lambda P: P @ M, np.eye(M.shape[0]), k_max)
+    return _tau_sweep(powers, rho, k_max, exact=True)
 
 
-def _tau_sweep(M: np.ndarray, rho: float, k_max: int) -> TauEstimate:
-    # The sweep of tau_estimate, for callers that have checked rho.
-    best, arg = 1.0, 0
-    P = np.eye(M.shape[0])
-    for k in range(1, k_max + 1):
-        P = P @ M
-        val = float(np.linalg.norm(P, 2)) / rho**k
+def _norm_bound(P: np.ndarray) -> float:
+    # ||P||_2 <= ||P||_F and ||P||_2 <= sqrt(||P||_1 ||P||_inf).
+    absP = np.abs(P)
+    one, inf = absP.sum(axis=0).max(), absP.sum(axis=1).max()
+    return float(min(np.linalg.norm(P, "fro"), np.sqrt(one * inf)))
+
+
+def _dense_powers(step, P: np.ndarray, k_max: int):
+    # Yields (bound on ||P_k||_2, P_k) for P_k = step(P_{k-1}), k = 1..k_max.
+    for _ in range(k_max):
+        P = step(P)
+        yield _norm_bound(P), P
+
+
+def _tau_sweep(powers, rho: float, k_max: int, exact: bool) -> TauEstimate:
+    """Running maximum of ||M^k||_2 / rho^k over the pairs (bound, P) of
+    powers, for k = 1..k_max, where bound >= ||M^k||_2.
+
+    With exact, the 2-norm of P is taken only where the bound, lifted by
+    BOUND_MARGIN, could still pass the strict update, so skipping leaves
+    value and argmax_k as a full sweep would give them; otherwise the
+    bound stands in for the norm.  Since g(k) = ||M^k|| / rho^k has
+    g(a + b) <= g(a) g(b), one K with g(K) <= 1 makes the sweep over
+    k < K the sup over every k (certified).
+    """
+    best, arg, certified = 1.0, 0, False
+    for k, (bound, P) in enumerate(powers, start=1):
+        if bound == 0.0:  # M^k = 0, and so is every later power
+            certified = True
+            continue
+        rk = rho**k
+        top = bound * (1.0 + BOUND_MARGIN) / rk
+        certified = certified or top <= 1.0
+        if top <= best:
+            continue
+        val = (float(np.linalg.norm(P, 2)) if exact else bound) / rk
         if val > best:
             best, arg = val, k
     return TauEstimate(
-        value=best, rho=rho, argmax_k=arg, k_max=k_max, unconverged=arg == k_max
+        value=best,
+        rho=rho,
+        argmax_k=arg,
+        k_max=k_max,
+        unconverged=arg == k_max,
+        certified=certified,
+        exact=exact,
     )
 
 
@@ -333,8 +422,14 @@ def jsr_bounds(A_list, k_max: int = 8, budget: int = 100_000) -> JsrBounds:
         levels = k
 
     complete = _enumerate_products(mats, max(k_max, 1), budget, keep, visit)
+    # rho(W) <= ||W|| holds exactly, but the level roots may round the
+    # lower bound one ulp past the upper; a lower bound may only drop.
     return JsrBounds(
-        lower=lower, upper=upper, k_max=k_max, levels_completed=levels, complete=complete
+        lower=min(lower, upper),
+        upper=upper,
+        k_max=k_max,
+        levels_completed=levels,
+        complete=complete,
     )
 
 
@@ -347,12 +442,14 @@ def kappa_estimate(
 ) -> KappaEstimate:
     """Transient constant sup_k max_{|W|=k} ||W|| / xi^k, k = 0..k_max.
 
-    xi must dominate a certified upper bound on the joint spectral
-    radius (XiTooSmall otherwise); pass certified_upper to skip the
-    internal jsr_bounds call.  Subtrees that cannot beat the running
-    maximum are pruned, so the returned value is exact over the swept
-    depths unless the budget aborts the sweep (complete=False).
+    xi must be positive and dominate a certified upper bound on the
+    joint spectral radius (XiTooSmall otherwise); pass certified_upper
+    to skip the internal jsr_bounds call.  Subtrees that cannot beat the
+    running maximum are pruned, so the returned value is exact over the
+    swept depths unless the budget aborts the sweep (complete=False).
     """
+    if not xi > 0.0:
+        raise XiTooSmall(f"xi = {xi} is not positive")
     mats = np.asarray(A_list, dtype=float)
     if certified_upper is None:
         certified_upper = jsr_bounds(mats, k_max=min(k_max, 6), budget=budget).upper
@@ -429,6 +526,8 @@ class StabilityReport:
             "tau": self.tau.value,
             "tau_argmax_k": self.tau.argmax_k,
             "tau_unconverged": self.tau.unconverged,
+            "tau_certified": self.tau.certified,
+            "tau_exact": self.tau.exact,
             "jsr_lower": self.jsr.lower,
             "jsr_upper": self.jsr.upper,
             "jsr_levels": self.jsr.levels_completed,
@@ -458,14 +557,14 @@ def stability_report(
     same lift applies to xi on top of the certified joint-spectral-
     radius upper bound.  A supplied rho below rho_aug raises RhoTooSmall.
     """
-    aug = augmented_matrix(model)
-    rho_aug = MomentOperator(model.A, model.T).rho()
+    op = MomentOperator(model.A, model.T)
+    rho_aug = op.rho()
     if rho is None:
         rho_used = default_level(rho_aug)
     else:
         _check_rho(rho, rho_aug)
         rho_used = rho
-    tau = _tau_sweep(aug, rho_used, k_max_tau)
+    tau = op.tau(rho_used, k_max_tau)
     jsr = jsr_bounds(model.A, k_max=k_max_jsr, budget=budget)
     xi_used = default_level(jsr.upper) if xi is None else xi
     kappa = kappa_estimate(
@@ -553,10 +652,10 @@ def stability_comparison(
     )
     T_bar = construct_T0(model.T, partition, branch=branch)
     expanded = expand_reduced(reduced, partition, T_bar)
-    aug_bar = augmented_matrix(expanded)
-    rho_aug_bar = MomentOperator(expanded.A, expanded.T).rho()
+    op_bar = MomentOperator(expanded.A, expanded.T)
+    rho_aug_bar = op_bar.rho()
     _check_rho(rep_hat.rho_used, rho_aug_bar)
-    tau_bar = _tau_sweep(aug_bar, rep_hat.rho_used, sweep_kwargs.get("k_max_tau", 64))
+    tau_bar = op_bar.tau(rep_hat.rho_used, sweep_kwargs.get("k_max_tau", 64))
     kappa_bar = rep_hat.kappa  # expanded mode set equals the reduced one
     return StabilityComparison(
         report=rep,

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_model
 from mjsreduce.bounds import (
@@ -19,9 +21,9 @@ from mjsreduce.bounds import (
     wasserstein_exact,
     wasserstein_kernel_bound,
 )
-from mjsreduce.clustering import average_model
+from mjsreduce.clustering import average_model, reduce_model
 from mjsreduce.errors import NotNormalized, TooLarge, TooManySequences
-from mjsreduce.model import MjsModel, stationary_distribution
+from mjsreduce.model import MjsModel, _resolve_init_dist, stationary_distribution
 from mjsreduce.synth import SynthConfig, fig4_model, generate
 
 SCALAR_PAIR = MjsModel(
@@ -91,6 +93,101 @@ def test_kernel_mass_is_conserved(rng):
             k = transition_kernel_enum(m, np.ones(2), t)
             assert abs(k.mass.sum() - 1.0) <= 1e-12
             assert k.mass.min() > 0.0
+
+
+def recursive_kernel(model, x0, t, init_dist=None, dedup_tol=1e-10):
+    """The depth-first walk with a greedy per-point merge that
+    transition_kernel_enum replaces, kept as its oracle."""
+    init, _ = _resolve_init_dist(model, init_dist)
+    points, masses = [], []
+
+    def walk(depth, mode, x, q):
+        x = model.A[mode] @ x
+        if depth == t - 1:
+            points.append(x)
+            masses.append(q)
+            return
+        for j in range(model.s):
+            qj = q * model.T[mode, j]
+            if qj > 0.0:
+                walk(depth + 1, j, x, qj)
+
+    if t == 0:
+        points, masses = [x0], [1.0]
+    else:
+        for i in range(model.s):
+            if init[i] > 0.0:
+                walk(0, i, x0, float(init[i]))
+    tol = dedup_tol * max(float(np.linalg.norm(x0)), 1.0)
+    kept, kept_mass, buckets = [], [], {}
+    for x, q in zip(points, masses):
+        key = np.round(x / max(tol, 1e-300)).astype(np.int64).tobytes()
+        for idx in buckets.get(key, ()):
+            if np.linalg.norm(kept[idx] - x) <= tol:
+                kept_mass[idx] += q
+                break
+        else:
+            kept.append(x)
+            kept_mass.append(q)
+            buckets.setdefault(key, []).append(len(kept) - 1)
+    return np.array(kept), np.array(kept_mass)
+
+
+def test_kernel_enum_equals_recursive_walk_on_fig4():
+    # Bit for bit, in the same order: every fig4 kernel of the certify
+    # benchmark, full model and reductions of seeds 0-5.
+    model, _ = fig4_model()
+    models = [model] + [reduce_model(model, 3, seed=seed).reduced for seed in range(6)]
+    for m in models:
+        for x0 in ((1.0, 1.0), (1.0, -1.0), (1.0, 0.0), (0.0, 1.0)):
+            for t in range(7):
+                k = transition_kernel_enum(m, np.array(x0), t)
+                support, mass = recursive_kernel(m, np.array(x0), t)
+                assert np.array_equal(k.support, support), (m.s, x0, t)
+                assert np.array_equal(k.mass, mass), (m.s, x0, t)
+
+
+@pytest.mark.invariant
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    s=st.integers(1, 4),
+    n=st.integers(1, 4),
+    t=st.integers(0, 5),
+    init=st.sampled_from(["none", "mode", "weights"]),
+    commuting=st.booleans(),
+    dedup_tol=st.sampled_from([1e-10, 1e-2, 0.3, 1.0]),
+)
+@example(seed=0, s=3, n=2, t=0, init="weights", commuting=False, dedup_tol=1e-10)
+@example(seed=0, s=2, n=4, t=4, init="none", commuting=False, dedup_tol=1.0)
+def test_kernel_enum_equals_recursive_walk(seed, s, n, t, init, commuting, dedup_tol):
+    # Zero-probability transitions prune branches; commuting (diagonal)
+    # modes land many paths on one point, and the wide tolerances merge
+    # distinct points, so the greedy order is exercised.
+    rng = np.random.default_rng(seed)
+    if commuting:
+        A = np.stack([np.diag(d) for d in rng.choice([0.5, -1.0, 2.0], size=(s, n))])
+    else:
+        A = rng.standard_normal((s, n, n)) / np.sqrt(n)
+    T = rng.random((s, s)) * (rng.random((s, s)) < 0.5)
+    # A cycle and a self-loop keep the chain ergodic for init_dist=None.
+    T[np.arange(s), (np.arange(s) + 1) % s] += 0.1
+    T[np.arange(s), np.arange(s)] += 0.05
+    T /= T.sum(axis=1, keepdims=True)
+    model = MjsModel(A, None, T)
+    init_dist = {
+        "none": None,
+        "mode": int(rng.integers(0, s)),
+        "weights": rng.dirichlet(np.ones(s)) * (rng.random(s) < 0.7) + 0.0,
+    }[init]
+    if init == "weights":
+        init_dist[0] += 1.0 - init_dist.sum()
+    x0 = rng.standard_normal(n)
+    k = transition_kernel_enum(model, x0, t, init_dist=init_dist, dedup_tol=dedup_tol)
+    support, mass = recursive_kernel(model, x0, t, init_dist, dedup_tol)
+    assert k.support.shape == support.shape
+    np.testing.assert_allclose(k.support, support, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(k.mass, mass, rtol=1e-12, atol=0.0)
 
 
 def test_wasserstein_frozen_values():

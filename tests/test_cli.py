@@ -125,6 +125,7 @@ def test_stability_exit_codes(tmp_path, capsys):
     report = json.loads(stdout)
     assert report["is_mss"] is True
     assert report["rho_aug"] == pytest.approx(0.954, abs=1e-9)
+    assert report["tau_exact"] is True
     assert (tmp_path / "s1" / "stability.json").exists()
 
     shaky = MjsModel(np.array([[[1.2]]]), None, np.array([[1.0]]))
@@ -135,6 +136,39 @@ def test_stability_exit_codes(tmp_path, capsys):
     )
     assert code == 1
     assert json.loads(stdout)["is_mss"] is False
+
+
+def test_stability_on_zero_modes(tmp_path, capsys):
+    # Every power of the moment operator vanishes: tau is 1 (k = 0) and
+    # certified.  An xi of 0 is refused as a computation error.
+    zero = MjsModel(np.zeros((2, 2, 2)), None, np.full((2, 2), 0.5))
+    path = tmp_path / "zero.json"
+    save_model(zero, str(path))
+    code, stdout, err = run(capsys, "stability", str(path), "--out", str(tmp_path / "z1"))
+    assert code == 0, err
+    report = json.loads(stdout)
+    assert report["tau"] == 1.0 and report["tau_certified"] is True
+    code, _, err = run(
+        capsys, "stability", str(path), "--xi", "0", "--out", str(tmp_path / "z2")
+    )
+    assert code == 3
+    assert err.startswith("XiTooSmall:")
+
+
+def test_stability_beyond_dense_cap(tmp_path, capsys):
+    # s n^2 = 100 * 10^2 = 10 000: tau is the matrix-free upper bound.
+    gen, _ = gen_dir(
+        tmp_path, capsys, name="big", **{"--s": "100", "--r": "10", "--n": "10", "--p": "0"}
+    )
+    code, stdout, err = run(
+        capsys, "stability", str(gen / "model.json"), "--out", str(tmp_path / "st")
+    )
+    assert code == 0, err
+    report = json.loads(stdout)
+    assert report["tau_exact"] is False
+    assert report["tau"] >= 1.0
+    saved = json.loads((tmp_path / "st" / "stability.json").read_text())
+    assert saved["tau_exact"] is False and "tau_certified" in saved
 
 
 def test_lqr_cli(tmp_path, capsys):

@@ -2,9 +2,10 @@
 
 augmented_matrix builds the (s n^2) x (s n^2) matrix of the same
 operator block by block; MomentOperator must agree with it on apply,
-adjoint and spectral radius, on every path rho() can take: dense,
-ARPACK, the vanishing check and the dense fallback after an ARPACK
-failure.
+adjoint, apply_columns, spectral radius and tau, on every path rho()
+can take: dense, ARPACK, the vanishing check and the dense fallback
+after an ARPACK failure; above the cap, tau must bound the dense sweep
+from above.
 """
 
 from unittest import mock
@@ -19,11 +20,15 @@ import mjsreduce.stability as stability
 from mjsreduce.errors import NotConverged
 from mjsreduce.model import MjsModel
 from mjsreduce.stability import (
+    ARPACK_PLAIN_RESTARTS,
+    ARPACK_RESTARTS,
     DENSE_RHO_MAX,
     MomentOperator,
     augmented_matrix,
+    default_level,
     spectral_radius,
 )
+from test_stability import full_tau_sweep
 
 CHAINS = ("ergodic", "two_classes", "transient", "periodic")
 
@@ -78,6 +83,74 @@ def test_apply_and_adjoint_are_the_augmented_matrix(seed, s, n, chain):
     atol = 1e-12 * max(1.0, float(np.abs(aug).max())) * float(np.abs(X).max())
     np.testing.assert_allclose(op.apply(X).ravel(), aug @ X.ravel(), rtol=1e-12, atol=atol)
     np.testing.assert_allclose(op.adjoint(X).ravel(), aug.T @ X.ravel(), rtol=1e-12, atol=atol)
+
+
+@pytest.mark.invariant
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    s=st.integers(1, 8),
+    n=st.integers(1, 4),
+    chain=st.sampled_from(CHAINS),
+    cols=st.integers(1, 5),
+)
+def test_apply_columns_is_the_augmented_matrix(seed, s, n, chain, cols):
+    rng = np.random.default_rng(seed)
+    A, T = draw_modes(rng, s, n), draw_chain(rng, s, chain)
+    aug = augmented_matrix(MjsModel(A, None, T))
+    P = rng.standard_normal((s * n * n, cols))
+    want = aug @ P
+    got = MomentOperator(A, T).apply_columns(P)
+    atol = 1e-12 * max(1.0, float(np.abs(aug).max())) * float(np.abs(P).max())
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=atol)
+
+
+@pytest.mark.invariant
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    s=st.integers(1, 6),
+    n=st.integers(1, 3),
+    chain=st.sampled_from(CHAINS),
+    k_max=st.integers(0, 30),
+)
+def test_operator_tau_matches_dense_sweep(seed, s, n, chain, k_max):
+    # Powers L^k built column by column equal M^k = P @ M up to rounding.
+    rng = np.random.default_rng(seed)
+    A, T = draw_modes(rng, s, n), draw_chain(rng, s, chain)
+    aug = augmented_matrix(MjsModel(A, None, T))
+    rho = default_level(spectral_radius(aug))
+    est = MomentOperator(A, T).tau(rho, k_max)
+    want, _ = full_tau_sweep(aug, rho, k_max)
+    assert est.exact
+    assert abs(est.value - want) <= 1e-12 * want
+
+
+@pytest.mark.invariant
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    s=st.integers(1, 6),
+    n=st.integers(1, 3),
+    chain=st.sampled_from(CHAINS),
+    k_max=st.integers(1, 30),
+)
+def test_tau_above_cap_bounds_the_dense_sweep(seed, s, n, chain, k_max):
+    # L^k is completely positive, so sqrt(||L^k(I)|| ||L*^k(I)||) in the
+    # largest block 2-norm bounds ||M^k||_2 from above at every k.
+    rng = np.random.default_rng(seed)
+    A, T = draw_modes(rng, s, n), draw_chain(rng, s, chain)
+    aug = augmented_matrix(MjsModel(A, None, T))
+    rho = default_level(spectral_radius(aug))
+    op = MomentOperator(A, T)
+    P = np.eye(aug.shape[0])
+    for bound, _ in op._power_bounds(k_max):
+        P = P @ aug
+        assert bound >= np.linalg.norm(P, 2) * (1.0 - 1e-12)
+    with mock.patch.object(stability, "DEFAULT_SIZE_CAP", 0):
+        est = op.tau(rho, k_max)
+    assert not est.exact
+    assert est.value >= full_tau_sweep(aug, rho, k_max)[0] * (1.0 - 1e-12)
 
 
 @pytest.mark.invariant
@@ -159,7 +232,21 @@ def test_arpack_failure_above_cap_retries_shifted(monkeypatch):
     monkeypatch.setattr(stability, "eigs", spy)
     rho = MomentOperator(A, T).rho()
     assert spy.call_count == 2
+    # The plain run gives up within its small budget; the shifted one
+    # has the large one.
+    budgets = [call.kwargs["maxiter"] for call in spy.call_args_list]
+    assert budgets == [ARPACK_PLAIN_RESTARTS, ARPACK_RESTARTS]
     assert_rel_close(rho, dense_rho(A, T))
+
+
+@pytest.mark.parametrize("chain", ["ergodic", "two_classes", "transient"])
+def test_plain_restart_budget_keeps_rho(chain):
+    # Where the plain run converges, a larger budget changes nothing.
+    rng = np.random.default_rng(7)
+    A, T = draw_modes(rng, 24, 3), draw_chain(rng, 24, chain)
+    rho = MomentOperator(A, T).rho()
+    with mock.patch.object(stability, "ARPACK_PLAIN_RESTARTS", ARPACK_RESTARTS):
+        assert MomentOperator(A, T).rho() == rho
 
 
 def test_long_periodic_chain_gets_its_radius():

@@ -105,6 +105,64 @@ def test_tau_majorizes_power_norms(rng):
             assert np.linalg.norm(P, 2) <= est.value * rho**k * (1.0 + 1e-10)
 
 
+def full_tau_sweep(M, rho, k_max):
+    """The sweep tau_estimate skips steps of: the exact 2-norm of every
+    power P @ M, kept as its oracle.  Returns (value, argmax_k)."""
+    best, arg = 1.0, 0
+    P = np.eye(M.shape[0])
+    for k in range(1, k_max + 1):
+        P = P @ M
+        val = float(np.linalg.norm(P, 2)) / rho**k
+        if val > best:
+            best, arg = val, k
+    return best, arg
+
+
+def draw_matrix(rng, d, kind):
+    M = rng.standard_normal((d, d)) * rng.uniform(0.2, 2.0) / np.sqrt(d)
+    if kind == "triangular":
+        return np.triu(M)
+    if kind == "rank_one":  # the Frobenius bound is tight on every power
+        return np.outer(M[0], rng.standard_normal(d))
+    if kind == "symmetric":
+        return M + M.T
+    return M
+
+
+@pytest.mark.invariant
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 12),
+    kind=st.sampled_from(["general", "triangular", "rank_one", "symmetric"]),
+    lift=st.sampled_from([1.0, 1.001, 1.05, 1.5]),
+    k_max=st.integers(0, 40),
+)
+def test_tau_estimate_skips_only_what_cannot_win(seed, d, kind, lift, k_max):
+    # An exact norm is skipped only where its bound cannot pass the
+    # strict update, so value and argmax_k are those of the full sweep,
+    # bit for bit.
+    rng = np.random.default_rng(seed)
+    M = draw_matrix(rng, d, kind)
+    rho = max(spectral_radius(M) * lift, 1e-3)
+    est = tau_estimate(M, rho, k_max=k_max)
+    assert (est.value, est.argmax_k) == full_tau_sweep(M, rho, k_max)
+    assert est.exact
+    if est.certified:  # the sup over every k: a longer sweep adds nothing
+        assert full_tau_sweep(M, rho, k_max + 60)[0] <= est.value * (1.0 + 1e-12)
+
+
+def test_tau_certified_flag():
+    # ||M^k|| = 0.5^k: g(1) = 0.5 / 0.6 < 1 certifies at once.
+    est = tau_estimate(np.diag([0.5, 0.1]), 0.6, k_max=5)
+    assert est.certified and est.value == 1.0
+    # A Jordan block grows first: g(k) ~ 2 k (0.5 / 0.55)^k stays above
+    # 1 up to k = 40 and falls below it well before k = 80.
+    J = np.array([[0.5, 1.0], [0.0, 0.5]])
+    assert not tau_estimate(J, 0.55, k_max=40).certified
+    assert tau_estimate(J, 0.55, k_max=80).certified
+
+
 def test_jsr_identity_scalings_are_tight():
     mats = [0.8 * np.eye(2), 0.5 * np.eye(2)]
     b = jsr_bounds(mats, k_max=4)
@@ -127,6 +185,33 @@ def test_jsr_bounds_nest_with_depth(rng):
             prev = b
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    family=st.sampled_from(["one_mode", "scalar"]),
+    dim=st.integers(1, 3),
+    k_max=st.integers(1, 8),
+)
+@example(seed=0, family="scalar", dim=1, k_max=4)
+def test_jsr_bracket_is_ordered(seed, family, dim, k_max):
+    # One mode, or commuting scalar modes, make both bounds converge on
+    # the same number, where rounding could order them the wrong way.
+    rng = np.random.default_rng(seed)
+    if family == "one_mode":
+        mats = rng.standard_normal((1, dim, dim)) * rng.uniform(0.01, 2.0)
+    else:
+        mats = rng.uniform(-2.0, 2.0, size=(dim, 1, 1))
+    b = jsr_bounds(mats, k_max=k_max)
+    assert b.lower <= b.upper
+
+
+@pytest.mark.parametrize("a, k_max", [(0.0692, 4), (0.09153731263302743, 6)])
+def test_jsr_bracket_is_ordered_for_scalar_modes(a, k_max):
+    b = jsr_bounds([[[a]]], k_max=k_max)
+    assert b.lower <= b.upper
+    assert b.upper == pytest.approx(a, rel=1e-12)
+
+
 def test_jsr_budget_marks_incomplete():
     mats = [np.eye(3), 2.0 * np.eye(3), np.ones((3, 3))]
     b = jsr_bounds(mats, k_max=8, budget=10)
@@ -139,6 +224,15 @@ def test_kappa_identity_family():
     assert est.argmax_k == 0
     with pytest.raises(XiTooSmall):
         kappa_estimate([2.0 * np.eye(2)], xi=1.0)
+
+
+@pytest.mark.parametrize("xi", [0.0, -0.5, float("nan")])
+def test_kappa_rejects_nonpositive_xi(xi):
+    # Zero modes certify a JSR of 0, which xi = 0 would pass.
+    with pytest.raises(XiTooSmall):
+        kappa_estimate(np.zeros((2, 2, 2)), xi)
+    with pytest.raises(XiTooSmall):
+        kappa_estimate(np.zeros((2, 2, 2)), xi, certified_upper=0.0)
 
 
 def test_kappa_matches_brute_force_products(rng):
@@ -287,6 +381,23 @@ def test_stability_report_takes_one_spectral_radius(monkeypatch):
     rep = stability_report(big, k_max_tau=4, k_max_jsr=2, k_max_kappa=2)
     assert (72, 72) not in calls
     assert rep.rho_aug == pytest.approx(dense(augmented_matrix(big)), rel=1e-9)
+
+
+def test_reports_never_build_the_augmented_matrix(monkeypatch):
+    # Above DENSE_RHO_MAX, where rho is ARPACK's, the augmented matrix
+    # is left to the dense fallback and the tests: tau runs on
+    # MomentOperator powers.  The reduction keeps 8 modes (dim 72), so
+    # both reports of the comparison and its expanded model qualify.
+    model, _, _ = generate(SynthConfig(16, 8, 3, 0, seed=4))
+    res = reduce_model(model, 8, branch="aggregatable", seed=4)
+    assert res.reduced.s * res.reduced.n**2 > stability.DENSE_RHO_MAX
+    built = []
+    monkeypatch.setattr(stability, "augmented_matrix", lambda *a, **k: built.append(a))
+    kwargs = dict(k_max_tau=8, k_max_jsr=2, k_max_kappa=2)
+    rep = stability_report(model, **kwargs)
+    comp = stability_comparison(model, res, **kwargs)
+    assert built == []
+    assert rep.tau.exact and comp.report_reduced.tau.exact
 
 
 def test_stability_report_rejects_rho_below_rho_aug():
