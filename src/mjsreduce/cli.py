@@ -18,7 +18,7 @@ import numpy as np
 
 from .clustering import BRANCHES, misclustering_rate, reduce_model
 from .errors import InputError, MjsError
-from .experiments import ExperimentSpec, run_experiment
+from .experiments import EXPERIMENT_NAMES, ExperimentSpec, run_experiment
 from .lqr import reduced_lqr_suboptimality
 from .model import Partition, load_model, save_model
 from .perturbation import mr_bound
@@ -62,15 +62,16 @@ def _load_partition(path: str, s: int) -> Partition:
             payload = json.load(fh)
     except OSError as e:
         raise InputError(f"cannot read partition file {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise InputError(
-            f"malformed JSON in {path} at line {e.lineno} column {e.colno}: {e.msg}"
-        ) from e
+    except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
+        raise InputError(f"malformed JSON in {path}: {e}") from e
     if isinstance(payload, dict):
         payload = payload.get("partition")
     if not isinstance(payload, list):
         raise InputError(f"{path}: expected a list of 1-based clusters")
-    return Partition.from_lists_1based(payload, s=s)
+    try:
+        return Partition.from_lists_1based(payload, s=s)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise InputError(f"{path}: clusters must be lists of mode numbers: {e}") from e
 
 
 def cmd_generate(args) -> int:
@@ -241,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     lq.set_defaults(func=cmd_lqr)
 
     ex = sub.add_parser("experiment", parents=[common], help="run a canned protocol")
-    ex.add_argument("name", choices=("fig2", "fig3a", "fig3b", "fig4", "table2"))
+    ex.add_argument("name", choices=EXPERIMENT_NAMES)
     ex.add_argument("--trials", type=int, default=None)
     ex.add_argument("--grid", type=float, nargs="+", default=None)
     ex.set_defaults(func=cmd_experiment)

@@ -92,8 +92,8 @@ def default_weights(model: MjsModel) -> tuple[float, float, float]:
     alpha_T ~ 1 / ||T|| (spectral norms), normalized to sum to one.
     A block with zero scale (e.g. p = 0) gets weight zero.
     """
-    a = max(np.linalg.norm(Ai, 2) for Ai in model.A)
-    b = max((np.linalg.norm(Bi, 2) for Bi in model.B), default=0.0) if model.p else 0.0
+    a = np.linalg.norm(model.A, 2, axis=(1, 2)).max()
+    b = np.linalg.norm(model.B, 2, axis=(1, 2)).max() if model.p else 0.0
     t = np.linalg.norm(model.T, 2)
     raw = np.array(
         [1.0 / a if a > 0 else 0.0, 1.0 / b if b > 0 else 0.0, 1.0 / t if t > 0 else 0.0]
@@ -109,8 +109,8 @@ def _check_weights(weights) -> tuple[float, float, float]:
     w = np.asarray(weights, dtype=float)
     if w.shape != (3,):
         raise BadWeights(f"weights must be a triple, got shape {w.shape}")
-    if np.any(w < 0):
-        raise BadWeights("weights must be nonnegative")
+    if not np.all(np.isfinite(w)) or np.any(w < 0):
+        raise BadWeights(f"weights must be finite and nonnegative, got {w.tolist()}")
     if abs(w.sum() - 1.0) > 1e-12:
         raise BadWeights(f"weights must sum to 1, got {w.sum()!r}")
     return (float(w[0]), float(w[1]), float(w[2]))
@@ -223,9 +223,12 @@ def kmeans_partition(
     stay empty after repair are dropped, so the partition can have fewer
     than r clusters when the points carry fewer than r distinct values.
 
-    Raises DegenerateInput if there are fewer points than clusters.
+    Raises DimensionMismatch if r < 1, DegenerateInput if there are
+    fewer points than clusters.
     """
     points = np.asarray(points, dtype=float)
+    if r < 1:
+        raise DimensionMismatch(f"cluster count must be at least 1, got {r}")
     if restarts < 1:
         raise DegenerateInput("restarts must be at least 1")
     if points.shape[0] < r:
@@ -240,12 +243,9 @@ def kmeans_partition(
         if best is None or objective < best[2]:
             best = (labels, centers, objective)
     labels, centers, objective = best
-    used = np.unique(labels)
-    compact = np.searchsorted(used, labels)
-    partition = Partition.from_labels(compact)
-    # Partition canonicalizes cluster order; line the centers up with it.
-    order = [int(compact[c[0]]) for c in partition.clusters]
-    return partition, centers[used][order], objective
+    # Partition orders clusters by smallest member; line the centers up.
+    used, first = np.unique(labels, return_index=True)
+    return Partition.from_labels(labels), centers[used[np.argsort(first)]], objective
 
 
 def average_model(
@@ -262,25 +262,10 @@ def average_model(
         raise SizeMismatch(
             f"partition covers {partition.s} modes, model has {model.s}"
         )
-    r = partition.r
-    if pi_weighted:
-        pi = stationary_distribution(model.T).pi
-    A = np.empty((r, model.n, model.n))
-    B = np.empty((r, model.n, model.p))
-    T = np.empty((r, r))
-    for k, ck in enumerate(partition.clusters):
-        idx = list(ck)
-        if pi_weighted:
-            w = pi[idx] / pi[idx].sum()
-            A[k] = np.einsum("i,ijk->jk", w, model.A[idx])
-            B[k] = np.einsum("i,ijk->jk", w, model.B[idx])
-            rows = w @ model.T[idx]
-        else:
-            A[k] = model.A[idx].mean(axis=0)
-            B[k] = model.B[idx].mean(axis=0)
-            rows = model.T[idx].mean(axis=0)
-        for l, cl in enumerate(partition.clusters):
-            T[k, l] = rows[list(cl)].sum()
+    w = stationary_distribution(model.T).pi if pi_weighted else None
+    A = partition.cluster_means(model.A, w)
+    B = partition.cluster_means(model.B, w)
+    T = partition.block_sums(partition.cluster_means(model.T, w))
     return MjsModel(A, B, T)
 
 
@@ -332,8 +317,10 @@ def reduce_model(
     each branch scored under its own transition semantics; ties go to
     the aggregatable candidate.
 
-    Raises DegenerateInput if r > s.
+    Raises DimensionMismatch if r < 1, DegenerateInput if r > s.
     """
+    if r < 1:
+        raise DimensionMismatch(f"cluster count must be at least 1, got {r}")
     if r > model.s:
         raise DegenerateInput(f"r = {r} exceeds the mode count s = {model.s}")
     if branch is not None:
@@ -379,11 +366,10 @@ def misclustering_rate(
             f"partitions have different cluster counts: {estimated.r} vs {truth.r}"
         )
     r = truth.r
-    est_sets = [set(c) for c in estimated.clusters]
-    cost = np.empty((r, r))
-    for k, ck in enumerate(truth.clusters):
-        for m in range(r):
-            cost[k, m] = len(set(ck) - est_sets[m]) / len(ck)
+    # shared[k, m] = |truth_k & est_m|, so cost[k, m] = |truth_k - est_m| / |truth_k|.
+    shared = np.bincount(truth.labels * r + estimated.labels, minlength=r * r).reshape(r, r)
+    sizes = np.array(truth.sizes)[:, None]
+    cost = (sizes - shared) / sizes
     if method == "auto":
         method = "exhaustive" if r <= 8 else "assignment"
     if method == "exhaustive":

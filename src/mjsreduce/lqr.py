@@ -75,26 +75,19 @@ def riccati_operators(
     Q, R = _check_qr(model, Q, R)
     X = np.asarray(X, dtype=float)
     phi = np.einsum("ij,jkl->ikl", model.T, X)
-    s, n, p = model.s, model.n, model.p
-    K = np.empty((s, p, n))
-    ricc = np.empty((s, n, n))
-    for i in range(s):
-        A, B, ph = model.A[i], model.B[i], phi[i]
-        if p:
-            G = R + B.T @ ph @ B
-            rhs = B.T @ ph @ A
-            try:
-                sol = np.linalg.solve(G, rhs)
-            except np.linalg.LinAlgError as e:
-                raise SingularInnerMatrix(
-                    f"inner matrix R + B' phi B singular at mode {i}"
-                ) from e
-            K[i] = -sol
-            ricc[i] = Q + A.T @ ph @ A - A.T @ ph.T @ B @ sol
-        else:
-            K[i] = np.zeros((0, n))
-            ricc[i] = Q + A.T @ ph @ A
-    return phi, K, ricc
+    A, B, At = model.A, model.B, model.A.transpose(0, 2, 1)
+    Bt_phi = B.transpose(0, 2, 1) @ phi
+    G = R + Bt_phi @ B
+    try:
+        sol = np.linalg.solve(G, Bt_phi @ A)
+    except np.linalg.LinAlgError as e:
+        # The solve fails on an exactly zero LU pivot, which zeroes det.
+        bad = int(np.argmin(np.abs(np.linalg.det(G))))
+        raise SingularInnerMatrix(
+            f"inner matrix R + B' phi B singular at mode {bad}"
+        ) from e
+    ricc = Q + At @ phi @ A - At @ phi.transpose(0, 2, 1) @ B @ sol
+    return phi, -sol, ricc
 
 
 @dataclass
@@ -361,18 +354,25 @@ def reduced_lqr_suboptimality(
     stationary closed-form cost) and for the reduced system, lifts the
     reduced gains over the partition, and evaluates their cost J_hat on
     the full system.  Timing covers the Riccati iterations only.
+    Raises NotConverged, naming the full or the reduced system, when a
+    Riccati iteration ends without converging.
     """
     if reduction is None:
         reduction = reduce_model(
             model, r, branch=branch, seed=seed, restarts=restarts, weights=weights
         )
-    n, p = model.n, model.p
     t0 = time.perf_counter()
     sol_hat = riccati_solve(reduction.reduced, Q, R)
     time_reduced = (time.perf_counter() - t0) * 1e3
     t0 = time.perf_counter()
     sol_full = riccati_solve(model, Q, R)
     time_full = (time.perf_counter() - t0) * 1e3
+    for which, sol in (("reduced", sol_hat), ("full", sol_full)):
+        if not sol.converged:
+            raise NotConverged(
+                f"Riccati iteration of the {which} system did not converge "
+                f"in {sol.iterations} steps"
+            )
     K_lift = lift_gains(sol_hat.K, reduction.partition)
     J_star = closed_loop_average_cost(model, sol_full.K, Q, R, sigma_w).value
     J_hat = closed_loop_average_cost(model, K_lift, Q, R, sigma_w).value

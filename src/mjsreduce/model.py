@@ -129,6 +129,13 @@ class Partition:
             labels[list(c)] = k
         labels.setflags(write=False)
         self.labels = labels
+        # (cluster ids (K,), members (K, m)) per cluster size m: the
+        # aggregations reduce each group as one stacked array.
+        sizes = np.array(self.sizes)
+        self._size_groups = []
+        for m in np.unique(sizes):
+            ks = np.flatnonzero(sizes == m)
+            self._size_groups.append((ks, np.array([self.clusters[k] for k in ks])))
 
     @property
     def r(self) -> int:
@@ -149,13 +156,40 @@ class Partition:
     def cluster_of(self, i: int) -> int:
         return int(self.labels[i])
 
+    def cluster_means(self, X, weights=None) -> np.ndarray:
+        """Mean of the rows X[i] (axis 0) over each cluster, shape (r, ...).
+
+        Row k equals X[list(C_k)].mean(axis=0) bit for bit.  With a
+        per-mode weight vector, each cluster's weights are normalized
+        to sum to one within it and row k is their weighted sum of rows.
+        """
+        X = np.asarray(X, dtype=float)
+        out = np.empty((self.r,) + X.shape[1:])
+        for ks, members in self._size_groups:
+            if weights is None:
+                out[ks] = X[members].mean(axis=1)
+            else:
+                w = np.asarray(weights, dtype=float)[members]
+                w = w / w.sum(axis=1, keepdims=True)
+                out[ks] = np.einsum("ki,ki...->k...", w, X[members])
+        return out
+
+    def block_sums(self, X) -> np.ndarray:
+        """Sum of X over each cluster's columns (last axis), shape (..., r).
+
+        Each entry is bit for bit the 1-D sum of its row's slice, e.g.
+        X[i, list(C_l)].sum(); a 2-D .sum(axis=1) may round differently.
+        """
+        X = np.asarray(X, dtype=float)
+        out = np.empty(X.shape[:-1] + (self.r,))
+        for ks, members in self._size_groups:
+            out[..., ks] = np.take(X, members, axis=-1).sum(axis=-1)
+        return out
+
     @classmethod
     def from_labels(cls, labels) -> "Partition":
         labels = np.asarray(labels, dtype=int)
-        groups: dict[int, list[int]] = {}
-        for i, k in enumerate(labels):
-            groups.setdefault(int(k), []).append(i)
-        return cls([groups[k] for k in sorted(groups)], s=len(labels))
+        return cls([np.flatnonzero(labels == k) for k in np.unique(labels)], s=len(labels))
 
     @classmethod
     def uniform(cls, s: int, r: int) -> "Partition":
@@ -591,7 +625,7 @@ def model_from_dict(d: dict) -> MjsModel:
         # "B": null stands for an all-zero input map of the declared shape.
         B = np.zeros((s, n, p)) if d.get("B") is None else np.asarray(d["B"], dtype=float)
         T = np.asarray(d["T"], dtype=float)
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise InputError(f"malformed model dictionary: {e}") from e
     if A.shape != (s, n, n) or B.shape != (s, n, p) or T.shape != (s, s):
         raise InputError(
@@ -614,7 +648,7 @@ def load_model(path) -> MjsModel:
     try:
         with open(path) as f:
             d = json.load(f)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
         raise InputError(f"malformed JSON in {path}: {e}") from e
     if not isinstance(d, dict):
         raise InputError(f"model file {path} must hold a JSON object")

@@ -1,7 +1,9 @@
 """Partition perturbation metrics and the misclustering bound.
 
 All pair sums run over ordered pairs (i, i') within a cluster, so each
-unordered pair contributes twice; diagonal terms vanish.
+unordered pair contributes twice; diagonal terms vanish.  Cluster means
+and block sums come from Partition; mr_bound refuses a negative or NaN
+kmeans_eps with InputError.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize
 
-from .errors import InfeasibleBlock, SizeMismatch
+from .errors import InfeasibleBlock, InputError, SizeMismatch
 from .clustering import (
     FeatureMatrix,
     build_features_aggregatable,
@@ -77,15 +79,22 @@ class MrBoundReport:
         }
 
 
-def _pair_sum(values: np.ndarray, partition: Partition, dist) -> float:
-    """Sum dist(values[i], values[i']) over ordered within-cluster pairs."""
-    total = 0.0
-    for ck in partition.clusters:
-        idx = list(ck)
-        for a in range(len(idx)):
-            for b in range(a + 1, len(idx)):
-                total += 2.0 * dist(values[idx[a]], values[idx[b]])
-    return total
+# Pair differences are formed this many entries at a time, which bounds
+# the memory of the pair sums on large clusters.
+PAIR_CHUNK = 1 << 22
+
+
+def _pair_norm_sum(X: np.ndarray, partition: Partition, ord: int) -> float:
+    """Sum of ||X[i] - X[i']|| over ordered within-cluster pairs (i, i'),
+    each X[i] flattened: ord=2 gives Frobenius norms, ord=1 l1 norms."""
+    flat = X.reshape(len(X), X[0].size)
+    labels = partition.labels
+    pairs = np.argwhere(np.triu(labels[:, None] == labels, 1))
+    step = max(1, PAIR_CHUNK // max(1, flat.shape[1]))
+    return 2.0 * sum(
+        float(np.linalg.norm(flat[ij[:, 0]] - flat[ij[:, 1]], ord, axis=1).sum())
+        for ij in np.split(pairs, range(step, len(pairs), step))
+    )
 
 
 def perturbations(
@@ -103,19 +112,10 @@ def perturbations(
         raise SizeMismatch(
             f"partition covers {partition.s} modes, model has {model.s}"
         )
-    fro = lambda X, Y: float(np.linalg.norm(X - Y))
-    eps_A = _pair_sum(model.A, partition, fro)
-    eps_B = _pair_sum(model.B, partition, fro) if model.p else 0.0
-    if branch == "lumpable":
-        # Block-sum profile of each row: G[i, l] = sum_{j in C_l} T(i, j).
-        G = np.stack(
-            [model.T[:, list(cl)].sum(axis=1) for cl in partition.clusters], axis=1
-        )
-        eps_T = _pair_sum(G, partition, lambda x, y: float(np.abs(x - y).sum()))
-    else:
-        eps_T = _pair_sum(
-            model.T, partition, lambda x, y: float(np.abs(x - y).sum())
-        )
+    eps_A = _pair_norm_sum(model.A, partition, 2)
+    eps_B = _pair_norm_sum(model.B, partition, 2)
+    rows = partition.block_sums(model.T) if branch == "lumpable" else model.T
+    eps_T = _pair_norm_sum(rows, partition, 1)
     return PerturbationTriple(eps_A=eps_A, eps_B=eps_B, eps_T=eps_T, branch=branch)
 
 
@@ -132,10 +132,7 @@ def averaged_feature_matrix(
         raise SizeMismatch(
             f"feature matrix has {phi.shape[0]} rows, partition covers {partition.s}"
         )
-    phibar = np.empty_like(phi)
-    for ck in partition.clusters:
-        idx = list(ck)
-        phibar[idx] = phi[idx].mean(axis=0)
+    phibar = partition.cluster_means(phi)[partition.labels]
     sv = np.linalg.svd(phibar, compute_uv=False)
     return phibar, float(sv[partition.r - 1])
 
@@ -216,8 +213,12 @@ def mr_bound(
     predicted_mr_zero records the stronger premise
     eps_combined <= sigma_r / (8 sqrt((2+eps) |C_(1)|)) under which the
     estimated partition is error free.
+
+    Raises InputError unless kmeans_eps >= 0.
     """
     check_branch(branch)
+    if not kmeans_eps >= 0:
+        raise InputError(f"kmeans_eps must be nonnegative, got {kmeans_eps}")
     r = partition.r
     if branch == "aggregatable":
         feats = build_features_aggregatable(model, weights)
@@ -260,13 +261,9 @@ def _lp_row_adjustment(
     row: np.ndarray, partition: Partition, deficits: np.ndarray, i: int
 ) -> np.ndarray:
     """Feasibility LP fallback for one row's block adjustment."""
-    s = len(row)
-    A_eq = np.zeros((partition.r, s))
-    for l, cl in enumerate(partition.clusters):
-        A_eq[l, list(cl)] = 1.0
     res = scipy.optimize.linprog(
-        c=np.zeros(s),
-        A_eq=A_eq,
+        c=np.zeros(len(row)),
+        A_eq=(np.arange(partition.r)[:, None] == partition.labels).astype(float),
         b_eq=deficits,
         bounds=list(zip(-row, 1.0 - row)),
         method="highs",
@@ -302,44 +299,18 @@ def construct_T0(
         raise SizeMismatch(
             f"partition covers {partition.s} modes, T is {T.shape[0]} x {T.shape[1]}"
         )
+    labels = partition.labels
     if branch == "aggregatable":
-        T0 = np.empty_like(T)
-        for ck in partition.clusters:
-            idx = list(ck)
-            T0[idx] = T[idx].mean(axis=0)
+        T0 = partition.cluster_means(T)[labels]
     else:
-        block = np.stack(
-            [T[:, list(cl)].sum(axis=1) for cl in partition.clusters], axis=1
-        )
-        target = np.empty_like(block)
-        for ck in partition.clusters:
-            idx = list(ck)
-            target[idx] = block[idx].mean(axis=0)
-        deficits = target - block
-        delta = np.zeros_like(T)
-        for i in range(T.shape[0]):
-            ok = True
-            for l, cl in enumerate(partition.clusters):
-                idx = list(cl)
-                d = deficits[i, l]
-                if d == 0.0:
-                    continue
-                if d > 0:
-                    room = 1.0 - T[i, idx]
-                    total = room.sum()
-                    if total < d - 1e-15:
-                        ok = False
-                        break
-                    delta[i, idx] = d * room / total if total > 0 else 0.0
-                else:
-                    mass = T[i, idx]
-                    total = mass.sum()
-                    if total < -d - 1e-15:
-                        ok = False
-                        break
-                    delta[i, idx] = d * mass / total if total > 0 else 0.0
-            if not ok:
-                delta[i] = _lp_row_adjustment(T[i], partition, deficits[i], i)
+        block = partition.block_sums(T)
+        deficits = partition.cluster_means(block)[labels] - block
+        d = deficits[:, labels]
+        share = np.where(d > 0, 1.0 - T, T)
+        total = partition.block_sums(share)[:, labels]
+        delta = np.divide(d * share, total, out=np.zeros_like(T), where=total > 0)
+        for i in np.flatnonzero((total < np.abs(d) - 1e-15).any(axis=1)):
+            delta[i] = _lp_row_adjustment(T[i], partition, deficits[i], i)
         T0 = T + delta
     T0 = np.clip(T0, 0.0, 1.0)
     T0 = T0 / T0.sum(axis=1, keepdims=True)

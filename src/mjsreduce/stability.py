@@ -292,8 +292,8 @@ def default_level(base: float) -> float:
 
 
 def _check_rho(rho: float, radius: float) -> None:
-    if rho < radius - 1e-12:
-        raise RhoTooSmall(f"rho = {rho} is below the spectral radius {radius}")
+    if not rho >= radius - 1e-12:
+        raise RhoTooSmall(f"rho = {rho} is not at least the spectral radius {radius}")
 
 
 def tau_estimate(M: np.ndarray, rho: float, k_max: int = 64) -> TauEstimate:
@@ -555,7 +555,7 @@ def stability_report(
 
     rho defaults to 1.01 * rho_aug (kept below 1 when rho_aug is); the
     same lift applies to xi on top of the certified joint-spectral-
-    radius upper bound.  A supplied rho below rho_aug raises RhoTooSmall.
+    radius upper bound.  A rho below rho_aug, or NaN, raises RhoTooSmall.
     """
     op = MomentOperator(model.A, model.T)
     rho_aug = op.rho()
@@ -578,10 +578,8 @@ def stability_report(
         jsr=jsr,
         xi_used=xi_used,
         kappa=kappa,
-        a_bar=max(float(np.linalg.norm(A, 2)) for A in model.A),
-        b_bar=max((float(np.linalg.norm(B, 2)) for B in model.B), default=0.0)
-        if model.p
-        else 0.0,
+        a_bar=float(np.linalg.norm(model.A, 2, axis=(1, 2)).max()),
+        b_bar=float(np.linalg.norm(model.B, 2, axis=(1, 2)).max()) if model.p else 0.0,
         t_bar=float(model.T.max()),
     )
 

@@ -36,12 +36,16 @@ class SynthConfig:
     seed: int | None = None
 
     def __post_init__(self) -> None:
+        if self.r < 1 or self.n < 0 or self.p < 0:
+            raise DimensionMismatch(
+                f"need r >= 1 and n, p >= 0, got r={self.r}, n={self.n}, p={self.p}"
+            )
         if self.s % self.r != 0:
             raise DegenerateInput(
                 f"cluster count must divide the mode count, got s={self.s}, r={self.r}"
             )
-        if min(self.eps_A, self.eps_B, self.eps_T) < 0:
-            raise DimensionMismatch("perturbation budgets must be nonnegative")
+        if not all(0 <= e < np.inf for e in (self.eps_A, self.eps_B, self.eps_T)):
+            raise DimensionMismatch("perturbation budgets must be finite and nonnegative")
         check_branch(self.branch)
 
 

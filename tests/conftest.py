@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from mjsreduce.model import MjsModel, Partition
 
@@ -56,3 +57,32 @@ def random_model(rng, s=4, n=2, p=1, a_scale=0.4):
 def _scaled(rng, shape, target):
     M = rng.standard_normal(shape)
     return M * (target / np.linalg.norm(M, 2))
+
+
+def draw_instance(seed, labels, n, p, zeros=False):
+    """A random model on len(labels) modes and the partition `labels`
+    induces.  With zeros, about a third of the transitions get
+    probability zero (every row keeps some mass)."""
+    rng = np.random.default_rng(seed)
+    s = len(labels)
+    T = rng.dirichlet(np.ones(s), size=s)
+    if zeros:
+        T[rng.random((s, s)) < 0.3] = 0.0
+        T[np.arange(s), rng.integers(0, s, size=s)] += 0.5
+        T /= T.sum(axis=1, keepdims=True)
+    A = rng.standard_normal((s, n, n)) * 0.3
+    B = rng.standard_normal((s, n, p))
+    return MjsModel(A, B, T), Partition.from_labels(labels)
+
+
+# Mode labels of a partition for the oracle property tests; the edge
+# cases (one mode, one cluster, all singletons) are drawn often.
+# Clusters of 8 or more modes matter: numpy sums 8 or more terms
+# pairwise, fewer in sequence.
+PARTITION_LABELS = st.one_of(
+    st.sampled_from(
+        [[0], [0, 0, 0, 0], [0, 1, 2, 3], [0, 1, 1, 2, 2, 2], [0] * 9 + [1] * 11]
+    ),
+    st.lists(st.integers(0, 4), min_size=1, max_size=10),
+    st.lists(st.integers(0, 2), min_size=8, max_size=30),
+)

@@ -222,3 +222,91 @@ def test_unknown_command_is_usage_error(capsys):
         main(["experiment", "fig4", "--threads", "2"])
     assert exc.value.code == 2
 
+
+
+GOOD_MODEL = {
+    "s": 2, "n": 1, "p": 0, "A": [[[0.5]], [[0.2]]], "B": None,
+    "T": [[0.5, 0.5], [0.5, 0.5]],
+}
+MALFORMED_MODELS = {
+    "not-json": b"{not json",
+    "json-list": b"[1, 2]",
+    "not-utf8": b"\xff\xfe\x00garbage",
+    "missing-keys": json.dumps({"s": 2}).encode(),
+    "infinite-size": json.dumps(GOOD_MODEL).replace('"n": 1', '"n": 1e400').encode(),
+    "nan-entry": json.dumps(dict(GOOD_MODEL, A=[[[float("nan")]], [[0.2]]])).encode(),
+    "ragged": json.dumps(dict(GOOD_MODEL, A=[[[0.5]], [[0.2, 0.1]]])).encode(),
+    "negative-T": json.dumps(dict(GOOD_MODEL, T=[[1.5, -0.5], [0.5, 0.5]])).encode(),
+    "wrong-sizes": json.dumps(dict(GOOD_MODEL, s=3)).encode(),
+}
+MALFORMED_PARTITIONS = {
+    "not-utf8": b"\xff\xfe",
+    "strings": b'[[1, "a"], [2]]',
+    "nested": b"[[[1]], [2]]",
+    "bare-numbers": b"[1, 2]",
+    "infinite": b"[[1e400], [2]]",
+}
+FLAG_CASES = [
+    # (id, argv with a {model} placeholder, exit code, error class)
+    ("reduce-r0", ["reduce", "{model}", "--r", "0"], 2, "DimensionMismatch"),
+    ("reduce-r-1", ["reduce", "{model}", "--r", "-1"], 2, "DimensionMismatch"),
+    ("lqr-r0", ["lqr", "{model}", "--r", "0"], 2, "DimensionMismatch"),
+    (
+        "reduce-nan-weights",
+        ["reduce", "{model}", "--r", "1", "--weights", "nan", "0.5", "0.5"],
+        2,
+        "BadWeights",
+    ),
+    ("generate-r0", ["generate", "--s", "4", "--r", "0"], 2, "DimensionMismatch"),
+    ("generate-n-1", ["generate", "--s", "4", "--r", "2", "--n", "-1"], 2, "DimensionMismatch"),
+    ("generate-p-1", ["generate", "--s", "4", "--r", "2", "--p", "-1"], 2, "DimensionMismatch"),
+    (
+        "generate-nan-budget",
+        ["generate", "--s", "4", "--r", "2", "--eps-a", "nan"],
+        2,
+        "DimensionMismatch",
+    ),
+    ("stability-nan-rho", ["stability", "{model}", "--rho", "nan"], 3, "RhoTooSmall"),
+    (
+        "evaluate-negative-kmeans-eps",
+        ["evaluate", "{model}", "--r", "2", "--kmeans-eps", "-3"],
+        2,
+        "InputError",
+    ),
+    (
+        "evaluate-nan-kmeans-eps",
+        ["evaluate", "{model}", "--r", "1", "--kmeans-eps", "nan"],
+        2,
+        "InputError",
+    ),
+]
+# (id, argv with {model} and {bad} placeholders, bytes of {bad}, exit code, class)
+BAD_INPUT = (
+    [(name, argv, b"", code, error) for name, argv, code, error in FLAG_CASES]
+    + [
+        (f"model-{name}-{cmd}", [cmd, "{bad}"] + flags, payload, 2, "InputError")
+        for name, payload in MALFORMED_MODELS.items()
+        for cmd, flags in (("reduce", ["--r", "1"]), ("stability", []))
+    ]
+    + [
+        (f"partition-{name}", ["evaluate", "{model}", "--partition", "{bad}"], payload, 2, "InputError")
+        for name, payload in MALFORMED_PARTITIONS.items()
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "argv, payload, code, error",
+    [case[1:] for case in BAD_INPUT],
+    ids=[case[0] for case in BAD_INPUT],
+)
+def test_bad_input_exits_with_a_class_name(tmp_path, capsys, argv, payload, code, error):
+    # Every bad flag value or file ends in exit 2 or 3 and one
+    # "ErrorClass: message" line; an uncaught exception would fail here.
+    model, bad = tmp_path / "model.json", tmp_path / "bad.json"
+    model.write_text(json.dumps(GOOD_MODEL))
+    bad.write_bytes(payload)
+    argv = [a.format(model=model, bad=bad) for a in argv]
+    got, _, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
+    assert (got, err.split(":")[0]) == (code, error), err
+    assert "Traceback" not in err

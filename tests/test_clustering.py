@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import REVERSIBLE_LUMPABLE_T, random_model, random_partition
+from conftest import (
+    PARTITION_LABELS,
+    REVERSIBLE_LUMPABLE_T,
+    draw_instance,
+    random_model,
+    random_partition,
+)
 from mjsreduce.clustering import (
     average_model,
     build_features_aggregatable,
@@ -15,9 +21,16 @@ from mjsreduce.clustering import (
     misclustering_rate,
     reduce_model,
 )
-from mjsreduce.errors import BadWeights, DegenerateInput, RankDeficient, SizeMismatch
+from mjsreduce.errors import (
+    BadWeights,
+    DegenerateInput,
+    DimensionMismatch,
+    NotErgodic,
+    RankDeficient,
+    SizeMismatch,
+)
 from mjsreduce.experiments import demoted_weights
-from mjsreduce.model import MjsModel, Partition, stationary_distribution
+from mjsreduce.model import MjsModel, Partition, is_ergodic, stationary_distribution
 from mjsreduce.synth import SynthConfig, generate
 
 
@@ -52,6 +65,8 @@ def test_weight_validation():
         build_features_aggregatable(m, weights=(-0.2, 0.6, 0.6))
     with pytest.raises(BadWeights):
         build_features_aggregatable(m, weights=(1.0, 0.0))
+    with pytest.raises(BadWeights, match="finite"):
+        build_features_aggregatable(m, weights=(np.nan, 0.5, 0.5))
 
 
 def test_aggregatable_features_blocks():
@@ -275,6 +290,17 @@ def test_reduce_rejects_r_above_s(rng):
         reduce_model(random_model(rng), 9)
 
 
+@pytest.mark.parametrize("r", [0, -1])
+def test_cluster_count_below_one_is_input_error(rng, r):
+    model = random_model(rng)
+    with pytest.raises(DimensionMismatch, match="at least 1"):
+        reduce_model(model, r)
+    with pytest.raises(DimensionMismatch, match="at least 1"):
+        reduce_model(model, r, branch="lumpable")
+    with pytest.raises(DimensionMismatch, match="at least 1"):
+        kmeans_partition(rng.standard_normal((4, 2)), r)
+
+
 def test_auto_branch_prefers_smaller_transition_residual():
     # Rows differ inside the clusters but block sums match exactly, so
     # only the lumpable reading finds a near-zero residual.
@@ -293,3 +319,80 @@ def test_reduction_result_serialization(rng):
     d = res.to_dict()
     assert set(d) == {"partition", "reduced", "objective", "restarts_used"}
     assert all(min(c) >= 1 for c in d["partition"])
+
+
+def loop_average_model(model, partition, pi_weighted=False):
+    """Cluster averaging one cluster at a time, kept as the oracle of
+    average_model."""
+    r = partition.r
+    pi = stationary_distribution(model.T).pi if pi_weighted else None
+    A = np.empty((r, model.n, model.n))
+    B = np.empty((r, model.n, model.p))
+    T = np.empty((r, r))
+    for k, ck in enumerate(partition.clusters):
+        idx = list(ck)
+        if pi_weighted:
+            w = pi[idx] / pi[idx].sum()
+            A[k] = np.einsum("i,ijk->jk", w, model.A[idx])
+            B[k] = np.einsum("i,ijk->jk", w, model.B[idx])
+            rows = w @ model.T[idx]
+        else:
+            A[k] = model.A[idx].mean(axis=0)
+            B[k] = model.B[idx].mean(axis=0)
+            rows = model.T[idx].mean(axis=0)
+        for l, cl in enumerate(partition.clusters):
+            T[k, l] = rows[list(cl)].sum()
+    return MjsModel(A, B, T)
+
+
+@pytest.mark.invariant
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    labels=PARTITION_LABELS,
+    n=st.integers(1, 3),
+    p=st.integers(0, 2),
+    zeros=st.booleans(),
+)
+def test_average_model_matches_cluster_loop(seed, labels, n, p, zeros):
+    model, part = draw_instance(seed, labels, n, p, zeros)
+    got, want = average_model(model, part), loop_average_model(model, part)
+    for X, Y in ((got.A, want.A), (got.B, want.B), (got.T, want.T)):
+        assert X.shape == Y.shape and np.array_equal(X, Y)
+    if not is_ergodic(model.T):
+        with pytest.raises(NotErgodic):
+            average_model(model, part, pi_weighted=True)
+        return
+    got = average_model(model, part, pi_weighted=True)
+    want = loop_average_model(model, part, pi_weighted=True)
+    assert np.array_equal(got.A, want.A) and np.array_equal(got.B, want.B)
+    # The oracle's weighted T rows come from a BLAS matrix-vector
+    # product, the stacked ones from einsum: equal up to rounding.
+    assert np.abs(got.T - want.T).max() <= 1e-15
+
+
+def loop_misclustering_rate(estimated, truth):
+    """Set-difference cost matrix and exhaustive search, kept as the
+    oracle of misclustering_rate."""
+    r = truth.r
+    cost = np.array(
+        [
+            [len(set(ck) - set(cm)) / len(ck) for cm in estimated.clusters]
+            for ck in truth.clusters
+        ]
+    )
+    return min(
+        sum(cost[k, h[k]] for k in range(r)) for h in itertools.permutations(range(r))
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), s=st.integers(1, 10), r=st.integers(1, 5))
+def test_misclustering_rate_matches_set_loop(seed, s, r):
+    rng = np.random.default_rng(seed)
+    r = min(r, s)
+    est, truth = random_partition(rng, s, r), random_partition(rng, s, r)
+    assert misclustering_rate(est, truth) == loop_misclustering_rate(est, truth)
+    assert misclustering_rate(est, truth, method="assignment") == pytest.approx(
+        loop_misclustering_rate(est, truth), abs=1e-12
+    )

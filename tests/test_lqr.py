@@ -1,7 +1,10 @@
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_model
+from conftest import PARTITION_LABELS, draw_instance, random_model
 from mjsreduce.clustering import reduce_model
 import mjsreduce.lqr as lqr
 from mjsreduce.errors import Diverged, NotConverged, NotMss, SingularInnerMatrix, TooLarge
@@ -136,6 +139,50 @@ def test_singular_inner_matrix():
     )
     with pytest.raises(SingularInnerMatrix):
         riccati_solve(degenerate, EYE1, np.zeros((1, 1)))
+    # Only mode 1 has no input, so only its inner matrix R + B' phi B
+    # (with R = 0) is singular.
+    B = np.array([[[1.0]], [[0.0]], [[2.0]]])
+    mixed = MjsModel(np.full((3, 1, 1), 0.5), B, np.full((3, 3), 1.0 / 3.0))
+    with pytest.raises(SingularInnerMatrix, match="at mode 1$"):
+        riccati_operators(mixed, EYE1, np.zeros((1, 1)), np.ones((3, 1, 1)))
+
+
+def loop_riccati_operators(model, Q, R, X):
+    """riccati_operators one mode at a time, kept as its oracle."""
+    phi = np.einsum("ij,jkl->ikl", model.T, X)
+    s, n, p = model.s, model.n, model.p
+    K = np.empty((s, p, n))
+    ricc = np.empty((s, n, n))
+    for i in range(s):
+        A, B, ph = model.A[i], model.B[i], phi[i]
+        if p:
+            sol = np.linalg.solve(R + B.T @ ph @ B, B.T @ ph @ A)
+            K[i] = -sol
+            ricc[i] = Q + A.T @ ph @ A - A.T @ ph.T @ B @ sol
+        else:
+            K[i] = np.zeros((0, n))
+            ricc[i] = Q + A.T @ ph @ A
+    return phi, K, ricc
+
+
+@pytest.mark.invariant
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    labels=PARTITION_LABELS,
+    n=st.integers(1, 4),
+    p=st.integers(0, 3),
+    zeros=st.booleans(),
+)
+def test_riccati_operators_match_mode_loop(seed, labels, n, p, zeros):
+    model, _ = draw_instance(seed, labels, n, p, zeros)
+    # X is not symmetric, so phi and its transpose differ.
+    X = np.random.default_rng(seed).standard_normal((model.s, n, n))
+    Q, R = np.eye(n), np.eye(p)
+    for got, want in zip(
+        riccati_operators(model, Q, R, X), loop_riccati_operators(model, Q, R, X)
+    ):
+        assert got.shape == want.shape and np.array_equal(got, want)
 
 
 def test_lift_gains_copies_by_label():
@@ -260,3 +307,20 @@ def test_suboptimality_report_shape():
     }
     assert d["gap"] == pytest.approx(d["J_hat"] - d["J_star"], abs=1e-15)
     assert res.time_full_ms >= 0.0 and res.time_reduced_ms >= 0.0
+
+
+@pytest.mark.parametrize("which", ["reduced", "full"])
+def test_suboptimality_refuses_unconverged_design(monkeypatch, which):
+    model, _, _ = generate(SynthConfig(4, 2, 2, 1, eps_A=0.1, seed=8))
+    red = reduce_model(model, 2, branch="aggregatable", seed=8)
+    solve = lqr.riccati_solve
+
+    def short_budget(m, Q, R):
+        starved = (m.s == red.reduced.s) == (which == "reduced")
+        return solve(m, Q, R, max_iter=2 if starved else 100_000)
+
+    monkeypatch.setattr(lqr, "riccati_solve", short_budget)
+    with pytest.raises(NotConverged, match=f"of the {which} system"):
+        reduced_lqr_suboptimality(
+            model, 2, np.eye(2), np.eye(1), sigma_w=0.1, reduction=red
+        )

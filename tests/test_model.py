@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import THREE_STATE_T, random_model, random_partition, three_state_model
+from conftest import (
+    PARTITION_LABELS,
+    THREE_STATE_T,
+    random_model,
+    random_partition,
+    three_state_model,
+)
 from mjsreduce.clustering import average_model
 from mjsreduce.errors import (
     DimensionMismatch,
@@ -118,6 +124,35 @@ def test_partition_one_based_round_trip():
     lists = p.to_lists_1based()
     assert lists == [[1, 3], [2]]
     assert Partition.from_lists_1based(lists) == p
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    labels=PARTITION_LABELS,
+    trailing=st.sampled_from([(), (1,), (3,), (1, 1), (2, 2), (2, 0), (4, 3)]),
+)
+def test_cluster_aggregates_match_one_cluster_reductions(seed, labels, trailing):
+    # Each cluster's result equals the reduction over that cluster alone,
+    # bit for bit, whatever the stacking of equal-size clusters.
+    rng = np.random.default_rng(seed)
+    part = Partition.from_labels(labels)
+    X = rng.standard_normal((part.s,) + trailing)
+    weights = rng.random(part.s)
+    means = part.cluster_means(X)
+    weighted = part.cluster_means(X, weights)
+    M = rng.standard_normal(trailing + (part.s,))
+    sums = part.block_sums(M)
+    assert means.shape == weighted.shape == (part.r,) + trailing
+    assert sums.shape == trailing + (part.r,)
+    for k, c in enumerate(part.clusters):
+        idx = list(c)
+        w = weights[idx] / weights[idx].sum()
+        assert np.array_equal(means[k], X[idx].mean(axis=0))
+        assert np.array_equal(weighted[k], np.einsum("i,i...->...", w, X[idx]))
+        rows = M.reshape(-1, part.s)
+        want = np.array([row[idx].sum() for row in rows]).reshape(trailing)
+        assert np.array_equal(sums[..., k], want)
 
 
 def test_partition_rejects_bad_covers():

@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import mjsreduce.perturbation as perturbation
 from conftest import (
+    PARTITION_LABELS,
     REVERSIBLE_LUMPABLE_T,
     THREE_STATE_T,
+    draw_instance,
     random_model,
     random_partition,
     three_state_model,
 )
 from mjsreduce.clustering import build_features_aggregatable, reduce_model
-from mjsreduce.errors import DimensionMismatch, InfeasibleBlock, SizeMismatch
+from mjsreduce.errors import DimensionMismatch, InfeasibleBlock, InputError, SizeMismatch
 from mjsreduce.model import MjsModel, Partition
 from mjsreduce.perturbation import (
     averaged_feature_matrix,
@@ -250,3 +255,140 @@ def test_mr_bound_invariant_to_relabeling(rng):
         b = mr_bound(mp, part_p, branch)
         assert b.bound_value == pytest.approx(a.bound_value, rel=1e-9)
         assert b.sigma_r_phibar == pytest.approx(a.sigma_r_phibar, rel=1e-9)
+
+
+@pytest.mark.parametrize("kmeans_eps", [-3.0, -1e-12, float("nan")])
+def test_mr_bound_refuses_negative_or_nan_kmeans_eps(kmeans_eps):
+    model, part = fig4_model()
+    with pytest.raises(InputError, match="kmeans_eps"):
+        mr_bound(model, part, "aggregatable", kmeans_eps=kmeans_eps)
+
+
+def loop_perturbations(model, partition, branch):
+    """The per-pair loops perturbations replaced, kept as its oracle."""
+
+    def pair_sum(values, dist):
+        total = 0.0
+        for ck in partition.clusters:
+            idx = list(ck)
+            for a in range(len(idx)):
+                for b in range(a + 1, len(idx)):
+                    total += 2.0 * dist(values[idx[a]], values[idx[b]])
+        return total
+
+    fro = lambda X, Y: float(np.linalg.norm(X - Y))
+    l1 = lambda x, y: float(np.abs(x - y).sum())
+    if branch == "lumpable":
+        rows = np.stack(
+            [model.T[:, list(cl)].sum(axis=1) for cl in partition.clusters], axis=1
+        )
+    else:
+        rows = model.T
+    eps_B = pair_sum(model.B, fro) if model.p else 0.0
+    return pair_sum(model.A, fro), eps_B, pair_sum(rows, l1)
+
+
+def loop_averaged_features(phi, partition):
+    phibar = np.empty_like(phi)
+    for ck in partition.clusters:
+        idx = list(ck)
+        phibar[idx] = phi[idx].mean(axis=0)
+    return phibar
+
+
+def loop_construct_T0(T, partition, branch):
+    """construct_T0 one row and block at a time, kept as its oracle;
+    rows the proportional scheme cannot serve go to the same LP."""
+    if branch == "aggregatable":
+        T0 = loop_averaged_features(T, partition)
+    else:
+        block = np.stack(
+            [T[:, list(cl)].sum(axis=1) for cl in partition.clusters], axis=1
+        )
+        deficits = loop_averaged_features(block, partition) - block
+        delta = np.zeros_like(T)
+        for i in range(T.shape[0]):
+            ok = True
+            for l, cl in enumerate(partition.clusters):
+                idx = list(cl)
+                d = deficits[i, l]
+                if d == 0.0:
+                    continue
+                share = 1.0 - T[i, idx] if d > 0 else T[i, idx]
+                total = share.sum()
+                if total < abs(d) - 1e-15:
+                    ok = False
+                    break
+                delta[i, idx] = d * share / total if total > 0 else 0.0
+            if not ok:
+                delta[i] = perturbation._lp_row_adjustment(T[i], partition, deficits[i], i)
+        T0 = T + delta
+    T0 = np.clip(T0, 0.0, 1.0)
+    return T0 / T0.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.invariant
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    labels=PARTITION_LABELS,
+    n=st.integers(1, 3),
+    p=st.integers(0, 2),
+    zeros=st.booleans(),
+)
+def test_cluster_aggregates_match_loops(seed, labels, n, p, zeros):
+    model, part = draw_instance(seed, labels, n, p, zeros)
+    for branch in ("aggregatable", "lumpable"):
+        eps = perturbations(model, part, branch)
+        want = loop_perturbations(model, part, branch)
+        for got, ref in zip((eps.eps_A, eps.eps_B, eps.eps_T), want):
+            assert got == pytest.approx(ref, rel=1e-13, abs=1e-14)
+        # The loops sum blocks as 2-D rows, Partition.block_sums as 1-D
+        # rows like average_model: the last bits may differ.
+        got = construct_T0(model.T, part, branch=branch)
+        assert np.abs(got - loop_construct_T0(model.T, part, branch)).max() <= 1e-14
+    feats = build_features_aggregatable(model)
+    phibar, _ = averaged_feature_matrix(feats, part)
+    assert np.array_equal(phibar, loop_averaged_features(feats.phi, part))
+
+
+def test_pair_sums_in_chunks_match_one_pass(rng, monkeypatch):
+    model = random_model(rng, s=12, n=3, p=2)
+    part = random_partition(rng, 12, 2)
+    whole = perturbations(model, part, "lumpable")
+    monkeypatch.setattr(perturbation, "PAIR_CHUNK", 20)  # two pairs of A rows
+    chunked = perturbations(model, part, "lumpable")
+    for a, b in zip(
+        (whole.eps_A, whole.eps_B, whole.eps_T), (chunked.eps_A, chunked.eps_B, chunked.eps_T)
+    ):
+        assert b == pytest.approx(a, rel=1e-13)
+
+
+def saturated_chain():
+    """Rows 0-2 put all their mass on mode 3, a singleton cluster; row 2
+    puts a hair more than 1 (inside the model tolerance).  The cluster's
+    average block sum then exceeds what rows 0 and 1 can take, so the
+    proportional scheme hands them to the LP fallback."""
+    T = np.zeros((5, 5))
+    T[:3, 3] = 1.0
+    T[2, 3] += 1e-12
+    T[3] = [0.1, 0.2, 0.3, 0.2, 0.2]
+    T[4] = [0.3, 0.1, 0.1, 0.1, 0.4]
+    return T, Partition([[0, 1, 2], [3], [4]])
+
+
+def test_construct_T0_lp_rows_match_loop(monkeypatch):
+    T, part = saturated_chain()
+    calls = []
+    lp = perturbation._lp_row_adjustment
+
+    def spy(row, partition, deficits, i):
+        calls.append(i)
+        return lp(row, partition, deficits, i)
+
+    monkeypatch.setattr(perturbation, "_lp_row_adjustment", spy)
+    got = construct_T0(T, part, branch="lumpable")
+    assert calls == [0, 1]
+    calls.clear()
+    assert np.abs(got - loop_construct_T0(T, part, "lumpable")).max() <= 1e-14
+    assert calls == [0, 1]
