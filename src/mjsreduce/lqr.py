@@ -29,6 +29,7 @@ from .model import (
     MjsModel,
     Partition,
     _batch_modes,
+    _check_noise_std,
     _resolve_init_dist,
     _rollout,
     stationary_distribution,
@@ -218,10 +219,11 @@ def closed_loop_average_cost(
 
     Solves the stationary per-mode second moments of the closed loop
     (fixed point of the moment recursion, to 1e-12) and returns
-    sum_i tr((Q + K_i' R K_i) Moment_i).  Raises NotMss when the closed
-    loop is not mean-square stable, NotConverged when the moment
-    recursion does not settle within FIXED_POINT_STEPS.
+    sum_i tr((Q + K_i' R K_i) Moment_i).  Raises InputError for a NaN,
+    infinite or negative sigma_w, NotMss for a closed loop that is not
+    mean-square stable, NotConverged after FIXED_POINT_STEPS steps.
     """
+    _check_noise_std(sigma_w, "sigma_w")
     Q, R = _check_qr(model, Q, R)
     op = _mss_operator(_closed_loop(model, K), model.T)
     pi = stationary_distribution(model.T).pi

@@ -3,7 +3,8 @@
 A system is given by mode matrices A_1..A_s (n x n), input matrices
 B_1..B_s (n x p), and a row-stochastic mode transition matrix T (s x s).
 The state evolves as x_{t+1} = A[w_t] x_t + B[w_t] u_t where the mode
-sequence w_t is a Markov chain driven by T.
+sequence w_t is a Markov chain driven by T; every simulator steps it in
+the one kernel _rollout.
 """
 
 from __future__ import annotations
@@ -204,7 +205,11 @@ class Partition:
 
     @classmethod
     def from_lists_1based(cls, lists, s: int | None = None) -> "Partition":
-        return cls([[i - 1 for i in c] for c in lists], s=s)
+        """Read 1-based clusters; InputError for a fractional mode number."""
+        clusters = [[i - 1 for i in c] for c in lists]
+        if any(i != int(i) for c in clusters for i in c):
+            raise InputError(f"mode numbers must be integers, got {lists}")
+        return cls(clusters, s=s)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Partition) and self.clusters == other.clusters
@@ -373,40 +378,59 @@ def _batch_modes(
     return modes
 
 
-def _rollout(A: np.ndarray, modes: np.ndarray, x0, noise_std: float, rng):
-    """Stream the zero-input states of c jump systems on shared paths.
+def _check_noise_std(std, name: str = "noise_std") -> None:
+    """InputError unless std is a finite nonnegative number."""
+    if not 0.0 <= std < np.inf:
+        raise InputError(f"{name} must be finite and nonnegative, got {std}")
+
+
+def _rollout(A: np.ndarray, modes: np.ndarray, x0, noise_std: float, rng, drive=None):
+    """Stream x_{t+1} = A x + B u + noise for c jump systems on shared paths.
 
     A stacks the mode matrices of all c systems, modes of shape (c, N, H)
     indexes into it, one set of N paths per system.  Yields fresh arrays
     X_0..X_H of shape (c, N, n); each step adds one (N, n) standard
-    normal draw, scaled by noise_std, to every system alike.  x0 must
-    have shape (n,) (DimensionMismatch otherwise).
+    normal draw, scaled by noise_std, to every system alike.  drive is
+    None (zero input) or (B, control), B stacked like A: control(t, x,
+    mode) -> u runs once per step on the first path of the first system,
+    and u drives every path.  Raises DimensionMismatch unless x0 has
+    shape (n,), InputError for a NaN, infinite or negative noise_std.
     """
     c, N, H = modes.shape
     n = A.shape[1]
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (n,):
         raise DimensionMismatch(f"x0 must have shape ({n},), got {x0.shape}")
+    _check_noise_std(noise_std)
+    B, control = (None, None) if drive is None else drive
     X = np.empty((c, N, n))
     X[:] = x0
     yield X
     for t in range(H):
-        X = np.einsum("cbij,cbj->cbi", A[modes[:, :, t]], X)
+        m = modes[:, :, t]
+        if control is not None:
+            BU = B[m] @ control(t, X[0, 0], int(m[0, 0]))
+        X = np.einsum("cbij,cbj->cbi", A[m], X)
+        if control is not None:
+            X += BU
         if noise_std > 0.0:
             X += noise_std * rng.standard_normal((N, X.shape[2]))
         yield X
 
 
-def _input_at(inputs, t: int, x: np.ndarray, mode: int, p: int) -> np.ndarray:
+def _input_at(inputs, t: int, x: np.ndarray, mode: int, used: np.ndarray) -> np.ndarray:
+    """Resolve u_t of None, an (H, p) array or a callable into row t of used."""
+    p = used.shape[1]
     if inputs is None:
-        return np.zeros(p)
-    if callable(inputs):
+        u = np.zeros(p)
+    elif callable(inputs):
         u = np.asarray(inputs(t, x, mode), dtype=float)
     else:
         u = np.asarray(inputs[t], dtype=float)
     if u.shape != (p,):
         raise DimensionMismatch(f"input at t={t} has shape {u.shape}, expected ({p},)")
-    return u
+    used[t] = u
+    return used[t]
 
 
 def simulate(
@@ -438,32 +462,20 @@ def simulate(
     Returns:
         Trajectory with states (H+1, n), modes (H,), inputs (H, p).
     """
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (model.n,):
-        raise DimensionMismatch(f"x0 must have shape ({model.n},), got {x0.shape}")
     rng = np.random.default_rng(seed)
     if modes is None:
         modes = _batch_modes(rng, model, 1, horizon, init_dist)[0]
     else:
         modes = np.asarray(modes, dtype=int)
-        if modes.shape != (horizon,):
+        if modes.shape != (horizon,) or not np.all((0 <= modes) & (modes < model.s)):
             raise DimensionMismatch(
-                f"injected mode sequence must have shape ({horizon},), got {modes.shape}"
+                f"injected modes must have shape ({horizon},) and lie in range({model.s})"
             )
-        if horizon and (modes.min() < 0 or modes.max() >= model.s):
-            raise DimensionMismatch("injected mode outside range(s)")
-    states = np.empty((horizon + 1, model.n))
     used = np.empty((horizon, model.p))
-    states[0] = x0
-    x = x0
-    for t in range(horizon):
-        w = int(modes[t])
-        u = _input_at(inputs, t, x, w, model.p)
-        used[t] = u
-        x = model.A[w] @ x + model.B[w] @ u
-        if noise_std > 0.0:
-            x = x + noise_std * rng.standard_normal(model.n)
-        states[t + 1] = x
+    drive = (model.B, lambda t, x, w: _input_at(inputs, t, x, w, used))
+    states = np.empty((horizon + 1, model.n))
+    for t, X in enumerate(_rollout(model.A, modes[None, None], x0, noise_std, rng, drive)):
+        states[t] = X[0, 0]
     return Trajectory(states=states, modes=modes, inputs=used)
 
 
@@ -490,6 +502,31 @@ def simulate_batch(
     return states, modes
 
 
+def _coupled_rollout(
+    model, reduced, partition, x0, horizon, n_traj, noise_std, seed, init_dist, control=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The original and the reduced system, stacked in (A, B), on shared
+    mode paths and noise: states (2, n_traj, H+1, n) and the original
+    modes (n_traj, H).  Input sizes must agree only under a control."""
+    if partition.s != model.s or partition.r != reduced.s:
+        raise PartitionMismatch(
+            "partition does not link the two models: "
+            f"s={model.s}, r={reduced.s}, partition covers {partition.s} "
+            f"in {partition.r} clusters"
+        )
+    if reduced.n != model.n or (control is not None and reduced.p != model.p):
+        raise DimensionMismatch("reduced model state/input sizes disagree with model")
+    rng = np.random.default_rng(seed)
+    modes = _batch_modes(rng, model, n_traj, horizon, init_dist)
+    both = np.stack([modes, model.s + partition.labels[modes]])
+    A = np.concatenate([model.A, reduced.A])
+    drive = None if control is None else (np.concatenate([model.B, reduced.B]), control)
+    states = np.empty((2, n_traj, horizon + 1, model.n))
+    for t, X in enumerate(_rollout(A, both, x0, noise_std, rng, drive)):
+        states[:, :, t] = X
+    return states, modes
+
+
 def simulate_coupled_batch(
     model: MjsModel,
     reduced: MjsModel,
@@ -506,22 +543,9 @@ def simulate_coupled_batch(
     Returns (states, red_states, modes); state arrays have shape
     (n_traj, H+1, n).
     """
-    if partition.s != model.s or partition.r != reduced.s:
-        raise PartitionMismatch(
-            "partition does not link the two models: "
-            f"s={model.s}, r={reduced.s}, partition covers {partition.s} "
-            f"in {partition.r} clusters"
-        )
-    if reduced.n != model.n:
-        raise DimensionMismatch("reduced model state size disagrees with model")
-    rng = np.random.default_rng(seed)
-    modes = _batch_modes(rng, model, n_traj, horizon, init_dist)
-    # The reduced modes follow the original ones in the stacked A.
-    both = np.stack([modes, model.s + partition.labels[modes]])
-    A = np.concatenate([model.A, reduced.A])
-    states = np.empty((2, n_traj, horizon + 1, model.n))
-    for t, X in enumerate(_rollout(A, both, x0, noise_std, rng)):
-        states[:, :, t] = X
+    states, modes = _coupled_rollout(
+        model, reduced, partition, x0, horizon, n_traj, noise_std, seed, init_dist
+    )
     return states[0], states[1], modes
 
 
@@ -540,46 +564,18 @@ def simulate_coupled(
 
     The original mode sequence w_t is drawn from model.T; the reduced
     system runs on the projected sequence cluster_of(w_t).  Inputs and
-    any additive noise are shared between the two systems.
+    any additive noise are shared between the two systems; a callable
+    input sees the original state and mode.
     """
-    if partition.s != model.s:
-        raise PartitionMismatch(
-            f"partition covers {partition.s} modes, model has {model.s}"
-        )
-    if partition.r != reduced.s:
-        raise PartitionMismatch(
-            f"partition has {partition.r} clusters, reduced model has {reduced.s} modes"
-        )
-    if reduced.n != model.n or reduced.p != model.p:
-        raise DimensionMismatch("reduced model state/input sizes disagree with model")
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (model.n,):
-        raise DimensionMismatch(f"x0 must have shape ({model.n},), got {x0.shape}")
-    rng = np.random.default_rng(seed)
-    modes = _batch_modes(rng, model, 1, horizon, init_dist)[0]
-    red_modes = partition.labels[modes] if horizon else np.empty(0, dtype=int)
-    states = np.empty((horizon + 1, model.n))
-    red_states = np.empty((horizon + 1, model.n))
     used = np.empty((horizon, model.p))
-    states[0] = x0
-    red_states[0] = x0
-    x, xr = x0, x0
-    for t in range(horizon):
-        w = int(modes[t])
-        k = int(red_modes[t])
-        u = _input_at(inputs, t, x, w, model.p)
-        used[t] = u
-        x = model.A[w] @ x + model.B[w] @ u
-        xr = reduced.A[k] @ xr + reduced.B[k] @ u
-        if noise_std > 0.0:
-            e = noise_std * rng.standard_normal(model.n)
-            x = x + e
-            xr = xr + e
-        states[t + 1] = x
-        red_states[t + 1] = xr
+    states, modes = _coupled_rollout(
+        model, reduced, partition, x0, horizon, 1, noise_std, seed, init_dist,
+        lambda t, x, w: _input_at(inputs, t, x, w, used),
+    )
+    (modes,) = modes
     return (
-        Trajectory(states=states, modes=modes, inputs=used),
-        Trajectory(states=red_states, modes=red_modes, inputs=used),
+        Trajectory(states=states[0, 0], modes=modes, inputs=used),
+        Trajectory(states=states[1, 0], modes=partition.labels[modes], inputs=used),
     )
 
 
@@ -620,7 +616,8 @@ def model_to_dict(model: MjsModel) -> dict:
 
 def model_from_dict(d: dict) -> MjsModel:
     try:
-        n, p, s = int(d["n"]), int(d["p"]), int(d["s"])
+        # Sizes stay as given: a fractional one then fails the shape check.
+        n, p, s = d["n"], d["p"], d["s"]
         A = np.asarray(d["A"], dtype=float)
         # "B": null stands for an all-zero input map of the declared shape.
         B = np.zeros((s, n, p)) if d.get("B") is None else np.asarray(d["B"], dtype=float)

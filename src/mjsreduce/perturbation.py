@@ -208,7 +208,7 @@ def mr_bound(
         sigma_r sqrt(|C_(r)| + |C_(1)|) / (8 sqrt((2+eps) |C_(1)|))
 
     with an extra sqrt(s) inside the denominator root on the lumpable
-    branch, which additionally needs eps_T <= pi_min / gamma1.
+    branch, which additionally needs eps_T <= pi_min / gamma1 (vacuous if gamma1 = 0).
     |C_(1)| and |C_(r)| are the largest and smallest cluster sizes.
     predicted_mr_zero records the stronger premise
     eps_combined <= sigma_r / (8 sqrt((2+eps) |C_(1)|)) under which the
@@ -238,7 +238,7 @@ def mr_bound(
     applicable = sigma_r > 1e-10 and eps_combined <= threshold_nonzero
     if branch == "lumpable":
         pi_min = stationary_distribution(model.T).pi_min
-        applicable = applicable and eps.eps_T <= pi_min / g1
+        applicable = applicable and (g1 == 0.0 or eps.eps_T <= pi_min / g1)
     return MrBoundReport(
         branch=branch,
         weights=feats.weights,

@@ -238,6 +238,7 @@ MALFORMED_MODELS = {
     "ragged": json.dumps(dict(GOOD_MODEL, A=[[[0.5]], [[0.2, 0.1]]])).encode(),
     "negative-T": json.dumps(dict(GOOD_MODEL, T=[[1.5, -0.5], [0.5, 0.5]])).encode(),
     "wrong-sizes": json.dumps(dict(GOOD_MODEL, s=3)).encode(),
+    "fractional-size": json.dumps(dict(GOOD_MODEL, n=1.7)).encode(),
 }
 MALFORMED_PARTITIONS = {
     "not-utf8": b"\xff\xfe",
@@ -245,6 +246,7 @@ MALFORMED_PARTITIONS = {
     "nested": b"[[[1]], [2]]",
     "bare-numbers": b"[1, 2]",
     "infinite": b"[[1e400], [2]]",
+    "fractional": b"[[1.5], [2]]",
 }
 FLAG_CASES = [
     # (id, argv with a {model} placeholder, exit code, error class)
@@ -266,6 +268,8 @@ FLAG_CASES = [
         2,
         "DimensionMismatch",
     ),
+    ("lqr-nan-sigma-w", ["lqr", "{model}", "--r", "1", "--sigma-w", "nan"], 2, "InputError"),
+    ("lqr-negative-sigma-w", ["lqr", "{model}", "--r", "1", "--sigma-w", "-1"], 2, "InputError"),
     ("stability-nan-rho", ["stability", "{model}", "--rho", "nan"], 3, "RhoTooSmall"),
     (
         "evaluate-negative-kmeans-eps",
@@ -310,3 +314,18 @@ def test_bad_input_exits_with_a_class_name(tmp_path, capsys, argv, payload, code
     got, _, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
     assert (got, err.split(":")[0]) == (code, error), err
     assert "Traceback" not in err
+
+
+def test_evaluate_lumpable_on_one_mode(tmp_path, capsys):
+    # No non-Perron eigenvalue: gamma1 is an empty sum and the eps_T
+    # premise holds vacuously.
+    path = tmp_path / "one.json"
+    save_model(MjsModel([[[0.5]]], None, [[1.0]]), path)
+    code, stdout, err = run(
+        capsys, "evaluate", str(path), "--r", "1", "--branch", "lumpable",
+        "--out", str(tmp_path / "out"),
+    )
+    assert code == 0, err
+    payload = json.loads(stdout)
+    assert payload["gamma1"] == 0.0 and payload["applicable"] is True
+    assert all(np.isfinite(v) for v in payload.values() if isinstance(v, float))

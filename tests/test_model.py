@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -23,7 +23,9 @@ from mjsreduce.errors import (
 from mjsreduce.model import (
     MjsModel,
     Partition,
+    Trajectory,
     _batch_modes,
+    _input_at,
     expand_reduced,
     is_ergodic,
     load_model,
@@ -260,7 +262,59 @@ def test_init_dist_is_validated_by_every_consumer(bad, error):
 
 def assert_rel_close(got, want):
     # 1e-12 relative to the largest state of the oracle path.
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max(initial=0.0))
+
+
+# Per-step reference loops for simulate and simulate_coupled, independent
+# of the rollout kernel: the same draws (modes first, then one noise
+# vector per step), one matrix-vector product per system and step.
+
+
+def loop_simulate(model, x0, horizon, inputs=None, noise_std=0.0, seed=None,
+                  init_dist=None, modes=None):
+    rng = np.random.default_rng(seed)
+    if modes is None:
+        modes = _batch_modes(rng, model, 1, horizon, init_dist)[0]
+    modes = np.asarray(modes, dtype=int)
+    x = np.asarray(x0, dtype=float)
+    states = np.empty((horizon + 1, model.n))
+    used = np.empty((horizon, model.p))
+    states[0] = x
+    for t in range(horizon):
+        w = int(modes[t])
+        u = _input_at(inputs, t, x, w, used)
+        x = model.A[w] @ x + model.B[w] @ u
+        if noise_std > 0.0:
+            x = x + noise_std * rng.standard_normal(model.n)
+        states[t + 1] = x
+    return Trajectory(states=states, modes=modes, inputs=used)
+
+
+def loop_simulate_coupled(model, reduced, partition, x0, horizon, inputs=None,
+                          noise_std=0.0, seed=None, init_dist=None):
+    rng = np.random.default_rng(seed)
+    modes = _batch_modes(rng, model, 1, horizon, init_dist)[0]
+    red_modes = partition.labels[modes]
+    x = xr = np.asarray(x0, dtype=float)
+    states = np.empty((horizon + 1, model.n))
+    red_states = np.empty((horizon + 1, model.n))
+    used = np.empty((horizon, model.p))
+    states[0] = red_states[0] = x
+    for t in range(horizon):
+        w, k = int(modes[t]), int(red_modes[t])
+        u = _input_at(inputs, t, x, w, used)
+        x = model.A[w] @ x + model.B[w] @ u
+        xr = reduced.A[k] @ xr + reduced.B[k] @ u
+        if noise_std > 0.0:
+            e = noise_std * rng.standard_normal(model.n)
+            x = x + e
+            xr = xr + e
+        states[t + 1] = x
+        red_states[t + 1] = xr
+    return (
+        Trajectory(states=states, modes=modes, inputs=used),
+        Trajectory(states=red_states, modes=red_modes, inputs=used),
+    )
 
 
 @pytest.mark.invariant
@@ -278,16 +332,87 @@ def test_batched_paths_match_the_scalar_oracle(seed, s, n, horizon, n_traj):
     x0 = rng.standard_normal(n)
     states, modes = simulate_batch(model, x0, horizon, n_traj, seed=seed)
     for b in range(n_traj):
-        assert_rel_close(states[b], simulate(model, x0, horizon, modes=modes[b]).states)
+        assert_rel_close(states[b], loop_simulate(model, x0, horizon, modes=modes[b]).states)
     part = random_partition(rng, s, int(rng.integers(1, s + 1)))
     reduced = random_model(rng, s=part.r, n=n, p=0)
     full, red, modes = simulate_coupled_batch(
         model, reduced, part, x0, horizon, n_traj, seed=seed
     )
     for b in range(n_traj):
-        assert_rel_close(full[b], simulate(model, x0, horizon, modes=modes[b]).states)
-        oracle = simulate(reduced, x0, horizon, modes=part.labels[modes[b]])
+        assert_rel_close(full[b], loop_simulate(model, x0, horizon, modes=modes[b]).states)
+        oracle = loop_simulate(reduced, x0, horizon, modes=part.labels[modes[b]])
         assert_rel_close(red[b], oracle.states)
+
+
+class Feedback:
+    """State feedback u = K[mode] x that logs every call."""
+
+    def __init__(self, K):
+        self.K = K
+        self.calls = []
+
+    def __call__(self, t, x, mode):
+        u = self.K[mode] @ x
+        self.calls.append((t, x.copy(), mode, u))
+        return u
+
+
+def check_against_oracle(traj, oracle, inputs):
+    assert np.array_equal(traj.modes, oracle.modes)
+    assert_rel_close(traj.states, oracle.states)
+    if isinstance(inputs, Feedback):
+        # Called once per step, in order, on the state and mode it drives;
+        # the recorded inputs are the returned ones bit for bit.
+        H = traj.horizon
+        assert [c[0] for c in inputs.calls] == list(range(H))
+        for t, x, mode, u in inputs.calls:
+            assert np.array_equal(x, traj.states[t]) and mode == traj.modes[t]
+            assert np.array_equal(u, traj.inputs[t])
+        if H:
+            assert np.array_equal(traj.inputs[0], oracle.inputs[0])
+            assert_rel_close(traj.inputs, oracle.inputs)
+    else:
+        assert np.array_equal(traj.inputs, oracle.inputs)
+
+
+@pytest.mark.invariant
+@settings(max_examples=60, deadline=None)
+@example(seed=0, s=1, n=1, p=0, horizon=0, kind="feedback", noise=0.3, injected=True)
+@example(seed=1, s=3, n=2, p=0, horizon=5, kind="feedback", noise=0.0, injected=False)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    s=st.integers(1, 5),
+    n=st.integers(1, 4),
+    p=st.integers(0, 3),
+    horizon=st.integers(0, 12),
+    kind=st.sampled_from(["none", "array", "feedback"]),
+    noise=st.sampled_from([0.0, 0.3]),
+    injected=st.booleans(),
+)
+def test_kernel_runs_match_the_loop_oracles(seed, s, n, p, horizon, kind, noise, injected):
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, s=s, n=n, p=p, a_scale=rng.uniform(0.1, 1.2))
+    part = random_partition(rng, s, int(rng.integers(1, s + 1)))
+    reduced = random_model(rng, s=part.r, n=n, p=p)
+    x0 = rng.standard_normal(n)
+    K = 0.3 * rng.standard_normal((s, p, n))
+    fixed = rng.standard_normal((horizon, p))
+    modes = rng.integers(0, s, size=horizon) if injected else None
+
+    def inputs():
+        return {"none": None, "array": fixed, "feedback": Feedback(K)}[kind]
+
+    kw = dict(noise_std=noise, seed=seed)
+    u = inputs()
+    traj = simulate(model, x0, horizon, inputs=u, modes=modes, **kw)
+    check_against_oracle(traj, loop_simulate(model, x0, horizon, inputs(), modes=modes, **kw), u)
+    u = inputs()
+    full, red = simulate_coupled(model, reduced, part, x0, horizon, inputs=u, **kw)
+    oracle = loop_simulate_coupled(model, reduced, part, x0, horizon, inputs(), **kw)
+    check_against_oracle(full, oracle[0], u)
+    assert np.array_equal(red.modes, oracle[1].modes)
+    assert np.array_equal(red.inputs, full.inputs)
+    assert_rel_close(red.states, oracle[1].states)
 
 
 @pytest.mark.invariant
@@ -299,7 +424,8 @@ def test_batched_paths_match_the_scalar_oracle(seed, s, n, horizon, n_traj):
     init=st.sampled_from(["stationary", "fixed", "law"]),
 )
 def test_scalar_and_batched_runs_share_the_sampler(seed, s, horizon, init):
-    # Same seed, same draws: modes first, then one noise vector per step.
+    # Same seed, same draws, same kernel: a single-path run is the
+    # n_traj = 1 batch bit for bit.
     rng = np.random.default_rng(seed)
     model = random_model(rng, s=s, n=2, p=0)
     init_dist = {
@@ -312,10 +438,32 @@ def test_scalar_and_batched_runs_share_the_sampler(seed, s, horizon, init):
     traj = simulate(model, x0, horizon, **kw)
     states, modes = simulate_batch(model, x0, horizon, 1, **kw)
     assert np.array_equal(traj.modes, modes[0])
-    assert_rel_close(states[0], traj.states)
-    singletons = Partition([[i] for i in range(s)])
-    full, _ = simulate_coupled(model, model, singletons, x0, horizon, **kw)
+    assert np.array_equal(traj.states, states[0])
+    part = random_partition(rng, s, int(rng.integers(1, s + 1)))
+    reduced = random_model(rng, s=part.r, n=2, p=0)
+    full, red = simulate_coupled(model, reduced, part, x0, horizon, **kw)
+    states, red_states, modes = simulate_coupled_batch(model, reduced, part, x0, horizon, 1, **kw)
     assert np.array_equal(full.modes, modes[0])
+    assert np.array_equal(full.states, states[0])
+    assert np.array_equal(red.states, red_states[0])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.1])
+def test_every_simulator_refuses_a_bad_noise_level(bad):
+    m, part, x0 = three_state_model(), Partition([[0], [1, 2]]), np.ones(2)
+    red = MjsModel(np.zeros((2, 2, 2)), None, np.full((2, 2), 0.5))
+    runs = (
+        lambda: simulate(m, x0, 3, noise_std=bad, seed=0),
+        lambda: simulate_batch(m, x0, 3, 2, noise_std=bad, seed=0),
+        lambda: simulate_coupled(m, red, part, x0, 3, noise_std=bad, seed=0),
+        lambda: simulate_coupled_batch(m, red, part, x0, 3, 2, noise_std=bad, seed=0),
+        lambda: monte_carlo_cost(
+            m, np.zeros((3, 0, 2)), np.eye(2), np.zeros((0, 0)), bad, 3, 2
+        ),
+    )
+    for run in runs:
+        with pytest.raises(InputError, match="finite and nonnegative"):
+            run()
 
 
 def test_coupled_runs_reject_unlinked_models():
