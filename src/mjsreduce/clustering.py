@@ -19,10 +19,12 @@ from .errors import (
     BadWeights,
     DegenerateInput,
     DimensionMismatch,
+    InputError,
+    NotConverged,
     RankDeficient,
     SizeMismatch,
 )
-from .model import MjsModel, Partition, stationary_distribution
+from .model import MjsModel, Partition, _is_integer, stationary_distribution
 
 __all__ = [
     "BRANCHES",
@@ -47,6 +49,12 @@ def check_branch(branch: str) -> None:
     """Raise DimensionMismatch unless branch is one of BRANCHES."""
     if branch not in BRANCHES:
         raise DimensionMismatch(f"unknown branch {branch!r}; choose from {BRANCHES}")
+
+
+def _check_cluster_count(r) -> None:
+    """Raise DimensionMismatch unless r is an integer of at least 1."""
+    if not _is_integer(r) or r < 1:
+        raise DimensionMismatch(f"cluster count must be an integer of at least 1, got {r!r}")
 
 
 @dataclass
@@ -162,54 +170,147 @@ def build_features_lumpable(
     return FeatureMatrix(phi=phi, weights=w, branch="lumpable", H=H, W_r=W_r, S_r=S_r)
 
 
-def _kmeans_plus_plus(points: np.ndarray, r: int, rng: np.random.Generator) -> np.ndarray:
+# Lloyd gives up on a restart after this many assignment rounds.
+MAX_ITER = 300
+# Elements of the (restarts, s, r, d) difference block built at a time.
+_BLOCK = 1 << 16
+
+
+def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared distances (restarts, s, r) from the points to each
+    restart's centers (restarts, r, d).
+
+    Each entry is summed over the last axis of a difference block, as a
+    lone restart sums its (s, r, d) block; the block is built a few
+    restarts at a time to bound the temporaries.
+    """
+    R, r, d = centers.shape
     s = points.shape[0]
-    centers = np.empty((r, points.shape[1]))
-    centers[0] = points[rng.integers(s)]
-    d2 = ((points - centers[0]) ** 2).sum(axis=1)
+    step = max(1, _BLOCK // max(1, s * r * d))
+    out = np.empty((R, s, r))
+    for lo in range(0, R, step):
+        diff = points[None, :, None, :] - centers[lo : lo + step, None]
+        out[lo : lo + step] = np.square(diff, out=diff).sum(axis=3)
+    return out
+
+
+def _seed(pair: np.ndarray, r: int, rngs: list) -> np.ndarray:
+    """k-means++ seeds as point indices (restarts, r), one generator per
+    restart; pair[i] holds the squared distances from point i.
+
+    Each generator draws what a lone restart draws, in the same order:
+    integers(s) for the first center, then per further center one
+    uniform, mapped through the cdf of the squared distances as
+    Generator.choice(s, p=d2 / d2.sum()) maps it, or integers(s) once
+    every squared distance is zero.
+    """
+    s = len(pair)
+    seeds = np.empty((len(rngs), r), dtype=int)
+    seeds[:, 0] = [g.integers(s) for g in rngs]
+    d2 = pair[seeds[:, 0]]
     for k in range(1, r):
-        total = d2.sum()
-        if total <= 0:
-            # All remaining points duplicate chosen centers.
-            centers[k] = points[rng.integers(s)]
+        total = d2.sum(axis=1)
+        if not np.all(np.isfinite(total)):
+            raise DegenerateInput("squared distances between the points overflow")
+        live = total > 0
+        cdf = (d2[live] / total[live, None]).cumsum(axis=1)
+        cdf /= cdf[:, -1:]
+        u = np.array([g.random() for g, on in zip(rngs, live) if on])
+        seeds[live, k] = (cdf <= u[:, None]).sum(axis=1)
+        # All remaining points duplicate chosen centers.
+        seeds[~live, k] = [g.integers(s) for g, on in zip(rngs, live) if not on]
+        d2 = np.minimum(d2, pair[seeds[:, k]])
+    return seeds
+
+
+def _repair(points: np.ndarray, centers: np.ndarray, labels: np.ndarray, dist2: np.ndarray) -> None:
+    """Reseed one restart's empty clusters from its farthest point, in place."""
+    rows = np.arange(len(points))
+    for k in range(centers.shape[0]):
+        if np.any(labels == k):
             continue
-        probs = d2 / total
-        idx = int(rng.choice(s, p=probs))
-        centers[k] = points[idx]
-        d2 = np.minimum(d2, ((points - centers[k]) ** 2).sum(axis=1))
-    return centers
+        assigned = dist2[rows, labels]
+        far = int(np.argmax(assigned))
+        if assigned[far] <= 0:
+            continue  # nothing to split off; cluster stays empty
+        centers[k] = points[far]
+        labels[far] = k
+        dist2[:, k] = np.square(points - centers[k]).sum(axis=1)
+
+
+def _sizes(labels: np.ndarray, r: int) -> np.ndarray:
+    """Cluster sizes (restarts, r) under each row of labels (restarts, s)."""
+    R = len(labels)
+    return np.bincount((np.arange(R)[:, None] * r + labels).ravel(), minlength=R * r).reshape(R, r)
+
+
+def _cluster_means(points: np.ndarray, labels: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cluster means (restarts, r, d) and sizes (restarts, r) of the
+    points under each row of labels (restarts, s); empty clusters get 0.
+
+    The sums add rows in the order points[mask].mean(axis=0) adds them:
+    one after another when d > 1, and pairwise (numpy's 1-D sum) when
+    d = 1.
+    """
+    R = len(labels)
+    flat = (np.arange(R)[:, None] * r + labels).ravel()
+    sizes = np.bincount(flat, minlength=R * r)
+    cols = np.tile(points.T, R)
+    sums = np.zeros((R * r, points.shape[1]))
+    if points.shape[1] == 1:
+        # reduceat sums a segment as "first element + pairwise sum of the
+        # rest", so a zero ahead of each segment gives np.sum's order.
+        filled = np.flatnonzero(sizes)
+        starts = np.cumsum(sizes[filled]) - sizes[filled]
+        led = np.insert(cols[0, np.argsort(flat, kind="stable")], starts, 0.0)
+        sums[filled, 0] = np.add.reduceat(led, starts + np.arange(len(starts)))
+    else:
+        for j, col in enumerate(cols):
+            sums[:, j] = np.bincount(flat, weights=col, minlength=R * r)
+    sizes = sizes.reshape(R, r)
+    return sums.reshape(R, r, points.shape[1]) / np.maximum(sizes, 1)[..., None], sizes
 
 
 def _lloyd(
-    points: np.ndarray, centers: np.ndarray, max_iter: int = 300
-) -> tuple[np.ndarray, np.ndarray, float]:
-    r = centers.shape[0]
-    labels = np.full(points.shape[0], -1)
-    for _ in range(max_iter):
-        dist2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        new_labels = np.argmin(dist2, axis=1)
-        # Repair empty clusters by reseeding from the farthest point.
-        for k in range(r):
-            if np.any(new_labels == k):
-                continue
-            assigned = dist2[np.arange(len(points)), new_labels]
-            far = int(np.argmax(assigned))
-            if assigned[far] <= 0:
-                continue  # nothing to split off; cluster stays empty
-            centers[k] = points[far]
-            new_labels[far] = k
-            dist2[:, k] = ((points - centers[k]) ** 2).sum(axis=1)
-        if np.array_equal(new_labels, labels):
+    points: np.ndarray, centers: np.ndarray, dist2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lloyd iterations on every restart's centers (restarts, r, d), in
+    place, from their squared distances dist2 (restarts, s, r).
+
+    A restart stops, without a center update, at the first assignment
+    equal to its previous one.  Returns the squared distance from each
+    point to its nearest final center (restarts, s), the index of that
+    center, and the indices of the restarts still moving after MAX_ITER
+    assignments.
+    """
+    R, r, _ = centers.shape
+    labels = np.full((R, points.shape[0]), -1)
+    near = np.empty(labels.shape)
+    nearest = np.empty_like(labels)
+    active = np.arange(R)
+    for _ in range(MAX_ITER):
+        new = dist2.argmin(axis=2)
+        for a in np.flatnonzero((_sizes(new, r) == 0).any(axis=1)):
+            _repair(points, centers[active[a]], new[a], dist2[a])
+        moved = (new != labels[active]).any(axis=1)
+        # A stopped restart's centers are final, and so are its distances.
+        near[active[~moved]] = dist2[~moved].min(axis=2)
+        nearest[active[~moved]] = dist2[~moved].argmin(axis=2)
+        active, new = active[moved], new[moved]
+        if active.size == 0:
             break
-        labels = new_labels
-        for k in range(r):
-            mask = labels == k
-            if np.any(mask):
-                centers[k] = points[mask].mean(axis=0)
-    dist2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    labels = np.argmin(dist2, axis=1)
-    objective = float(dist2[np.arange(len(points)), labels].sum())
-    return labels, centers, objective
+        labels[active] = new
+        means, sizes = _cluster_means(points, new, r)
+        filled = sizes > 0
+        update = centers[active]
+        update[filled] = means[filled]
+        centers[active] = update
+        dist2 = _sq_dists(points, update)
+    else:
+        # Out of rounds: the distances to the last centers are final.
+        near[active] = dist2.min(axis=2)
+        nearest[active] = dist2.argmin(axis=2)
+    return near, nearest, active
 
 
 def kmeans_partition(
@@ -223,29 +324,58 @@ def kmeans_partition(
     stay empty after repair are dropped, so the partition can have fewer
     than r clusters when the points carry fewer than r distinct values.
 
-    Raises DimensionMismatch if r < 1, DegenerateInput if there are
-    fewer points than clusters.
+    All restarts run together, as arrays with a leading restart axis,
+    and the result equals that of running them one by one: restart i
+    seeds from its own generator, default_rng(SeedSequence(seed).spawn(
+    restarts)[i]), which draws integers(s) for the first center and then
+    one uniform per further center (integers(s) once every squared
+    distance is zero); its Lloyd iterations stop at the first repeated
+    assignment, and its sums run in the order of a lone restart.
+
+    Raises DimensionMismatch if points is not 2-D or r is not an integer
+    of at least 1; InputError if points holds NaN or infinite values or
+    restarts is not an integer; DegenerateInput if restarts < 1, if
+    there are fewer points than clusters, or if squared distances
+    overflow; NotConverged if the winning restart is still moving after
+    MAX_ITER Lloyd iterations.
     """
     points = np.asarray(points, dtype=float)
-    if r < 1:
-        raise DimensionMismatch(f"cluster count must be at least 1, got {r}")
+    if points.ndim != 2:
+        raise DimensionMismatch(f"points must form a 2-D array, got shape {points.shape}")
+    if not np.all(np.isfinite(points)):
+        raise InputError("points must be finite")
+    _check_cluster_count(r)
+    if not _is_integer(restarts):
+        raise InputError(f"restarts must be an integer, got {restarts!r}")
     if restarts < 1:
         raise DegenerateInput("restarts must be at least 1")
     if points.shape[0] < r:
         raise DegenerateInput(
             f"cannot form {r} clusters from {points.shape[0]} points"
         )
-    best = None
-    for child in np.random.SeedSequence(seed).spawn(restarts):
-        rng = np.random.default_rng(child)
-        centers = _kmeans_plus_plus(points, r, rng)
-        labels, centers, objective = _lloyd(points, centers)
-        if best is None or objective < best[2]:
-            best = (labels, centers, objective)
-    labels, centers, objective = best
+    rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(restarts)]
+    # Seeds are points, so one table of point-to-point distances serves
+    # the seeding and the first assignment.
+    pair = _sq_dists(points, points[:, None])[..., 0]
+    seeds = _seed(pair, r, rngs)
+    centers = points[seeds]
+    near, nearest, moving = _lloyd(points, centers, pair[seeds].transpose(0, 2, 1))
+    objectives = near.sum(axis=1)
+    best = int(np.argmin(objectives))
+    if not np.isfinite(objectives[best]):
+        raise DegenerateInput("squared distances between the points overflow")
+    if best in moving:
+        raise NotConverged(
+            f"k-means restart {best} still moves after {MAX_ITER} Lloyd iterations"
+        )
+    labels = nearest[best]
     # Partition orders clusters by smallest member; line the centers up.
     used, first = np.unique(labels, return_index=True)
-    return Partition.from_labels(labels), centers[used[np.argsort(first)]], objective
+    return (
+        Partition.from_labels(labels),
+        centers[best][used[np.argsort(first)]],
+        float(objectives[best]),
+    )
 
 
 def average_model(
@@ -317,10 +447,10 @@ def reduce_model(
     each branch scored under its own transition semantics; ties go to
     the aggregatable candidate.
 
-    Raises DimensionMismatch if r < 1, DegenerateInput if r > s.
+    Raises DimensionMismatch unless r is an integer of at least 1,
+    DegenerateInput if r > s.
     """
-    if r < 1:
-        raise DimensionMismatch(f"cluster count must be at least 1, got {r}")
+    _check_cluster_count(r)
     if r > model.s:
         raise DegenerateInput(f"r = {r} exceeds the mode count s = {model.s}")
     if branch is not None:
@@ -356,14 +486,20 @@ def misclustering_rate(
     sum_k |{i in truth_k : i not in est_{h(k)}}| / |truth_k|.
     Exhaustive search for r <= 8 (or method="exhaustive"); otherwise a
     linear assignment on the miscount matrix.  Range [0, r].
+
+    An estimate with fewer clusters than the truth, as kmeans_partition
+    returns when the points carry fewer than r distinct values, is
+    padded with empty clusters, so a truth cluster left without a match
+    costs 1.  Raises SizeMismatch if the mode counts differ or the
+    estimate has more clusters than the truth.
     """
     if estimated.s != truth.s:
         raise SizeMismatch(
             f"partitions cover different mode counts: {estimated.s} vs {truth.s}"
         )
-    if estimated.r != truth.r:
+    if estimated.r > truth.r:
         raise SizeMismatch(
-            f"partitions have different cluster counts: {estimated.r} vs {truth.r}"
+            f"estimate has more clusters than the truth: {estimated.r} vs {truth.r}"
         )
     r = truth.r
     # shared[k, m] = |truth_k & est_m|, so cost[k, m] = |truth_k - est_m| / |truth_k|.

@@ -315,18 +315,25 @@ def stationary_distribution(T: np.ndarray) -> StationaryDistribution:
     return StationaryDistribution(pi)
 
 
+def _is_integer(value) -> bool:
+    """True for Python and numpy integers, False for bools and the rest."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _resolve_init_dist(model: MjsModel, init_dist) -> tuple[np.ndarray, int | None]:
     """The initial mode law as (pi, fixed mode or None).
 
     None gives the stationary law, an int a fixed mode (pi is then its
-    indicator), a length-s vector the law itself.  Raises
-    DimensionMismatch for a mode outside range(s) or a vector of the
-    wrong shape, NotNormalized for negative entries or a total mass off
-    1 by more than 1e-9.
+    indicator), a length-s vector the law itself.  Raises InputError for
+    any other scalar (a bool or a fractional mode), DimensionMismatch for
+    a mode outside range(s) or a vector of the wrong shape, NotNormalized
+    for negative entries or a total mass off 1 by more than 1e-9.
     """
     if init_dist is None:
         return stationary_distribution(model.T).pi, None
     if np.isscalar(init_dist):
+        if not _is_integer(init_dist):
+            raise InputError(f"initial mode must be an integer, got {init_dist!r}")
         mode = int(init_dist)
         if not 0 <= mode < model.s:
             raise DimensionMismatch(f"initial mode {mode} outside range({model.s})")

@@ -69,9 +69,10 @@ def test_kernel_enum_init_forms():
     at_zero = transition_kernel_enum(SCALAR_PAIR, np.array([1.0]), 0)
     assert at_zero.size == 1 and at_zero.mass[0] == 1.0
     assert at_zero.support[0, 0] == 1.0
-    pinned = transition_kernel_enum(SCALAR_PAIR, np.array([1.0]), 1, init_dist=1)
-    assert pinned.size == 1
-    assert pinned.support[0, 0] == 3.0
+    for mode in (1, np.int64(1)):
+        pinned = transition_kernel_enum(SCALAR_PAIR, np.array([1.0]), 1, init_dist=mode)
+        assert pinned.size == 1
+        assert pinned.support[0, 0] == 3.0
 
 
 def test_kernel_enum_rejections(rng):

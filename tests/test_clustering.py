@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -23,8 +23,11 @@ from mjsreduce.clustering import (
 )
 from mjsreduce.errors import (
     BadWeights,
+    ComputationError,
     DegenerateInput,
     DimensionMismatch,
+    InputError,
+    NotConverged,
     NotErgodic,
     RankDeficient,
     SizeMismatch,
@@ -139,6 +142,49 @@ def test_kmeans_duplicate_points_drop_empty_clusters():
     assert obj == 0.0
 
 
+def test_short_partition_scores_against_the_truth():
+    # Two distinct values for three clusters: k-means returns two, and
+    # the truth cluster left without a match costs 1.
+    pts = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [5.0, 5.0]])
+    part, _, _ = kmeans_partition(pts, 3, seed=0)
+    assert part == Partition([[0, 1, 2], [3]])
+    truth = Partition([[0, 1], [2], [3]])
+    assert misclustering_rate(part, truth) == 1.0
+    assert misclustering_rate(part, truth, method="assignment") == 1.0
+    with pytest.raises(SizeMismatch):
+        misclustering_rate(truth, part)
+
+
+@pytest.mark.parametrize(
+    "points, r, restarts, error",
+    [
+        ([[0.0], [np.nan], [1.0]], 2, 4, InputError),
+        ([[0.0], [np.inf], [1.0]], 2, 4, InputError),
+        ([[1e200], [-1e200], [0.0]], 2, 4, ComputationError),
+        ([[1e200], [-1e200]], 1, 4, ComputationError),
+        ([0.0, 1.0, 2.0], 2, 4, DimensionMismatch),
+        ([[0.0], [1.0], [2.0]], True, 4, DimensionMismatch),
+        ([[0.0], [1.0], [2.0]], 2.5, 4, DimensionMismatch),
+        ([[0.0], [1.0], [2.0]], 2, True, InputError),
+        ([[0.0], [1.0], [2.0]], 2, 2.5, InputError),
+    ],
+    ids=[
+        "nan",
+        "inf",
+        "overflow-seeding",
+        "overflow-objective",
+        "one-dim",
+        "bool-r",
+        "fractional-r",
+        "bool-restarts",
+        "fractional-restarts",
+    ],
+)
+def test_kmeans_refuses_bad_input(points, r, restarts, error):
+    with pytest.raises(error):
+        kmeans_partition(np.array(points), r, restarts=restarts, seed=0)
+
+
 @pytest.mark.invariant
 def test_permutation_equivariance(rng):
     model, truth, _ = generate(
@@ -241,8 +287,12 @@ def test_mr_frozen_examples():
     assert misclustering_rate(a, b) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(SizeMismatch):
         misclustering_rate(a, Partition([[0, 1, 2], [3, 4]]))
+    # A short estimate is padded with an empty cluster, which costs 1;
+    # an estimate with more clusters than the truth is refused.
+    finer = Partition([[0, 1], [2], [3]])
+    assert misclustering_rate(a, finer) == 1.0
     with pytest.raises(SizeMismatch):
-        misclustering_rate(a, Partition([[0, 1], [2], [3]]))
+        misclustering_rate(finer, a)
 
 
 @given(st.lists(st.integers(0, 3), min_size=4, max_size=10))
@@ -299,6 +349,12 @@ def test_cluster_count_below_one_is_input_error(rng, r):
         reduce_model(model, r, branch="lumpable")
     with pytest.raises(DimensionMismatch, match="at least 1"):
         kmeans_partition(rng.standard_normal((4, 2)), r)
+
+
+@pytest.mark.parametrize("r", [2.5, True])
+def test_cluster_count_must_be_an_integer(rng, r):
+    with pytest.raises(DimensionMismatch, match="integer"):
+        reduce_model(random_model(rng), r)
 
 
 def test_auto_branch_prefers_smaller_transition_residual():
@@ -396,3 +452,118 @@ def test_misclustering_rate_matches_set_loop(seed, s, r):
     assert misclustering_rate(est, truth, method="assignment") == pytest.approx(
         loop_misclustering_rate(est, truth), abs=1e-12
     )
+
+
+def loop_kmeans_plus_plus(points, r, rng):
+    s = points.shape[0]
+    centers = np.empty((r, points.shape[1]))
+    centers[0] = points[rng.integers(s)]
+    d2 = ((points - centers[0]) ** 2).sum(axis=1)
+    for k in range(1, r):
+        total = d2.sum()
+        if total <= 0:
+            # All remaining points duplicate chosen centers.
+            centers[k] = points[rng.integers(s)]
+            continue
+        probs = d2 / total
+        idx = int(rng.choice(s, p=probs))
+        centers[k] = points[idx]
+        d2 = np.minimum(d2, ((points - centers[k]) ** 2).sum(axis=1))
+    return centers
+
+
+def loop_lloyd(points, centers, max_iter=300):
+    r = centers.shape[0]
+    labels = np.full(points.shape[0], -1)
+    converged = False
+    for _ in range(max_iter):
+        dist2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        new_labels = np.argmin(dist2, axis=1)
+        # Repair empty clusters by reseeding from the farthest point.
+        for k in range(r):
+            if np.any(new_labels == k):
+                continue
+            assigned = dist2[np.arange(len(points)), new_labels]
+            far = int(np.argmax(assigned))
+            if assigned[far] <= 0:
+                continue  # nothing to split off; cluster stays empty
+            centers[k] = points[far]
+            new_labels[far] = k
+            dist2[:, k] = ((points - centers[k]) ** 2).sum(axis=1)
+        if np.array_equal(new_labels, labels):
+            converged = True
+            break
+        labels = new_labels
+        for k in range(r):
+            mask = labels == k
+            if np.any(mask):
+                centers[k] = points[mask].mean(axis=0)
+    dist2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    labels = np.argmin(dist2, axis=1)
+    objective = float(dist2[np.arange(len(points)), labels].sum())
+    return labels, centers, objective, converged
+
+
+def loop_kmeans(points, r, restarts, seed):
+    """One restart at a time, seeded with Generator.choice, kept as the
+    oracle of kmeans_partition.  Returns (partition, centers, objective,
+    whether the winning restart reached a fixed assignment)."""
+    best = None
+    for child in np.random.SeedSequence(seed).spawn(restarts):
+        rng = np.random.default_rng(child)
+        centers = loop_kmeans_plus_plus(points, r, rng)
+        run = loop_lloyd(points, centers)
+        if best is None or run[2] < best[2]:
+            best = run
+    labels, centers, objective, converged = best
+    used, first = np.unique(labels, return_index=True)
+    return (
+        Partition.from_labels(labels),
+        centers[used[np.argsort(first)]],
+        objective,
+        converged,
+    )
+
+
+def kmeans_points(seed, s, d, distinct, lattice):
+    """s points in d dimensions taking `distinct` values; lattice points
+    are 0/1 corners, whose symmetric splits tie between restarts."""
+    rng = np.random.default_rng(seed)
+    if lattice:
+        values = rng.integers(0, 2, (distinct, d)).astype(float)
+    else:
+        values = rng.standard_normal((distinct, d)) * 10.0 ** rng.integers(-3, 4)
+    return values[rng.integers(0, distinct, s)] if distinct < s else values
+
+
+@pytest.mark.invariant
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    s=st.integers(1, 24),
+    d=st.integers(1, 6),
+    r=st.integers(1, 24),
+    restarts=st.integers(1, 12),
+    distinct=st.integers(1, 24),
+    lattice=st.booleans(),
+)
+@example(seed=0, s=10, d=2, r=4, restarts=5, distinct=3, lattice=False)  # repair
+@example(seed=0, s=10, d=2, r=4, restarts=5, distinct=2, lattice=False)  # cycles
+# d = 1: numpy sums a single column pairwise, several row by row.
+@example(seed=6, s=24, d=1, r=2, restarts=8, distinct=24, lattice=False)
+@example(seed=0, s=24, d=1, r=1, restarts=6, distinct=24, lattice=False)  # r = 1
+@example(seed=9, s=6, d=2, r=6, restarts=6, distinct=6, lattice=False)  # r = s
+@example(seed=11, s=18, d=4, r=3, restarts=1, distinct=18, lattice=False)  # one restart
+@example(seed=2, s=8, d=2, r=2, restarts=10, distinct=4, lattice=True)  # ties
+def test_kmeans_matches_the_restart_loop(seed, s, d, r, restarts, distinct, lattice):
+    r, distinct = min(r, s), min(distinct, s)
+    points = kmeans_points(seed, s, d, distinct, lattice)
+    want, want_centers, want_objective, converged = loop_kmeans(points, r, restarts, seed)
+    if not converged:
+        with pytest.raises(NotConverged):
+            kmeans_partition(points, r, restarts=restarts, seed=seed)
+        return
+    part, centers, objective = kmeans_partition(points, r, restarts=restarts, seed=seed)
+    assert np.array_equal(part.labels, want.labels)
+    assert centers.shape == want_centers.shape and np.array_equal(centers, want_centers)
+    assert objective == want_objective

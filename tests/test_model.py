@@ -225,6 +225,8 @@ def test_simulate_init_dist_forms():
     m = three_state_model()
     traj = simulate(m, [0.0, 0.0], 5, seed=1, init_dist=2)
     assert traj.modes[0] == 2
+    traj = simulate(m, [0.0, 0.0], 5, seed=1, init_dist=np.int64(1))
+    assert traj.modes[0] == 1
     traj = simulate(m, [0.0, 0.0], 5, seed=1, init_dist=[0.0, 1.0, 0.0])
     assert traj.modes[0] == 1
     with pytest.raises(DimensionMismatch):
@@ -241,6 +243,8 @@ def test_simulate_init_dist_forms():
         ([0.5, 0.5], DimensionMismatch),
         ([0.5, 0.6, 0.0], NotNormalized),
         ([1.5, -0.5, 0.0], NotNormalized),
+        (1.5, InputError),
+        (True, InputError),
     ],
 )
 def test_init_dist_is_validated_by_every_consumer(bad, error):
