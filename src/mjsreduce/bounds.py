@@ -15,7 +15,7 @@ import numpy as np
 import scipy.optimize
 import scipy.sparse
 
-from .errors import NotNormalized, TooLarge, TooManySequences
+from .errors import DimensionMismatch, NotNormalized, TooLarge, TooManySequences
 from .model import MjsModel, Partition, _resolve_init_dist, simulate_coupled_batch
 
 __all__ = [
@@ -254,9 +254,11 @@ def transition_kernel_enum(
     Each point, in that order, is merged into the first kept point that
     lies within dedup_tol * max(||x0||, 1) and shares its cell of a grid
     of that width; masses are added in point order.  Raises
-    TooManySequences when s^t exceeds the cap, TooLarge when the model
-    has inputs.
+    DimensionMismatch for a negative t, TooManySequences when s^t
+    exceeds the cap, TooLarge when the model has inputs.
     """
+    if t < 0:
+        raise DimensionMismatch(f"t must be a nonnegative step count, got {t}")
     if model.p and np.any(model.B != 0.0):
         raise TooLarge("transition kernels are defined for autonomous models")
     if model.s**t > cap:

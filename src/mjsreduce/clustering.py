@@ -9,7 +9,6 @@ cluster estimate; averaging within clusters yields the reduced model.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -477,15 +476,13 @@ def reduce_model(
     return scored[0][1]
 
 
-def misclustering_rate(
-    estimated: Partition, truth: Partition, method: str = "auto"
-) -> float:
+def misclustering_rate(estimated: Partition, truth: Partition) -> float:
     """Fraction-weighted disagreement between two partitions.
 
     Over bijections h between cluster labels, minimizes
-    sum_k |{i in truth_k : i not in est_{h(k)}}| / |truth_k|.
-    Exhaustive search for r <= 8 (or method="exhaustive"); otherwise a
-    linear assignment on the miscount matrix.  Range [0, r].
+    sum_k |{i in truth_k : i not in est_{h(k)}}| / |truth_k|, by a
+    linear assignment on the miscount matrix; the matched costs are
+    summed in truth-cluster order.  Range [0, r].
 
     An estimate with fewer clusters than the truth, as kmeans_partition
     returns when the points carry fewer than r distinct values, is
@@ -506,13 +503,5 @@ def misclustering_rate(
     shared = np.bincount(truth.labels * r + estimated.labels, minlength=r * r).reshape(r, r)
     sizes = np.array(truth.sizes)[:, None]
     cost = (sizes - shared) / sizes
-    if method == "auto":
-        method = "exhaustive" if r <= 8 else "assignment"
-    if method == "exhaustive":
-        best = min(
-            sum(cost[k, h[k]] for k in range(r))
-            for h in itertools.permutations(range(r))
-        )
-        return float(best)
     row, col = scipy.optimize.linear_sum_assignment(cost)
-    return float(cost[row, col].sum())
+    return float(sum(cost[row, col].tolist()))

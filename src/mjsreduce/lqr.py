@@ -9,6 +9,15 @@ coupled Riccati map.  With phi_i(X) = sum_j T(i, j) X_j:
                   B_i' phi_i(X) A_i
 
 iterated from X = (Q, ..., Q) until the gains settle.
+
+A fixed gain u = K x is priced through its closed-loop value matrices,
+the solution of V = stage + L*(V) with stage_i = Q + K_i' R K_i and L*
+the adjoint of the closed loop's second-moment operator
+(stability.MomentOperator).  Both costs are pairings with V: the
+stationary cost under iid noise is sigma_w^2 sum_i pi_i tr V_i, the
+noise-free total from x0 is sum_i P(w_0 = i) x0' V_i x0 (Costa,
+Fragoso & Marques, Discrete-Time Markov Jump Linear Systems, 2005,
+ch. 3).
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     Diverged,
+    InputError,
     NotConverged,
     NotMss,
     SingularInnerMatrix,
@@ -50,7 +60,7 @@ __all__ = [
     "reduced_lqr_suboptimality",
 ]
 
-# Step budget of the closed-loop moment and value fixed-point loops.
+# Step budget of the closed-loop value recursion.
 FIXED_POINT_STEPS = 1_000_000
 
 
@@ -180,6 +190,14 @@ def _closed_loop(model: MjsModel, K: np.ndarray) -> np.ndarray:
 
 @dataclass
 class CostReport:
+    """One cost estimate of a gain.
+
+    For the closed form, iterations and gap describe the value
+    recursion: its step count and the largest entry change of its last
+    step.  For Monte Carlo, stderr is the standard error across
+    trajectory means.
+    """
+
     value: float
     method: str
     sigma_w: float
@@ -189,26 +207,37 @@ class CostReport:
     gap: float | None = None
 
 
-def _mss_operator(Acl: np.ndarray, T: np.ndarray) -> MomentOperator:
-    op = MomentOperator(Acl, T)
+def _stage_cost(K: np.ndarray, Q: np.ndarray, R: np.ndarray) -> np.ndarray:
+    # Per-mode weights Q + K_i' R K_i of x' Q x + u' R u at u = K_i x.
+    return Q + np.einsum("ikj,kl,ilm->ijm", K, R, K)
+
+
+def _closed_loop_values(model: MjsModel, K, Q, R) -> tuple[np.ndarray, int, float]:
+    """Value matrices of u = K x: the solution of V = stage + L*(V).
+
+    Iterates V <- stage + L*(V) from V = stage until a step moves no
+    entry by more than 1e-14 times the largest entry of V.  Returns
+    (V, steps, gap of the last step).  Raises NotMss for a closed loop
+    that is not mean-square stable, NotConverged after
+    FIXED_POINT_STEPS steps.
+    """
+    Q, R = _check_qr(model, Q, R)
+    K = np.asarray(K, dtype=float)
+    op = MomentOperator(_closed_loop(model, K), model.T)
     rho = op.rho()
     if rho >= 1.0:
         raise NotMss(f"closed loop has augmented spectral radius {rho:.6f}")
-    return op
-
-
-def _fixed_point(step, start: np.ndarray, what: str) -> tuple[np.ndarray, int, float]:
-    """Iterate step from start until the largest entry change drops below
-    1e-12; NotConverged when FIXED_POINT_STEPS run out first."""
-    cur = start
+    stage = _stage_cost(K, Q, R)
+    V = stage
     for k in range(1, FIXED_POINT_STEPS + 1):
-        new = step(cur)
-        gap = float(np.abs(new - cur).max())
-        cur = new
-        if gap < 1e-12:
-            return cur, k, gap
+        new = stage + op.adjoint(V)
+        gap = float(np.abs(new - V).max())
+        V = new
+        if gap <= 1e-14 * float(np.abs(V).max()):
+            return V, k, gap
     raise NotConverged(
-        f"{what} did not settle in {FIXED_POINT_STEPS} steps (last change {gap:.3e})"
+        f"closed-loop values did not settle in {FIXED_POINT_STEPS} steps "
+        f"(last change {gap:.3e})"
     )
 
 
@@ -217,24 +246,15 @@ def closed_loop_average_cost(
 ) -> CostReport:
     """Stationary per-step cost of u = K x under iid state noise.
 
-    Solves the stationary per-mode second moments of the closed loop
-    (fixed point of the moment recursion, to 1e-12) and returns
-    sum_i tr((Q + K_i' R K_i) Moment_i).  Raises InputError for a NaN,
-    infinite or negative sigma_w, NotMss for a closed loop that is not
-    mean-square stable, NotConverged after FIXED_POINT_STEPS steps.
+    sigma_w^2 sum_i pi_i tr V_i over the closed-loop value matrices V.
+    Raises InputError for a NaN, infinite or negative sigma_w, NotMss
+    for a closed loop that is not mean-square stable, NotConverged
+    after FIXED_POINT_STEPS steps of the value recursion.
     """
     _check_noise_std(sigma_w, "sigma_w")
-    Q, R = _check_qr(model, Q, R)
-    op = _mss_operator(_closed_loop(model, K), model.T)
+    V, iterations, gap = _closed_loop_values(model, K, Q, R)
     pi = stationary_distribution(model.T).pi
-    s, n = model.s, model.n
-    noise = sigma_w**2 * pi[:, None, None] * np.eye(n)
-    mom, iterations, gap = _fixed_point(
-        lambda m: op.apply(m, source=noise), np.zeros((s, n, n)), "closed-loop moments"
-    )
-    K = np.asarray(K, dtype=float)
-    stage = np.tile(Q, (s, 1, 1)) + np.einsum("ikj,kl,ilm->ijm", K, R, K)
-    value = float(np.einsum("ijk,ikj->", stage, mom))
+    value = sigma_w**2 * float(np.einsum("i,ijj->", pi, V))
     return CostReport(
         value=value,
         method="closed_form",
@@ -262,11 +282,18 @@ def monte_carlo_cost(
     Averages x' (Q + K' R K) x over steps burn_in..horizon-1 and over
     trajectories; the reported stderr is across trajectory means.  A
     state norm passing `blowup` marks the estimate diverged (inf).
+    Raises InputError unless n_traj >= 1 and 0 <= burn_in < horizon.
     """
+    if n_traj < 1:
+        raise InputError(f"n_traj must be at least 1, got {n_traj}")
+    if not 0 <= burn_in < horizon:
+        raise InputError(
+            f"burn_in must lie in [0, horizon), got {burn_in} for horizon {horizon}"
+        )
     Q, R = _check_qr(model, Q, R)
     K = np.asarray(K, dtype=float)
     Acl = _closed_loop(model, K)
-    stage = np.tile(Q, (model.s, 1, 1)) + np.einsum("ikj,kl,ilm->ijm", K, R, K)
+    stage = _stage_cost(K, Q, R)
     rng = np.random.default_rng(seed)
     modes = _batch_modes(rng, model, n_traj, horizon, None)
     x0 = np.zeros(model.n) if x0 is None else x0
@@ -281,7 +308,7 @@ def monte_carlo_cost(
             )
         if burn_in <= t < horizon:
             totals += np.einsum("bj,bjk,bk->b", X[0], stage[modes[:, t]], X[0])
-    per_traj = totals / max(horizon - burn_in, 1)
+    per_traj = totals / (horizon - burn_in)
     return CostReport(
         value=float(per_traj.mean()),
         method="monte_carlo",
@@ -295,24 +322,17 @@ def cumulative_cost_noisefree(
 ) -> float:
     """Expected total cost sum_t x' (Q + K' R K) x without noise.
 
-    Uses the closed-loop value matrices: the fixed point of
-    V_i = Q + K_i' R K_i + Acl_i' phi_i(V) Acl_i, then
-    sum_i P(w_0 = i) x0' V_i x0.  Requires the closed loop MSS (NotMss
-    otherwise); NotConverged when the value recursion does not settle
-    within FIXED_POINT_STEPS.
+    sum_i P(w_0 = i) x0' V_i x0 over the closed-loop value matrices V.
+    Raises DimensionMismatch for an x0 that is not of length n, NotMss
+    for a closed loop that is not mean-square stable, NotConverged
+    after FIXED_POINT_STEPS steps of the value recursion.
     """
-    Q, R = _check_qr(model, Q, R)
-    K = np.asarray(K, dtype=float)
-    op = _mss_operator(_closed_loop(model, K), model.T)
-    init, _ = _resolve_init_dist(model, init_dist)
-    stage = np.tile(Q, (model.s, 1, 1)) + np.einsum("ikj,kl,ilm->ijm", K, R, K)
-    V, _, _ = _fixed_point(
-        lambda v: stage + op.adjoint(v),
-        np.zeros((model.s, model.n, model.n)),
-        "closed-loop values",
-    )
     x0 = np.asarray(x0, dtype=float)
-    return float(sum(init[i] * x0 @ V[i] @ x0 for i in range(model.s)))
+    if x0.shape != (model.n,):
+        raise DimensionMismatch(f"x0 must have shape ({model.n},), got {x0.shape}")
+    init, _ = _resolve_init_dist(model, init_dist)
+    V, _, _ = _closed_loop_values(model, K, Q, R)
+    return float(np.einsum("i,j,ijk,k->", init, x0, V, x0))
 
 
 @dataclass

@@ -19,7 +19,8 @@ is completely positive, so ||L^k||_2 <= sqrt(||L^k(I)|| ||L*^k(I)||) in
 the largest block 2-norm, and tau is reported as that upper bound.
 
 The dense form of L is the augmented (s n^2) x (s n^2) block matrix
-whose (i, j) block is T(j, i) * kron(A_j, A_j).  It is kept as the
+whose (i, j) block is T(j, i) * kron(A_j, A_j), built from the same
+stack of mode krons that apply_columns multiplies.  It is kept as the
 fallback of MomentOperator.rho when ARPACK fails and as the oracle the
 tests compare the operator against; it is size-capped.  tau_estimate
 takes any such matrix and sweeps its powers directly.
@@ -120,18 +121,17 @@ def augmented_matrix(model: MjsModel, cap: int = DEFAULT_SIZE_CAP) -> np.ndarray
     Block (i, j) equals T(j, i) * kron(A_j, A_j).  Raises TooLarge when
     s * n^2 exceeds the cap.
     """
-    s, n = model.s, model.n
-    dim = s * n * n
+    dim = model.s * model.n * model.n
     if dim > cap:
         raise TooLarge(f"augmented matrix would be {dim} x {dim}, cap is {cap}")
-    out = np.zeros((dim, dim))
-    m = n * n
-    for j in range(s):
-        K = np.kron(model.A[j], model.A[j])
-        for i in range(s):
-            if model.T[j, i] != 0.0:
-                out[i * m : (i + 1) * m, j * m : (j + 1) * m] = model.T[j, i] * K
-    return out
+    blocks = np.einsum("ji,jab->iajb", model.T, _krons(model.A), order="C")
+    return blocks.reshape(dim, dim)
+
+
+def _krons(A: np.ndarray) -> np.ndarray:
+    # kron(A_j, A_j) for every mode, shape (s, n^2, n^2).
+    s, m = A.shape[0], A.shape[1] ** 2
+    return np.einsum("jab,jcd->jacbd", A, A).reshape(s, m, m)
 
 
 def spectral_radius(M: np.ndarray, cap: int = DEFAULT_SIZE_CAP) -> float:
@@ -161,25 +161,26 @@ class MomentOperator:
     def dim(self) -> int:
         return self.s * self.n * self.n
 
-    def apply(self, X: np.ndarray, source: np.ndarray | None = None) -> np.ndarray:
-        """L(X); a source (the second moment of additive noise) is added
-        to each pushed block before the mode transition."""
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        """L(X) for a stack X of shape (s, n, n): one noise-free step of
+        the per-mode second moments.  Closed-loop costs under noise are
+        pairings with the value recursion on adjoint (see lqr)."""
         pushed = np.einsum("ijk,ikl,iml->ijm", self.A, X, self.A)
-        if source is not None:
-            pushed = pushed + source
         return np.einsum("ij,ikl->jkl", self.T, pushed)
 
     def adjoint(self, V: np.ndarray) -> np.ndarray:
-        phi = np.einsum("ij,jkl->ikl", self.T, V)
-        return np.einsum("ikj,ikl,ilm->ijm", self.A, phi, self.A)
+        # Two BLAS products rather than einsum: the closed-loop value
+        # recursion of lqr runs one adjoint per step.
+        s, n = self.s, self.n
+        phi = (self.T @ V.reshape(s, n * n)).reshape(s, n, n)
+        return self.A.transpose(0, 2, 1) @ phi @ self.A
 
     def apply_columns(self, P: np.ndarray) -> np.ndarray:
         """L applied to every column of P, each a flattened stack: the
         augmented matrix times P, in O(s n^4 + s^2 n^2) per column
         instead of O(s^2 n^4)."""
         s, m, cols = self.s, self.n * self.n, P.shape[1]
-        krons = np.einsum("jab,jcd->jacbd", self.A, self.A).reshape(s, m, m)
-        pushed = krons @ P.reshape(s, m, cols)
+        pushed = _krons(self.A) @ P.reshape(s, m, cols)
         return (self.T.T @ pushed.reshape(s, m * cols)).reshape(s * m, cols)
 
     def tau(self, rho: float, k_max: int) -> TauEstimate:

@@ -22,7 +22,7 @@ from mjsreduce.bounds import (
     wasserstein_kernel_bound,
 )
 from mjsreduce.clustering import average_model, reduce_model
-from mjsreduce.errors import NotNormalized, TooLarge, TooManySequences
+from mjsreduce.errors import DimensionMismatch, NotNormalized, TooLarge, TooManySequences
 from mjsreduce.model import MjsModel, _resolve_init_dist, stationary_distribution
 from mjsreduce.synth import SynthConfig, fig4_model, generate
 
@@ -84,6 +84,13 @@ def test_kernel_enum_rejections(rng):
     # Declared but identically zero inputs are fine.
     silent = MjsModel(driven.A, np.zeros((2, 2, 1)), driven.T)
     transition_kernel_enum(silent, np.zeros(2), 1)
+
+
+@pytest.mark.parametrize("t", [-1, -3])
+def test_kernel_enum_refuses_a_negative_horizon(t):
+    model, _ = fig4_model()
+    with pytest.raises(DimensionMismatch, match="nonnegative"):
+        transition_kernel_enum(model, np.array([1.0, 0.0]), t)
 
 
 @pytest.mark.invariant

@@ -150,7 +150,6 @@ def test_short_partition_scores_against_the_truth():
     assert part == Partition([[0, 1, 2], [3]])
     truth = Partition([[0, 1], [2], [3]])
     assert misclustering_rate(part, truth) == 1.0
-    assert misclustering_rate(part, truth, method="assignment") == 1.0
     with pytest.raises(SizeMismatch):
         misclustering_rate(truth, part)
 
@@ -274,9 +273,8 @@ def test_mr_assignment_matches_brute_force(rng):
         r = int(rng.integers(2, 7))
         est = random_partition(rng, s, r)
         truth = random_partition(rng, s, r)
-        exact = misclustering_rate(est, truth, method="exhaustive")
-        fast = misclustering_rate(est, truth, method="assignment")
-        assert fast == pytest.approx(exact, abs=1e-12)
+        exact = loop_misclustering_rate(est, truth)
+        assert misclustering_rate(est, truth) == pytest.approx(exact, abs=1e-12)
 
 
 def test_mr_frozen_examples():
@@ -448,10 +446,10 @@ def test_misclustering_rate_matches_set_loop(seed, s, r):
     rng = np.random.default_rng(seed)
     r = min(r, s)
     est, truth = random_partition(rng, s, r), random_partition(rng, s, r)
-    assert misclustering_rate(est, truth) == loop_misclustering_rate(est, truth)
-    assert misclustering_rate(est, truth, method="assignment") == pytest.approx(
-        loop_misclustering_rate(est, truth), abs=1e-12
-    )
+    # A tied optimum may be matched another way than the search's first
+    # minimum and summed in another order: equal up to rounding.
+    want = loop_misclustering_rate(est, truth)
+    assert misclustering_rate(est, truth) == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
 def loop_kmeans_plus_plus(points, r, rng):

@@ -7,7 +7,15 @@ from hypothesis import strategies as st
 from conftest import PARTITION_LABELS, draw_instance, random_model
 from mjsreduce.clustering import reduce_model
 import mjsreduce.lqr as lqr
-from mjsreduce.errors import Diverged, NotConverged, NotMss, SingularInnerMatrix, TooLarge
+from mjsreduce.errors import (
+    DimensionMismatch,
+    Diverged,
+    InputError,
+    NotConverged,
+    NotMss,
+    SingularInnerMatrix,
+    TooLarge,
+)
 from mjsreduce.lqr import (
     closed_loop_average_cost,
     cumulative_cost_noisefree,
@@ -17,7 +25,7 @@ from mjsreduce.lqr import (
     riccati_operators,
     riccati_solve,
 )
-from mjsreduce.model import MjsModel
+from mjsreduce.model import MjsModel, stationary_distribution
 from mjsreduce.stability import augmented_matrix, second_moment_evolution
 from mjsreduce.synth import SynthConfig, generate
 
@@ -291,6 +299,84 @@ def test_cumulative_cost_matches_moment_route(rng):
     steps = np.einsum("tijk,ikj->t", mom, stage)
     assert steps[-1] < 1e-13
     assert total == pytest.approx(steps.sum(), rel=1e-9)
+
+
+def dense_primal_costs(model, K, Q, R, sigma_w, x0, init):
+    """Both costs from the per-mode second moments, by a dense solve of
+    (I - M) m = q with M the closed loop's augmented matrix: the primal
+    route, which never forms the value matrices."""
+    s, n = model.s, model.n
+    Acl = model.A + np.einsum("ijk,ikl->ijl", model.B, K)
+    M = augmented_matrix(MjsModel(Acl, None, model.T))
+    stage = Q + np.einsum("ikj,kl,ilm->ijm", K, R, K)
+
+    def priced(q):
+        m = np.linalg.solve(np.eye(M.shape[0]) - M, q.ravel()).reshape(s, n, n)
+        return float(np.einsum("ijk,ikj->", stage, m))
+
+    pi = stationary_distribution(model.T).pi
+    noise = sigma_w**2 * pi[:, None, None] * np.eye(n)
+    return priced(noise), priced(init[:, None, None] * np.outer(x0, x0))
+
+
+@pytest.mark.invariant
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    s=st.integers(1, 5),
+    n=st.integers(1, 3),
+    p=st.integers(0, 2),
+    zeros=st.booleans(),
+    radius=st.sampled_from([0.3, 0.6, 0.9]),
+)
+def test_costs_match_the_dense_moment_solve(seed, s, n, p, zeros, radius):
+    # The closed-loop modes are scaled to 2-norm at most radius, which
+    # bounds the mean-square spectral radius rho by radius^2.  The value
+    # recursion stops once a step moves V by at most 1e-14 of its
+    # largest entry, which leaves about 1e-14 rho / (1 - rho) of V
+    # unsummed: below 1e-13 for rho <= 0.81.
+    rng = np.random.default_rng(seed)
+    T = rng.dirichlet(np.ones(s), size=s)
+    if zeros:  # sparse, but a cycle and one self-loop keep it ergodic
+        T[rng.random((s, s)) < 0.3] = 0.0
+        T[np.arange(s), (np.arange(s) + 1) % s] += 0.5
+        T[0, 0] += 0.1
+        T /= T.sum(axis=1, keepdims=True)
+    A = rng.standard_normal((s, n, n))
+    B = rng.standard_normal((s, n, p))
+    K = rng.standard_normal((s, p, n))
+    top = float(np.linalg.norm(A + B @ K, 2, axis=(1, 2)).max())
+    scale = radius / top if top > radius else 1.0
+    model = MjsModel(scale * A, B, T)
+    K = scale * K
+    G = rng.standard_normal((n, n))
+    H = rng.standard_normal((p, p))
+    Q, R = G @ G.T + 0.1 * np.eye(n), H @ H.T + np.eye(p)
+    x0 = rng.standard_normal(n)
+    init = rng.dirichlet(np.ones(s))
+    sigma_w = 0.3
+    average, total = dense_primal_costs(model, K, Q, R, sigma_w, x0, init)
+    got = closed_loop_average_cost(model, K, Q, R, sigma_w).value
+    assert abs(got - average) <= 1e-13 * abs(average)
+    got = cumulative_cost_noisefree(model, K, Q, R, x0, init_dist=init)
+    assert abs(got - total) <= 1e-13 * abs(total)
+
+
+def test_cost_inputs_are_refused():
+    sol = riccati_solve(SCALAR, EYE1, EYE1)
+    run = dict(horizon=10, n_traj=2, seed=0)
+    for bad, error in (
+        (dict(run, burn_in=10), InputError),
+        (dict(run, burn_in=12), InputError),
+        (dict(run, burn_in=-1), InputError),
+        (dict(run, n_traj=0), InputError),
+    ):
+        with pytest.raises(error):
+            monte_carlo_cost(SCALAR, sol.K, EYE1, EYE1, 0.3, **bad)
+    with pytest.raises(DimensionMismatch, match="x0"):
+        cumulative_cost_noisefree(SCALAR, sol.K, EYE1, EYE1, np.ones(2))
+    with pytest.raises(DimensionMismatch, match="x0"):
+        cumulative_cost_noisefree(SCALAR, sol.K, EYE1, EYE1, np.ones((1, 1)))
 
 
 def test_suboptimality_report_shape():

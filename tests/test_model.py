@@ -1,9 +1,12 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import (
     PARTITION_LABELS,
@@ -12,6 +15,7 @@ from conftest import (
     random_partition,
     three_state_model,
 )
+from mjsreduce.cli import _load_partition
 from mjsreduce.clustering import average_model
 from mjsreduce.errors import (
     DimensionMismatch,
@@ -591,6 +595,62 @@ def test_model_json_round_trip(tmp_path, rng):
     assert np.array_equal(loaded.T, m.T)
     d = model_to_dict(m)
     assert set(d) == {"n", "p", "s", "A", "B", "T"}
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def same_bits(a, b):
+    # Shape, dtype and every bit, so -0.0 and 0.0 count as different.
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def same_model(a, b):
+    return all(same_bits(x, y) for x, y in ((a.A, b.A), (a.B, b.B), (a.T, b.T)))
+
+
+@st.composite
+def json_models(draw):
+    s, n, p = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    A = draw(arrays(float, (s, n, n), elements=FINITE))
+    B = draw(arrays(float, (s, n, p), elements=FINITE))
+    # Rows of T: nonnegative finite floats scaled to sum to one; the
+    # division leaves each row sum within a few ulps of 1.
+    T = draw(arrays(float, (s, s), elements=st.floats(0.0, 1e6)))
+    T[np.arange(s), draw(arrays(np.int64, s, elements=st.integers(0, s - 1)))] += 1.0
+    T /= T.sum(axis=1, keepdims=True)
+    return MjsModel(A, B, T)
+
+
+@settings(max_examples=80, deadline=None)
+@given(model=json_models())
+def test_model_json_round_trip_is_bit_exact(model):
+    assert same_model(model_from_dict(model_to_dict(model)), model)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        save_model(model, path)
+        assert same_model(load_model(path), model)
+    # "B": null reads as zeros of the declared shape, which then write
+    # out and read back unchanged.
+    d = dict(model_to_dict(model), B=None)
+    nulled = model_from_dict(json.loads(json.dumps(d)))
+    assert same_bits(nulled.B, np.zeros((model.s, model.n, model.p)))
+    assert same_bits(nulled.A, model.A) and same_bits(nulled.T, model.T)
+    assert same_model(model_from_dict(model_to_dict(nulled)), nulled)
+
+
+@settings(max_examples=80, deadline=None)
+@given(labels=PARTITION_LABELS, wrapped=st.booleans())
+def test_partition_json_round_trip(labels, wrapped):
+    part = Partition.from_labels(labels)
+    lists = part.to_lists_1based()
+    assert Partition.from_lists_1based(json.loads(json.dumps(lists)), s=part.s) == part
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "partition.json"
+        path.write_text(json.dumps({"partition": lists} if wrapped else lists))
+        loaded = _load_partition(str(path), part.s)
+    assert loaded == part
+    assert np.array_equal(loaded.labels, part.labels)
 
 
 def test_model_from_dict_accepts_null_b():

@@ -1,7 +1,8 @@
 """The matrix-free second-moment operator against its dense oracle.
 
 augmented_matrix builds the (s n^2) x (s n^2) matrix of the same
-operator block by block; MomentOperator must agree with it on apply,
+operator from its stack of mode krons, and must equal the block-by-block
+construction kept here; MomentOperator must agree with it on apply,
 adjoint, apply_columns, spectral radius and tau, on every path rho()
 can take: dense, ARPACK, the vanishing check and the dense fallback
 after an ARPACK failure; above the cap, tau must bound the dense sweep
@@ -64,6 +65,37 @@ def assert_rel_close(got, want, rtol=1e-9):
 
 def arpack_fails(*args, **kwargs):
     raise ArpackNoConvergence("forced failure", np.empty(0), np.empty((0, 0)))
+
+
+def loop_augmented_matrix(A, T):
+    """augmented_matrix block by block, one kron per mode, kept as its
+    oracle: block (i, j) is T(j, i) kron(A_j, A_j), zero where T is."""
+    s, m = A.shape[0], A.shape[1] ** 2
+    out = np.zeros((s * m, s * m))
+    for j in range(s):
+        K = np.kron(A[j], A[j])
+        for i in range(s):
+            if T[j, i] != 0.0:
+                out[i * m : (i + 1) * m, j * m : (j + 1) * m] = T[j, i] * K
+    return out
+
+
+@pytest.mark.invariant
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    s=st.integers(1, 8),
+    n=st.integers(1, 4),
+    chain=st.sampled_from(CHAINS),
+)
+def test_augmented_matrix_equals_the_block_loop(seed, s, n, chain):
+    # Every entry is one product T(j, i) A_j[a, b] A_j[c, d] either way;
+    # zero transitions give zeros that may carry a sign, equal as numbers.
+    rng = np.random.default_rng(seed)
+    A, T = draw_modes(rng, s, n), draw_chain(rng, s, chain)
+    got = augmented_matrix(MjsModel(A, None, T))
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, loop_augmented_matrix(A, T))
 
 
 @pytest.mark.invariant
