@@ -71,7 +71,6 @@ from .lqr import (
 from .model import (
     MjsModel,
     Partition,
-    StationaryDistribution,
     Trajectory,
     expand_reduced,
     is_ergodic,

@@ -16,7 +16,7 @@ import scipy.optimize
 import scipy.sparse
 
 from .errors import DimensionMismatch, NotNormalized, TooLarge, TooManySequences
-from .model import MjsModel, Partition, _resolve_init_dist, simulate_coupled_batch
+from .model import MjsModel, Partition, _check_x0, _resolve_init_dist, simulate_coupled_batch
 
 __all__ = [
     "BoundInputs",
@@ -77,9 +77,12 @@ class BoundInputs:
         xi: float | None = None,
         **report_kwargs,
     ) -> "BoundInputs":
+        """The constants of model, partition and x0; DimensionMismatch
+        unless x0 has shape (n,)."""
         from .perturbation import perturbations
         from .stability import stability_report
 
+        x0 = _check_x0(x0, model.n)
         rep = stability_report(model, rho=rho, xi=xi, **report_kwargs)
         eps = perturbations(model, partition, branch)
         return cls(
@@ -97,7 +100,7 @@ class BoundInputs:
             eps_A=eps.eps_A,
             eps_B=eps.eps_B,
             eps_T=eps.eps_T,
-            x0_norm=float(np.linalg.norm(np.asarray(x0, dtype=float))),
+            x0_norm=float(np.linalg.norm(x0)),
             u_bar=u_bar,
         )
 
@@ -254,8 +257,9 @@ def transition_kernel_enum(
     Each point, in that order, is merged into the first kept point that
     lies within dedup_tol * max(||x0||, 1) and shares its cell of a grid
     of that width; masses are added in point order.  Raises
-    DimensionMismatch for a negative t, TooManySequences when s^t
-    exceeds the cap, TooLarge when the model has inputs.
+    DimensionMismatch for a negative t or an x0 not of shape (n,),
+    TooManySequences when s^t exceeds the cap, TooLarge when the model
+    has inputs.
     """
     if t < 0:
         raise DimensionMismatch(f"t must be a nonnegative step count, got {t}")
@@ -263,7 +267,7 @@ def transition_kernel_enum(
         raise TooLarge("transition kernels are defined for autonomous models")
     if model.s**t > cap:
         raise TooManySequences(f"s^t = {model.s**t} exceeds the cap {cap}")
-    x0 = np.asarray(x0, dtype=float)
+    x0 = _check_x0(x0, model.n)
     init, _ = _resolve_init_dist(model, init_dist)
     if t == 0:
         return KernelDistribution(support=np.array([x0]), mass=np.ones(1), t=0)

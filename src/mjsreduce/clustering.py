@@ -23,7 +23,7 @@ from .errors import (
     RankDeficient,
     SizeMismatch,
 )
-from .model import MjsModel, Partition, _is_integer, stationary_distribution
+from .model import MjsModel, Partition, _is_integer
 
 __all__ = [
     "BRANCHES",
@@ -149,14 +149,15 @@ def build_features_lumpable(
     with D = diag(pi) and H = D^{1/2} T D^{-1/2}, W_r holds the top-r
     left singular vectors of H and S_r = D^{-1/2} W_r.
 
-    Raises DegenerateInput if r > s, RankDeficient if sigma_r(H) is
+    Raises DimensionMismatch unless r is an integer of at least 1,
+    DegenerateInput if r > s, RankDeficient if sigma_r(H) is
     numerically zero, NotErgodic if the chain has no stationary law.
     """
+    _check_cluster_count(r)
     if r > model.s:
         raise DegenerateInput(f"r = {r} exceeds the mode count s = {model.s}")
     w = default_weights(model) if weights is None else _check_weights(weights)
-    pi = stationary_distribution(model.T).pi
-    d = np.sqrt(pi)
+    d = np.sqrt(model.pi)
     H = (model.T * d[:, None]) / d[None, :]
     U, sv, _ = np.linalg.svd(H)
     if sv[r - 1] < 1e-12:
@@ -181,15 +182,17 @@ def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
     Each entry is summed over the last axis of a difference block, as a
     lone restart sums its (s, r, d) block; the block is built a few
-    restarts at a time to bound the temporaries.
+    restarts at a time to bound the temporaries.  An overflow leaves
+    inf in place silently; the callers refuse it as DegenerateInput.
     """
     R, r, d = centers.shape
     s = points.shape[0]
     step = max(1, _BLOCK // max(1, s * r * d))
     out = np.empty((R, s, r))
-    for lo in range(0, R, step):
-        diff = points[None, :, None, :] - centers[lo : lo + step, None]
-        out[lo : lo + step] = np.square(diff, out=diff).sum(axis=3)
+    with np.errstate(over="ignore"):
+        for lo in range(0, R, step):
+            diff = points[None, :, None, :] - centers[lo : lo + step, None]
+            out[lo : lo + step] = np.square(diff, out=diff).sum(axis=3)
     return out
 
 
@@ -391,7 +394,7 @@ def average_model(
         raise SizeMismatch(
             f"partition covers {partition.s} modes, model has {model.s}"
         )
-    w = stationary_distribution(model.T).pi if pi_weighted else None
+    w = model.pi if pi_weighted else None
     A = partition.cluster_means(model.A, w)
     B = partition.cluster_means(model.B, w)
     T = partition.block_sums(partition.cluster_means(model.T, w))

@@ -13,7 +13,8 @@ Five protocols are available, named after the artifact they produce:
 ``fig3b``
     Wall-clock time of the Riccati loop for the full and the reduced
     system across mode counts.  Only the fixed-point iteration is
-    timed; generation and clustering are excluded.
+    timed; generation and clustering are excluded.  A solve that does
+    not converge raises NotConverged rather than being timed.
 ``fig4``
     Mean coupled trajectory difference on the fixed six-mode planar
     benchmark together with the mean-square trajectory bound.
@@ -46,7 +47,7 @@ import numpy as np
 from .bounds import BoundInputs, mss_traj_bound
 from .clustering import BRANCHES, default_weights, misclustering_rate, reduce_model
 from .errors import InputError
-from .lqr import reduced_lqr_suboptimality, riccati_solve
+from .lqr import _require_converged, reduced_lqr_suboptimality, riccati_solve
 from .model import simulate_coupled_batch
 from .synth import SynthConfig, fig4_model, generate
 
@@ -260,11 +261,13 @@ def _run_fig3b(spec: ExperimentSpec, cfg: dict):
                 model, r, branch="aggregatable", seed=_child_seed(spec.seed, 40, si, trial)
             )
             t0 = time.perf_counter()
-            riccati_solve(model, Q, R)
+            sol_full = riccati_solve(model, Q, R)
             t_full = time.perf_counter() - t0
             t0 = time.perf_counter()
-            riccati_solve(red.reduced, Q, R)
+            sol_red = riccati_solve(red.reduced, Q, R)
             t_red = time.perf_counter() - t0
+            _require_converged(sol_full, "full")
+            _require_converged(sol_red, "reduced")
             return t_full * 1e3, t_red * 1e3
 
         pairs = [one(trial) for trial in range(cfg["trials"])]

@@ -40,9 +40,9 @@ from .model import (
     Partition,
     _batch_modes,
     _check_noise_std,
+    _check_x0,
     _resolve_init_dist,
     _rollout,
-    stationary_distribution,
 )
 from .clustering import ReductionResult, reduce_model
 from .stability import MomentOperator
@@ -173,6 +173,15 @@ def riccati_solve(
     )
 
 
+def _require_converged(sol: LqrSolution, which: str) -> None:
+    """Raise NotConverged, naming the `which` system, unless sol converged."""
+    if not sol.converged:
+        raise NotConverged(
+            f"Riccati iteration of the {which} system did not converge "
+            f"in {sol.iterations} steps"
+        )
+
+
 def lift_gains(K_reduced: np.ndarray, partition: Partition) -> np.ndarray:
     """Copy each cluster's gain to all of its modes: u_t = K_k x_t
     whenever the active mode lies in cluster k."""
@@ -253,8 +262,7 @@ def closed_loop_average_cost(
     """
     _check_noise_std(sigma_w, "sigma_w")
     V, iterations, gap = _closed_loop_values(model, K, Q, R)
-    pi = stationary_distribution(model.T).pi
-    value = sigma_w**2 * float(np.einsum("i,ijj->", pi, V))
+    value = sigma_w**2 * float(np.einsum("i,ijj->", model.pi, V))
     return CostReport(
         value=value,
         method="closed_form",
@@ -327,9 +335,7 @@ def cumulative_cost_noisefree(
     for a closed loop that is not mean-square stable, NotConverged
     after FIXED_POINT_STEPS steps of the value recursion.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (model.n,):
-        raise DimensionMismatch(f"x0 must have shape ({model.n},), got {x0.shape}")
+    x0 = _check_x0(x0, model.n)
     init, _ = _resolve_init_dist(model, init_dist)
     V, _, _ = _closed_loop_values(model, K, Q, R)
     return float(np.einsum("i,j,ijk,k->", init, x0, V, x0))
@@ -389,12 +395,8 @@ def reduced_lqr_suboptimality(
     t0 = time.perf_counter()
     sol_full = riccati_solve(model, Q, R)
     time_full = (time.perf_counter() - t0) * 1e3
-    for which, sol in (("reduced", sol_hat), ("full", sol_full)):
-        if not sol.converged:
-            raise NotConverged(
-                f"Riccati iteration of the {which} system did not converge "
-                f"in {sol.iterations} steps"
-            )
+    _require_converged(sol_hat, "reduced")
+    _require_converged(sol_full, "full")
     K_lift = lift_gains(sol_hat.K, reduction.partition)
     J_star = closed_loop_average_cost(model, sol_full.K, Q, R, sigma_w).value
     J_hat = closed_loop_average_cost(model, K_lift, Q, R, sigma_w).value

@@ -10,7 +10,8 @@ the one kernel _rollout.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,7 +27,6 @@ __all__ = [
     "MjsModel",
     "Partition",
     "Trajectory",
-    "StationaryDistribution",
     "validate_model",
     "is_ergodic",
     "stationary_distribution",
@@ -53,7 +53,8 @@ class MjsModel:
 
     Shape inconsistencies raise DimensionMismatch.  Value-level problems
     (bad row sums, negative entries, NaN) are reported by
-    validate_model, not here.
+    validate_model, not here.  pi, the stationary law of the mode
+    chain, is computed on first access and kept.
     """
 
     def __init__(self, A, B, T) -> None:
@@ -78,9 +79,11 @@ class MjsModel:
             )
         for M in (A, B, T):
             M.setflags(write=False)
-        self.A = A
-        self.B = B
-        self.T = T
+        self.__dict__.update(A=A, B=B, T=T)
+
+    def __setattr__(self, name, value):
+        # Rebinding A, B or T would leave the cached pi stale.
+        raise AttributeError(f"MjsModel is immutable; cannot set {name!r}")
 
     @property
     def s(self) -> int:
@@ -93,6 +96,16 @@ class MjsModel:
     @property
     def p(self) -> int:
         return self.B.shape[2]
+
+    @cached_property
+    def pi(self) -> np.ndarray:
+        """Stationary law of the mode chain, shape (s,), read-only.
+
+        Raises NotErgodic, on every access, when the chain has none.
+        """
+        pi = stationary_distribution(self.T)
+        pi.setflags(write=False)
+        return pi
 
     def __repr__(self) -> str:
         return f"MjsModel(s={self.s}, n={self.n}, p={self.p})"
@@ -243,18 +256,6 @@ class Trajectory:
         return len(self.modes)
 
 
-@dataclass
-class StationaryDistribution:
-    pi: np.ndarray
-    pi_min: float = field(init=False)
-    pi_max: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.pi = np.asarray(self.pi, dtype=float)
-        self.pi_min = float(self.pi.min())
-        self.pi_max = float(self.pi.max())
-
-
 def validate_model(model: MjsModel, tol: float = 1e-9) -> list[str]:
     """Return a list of value-level violations; empty means valid.
 
@@ -294,7 +295,7 @@ def is_ergodic(T: np.ndarray, tol: float = 1e-14) -> bool:
         m *= 2
 
 
-def stationary_distribution(T: np.ndarray) -> StationaryDistribution:
+def stationary_distribution(T: np.ndarray) -> np.ndarray:
     """Stationary law of an ergodic chain, via the left Perron eigenvector.
 
     Raises NotErgodic when no power of T up to s^2 is entrywise positive.
@@ -311,8 +312,7 @@ def stationary_distribution(T: np.ndarray) -> StationaryDistribution:
         pi = pi @ T
         pi = pi / pi.sum()
     pi = np.maximum(pi, 0.0)
-    pi = pi / pi.sum()
-    return StationaryDistribution(pi)
+    return pi / pi.sum()
 
 
 def _is_integer(value) -> bool:
@@ -323,14 +323,15 @@ def _is_integer(value) -> bool:
 def _resolve_init_dist(model: MjsModel, init_dist) -> tuple[np.ndarray, int | None]:
     """The initial mode law as (pi, fixed mode or None).
 
-    None gives the stationary law, an int a fixed mode (pi is then its
-    indicator), a length-s vector the law itself.  Raises InputError for
-    any other scalar (a bool or a fractional mode), DimensionMismatch for
-    a mode outside range(s) or a vector of the wrong shape, NotNormalized
-    for negative entries or a total mass off 1 by more than 1e-9.
+    None gives the stationary law model.pi, an int a fixed mode (pi is
+    then its indicator), a length-s vector the law itself.  Raises
+    InputError for any other scalar (a bool or a fractional mode),
+    DimensionMismatch for a mode outside range(s) or a vector of the
+    wrong shape, NotNormalized for negative entries or a total mass off
+    1 by more than 1e-9.
     """
     if init_dist is None:
-        return stationary_distribution(model.T).pi, None
+        return model.pi, None
     if np.isscalar(init_dist):
         if not _is_integer(init_dist):
             raise InputError(f"initial mode must be an integer, got {init_dist!r}")
@@ -391,6 +392,14 @@ def _check_noise_std(std, name: str = "noise_std") -> None:
         raise InputError(f"{name} must be finite and nonnegative, got {std}")
 
 
+def _check_x0(x0, n: int) -> np.ndarray:
+    """x0 as a float array; DimensionMismatch unless it has shape (n,)."""
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (n,):
+        raise DimensionMismatch(f"x0 must have shape ({n},), got {x0.shape}")
+    return x0
+
+
 def _rollout(A: np.ndarray, modes: np.ndarray, x0, noise_std: float, rng, drive=None):
     """Stream x_{t+1} = A x + B u + noise for c jump systems on shared paths.
 
@@ -405,9 +414,7 @@ def _rollout(A: np.ndarray, modes: np.ndarray, x0, noise_std: float, rng, drive=
     """
     c, N, H = modes.shape
     n = A.shape[1]
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (n,):
-        raise DimensionMismatch(f"x0 must have shape ({n},), got {x0.shape}")
+    x0 = _check_x0(x0, n)
     _check_noise_std(noise_std)
     B, control = (None, None) if drive is None else drive
     X = np.empty((c, N, n))

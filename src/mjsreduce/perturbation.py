@@ -20,7 +20,7 @@ from .clustering import (
     build_features_lumpable,
     check_branch,
 )
-from .model import MjsModel, Partition, stationary_distribution
+from .model import MjsModel, Partition
 
 __all__ = [
     "PerturbationTriple",
@@ -169,7 +169,6 @@ def _chain_constants(
     model: MjsModel, r: int, feats: FeatureMatrix
 ) -> tuple[float, float, float]:
     """(gamma1, gamma2, gamma3) for the lumpable bound."""
-    sd = stationary_distribution(model.T)
     eigs = np.linalg.eigvals(model.T)
     perron = int(np.argmin(np.abs(eigs - 1.0)))
     rest = np.delete(eigs, perron)
@@ -184,9 +183,9 @@ def _chain_constants(
         gamma3 = float(
             16.0
             * gamma1
-            * np.sqrt(r * sd.pi_max)
+            * np.sqrt(r * model.pi.max())
             * np.linalg.norm(model.T)
-            / (gamma2 * sd.pi_min**2)
+            / (gamma2 * model.pi.min() ** 2)
         )
     return gamma1, gamma2, gamma3
 
@@ -237,8 +236,7 @@ def mr_bound(
     threshold_zero = sigma_r / (8.0 * np.sqrt((2.0 + kmeans_eps) * big))
     applicable = sigma_r > 1e-10 and eps_combined <= threshold_nonzero
     if branch == "lumpable":
-        pi_min = stationary_distribution(model.T).pi_min
-        applicable = applicable and (g1 == 0.0 or eps.eps_T <= pi_min / g1)
+        applicable = applicable and (g1 == 0.0 or eps.eps_T <= model.pi.min() / g1)
     return MrBoundReport(
         branch=branch,
         weights=feats.weights,

@@ -40,7 +40,7 @@ import numpy as np
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
 
 from .errors import NotConverged, RhoTooSmall, TooLarge, XiTooSmall
-from .model import MjsModel, _resolve_init_dist, expand_reduced
+from .model import MjsModel, _check_x0, _resolve_init_dist, expand_reduced
 from .clustering import ReductionResult
 
 __all__ = [
@@ -494,9 +494,10 @@ def second_moment_evolution(
 
     Autonomous, noise free.  Returns shape (t_max+1, s, n, n).  Stacking
     the vectorized blocks reproduces powers of the augmented matrix
-    acting on the initial stack.
+    acting on the initial stack.  Raises DimensionMismatch unless x0
+    has shape (n,).
     """
-    x0 = np.asarray(x0, dtype=float)
+    x0 = _check_x0(x0, model.n)
     init, _ = _resolve_init_dist(model, init_dist)
     op = MomentOperator(model.A, model.T)
     out = np.empty((t_max + 1, model.s, model.n, model.n))
@@ -654,7 +655,7 @@ def stability_comparison(
     op_bar = MomentOperator(expanded.A, expanded.T)
     rho_aug_bar = op_bar.rho()
     _check_rho(rep_hat.rho_used, rho_aug_bar)
-    tau_bar = op_bar.tau(rep_hat.rho_used, sweep_kwargs.get("k_max_tau", 64))
+    tau_bar = op_bar.tau(rep_hat.rho_used, rep_hat.tau.k_max)
     kappa_bar = rep_hat.kappa  # expanded mode set equals the reduced one
     return StabilityComparison(
         report=rep,

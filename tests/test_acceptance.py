@@ -323,7 +323,7 @@ def test_criterion_7_wasserstein_exactness_and_bound():
             model, truth, "aggregatable", x0=np.ones(2),
             k_max_jsr=4, k_max_kappa=8, k_max_tau=16,
         )
-        pi = stationary_distribution(model.T).pi
+        pi = stationary_distribution(model.T)
         pi_red = np.array([pi[list(c)].sum() for c in truth.clusters])
         for t in (1, 2, 3):
             k_full = transition_kernel_enum(model, np.ones(2), t, init_dist=pi)
@@ -340,7 +340,7 @@ def test_criterion_7_wasserstein_exactness_and_bound():
                 SynthConfig(4, 2, 2, 0, branch=branch, seed=7100 + seed)
             )
             red = average_model(model, truth)
-            pi = stationary_distribution(model.T).pi
+            pi = stationary_distribution(model.T)
             pi_red = np.array([pi[list(c)].sum() for c in truth.clusters])
             for t in (1, 2, 3):
                 w1 = wasserstein_exact(

@@ -324,7 +324,7 @@ def test_kernels_coincide_at_exact_reducibility(branch):
         SynthConfig(4, 2, 2, 0, branch=branch, seed=17)
     )
     red = average_model(model, partition)
-    pi = stationary_distribution(model.T).pi
+    pi = stationary_distribution(model.T)
     pi_red = np.array([pi[list(c)].sum() for c in partition.clusters])
     x0 = np.ones(2)
     for t in range(1, 6):

@@ -107,6 +107,9 @@ def test_lumpable_features_rejections():
     m = reversible_chain_model()[0]
     with pytest.raises(DegenerateInput):
         build_features_lumpable(m, 5)
+    for r in (0, -1):
+        with pytest.raises(DimensionMismatch):
+            build_features_lumpable(m, r)
     flat = MjsModel(np.zeros((3, 1, 1)), None, np.full((3, 3), 1.0 / 3.0))
     with pytest.raises(RankDeficient):
         build_features_lumpable(flat, 2)
@@ -317,7 +320,7 @@ def test_average_model_plain_and_pi_weighted():
     T2 = np.array([[0.5, 0.5, 0.0], [0.2, 0.2, 0.6], [0.4, 0.4, 0.2]])
     m2 = MjsModel(np.arange(12, dtype=float).reshape(3, 2, 2), None, T2)
     part2 = Partition([[0, 1], [2]])
-    pi = stationary_distribution(T2).pi
+    pi = stationary_distribution(T2)
     w = pi[:2] / pi[:2].sum()
     red2 = average_model(m2, part2, pi_weighted=True)
     assert np.abs(red2.A[0] - (w[0] * m2.A[0] + w[1] * m2.A[1])).max() <= 1e-12
@@ -379,7 +382,7 @@ def loop_average_model(model, partition, pi_weighted=False):
     """Cluster averaging one cluster at a time, kept as the oracle of
     average_model."""
     r = partition.r
-    pi = stationary_distribution(model.T).pi if pi_weighted else None
+    pi = stationary_distribution(model.T) if pi_weighted else None
     A = np.empty((r, model.n, model.n))
     B = np.empty((r, model.n, model.p))
     T = np.empty((r, r))

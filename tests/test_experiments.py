@@ -5,7 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from mjsreduce.errors import InputError
+import mjsreduce.experiments as experiments
+from mjsreduce.errors import InputError, NotConverged
 from mjsreduce.experiments import (
     EXPERIMENT_NAMES,
     ExperimentSpec,
@@ -164,3 +165,19 @@ def test_golden_outputs_reproduce(tmp_path, name):
     assert without_timings(tmp_path / f"{name}.csv") == without_timings(
         DATA / f"{name}.csv"
     )
+
+
+@pytest.mark.parametrize("which", ["reduced", "full"])
+def test_fig3b_refuses_to_time_an_unconverged_solve(monkeypatch, tmp_path, which):
+    spec = ExperimentSpec("fig3b", trials=1, grid=(10,), out_dir=str(tmp_path))
+    r = resolved_config(spec)["r"]
+    solve = experiments.riccati_solve
+
+    def short_budget(m, Q, R):
+        starved = (m.s == r) == (which == "reduced")
+        return solve(m, Q, R, max_iter=2 if starved else 100_000)
+
+    monkeypatch.setattr(experiments, "riccati_solve", short_budget)
+    with pytest.raises(NotConverged, match=f"of the {which} system"):
+        run_experiment(spec)
+    assert not (tmp_path / "fig3b.csv").exists()

@@ -314,7 +314,7 @@ def dense_primal_costs(model, K, Q, R, sigma_w, x0, init):
         m = np.linalg.solve(np.eye(M.shape[0]) - M, q.ravel()).reshape(s, n, n)
         return float(np.einsum("ijk,ikj->", stage, m))
 
-    pi = stationary_distribution(model.T).pi
+    pi = stationary_distribution(model.T)
     noise = sigma_w**2 * pi[:, None, None] * np.eye(n)
     return priced(noise), priced(init[:, None, None] * np.outer(x0, x0))
 

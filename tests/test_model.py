@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import mjsreduce.model as model_module
 from conftest import (
     PARTITION_LABELS,
     THREE_STATE_T,
@@ -16,7 +17,7 @@ from conftest import (
     three_state_model,
 )
 from mjsreduce.cli import _load_partition
-from mjsreduce.clustering import average_model
+from mjsreduce.clustering import average_model, reduce_model
 from mjsreduce.errors import (
     DimensionMismatch,
     InputError,
@@ -43,9 +44,15 @@ from mjsreduce.model import (
     stationary_distribution,
     validate_model,
 )
-from mjsreduce.synth import SynthConfig, generate
-from mjsreduce.bounds import empirical_traj_diff, transition_kernel_enum
-from mjsreduce.lqr import cumulative_cost_noisefree, monte_carlo_cost
+from mjsreduce.synth import SynthConfig, fig4_model, generate
+from mjsreduce.bounds import BoundInputs, empirical_traj_diff, transition_kernel_enum
+from mjsreduce.lqr import (
+    closed_loop_average_cost,
+    cumulative_cost_noisefree,
+    monte_carlo_cost,
+    riccati_solve,
+)
+from mjsreduce.perturbation import mr_bound
 from mjsreduce.stability import second_moment_evolution
 
 
@@ -60,6 +67,8 @@ def test_model_arrays_are_read_only():
     m = three_state_model()
     with pytest.raises(ValueError):
         m.T[0, 0] = 0.5
+    with pytest.raises(AttributeError):
+        m.T = np.eye(3)
 
 
 def test_model_rejects_bad_shapes():
@@ -97,15 +106,48 @@ def test_stationary_distribution_matches_power_iteration():
     for _ in range(10_000):
         pi = pi @ THREE_STATE_T
         pi /= pi.sum()
-    sd = stationary_distribution(THREE_STATE_T)
-    assert np.abs(sd.pi - pi).max() <= 1e-10
-    assert abs(sd.pi.sum() - 1.0) <= 1e-12
-    assert sd.pi_min == sd.pi.min() and sd.pi_max == sd.pi.max()
+    pi_hat = stationary_distribution(THREE_STATE_T)
+    assert np.abs(pi_hat - pi).max() <= 1e-10
+    assert abs(pi_hat.sum() - 1.0) <= 1e-12
 
 
 def test_stationary_distribution_rejects_non_ergodic():
     with pytest.raises(NotErgodic):
         stationary_distribution(np.eye(3))
+
+
+def test_model_pi_is_the_read_only_stationary_law():
+    m = three_state_model()
+    assert np.array_equal(m.pi, stationary_distribution(m.T))
+    assert m.pi is m.pi
+    with pytest.raises(ValueError):
+        m.pi[0] = 0.5
+
+
+def test_model_pi_refuses_a_non_ergodic_chain_on_every_access():
+    m = MjsModel(np.zeros((3, 1, 1)), None, np.eye(3))
+    for _ in range(2):
+        with pytest.raises(NotErgodic):
+            m.pi
+
+
+def test_stationary_law_is_computed_once_per_model(monkeypatch):
+    # Every stationary computation checks ergodicity exactly once.
+    model, _, _ = generate(SynthConfig(4, 2, 2, 1, eps_A=0.1, seed=8))
+    calls = []
+    check = model_module.is_ergodic
+
+    def counted(T):
+        calls.append(T)
+        return check(T)
+
+    monkeypatch.setattr(model_module, "is_ergodic", counted)
+    Q, R = np.eye(2), np.eye(1)
+    res = reduce_model(model, 2, branch=None, seed=0)
+    mr_bound(model, res.partition, "lumpable")
+    closed_loop_average_cost(model, riccati_solve(model, Q, R).K, Q, R, 0.1)
+    simulate(model, np.ones(2), 5, seed=0)
+    assert len(calls) == 1
 
 
 def test_partition_canonical_order():
@@ -508,6 +550,33 @@ def test_batched_runs_reject_a_wrong_x0_length(run):
         run(m, singletons, np.ones(m.n + 1))
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda m, part, x0: simulate(m, x0, 3, seed=0),
+        lambda m, part, x0: transition_kernel_enum(m, x0, 0),
+        lambda m, part, x0: transition_kernel_enum(m, x0, 2),
+        lambda m, part, x0: second_moment_evolution(m, x0, 2),
+        lambda m, part, x0: BoundInputs.from_model(m, part, "aggregatable", x0),
+        lambda m, part, x0: cumulative_cost_noisefree(
+            m, np.zeros((m.s, 0, m.n)), np.eye(m.n), np.zeros((0, 0)), x0
+        ),
+    ],
+    ids=[
+        "simulate",
+        "transition_kernel_enum-t0",
+        "transition_kernel_enum-t2",
+        "second_moment_evolution",
+        "BoundInputs.from_model",
+        "cumulative_cost_noisefree",
+    ],
+)
+def test_every_x0_entry_point_refuses_a_wrong_length(run):
+    m, part = fig4_model()
+    with pytest.raises(DimensionMismatch, match="x0 must have shape"):
+        run(m, part, np.ones(m.n + 1))
+
+
 def test_mode_sampler_skips_zero_probability_modes():
     # A draw of exactly 0 equals the cumulative entry of a leading mode of
     # probability zero, which must not be picked.
@@ -529,7 +598,7 @@ def test_markov_frequencies_match_transition_matrix():
     counts = np.zeros((3, 3))
     np.add.at(counts, (traj.modes[:-1], traj.modes[1:]), 1.0)
     freq = counts / counts.sum(axis=1, keepdims=True)
-    tol = 3.0 / np.sqrt(N * stationary_distribution(m.T).pi_min)
+    tol = 3.0 / np.sqrt(N * stationary_distribution(m.T).min())
     assert np.abs(freq - m.T).max() <= tol
 
 
