@@ -15,7 +15,7 @@ import numpy as np
 import scipy.optimize
 import scipy.sparse
 
-from .errors import DimensionMismatch, NotNormalized, TooLarge, TooManySequences
+from .errors import DimensionMismatch, InputError, NotNormalized, TooLarge, TooManySequences
 from .model import MjsModel, Partition, _check_x0, _resolve_init_dist, simulate_coupled_batch
 
 __all__ = [
@@ -197,6 +197,12 @@ def us_traj_bound(b: BoundInputs, t: int) -> float:
     return float(term1 + term2 + term3)
 
 
+def _check_order(ell) -> None:
+    # Below 1 the transport cost is no metric; 0 would divide by zero.
+    if not ell >= 1:
+        raise InputError(f"transport order ell must be at least 1, got {ell!r}")
+
+
 def wasserstein_kernel_bound(b: BoundInputs, t: int, ell: int = 1) -> float:
     """Bound on the order-ell transport distance between the time-t
     state laws of the original and reduced autonomous systems:
@@ -204,7 +210,10 @@ def wasserstein_kernel_bound(b: BoundInputs, t: int, ell: int = 1) -> float:
     t xi0^(t-1) kappa^2 ||x0|| eps_A
       + 2 r^2 t kappa ||x0|| r^t (kappa eps_A + xi)^t
         (Tbar + eps_T)^((t-2)/ell) eps_T^(1/ell).
+
+    Raises InputError unless ell >= 1.
     """
+    _check_order(ell)
     x0 = b.xi0
     term1 = t * x0 ** (t - 1) * b.kappa**2 * b.x0_norm * b.eps_A if t > 0 else 0.0
     if b.eps_T > 0.0:
@@ -368,8 +377,9 @@ def wasserstein_exact(
     sum f(a, b) ||x_a - y_b||^ell over nonnegative plans f with row
     marginals p.mass and column marginals q.mass, and returns the
     objective to the power 1/ell.  Raises NotNormalized when either
-    mass vector is off 1 by more than 1e-9.
+    mass vector is off 1 by more than 1e-9, InputError unless ell >= 1.
     """
+    _check_order(ell)
     for name, k in (("first", p), ("second", q)):
         if abs(k.mass.sum() - 1.0) > 1e-9:
             raise NotNormalized(

@@ -133,6 +133,7 @@ def riccati_solve(
     # fall back to the value-delta stop so divergence is still caught.
     track_gains = bool(model.p) and bool(np.any(model.B != 0.0))
     p_deltas: list[float] = []
+    delta, converged = 0.0, False  # delta stays 0 without gains to track
     for h in range(1, max_iter + 1):
         _, K, P_new = riccati_operators(model, Q, R, P)
         P_new = 0.5 * (P_new + P_new.transpose(0, 2, 1))
@@ -143,32 +144,19 @@ def riccati_solve(
         if track_gains:
             if K_prev is not None:
                 delta = float(np.linalg.norm(K - K_prev, 2, axis=(1, 2)).max())
-                if delta < tol:
-                    return LqrSolution(
-                        P=P,
-                        K=K,
-                        iterations=h,
-                        final_gain_delta=delta,
-                        converged=True,
-                        p_deltas=p_deltas,
-                    )
+                converged = delta < tol
             K_prev = K
-        elif p_deltas[-1] < tol:
+        else:
             # No gains to track; settle on the value matrices instead.
-            return LqrSolution(
-                P=P,
-                K=K,
-                iterations=h,
-                final_gain_delta=0.0,
-                converged=True,
-                p_deltas=p_deltas,
-            )
+            converged = p_deltas[-1] < tol
+        if converged:
+            break
     return LqrSolution(
         P=P,
         K=K,
-        iterations=max_iter,
-        final_gain_delta=float("nan"),
-        converged=False,
+        iterations=len(p_deltas),
+        final_gain_delta=delta if converged else float("nan"),
+        converged=converged,
         p_deltas=p_deltas,
     )
 

@@ -25,11 +25,15 @@ fallback of MomentOperator.rho when ARPACK fails and as the oracle the
 tests compare the operator against; it is size-capped.  tau_estimate
 takes any such matrix and sweeps its powers directly.
 
-The uniform side, jsr_bounds and kappa_estimate, runs on one product
-enumerator, _enumerate_products: each level is one stacked matmul of
-the kept prefixes with every mode and one batched 2-norm call, handed
-to the caller's bound update and prune rule (Gripenberg, Linear Algebra
-Appl. 234, 1996).
+The uniform side walks the mode products once.  jsr_bounds enumerates
+them level by level, each level one stacked matmul of the kept prefixes
+with every mode, and keeps the largest 2-norm m_k of each level.  It
+prunes only prefixes whose every extension stays below lower^k, while
+m_k >= JSR^k >= lower^k, so these maxima are exact.  kappa_estimate
+reads them: g(k) = m_k / xi^k is submultiplicative (Jungers, The Joint
+Spectral Radius, 2009, ch. 2), and at the level K that sets the upper
+bound, g(K) = (upper / xi)^K < 1 for xi above it, so the largest g(k)
+over the completed levels is kappa = sup_k g(k) over every k.
 """
 
 from __future__ import annotations
@@ -74,7 +78,8 @@ DENSE_RHO_MAX = 64
 ARPACK_PLAIN_RESTARTS = 30
 ARPACK_RESTARTS = 300
 # Relative margin on the cheap norm bounds of the tau sweep, above the
-# rounding of both the bounds and the exact 2-norm.
+# rounding of both the bounds and the exact 2-norm; kappa certifies a
+# level against it too.
 BOUND_MARGIN = 1e-12
 
 
@@ -98,6 +103,12 @@ class TauEstimate:
 
 @dataclass
 class KappaEstimate:
+    """max(1, max_k m_k / xi^k) over the k_max levels of a JSR walk.
+
+    complete: some level K has m_K <= xi^K, so the value is the sup
+    over every k; unconverged is its negation.
+    """
+
     value: float
     xi: float
     argmax_k: int
@@ -113,6 +124,8 @@ class JsrBounds:
     k_max: int
     levels_completed: int
     complete: bool
+    # level_maxima[k - 1] is the largest 2-norm of a product of k modes.
+    level_maxima: tuple[float, ...]
 
 
 def augmented_matrix(model: MjsModel, cap: int = DEFAULT_SIZE_CAP) -> np.ndarray:
@@ -359,130 +372,99 @@ def _tau_sweep(powers, rho: float, k_max: int, exact: bool) -> TauEstimate:
     )
 
 
-def _enumerate_products(mats: np.ndarray, k_max: int, budget: int, keep, visit) -> bool:
-    """Walk the products of the mode matrices level by level.
-
-    Level k stacks the products A_{i_1} ... A_{i_k} of the kept prefixes
-    of level k - 1, each extended on the right by every mode, in the
-    order of a nested loop over (prefix, mode).  visit(k, W, norms) sees
-    each level as one (N, n, n) stack W with its 2-norms;
-    keep(k - 1, norms) returns the mask of the prefixes worth extending.
-    Every product, level 1 included, counts against the budget.  Returns
-    complete: False when the budget stopped the walk before level k_max.
-    """
-    if k_max < 1:
-        return True
-    W = mats
-    norms = np.linalg.norm(W, 2, axis=(1, 2))
-    visit(1, W, norms)
-    count = len(mats)
-    for k in range(2, k_max + 1):
-        mask = keep(k - 1, norms)
-        need = int(mask.sum()) * len(mats)
-        if need == 0:
-            return True
-        # Checked before indexing: W[mask] copies the kept prefixes, and
-        # on a level the budget refuses that copy only doubles the peak.
-        if count + need > budget:
-            return False
-        W = (W[mask][:, None] @ mats).reshape(-1, *mats.shape[1:])
-        norms = np.linalg.norm(W, 2, axis=(1, 2))
-        count += need
-        visit(k, W, norms)
-    return True
-
-
 def jsr_bounds(A_list, k_max: int = 8, budget: int = 100_000) -> JsrBounds:
     """Bracket the joint spectral radius by product enumeration.
 
-    Level k contributes max rho(W)^{1/k} to the lower bound and
-    max ||W||^{1/k} to the upper bound (minimized over levels).
-    Prefixes that provably cannot influence either bound are pruned;
-    when the product budget runs out the bounds from completed levels
-    are returned with complete=False.  Level 1 is always enumerated.
+    Level k stacks the products A_{i_1} ... A_{i_k} of the kept prefixes
+    of level k - 1, each extended on the right by every mode, as one
+    matmul with one batched 2-norm and eigvals call (Gripenberg, Linear
+    Algebra Appl. 234, 1996).  It contributes max rho(W)^{1/k} to the
+    lower bound and max ||W||^{1/k} to the upper bound (minimized over
+    levels).  Prefixes that provably cannot influence either bound are
+    pruned; every product, level 1 included, counts against the budget,
+    and when it runs out the bounds from completed levels are returned
+    with complete=False.  Level 1 is always enumerated.
     """
     mats = np.asarray(A_list, dtype=float)
-    beta = float(np.linalg.norm(mats, 2, axis=(1, 2)).max())
-    lower, upper, levels = 0.0, float("inf"), 0
-
-    # The thresholds are Python float powers: numpy's vectorized powers
-    # may differ in the last bit and so prune a different frontier.
-    def keep(depth, norms):
-        # A prefix is useless once no extension can reach the current
-        # lower bound at any remaining depth: ||W V|| <= ||W|| beta^(k-d).
-        mask = np.zeros(len(norms), dtype=bool)
-        for k in range(depth + 1, k_max + 1):
-            mask |= norms * beta ** (k - depth) >= lower**k
-        return mask
-
-    def visit(k, W, norms):
-        nonlocal lower, upper, levels
+    W = mats
+    norms = np.linalg.norm(W, 2, axis=(1, 2))
+    beta = float(norms.max())
+    lower, upper, maxima = 0.0, float("inf"), []
+    count, complete = 0, True
+    for k in range(1, max(k_max, 1) + 1):
+        if k > 1:
+            # A prefix W of k - 1 modes is useless once no extension can
+            # reach the current lower bound at any remaining depth j:
+            # ||W V|| <= ||W|| beta^(j-k+1).
+            # The thresholds are Python float powers: numpy's vectorized
+            # powers may differ in the last bit and so prune a different
+            # frontier.
+            mask = np.zeros(len(norms), dtype=bool)
+            for j in range(k, k_max + 1):
+                mask |= norms * beta ** (j - k + 1) >= lower**j
+            need = int(mask.sum()) * len(mats)
+            if need == 0:
+                break
+            # Checked before indexing: W[mask] copies the kept prefixes,
+            # and on a level the budget refuses that copy only doubles
+            # the peak.
+            if count + need > budget:
+                complete = False
+                break
+            W = (W[mask][:, None] @ mats).reshape(-1, *mats.shape[1:])
+            norms = np.linalg.norm(W, 2, axis=(1, 2))
+        count += len(W)
         rho = np.abs(np.linalg.eigvals(W)).max(axis=1)
         lower = max(lower, float(rho.max()) ** (1.0 / k))
-        upper = min(upper, float(norms.max()) ** (1.0 / k))
-        levels = k
-
-    complete = _enumerate_products(mats, max(k_max, 1), budget, keep, visit)
+        maxima.append(float(norms.max()))
+        upper = min(upper, maxima[-1] ** (1.0 / k))
     # rho(W) <= ||W|| holds exactly, but the level roots may round the
     # lower bound one ulp past the upper; a lower bound may only drop.
     return JsrBounds(
         lower=min(lower, upper),
         upper=upper,
         k_max=k_max,
-        levels_completed=levels,
+        levels_completed=len(maxima),
         complete=complete,
+        level_maxima=tuple(maxima),
     )
 
 
-def kappa_estimate(
-    A_list,
-    xi: float,
-    k_max: int = 12,
-    budget: int = 100_000,
-    certified_upper: float | None = None,
-) -> KappaEstimate:
-    """Transient constant sup_k max_{|W|=k} ||W|| / xi^k, k = 0..k_max.
+def kappa_estimate(A_list, xi: float, jsr: JsrBounds | None = None) -> KappaEstimate:
+    """Transient constant sup_k max_{|W|=k} ||W|| / xi^k over every k >= 0.
 
-    xi must be positive and dominate a certified upper bound on the
-    joint spectral radius (XiTooSmall otherwise); pass certified_upper
-    to skip the internal jsr_bounds call.  Subtrees that cannot beat the
-    running maximum are pruned, so the returned value is exact over the
-    swept depths unless the budget aborts the sweep (complete=False).
+    xi must be positive and dominate the joint-spectral-radius upper
+    bound of jsr (XiTooSmall otherwise); jsr defaults to
+    jsr_bounds(A_list) and supplies the level maxima m_k.  Since
+    g(k) = m_k / xi^k has g(a + b) <= g(a) g(b), one completed level K
+    with g(K) <= 1, lifted by BOUND_MARGIN, bounds every k = qK + r by
+    g(r): the maximum over the completed levels is then the sup over
+    every k (complete).  The level K that sets jsr.upper has
+    g(K) = (upper / xi)^K < 1 whenever xi > upper, so only an xi within
+    the 1e-12 slack below upper can leave the maximum uncertified.
     """
     if not xi > 0.0:
         raise XiTooSmall(f"xi = {xi} is not positive")
-    mats = np.asarray(A_list, dtype=float)
-    if certified_upper is None:
-        certified_upper = jsr_bounds(mats, k_max=min(k_max, 6), budget=budget).upper
-    if xi < certified_upper - 1e-12:
+    if jsr is None:
+        jsr = jsr_bounds(A_list)
+    if xi < jsr.upper - 1e-12:
         raise XiTooSmall(
             f"xi = {xi} is below the certified joint-spectral-radius "
-            f"upper bound {certified_upper}"
+            f"upper bound {jsr.upper}"
         )
-    beta = float(np.linalg.norm(mats, 2, axis=(1, 2)).max())
-    best, arg = 1.0, 0
-
-    def keep(depth, norms):
-        # A subtree is cut once no extension can beat the running
-        # maximum: ||W V|| / xi^k <= ||W|| beta^(k-d) / xi^k.
-        mask = np.zeros(len(norms), dtype=bool)
-        for k in range(depth + 1, k_max + 1):
-            mask |= norms * beta ** (k - depth) / xi**k > best
-        return mask
-
-    def visit(k, W, norms):
-        nonlocal best, arg
-        val = float(norms.max()) / xi**k
+    best, arg, complete = 1.0, 0, False
+    for k, top in enumerate(jsr.level_maxima, start=1):
+        rk = xi**k
+        complete = complete or top * (1.0 + BOUND_MARGIN) <= rk
+        val = top / rk
         if val > best:
             best, arg = val, k
-
-    complete = _enumerate_products(mats, k_max, budget, keep, visit)
     return KappaEstimate(
         value=best,
         xi=xi,
         argmax_k=arg,
-        k_max=k_max,
-        unconverged=arg == k_max,
+        k_max=jsr.levels_completed,
+        unconverged=not complete,
         complete=complete,
     )
 
@@ -550,7 +532,6 @@ def stability_report(
     xi: float | None = None,
     k_max_tau: int = 64,
     k_max_jsr: int = 8,
-    k_max_kappa: int = 12,
     budget: int = 100_000,
 ) -> StabilityReport:
     """All stability diagnostics of one model in a single pass.
@@ -569,9 +550,7 @@ def stability_report(
     tau = op.tau(rho_used, k_max_tau)
     jsr = jsr_bounds(model.A, k_max=k_max_jsr, budget=budget)
     xi_used = default_level(jsr.upper) if xi is None else xi
-    kappa = kappa_estimate(
-        model.A, xi_used, k_max=k_max_kappa, budget=budget, certified_upper=jsr.upper
-    )
+    kappa = kappa_estimate(model.A, xi_used, jsr=jsr)
     return StabilityReport(
         rho_aug=rho_aug,
         is_mss=rho_aug < 1.0,
@@ -580,7 +559,7 @@ def stability_report(
         jsr=jsr,
         xi_used=xi_used,
         kappa=kappa,
-        a_bar=float(np.linalg.norm(model.A, 2, axis=(1, 2)).max()),
+        a_bar=jsr.level_maxima[0],
         b_bar=float(np.linalg.norm(model.B, 2, axis=(1, 2)).max()) if model.p else 0.0,
         t_bar=float(model.T.max()),
     )

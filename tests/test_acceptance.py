@@ -252,7 +252,7 @@ def test_criterion_6_uniform_stability_dominance():
         xi = max(np.linalg.norm(model.A[j], 2) for j in range(s)) + 1e-9
         b = BoundInputs.from_model(
             model, truth, "aggregatable", x0=np.ones(3), xi=xi,
-            k_max_jsr=4, k_max_kappa=8, k_max_tau=16,
+            k_max_jsr=4, k_max_tau=16,
         )
         ok_premise, reasons = us_premises(b)
         if not ok_premise:
@@ -321,7 +321,7 @@ def test_criterion_7_wasserstein_exactness_and_bound():
         red = average_model(model, truth)
         b = BoundInputs.from_model(
             model, truth, "aggregatable", x0=np.ones(2),
-            k_max_jsr=4, k_max_kappa=8, k_max_tau=16,
+            k_max_jsr=4, k_max_tau=16,
         )
         pi = stationary_distribution(model.T)
         pi_red = np.array([pi[list(c)].sum() for c in truth.clusters])

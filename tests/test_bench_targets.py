@@ -9,7 +9,10 @@ function fails here instead of in a traced run.
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+import mjsreduce as mj
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -43,3 +46,32 @@ def test_tracer_installs_and_restores_every_target(bench_modules):
     finally:
         tracer.uninstall()
     assert lqr.closed_loop_average_cost is before
+
+
+def test_tracer_counts_fill(bench_modules):
+    # The count callbacks read result fields and argument names of the
+    # package (JsrBounds.levels_completed, KappaEstimate.complete,
+    # A_list, ...), so a rename fails here, not in a traced run.
+    layers, spans = bench_modules
+    model, partition, _ = mj.generate(mj.SynthConfig(6, 2, 2, 1, seed=3))
+    reduced = mj.average_model(model, partition)
+    tracer = spans.Tracer(layers.TARGETS)
+    try:
+        tracer.install()
+        mj.stability_report(model, k_max_tau=4, k_max_jsr=3)
+        mj.kmeans_partition(np.arange(12.0).reshape(6, 2), 2, restarts=3, seed=0)
+        mj.riccati_solve(model, np.eye(2), np.eye(1))
+        mj.simulate_coupled_batch(model, reduced, partition, np.ones(2), 5, 4, seed=0)
+    finally:
+        tracer.uninstall()
+    c = tracer.counters
+    assert c["stability.jsr_bounds.levels"] == 3
+    assert c["jsr_levels.s6"] == 3
+    assert c["stability.jsr_bounds.complete"] == 1
+    assert c["stability.kappa_estimate.complete"] == 1
+    assert c["clustering.kmeans_partition.restarts"] == 3
+    assert c["clustering.kmeans_partition.short"] == 0
+    assert c["lqr.riccati_solve.iterations"] > 0
+    assert c["model.simulate_coupled_batch.steps"] == 4 * 5
+    names = {sp.name for sp in tracer.spans}
+    assert {"stability.jsr_bounds", "stability.kappa_estimate"} <= names

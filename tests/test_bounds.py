@@ -22,7 +22,13 @@ from mjsreduce.bounds import (
     wasserstein_kernel_bound,
 )
 from mjsreduce.clustering import average_model, reduce_model
-from mjsreduce.errors import DimensionMismatch, NotNormalized, TooLarge, TooManySequences
+from mjsreduce.errors import (
+    DimensionMismatch,
+    InputError,
+    NotNormalized,
+    TooLarge,
+    TooManySequences,
+)
 from mjsreduce.model import MjsModel, _resolve_init_dist, stationary_distribution
 from mjsreduce.synth import SynthConfig, fig4_model, generate
 
@@ -223,6 +229,16 @@ def test_wasserstein_translation_is_shift_norm(rng):
 def test_wasserstein_rejects_unnormalized():
     with pytest.raises(NotNormalized):
         wasserstein_exact(dist([[0.0]], [0.9]), dist([[0.0]], [1.0]))
+
+
+@pytest.mark.parametrize("ell", [0, 0.5, -1, float("nan")])
+def test_transport_order_below_one_is_refused(ell):
+    # ell = 0 divided by zero and ell = -1 reached scipy with a NaN cost.
+    p = dist([[0.0], [1.0]], [0.5, 0.5])
+    with pytest.raises(InputError):
+        wasserstein_exact(p, p, ell=ell)
+    with pytest.raises(InputError):
+        wasserstein_kernel_bound(reference_inputs(), 3, ell=ell)
 
 
 def test_wasserstein_plan_marginals(rng):

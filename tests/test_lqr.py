@@ -32,6 +32,8 @@ from mjsreduce.synth import SynthConfig, generate
 SCALAR = MjsModel(
     np.array([[[0.5]]]), np.array([[[1.0]]]), np.array([[1.0]])
 )
+# No inputs: the solve settles on the value matrices.
+AUTO = MjsModel(np.array([[[0.5]]]), None, np.array([[1.0]]))
 EYE1 = np.array([[1.0]])
 
 
@@ -52,6 +54,7 @@ def test_scalar_riccati_root():
     assert sol.converged
     assert sol.P[0, 0, 0] == pytest.approx(oracle, abs=1e-10)
     assert sol.final_gain_delta < 1e-12
+    assert sol.iterations == len(sol.p_deltas)
     p = sol.P[0, 0, 0]
     assert sol.K[0, 0, 0] == pytest.approx(-0.5 * p / (1.0 + p), abs=1e-10)
 
@@ -65,12 +68,22 @@ def test_riccati_operators_single_step():
 
 
 def test_riccati_autonomous_stops_on_value_delta():
-    auto = MjsModel(np.array([[[0.5]]]), None, np.array([[1.0]]))
-    sol = riccati_solve(auto, EYE1, np.zeros((0, 0)))
+    sol = riccati_solve(AUTO, EYE1, np.zeros((0, 0)))
     assert sol.converged
     assert sol.final_gain_delta == 0.0
     # Value fixed point of p = 1 + 0.25 p.
     assert sol.P[0, 0, 0] == pytest.approx(4.0 / 3.0, abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "model, R", [(SCALAR, EYE1), (AUTO, np.zeros((0, 0)))], ids=["gains", "no-gains"]
+)
+def test_riccati_reports_an_unconverged_solve(model, R):
+    # With and without gains to track: every step counted, no delta.
+    sol = riccati_solve(model, EYE1, R, max_iter=3)
+    assert not sol.converged
+    assert sol.iterations == len(sol.p_deltas) == 3
+    assert np.isnan(sol.final_gain_delta)
 
 
 @pytest.mark.invariant

@@ -219,9 +219,10 @@ def test_jsr_budget_marks_incomplete():
 
 
 def test_kappa_identity_family():
-    est = kappa_estimate([np.eye(2)], xi=1.01, k_max=6)
+    est = kappa_estimate([np.eye(2)], xi=1.01)
     assert est.value == 1.0
     assert est.argmax_k == 0
+    assert est.complete and not est.unconverged
     with pytest.raises(XiTooSmall):
         kappa_estimate([2.0 * np.eye(2)], xi=1.0)
 
@@ -232,16 +233,16 @@ def test_kappa_rejects_nonpositive_xi(xi):
     with pytest.raises(XiTooSmall):
         kappa_estimate(np.zeros((2, 2, 2)), xi)
     with pytest.raises(XiTooSmall):
-        kappa_estimate(np.zeros((2, 2, 2)), xi, certified_upper=0.0)
+        kappa_estimate(np.zeros((2, 2, 2)), xi, jsr=jsr_bounds(np.zeros((2, 2, 2))))
 
 
 def test_kappa_matches_brute_force_products(rng):
     mats = [0.6 * rng.standard_normal((2, 2)) for _ in range(2)]
     xi = 1.05 * jsr_bounds(mats, k_max=6).upper
-    est = kappa_estimate(mats, xi, k_max=5)
+    est = kappa_estimate(mats, xi)
     assert est.complete
     best = 1.0
-    for k in range(1, 6):
+    for k in range(1, 13):
         for seq in itertools.product(range(2), repeat=k):
             W = np.eye(2)
             for i in seq:
@@ -269,34 +270,85 @@ def all_products(mats, k):
 )
 @example(seed=0, s=3, n=2, k_max=0)
 @example(seed=0, s=3, n=2, k_max=1)
+@example(seed=0, s=1, n=1, k_max=4)
 def test_enumerations_match_unpruned_products(seed, s, n, k_max):
     # Pruning drops only products that can set neither number, so with
-    # a budget for every product the walk equals the full enumeration.
+    # a budget for every product the walk equals the full enumeration,
+    # level maxima included.
     rng = np.random.default_rng(seed)
     mats = rng.standard_normal((s, n, n)) * rng.uniform(0.2, 1.5) / np.sqrt(n)
     depth = max(k_max, 1)  # jsr_bounds always enumerates level 1
     budget = sum(s**k for k in range(1, depth + 1))
-    lower, upper = 0.0, np.inf
+    lower, upper, maxima = 0.0, np.inf, []
     for k in range(1, depth + 1):
         level = all_products(mats, k)
         lower = max(lower, max(spectral_radius(W) for W in level) ** (1 / k))
-        upper = min(upper, max(np.linalg.norm(W, 2) for W in level) ** (1 / k))
+        maxima.append(max(np.linalg.norm(W, 2) for W in level))
+        upper = min(upper, maxima[-1] ** (1 / k))
     b = jsr_bounds(mats, k_max=k_max, budget=budget)
     assert b.complete
     assert b.lower == pytest.approx(lower, rel=1e-12)
     assert b.upper == pytest.approx(upper, rel=1e-12)
+    # Rounding may lift lower one ulp past every remaining product and
+    # end the walk early (a single scalar mode); kappa still matches.
+    assert b.level_maxima == pytest.approx(maxima[: b.levels_completed], rel=1e-12)
     xi = default_level(b.upper)
-    best = max(
-        [1.0]
-        + [
-            np.linalg.norm(W, 2) / xi**k
-            for k in range(1, k_max + 1)
-            for W in all_products(mats, k)
-        ]
-    )
-    est = kappa_estimate(mats, xi, k_max=k_max, budget=budget)
+    best = max([1.0] + [m / xi**k for k, m in enumerate(maxima, start=1)])
+    est = kappa_estimate(mats, xi, jsr=b)
     assert est.complete
     assert est.value == pytest.approx(best, rel=1e-12)
+
+
+def unpruned_level_maxima(mats, depth):
+    """Largest 2-norm of the products of k modes, k = 1..depth, over
+    every product."""
+    W = mats
+    out = [float(np.linalg.norm(W, 2, axis=(1, 2)).max())]
+    for _ in range(depth - 1):
+        W = (W[:, None] @ mats).reshape(-1, *mats.shape[1:])
+        out.append(float(np.linalg.norm(W, 2, axis=(1, 2)).max()))
+    return out
+
+
+@pytest.mark.invariant
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    s=st.integers(1, 4),
+    n=st.integers(1, 3),
+    k_max=st.integers(1, 4),
+    lift=st.floats(1.0001, 2.0),
+)
+@example(seed=0, s=4, n=3, k_max=4, lift=1.0001)
+def test_certified_kappa_matches_a_sweep_to_twice_the_upper_level(
+    seed, s, n, k_max, lift
+):
+    # g(k) = m_k / xi^k is submultiplicative, and the level K_u that sets
+    # the upper bound has g(K_u) < 1 for xi above it: no k up to 2 K_u
+    # beats the certified value.
+    rng = np.random.default_rng(seed)
+    mats = rng.standard_normal((s, n, n)) * rng.uniform(0.2, 1.5) / np.sqrt(n)
+    b = jsr_bounds(mats, k_max=k_max)
+    xi = lift * b.upper
+    est = kappa_estimate(mats, xi, jsr=b)
+    assert est.complete and not est.unconverged
+    k_u = next(
+        k for k, m in enumerate(b.level_maxima, start=1) if m ** (1.0 / k) == b.upper
+    )
+    g = [1.0] + [m / xi**k for k, m in enumerate(unpruned_level_maxima(mats, 2 * k_u), 1)]
+    assert est.value == pytest.approx(max(g), rel=1e-12)
+    assert est.argmax_k == int(np.argmax(g))
+
+
+def test_kappa_slack_below_upper_is_not_certified():
+    # One mode whose norm grows past its spectral radius: xi inside the
+    # 1e-12 slack below the upper bound leaves every g(k) above 1.
+    J = np.array([[[1.0, 1.0], [0.0, 1.0]]])
+    b = jsr_bounds(J, k_max=3)
+    xi = b.upper - 5e-13
+    est = kappa_estimate(J, xi, jsr=b)
+    assert not est.complete and est.unconverged
+    assert est.value == max(m / xi**k for k, m in enumerate(b.level_maxima, start=1))
 
 
 @pytest.mark.invariant
@@ -340,7 +392,7 @@ def test_reduction_preserves_moment_radius_at_zero_perturbation():
         )
         res = reduce_model(model, 2, branch="aggregatable", seed=seed)
         comp = stability_comparison(
-            model, res, k_max_tau=8, k_max_jsr=3, k_max_kappa=3
+            model, res, k_max_tau=8, k_max_jsr=3
         )
         assert comp.lemma_gap_rho <= 1e-8
 
@@ -362,6 +414,25 @@ def test_stability_report_fig4():
     assert {"rho_aug", "is_mss", "jsr_lower", "jsr_upper", "tau", "kappa"} <= set(d)
 
 
+def test_stability_report_walks_the_products_once(monkeypatch):
+    # kappa reads the level maxima of the report's own JSR walk, and
+    # a_bar its level-1 maximum.
+    calls = {"jsr_bounds": [], "kappa_estimate": []}
+    for name, fn in [(k, getattr(stability, k)) for k in calls]:
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name].append(kwargs)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(stability, name, counted)
+    model, _, _ = generate(SynthConfig(8, 2, 3, 0, seed=2))
+    rep = stability_report(model, k_max_tau=4)
+    assert len(calls["jsr_bounds"]) == 1
+    assert len(calls["kappa_estimate"]) == 1
+    assert calls["kappa_estimate"][0]["jsr"] is rep.jsr
+    assert rep.kappa.complete
+    assert rep.a_bar == float(np.linalg.norm(model.A, 2, axis=(1, 2)).max())
+
+
 def test_stability_report_takes_one_spectral_radius(monkeypatch):
     # rho_aug comes from MomentOperator.rho(); the tau sweep reuses it
     # instead of a second dense eig of the augmented matrix.
@@ -374,11 +445,11 @@ def test_stability_report_takes_one_spectral_radius(monkeypatch):
 
     monkeypatch.setattr(stability, "spectral_radius", counted)
     model, _ = fig4_model()  # s n^2 = 24: the dense path
-    stability_report(model, k_max_tau=4, k_max_jsr=2, k_max_kappa=2)
+    stability_report(model, k_max_tau=4, k_max_jsr=2)
     assert calls.count((24, 24)) == 1
     calls.clear()
     big, _, _ = generate(SynthConfig(8, 2, 3, 0, seed=2))  # 72: ARPACK
-    rep = stability_report(big, k_max_tau=4, k_max_jsr=2, k_max_kappa=2)
+    rep = stability_report(big, k_max_tau=4, k_max_jsr=2)
     assert (72, 72) not in calls
     assert rep.rho_aug == pytest.approx(dense(augmented_matrix(big)), rel=1e-9)
 
@@ -393,7 +464,7 @@ def test_reports_never_build_the_augmented_matrix(monkeypatch):
     assert res.reduced.s * res.reduced.n**2 > stability.DENSE_RHO_MAX
     built = []
     monkeypatch.setattr(stability, "augmented_matrix", lambda *a, **k: built.append(a))
-    kwargs = dict(k_max_tau=8, k_max_jsr=2, k_max_kappa=2)
+    kwargs = dict(k_max_tau=8, k_max_jsr=2)
     rep = stability_report(model, **kwargs)
     comp = stability_comparison(model, res, **kwargs)
     assert built == []
@@ -402,17 +473,17 @@ def test_reports_never_build_the_augmented_matrix(monkeypatch):
 
 def test_stability_report_rejects_rho_below_rho_aug():
     model, _ = fig4_model()
-    rho_aug = stability_report(model, k_max_tau=2, k_max_jsr=2, k_max_kappa=2).rho_aug
+    rho_aug = stability_report(model, k_max_tau=2, k_max_jsr=2).rho_aug
     with pytest.raises(RhoTooSmall):
-        stability_report(model, rho=0.9 * rho_aug, k_max_tau=2, k_max_jsr=2, k_max_kappa=2)
-    rep = stability_report(model, rho=rho_aug, k_max_tau=2, k_max_jsr=2, k_max_kappa=2)
+        stability_report(model, rho=0.9 * rho_aug, k_max_tau=2, k_max_jsr=2)
+    rep = stability_report(model, rho=rho_aug, k_max_tau=2, k_max_jsr=2)
     assert rep.rho_used == rho_aug
 
 
 def test_stability_comparison_report_fields(rng):
     model, _, _ = generate(SynthConfig(4, 2, 2, 0, seed=5))
     res = reduce_model(model, 2, branch="aggregatable", seed=5)
-    comp = stability_comparison(model, res, k_max_tau=8, k_max_jsr=3, k_max_kappa=3)
+    comp = stability_comparison(model, res, k_max_tau=8, k_max_jsr=3)
     assert comp.eps_rho >= 0.0
     assert comp.rho_gap_forward == -comp.rho_gap_reverse
     d = comp.to_dict()
