@@ -17,6 +17,8 @@ import scipy.sparse
 
 from .errors import DimensionMismatch, InputError, NotNormalized, TooLarge, TooManySequences
 from .model import MjsModel, Partition, _check_x0, _resolve_init_dist, simulate_coupled_batch
+from .perturbation import perturbations
+from .stability import stability_report
 
 __all__ = [
     "BoundInputs",
@@ -79,9 +81,6 @@ class BoundInputs:
     ) -> "BoundInputs":
         """The constants of model, partition and x0; DimensionMismatch
         unless x0 has shape (n,)."""
-        from .perturbation import perturbations
-        from .stability import stability_report
-
         x0 = _check_x0(x0, model.n)
         rep = stability_report(model, rho=rho, xi=xi, **report_kwargs)
         eps = perturbations(model, partition, branch)
@@ -110,7 +109,9 @@ def mss_premises(b: BoundInputs) -> tuple[bool, list[str]]:
     reasons = []
     if not b.rho < 1.0:
         reasons.append(f"rho = {b.rho} is not below 1")
-    cap = min(b.a_bar, (1.0 - b.rho) / (6.0 * b.tau * b.a_bar * b.T_norm))
+    # All A_i = 0 gives a_bar = 0: the second term is then +inf, cap 0.
+    scale = 6.0 * b.tau * b.a_bar * b.T_norm
+    cap = min(b.a_bar, (1.0 - b.rho) / scale if scale else np.inf)
     if b.eps_A > cap:
         reasons.append(f"eps_A = {b.eps_A:.3g} exceeds {cap:.3g}")
     if b.eps_B > b.b_bar:

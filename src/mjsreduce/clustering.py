@@ -16,6 +16,7 @@ import scipy.optimize
 
 from .errors import (
     BadWeights,
+    ComputationError,
     DegenerateInput,
     DimensionMismatch,
     InputError,
@@ -23,7 +24,7 @@ from .errors import (
     RankDeficient,
     SizeMismatch,
 )
-from .model import MjsModel, Partition, _is_integer
+from .model import MjsModel, Partition, _is_integer, model_to_dict
 
 __all__ = [
     "BRANCHES",
@@ -82,8 +83,6 @@ class ReductionResult:
     embedding: np.ndarray
 
     def to_dict(self) -> dict:
-        from .model import model_to_dict
-
         return {
             "partition": self.partition.to_lists_1based(),
             "reduced": model_to_dict(self.reduced),
@@ -459,7 +458,7 @@ def reduce_model(
         return _reduce_one_branch(
             model, r, branch, weights, restarts, seed, pi_weighted
         )
-    from .errors import ComputationError
+    # perturbation imports this module at load time, so import it here.
     from .perturbation import perturbations
 
     candidates = [

@@ -8,7 +8,12 @@ coupled Riccati map.  With phi_i(X) = sum_j T(i, j) X_j:
                 - A_i' phi_i(X)' B_i (R + B_i' phi_i(X) B_i)^{-1}
                   B_i' phi_i(X) A_i
 
-iterated from X = (Q, ..., Q) until the gains settle.
+iterated from X = (Q, ..., Q) until the gains settle.  riccati_solve
+either returns a converged LqrSolution, timed over its iteration, or
+raises: NotConverged when RICCATI_STEPS steps do not settle it,
+Diverged when a value matrix passes RICCATI_CAP, SingularInnerMatrix
+when some R + B' phi B cannot be inverted.  Callers never check
+convergence themselves.
 
 A fixed gain u = K x is priced through its closed-loop value matrices,
 the solution of V = stage + L*(V) with stage_i = Q + K_i' R K_i and L*
@@ -62,6 +67,12 @@ __all__ = [
 
 # Step budget of the closed-loop value recursion.
 FIXED_POINT_STEPS = 1_000_000
+# Step budget, stop tolerance and divergence cap of the Riccati iteration.
+RICCATI_STEPS = 100_000
+RICCATI_TOL = 1e-12
+RICCATI_CAP = 1e12
+# State norm past which a Monte Carlo run counts as diverged.
+MC_BLOWUP = 1e8
 
 
 def _check_qr(model: MjsModel, Q: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -103,71 +114,61 @@ def riccati_operators(
 
 @dataclass
 class LqrSolution:
+    """A converged Riccati fixed point; elapsed_ms times its iteration."""
+
     P: np.ndarray
     K: np.ndarray
     iterations: int
     final_gain_delta: float
-    converged: bool
+    elapsed_ms: float
     p_deltas: list[float] = field(default_factory=list, repr=False)
 
 
-def riccati_solve(
-    model: MjsModel,
-    Q,
-    R,
-    tol: float = 1e-12,
-    max_iter: int = 100_000,
-    divergence_cap: float = 1e12,
-) -> LqrSolution:
+def riccati_solve(model: MjsModel, Q, R) -> LqrSolution:
     """Fixed point of the coupled Riccati map, started from X = Q.
 
     Stops when the largest gain change between consecutive iterations
-    drops below tol; raises Diverged when any value matrix norm passes
-    divergence_cap (e.g. unstabilizable dynamics).
+    drops below RICCATI_TOL.  Raises Diverged when any value matrix
+    norm passes RICCATI_CAP (e.g. unstabilizable dynamics), and
+    NotConverged, naming the model size, after RICCATI_STEPS steps.
     """
     Q, R = _check_qr(model, Q, R)
+    t0 = time.perf_counter()
     P = np.tile(Q, (model.s, 1, 1))
     K_prev = None
-    K = np.zeros((model.s, model.p, model.n))
     # Identically zero inputs leave nothing for the gain test to see;
     # fall back to the value-delta stop so divergence is still caught.
     track_gains = bool(model.p) and bool(np.any(model.B != 0.0))
     p_deltas: list[float] = []
-    delta, converged = 0.0, False  # delta stays 0 without gains to track
-    for h in range(1, max_iter + 1):
+    change = float("nan")  # last change of the tracked gains or values
+    for h in range(1, RICCATI_STEPS + 1):
         _, K, P_new = riccati_operators(model, Q, R, P)
         P_new = 0.5 * (P_new + P_new.transpose(0, 2, 1))
         p_deltas.append(float(np.linalg.norm(P_new - P, axis=(1, 2)).max()))
         P = P_new
-        if float(np.linalg.norm(P, axis=(1, 2)).max()) > divergence_cap:
-            raise Diverged(f"value iteration passed {divergence_cap:.0e} at step {h}")
+        if float(np.linalg.norm(P, axis=(1, 2)).max()) > RICCATI_CAP:
+            raise Diverged(f"value iteration passed {RICCATI_CAP:.0e} at step {h}")
         if track_gains:
             if K_prev is not None:
-                delta = float(np.linalg.norm(K - K_prev, 2, axis=(1, 2)).max())
-                converged = delta < tol
+                change = float(np.linalg.norm(K - K_prev, 2, axis=(1, 2)).max())
             K_prev = K
         else:
             # No gains to track; settle on the value matrices instead.
-            converged = p_deltas[-1] < tol
-        if converged:
-            break
-    return LqrSolution(
-        P=P,
-        K=K,
-        iterations=len(p_deltas),
-        final_gain_delta=delta if converged else float("nan"),
-        converged=converged,
-        p_deltas=p_deltas,
+            change = p_deltas[-1]
+        if change < RICCATI_TOL:
+            return LqrSolution(
+                P=P,
+                K=K,
+                iterations=len(p_deltas),
+                final_gain_delta=change if track_gains else 0.0,
+                elapsed_ms=(time.perf_counter() - t0) * 1e3,
+                p_deltas=p_deltas,
+            )
+    raise NotConverged(
+        f"Riccati iteration on (s, n, p) = ({model.s}, {model.n}, {model.p}) "
+        f"did not converge in {RICCATI_STEPS} steps "
+        f"(last {'gain' if track_gains else 'value'} change {change:.3e})"
     )
-
-
-def _require_converged(sol: LqrSolution, which: str) -> None:
-    """Raise NotConverged, naming the `which` system, unless sol converged."""
-    if not sol.converged:
-        raise NotConverged(
-            f"Riccati iteration of the {which} system did not converge "
-            f"in {sol.iterations} steps"
-        )
 
 
 def lift_gains(K_reduced: np.ndarray, partition: Partition) -> np.ndarray:
@@ -176,13 +177,17 @@ def lift_gains(K_reduced: np.ndarray, partition: Partition) -> np.ndarray:
     return np.asarray(K_reduced)[partition.labels]
 
 
-def _closed_loop(model: MjsModel, K: np.ndarray) -> np.ndarray:
+def _closed_loop(model: MjsModel, K, Q, R) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-loop modes A_i + B_i K_i of u = K x and their stage
+    weights Q + K_i' R K_i, the per-mode x' Q x + u' R u."""
+    Q, R = _check_qr(model, Q, R)
     K = np.asarray(K, dtype=float)
     if K.shape != (model.s, model.p, model.n):
         raise DimensionMismatch(
             f"gains must have shape ({model.s}, {model.p}, {model.n}), got {K.shape}"
         )
-    return model.A + np.einsum("ijk,ikl->ijl", model.B, K)
+    A_cl = model.A + np.einsum("ijk,ikl->ijl", model.B, K)
+    return A_cl, Q + np.einsum("ikj,kl,ilm->ijm", K, R, K)
 
 
 @dataclass
@@ -204,11 +209,6 @@ class CostReport:
     gap: float | None = None
 
 
-def _stage_cost(K: np.ndarray, Q: np.ndarray, R: np.ndarray) -> np.ndarray:
-    # Per-mode weights Q + K_i' R K_i of x' Q x + u' R u at u = K_i x.
-    return Q + np.einsum("ikj,kl,ilm->ijm", K, R, K)
-
-
 def _closed_loop_values(model: MjsModel, K, Q, R) -> tuple[np.ndarray, int, float]:
     """Value matrices of u = K x: the solution of V = stage + L*(V).
 
@@ -218,13 +218,11 @@ def _closed_loop_values(model: MjsModel, K, Q, R) -> tuple[np.ndarray, int, floa
     that is not mean-square stable, NotConverged after
     FIXED_POINT_STEPS steps.
     """
-    Q, R = _check_qr(model, Q, R)
-    K = np.asarray(K, dtype=float)
-    op = MomentOperator(_closed_loop(model, K), model.T)
+    A_cl, stage = _closed_loop(model, K, Q, R)
+    op = MomentOperator(A_cl, model.T)
     rho = op.rho()
     if rho >= 1.0:
         raise NotMss(f"closed loop has augmented spectral radius {rho:.6f}")
-    stage = _stage_cost(K, Q, R)
     V = stage
     for k in range(1, FIXED_POINT_STEPS + 1):
         new = stage + op.adjoint(V)
@@ -271,13 +269,12 @@ def monte_carlo_cost(
     burn_in: int = 0,
     seed=None,
     x0=None,
-    blowup: float = 1e8,
 ) -> CostReport:
     """Empirical average stage cost of u = K x, batched over n_traj runs.
 
     Averages x' (Q + K' R K) x over steps burn_in..horizon-1 and over
     trajectories; the reported stderr is across trajectory means.  A
-    state norm passing `blowup` marks the estimate diverged (inf).
+    state entry passing MC_BLOWUP marks the estimate diverged (inf).
     Raises InputError unless n_traj >= 1 and 0 <= burn_in < horizon.
     """
     if n_traj < 1:
@@ -286,16 +283,13 @@ def monte_carlo_cost(
         raise InputError(
             f"burn_in must lie in [0, horizon), got {burn_in} for horizon {horizon}"
         )
-    Q, R = _check_qr(model, Q, R)
-    K = np.asarray(K, dtype=float)
-    Acl = _closed_loop(model, K)
-    stage = _stage_cost(K, Q, R)
+    A_cl, stage = _closed_loop(model, K, Q, R)
     rng = np.random.default_rng(seed)
     modes = _batch_modes(rng, model, n_traj, horizon, None)
     x0 = np.zeros(model.n) if x0 is None else x0
     totals = np.zeros(n_traj)
-    for t, X in enumerate(_rollout(Acl, modes[None], x0, sigma_w, rng)):
-        if t and (not np.all(np.isfinite(X)) or np.abs(X).max() > blowup):
+    for t, X in enumerate(_rollout(A_cl, modes[None], x0, sigma_w, rng)):
+        if t and (not np.all(np.isfinite(X)) or np.abs(X).max() > MC_BLOWUP):
             return CostReport(
                 value=float("inf"),
                 method="monte_carlo",
@@ -370,21 +364,15 @@ def reduced_lqr_suboptimality(
     stationary closed-form cost) and for the reduced system, lifts the
     reduced gains over the partition, and evaluates their cost J_hat on
     the full system.  Timing covers the Riccati iterations only.
-    Raises NotConverged, naming the full or the reduced system, when a
-    Riccati iteration ends without converging.
+    Raises NotConverged, naming that model's size, when either Riccati
+    iteration does not converge.
     """
     if reduction is None:
         reduction = reduce_model(
             model, r, branch=branch, seed=seed, restarts=restarts, weights=weights
         )
-    t0 = time.perf_counter()
     sol_hat = riccati_solve(reduction.reduced, Q, R)
-    time_reduced = (time.perf_counter() - t0) * 1e3
-    t0 = time.perf_counter()
     sol_full = riccati_solve(model, Q, R)
-    time_full = (time.perf_counter() - t0) * 1e3
-    _require_converged(sol_hat, "reduced")
-    _require_converged(sol_full, "full")
     K_lift = lift_gains(sol_hat.K, reduction.partition)
     J_star = closed_loop_average_cost(model, sol_full.K, Q, R, sigma_w).value
     J_hat = closed_loop_average_cost(model, K_lift, Q, R, sigma_w).value
@@ -394,7 +382,7 @@ def reduced_lqr_suboptimality(
         gap=J_hat - J_star,
         iters_full=sol_full.iterations,
         iters_reduced=sol_hat.iterations,
-        time_full_ms=time_full,
-        time_reduced_ms=time_reduced,
+        time_full_ms=sol_full.elapsed_ms,
+        time_reduced_ms=sol_hat.elapsed_ms,
         reduction=reduction,
     )

@@ -46,6 +46,7 @@ from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
 from .errors import NotConverged, RhoTooSmall, TooLarge, XiTooSmall
 from .model import MjsModel, _check_x0, _resolve_init_dist, expand_reduced
 from .clustering import ReductionResult
+from .perturbation import construct_T0, perturbations
 
 __all__ = [
     "TauEstimate",
@@ -113,8 +114,11 @@ class KappaEstimate:
     xi: float
     argmax_k: int
     k_max: int
-    unconverged: bool
     complete: bool
+
+    @property
+    def unconverged(self) -> bool:
+        return not self.complete
 
 
 @dataclass
@@ -464,7 +468,6 @@ def kappa_estimate(A_list, xi: float, jsr: JsrBounds | None = None) -> KappaEsti
         xi=xi,
         argmax_k=arg,
         k_max=jsr.levels_completed,
-        unconverged=not complete,
         complete=complete,
     )
 
@@ -617,8 +620,6 @@ def stability_comparison(
     matrix from construct_T0), whose augmented spectral radius agrees
     with the reduced one; lemma_gap_rho records that agreement.
     """
-    from .perturbation import construct_T0, perturbations
-
     branch = branch or reduction.branch
     partition = reduction.partition
     reduced = reduction.reduced

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_model
+from conftest import random_model, three_state_model
 from mjsreduce.bounds import (
     BoundInputs,
     KernelDistribution,
@@ -29,7 +30,7 @@ from mjsreduce.errors import (
     TooLarge,
     TooManySequences,
 )
-from mjsreduce.model import MjsModel, _resolve_init_dist, stationary_distribution
+from mjsreduce.model import MjsModel, Partition, _resolve_init_dist, stationary_distribution
 from mjsreduce.synth import SynthConfig, fig4_model, generate
 
 SCALAR_PAIR = MjsModel(
@@ -445,6 +446,19 @@ def test_premise_checks():
     assert all("exceeds" in r for r in reasons)
     ok, reasons = us_premises(rough)
     assert not ok and len(reasons) == 2
+
+
+def test_premises_with_zero_dynamics():
+    # Every A_i = 0 makes a_bar = 0; the eps_A cap is then 0, not a
+    # division by zero.
+    b = BoundInputs.from_model(
+        three_state_model(), Partition([[0, 1], [2]]), "lumpable", x0=np.ones(2)
+    )
+    assert b.a_bar == 0.0 and b.eps_A == 0.0
+    ok, reasons = mss_premises(b)
+    assert ok and reasons == []
+    ok, reasons = mss_premises(dataclasses.replace(b, eps_A=1e-3))
+    assert not ok and reasons == ["eps_A = 0.001 exceeds 0"]
 
 
 def test_inputs_from_model_fig4():

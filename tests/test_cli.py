@@ -211,6 +211,17 @@ def test_experiment_cli(tmp_path, capsys):
     assert (tmp_path / "fig4.csv").exists()
 
 
+@pytest.mark.parametrize("name", ["fig3b", "table2"])
+def test_experiment_refuses_fractional_counts(tmp_path, capsys, name):
+    # fig3b sweeps mode counts and table2 cluster counts: 10.5 would be
+    # run at 10 and labelled 10.5.
+    code, _, err = run(
+        capsys, "experiment", name, "--grid", "10.5", "--trials", "1", "--out", str(tmp_path)
+    )
+    assert (code, err.split(":")[0]) == (2, "InputError"), err
+    assert not (tmp_path / f"{name}.csv").exists()
+
+
 def test_unknown_command_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bogus"])

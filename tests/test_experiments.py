@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import mjsreduce.experiments as experiments
+import mjsreduce.lqr as lqr
 from mjsreduce.errors import InputError, NotConverged
 from mjsreduce.experiments import (
     EXPERIMENT_NAMES,
@@ -174,10 +175,13 @@ def test_fig3b_refuses_to_time_an_unconverged_solve(monkeypatch, tmp_path, which
     solve = experiments.riccati_solve
 
     def short_budget(m, Q, R):
-        starved = (m.s == r) == (which == "reduced")
-        return solve(m, Q, R, max_iter=2 if starved else 100_000)
+        with monkeypatch.context() as patch:
+            if (m.s == r) == (which == "reduced"):
+                patch.setattr(lqr, "RICCATI_STEPS", 2)
+            return solve(m, Q, R)
 
     monkeypatch.setattr(experiments, "riccati_solve", short_budget)
-    with pytest.raises(NotConverged, match=f"of the {which} system"):
+    size = rf"\(s, n, p\) = \({r if which == 'reduced' else 10}, 6, 3\)"
+    with pytest.raises(NotConverged, match=rf"{size} did not converge in 2 steps"):
         run_experiment(spec)
     assert not (tmp_path / "fig3b.csv").exists()
