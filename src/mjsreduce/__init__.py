@@ -97,11 +97,10 @@ from .perturbation import (
 )
 from .stability import (
     JsrBounds,
-    KappaEstimate,
     MomentOperator,
     StabilityComparison,
     StabilityReport,
-    TauEstimate,
+    TransientEstimate,
     augmented_matrix,
     jsr_bounds,
     kappa_estimate,

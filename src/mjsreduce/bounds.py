@@ -92,9 +92,9 @@ class BoundInputs:
             b_bar=rep.b_bar,
             t_bar=rep.t_bar,
             T_norm=float(np.linalg.norm(model.T, 2)),
-            rho=rep.rho_used,
+            rho=rep.tau.level,
             tau=rep.tau.value,
-            xi=rep.xi_used,
+            xi=rep.kappa.level,
             kappa=rep.kappa.value,
             eps_A=eps.eps_A,
             eps_B=eps.eps_B,

@@ -44,13 +44,6 @@ def _print(payload: dict) -> None:
     print(json.dumps(payload, indent=2, default=_json_default))
 
 
-def _load_model_checked(path: str):
-    try:
-        return load_model(path)
-    except OSError as e:
-        raise InputError(f"cannot read model file {path}: {e}") from e
-
-
 def _truth_sidecar(model_path: str) -> str:
     stem, _ = os.path.splitext(model_path)
     return stem + ".truth.json"
@@ -97,7 +90,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    model = _load_model_checked(args.model)
+    model = load_model(args.model)
     weights = tuple(args.weights) if args.weights else None
     result = reduce_model(
         model,
@@ -121,7 +114,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    model = _load_model_checked(args.model)
+    model = load_model(args.model)
     if args.partition:
         partition = _load_partition(args.partition, model.s)
     elif args.r:
@@ -145,7 +138,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    model = _load_model_checked(args.model)
+    model = load_model(args.model)
     report = stability_report(model, rho=args.rho, xi=args.xi)
     os.makedirs(args.out, exist_ok=True)
     _dump(report.to_dict(), os.path.join(args.out, "stability.json"))
@@ -154,7 +147,7 @@ def cmd_stability(args) -> int:
 
 
 def cmd_lqr(args) -> int:
-    model = _load_model_checked(args.model)
+    model = load_model(args.model)
     result = reduced_lqr_suboptimality(
         model,
         args.r,

@@ -659,6 +659,8 @@ def load_model(path) -> MjsModel:
     try:
         with open(path) as f:
             d = json.load(f)
+    except OSError as e:
+        raise InputError(f"cannot read model file {path}: {e}") from e
     except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
         raise InputError(f"malformed JSON in {path}: {e}") from e
     if not isinstance(d, dict):

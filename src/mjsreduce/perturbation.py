@@ -120,14 +120,14 @@ def perturbations(
 
 
 def averaged_feature_matrix(
-    feats: FeatureMatrix | np.ndarray, partition: Partition
+    feats: FeatureMatrix, partition: Partition
 ) -> tuple[np.ndarray, float]:
     """Replace each feature row by its cluster mean; also return sigma_r.
 
     sigma_r is the r-th singular value of the averaged matrix, r being
     the number of clusters.
     """
-    phi = feats.phi if isinstance(feats, FeatureMatrix) else np.asarray(feats, float)
+    phi = feats.phi
     if phi.shape[0] != partition.s:
         raise SizeMismatch(
             f"feature matrix has {phi.shape[0]} rows, partition covers {partition.s}"

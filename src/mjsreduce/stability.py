@@ -30,14 +30,20 @@ them level by level, each level one stacked matmul of the kept prefixes
 with every mode, and keeps the largest 2-norm m_k of each level.  It
 prunes only prefixes whose every extension stays below lower^k, while
 m_k >= JSR^k >= lower^k, so these maxima are exact.  kappa_estimate
-reads them: g(k) = m_k / xi^k is submultiplicative (Jungers, The Joint
-Spectral Radius, 2009, ch. 2), and at the level K that sets the upper
-bound, g(K) = (upper / xi)^K < 1 for xi above it, so the largest g(k)
-over the completed levels is kappa = sup_k g(k) over every k.
+reads them as kappa = sup_k m_k / xi^k.
+
+One sweep serves both constants.  g(k) = ||L^k|| / rho^k and
+g(k) = m_k / xi^k are submultiplicative (Jungers, The Joint Spectral
+Radius, 2009, ch. 2), so one swept K with g(K) <= 1 makes the running
+maximum over k < K the sup over every k (complete).  For kappa the
+level K that sets the upper bound has g(K) = (upper / xi)^K < 1 for xi
+above it.  One level check refuses a NaN or nonpositive rho or xi, or
+one below its radius, before either sweep.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +55,7 @@ from .clustering import ReductionResult
 from .perturbation import construct_T0, perturbations
 
 __all__ = [
-    "TauEstimate",
-    "KappaEstimate",
+    "TransientEstimate",
     "JsrBounds",
     "MomentOperator",
     "StabilityReport",
@@ -78,43 +83,28 @@ DENSE_RHO_MAX = 64
 # retry, which gets the larger budget.
 ARPACK_PLAIN_RESTARTS = 30
 ARPACK_RESTARTS = 300
-# Relative margin on the cheap norm bounds of the tau sweep, above the
-# rounding of both the bounds and the exact 2-norm; kappa certifies a
-# level against it too.
+# Relative margin on the norm bounds of the tau and kappa sweep, above
+# the rounding of both the bounds and the exact 2-norm; a swept level
+# certifies the sup only with it.
 BOUND_MARGIN = 1e-12
 
 
 @dataclass
-class TauEstimate:
-    """sup_k ||M^k|| / rho^k over k <= k_max, with the attaining k.
+class TransientEstimate:
+    """max(1, max_k g(k)) with g(k) = ||M^k|| / level^k over k <= k_max,
+    for tau the powers of L and for kappa the level maxima of a JSR walk.
 
-    certified: some K <= k_max has ||M^K|| <= rho^K, so the value is
-    the sup over every k.  exact: False when value is the matrix-free
-    upper bound on the sweep rather than the sweep itself.
+    complete: some K <= k_max has g(K) <= 1, so the value is the sup
+    over every k; unconverged is its negation.  exact: False when g is
+    the matrix-free upper bound on ||L^k|| rather than the norm itself.
     """
 
     value: float
-    rho: float
-    argmax_k: int
-    k_max: int
-    unconverged: bool
-    certified: bool
-    exact: bool
-
-
-@dataclass
-class KappaEstimate:
-    """max(1, max_k m_k / xi^k) over the k_max levels of a JSR walk.
-
-    complete: some level K has m_K <= xi^K, so the value is the sup
-    over every k; unconverged is its negation.
-    """
-
-    value: float
-    xi: float
+    level: float
     argmax_k: int
     k_max: int
     complete: bool
+    exact: bool
 
     @property
     def unconverged(self) -> bool:
@@ -200,7 +190,7 @@ class MomentOperator:
         pushed = _krons(self.A) @ P.reshape(s, m, cols)
         return (self.T.T @ pushed.reshape(s, m * cols)).reshape(s * m, cols)
 
-    def tau(self, rho: float, k_max: int) -> TauEstimate:
+    def tau(self, rho: float, k_max: int) -> TransientEstimate:
         """sup_k ||L^k||_2 / rho^k over k <= k_max, for a rho the caller
         has checked against the spectral radius.
 
@@ -210,9 +200,9 @@ class MomentOperator:
         holds because L^k is completely positive (exact=False).
         """
         if self.dim > DEFAULT_SIZE_CAP:
-            return _tau_sweep(self._power_bounds(k_max), rho, k_max, exact=False)
+            return _sweep(self._power_bounds(k_max), rho, exact=False)
         powers = _dense_powers(self.apply_columns, np.eye(self.dim), k_max)
-        return _tau_sweep(powers, rho, k_max, exact=True)
+        return _sweep(powers, rho, exact=True)
 
     def _power_bounds(self, k_max: int):
         # Yields (bound on ||L^k||_2, None) for k = 1..k_max.
@@ -309,22 +299,31 @@ def default_level(base: float) -> float:
     return lifted
 
 
-def _check_rho(rho: float, radius: float) -> None:
-    if not rho >= radius - 1e-12:
-        raise RhoTooSmall(f"rho = {rho} is not at least the spectral radius {radius}")
+def _check_level(name: str, level: float, radius: float) -> None:
+    """Refuse a level rho (RhoTooSmall) or xi (XiTooSmall) that is NaN,
+    not positive, or below radius - 1e-12: the sup over level^k would
+    then diverge, or a sign flip of level^k would certify it falsely."""
+    if name == "rho":
+        error, what = RhoTooSmall, "the spectral radius"
+    else:
+        error, what = XiTooSmall, "the certified joint-spectral-radius upper bound"
+    if not level > 0.0:
+        raise error(f"{name} = {level} is not positive")
+    if level < radius - 1e-12:
+        raise error(f"{name} = {level} is below {what} {radius}")
 
 
-def tau_estimate(M: np.ndarray, rho: float, k_max: int = 64) -> TauEstimate:
+def tau_estimate(M: np.ndarray, rho: float, k_max: int = 64) -> TransientEstimate:
     """Transient growth constant sup_k ||M^k||_2 / rho^k, k = 0..k_max.
 
-    Requires rho >= spectral_radius(M) (RhoTooSmall otherwise; the sup
-    would diverge).  The result is flagged unconverged when the argmax
-    sits at the sweep horizon.
+    Requires a positive rho >= spectral_radius(M) (RhoTooSmall
+    otherwise; the sup would diverge).  The result is complete when
+    some swept power certifies the sup over every k.
     """
     M = np.asarray(M, dtype=float)
-    _check_rho(rho, spectral_radius(M, cap=M.shape[0]))
+    _check_level("rho", rho, spectral_radius(M, cap=M.shape[0]))
     powers = _dense_powers(lambda P: P @ M, np.eye(M.shape[0]), k_max)
-    return _tau_sweep(powers, rho, k_max, exact=True)
+    return _sweep(powers, rho, exact=True)
 
 
 def _norm_bound(P: np.ndarray) -> float:
@@ -341,38 +340,37 @@ def _dense_powers(step, P: np.ndarray, k_max: int):
         yield _norm_bound(P), P
 
 
-def _tau_sweep(powers, rho: float, k_max: int, exact: bool) -> TauEstimate:
-    """Running maximum of ||M^k||_2 / rho^k over the pairs (bound, P) of
-    powers, for k = 1..k_max, where bound >= ||M^k||_2.
+def _sweep(powers, level: float, exact: bool) -> TransientEstimate:
+    """Running maximum of g(k) = ||M^k||_2 / level^k over the pairs
+    (bound, P) of powers, k = 1, 2, ..., where bound >= ||M^k||_2.
 
-    With exact, the 2-norm of P is taken only where the bound, lifted by
-    BOUND_MARGIN, could still pass the strict update, so skipping leaves
-    value and argmax_k as a full sweep would give them; otherwise the
-    bound stands in for the norm.  Since g(k) = ||M^k|| / rho^k has
-    g(a + b) <= g(a) g(b), one K with g(K) <= 1 makes the sweep over
-    k < K the sup over every k (certified).
+    Where P is given, its 2-norm is taken only where the bound, lifted
+    by BOUND_MARGIN, could still pass the strict update, so skipping
+    leaves value and argmax_k as a full sweep would give them; with
+    P = None the bound is the norm.  Since g(a + b) <= g(a) g(b), one K
+    with g(K) <= 1 makes the sweep over k < K the sup over every k
+    (complete).  A level^k that overflows gives g = 0, and one that
+    underflows gives g = inf; neither raises.
     """
-    best, arg, certified = 1.0, 0, False
+    best, arg, complete, k = 1.0, 0, False, 0
     for k, (bound, P) in enumerate(powers, start=1):
         if bound == 0.0:  # M^k = 0, and so is every later power
-            certified = True
+            complete = True
             continue
-        rk = rho**k
-        top = bound * (1.0 + BOUND_MARGIN) / rk
-        certified = certified or top <= 1.0
+        try:
+            rk = level**k
+        except OverflowError:
+            rk = math.inf
+        top = bound * (1.0 + BOUND_MARGIN) / rk if rk else math.inf
+        complete = complete or top <= 1.0
         if top <= best:
             continue
-        val = (float(np.linalg.norm(P, 2)) if exact else bound) / rk
+        norm = bound if P is None else float(np.linalg.norm(P, 2))
+        val = norm / rk if rk else math.inf
         if val > best:
             best, arg = val, k
-    return TauEstimate(
-        value=best,
-        rho=rho,
-        argmax_k=arg,
-        k_max=k_max,
-        unconverged=arg == k_max,
-        certified=certified,
-        exact=exact,
+    return TransientEstimate(
+        value=best, level=level, argmax_k=arg, k_max=k, complete=complete, exact=exact
     )
 
 
@@ -434,42 +432,17 @@ def jsr_bounds(A_list, k_max: int = 8, budget: int = 100_000) -> JsrBounds:
     )
 
 
-def kappa_estimate(A_list, xi: float, jsr: JsrBounds | None = None) -> KappaEstimate:
-    """Transient constant sup_k max_{|W|=k} ||W|| / xi^k over every k >= 0.
+def kappa_estimate(jsr: JsrBounds, xi: float) -> TransientEstimate:
+    """Transient constant sup_k max_{|W|=k} ||W|| / xi^k over every k >= 0,
+    swept over the level maxima m_k of jsr.
 
-    xi must be positive and dominate the joint-spectral-radius upper
-    bound of jsr (XiTooSmall otherwise); jsr defaults to
-    jsr_bounds(A_list) and supplies the level maxima m_k.  Since
-    g(k) = m_k / xi^k has g(a + b) <= g(a) g(b), one completed level K
-    with g(K) <= 1, lifted by BOUND_MARGIN, bounds every k = qK + r by
-    g(r): the maximum over the completed levels is then the sup over
-    every k (complete).  The level K that sets jsr.upper has
-    g(K) = (upper / xi)^K < 1 whenever xi > upper, so only an xi within
-    the 1e-12 slack below upper can leave the maximum uncertified.
+    xi must be positive and dominate jsr.upper (XiTooSmall otherwise).
+    The level K that sets jsr.upper has g(K) = (upper / xi)^K < 1
+    whenever xi > upper, so only an xi within the 1e-12 slack below
+    upper can leave the maximum uncertified (complete=False).
     """
-    if not xi > 0.0:
-        raise XiTooSmall(f"xi = {xi} is not positive")
-    if jsr is None:
-        jsr = jsr_bounds(A_list)
-    if xi < jsr.upper - 1e-12:
-        raise XiTooSmall(
-            f"xi = {xi} is below the certified joint-spectral-radius "
-            f"upper bound {jsr.upper}"
-        )
-    best, arg, complete = 1.0, 0, False
-    for k, top in enumerate(jsr.level_maxima, start=1):
-        rk = xi**k
-        complete = complete or top * (1.0 + BOUND_MARGIN) <= rk
-        val = top / rk
-        if val > best:
-            best, arg = val, k
-    return KappaEstimate(
-        value=best,
-        xi=xi,
-        argmax_k=arg,
-        k_max=jsr.levels_completed,
-        complete=complete,
-    )
+    _check_level("xi", xi, jsr.upper)
+    return _sweep(((m, None) for m in jsr.level_maxima), xi, exact=True)
 
 
 def second_moment_evolution(
@@ -496,11 +469,9 @@ def second_moment_evolution(
 class StabilityReport:
     rho_aug: float
     is_mss: bool
-    rho_used: float
-    tau: TauEstimate
+    tau: TransientEstimate
     jsr: JsrBounds
-    xi_used: float
-    kappa: KappaEstimate
+    kappa: TransientEstimate
     a_bar: float
     b_bar: float
     t_bar: float
@@ -509,17 +480,17 @@ class StabilityReport:
         return {
             "rho_aug": self.rho_aug,
             "is_mss": self.is_mss,
-            "rho_used": self.rho_used,
+            "rho_used": self.tau.level,
             "tau": self.tau.value,
             "tau_argmax_k": self.tau.argmax_k,
             "tau_unconverged": self.tau.unconverged,
-            "tau_certified": self.tau.certified,
+            "tau_certified": self.tau.complete,
             "tau_exact": self.tau.exact,
             "jsr_lower": self.jsr.lower,
             "jsr_upper": self.jsr.upper,
             "jsr_levels": self.jsr.levels_completed,
             "jsr_complete": self.jsr.complete,
-            "xi_used": self.xi_used,
+            "xi_used": self.kappa.level,
             "kappa": self.kappa.value,
             "kappa_argmax_k": self.kappa.argmax_k,
             "kappa_unconverged": self.kappa.unconverged,
@@ -541,26 +512,21 @@ def stability_report(
 
     rho defaults to 1.01 * rho_aug (kept below 1 when rho_aug is); the
     same lift applies to xi on top of the certified joint-spectral-
-    radius upper bound.  A rho below rho_aug, or NaN, raises RhoTooSmall.
+    radius upper bound.  A NaN or nonpositive rho or xi, or one below
+    its radius, raises RhoTooSmall or XiTooSmall.
     """
     op = MomentOperator(model.A, model.T)
     rho_aug = op.rho()
-    if rho is None:
-        rho_used = default_level(rho_aug)
-    else:
-        _check_rho(rho, rho_aug)
-        rho_used = rho
-    tau = op.tau(rho_used, k_max_tau)
+    rho = default_level(rho_aug) if rho is None else rho
+    _check_level("rho", rho, rho_aug)
+    tau = op.tau(rho, k_max_tau)
     jsr = jsr_bounds(model.A, k_max=k_max_jsr, budget=budget)
-    xi_used = default_level(jsr.upper) if xi is None else xi
-    kappa = kappa_estimate(model.A, xi_used, jsr=jsr)
+    kappa = kappa_estimate(jsr, default_level(jsr.upper) if xi is None else xi)
     return StabilityReport(
         rho_aug=rho_aug,
         is_mss=rho_aug < 1.0,
-        rho_used=rho_used,
         tau=tau,
         jsr=jsr,
-        xi_used=xi_used,
         kappa=kappa,
         a_bar=jsr.level_maxima[0],
         b_bar=float(np.linalg.norm(model.B, 2, axis=(1, 2)).max()) if model.p else 0.0,
@@ -634,8 +600,8 @@ def stability_comparison(
     expanded = expand_reduced(reduced, partition, T_bar)
     op_bar = MomentOperator(expanded.A, expanded.T)
     rho_aug_bar = op_bar.rho()
-    _check_rho(rep_hat.rho_used, rho_aug_bar)
-    tau_bar = op_bar.tau(rep_hat.rho_used, rep_hat.tau.k_max)
+    _check_level("rho", rep_hat.tau.level, rho_aug_bar)
+    tau_bar = op_bar.tau(rep_hat.tau.level, rep_hat.tau.k_max)
     kappa_bar = rep_hat.kappa  # expanded mode set equals the reduced one
     return StabilityComparison(
         report=rep,
@@ -643,13 +609,13 @@ def stability_comparison(
         eps_rho=eps_rho,
         rho_gap_forward=rep_hat.rho_aug - rep.rho_aug,
         rho_gap_reverse=rep.rho_aug - rep_hat.rho_aug,
-        bound_rho_forward=rep.tau.value * eps_rho + (rep.rho_used - rep.rho_aug),
+        bound_rho_forward=rep.tau.value * eps_rho + (rep.tau.level - rep.rho_aug),
         bound_rho_reverse=tau_bar.value * eps_rho
-        + (rep_hat.rho_used - rep_hat.rho_aug),
+        + (rep_hat.tau.level - rep_hat.rho_aug),
         xi_gap_forward_certified=rep_hat.jsr.lower - rep.jsr.upper,
         xi_gap_reverse_certified=rep.jsr.lower - rep_hat.jsr.upper,
-        bound_xi_forward=rep.kappa.value * eps.eps_A + (rep.xi_used - rep.jsr.lower),
+        bound_xi_forward=rep.kappa.value * eps.eps_A + (rep.kappa.level - rep.jsr.lower),
         bound_xi_reverse=kappa_bar.value * eps.eps_A
-        + (rep_hat.xi_used - rep_hat.jsr.lower),
+        + (rep_hat.kappa.level - rep_hat.jsr.lower),
         lemma_gap_rho=abs(rho_aug_bar - rep_hat.rho_aug),
     )

@@ -50,7 +50,7 @@ def test_tracer_installs_and_restores_every_target(bench_modules):
 
 def test_tracer_counts_fill(bench_modules):
     # The count callbacks read result fields and argument names of the
-    # package (JsrBounds.levels_completed, KappaEstimate.complete,
+    # package (JsrBounds.levels_completed, TransientEstimate.complete,
     # A_list, ...), so a rename fails here, not in a traced run.
     layers, spans = bench_modules
     model, partition, _ = mj.generate(mj.SynthConfig(6, 2, 2, 1, seed=3))

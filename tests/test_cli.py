@@ -1,10 +1,12 @@
 import json
+import pathlib
 
 import numpy as np
 import pytest
 
 from mjsreduce.cli import main
 from mjsreduce.model import MjsModel, save_model
+from mjsreduce.synth import fig4_model
 
 
 def run(capsys, *argv):
@@ -171,6 +173,43 @@ def test_stability_beyond_dense_cap(tmp_path, capsys):
     assert saved["tau_exact"] is False and "tau_certified" in saved
 
 
+def test_stability_levels_far_from_the_radius(tmp_path, capsys):
+    # Neither a level^k that overflows past k = 1 (g = 0) nor one that
+    # underflows where every product of two nilpotent modes vanishes
+    # raises.
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(GOOD_MODEL))
+    nil = tmp_path / "nil.json"
+    nil.write_text(NILPOTENT_MODEL)
+    for path, flag, level, key, want in [
+        (model, "--rho", "1e200", "tau", 1.0),
+        (model, "--xi", "1e200", "kappa", 1.0),
+        (nil, "--xi", "1e-200", "kappa", 1e200),
+    ]:
+        code, stdout, err = run(
+            capsys, "stability", str(path), flag, level, "--out", str(tmp_path / "out")
+        )
+        assert code == 0, err
+        assert json.loads(stdout)[key] == want
+
+
+def test_stability_fig4_golden(tmp_path, capsys):
+    # stability.json of fig4_model(), kept under tests/data.
+    path = tmp_path / "fig4.json"
+    save_model(fig4_model()[0], str(path))
+    code, stdout, err = run(capsys, "stability", str(path), "--out", str(tmp_path / "out"))
+    assert code == 0, err
+    got = json.loads(stdout)
+    golden = pathlib.Path(__file__).parent / "data" / "stability_fig4.json"
+    want = json.loads(golden.read_text())
+    assert list(got) == list(want)
+    for key, value in want.items():
+        if isinstance(value, float):
+            assert got[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
+        else:
+            assert type(got[key]) is type(value) and got[key] == value, key
+
+
 def test_lqr_cli(tmp_path, capsys):
     gen, _ = gen_dir(tmp_path, capsys, name="g3", **{"--s": "4", "--n": "2", "--p": "1"})
     code, stdout, _ = run(
@@ -251,6 +290,12 @@ MALFORMED_MODELS = {
     "wrong-sizes": json.dumps(dict(GOOD_MODEL, s=3)).encode(),
     "fractional-size": json.dumps(dict(GOOD_MODEL, n=1.7)).encode(),
 }
+# A_1 = [[0, 1], [0, 0]], A_2 = [[0, .5], [0, 0]]: every product of two
+# modes vanishes, so rho_aug = JSR = 0 and any positive level passes.
+NILPOTENT_MODEL = json.dumps({
+    "s": 2, "n": 2, "p": 0, "A": [[[0, 1], [0, 0]], [[0, 0.5], [0, 0]]], "B": None,
+    "T": [[0.5, 0.5], [0.5, 0.5]],
+})
 MALFORMED_PARTITIONS = {
     "not-utf8": b"\xff\xfe",
     "strings": b'[[1, "a"], [2]]',
@@ -306,6 +351,12 @@ BAD_INPUT = (
     + [
         (f"partition-{name}", ["evaluate", "{model}", "--partition", "{bad}"], payload, 2, "InputError")
         for name, payload in MALFORMED_PARTITIONS.items()
+    ]
+    + [
+        (f"nilpotent{flag}={level}", ["stability", "{bad}", f"{flag}={level}"],
+         NILPOTENT_MODEL.encode(), 3, error)
+        for flag, error in (("--rho", "RhoTooSmall"), ("--xi", "XiTooSmall"))
+        for level in ("0", "-1e-13")
     ]
 )
 

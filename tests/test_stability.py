@@ -148,19 +148,33 @@ def test_tau_estimate_skips_only_what_cannot_win(seed, d, kind, lift, k_max):
     est = tau_estimate(M, rho, k_max=k_max)
     assert (est.value, est.argmax_k) == full_tau_sweep(M, rho, k_max)
     assert est.exact
-    if est.certified:  # the sup over every k: a longer sweep adds nothing
+    if est.complete:  # the sup over every k: a longer sweep adds nothing
         assert full_tau_sweep(M, rho, k_max + 60)[0] <= est.value * (1.0 + 1e-12)
 
 
 def test_tau_certified_flag():
     # ||M^k|| = 0.5^k: g(1) = 0.5 / 0.6 < 1 certifies at once.
     est = tau_estimate(np.diag([0.5, 0.1]), 0.6, k_max=5)
-    assert est.certified and est.value == 1.0
+    assert est.complete and est.value == 1.0
     # A Jordan block grows first: g(k) ~ 2 k (0.5 / 0.55)^k stays above
     # 1 up to k = 40 and falls below it well before k = 80.
     J = np.array([[0.5, 1.0], [0.0, 0.5]])
-    assert not tau_estimate(J, 0.55, k_max=40).certified
-    assert tau_estimate(J, 0.55, k_max=80).certified
+    assert not tau_estimate(J, 0.55, k_max=40).complete
+    assert tau_estimate(J, 0.55, k_max=40).unconverged
+    assert tau_estimate(J, 0.55, k_max=80).complete
+
+
+def test_tau_levels_whose_powers_overflow_or_underflow():
+    # 1e200^k overflows from k = 2 on: g(k) = 0 and g(1) < 1 certifies.
+    est = tau_estimate(np.diag([0.5, 0.1]), 1e200, k_max=3)
+    assert (est.value, est.argmax_k, est.complete) == (1.0, 0, True)
+    # 1e-200^2 underflows while ||S^2|| = 1: g(2) = inf; S^3 = 0 certifies.
+    S = np.eye(3, k=1)
+    est = tau_estimate(S, 1e-200, k_max=4)
+    assert (est.value, est.argmax_k, est.complete) == (np.inf, 2, True)
+    for rho in (0.0, -1e-13):  # level^k would vanish or flip its sign
+        with pytest.raises(RhoTooSmall, match="is not positive"):
+            tau_estimate(S, rho)
 
 
 def test_jsr_identity_scalings_are_tight():
@@ -219,27 +233,25 @@ def test_jsr_budget_marks_incomplete():
 
 
 def test_kappa_identity_family():
-    est = kappa_estimate([np.eye(2)], xi=1.01)
+    est = kappa_estimate(jsr_bounds([np.eye(2)]), xi=1.01)
     assert est.value == 1.0
     assert est.argmax_k == 0
     assert est.complete and not est.unconverged
     with pytest.raises(XiTooSmall):
-        kappa_estimate([2.0 * np.eye(2)], xi=1.0)
+        kappa_estimate(jsr_bounds([2.0 * np.eye(2)]), xi=1.0)
 
 
 @pytest.mark.parametrize("xi", [0.0, -0.5, float("nan")])
 def test_kappa_rejects_nonpositive_xi(xi):
     # Zero modes certify a JSR of 0, which xi = 0 would pass.
     with pytest.raises(XiTooSmall):
-        kappa_estimate(np.zeros((2, 2, 2)), xi)
-    with pytest.raises(XiTooSmall):
-        kappa_estimate(np.zeros((2, 2, 2)), xi, jsr=jsr_bounds(np.zeros((2, 2, 2))))
+        kappa_estimate(jsr_bounds(np.zeros((2, 2, 2))), xi)
 
 
 def test_kappa_matches_brute_force_products(rng):
     mats = [0.6 * rng.standard_normal((2, 2)) for _ in range(2)]
     xi = 1.05 * jsr_bounds(mats, k_max=6).upper
-    est = kappa_estimate(mats, xi)
+    est = kappa_estimate(jsr_bounds(mats), xi)
     assert est.complete
     best = 1.0
     for k in range(1, 13):
@@ -294,7 +306,7 @@ def test_enumerations_match_unpruned_products(seed, s, n, k_max):
     assert b.level_maxima == pytest.approx(maxima[: b.levels_completed], rel=1e-12)
     xi = default_level(b.upper)
     best = max([1.0] + [m / xi**k for k, m in enumerate(maxima, start=1)])
-    est = kappa_estimate(mats, xi, jsr=b)
+    est = kappa_estimate(b, xi)
     assert est.complete
     assert est.value == pytest.approx(best, rel=1e-12)
 
@@ -330,7 +342,7 @@ def test_certified_kappa_matches_a_sweep_to_twice_the_upper_level(
     mats = rng.standard_normal((s, n, n)) * rng.uniform(0.2, 1.5) / np.sqrt(n)
     b = jsr_bounds(mats, k_max=k_max)
     xi = lift * b.upper
-    est = kappa_estimate(mats, xi, jsr=b)
+    est = kappa_estimate(b, xi)
     assert est.complete and not est.unconverged
     k_u = next(
         k for k, m in enumerate(b.level_maxima, start=1) if m ** (1.0 / k) == b.upper
@@ -346,7 +358,7 @@ def test_kappa_slack_below_upper_is_not_certified():
     J = np.array([[[1.0, 1.0], [0.0, 1.0]]])
     b = jsr_bounds(J, k_max=3)
     xi = b.upper - 5e-13
-    est = kappa_estimate(J, xi, jsr=b)
+    est = kappa_estimate(b, xi)
     assert not est.complete and est.unconverged
     est.complete = True
     assert not est.unconverged
@@ -409,7 +421,7 @@ def test_stability_report_fig4():
     assert rep.a_bar == pytest.approx(1.3, abs=1e-12)
     assert rep.t_bar == 0.2
     assert rep.b_bar == 0.0
-    assert rep.rho_used == pytest.approx(min(1.01 * rep.rho_aug, 0.5 * (1 + rep.rho_aug)))
+    assert rep.tau.level == pytest.approx(min(1.01 * rep.rho_aug, 0.5 * (1 + rep.rho_aug)))
     assert rep.kappa.value >= 1.0
     assert rep.tau.value >= 1.0
     d = rep.to_dict()
@@ -422,7 +434,7 @@ def test_stability_report_walks_the_products_once(monkeypatch):
     calls = {"jsr_bounds": [], "kappa_estimate": []}
     for name, fn in [(k, getattr(stability, k)) for k in calls]:
         def counted(*args, _fn=fn, _name=name, **kwargs):
-            calls[_name].append(kwargs)
+            calls[_name].append(args)
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(stability, name, counted)
@@ -430,7 +442,7 @@ def test_stability_report_walks_the_products_once(monkeypatch):
     rep = stability_report(model, k_max_tau=4)
     assert len(calls["jsr_bounds"]) == 1
     assert len(calls["kappa_estimate"]) == 1
-    assert calls["kappa_estimate"][0]["jsr"] is rep.jsr
+    assert calls["kappa_estimate"][0][0] is rep.jsr
     assert rep.kappa.complete
     assert rep.a_bar == float(np.linalg.norm(model.A, 2, axis=(1, 2)).max())
 
@@ -479,7 +491,7 @@ def test_stability_report_rejects_rho_below_rho_aug():
     with pytest.raises(RhoTooSmall):
         stability_report(model, rho=0.9 * rho_aug, k_max_tau=2, k_max_jsr=2)
     rep = stability_report(model, rho=rho_aug, k_max_tau=2, k_max_jsr=2)
-    assert rep.rho_used == rho_aug
+    assert rep.tau.level == rho_aug
 
 
 def test_stability_comparison_report_fields(rng):
