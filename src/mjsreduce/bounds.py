@@ -18,7 +18,12 @@ import scipy.sparse
 from .errors import DimensionMismatch, InputError, NotNormalized, TooLarge, TooManySequences
 from .model import MjsModel, Partition, _check_x0, _resolve_init_dist, simulate_coupled_batch
 from .perturbation import perturbations
-from .stability import stability_report
+from .stability import JSR_BUDGET, stability_report
+
+# Largest number s^t of mode sequences transition_kernel_enum walks, and
+# the merge distance of its endpoints relative to max(||x0||, 1).
+KERNEL_PATHS = 200_000
+MERGE_TOL = 1e-10
 
 __all__ = [
     "BoundInputs",
@@ -77,12 +82,13 @@ class BoundInputs:
         u_bar: float = 0.0,
         rho: float | None = None,
         xi: float | None = None,
-        **report_kwargs,
+        budget: int = JSR_BUDGET,
     ) -> "BoundInputs":
-        """The constants of model, partition and x0; DimensionMismatch
-        unless x0 has shape (n,)."""
+        """The constants of model, partition and x0, with the transient
+        constants of stability_report(model, rho, xi, budget);
+        DimensionMismatch unless x0 has shape (n,)."""
         x0 = _check_x0(x0, model.n)
-        rep = stability_report(model, rho=rho, xi=xi, **report_kwargs)
+        rep = stability_report(model, rho=rho, xi=xi, budget=budget)
         eps = perturbations(model, partition, branch)
         return cls(
             n=model.n,
@@ -251,32 +257,25 @@ class KernelDistribution:
         return self.support.shape[0]
 
 
-def transition_kernel_enum(
-    model: MjsModel,
-    x0,
-    t: int,
-    init_dist=None,
-    cap: int = 200_000,
-    dedup_tol: float = 1e-10,
-) -> KernelDistribution:
+def transition_kernel_enum(model: MjsModel, x0, t: int, init_dist=None) -> KernelDistribution:
     """Exact law of x_t for an autonomous model by path enumeration.
 
     Walks all mode sequences of length t one level at a time (pruning
     zero-probability branches), in the order of a depth-first walk over
     the modes, collecting endpoint states and their probabilities.
     Each point, in that order, is merged into the first kept point that
-    lies within dedup_tol * max(||x0||, 1) and shares its cell of a grid
+    lies within MERGE_TOL * max(||x0||, 1) and shares its cell of a grid
     of that width; masses are added in point order.  Raises
     DimensionMismatch for a negative t or an x0 not of shape (n,),
-    TooManySequences when s^t exceeds the cap, TooLarge when the model
-    has inputs.
+    TooManySequences when s^t exceeds KERNEL_PATHS, TooLarge when the
+    model has inputs.
     """
     if t < 0:
         raise DimensionMismatch(f"t must be a nonnegative step count, got {t}")
     if model.p and np.any(model.B != 0.0):
         raise TooLarge("transition kernels are defined for autonomous models")
-    if model.s**t > cap:
-        raise TooManySequences(f"s^t = {model.s**t} exceeds the cap {cap}")
+    if model.s**t > KERNEL_PATHS:
+        raise TooManySequences(f"s^t = {model.s**t} exceeds the cap {KERNEL_PATHS}")
     x0 = _check_x0(x0, model.n)
     init, _ = _resolve_init_dist(model, init_dist)
     if t == 0:
@@ -292,7 +291,7 @@ def transition_kernel_enum(
         rows, modes = np.nonzero(weights > 0.0)
         q = weights[rows, modes]
         X = (model.A[modes] @ X[rows][..., None])[..., 0]
-    tol = dedup_tol * max(float(np.linalg.norm(x0)), 1.0)
+    tol = MERGE_TOL * max(float(np.linalg.norm(x0)), 1.0)
     support, label = _merge_points(X, tol)
     mass = np.bincount(label, weights=q, minlength=len(support))
     return KernelDistribution(support=support, mass=mass, t=t)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -26,22 +27,28 @@ from .stability import stability_report
 from .synth import SynthConfig, generate
 
 
-def _json_default(o):
-    if isinstance(o, np.generic):
-        return o.item()
-    if isinstance(o, np.ndarray):
-        return o.tolist()
-    raise TypeError(f"not JSON serializable: {type(o).__name__}")
+def _plain(o):
+    """o with numpy values turned into Python ones and each non-finite
+    float into the string "inf", "-inf" or "nan", so strict JSON holds it."""
+    if isinstance(o, (np.ndarray, np.generic)):
+        o = o.tolist()
+    if isinstance(o, dict):
+        return {k: _plain(v) for k, v in o.items()}
+    if isinstance(o, (list, tuple)):
+        return [_plain(v) for v in o]
+    if isinstance(o, float) and not math.isfinite(o):
+        return str(o)
+    return o
 
 
 def _dump(payload: dict, path: str) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, default=_json_default)
+        json.dump(_plain(payload), fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 
 def _print(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, default=_json_default))
+    print(json.dumps(_plain(payload), indent=2, allow_nan=False))
 
 
 def _truth_sidecar(model_path: str) -> str:

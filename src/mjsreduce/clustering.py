@@ -335,8 +335,8 @@ def kmeans_partition(
 
     Raises DimensionMismatch if points is not 2-D or r is not an integer
     of at least 1; InputError if points holds NaN or infinite values or
-    restarts is not an integer; DegenerateInput if restarts < 1, if
-    there are fewer points than clusters, or if squared distances
+    restarts is not an integer of at least 1; DegenerateInput if there
+    are fewer points than clusters, or if squared distances
     overflow; NotConverged if the winning restart is still moving after
     MAX_ITER Lloyd iterations.
     """
@@ -346,10 +346,8 @@ def kmeans_partition(
     if not np.all(np.isfinite(points)):
         raise InputError("points must be finite")
     _check_cluster_count(r)
-    if not _is_integer(restarts):
-        raise InputError(f"restarts must be an integer, got {restarts!r}")
-    if restarts < 1:
-        raise DegenerateInput("restarts must be at least 1")
+    if not _is_integer(restarts) or restarts < 1:
+        raise InputError(f"restarts must be an integer of at least 1, got {restarts!r}")
     if points.shape[0] < r:
         raise DegenerateInput(
             f"cannot form {r} clusters from {points.shape[0]} points"

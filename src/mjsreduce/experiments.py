@@ -107,11 +107,11 @@ def _fmt(v) -> str:
     return format(float(v), ".12g")
 
 
-def demoted_weights(model, t_factor: float = 0.01) -> tuple[float, float, float]:
-    """Default weights with the transition share scaled down, for sweeps
-    where the transition features should not steer the clustering."""
+def demoted_weights(model) -> tuple[float, float, float]:
+    """Default weights with the transition share scaled down 100-fold, for
+    sweeps where the transition features should not steer the clustering."""
     wa, wb, wt = default_weights(model)
-    wt *= t_factor
+    wt *= 0.01
     total = wa + wb + wt
     return (wa / total, wb / total, wt / total)
 

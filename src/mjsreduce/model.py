@@ -115,12 +115,16 @@ class Partition:
     """Disjoint non-empty clusters of the mode set {0, ..., s-1}.
 
     Clusters are stored sorted, 0-based.  JSON serialization is 1-based
-    (see to_lists_1based / from_lists_1based).
+    (see to_lists_1based / from_lists_1based).  A fractional mode number
+    raises InputError.
     """
 
     def __init__(self, clusters, s: int | None = None) -> None:
         cleaned = []
         for c in clusters:
+            c = list(c)
+            if any(i != int(i) for i in c):
+                raise InputError(f"mode numbers must be integers, got the 0-based cluster {c}")
             c = tuple(sorted(int(i) for i in c))
             if not c:
                 raise PartitionMismatch("empty cluster")
@@ -219,10 +223,7 @@ class Partition:
     @classmethod
     def from_lists_1based(cls, lists, s: int | None = None) -> "Partition":
         """Read 1-based clusters; InputError for a fractional mode number."""
-        clusters = [[i - 1 for i in c] for c in lists]
-        if any(i != int(i) for c in clusters for i in c):
-            raise InputError(f"mode numbers must be integers, got {lists}")
-        return cls(clusters, s=s)
+        return cls([[i - 1 for i in c] for c in lists], s=s)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Partition) and self.clusters == other.clusters
@@ -256,27 +257,28 @@ class Trajectory:
         return len(self.modes)
 
 
-def validate_model(model: MjsModel, tol: float = 1e-9) -> list[str]:
+def validate_model(model: MjsModel) -> list[str]:
     """Return a list of value-level violations; empty means valid.
 
-    Never raises.  Checks: finite entries, nonnegative T, unit row sums.
+    Never raises.  Checks: finite entries, nonnegative T, unit row sums,
+    the last two to within 1e-9.
     """
     violations: list[str] = []
     for name, M in (("A", model.A), ("B", model.B), ("T", model.T)):
         if not np.all(np.isfinite(M)):
             violations.append(f"{name} contains non-finite entries")
     if np.all(np.isfinite(model.T)):
-        if np.any(model.T < -tol):
-            i, j = np.argwhere(model.T < -tol)[0]
+        if np.any(model.T < -1e-9):
+            i, j = np.argwhere(model.T < -1e-9)[0]
             violations.append(f"T({i},{j}) = {model.T[i, j]:.6g} is negative")
         sums = model.T.sum(axis=1)
-        for i in np.nonzero(np.abs(sums - 1.0) > tol)[0]:
+        for i in np.nonzero(np.abs(sums - 1.0) > 1e-9)[0]:
             violations.append(f"T row {i} sums to {sums[i]:.6g}")
     return violations
 
 
-def is_ergodic(T: np.ndarray, tol: float = 1e-14) -> bool:
-    """True iff some power T^m with m <= s^2 is entrywise positive.
+def is_ergodic(T: np.ndarray) -> bool:
+    """True iff some power T^m with m <= s^2 is entrywise above 1e-14.
 
     Once a power is positive every higher power stays positive (each row
     of a stochastic matrix has a positive entry), so squaring up to the
@@ -287,7 +289,7 @@ def is_ergodic(T: np.ndarray, tol: float = 1e-14) -> bool:
     M = T
     m = 1
     while True:
-        if np.all(M > tol):
+        if np.all(M > 1e-14):
             return True
         if m >= s * s:
             return False

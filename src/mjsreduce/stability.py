@@ -22,8 +22,8 @@ The dense form of L is the augmented (s n^2) x (s n^2) block matrix
 whose (i, j) block is T(j, i) * kron(A_j, A_j), built from the same
 stack of mode krons that apply_columns multiplies.  It is kept as the
 fallback of MomentOperator.rho when ARPACK fails and as the oracle the
-tests compare the operator against; it is size-capped.  tau_estimate
-takes any such matrix and sweeps its powers directly.
+tests compare the operator against; it is capped at DEFAULT_SIZE_CAP.
+tau_estimate takes any such matrix and sweeps its powers directly.
 
 The uniform side walks the mode products once.  jsr_bounds enumerates
 them level by level, each level one stacked matmul of the kept prefixes
@@ -87,6 +87,11 @@ ARPACK_RESTARTS = 300
 # the rounding of both the bounds and the exact 2-norm; a swept level
 # certifies the sup only with it.
 BOUND_MARGIN = 1e-12
+# Powers of L swept for tau, product lengths enumerated for the JSR and
+# kappa, and products the JSR walk may form before it stops incomplete.
+TAU_STEPS = 64
+JSR_LEVELS = 8
+JSR_BUDGET = 100_000
 
 
 @dataclass
@@ -122,15 +127,15 @@ class JsrBounds:
     level_maxima: tuple[float, ...]
 
 
-def augmented_matrix(model: MjsModel, cap: int = DEFAULT_SIZE_CAP) -> np.ndarray:
+def augmented_matrix(model: MjsModel) -> np.ndarray:
     """Second-moment propagator of the autonomous part.
 
     Block (i, j) equals T(j, i) * kron(A_j, A_j).  Raises TooLarge when
-    s * n^2 exceeds the cap.
+    s * n^2 exceeds DEFAULT_SIZE_CAP.
     """
     dim = model.s * model.n * model.n
-    if dim > cap:
-        raise TooLarge(f"augmented matrix would be {dim} x {dim}, cap is {cap}")
+    if dim > DEFAULT_SIZE_CAP:
+        raise TooLarge(f"augmented matrix would be {dim} x {dim}, cap is {DEFAULT_SIZE_CAP}")
     blocks = np.einsum("ji,jab->iajb", model.T, _krons(model.A), order="C")
     return blocks.reshape(dim, dim)
 
@@ -141,10 +146,8 @@ def _krons(A: np.ndarray) -> np.ndarray:
     return np.einsum("jab,jcd->jacbd", A, A).reshape(s, m, m)
 
 
-def spectral_radius(M: np.ndarray, cap: int = DEFAULT_SIZE_CAP) -> float:
+def spectral_radius(M: np.ndarray) -> float:
     M = np.asarray(M)
-    if M.shape[0] > cap:
-        raise TooLarge(f"matrix is {M.shape[0]} x {M.shape[1]}, cap is {cap}")
     return float(np.abs(np.linalg.eigvals(M)).max()) if M.size else 0.0
 
 
@@ -313,7 +316,7 @@ def _check_level(name: str, level: float, radius: float) -> None:
         raise error(f"{name} = {level} is below {what} {radius}")
 
 
-def tau_estimate(M: np.ndarray, rho: float, k_max: int = 64) -> TransientEstimate:
+def tau_estimate(M: np.ndarray, rho: float, k_max: int = TAU_STEPS) -> TransientEstimate:
     """Transient growth constant sup_k ||M^k||_2 / rho^k, k = 0..k_max.
 
     Requires a positive rho >= spectral_radius(M) (RhoTooSmall
@@ -321,7 +324,7 @@ def tau_estimate(M: np.ndarray, rho: float, k_max: int = 64) -> TransientEstimat
     some swept power certifies the sup over every k.
     """
     M = np.asarray(M, dtype=float)
-    _check_level("rho", rho, spectral_radius(M, cap=M.shape[0]))
+    _check_level("rho", rho, spectral_radius(M))
     powers = _dense_powers(lambda P: P @ M, np.eye(M.shape[0]), k_max)
     return _sweep(powers, rho, exact=True)
 
@@ -374,7 +377,7 @@ def _sweep(powers, level: float, exact: bool) -> TransientEstimate:
     )
 
 
-def jsr_bounds(A_list, k_max: int = 8, budget: int = 100_000) -> JsrBounds:
+def jsr_bounds(A_list, k_max: int = JSR_LEVELS, budget: int = JSR_BUDGET) -> JsrBounds:
     """Bracket the joint spectral radius by product enumeration.
 
     Level k stacks the products A_{i_1} ... A_{i_k} of the kept prefixes
@@ -501,14 +504,11 @@ class StabilityReport:
 
 
 def stability_report(
-    model: MjsModel,
-    rho: float | None = None,
-    xi: float | None = None,
-    k_max_tau: int = 64,
-    k_max_jsr: int = 8,
-    budget: int = 100_000,
+    model: MjsModel, rho: float | None = None, xi: float | None = None, budget: int = JSR_BUDGET
 ) -> StabilityReport:
-    """All stability diagnostics of one model in a single pass.
+    """All stability diagnostics of one model in a single pass: tau over
+    TAU_STEPS powers of L, the JSR walk over JSR_LEVELS product lengths
+    within budget products, and kappa from that walk.
 
     rho defaults to 1.01 * rho_aug (kept below 1 when rho_aug is); the
     same lift applies to xi on top of the certified joint-spectral-
@@ -519,8 +519,8 @@ def stability_report(
     rho_aug = op.rho()
     rho = default_level(rho_aug) if rho is None else rho
     _check_level("rho", rho, rho_aug)
-    tau = op.tau(rho, k_max_tau)
-    jsr = jsr_bounds(model.A, k_max=k_max_jsr, budget=budget)
+    tau = op.tau(rho, TAU_STEPS)
+    jsr = jsr_bounds(model.A, k_max=JSR_LEVELS, budget=budget)
     kappa = kappa_estimate(jsr, default_level(jsr.upper) if xi is None else xi)
     return StabilityReport(
         rho_aug=rho_aug,
@@ -567,16 +567,10 @@ class StabilityComparison:
 
 
 def stability_comparison(
-    model: MjsModel,
-    reduction: ReductionResult,
-    branch: str | None = None,
-    rho: float | None = None,
-    rho_hat: float | None = None,
-    xi: float | None = None,
-    xi_hat: float | None = None,
-    **sweep_kwargs,
+    model: MjsModel, reduction: ReductionResult, branch: str | None = None
 ) -> StabilityComparison:
-    """Compare stability levels of a model and its reduction.
+    """Compare stability levels of a model and its reduction, each
+    reported by stability_report at its default levels.
 
     Evaluates the two-sided spectral-radius perturbation bounds with
     eps_rho = sqrt(s) ((2 Abar + eps_A) eps_A + Abar^2 eps_T) and the
@@ -590,8 +584,8 @@ def stability_comparison(
     partition = reduction.partition
     reduced = reduction.reduced
     eps = perturbations(model, partition, branch)
-    rep = stability_report(model, rho=rho, xi=xi, **sweep_kwargs)
-    rep_hat = stability_report(reduced, rho=rho_hat, xi=xi_hat, **sweep_kwargs)
+    rep = stability_report(model)
+    rep_hat = stability_report(reduced)
     eps_rho = float(
         np.sqrt(model.s)
         * ((2.0 * rep.a_bar + eps.eps_A) * eps.eps_A + rep.a_bar**2 * eps.eps_T)

@@ -251,8 +251,7 @@ def test_criterion_6_uniform_stability_dominance():
         )
         xi = max(np.linalg.norm(model.A[j], 2) for j in range(s)) + 1e-9
         b = BoundInputs.from_model(
-            model, truth, "aggregatable", x0=np.ones(3), xi=xi,
-            k_max_jsr=4, k_max_tau=16,
+            model, truth, "aggregatable", x0=np.ones(3), xi=xi, budget=10_000
         )
         ok_premise, reasons = us_premises(b)
         if not ok_premise:
@@ -320,8 +319,7 @@ def test_criterion_7_wasserstein_exactness_and_bound():
         )
         red = average_model(model, truth)
         b = BoundInputs.from_model(
-            model, truth, "aggregatable", x0=np.ones(2),
-            k_max_jsr=4, k_max_tau=16,
+            model, truth, "aggregatable", x0=np.ones(2), budget=10_000
         )
         pi = stationary_distribution(model.T)
         pi_red = np.array([pi[list(c)].sum() for c in truth.clusters])

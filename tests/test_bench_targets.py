@@ -48,17 +48,18 @@ def test_tracer_installs_and_restores_every_target(bench_modules):
     assert lqr.closed_loop_average_cost is before
 
 
-def test_tracer_counts_fill(bench_modules):
+def test_tracer_counts_fill(bench_modules, monkeypatch):
     # The count callbacks read result fields and argument names of the
     # package (JsrBounds.levels_completed, TransientEstimate.complete,
     # A_list, ...), so a rename fails here, not in a traced run.
     layers, spans = bench_modules
     model, partition, _ = mj.generate(mj.SynthConfig(6, 2, 2, 1, seed=3))
     reduced = mj.average_model(model, partition)
+    monkeypatch.setattr(mj.stability, "JSR_LEVELS", 3)
     tracer = spans.Tracer(layers.TARGETS)
     try:
         tracer.install()
-        mj.stability_report(model, k_max_tau=4, k_max_jsr=3)
+        mj.stability_report(model)
         mj.kmeans_partition(np.arange(12.0).reshape(6, 2), 2, restarts=3, seed=0)
         mj.riccati_solve(model, np.eye(2), np.eye(1))
         mj.simulate_coupled_batch(model, reduced, partition, np.ones(2), 5, 4, seed=0)

@@ -1,11 +1,13 @@
 import dataclasses
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import mjsreduce.bounds as bounds
 from conftest import random_model, three_state_model
 from mjsreduce.bounds import (
     BoundInputs,
@@ -83,8 +85,9 @@ def test_kernel_enum_init_forms():
 
 
 def test_kernel_enum_rejections(rng):
+    # 2^18 = 262 144 mode sequences, above KERNEL_PATHS.
     with pytest.raises(TooManySequences):
-        transition_kernel_enum(SCALAR_PAIR, np.array([1.0]), 9, cap=100)
+        transition_kernel_enum(SCALAR_PAIR, np.array([1.0]), 18)
     driven = random_model(rng, s=2, n=2, p=1)
     with pytest.raises(TooLarge):
         transition_kernel_enum(driven, np.zeros(2), 1)
@@ -198,7 +201,8 @@ def test_kernel_enum_equals_recursive_walk(seed, s, n, t, init, commuting, dedup
     if init == "weights":
         init_dist[0] += 1.0 - init_dist.sum()
     x0 = rng.standard_normal(n)
-    k = transition_kernel_enum(model, x0, t, init_dist=init_dist, dedup_tol=dedup_tol)
+    with mock.patch.object(bounds, "MERGE_TOL", dedup_tol):
+        k = transition_kernel_enum(model, x0, t, init_dist=init_dist)
     support, mass = recursive_kernel(model, x0, t, init_dist, dedup_tol)
     assert k.support.shape == support.shape
     np.testing.assert_allclose(k.support, support, rtol=1e-12, atol=0.0)

@@ -193,6 +193,25 @@ def test_stability_levels_far_from_the_radius(tmp_path, capsys):
         assert json.loads(stdout)[key] == want
 
 
+def test_json_outputs_are_strict(tmp_path, capsys):
+    # On the one-mode 3 x 3 shift, rho^2 underflows where ||L^2|| = 1,
+    # so tau is infinite; it is written as the string "inf", not as the
+    # bare token Infinity that strict parsers refuse.
+    shift = tmp_path / "shift.json"
+    save_model(MjsModel([np.eye(3, k=1)], None, [[1.0]]), shift)
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, "stability", str(shift), "--rho=1e-200", "--out", str(out))
+    assert code == 0, err
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    with open(out / "stability.json") as fh:
+        payload = json.load(fh, parse_constant=refuse)
+    assert payload["tau"] == "inf"
+    assert json.loads(stdout, parse_constant=refuse) == payload
+
+
 def test_stability_fig4_golden(tmp_path, capsys):
     # stability.json of fig4_model(), kept under tests/data.
     path = tmp_path / "fig4.json"
@@ -333,6 +352,13 @@ FLAG_CASES = [
         2,
         "InputError",
     ),
+    (
+        "evaluate-inf-kmeans-eps",
+        ["evaluate", "{model}", "--r", "2", "--kmeans-eps", "inf"],
+        2,
+        "InputError",
+    ),
+    ("reduce-zero-restarts", ["reduce", "{model}", "--r", "2", "--restarts", "0"], 2, "InputError"),
     (
         "evaluate-nan-kmeans-eps",
         ["evaluate", "{model}", "--r", "1", "--kmeans-eps", "nan"],

@@ -133,7 +133,7 @@ def test_kmeans_determinism_and_validation():
     assert a[0] == b[0] and a[2] == b[2]
     with pytest.raises(DegenerateInput):
         kmeans_partition(pts, 13)
-    with pytest.raises(DegenerateInput):
+    with pytest.raises(InputError, match="at least 1"):
         kmeans_partition(pts, 3, restarts=0)
 
 

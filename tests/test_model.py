@@ -212,6 +212,15 @@ def test_partition_rejects_bad_covers():
         Partition([[0], []])  # empty cluster
 
 
+def test_partition_refuses_fractional_mode_numbers():
+    # Truncating would read [[0.5], [1.7]] as [[0], [1]].
+    with pytest.raises(InputError, match="must be integers"):
+        Partition([[0.5], [1.7]])
+    with pytest.raises(InputError, match="must be integers"):
+        Partition.from_lists_1based([[1.5], [2]])
+    assert Partition([[0.0], [np.float64(1.0)]]) == Partition([[0], [1]])
+
+
 def test_simulate_horizon_zero():
     traj = simulate(three_state_model(), [1.0, 2.0], 0, seed=0)
     assert traj.states.shape == (1, 2)

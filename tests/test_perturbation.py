@@ -14,7 +14,7 @@ from conftest import (
     three_state_model,
 )
 from mjsreduce.clustering import build_features_aggregatable, reduce_model
-from mjsreduce.errors import DimensionMismatch, InfeasibleBlock, InputError, SizeMismatch
+from mjsreduce.errors import DimensionMismatch, InputError, SizeMismatch
 from mjsreduce.model import MjsModel, Partition
 from mjsreduce.perturbation import (
     averaged_feature_matrix,
@@ -141,7 +141,10 @@ def test_construct_T0_lumpable_blocks_exact(rng):
         eps_T = perturbations(
             MjsModel(np.zeros((s, 1, 1)), None, T), part, "lumpable"
         ).eps_T
-        T0 = construct_T0(T, part, eps_T=eps_T)
+        T0 = construct_T0(T, part)
+        # Never farther from T than the measured perturbation.
+        assert np.abs(T0 - T).sum(axis=1).max() <= eps_T + 1e-9
+        assert np.linalg.norm(T0 - T) <= eps_T + 1e-9
         assert np.all(T0 >= 0.0) and np.all(T0 <= 1.0)
         assert np.abs(T0.sum(axis=1) - 1.0).max() <= 1e-12
         for ck in part.clusters:
@@ -153,13 +156,10 @@ def test_construct_T0_lumpable_blocks_exact(rng):
 
 def test_construct_T0_fixes_nothing_on_lumpable_chains():
     part = Partition([[0, 1], [2, 3]])
-    T0 = construct_T0(REVERSIBLE_LUMPABLE_T, part, eps_T=0.0)
+    T0 = construct_T0(REVERSIBLE_LUMPABLE_T, part)
     assert np.abs(T0 - REVERSIBLE_LUMPABLE_T).max() <= 1e-12
-
-
-def test_construct_T0_budget_violation_raises():
-    with pytest.raises(InfeasibleBlock, match="budget"):
-        construct_T0(THREE_STATE_T, SPLIT, eps_T=1e-6, branch="aggregatable")
+    assert np.abs(T0 - REVERSIBLE_LUMPABLE_T).sum(axis=1).max() <= 1e-9
+    assert np.linalg.norm(T0 - REVERSIBLE_LUMPABLE_T) <= 1e-9
 
 
 def test_combine_perturbations_formula():
@@ -257,7 +257,7 @@ def test_mr_bound_invariant_to_relabeling(rng):
         assert b.sigma_r_phibar == pytest.approx(a.sigma_r_phibar, rel=1e-9)
 
 
-@pytest.mark.parametrize("kmeans_eps", [-3.0, -1e-12, float("nan")])
+@pytest.mark.parametrize("kmeans_eps", [-3.0, -1e-12, float("nan"), float("inf")])
 def test_mr_bound_refuses_negative_or_nan_kmeans_eps(kmeans_eps):
     model, part = fig4_model()
     with pytest.raises(InputError, match="kmeans_eps"):

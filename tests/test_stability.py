@@ -1,4 +1,5 @@
 import functools
+import inspect
 import itertools
 
 import numpy as np
@@ -8,9 +9,12 @@ from hypothesis import strategies as st
 
 import mjsreduce.stability as stability
 from conftest import random_model
+from mjsreduce.bounds import BoundInputs, transition_kernel_enum
 from mjsreduce.clustering import reduce_model
+from mjsreduce.experiments import demoted_weights
 from mjsreduce.errors import RhoTooSmall, TooLarge, XiTooSmall
-from mjsreduce.model import MjsModel, simulate_batch
+from mjsreduce.model import MjsModel, is_ergodic, simulate_batch, validate_model
+from mjsreduce.perturbation import construct_T0
 from mjsreduce.stability import (
     augmented_matrix,
     default_level,
@@ -37,6 +41,34 @@ def rotation_model(rng, s, n, scale):
     return MjsModel(np.stack(mats), None, T)
 
 
+def test_certificate_entry_points_take_no_tuning_options():
+    # A certificate depends on the model and a decay level only; depths,
+    # caps and tolerances are module constants (budget stays settable).
+    for fn, names in (
+        (stability_report, ("model", "rho", "xi", "budget")),
+        (stability_comparison, ("model", "reduction", "branch")),
+        (
+            BoundInputs.from_model,
+            ("model", "partition", "branch", "x0", "u_bar", "rho", "xi", "budget"),
+        ),
+        (transition_kernel_enum, ("model", "x0", "t", "init_dist")),
+        (spectral_radius, ("M",)),
+        (augmented_matrix, ("model",)),
+        (construct_T0, ("T", "partition", "branch")),
+        (validate_model, ("model",)),
+        (is_ergodic, ("T",)),
+        (demoted_weights, ("model",)),
+    ):
+        assert tuple(inspect.signature(fn).parameters) == names, fn.__qualname__
+    budget = stability.JSR_BUDGET
+    assert (stability.TAU_STEPS, stability.JSR_LEVELS, budget) == (64, 8, 100_000)
+    for fn in (stability_report, BoundInputs.from_model):
+        assert inspect.signature(fn).parameters["budget"].default == budget
+    jsr = inspect.signature(jsr_bounds).parameters
+    assert (jsr["k_max"].default, jsr["budget"].default) == (stability.JSR_LEVELS, budget)
+    assert inspect.signature(tau_estimate).parameters["k_max"].default == stability.TAU_STEPS
+
+
 def test_augmented_matrix_single_mode_is_kron():
     A = np.array([[[0.5, 0.2], [0.0, 0.3]]])
     m = MjsModel(A, None, np.array([[1.0]]))
@@ -58,8 +90,6 @@ def test_augmented_matrix_matches_moment_recursion(rng):
 def test_spectral_radius_values():
     assert spectral_radius(np.diag([0.5, -0.9])) == pytest.approx(0.9, abs=1e-12)
     assert spectral_radius(np.zeros((0, 0))) == 0.0
-    with pytest.raises(TooLarge):
-        spectral_radius(np.eye(10), cap=4)
 
 
 def test_augmented_scalar_mode_squares():
@@ -67,10 +97,11 @@ def test_augmented_scalar_mode_squares():
     assert spectral_radius(augmented_matrix(m)) == pytest.approx(0.49, abs=1e-12)
 
 
-def test_augmented_matrix_cap():
+def test_augmented_matrix_cap(monkeypatch):
     m = MjsModel(np.zeros((5, 4, 4)), None, np.full((5, 5), 0.2))
+    monkeypatch.setattr(stability, "DEFAULT_SIZE_CAP", 16)
     with pytest.raises(TooLarge):
-        augmented_matrix(m, cap=16)
+        augmented_matrix(m)
 
 
 def test_default_level():
@@ -405,9 +436,7 @@ def test_reduction_preserves_moment_radius_at_zero_perturbation():
             SynthConfig(6, 2, 2, 0, branch="aggregatable", seed=seed)
         )
         res = reduce_model(model, 2, branch="aggregatable", seed=seed)
-        comp = stability_comparison(
-            model, res, k_max_tau=8, k_max_jsr=3
-        )
+        comp = stability_comparison(model, res)
         assert comp.lemma_gap_rho <= 1e-8
 
 
@@ -439,7 +468,7 @@ def test_stability_report_walks_the_products_once(monkeypatch):
 
         monkeypatch.setattr(stability, name, counted)
     model, _, _ = generate(SynthConfig(8, 2, 3, 0, seed=2))
-    rep = stability_report(model, k_max_tau=4)
+    rep = stability_report(model, budget=10_000)
     assert len(calls["jsr_bounds"]) == 1
     assert len(calls["kappa_estimate"]) == 1
     assert calls["kappa_estimate"][0][0] is rep.jsr
@@ -453,17 +482,17 @@ def test_stability_report_takes_one_spectral_radius(monkeypatch):
     calls = []
     dense = stability.spectral_radius
 
-    def counted(M, cap=4096):
+    def counted(M):
         calls.append(np.asarray(M).shape)
-        return dense(M, cap)
+        return dense(M)
 
     monkeypatch.setattr(stability, "spectral_radius", counted)
     model, _ = fig4_model()  # s n^2 = 24: the dense path
-    stability_report(model, k_max_tau=4, k_max_jsr=2)
+    stability_report(model, budget=10_000)
     assert calls.count((24, 24)) == 1
     calls.clear()
     big, _, _ = generate(SynthConfig(8, 2, 3, 0, seed=2))  # 72: ARPACK
-    rep = stability_report(big, k_max_tau=4, k_max_jsr=2)
+    rep = stability_report(big, budget=10_000)
     assert (72, 72) not in calls
     assert rep.rho_aug == pytest.approx(dense(augmented_matrix(big)), rel=1e-9)
 
@@ -478,26 +507,25 @@ def test_reports_never_build_the_augmented_matrix(monkeypatch):
     assert res.reduced.s * res.reduced.n**2 > stability.DENSE_RHO_MAX
     built = []
     monkeypatch.setattr(stability, "augmented_matrix", lambda *a, **k: built.append(a))
-    kwargs = dict(k_max_tau=8, k_max_jsr=2)
-    rep = stability_report(model, **kwargs)
-    comp = stability_comparison(model, res, **kwargs)
+    rep = stability_report(model, budget=10_000)
+    comp = stability_comparison(model, res)
     assert built == []
     assert rep.tau.exact and comp.report_reduced.tau.exact
 
 
 def test_stability_report_rejects_rho_below_rho_aug():
     model, _ = fig4_model()
-    rho_aug = stability_report(model, k_max_tau=2, k_max_jsr=2).rho_aug
+    rho_aug = stability_report(model, budget=10_000).rho_aug
     with pytest.raises(RhoTooSmall):
-        stability_report(model, rho=0.9 * rho_aug, k_max_tau=2, k_max_jsr=2)
-    rep = stability_report(model, rho=rho_aug, k_max_tau=2, k_max_jsr=2)
+        stability_report(model, rho=0.9 * rho_aug, budget=10_000)
+    rep = stability_report(model, rho=rho_aug, budget=10_000)
     assert rep.tau.level == rho_aug
 
 
 def test_stability_comparison_report_fields(rng):
     model, _, _ = generate(SynthConfig(4, 2, 2, 0, seed=5))
     res = reduce_model(model, 2, branch="aggregatable", seed=5)
-    comp = stability_comparison(model, res, k_max_tau=8, k_max_jsr=3)
+    comp = stability_comparison(model, res)
     assert comp.eps_rho >= 0.0
     assert comp.rho_gap_forward == -comp.rho_gap_reverse
     d = comp.to_dict()
