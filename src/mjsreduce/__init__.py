@@ -61,7 +61,6 @@ from .lqr import (
     LqrSolution,
     SuboptimalityResult,
     closed_loop_average_cost,
-    cumulative_cost_noisefree,
     lift_gains,
     monte_carlo_cost,
     reduced_lqr_suboptimality,
@@ -71,16 +70,12 @@ from .lqr import (
 from .model import (
     MjsModel,
     Partition,
-    Trajectory,
     expand_reduced,
     is_ergodic,
     load_model,
     model_from_dict,
     model_to_dict,
     save_model,
-    simulate,
-    simulate_batch,
-    simulate_coupled,
     simulate_coupled_batch,
     stationary_distribution,
     validate_model,
@@ -104,7 +99,6 @@ from .stability import (
     augmented_matrix,
     jsr_bounds,
     kappa_estimate,
-    second_moment_evolution,
     spectral_radius,
     stability_comparison,
     stability_report,

@@ -277,7 +277,7 @@ def transition_kernel_enum(model: MjsModel, x0, t: int, init_dist=None) -> Kerne
     if model.s**t > KERNEL_PATHS:
         raise TooManySequences(f"s^t = {model.s**t} exceeds the cap {KERNEL_PATHS}")
     x0 = _check_x0(x0, model.n)
-    init, _ = _resolve_init_dist(model, init_dist)
+    init = _resolve_init_dist(model, init_dist)
     if t == 0:
         return KernelDistribution(support=np.array([x0]), mass=np.ones(1), t=0)
     # One row per live path: its last mode, probability and state.
@@ -430,19 +430,14 @@ def empirical_traj_diff(
     n_traj: int,
     seed=None,
     noise_std: float = 0.0,
-    init_dist=None,
 ) -> DiffStats:
-    """Monte Carlo estimate of the coupled trajectory difference."""
+    """Monte Carlo estimate of the coupled trajectory difference.
+
+    Runs simulate_coupled_batch: n_traj autonomous runs from x0, the
+    modes drawn from the stationary law model.pi, the noise shared.
+    """
     states, red_states, _ = simulate_coupled_batch(
-        model,
-        reduced,
-        partition,
-        x0,
-        horizon,
-        n_traj,
-        noise_std=noise_std,
-        seed=seed,
-        init_dist=init_dist,
+        model, reduced, partition, x0, horizon, n_traj, noise_std=noise_std, seed=seed
     )
     diff = np.linalg.norm(states - red_states, axis=2)
     return DiffStats(

@@ -18,11 +18,11 @@ convergence themselves.
 A fixed gain u = K x is priced through its closed-loop value matrices,
 the solution of V = stage + L*(V) with stage_i = Q + K_i' R K_i and L*
 the adjoint of the closed loop's second-moment operator
-(stability.MomentOperator).  Both costs are pairings with V: the
-stationary cost under iid noise is sigma_w^2 sum_i pi_i tr V_i, the
-noise-free total from x0 is sum_i P(w_0 = i) x0' V_i x0 (Costa,
-Fragoso & Marques, Discrete-Time Markov Jump Linear Systems, 2005,
-ch. 3).
+(stability.MomentOperator).  The stationary cost under iid noise is
+the pairing sigma_w^2 sum_i pi_i tr V_i (Costa, Fragoso & Marques,
+Discrete-Time Markov Jump Linear Systems, 2005, ch. 3).
+monte_carlo_cost estimates the same cost by rolling the closed loop
+A + B K out from the stationary law.
 """
 
 from __future__ import annotations
@@ -45,8 +45,6 @@ from .model import (
     Partition,
     _batch_modes,
     _check_noise_std,
-    _check_x0,
-    _resolve_init_dist,
     _rollout,
 )
 from .clustering import ReductionResult, reduce_model
@@ -61,7 +59,6 @@ __all__ = [
     "lift_gains",
     "closed_loop_average_cost",
     "monte_carlo_cost",
-    "cumulative_cost_noisefree",
     "reduced_lqr_suboptimality",
 ]
 
@@ -285,7 +282,7 @@ def monte_carlo_cost(
         )
     A_cl, stage = _closed_loop(model, K, Q, R)
     rng = np.random.default_rng(seed)
-    modes = _batch_modes(rng, model, n_traj, horizon, None)
+    modes = _batch_modes(rng, model, n_traj, horizon)
     x0 = np.zeros(model.n) if x0 is None else x0
     totals = np.zeros(n_traj)
     for t, X in enumerate(_rollout(A_cl, modes[None], x0, sigma_w, rng)):
@@ -305,22 +302,6 @@ def monte_carlo_cost(
         sigma_w=sigma_w,
         stderr=float(per_traj.std(ddof=1) / np.sqrt(n_traj)) if n_traj > 1 else None,
     )
-
-
-def cumulative_cost_noisefree(
-    model: MjsModel, K, Q, R, x0, init_dist=None
-) -> float:
-    """Expected total cost sum_t x' (Q + K' R K) x without noise.
-
-    sum_i P(w_0 = i) x0' V_i x0 over the closed-loop value matrices V.
-    Raises DimensionMismatch for an x0 that is not of length n, NotMss
-    for a closed loop that is not mean-square stable, NotConverged
-    after FIXED_POINT_STEPS steps of the value recursion.
-    """
-    x0 = _check_x0(x0, model.n)
-    init, _ = _resolve_init_dist(model, init_dist)
-    V, _, _ = _closed_loop_values(model, K, Q, R)
-    return float(np.einsum("i,j,ijk,k->", init, x0, V, x0))
 
 
 @dataclass

@@ -3,14 +3,15 @@
 A system is given by mode matrices A_1..A_s (n x n), input matrices
 B_1..B_s (n x p), and a row-stochastic mode transition matrix T (s x s).
 The state evolves as x_{t+1} = A[w_t] x_t + B[w_t] u_t where the mode
-sequence w_t is a Markov chain driven by T; every simulator steps it in
-the one kernel _rollout.
+sequence w_t is a Markov chain driven by T.  Simulation is autonomous:
+a system under state feedback u = K x runs as its closed loop A + B K.
+simulate_coupled_batch and lqr.monte_carlo_cost both step their paths,
+started from the stationary law, in the one kernel _rollout.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -26,13 +27,9 @@ from .errors import (
 __all__ = [
     "MjsModel",
     "Partition",
-    "Trajectory",
     "validate_model",
     "is_ergodic",
     "stationary_distribution",
-    "simulate",
-    "simulate_batch",
-    "simulate_coupled",
     "simulate_coupled_batch",
     "expand_reduced",
     "model_to_dict",
@@ -115,17 +112,21 @@ class Partition:
     """Disjoint non-empty clusters of the mode set {0, ..., s-1}.
 
     Clusters are stored sorted, 0-based.  JSON serialization is 1-based
-    (see to_lists_1based / from_lists_1based).  A fractional mode number
-    raises InputError.
+    (see to_lists_1based / from_lists_1based).  A fractional, NaN or
+    infinite mode number raises InputError.
     """
 
     def __init__(self, clusters, s: int | None = None) -> None:
         cleaned = []
         for c in clusters:
             c = list(c)
-            if any(i != int(i) for i in c):
+            try:
+                ints = [int(i) for i in c]
+            except (ValueError, OverflowError):  # NaN, infinity, a word
+                ints = None
+            if ints != c:
                 raise InputError(f"mode numbers must be integers, got the 0-based cluster {c}")
-            c = tuple(sorted(int(i) for i in c))
+            c = tuple(sorted(ints))
             if not c:
                 raise PartitionMismatch("empty cluster")
             cleaned.append(c)
@@ -222,7 +223,8 @@ class Partition:
 
     @classmethod
     def from_lists_1based(cls, lists, s: int | None = None) -> "Partition":
-        """Read 1-based clusters; InputError for a fractional mode number."""
+        """Read 1-based clusters; InputError for a mode number that is not
+        an integer."""
         return cls([[i - 1 for i in c] for c in lists], s=s)
 
     def __eq__(self, other) -> bool:
@@ -233,28 +235,6 @@ class Partition:
 
     def __repr__(self) -> str:
         return f"Partition({list(map(list, self.clusters))})"
-
-
-@dataclass
-class Trajectory:
-    """One simulated path: states x_0..x_H, modes w_0..w_{H-1}, inputs u_0..u_{H-1}."""
-
-    states: np.ndarray
-    modes: np.ndarray
-    inputs: np.ndarray
-
-    def __post_init__(self) -> None:
-        H = len(self.modes)
-        if self.states.shape[0] != H + 1 or self.inputs.shape[0] != H:
-            raise DimensionMismatch(
-                "trajectory arrays disagree on horizon: "
-                f"states {self.states.shape}, modes {self.modes.shape}, "
-                f"inputs {self.inputs.shape}"
-            )
-
-    @property
-    def horizon(self) -> int:
-        return len(self.modes)
 
 
 def validate_model(model: MjsModel) -> list[str]:
@@ -322,27 +302,24 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _resolve_init_dist(model: MjsModel, init_dist) -> tuple[np.ndarray, int | None]:
-    """The initial mode law as (pi, fixed mode or None).
+def _resolve_init_dist(model: MjsModel, init_dist) -> np.ndarray:
+    """The initial mode law, shape (s,).
 
-    None gives the stationary law model.pi, an int a fixed mode (pi is
-    then its indicator), a length-s vector the law itself.  Raises
-    InputError for any other scalar (a bool or a fractional mode),
-    DimensionMismatch for a mode outside range(s) or a vector of the
-    wrong shape, NotNormalized for negative entries or a total mass off
-    1 by more than 1e-9.
+    None gives the stationary law model.pi, an int the indicator of that
+    mode, a length-s vector the law itself.  Raises InputError for any
+    other scalar (a bool or a fractional mode), DimensionMismatch for a
+    mode outside range(s) or a vector of the wrong shape, NotNormalized
+    for negative entries or a total mass off 1 by more than 1e-9.
     """
     if init_dist is None:
-        return model.pi, None
+        return model.pi
     if np.isscalar(init_dist):
         if not _is_integer(init_dist):
             raise InputError(f"initial mode must be an integer, got {init_dist!r}")
         mode = int(init_dist)
         if not 0 <= mode < model.s:
             raise DimensionMismatch(f"initial mode {mode} outside range({model.s})")
-        pi = np.zeros(model.s)
-        pi[mode] = 1.0
-        return pi, mode
+        return np.eye(model.s)[mode]
     pi = np.asarray(init_dist, dtype=float)
     if pi.shape != (model.s,):
         raise DimensionMismatch(
@@ -352,38 +329,30 @@ def _resolve_init_dist(model: MjsModel, init_dist) -> tuple[np.ndarray, int | No
         raise NotNormalized(
             f"initial distribution must be nonnegative with total mass 1, got {pi}"
         )
-    return pi, None
+    return pi
 
 
 def _batch_modes(
-    rng: np.random.Generator,
-    model: MjsModel,
-    n_traj: int,
-    horizon: int,
-    init_dist,
+    rng: np.random.Generator, model: MjsModel, n_traj: int, horizon: int
 ) -> np.ndarray:
-    """n_traj mode paths of the chain, shape (n_traj, horizon).
+    """n_traj mode paths of the chain started from model.pi, shape
+    (n_traj, horizon).
 
-    One rng.random(n_traj) draw per step, the initial one skipped when
-    init_dist fixes the mode.  A draw u picks the first mode whose
-    cumulative probability exceeds u (searchsorted side="right"), so a
-    mode of probability zero is never picked.
+    One rng.random(n_traj) draw per step.  A draw u picks the first mode
+    whose cumulative probability exceeds u (searchsorted side="right"),
+    so a mode of probability zero is never picked.
     """
     modes = np.empty((n_traj, horizon), dtype=int)
     if horizon == 0:
         return modes
-    pi, mode = _resolve_init_dist(model, init_dist)
     # Row s of the table holds the initial law; normalizing by the last
     # entry guards against row sums a hair under 1.
-    cdf = np.cumsum(np.vstack([model.T, pi]), axis=1)
+    cdf = np.cumsum(np.vstack([model.T, model.pi]), axis=1)
     cdf = cdf / cdf[:, -1:]
     prev = np.full(n_traj, model.s)
     for t in range(horizon):
-        if t == 0 and mode is not None:
-            modes[:, 0] = mode
-        else:
-            u = rng.random(n_traj)
-            modes[:, t] = np.minimum((cdf[prev] <= u[:, None]).sum(axis=1), model.s - 1)
+        u = rng.random(n_traj)
+        modes[:, t] = np.minimum((cdf[prev] <= u[:, None]).sum(axis=1), model.s - 1)
         prev = modes[:, t]
     return modes
 
@@ -402,145 +371,29 @@ def _check_x0(x0, n: int) -> np.ndarray:
     return x0
 
 
-def _rollout(A: np.ndarray, modes: np.ndarray, x0, noise_std: float, rng, drive=None):
-    """Stream x_{t+1} = A x + B u + noise for c jump systems on shared paths.
+def _rollout(A: np.ndarray, modes: np.ndarray, x0, noise_std: float, rng):
+    """Stream x_{t+1} = A x + noise for c autonomous jump systems on
+    shared paths.
 
     A stacks the mode matrices of all c systems, modes of shape (c, N, H)
     indexes into it, one set of N paths per system.  Yields fresh arrays
     X_0..X_H of shape (c, N, n); each step adds one (N, n) standard
-    normal draw, scaled by noise_std, to every system alike.  drive is
-    None (zero input) or (B, control), B stacked like A: control(t, x,
-    mode) -> u runs once per step on the first path of the first system,
-    and u drives every path.  Raises DimensionMismatch unless x0 has
-    shape (n,), InputError for a NaN, infinite or negative noise_std.
+    normal draw, scaled by noise_std, to every system alike.  Raises
+    DimensionMismatch unless x0 has shape (n,), InputError for a NaN,
+    infinite or negative noise_std.
     """
     c, N, H = modes.shape
     n = A.shape[1]
     x0 = _check_x0(x0, n)
     _check_noise_std(noise_std)
-    B, control = (None, None) if drive is None else drive
     X = np.empty((c, N, n))
     X[:] = x0
     yield X
     for t in range(H):
-        m = modes[:, :, t]
-        if control is not None:
-            BU = B[m] @ control(t, X[0, 0], int(m[0, 0]))
-        X = np.einsum("cbij,cbj->cbi", A[m], X)
-        if control is not None:
-            X += BU
+        X = np.einsum("cbij,cbj->cbi", A[modes[:, :, t]], X)
         if noise_std > 0.0:
-            X += noise_std * rng.standard_normal((N, X.shape[2]))
+            X += noise_std * rng.standard_normal((N, n))
         yield X
-
-
-def _input_at(inputs, t: int, x: np.ndarray, mode: int, used: np.ndarray) -> np.ndarray:
-    """Resolve u_t of None, an (H, p) array or a callable into row t of used."""
-    p = used.shape[1]
-    if inputs is None:
-        u = np.zeros(p)
-    elif callable(inputs):
-        u = np.asarray(inputs(t, x, mode), dtype=float)
-    else:
-        u = np.asarray(inputs[t], dtype=float)
-    if u.shape != (p,):
-        raise DimensionMismatch(f"input at t={t} has shape {u.shape}, expected ({p},)")
-    used[t] = u
-    return used[t]
-
-
-def simulate(
-    model: MjsModel,
-    x0,
-    horizon: int,
-    inputs=None,
-    noise_std: float = 0.0,
-    seed=None,
-    init_dist=None,
-    modes=None,
-) -> Trajectory:
-    """Sample one trajectory of the jump system.
-
-    Args:
-        model: the system.
-        x0: initial state, shape (n,).
-        horizon: number of steps H; the trajectory has H+1 states.
-        inputs: None (zero input), an (H, p) array of fixed inputs, or a
-            callable (t, x, mode) -> u for state feedback.
-        noise_std: standard deviation of additive iid Gaussian state noise.
-        seed: anything np.random.default_rng accepts.
-        init_dist: initial mode distribution; None uses the stationary
-            law, an int fixes the mode, a length-s probability vector
-            gives the law.
-        modes: optional injected mode sequence of length H, overriding
-            the Markov chain (the rng then only drives noise).
-
-    Returns:
-        Trajectory with states (H+1, n), modes (H,), inputs (H, p).
-    """
-    rng = np.random.default_rng(seed)
-    if modes is None:
-        modes = _batch_modes(rng, model, 1, horizon, init_dist)[0]
-    else:
-        modes = np.asarray(modes, dtype=int)
-        if modes.shape != (horizon,) or not np.all((0 <= modes) & (modes < model.s)):
-            raise DimensionMismatch(
-                f"injected modes must have shape ({horizon},) and lie in range({model.s})"
-            )
-    used = np.empty((horizon, model.p))
-    drive = (model.B, lambda t, x, w: _input_at(inputs, t, x, w, used))
-    states = np.empty((horizon + 1, model.n))
-    for t, X in enumerate(_rollout(model.A, modes[None, None], x0, noise_std, rng, drive)):
-        states[t] = X[0, 0]
-    return Trajectory(states=states, modes=modes, inputs=used)
-
-
-def simulate_batch(
-    model: MjsModel,
-    x0,
-    horizon: int,
-    n_traj: int,
-    noise_std: float = 0.0,
-    seed=None,
-    init_dist=None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Many zero-input trajectories at once.
-
-    Returns (states, modes) with shapes (n_traj, H+1, n) and
-    (n_traj, H).  The rng draws the mode paths first, then one
-    (n_traj, n) noise sample per step.
-    """
-    rng = np.random.default_rng(seed)
-    modes = _batch_modes(rng, model, n_traj, horizon, init_dist)
-    states = np.empty((n_traj, horizon + 1, model.n))
-    for t, X in enumerate(_rollout(model.A, modes[None], x0, noise_std, rng)):
-        states[:, t] = X[0]
-    return states, modes
-
-
-def _coupled_rollout(
-    model, reduced, partition, x0, horizon, n_traj, noise_std, seed, init_dist, control=None
-) -> tuple[np.ndarray, np.ndarray]:
-    """The original and the reduced system, stacked in (A, B), on shared
-    mode paths and noise: states (2, n_traj, H+1, n) and the original
-    modes (n_traj, H).  Input sizes must agree only under a control."""
-    if partition.s != model.s or partition.r != reduced.s:
-        raise PartitionMismatch(
-            "partition does not link the two models: "
-            f"s={model.s}, r={reduced.s}, partition covers {partition.s} "
-            f"in {partition.r} clusters"
-        )
-    if reduced.n != model.n or (control is not None and reduced.p != model.p):
-        raise DimensionMismatch("reduced model state/input sizes disagree with model")
-    rng = np.random.default_rng(seed)
-    modes = _batch_modes(rng, model, n_traj, horizon, init_dist)
-    both = np.stack([modes, model.s + partition.labels[modes]])
-    A = np.concatenate([model.A, reduced.A])
-    drive = None if control is None else (np.concatenate([model.B, reduced.B]), control)
-    states = np.empty((2, n_traj, horizon + 1, model.n))
-    for t, X in enumerate(_rollout(A, both, x0, noise_std, rng, drive)):
-        states[:, :, t] = X
-    return states, modes
 
 
 def simulate_coupled_batch(
@@ -552,47 +405,36 @@ def simulate_coupled_batch(
     n_traj: int,
     noise_std: float = 0.0,
     seed=None,
-    init_dist=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched zero-input coupled runs sharing mode paths and noise.
+    """Autonomous runs of the original and a reduced system on shared
+    mode paths and noise.
 
-    Returns (states, red_states, modes); state arrays have shape
-    (n_traj, H+1, n).
+    The n_traj mode paths w_t are drawn from model.T, started from the
+    stationary law model.pi; the reduced system runs on the projected
+    paths partition.labels[w_t].  The rng draws the mode paths first,
+    then one (n_traj, n) noise sample per step, added to both systems.
+    A pair under state feedback u = K x runs as its closed loops
+    A + B K.  Returns (states, red_states, modes): state arrays of shape
+    (n_traj, H+1, n) and the original modes (n_traj, H).  Raises
+    PartitionMismatch unless partition links the two mode sets,
+    DimensionMismatch unless the state sizes agree.
     """
-    states, modes = _coupled_rollout(
-        model, reduced, partition, x0, horizon, n_traj, noise_std, seed, init_dist
-    )
+    if partition.s != model.s or partition.r != reduced.s:
+        raise PartitionMismatch(
+            "partition does not link the two models: "
+            f"s={model.s}, r={reduced.s}, partition covers {partition.s} "
+            f"in {partition.r} clusters"
+        )
+    if reduced.n != model.n:
+        raise DimensionMismatch("reduced model state size disagrees with model")
+    rng = np.random.default_rng(seed)
+    modes = _batch_modes(rng, model, n_traj, horizon)
+    both = np.stack([modes, model.s + partition.labels[modes]])
+    A = np.concatenate([model.A, reduced.A])
+    states = np.empty((2, n_traj, horizon + 1, model.n))
+    for t, X in enumerate(_rollout(A, both, x0, noise_std, rng)):
+        states[:, :, t] = X
     return states[0], states[1], modes
-
-
-def simulate_coupled(
-    model: MjsModel,
-    reduced: MjsModel,
-    partition: Partition,
-    x0,
-    horizon: int,
-    inputs=None,
-    noise_std: float = 0.0,
-    seed=None,
-    init_dist=None,
-) -> tuple[Trajectory, Trajectory]:
-    """Run the original and a reduced system on one shared mode path.
-
-    The original mode sequence w_t is drawn from model.T; the reduced
-    system runs on the projected sequence cluster_of(w_t).  Inputs and
-    any additive noise are shared between the two systems; a callable
-    input sees the original state and mode.
-    """
-    used = np.empty((horizon, model.p))
-    states, modes = _coupled_rollout(
-        model, reduced, partition, x0, horizon, 1, noise_std, seed, init_dist,
-        lambda t, x, w: _input_at(inputs, t, x, w, used),
-    )
-    (modes,) = modes
-    return (
-        Trajectory(states=states[0, 0], modes=modes, inputs=used),
-        Trajectory(states=states[1, 0], modes=partition.labels[modes], inputs=used),
-    )
 
 
 def expand_reduced(

@@ -50,7 +50,7 @@ import numpy as np
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
 
 from .errors import NotConverged, RhoTooSmall, TooLarge, XiTooSmall
-from .model import MjsModel, _check_x0, _resolve_init_dist, expand_reduced
+from .model import MjsModel, expand_reduced
 from .clustering import ReductionResult
 from .perturbation import construct_T0, perturbations
 
@@ -65,7 +65,6 @@ __all__ = [
     "tau_estimate",
     "jsr_bounds",
     "kappa_estimate",
-    "second_moment_evolution",
     "stability_report",
     "stability_comparison",
 ]
@@ -446,26 +445,6 @@ def kappa_estimate(jsr: JsrBounds, xi: float) -> TransientEstimate:
     """
     _check_level("xi", xi, jsr.upper)
     return _sweep(((m, None) for m in jsr.level_maxima), xi, exact=True)
-
-
-def second_moment_evolution(
-    model: MjsModel, x0, t_max: int, init_dist=None
-) -> np.ndarray:
-    """Per-mode second moments E[x_t x_t' 1{w_t = i}] for t = 0..t_max.
-
-    Autonomous, noise free.  Returns shape (t_max+1, s, n, n).  Stacking
-    the vectorized blocks reproduces powers of the augmented matrix
-    acting on the initial stack.  Raises DimensionMismatch unless x0
-    has shape (n,).
-    """
-    x0 = _check_x0(x0, model.n)
-    init, _ = _resolve_init_dist(model, init_dist)
-    op = MomentOperator(model.A, model.T)
-    out = np.empty((t_max + 1, model.s, model.n, model.n))
-    out[0] = init[:, None, None] * np.outer(x0, x0)
-    for t in range(t_max):
-        out[t + 1] = op.apply(out[t])
-    return out
 
 
 @dataclass

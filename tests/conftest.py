@@ -54,6 +54,12 @@ def random_model(rng, s=4, n=2, p=1, a_scale=0.4):
     return MjsModel(A, B, T)
 
 
+def closed_loop(model, K):
+    """The autonomous model of the state feedback u = K x: modes
+    A_i + B_i K_i, the same chain."""
+    return MjsModel(model.A + model.B @ np.asarray(K, dtype=float), None, model.T)
+
+
 def _scaled(rng, shape, target):
     M = rng.standard_normal(shape)
     return M * (target / np.linalg.norm(M, 2))

@@ -15,6 +15,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import closed_loop
 from test_bounds import dist, vertex_oracle
 from mjsreduce.bounds import (
     BoundInputs,
@@ -29,6 +30,7 @@ from mjsreduce.clustering import average_model, misclustering_rate, reduce_model
 from mjsreduce.experiments import ExperimentSpec, demoted_weights, run_experiment
 from mjsreduce.lqr import (
     closed_loop_average_cost,
+    lift_gains,
     monte_carlo_cost,
     reduced_lqr_suboptimality,
     riccati_solve,
@@ -36,7 +38,6 @@ from mjsreduce.lqr import (
 from mjsreduce.model import (
     MjsModel,
     expand_reduced,
-    simulate_coupled,
     simulate_coupled_batch,
     stationary_distribution,
 )
@@ -92,14 +93,16 @@ def test_criterion_1_exact_reducibility_round_trip():
             )
             if dev > 1e-10:
                 failures.append((branch, i, "base", dev))
-            rng = np.random.default_rng(i)
+            # The reduced regulator, lifted to the full modes, keeps
+            # B under test: the two closed loops must coincide.
+            K = riccati_solve(res.reduced, np.eye(5), np.eye(3)).K
             x0 = np.ones(5)
-            traj, red = simulate_coupled(
-                model, res.reduced, res.partition, x0, 50,
-                inputs=rng.standard_normal((50, 3)),
-                noise_std=0.1, seed=i,
+            states, red_states, _ = simulate_coupled_batch(
+                closed_loop(model, lift_gains(K, res.partition)),
+                closed_loop(res.reduced, K),
+                res.partition, x0, 50, 1, noise_std=0.1, seed=i,
             )
-            gap = np.linalg.norm(traj.states - red.states, axis=1).max()
+            gap = np.linalg.norm(states - red_states, axis=2).max()
             if gap > 1e-10 * np.linalg.norm(x0):
                 failures.append((branch, i, "coupled", gap))
     elapsed = time.perf_counter() - t0

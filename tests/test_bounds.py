@@ -116,7 +116,7 @@ def test_kernel_mass_is_conserved(rng):
 def recursive_kernel(model, x0, t, init_dist=None, dedup_tol=1e-10):
     """The depth-first walk with a greedy per-point merge that
     transition_kernel_enum replaces, kept as its oracle."""
-    init, _ = _resolve_init_dist(model, init_dist)
+    init = _resolve_init_dist(model, init_dist)
     points, masses = [], []
 
     def walk(depth, mode, x, q):

@@ -321,6 +321,7 @@ MALFORMED_PARTITIONS = {
     "nested": b"[[[1]], [2]]",
     "bare-numbers": b"[1, 2]",
     "infinite": b"[[1e400], [2]]",
+    "nan": b"[[NaN], [2]]",
     "fractional": b"[[1.5], [2]]",
 }
 FLAG_CASES = [

@@ -20,7 +20,6 @@ from mjsreduce.errors import (
 )
 from mjsreduce.lqr import (
     closed_loop_average_cost,
-    cumulative_cost_noisefree,
     lift_gains,
     monte_carlo_cost,
     reduced_lqr_suboptimality,
@@ -28,7 +27,7 @@ from mjsreduce.lqr import (
     riccati_solve,
 )
 from mjsreduce.model import MjsModel, stationary_distribution
-from mjsreduce.stability import augmented_matrix, second_moment_evolution
+from mjsreduce.stability import augmented_matrix
 from mjsreduce.synth import SynthConfig, generate
 
 SCALAR = MjsModel(
@@ -270,10 +269,6 @@ def test_average_cost_requires_mss():
         closed_loop_average_cost(
             loose, np.zeros((1, 0, 1)), EYE1, np.zeros((0, 0)), 0.1
         )
-    with pytest.raises(NotMss):
-        cumulative_cost_noisefree(
-            loose, np.zeros((1, 0, 1)), EYE1, np.zeros((0, 0)), np.ones(1)
-        )
 
 
 def test_average_cost_reports_convergence():
@@ -288,8 +283,6 @@ def test_fixed_point_budget_raises(monkeypatch):
     monkeypatch.setattr(lqr, "FIXED_POINT_STEPS", 3)
     with pytest.raises(NotConverged):
         closed_loop_average_cost(SCALAR, sol.K, EYE1, EYE1, 0.3)
-    with pytest.raises(NotConverged):
-        cumulative_cost_noisefree(SCALAR, sol.K, EYE1, EYE1, np.ones(1))
 
 
 def test_average_cost_beyond_dense_cap():
@@ -302,25 +295,11 @@ def test_average_cost_beyond_dense_cap():
     sol = riccati_solve(model, Q, R)
     rep = closed_loop_average_cost(model, sol.K, Q, R, 0.1)
     assert rep.value > 0.0 and rep.gap < 1e-12
-    total = cumulative_cost_noisefree(model, sol.K, Q, R, np.ones(8), init_dist=0)
-    assert total == pytest.approx(np.ones(8) @ sol.P[0] @ np.ones(8), rel=1e-9)
-
-
-def test_cumulative_cost_matches_moment_route(rng):
-    m = random_model(rng, s=3, n=2, p=1)
-    sol = riccati_solve(m, np.eye(2), np.eye(1))
-    x0 = np.array([1.0, -2.0])
-    total = cumulative_cost_noisefree(m, sol.K, np.eye(2), np.eye(1), x0)
-    # Second route: closed-loop per-mode moments, summing tr(stage M_t).
-    Acl = m.A + np.einsum("ijk,ikl->ijl", m.B, sol.K)
-    closed = MjsModel(Acl, None, m.T)
-    stage = np.tile(np.eye(2), (3, 1, 1)) + np.einsum(
-        "ikj,kl,ilm->ijm", sol.K, np.eye(1), sol.K
-    )
-    mom = second_moment_evolution(closed, x0, 400)
-    steps = np.einsum("tijk,ikj->t", mom, stage)
-    assert steps[-1] < 1e-13
-    assert total == pytest.approx(steps.sum(), rel=1e-9)
+    # Under the optimal gain the closed-loop value matrices are the
+    # Riccati solution.
+    V, _, _ = lqr._closed_loop_values(model, sol.K, Q, R)
+    x0 = np.ones(8)
+    assert x0 @ V[0] @ x0 == pytest.approx(x0 @ sol.P[0] @ x0, rel=1e-9)
 
 
 def dense_primal_costs(model, K, Q, R, sigma_w, x0, init):
@@ -380,7 +359,10 @@ def test_costs_match_the_dense_moment_solve(seed, s, n, p, zeros, radius):
     average, total = dense_primal_costs(model, K, Q, R, sigma_w, x0, init)
     got = closed_loop_average_cost(model, K, Q, R, sigma_w).value
     assert abs(got - average) <= 1e-13 * abs(average)
-    got = cumulative_cost_noisefree(model, K, Q, R, x0, init_dist=init)
+    # The value matrices themselves, paired with the state x0 drawn
+    # from the law init.
+    V, _, _ = lqr._closed_loop_values(model, K, Q, R)
+    got = float(np.einsum("i,j,ijk,k->", init, x0, V, x0))
     assert abs(got - total) <= 1e-13 * abs(total)
 
 
@@ -395,10 +377,9 @@ def test_cost_inputs_are_refused():
     ):
         with pytest.raises(error):
             monte_carlo_cost(SCALAR, sol.K, EYE1, EYE1, 0.3, **bad)
-    with pytest.raises(DimensionMismatch, match="x0"):
-        cumulative_cost_noisefree(SCALAR, sol.K, EYE1, EYE1, np.ones(2))
-    with pytest.raises(DimensionMismatch, match="x0"):
-        cumulative_cost_noisefree(SCALAR, sol.K, EYE1, EYE1, np.ones((1, 1)))
+    for x0 in (np.ones(2), np.ones((1, 1))):
+        with pytest.raises(DimensionMismatch, match="x0"):
+            monte_carlo_cost(SCALAR, sol.K, EYE1, EYE1, 0.3, x0=x0, **run)
 
 
 def test_suboptimality_report_shape(monkeypatch):

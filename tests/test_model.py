@@ -12,6 +12,7 @@ import mjsreduce.model as model_module
 from conftest import (
     PARTITION_LABELS,
     THREE_STATE_T,
+    closed_loop,
     random_model,
     random_partition,
     three_state_model,
@@ -28,18 +29,13 @@ from mjsreduce.errors import (
 from mjsreduce.model import (
     MjsModel,
     Partition,
-    Trajectory,
     _batch_modes,
-    _input_at,
     expand_reduced,
     is_ergodic,
     load_model,
     model_from_dict,
     model_to_dict,
     save_model,
-    simulate,
-    simulate_batch,
-    simulate_coupled,
     simulate_coupled_batch,
     stationary_distribution,
     validate_model,
@@ -48,12 +44,11 @@ from mjsreduce.synth import SynthConfig, fig4_model, generate
 from mjsreduce.bounds import BoundInputs, empirical_traj_diff, transition_kernel_enum
 from mjsreduce.lqr import (
     closed_loop_average_cost,
-    cumulative_cost_noisefree,
+    lift_gains,
     monte_carlo_cost,
     riccati_solve,
 )
 from mjsreduce.perturbation import mr_bound
-from mjsreduce.stability import second_moment_evolution
 
 
 def test_model_shapes():
@@ -146,7 +141,7 @@ def test_stationary_law_is_computed_once_per_model(monkeypatch):
     res = reduce_model(model, 2, branch=None, seed=0)
     mr_bound(model, res.partition, "lumpable")
     closed_loop_average_cost(model, riccati_solve(model, Q, R).K, Q, R, 0.1)
-    simulate(model, np.ones(2), 5, seed=0)
+    simulate_coupled_batch(model, model, singletons(model), np.ones(2), 5, 2, seed=0)
     assert len(calls) == 1
 
 
@@ -221,73 +216,70 @@ def test_partition_refuses_fractional_mode_numbers():
     assert Partition([[0.0], [np.float64(1.0)]]) == Partition([[0], [1]])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_partition_refuses_non_finite_mode_numbers(bad):
+    # int() of these raises ValueError or OverflowError of its own.
+    with pytest.raises(InputError, match="must be integers"):
+        Partition([[bad], [1]])
+    with pytest.raises(InputError, match="must be integers"):
+        Partition.from_lists_1based([[bad], [2]])
+
+
+def singletons(model):
+    return Partition.from_labels(np.arange(model.s))
+
+
 def test_simulate_horizon_zero():
-    traj = simulate(three_state_model(), [1.0, 2.0], 0, seed=0)
-    assert traj.states.shape == (1, 2)
-    assert traj.modes.shape == (0,)
-    assert traj.horizon == 0
+    m = three_state_model()
+    states, red_states, modes = simulate_coupled_batch(m, m, singletons(m), [1.0, 2.0], 0, 3, seed=0)
+    assert states.shape == red_states.shape == (3, 1, 2)
+    assert modes.shape == (3, 0)
+    assert np.array_equal(states[:, 0], np.tile([1.0, 2.0], (3, 1)))
 
 
 def test_simulate_rejects_bad_x0():
+    m = three_state_model()
     with pytest.raises(DimensionMismatch):
-        simulate(three_state_model(), [1.0], 3, seed=0)
+        simulate_coupled_batch(m, m, singletons(m), [[1.0, 2.0]], 3, 2, seed=0)
 
 
 @pytest.mark.invariant
 def test_simulate_determinism_bit_identical(rng):
-    m = random_model(rng, s=3, n=2, p=1)
-    u = rng.standard_normal((12, 1))
-    a = simulate(m, [1.0, -1.0], 12, inputs=u, noise_std=0.3, seed=77)
-    b = simulate(m, [1.0, -1.0], 12, inputs=u, noise_std=0.3, seed=77)
-    assert np.array_equal(a.states, b.states)
-    assert np.array_equal(a.modes, b.modes)
-    assert np.array_equal(a.inputs, b.inputs)
-    sa, ma = simulate_batch(m, [1.0, -1.0], 9, 5, noise_std=0.1, seed=5)
-    sb, mb = simulate_batch(m, [1.0, -1.0], 9, 5, noise_std=0.1, seed=5)
-    assert np.array_equal(sa, sb) and np.array_equal(ma, mb)
+    m = random_model(rng, s=3, n=2, p=0)
+    part = Partition([[0], [1, 2]])
+    red = random_model(rng, s=2, n=2, p=0)
+    a, b = (
+        simulate_coupled_batch(m, red, part, [1.0, -1.0], 9, 5, noise_std=0.1, seed=5)
+        for _ in range(2)
+    )
+    for x, y in zip(a, b):
+        assert np.array_equal(x, y)
 
 
 def test_simulate_injected_modes_match_matrix_product():
+    # Diagonal powers of two and a permutation multiply exactly.
     A = np.stack([np.diag([2.0, 0.5]), np.array([[0.0, 1.0], [1.0, 0.0]])])
     m = MjsModel(A, None, np.full((2, 2), 0.5))
     x0 = np.array([1.0, 3.0])
-    traj = simulate(m, x0, 3, modes=[0, 1, 0], seed=0)
-    x = x0
-    for w in (0, 1, 0):
-        x = A[w] @ x
-    assert np.allclose(traj.states[-1], x, atol=0.0)
-    assert np.array_equal(traj.modes, [0, 1, 0])
-    with pytest.raises(DimensionMismatch):
-        simulate(m, x0, 3, modes=[0, 1], seed=0)
-    with pytest.raises(DimensionMismatch):
-        simulate(m, x0, 3, modes=[0, 1, 5], seed=0)
-
-
-def test_simulate_input_forms_agree(rng):
-    m = random_model(rng, s=2, n=2, p=2)
-    u = rng.standard_normal((8, 2))
-    by_array = simulate(m, [1.0, 0.0], 8, inputs=u, seed=3)
-    by_callable = simulate(
-        m, [1.0, 0.0], 8, inputs=lambda t, x, w: u[t], seed=3
-    )
-    assert np.array_equal(by_array.states, by_callable.states)
-    assert np.array_equal(by_array.inputs, u)
-    with pytest.raises(DimensionMismatch):
-        simulate(m, [1.0, 0.0], 2, inputs=np.zeros((2, 3)), seed=0)
+    states, red_states, modes = simulate_coupled_batch(m, m, singletons(m), x0, 6, 4, seed=0)
+    for b in range(4):
+        x = x0
+        for t, w in enumerate(modes[b]):
+            x = A[w] @ x
+            assert np.array_equal(states[b, t + 1], x)
+    assert np.array_equal(red_states, states)
 
 
 def test_simulate_init_dist_forms():
-    m = three_state_model()
-    traj = simulate(m, [0.0, 0.0], 5, seed=1, init_dist=2)
-    assert traj.modes[0] == 2
-    traj = simulate(m, [0.0, 0.0], 5, seed=1, init_dist=np.int64(1))
-    assert traj.modes[0] == 1
-    traj = simulate(m, [0.0, 0.0], 5, seed=1, init_dist=[0.0, 1.0, 0.0])
-    assert traj.modes[0] == 1
-    with pytest.raises(DimensionMismatch):
-        simulate(m, [0.0, 0.0], 5, seed=1, init_dist=9)
-    with pytest.raises(DimensionMismatch):
-        simulate(m, [0.0, 0.0], 5, seed=1, init_dist=[0.5, 0.5])
+    # A mode given by index, by numpy index or by its indicator law
+    # starts the same kernel.
+    m = MjsModel(np.arange(12.0).reshape(3, 2, 2), None, THREE_STATE_T)
+    x0 = np.array([1.0, -1.0])
+    assert np.array_equal(transition_kernel_enum(m, x0, 1, init_dist=1).support, [m.A[1] @ x0])
+    ref = transition_kernel_enum(m, x0, 2, init_dist=1)
+    for form in (np.int64(1), [0.0, 1.0, 0.0]):
+        k = transition_kernel_enum(m, x0, 2, init_dist=form)
+        assert np.array_equal(k.support, ref.support) and np.array_equal(k.mass, ref.mass)
 
 
 @pytest.mark.parametrize(
@@ -303,20 +295,10 @@ def test_simulate_init_dist_forms():
     ],
 )
 def test_init_dist_is_validated_by_every_consumer(bad, error):
-    m = three_state_model()
-    x0 = np.ones(2)
-    calls = (
-        lambda: simulate(m, x0, 3, seed=0, init_dist=bad),
-        lambda: simulate_batch(m, x0, 3, 2, seed=0, init_dist=bad),
-        lambda: second_moment_evolution(m, x0, 2, init_dist=bad),
-        lambda: transition_kernel_enum(m, x0, 2, init_dist=bad),
-        lambda: cumulative_cost_noisefree(
-            m, np.zeros((3, 0, 2)), np.eye(2), np.zeros((0, 0)), x0, init_dist=bad
-        ),
-    )
-    for call in calls:
-        with pytest.raises(error):
-            call()
+    # transition_kernel_enum is the one consumer; simulations start from
+    # the stationary law.
+    with pytest.raises(error):
+        transition_kernel_enum(three_state_model(), np.ones(2), 2, init_dist=bad)
 
 
 def assert_rel_close(got, want):
@@ -324,56 +306,23 @@ def assert_rel_close(got, want):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max(initial=0.0))
 
 
-# Per-step reference loops for simulate and simulate_coupled, independent
-# of the rollout kernel: the same draws (modes first, then one noise
-# vector per step), one matrix-vector product per system and step.
-
-
-def loop_simulate(model, x0, horizon, inputs=None, noise_std=0.0, seed=None,
-                  init_dist=None, modes=None):
+def loop_coupled(model, reduced, partition, x0, horizon, n_traj, noise_std=0.0, seed=None):
+    """Per-path, per-step reference for simulate_coupled_batch,
+    independent of the rollout kernel: the same draws (mode paths first,
+    then one (n_traj, n) noise sample per step), one matrix-vector
+    product per system, path and step."""
     rng = np.random.default_rng(seed)
-    if modes is None:
-        modes = _batch_modes(rng, model, 1, horizon, init_dist)[0]
-    modes = np.asarray(modes, dtype=int)
-    x = np.asarray(x0, dtype=float)
-    states = np.empty((horizon + 1, model.n))
-    used = np.empty((horizon, model.p))
-    states[0] = x
+    modes = _batch_modes(rng, model, n_traj, horizon)
+    systems = ((model.A, modes), (reduced.A, partition.labels[modes]))
+    states = np.empty((2, n_traj, horizon + 1, model.n))
+    states[:, :, 0] = x0
     for t in range(horizon):
-        w = int(modes[t])
-        u = _input_at(inputs, t, x, w, used)
-        x = model.A[w] @ x + model.B[w] @ u
-        if noise_std > 0.0:
-            x = x + noise_std * rng.standard_normal(model.n)
-        states[t + 1] = x
-    return Trajectory(states=states, modes=modes, inputs=used)
-
-
-def loop_simulate_coupled(model, reduced, partition, x0, horizon, inputs=None,
-                          noise_std=0.0, seed=None, init_dist=None):
-    rng = np.random.default_rng(seed)
-    modes = _batch_modes(rng, model, 1, horizon, init_dist)[0]
-    red_modes = partition.labels[modes]
-    x = xr = np.asarray(x0, dtype=float)
-    states = np.empty((horizon + 1, model.n))
-    red_states = np.empty((horizon + 1, model.n))
-    used = np.empty((horizon, model.p))
-    states[0] = red_states[0] = x
-    for t in range(horizon):
-        w, k = int(modes[t]), int(red_modes[t])
-        u = _input_at(inputs, t, x, w, used)
-        x = model.A[w] @ x + model.B[w] @ u
-        xr = reduced.A[k] @ xr + reduced.B[k] @ u
-        if noise_std > 0.0:
-            e = noise_std * rng.standard_normal(model.n)
-            x = x + e
-            xr = xr + e
-        states[t + 1] = x
-        red_states[t + 1] = xr
-    return (
-        Trajectory(states=states, modes=modes, inputs=used),
-        Trajectory(states=red_states, modes=red_modes, inputs=used),
-    )
+        noise = noise_std * rng.standard_normal((n_traj, model.n)) if noise_std > 0.0 else None
+        for c, (A, w) in enumerate(systems):
+            for b in range(n_traj):
+                x = A[w[b, t]] @ states[c, b, t]
+                states[c, b, t + 1] = x if noise is None else x + noise[b]
+    return states, modes
 
 
 @pytest.mark.invariant
@@ -389,89 +338,45 @@ def test_batched_paths_match_the_scalar_oracle(seed, s, n, horizon, n_traj):
     rng = np.random.default_rng(seed)
     model = random_model(rng, s=s, n=n, p=0, a_scale=rng.uniform(0.1, 1.5))
     x0 = rng.standard_normal(n)
-    states, modes = simulate_batch(model, x0, horizon, n_traj, seed=seed)
-    for b in range(n_traj):
-        assert_rel_close(states[b], loop_simulate(model, x0, horizon, modes=modes[b]).states)
     part = random_partition(rng, s, int(rng.integers(1, s + 1)))
     reduced = random_model(rng, s=part.r, n=n, p=0)
     full, red, modes = simulate_coupled_batch(
         model, reduced, part, x0, horizon, n_traj, seed=seed
     )
-    for b in range(n_traj):
-        assert_rel_close(full[b], loop_simulate(model, x0, horizon, modes=modes[b]).states)
-        oracle = loop_simulate(reduced, x0, horizon, modes=part.labels[modes[b]])
-        assert_rel_close(red[b], oracle.states)
-
-
-class Feedback:
-    """State feedback u = K[mode] x that logs every call."""
-
-    def __init__(self, K):
-        self.K = K
-        self.calls = []
-
-    def __call__(self, t, x, mode):
-        u = self.K[mode] @ x
-        self.calls.append((t, x.copy(), mode, u))
-        return u
-
-
-def check_against_oracle(traj, oracle, inputs):
-    assert np.array_equal(traj.modes, oracle.modes)
-    assert_rel_close(traj.states, oracle.states)
-    if isinstance(inputs, Feedback):
-        # Called once per step, in order, on the state and mode it drives;
-        # the recorded inputs are the returned ones bit for bit.
-        H = traj.horizon
-        assert [c[0] for c in inputs.calls] == list(range(H))
-        for t, x, mode, u in inputs.calls:
-            assert np.array_equal(x, traj.states[t]) and mode == traj.modes[t]
-            assert np.array_equal(u, traj.inputs[t])
-        if H:
-            assert np.array_equal(traj.inputs[0], oracle.inputs[0])
-            assert_rel_close(traj.inputs, oracle.inputs)
-    else:
-        assert np.array_equal(traj.inputs, oracle.inputs)
+    oracle, oracle_modes = loop_coupled(model, reduced, part, x0, horizon, n_traj, seed=seed)
+    assert np.array_equal(modes, oracle_modes)
+    assert_rel_close(full, oracle[0])
+    assert_rel_close(red, oracle[1])
 
 
 @pytest.mark.invariant
 @settings(max_examples=60, deadline=None)
-@example(seed=0, s=1, n=1, p=0, horizon=0, kind="feedback", noise=0.3, injected=True)
-@example(seed=1, s=3, n=2, p=0, horizon=5, kind="feedback", noise=0.0, injected=False)
+@example(seed=0, s=1, n=1, p=0, horizon=0, noise=0.3, n_traj=1)
+@example(seed=1, s=3, n=2, p=2, horizon=5, noise=0.0, n_traj=3)
 @given(
     seed=st.integers(0, 2**32 - 1),
     s=st.integers(1, 5),
     n=st.integers(1, 4),
     p=st.integers(0, 3),
     horizon=st.integers(0, 12),
-    kind=st.sampled_from(["none", "array", "feedback"]),
     noise=st.sampled_from([0.0, 0.3]),
-    injected=st.booleans(),
+    n_traj=st.integers(1, 4),
 )
-def test_kernel_runs_match_the_loop_oracles(seed, s, n, p, horizon, kind, noise, injected):
+def test_kernel_runs_match_the_loop_oracles(seed, s, n, p, horizon, noise, n_traj):
+    # Closed loops u = K x and u = K_red x under shared noise.
     rng = np.random.default_rng(seed)
     model = random_model(rng, s=s, n=n, p=p, a_scale=rng.uniform(0.1, 1.2))
     part = random_partition(rng, s, int(rng.integers(1, s + 1)))
     reduced = random_model(rng, s=part.r, n=n, p=p)
+    model = closed_loop(model, 0.3 * rng.standard_normal((s, p, n)))
+    reduced = closed_loop(reduced, 0.3 * rng.standard_normal((part.r, p, n)))
     x0 = rng.standard_normal(n)
-    K = 0.3 * rng.standard_normal((s, p, n))
-    fixed = rng.standard_normal((horizon, p))
-    modes = rng.integers(0, s, size=horizon) if injected else None
-
-    def inputs():
-        return {"none": None, "array": fixed, "feedback": Feedback(K)}[kind]
-
     kw = dict(noise_std=noise, seed=seed)
-    u = inputs()
-    traj = simulate(model, x0, horizon, inputs=u, modes=modes, **kw)
-    check_against_oracle(traj, loop_simulate(model, x0, horizon, inputs(), modes=modes, **kw), u)
-    u = inputs()
-    full, red = simulate_coupled(model, reduced, part, x0, horizon, inputs=u, **kw)
-    oracle = loop_simulate_coupled(model, reduced, part, x0, horizon, inputs(), **kw)
-    check_against_oracle(full, oracle[0], u)
-    assert np.array_equal(red.modes, oracle[1].modes)
-    assert np.array_equal(red.inputs, full.inputs)
-    assert_rel_close(red.states, oracle[1].states)
+    full, red, modes = simulate_coupled_batch(model, reduced, part, x0, horizon, n_traj, **kw)
+    oracle, oracle_modes = loop_coupled(model, reduced, part, x0, horizon, n_traj, **kw)
+    assert np.array_equal(modes, oracle_modes)
+    assert_rel_close(full, oracle[0])
+    assert_rel_close(red, oracle[1])
 
 
 @pytest.mark.invariant
@@ -479,32 +384,27 @@ def test_kernel_runs_match_the_loop_oracles(seed, s, n, p, horizon, kind, noise,
 @given(
     seed=st.integers(0, 2**32 - 1),
     s=st.integers(1, 6),
-    horizon=st.integers(0, 15),
-    init=st.sampled_from(["stationary", "fixed", "law"]),
+    horizon=st.integers(1, 15),
+    n_traj=st.integers(1, 4),
 )
-def test_scalar_and_batched_runs_share_the_sampler(seed, s, horizon, init):
-    # Same seed, same draws, same kernel: a single-path run is the
-    # n_traj = 1 batch bit for bit.
+def test_scalar_and_batched_runs_share_the_sampler(seed, s, horizon, n_traj):
+    # simulate_coupled_batch and monte_carlo_cost draw the same mode
+    # paths and noise from one seed, so the stage cost averaged over the
+    # simulated states is the Monte Carlo cost.
     rng = np.random.default_rng(seed)
     model = random_model(rng, s=s, n=2, p=0)
-    init_dist = {
-        "stationary": None,
-        "fixed": int(rng.integers(s)),
-        "law": rng.dirichlet(np.ones(s)),
-    }[init]
     x0 = rng.standard_normal(2)
-    kw = dict(noise_std=0.3, seed=seed, init_dist=init_dist)
-    traj = simulate(model, x0, horizon, **kw)
-    states, modes = simulate_batch(model, x0, horizon, 1, **kw)
-    assert np.array_equal(traj.modes, modes[0])
-    assert np.array_equal(traj.states, states[0])
-    part = random_partition(rng, s, int(rng.integers(1, s + 1)))
-    reduced = random_model(rng, s=part.r, n=2, p=0)
-    full, red = simulate_coupled(model, reduced, part, x0, horizon, **kw)
-    states, red_states, modes = simulate_coupled_batch(model, reduced, part, x0, horizon, 1, **kw)
-    assert np.array_equal(full.modes, modes[0])
-    assert np.array_equal(full.states, states[0])
-    assert np.array_equal(red.states, red_states[0])
+    states, red_states, modes = simulate_coupled_batch(
+        model, model, singletons(model), x0, horizon, n_traj, noise_std=0.3, seed=seed
+    )
+    assert np.array_equal(modes, _batch_modes(np.random.default_rng(seed), model, n_traj, horizon))
+    assert np.array_equal(red_states, states)
+    mc = monte_carlo_cost(
+        model, np.zeros((s, 0, 2)), np.eye(2), np.zeros((0, 0)), 0.3, horizon, n_traj,
+        seed=seed, x0=x0,
+    )
+    per_traj = (states[:, :horizon] ** 2).sum(axis=(1, 2)) / horizon
+    assert mc.value == pytest.approx(per_traj.mean(), rel=1e-12)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.1])
@@ -512,10 +412,8 @@ def test_every_simulator_refuses_a_bad_noise_level(bad):
     m, part, x0 = three_state_model(), Partition([[0], [1, 2]]), np.ones(2)
     red = MjsModel(np.zeros((2, 2, 2)), None, np.full((2, 2), 0.5))
     runs = (
-        lambda: simulate(m, x0, 3, noise_std=bad, seed=0),
-        lambda: simulate_batch(m, x0, 3, 2, noise_std=bad, seed=0),
-        lambda: simulate_coupled(m, red, part, x0, 3, noise_std=bad, seed=0),
         lambda: simulate_coupled_batch(m, red, part, x0, 3, 2, noise_std=bad, seed=0),
+        lambda: empirical_traj_diff(m, red, part, x0, 3, 2, noise_std=bad, seed=0),
         lambda: monte_carlo_cost(
             m, np.zeros((3, 0, 2)), np.eye(2), np.zeros((0, 0)), bad, 3, 2
         ),
@@ -529,55 +427,40 @@ def test_coupled_runs_reject_unlinked_models():
     m, part, x0 = three_state_model(), Partition([[0], [1, 2]]), np.ones(2)
     other_n = MjsModel(np.zeros((2, 3, 3)), None, np.full((2, 2), 0.5))
     other_r = MjsModel(np.zeros((3, 2, 2)), None, np.full((3, 3), 1 / 3))
-    runs = (
-        lambda red: simulate_coupled(m, red, part, x0, 3, seed=0),
-        lambda red: simulate_coupled_batch(m, red, part, x0, 3, 2, seed=0),
-    )
-    for run in runs:
-        with pytest.raises(DimensionMismatch):
-            run(other_n)
-        with pytest.raises(PartitionMismatch):
-            run(other_r)
+    with pytest.raises(DimensionMismatch):
+        simulate_coupled_batch(m, other_n, part, x0, 3, 2, seed=0)
+    with pytest.raises(PartitionMismatch):
+        simulate_coupled_batch(m, other_r, part, x0, 3, 2, seed=0)
 
 
 @pytest.mark.parametrize(
     "run",
     [
-        lambda m, part, x0: simulate_batch(m, x0, 3, 2, seed=0),
         lambda m, part, x0: simulate_coupled_batch(m, m, part, x0, 3, 2, seed=0),
         lambda m, part, x0: monte_carlo_cost(
             m, np.zeros((3, 0, 2)), np.eye(2), np.zeros((0, 0)), 0.1, 3, 2, x0=x0
         ),
         lambda m, part, x0: empirical_traj_diff(m, m, part, x0, 3, 2, seed=0),
     ],
-    ids=["simulate_batch", "simulate_coupled_batch", "monte_carlo_cost", "empirical_traj_diff"],
+    ids=["simulate_coupled_batch", "monte_carlo_cost", "empirical_traj_diff"],
 )
 def test_batched_runs_reject_a_wrong_x0_length(run):
     m = three_state_model()
-    singletons = Partition([[0], [1], [2]])
     with pytest.raises(DimensionMismatch):
-        run(m, singletons, np.ones(m.n + 1))
+        run(m, singletons(m), np.ones(m.n + 1))
 
 
 @pytest.mark.parametrize(
     "run",
     [
-        lambda m, part, x0: simulate(m, x0, 3, seed=0),
         lambda m, part, x0: transition_kernel_enum(m, x0, 0),
         lambda m, part, x0: transition_kernel_enum(m, x0, 2),
-        lambda m, part, x0: second_moment_evolution(m, x0, 2),
         lambda m, part, x0: BoundInputs.from_model(m, part, "aggregatable", x0),
-        lambda m, part, x0: cumulative_cost_noisefree(
-            m, np.zeros((m.s, 0, m.n)), np.eye(m.n), np.zeros((0, 0)), x0
-        ),
     ],
     ids=[
-        "simulate",
         "transition_kernel_enum-t0",
         "transition_kernel_enum-t2",
-        "second_moment_evolution",
         "BoundInputs.from_model",
-        "cumulative_cost_noisefree",
     ],
 )
 def test_every_x0_entry_point_refuses_a_wrong_length(run):
@@ -588,14 +471,15 @@ def test_every_x0_entry_point_refuses_a_wrong_length(run):
 
 def test_mode_sampler_skips_zero_probability_modes():
     # A draw of exactly 0 equals the cumulative entry of a leading mode of
-    # probability zero, which must not be picked.
+    # probability zero, which must not be picked: from uniform pi the
+    # path starts in mode 0, then never repeats a mode.
     class Zeros:
         def random(self, size):
             return np.zeros(size)
 
-    law = [0.0, 0.5, 0.5]
-    m = MjsModel(np.zeros((3, 1, 1)), None, np.tile(law, (3, 1)))
-    assert np.all(_batch_modes(Zeros(), m, 2, 4, law) == 1)
+    T = np.array([[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])
+    m = MjsModel(np.zeros((3, 1, 1)), None, T)
+    assert np.all(_batch_modes(Zeros(), m, 2, 4) == [0, 1, 0, 1])
 
 
 @pytest.mark.invariant
@@ -603,9 +487,9 @@ def test_markov_frequencies_match_transition_matrix():
     # Entrywise tolerance 3 / sqrt(N pi_min) over N >= 1e5 steps.
     m = three_state_model()
     N = 100_000
-    traj = simulate(m, [0.0, 0.0], N, seed=123)
+    (modes,) = _batch_modes(np.random.default_rng(123), m, 1, N)
     counts = np.zeros((3, 3))
-    np.add.at(counts, (traj.modes[:-1], traj.modes[1:]), 1.0)
+    np.add.at(counts, (modes[:-1], modes[1:]), 1.0)
     freq = counts / counts.sum(axis=1, keepdims=True)
     tol = 3.0 / np.sqrt(N * stationary_distribution(m.T).min())
     assert np.abs(freq - m.T).max() <= tol
@@ -614,22 +498,18 @@ def test_markov_frequencies_match_transition_matrix():
 @pytest.mark.invariant
 @pytest.mark.parametrize("branch", ["aggregatable", "lumpable"])
 def test_coupled_runs_agree_on_reducible_models(branch):
-    # Exactly reducible instances: the reduced system tracks the full
-    # one along any shared mode path, input, and noise realization.
+    # Exactly reducible instances: under the reduced regulator, lifted
+    # to the full modes, the reduced closed loop tracks the full one
+    # along any shared mode path and noise realization.
     model, part, _ = generate(
         SynthConfig(8, 2, 3, 2, branch=branch, seed=11)
     )
     reduced = average_model(model, part)
+    K = riccati_solve(reduced, np.eye(3), np.eye(2)).K
     x0 = np.array([1.0, -2.0, 0.5])
-    u = np.random.default_rng(4).standard_normal((50, 2))
-    full, red = simulate_coupled(
-        model, reduced, part, x0, 50, inputs=u, noise_std=0.2, seed=9
-    )
-    diff = np.linalg.norm(full.states - red.states, axis=1)
-    assert diff.max() <= 1e-10 * np.linalg.norm(x0)
-    assert np.array_equal(red.modes, part.labels[full.modes])
     states, red_states, _ = simulate_coupled_batch(
-        model, reduced, part, x0, 50, 8, noise_std=0.2, seed=9
+        closed_loop(model, lift_gains(K, part)), closed_loop(reduced, K), part,
+        x0, 50, 8, noise_std=0.2, seed=9,
     )
     assert np.linalg.norm(states - red_states, axis=2).max() <= 1e-10 * np.linalg.norm(x0)
 

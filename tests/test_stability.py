@@ -9,18 +9,24 @@ from hypothesis import strategies as st
 
 import mjsreduce.stability as stability
 from conftest import random_model
-from mjsreduce.bounds import BoundInputs, transition_kernel_enum
+from mjsreduce.bounds import BoundInputs, empirical_traj_diff, transition_kernel_enum
 from mjsreduce.clustering import reduce_model
 from mjsreduce.experiments import demoted_weights
 from mjsreduce.errors import RhoTooSmall, TooLarge, XiTooSmall
-from mjsreduce.model import MjsModel, is_ergodic, simulate_batch, validate_model
+from mjsreduce.model import (
+    MjsModel,
+    Partition,
+    is_ergodic,
+    simulate_coupled_batch,
+    validate_model,
+)
 from mjsreduce.perturbation import construct_T0
 from mjsreduce.stability import (
+    MomentOperator,
     augmented_matrix,
     default_level,
     jsr_bounds,
     kappa_estimate,
-    second_moment_evolution,
     spectral_radius,
     stability_comparison,
     stability_report,
@@ -52,6 +58,15 @@ def test_certificate_entry_points_take_no_tuning_options():
             ("model", "partition", "branch", "x0", "u_bar", "rho", "xi", "budget"),
         ),
         (transition_kernel_enum, ("model", "x0", "t", "init_dist")),
+        # Simulations start from the stationary law: no init_dist.
+        (
+            simulate_coupled_batch,
+            ("model", "reduced", "partition", "x0", "horizon", "n_traj", "noise_std", "seed"),
+        ),
+        (
+            empirical_traj_diff,
+            ("model", "reduced", "partition", "x0", "horizon", "n_traj", "seed", "noise_std"),
+        ),
         (spectral_radius, ("M",)),
         (augmented_matrix, ("model",)),
         (construct_T0, ("T", "partition", "branch")),
@@ -81,10 +96,12 @@ def test_augmented_matrix_matches_moment_recursion(rng):
     m = random_model(rng, s=3, n=2, p=0)
     aug = augmented_matrix(m)
     x0 = np.array([1.0, -0.5])
-    mom = second_moment_evolution(m, x0, 4)
-    for t in range(4):
-        v = mom[t].reshape(-1)
-        assert np.abs(aug @ v - mom[t + 1].reshape(-1)).max() <= 1e-12
+    op = MomentOperator(m.A, m.T)
+    mom = m.pi[:, None, None] * np.outer(x0, x0)
+    for _ in range(4):
+        nxt = op.apply(mom)
+        assert np.abs(aug @ mom.reshape(-1) - nxt.reshape(-1)).max() <= 1e-12
+        mom = nxt
 
 
 def test_spectral_radius_values():
@@ -418,7 +435,9 @@ def test_mss_agrees_with_monte_carlo_boundedness(rng):
             continue
         x0 = np.ones(2) / np.sqrt(2.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            states, _ = simulate_batch(m, x0, 200, 100, seed=idx)
+            states, _, _ = simulate_coupled_batch(
+                m, m, Partition.from_labels(np.arange(m.s)), x0, 200, 100, seed=idx
+            )
             level = np.nan_to_num(
                 (states[:, -1] ** 2).sum(axis=1), nan=np.inf
             ).mean()
@@ -531,13 +550,3 @@ def test_stability_comparison_report_fields(rng):
     d = comp.to_dict()
     assert {"eps_rho", "lemma_gap_rho", "original", "reduced"} <= set(d)
     assert d["original"]["is_mss"] in (True, False)
-
-
-def test_second_moment_evolution_init_forms():
-    model, _ = fig4_model()
-    x0 = np.array([1.0, 0.0])
-    fixed = second_moment_evolution(model, x0, 2, init_dist=3)
-    assert np.array_equal(fixed[0, 3], np.outer(x0, x0))
-    assert np.abs(fixed[0, [0, 1, 2, 4, 5]]).max() == 0.0
-    weights = second_moment_evolution(model, x0, 2, init_dist=np.full(6, 1 / 6))
-    assert np.allclose(weights[0].sum(axis=0), np.outer(x0, x0), atol=1e-12)
