@@ -70,7 +70,7 @@ def _load_partition(path: str, s: int) -> Partition:
         raise InputError(f"{path}: expected a list of 1-based clusters")
     try:
         return Partition.from_lists_1based(payload, s=s)
-    except TypeError as e:  # a cluster or mode number of the wrong type
+    except TypeError as e:  # a cluster that is not a list
         raise InputError(f"{path}: clusters must be lists of mode numbers: {e}") from e
 
 

@@ -23,6 +23,15 @@ the pairing sigma_w^2 sum_i pi_i tr V_i (Costa, Fragoso & Marques,
 Discrete-Time Markov Jump Linear Systems, 2005, ch. 3).
 monte_carlo_cost estimates the same cost by rolling the closed loop
 A + B K out from the stationary law.
+
+The recursion also proves the closed loop mean-square stable.  A loop
+is stable iff some W with every W_i > 0 has W_i - L*(W)_i > 0 in every
+mode (ibid., ch. 3), and up to rounding the converged V of a positive
+definite stage is such a W; _witness_certifies checks it against a
+stated rounding bound.  Only when that fails (a semidefinite stage, a
+negative T entry), or when the recursion runs WITNESS_STEPS steps or
+grows past WITNESS_GROWTH unconverged, is the spectral radius
+MomentOperator.rho() computed; NotMss carries it.
 """
 
 from __future__ import annotations
@@ -64,6 +73,11 @@ __all__ = [
 
 # Step budget of the closed-loop value recursion.
 FIXED_POINT_STEPS = 1_000_000
+# An unconverged recursion that runs this many steps, or whose largest
+# value entry passes this multiple of the largest stage entry, proves
+# its loop through the spectral radius rather than its own witness.
+WITNESS_STEPS = 1_000
+WITNESS_GROWTH = 1e12
 # Step budget, stop tolerance and divergence cap of the Riccati iteration.
 RICCATI_STEPS = 100_000
 RICCATI_TOL = 1e-12
@@ -193,8 +207,10 @@ class CostReport:
 
     For the closed form, iterations and gap describe the value
     recursion: its step count and the largest entry change of its last
-    step.  For Monte Carlo, stderr is the standard error across
-    trajectory means.
+    step; proof names what showed the closed loop mean-square stable,
+    "witness" (its own value matrices) or "rho" (the spectral radius).
+    For Monte Carlo, stderr is the standard error across trajectory
+    means.
     """
 
     value: float
@@ -204,29 +220,89 @@ class CostReport:
     diverged: bool = False
     iterations: int | None = None
     gap: float | None = None
+    proof: str | None = None
 
 
-def _closed_loop_values(model: MjsModel, K, Q, R) -> tuple[np.ndarray, int, float]:
+def _witness_certifies(op: MomentOperator, V: np.ndarray) -> bool:
+    """True when W = (V + V')/2 proves op mean-square stable, rounding
+    included: every W_i > 0 and every W_i - L*(W)_i > 0.
+
+    L* maps positive semidefinite stacks to positive semidefinite ones
+    when T >= 0, so such a W gives L*(W) <= c W with c < 1 and rho < 1.
+    The products of fl(L*(W)) = fl(fl(A' fl(T W)) A) sum s, n and n
+    terms, so |fl(L*(W)) - L*(W)| <= gamma_{s+2n} F entrywise, where
+    F_i = |A_i|' (sum_j T_ij |W_j|) |A_i| and gamma_k = k u / (1 - k u)
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+    ch. 3), plus at most (s + 2n) (1 + a_i)^2 eta / 2 per entry for
+    underflow, with a_i the largest column sum of |A_i| and eta the
+    smallest subnormal.  A block's 2-norm is at most its Frobenius
+    norm, and four more units of u absorb the rounding of F itself and
+    of the bound.  So each D_i = fl(W_i - fl(L*(W)_i)) is off the exact
+    residual by at most
+
+        (s + 2n + 4) (u ||F_i||_F + n (1 + a_i)^2 eta) + 2 u ||D_i||_F,
+
+    the last term for the subtraction and for eigvalsh reading only
+    the lower triangle of D_i.  A computed eigenvalue of a symmetric X
+    is off by at most 8 n^2 u ||X||_F.  The witness holds when
+    lambda_min(W_i) and lambda_min(D_i) clear these bounds in every
+    block.
+    """
+    if np.any(op.T < 0.0):
+        return False
+    s, n = op.s, op.n
+    u, eta = np.finfo(float).eps / 2, np.finfo(float).smallest_subnormal
+    W = 0.5 * (V + V.transpose(0, 2, 1))
+    D = W - op.adjoint(W)
+    absA = np.abs(op.A)
+    F = MomentOperator(absA, op.T).adjoint(np.abs(W))
+    underflow = n * (1.0 + absA.sum(axis=1).max(axis=1)) ** 2 * eta
+    norm_W, norm_D = np.linalg.norm(W, axis=(1, 2)), np.linalg.norm(D, axis=(1, 2))
+    off = (s + 2 * n + 4) * (u * np.linalg.norm(F, axis=(1, 2)) + underflow) + 2 * u * norm_D
+    eig = 8 * n * n * u
+    return bool(
+        np.all(np.linalg.eigvalsh(W)[:, 0] > eig * norm_W)
+        and np.all(np.linalg.eigvalsh(D)[:, 0] > off + eig * norm_D)
+    )
+
+
+def _rho_proof(op: MomentOperator) -> str:
+    """'rho' when the spectral radius of op is below 1; NotMss otherwise."""
+    rho = op.rho()
+    if rho >= 1.0:
+        raise NotMss(f"closed loop has augmented spectral radius {rho:.6f}")
+    return "rho"
+
+
+def _closed_loop_values(model: MjsModel, K, Q, R) -> tuple[np.ndarray, int, float, str]:
     """Value matrices of u = K x: the solution of V = stage + L*(V).
 
     Iterates V <- stage + L*(V) from V = stage until a step moves no
     entry by more than 1e-14 times the largest entry of V.  Returns
-    (V, steps, gap of the last step).  Raises NotMss for a closed loop
-    that is not mean-square stable, NotConverged after
-    FIXED_POINT_STEPS steps.
+    (V, steps, gap of the last step, proof).  The converged V is its
+    own stability witness (proof "witness", see _witness_certifies).
+    The spectral radius is computed only when the witness fails, or
+    once the recursion passes WITNESS_STEPS steps or WITNESS_GROWTH
+    times the largest stage entry unconverged (proof "rho").  Raises
+    NotMss for a closed loop that is not mean-square stable,
+    NotConverged after FIXED_POINT_STEPS steps.
     """
     A_cl, stage = _closed_loop(model, K, Q, R)
     op = MomentOperator(A_cl, model.T)
-    rho = op.rho()
-    if rho >= 1.0:
-        raise NotMss(f"closed loop has augmented spectral radius {rho:.6f}")
+    cap = WITNESS_GROWTH * float(np.abs(stage).max())
+    proof = None
     V = stage
     for k in range(1, FIXED_POINT_STEPS + 1):
         new = stage + op.adjoint(V)
         gap = float(np.abs(new - V).max())
         V = new
-        if gap <= 1e-14 * float(np.abs(V).max()):
-            return V, k, gap
+        top = float(np.abs(V).max())
+        if gap <= 1e-14 * top:
+            if proof is None:
+                proof = "witness" if _witness_certifies(op, V) else _rho_proof(op)
+            return V, k, gap, proof
+        if proof is None and (k >= WITNESS_STEPS or top > cap):
+            proof = _rho_proof(op)
     raise NotConverged(
         f"closed-loop values did not settle in {FIXED_POINT_STEPS} steps "
         f"(last change {gap:.3e})"
@@ -239,12 +315,15 @@ def closed_loop_average_cost(
     """Stationary per-step cost of u = K x under iid state noise.
 
     sigma_w^2 sum_i pi_i tr V_i over the closed-loop value matrices V.
-    Raises InputError for a NaN, infinite or negative sigma_w, NotMss
-    for a closed loop that is not mean-square stable, NotConverged
-    after FIXED_POINT_STEPS steps of the value recursion.
+    Mean-square stability is proved by V itself as a Lyapunov witness,
+    and by the spectral radius only where that fails (proof names
+    which; see _closed_loop_values).  Raises InputError for a NaN,
+    infinite or negative sigma_w, NotMss for a closed loop that is not
+    mean-square stable, NotConverged after FIXED_POINT_STEPS steps of
+    the value recursion.
     """
     _check_noise_std(sigma_w, "sigma_w")
-    V, iterations, gap = _closed_loop_values(model, K, Q, R)
+    V, iterations, gap, proof = _closed_loop_values(model, K, Q, R)
     value = sigma_w**2 * float(np.einsum("i,ijj->", model.pi, V))
     return CostReport(
         value=value,
@@ -252,6 +331,7 @@ def closed_loop_average_cost(
         sigma_w=sigma_w,
         iterations=iterations,
         gap=gap,
+        proof=proof,
     )
 
 

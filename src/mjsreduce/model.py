@@ -112,21 +112,15 @@ class Partition:
     """Disjoint non-empty clusters of the mode set {0, ..., s-1}.
 
     Clusters are stored sorted, 0-based.  JSON serialization is 1-based
-    (see to_lists_1based / from_lists_1based).  A fractional, NaN or
-    infinite mode number raises InputError.
+    (see to_lists_1based / from_lists_1based).  A mode number is an
+    integer or an integral float; a bool, a fractional, NaN or infinite
+    number, or anything else raises InputError.
     """
 
     def __init__(self, clusters, s: int | None = None) -> None:
         cleaned = []
         for c in clusters:
-            c = list(c)
-            try:
-                ints = [int(i) for i in c]
-            except (ValueError, OverflowError):  # NaN, infinity, a word
-                ints = None
-            if ints != c:
-                raise InputError(f"mode numbers must be integers, got the 0-based cluster {c}")
-            c = tuple(sorted(ints))
+            c = tuple(sorted(_mode_number(i) for i in c))
             if not c:
                 raise PartitionMismatch("empty cluster")
             cleaned.append(c)
@@ -225,7 +219,7 @@ class Partition:
     def from_lists_1based(cls, lists, s: int | None = None) -> "Partition":
         """Read 1-based clusters; InputError for a mode number that is not
         an integer."""
-        return cls([[i - 1 for i in c] for c in lists], s=s)
+        return cls([[_mode_number(i) - 1 for i in c] for c in lists], s=s)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Partition) and self.clusters == other.clusters
@@ -300,6 +294,17 @@ def stationary_distribution(T: np.ndarray) -> np.ndarray:
 def _is_integer(value) -> bool:
     """True for Python and numpy integers, False for bools and the rest."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _mode_number(value) -> int:
+    """A mode number as an int: an integer or an integral float.  Raises
+    InputError for a bool (True would read as mode 1), a fractional,
+    NaN or infinite number, and anything else."""
+    if _is_integer(value):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise InputError(f"mode numbers must be integers, got {value!r}")
 
 
 def _resolve_init_dist(model: MjsModel, init_dist) -> np.ndarray:

@@ -323,6 +323,7 @@ MALFORMED_PARTITIONS = {
     "infinite": b"[[1e400], [2]]",
     "nan": b"[[NaN], [2]]",
     "fractional": b"[[1.5], [2]]",
+    "boolean": b"[[true], [2]]",
 }
 FLAG_CASES = [
     # (id, argv with a {model} placeholder, exit code, error class)

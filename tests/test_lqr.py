@@ -27,7 +27,7 @@ from mjsreduce.lqr import (
     riccati_solve,
 )
 from mjsreduce.model import MjsModel, stationary_distribution
-from mjsreduce.stability import augmented_matrix
+from mjsreduce.stability import MomentOperator, augmented_matrix
 from mjsreduce.synth import SynthConfig, generate
 
 SCALAR = MjsModel(
@@ -297,9 +297,159 @@ def test_average_cost_beyond_dense_cap():
     assert rep.value > 0.0 and rep.gap < 1e-12
     # Under the optimal gain the closed-loop value matrices are the
     # Riccati solution.
-    V, _, _ = lqr._closed_loop_values(model, sol.K, Q, R)
+    V, _, _, _ = lqr._closed_loop_values(model, sol.K, Q, R)
     x0 = np.ones(8)
     assert x0 @ V[0] @ x0 == pytest.approx(x0 @ sol.P[0] @ x0, rel=1e-9)
+
+
+def plain_values(model, K, Q, R, steps):
+    """The value recursion behind a spectral-radius check, as it ran
+    before the witness: "NotMss" for rho >= 1, None when the steps run
+    out, else (V, steps, gap).  Kept as the oracle of
+    _closed_loop_values."""
+    A_cl, stage = lqr._closed_loop(model, K, Q, R)
+    op = MomentOperator(A_cl, model.T)
+    if op.rho() >= 1.0:
+        return "NotMss"
+    V = stage
+    for k in range(1, steps + 1):
+        new = stage + op.adjoint(V)
+        gap = float(np.abs(new - V).max())
+        V = new
+        if gap <= 1e-14 * float(np.abs(V).max()):
+            return V, k, gap
+    return None
+
+
+# Enough steps for rho = 0.999 to settle, few enough to keep a loop at
+# rho = 1.0 (whose float rho may land just below 1) quick.
+PROPERTY_STEPS = 30_000
+
+
+@pytest.mark.invariant
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    s=st.integers(1, 4),
+    n=st.integers(1, 3),
+    p=st.integers(0, 2),
+    radius=st.sampled_from([0.5, 0.9, 0.99, 0.999, 1.0, 1.001, 1.1]),
+    stage=st.sampled_from(["definite", "singular", "hidden"]),
+)
+def test_witness_accepts_only_mean_square_stable_loops(seed, s, n, p, radius, stage):
+    # Random closed loops scaled to a dense mean-square radius.  Q is
+    # positive definite or has a zero eigenvalue, and with p = 0 that Q
+    # is the whole stage.  "hidden" decouples the last state and leaves
+    # it unpriced, so the values can settle on a loop that its last
+    # state makes unstable: there the witness alone must refuse.
+    rng = np.random.default_rng(seed)
+    T = rng.dirichlet(np.ones(s), size=s)
+    A = rng.standard_normal((s, n, n))
+    B = rng.standard_normal((s, n, p))
+    K = rng.standard_normal((s, p, n))
+    G = rng.standard_normal((n, n))
+    Q = G @ G.T + 0.1 * np.eye(n) if stage == "definite" else G[:, 1:] @ G[:, 1:].T
+    if stage == "hidden":
+        A[:, -1, :-1] = A[:, :-1, -1] = B[:, -1] = K[:, :, -1] = 0.0
+        Q = G @ G.T + 0.1 * np.eye(n)
+        Q[-1] = Q[:, -1] = 0.0
+    # L scales with the square of the modes.
+    scale = np.sqrt(radius / MomentOperator(A + B @ K, T).rho())
+    model, K = MjsModel(scale * A, B, T), scale * K
+    H = rng.standard_normal((p, p))
+    R = H @ H.T + np.eye(p)
+    # The very closed loop that lqr builds: at rho = 1.0 another
+    # rounding of A + B K can land rho() on the other side of 1.
+    rho = MomentOperator(lqr._closed_loop(model, K, Q, R)[0], T).rho()
+    want = plain_values(model, K, Q, R, PROPERTY_STEPS)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lqr, "FIXED_POINT_STEPS", PROPERTY_STEPS)
+        try:
+            V, k, gap, proof = lqr._closed_loop_values(model, K, Q, R)
+        except NotMss as e:
+            assert rho >= 1.0 and want == "NotMss"
+            assert f"{rho:.6f}" in str(e)
+            return
+        except NotConverged:
+            assert rho < 1.0 and want is None
+            return
+    assert rho < 1.0 and proof in ("witness", "rho")
+    assert np.array_equal(V, want[0]) and (k, gap) == want[1:]
+
+
+def count_rho_calls(monkeypatch) -> list:
+    calls = []
+    rho = MomentOperator.rho
+
+    def counted(op):
+        calls.append(op.dim)
+        return rho(op)
+
+    monkeypatch.setattr(MomentOperator, "rho", counted)
+    return calls
+
+
+def test_regulate_size_loops_certify_without_rho(monkeypatch):
+    # The s = 36, n = 4 cell of the regulate benchmark: both the
+    # optimal and the lifted reduced gains are proved by their witness.
+    model, _, _ = generate(
+        SynthConfig(36, 12, 4, 2, eps_A=64.8, eps_B=64.8, eps_T=129.6, seed=11)
+    )
+    Q, R = np.eye(4), np.eye(2)
+    red = reduce_model(model, 12, branch="aggregatable", seed=11)
+    gains = (
+        riccati_solve(model, Q, R).K,
+        lift_gains(riccati_solve(red.reduced, Q, R).K, red.partition),
+    )
+    calls = count_rho_calls(monkeypatch)
+    for K in gains:
+        rep = closed_loop_average_cost(model, K, Q, R, 0.3)
+        assert rep.proof == "witness" and rep.value > 0.0
+    assert calls == []
+
+
+@pytest.mark.parametrize("a", [0.6, 1.2], ids=["stable", "unstable"])
+def test_semidefinite_stage_takes_one_rho(monkeypatch, a):
+    # Q = diag(1, 0) leaves the decoupled second state x' = a x
+    # unpriced: the values settle either way, W - L*(W) is singular,
+    # and rho decides, here 0.36 or 1.44.
+    model = MjsModel(
+        np.array([[[0.5, 0.0], [0.0, a]], [[0.2, 0.0], [0.0, -a]]]),
+        None,
+        np.array([[0.7, 0.3], [0.4, 0.6]]),
+    )
+    calls = count_rho_calls(monkeypatch)
+
+    def cost():
+        return closed_loop_average_cost(
+            model, np.zeros((2, 0, 2)), np.diag([1.0, 0.0]), np.zeros((0, 0)), 0.3
+        )
+
+    if a < 1.0:
+        assert cost().proof == "rho"
+    else:
+        with pytest.raises(NotMss, match="radius 1.440000"):
+            cost()
+    assert len(calls) == 1
+
+
+def test_unstable_loop_stops_early(monkeypatch):
+    # a^2 = 1.2: the values grow by 1.2 a step and pass WITNESS_GROWTH
+    # after about 150 steps; then rho ends the recursion.
+    loose = MjsModel(np.array([[[np.sqrt(1.2)]]]), None, np.array([[1.0]]))
+    steps = []
+    adjoint = MomentOperator.adjoint
+
+    def counted(op, V):
+        steps.append(1)
+        return adjoint(op, V)
+
+    monkeypatch.setattr(MomentOperator, "adjoint", counted)
+    calls = count_rho_calls(monkeypatch)
+    with pytest.raises(NotMss, match="radius 1.200000"):
+        closed_loop_average_cost(loose, np.zeros((1, 0, 1)), EYE1, np.zeros((0, 0)), 0.1)
+    assert len(calls) == 1
+    assert len(steps) < 200 < lqr.WITNESS_STEPS < lqr.FIXED_POINT_STEPS
 
 
 def dense_primal_costs(model, K, Q, R, sigma_w, x0, init):
@@ -361,7 +511,7 @@ def test_costs_match_the_dense_moment_solve(seed, s, n, p, zeros, radius):
     assert abs(got - average) <= 1e-13 * abs(average)
     # The value matrices themselves, paired with the state x0 drawn
     # from the law init.
-    V, _, _ = lqr._closed_loop_values(model, K, Q, R)
+    V, _, _, _ = lqr._closed_loop_values(model, K, Q, R)
     got = float(np.einsum("i,j,ijk,k->", init, x0, V, x0))
     assert abs(got - total) <= 1e-13 * abs(total)
 

@@ -216,6 +216,16 @@ def test_partition_refuses_fractional_mode_numbers():
     assert Partition([[0.0], [np.float64(1.0)]]) == Partition([[0], [1]])
 
 
+@pytest.mark.parametrize("bad", [True, False, np.True_, np.False_])
+def test_partition_refuses_boolean_mode_numbers(bad):
+    # bool is an int subclass: True would read as mode 1, and 1-based
+    # True - 1 as mode 0.
+    with pytest.raises(InputError, match="must be integers"):
+        Partition([[bad, 2], [3, 0]])
+    with pytest.raises(InputError, match="must be integers"):
+        Partition.from_lists_1based([[bad, 2], [3, 4]])
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_partition_refuses_non_finite_mode_numbers(bad):
     # int() of these raises ValueError or OverflowError of its own.
