@@ -16,7 +16,8 @@ powers of L built column by column (apply_columns), taking the exact
 2-norm of a power only where a cheap upper bound could still raise the
 running maximum.  Above DEFAULT_SIZE_CAP no dense power is formed: L^k
 is completely positive, so ||L^k||_2 <= sqrt(||L^k(I)|| ||L*^k(I)||) in
-the largest block 2-norm, and tau is reported as that upper bound.
+the largest block 2-norm, and tau is reported as that upper bound, with
+a running bound on the rounding of the iterates added.
 
 The dense form of L is the augmented (s n^2) x (s n^2) block matrix
 whose (i, j) block is T(j, i) * kron(A_j, A_j), built from the same
@@ -199,7 +200,9 @@ class MomentOperator:
         Up to DEFAULT_SIZE_CAP the powers are dense and the value is
         exact.  Above it, the value is the sweep of the upper bound
         sqrt(||L^k(I)|| ||L*^k(I)||) in the largest block 2-norm, which
-        holds because L^k is completely positive (exact=False).
+        holds because L^k is completely positive (exact=False); a
+        running bound on the rounding of the iterates L^k(I) and
+        L*^k(I) is added, so the float bound holds too.
         """
         if self.dim > DEFAULT_SIZE_CAP:
             return _sweep(self._power_bounds(k_max), rho, exact=False)
@@ -207,13 +210,36 @@ class MomentOperator:
         return _sweep(powers, rho, exact=True)
 
     def _power_bounds(self, k_max: int):
-        # Yields (bound on ||L^k||_2, None) for k = 1..k_max.
+        # Yields (bound on ||L^k||_2, None) for k = 1..k_max, carrying a
+        # running forward-error bound on the float iterates X of L^k(I)
+        # and Y of L*^k(I) (Higham, Accuracy and Stability of Numerical
+        # Algorithms, 2002, ch. 3).  An entry of L(X) sums s n^2 products
+        # of four factors, so whatever the order, one float step is off
+        # the exact step of the float iterate by d_k with
+        # |d_k| <= gamma |L|(|X_{k-1}|), gamma = gamma_{s n^2 + 2}, and
+        # 1 + 3 gamma covers the rounding of |L| and of the norm of that.
+        # The error of X_k is sum_j L^(k-j)(d_j), whose Frobenius norm
+        # is at most sum_j B_(k-j) ||d_j||, with B_m the bound yielded
+        # at m (B_0 = 1), and likewise for Y.  A block's 2-norm is at most
+        # its Frobenius norm, and 1 + gamma on the result covers the
+        # 2-norms, the sums and the square root.
+        unit = 0.5 * np.finfo(float).eps * (self.dim + 2)
+        gamma = unit / (1.0 - unit)
+        local = (1.0 + 3.0 * gamma) * gamma
+        absolute = MomentOperator(np.abs(self.A), self.T)
         X = Y = self._identity()
+        bounds, steps, steps_adj = [1.0], [], []
         for _ in range(k_max):
+            steps.append(local * np.linalg.norm(absolute.apply(np.abs(X))))
+            steps_adj.append(local * np.linalg.norm(absolute.adjoint(np.abs(Y))))
             X, Y = self.apply(X), self.adjoint(Y)
-            top = np.linalg.norm(X, 2, axis=(1, 2)).max()
-            top_adj = np.linalg.norm(Y, 2, axis=(1, 2)).max()
-            yield float(np.sqrt(top * top_adj)), None
+            past = bounds[::-1]
+            top = np.linalg.norm(X, 2, axis=(1, 2)).max() + np.dot(past, steps)
+            top_adj = np.linalg.norm(Y, 2, axis=(1, 2)).max() + np.dot(past, steps_adj)
+            # Two roots, not the root of the product, which underflows
+            # first.
+            bounds.append(float(np.sqrt(top) * np.sqrt(top_adj) * (1.0 + gamma)))
+            yield bounds[-1], None
 
     def rho(self) -> float:
         """Spectral radius of L.

@@ -4,6 +4,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.optimize
+import scipy.sparse
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -26,8 +28,10 @@ from mjsreduce.bounds import (
 )
 from mjsreduce.clustering import average_model, reduce_model
 from mjsreduce.errors import (
+    ComputationError,
     DimensionMismatch,
     InputError,
+    NotConverged,
     NotNormalized,
     TooLarge,
     TooManySequences,
@@ -46,6 +50,12 @@ def dist(points, mass, t=0):
 
 def random_dist(rng, m, n=2):
     return dist(rng.standard_normal((m, n)), rng.dirichlet(np.ones(m)))
+
+
+def assert_plan_marginals(plan, p, q):
+    assert np.abs(plan.sum(axis=1) - p.mass).max() <= 1e-9
+    assert np.abs(plan.sum(axis=0) - q.mass).max() <= 1e-9
+    assert plan.min() >= -1e-12
 
 
 def reference_inputs(**overrides):
@@ -209,6 +219,42 @@ def test_kernel_enum_equals_recursive_walk(seed, s, n, t, init, commuting, dedup
     np.testing.assert_allclose(k.mass, mass, rtol=1e-12, atol=0.0)
 
 
+def test_merge_walks_a_cell_holding_a_chain():
+    # One grid cell of width tol holds a ~ b and b ~ c with a and c more
+    # than tol apart.  Merging the cell into its first point would take
+    # c too; the greedy walk keeps a and c.
+    tol = bounds.MERGE_TOL
+    a, b, c = tol * np.array([[-0.45, -0.45], [0.0, 0.0], [0.45, 0.45]])
+    gaps = np.array([b - a, c - a, c - b])
+    walk = [bool(np.linalg.norm(d) <= tol) for d in gaps]
+    assert walk == [True, False, True]
+    assert list(bounds._surely_within(gaps, tol)) == walk
+    # Mode i maps x0 = e1 to the i-th point.
+    A = np.stack([np.column_stack([x, np.zeros(2)]) for x in (a, b, c)])
+    model = MjsModel(A, None, np.full((3, 3), 1.0 / 3.0))
+    x0 = np.array([1.0, 0.0])
+    k = transition_kernel_enum(model, x0, 1)
+    support, mass = recursive_kernel(model, x0, 1)
+    assert np.array_equal(support, [a, c])
+    assert np.array_equal(k.support, support)
+    assert np.array_equal(k.mass, mass)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_surely_within_implies_the_walk_merges(n, rng):
+    # Rows at distances within a few ulps of tol, around the margin: a
+    # row _surely_within takes must also pass the walk's norm test, and
+    # a row clearly inside must be taken.
+    tol = 1e-10
+    D = rng.standard_normal((20_000, n))
+    D *= tol / np.linalg.norm(D, axis=1, keepdims=True)
+    D *= 1.0 + rng.uniform(-40.0, 4.0, size=(len(D), 1)) * np.finfo(float).eps
+    sure = bounds._surely_within(D, tol)
+    walk = np.array([np.linalg.norm(d) <= tol for d in D])
+    assert sure.any() and not (sure & ~walk).any()
+    assert bounds._surely_within(D * (1.0 - 1e-12), tol).all()
+
+
 def test_wasserstein_frozen_values():
     split = dist([[0.0], [1.0]], [0.5, 0.5])
     point = dist([[0.0]], [1.0])
@@ -250,9 +296,7 @@ def test_wasserstein_plan_marginals(rng):
     p = random_dist(rng, 3)
     q = random_dist(rng, 4)
     _, plan = wasserstein_exact(p, q, ell=1, return_plan=True)
-    assert np.abs(plan.sum(axis=1) - p.mass).max() <= 1e-9
-    assert np.abs(plan.sum(axis=0) - q.mass).max() <= 1e-9
-    assert plan.min() >= -1e-12
+    assert_plan_marginals(plan, p, q)
 
 
 def test_wasserstein_matches_permutation_oracle(rng):
@@ -311,6 +355,103 @@ def test_wasserstein_matches_vertex_enumeration(rng):
         ell = 1 + case % 2
         expect = vertex_oracle(p, q, ell)
         assert wasserstein_exact(p, q, ell=ell) == pytest.approx(expect, abs=1e-9)
+
+
+def full_transport_lp(p, q, ell):
+    """The whole transportation program in one HiGHS call, which
+    wasserstein_exact restricts, kept as its oracle: (value, plan)."""
+    a, b = p.mass / p.mass.sum(), q.mass / q.mass.sum()
+    m, k = len(a), len(b)
+    cost = np.linalg.norm(p.support[:, None, :] - q.support[None, :, :], axis=2) ** ell
+    # Row sums, then column sums with the last one dropped as redundant.
+    A_eq = scipy.sparse.vstack(
+        [
+            scipy.sparse.kron(scipy.sparse.eye(m), np.ones((1, k))),
+            scipy.sparse.kron(np.ones((1, m)), scipy.sparse.eye(k), format="csr")[:-1],
+        ],
+        format="csr",
+    )
+    res = scipy.optimize.linprog(
+        c=cost.ravel(), A_eq=A_eq, b_eq=np.concatenate([a, b[:-1]]),
+        bounds=(0, None), method="highs",
+    )
+    assert res.success, res.message
+    return float(max(res.fun, 0.0) ** (1.0 / ell)), res.x.reshape(m, k)
+
+
+@pytest.mark.invariant
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 8),
+    k=st.integers(1, bounds.TRANSPORT_NEIGHBOURS),
+    n=st.integers(1, 3),
+    ell=st.sampled_from([1, 2, 3]),
+    duplicates=st.booleans(),
+    zeros=st.booleans(),
+)
+def test_wasserstein_matches_the_full_program(seed, m, k, n, ell, duplicates, zeros):
+    # With at most TRANSPORT_NEIGHBOURS targets every cell is active
+    # from the start.  Repeated support points tie costs, and zero
+    # masses give empty rows and columns, both degenerate programs.
+    rng = np.random.default_rng(seed)
+
+    def law(size):
+        points = rng.standard_normal((size, n))
+        if duplicates:
+            points = points[rng.integers(0, max(size // 2, 1), size)]
+        mass = rng.dirichlet(np.ones(size))
+        if zeros:
+            mass[rng.random(size) < 0.4] = 0.0
+            mass[rng.integers(0, size)] += 1.0 - mass.sum()
+        return dist(points, mass)
+
+    p, q = law(m), law(k)
+    want, _ = full_transport_lp(p, q, ell)
+    got, plan = wasserstein_exact(p, q, ell=ell, return_plan=True)
+    assert abs(got - want) <= 1e-12 * want
+    assert_plan_marginals(plan, p, q)
+
+
+def test_wasserstein_matches_the_full_program_on_fig4():
+    # Up to 462 x 28 cells at t = 6, where the program is restricted.
+    model, _ = fig4_model()
+    for seed in range(2):
+        red = reduce_model(model, 3, seed=seed).reduced
+        for x0 in ((1.0, 1.0), (1.0, 0.0)):
+            for t in range(1, 7):
+                p = transition_kernel_enum(model, np.array(x0), t)
+                q = transition_kernel_enum(red, np.array(x0), t)
+                want, _ = full_transport_lp(p, q, 2)
+                assert abs(wasserstein_exact(p, q, ell=2) - want) <= 1e-12 * want, (seed, x0, t)
+
+
+def test_wasserstein_adds_cells_the_duals_price_below_zero():
+    # Half the mass sits on a target far from every source, listed
+    # first, next to eight light targets, each nearer to every source;
+    # only the staircase reaches the far target at first, from the
+    # first sources, but the last ones are nearer to it.
+    sources = np.column_stack([0.1 * np.arange(5), np.zeros(5)])
+    light = np.column_stack([0.07 * np.arange(8), np.full(8, 0.05)])
+    p = dist(sources, np.full(5, 0.2))
+    q = dist(np.vstack([[100.0, 0.0], light]), np.r_[0.5, np.full(8, 0.5 / 8)])
+    solve = scipy.optimize.linprog
+    for ell in (1, 2):
+        with mock.patch.object(bounds.scipy.optimize, "linprog", wraps=solve) as spy:
+            got, plan = wasserstein_exact(p, q, ell=ell, return_plan=True)
+        assert spy.call_count >= 2
+        want, _ = full_transport_lp(p, q, ell)
+        assert abs(got - want) <= 1e-12 * want
+        assert_plan_marginals(plan, p, q)
+
+
+def test_wasserstein_failure_is_a_computation_error():
+    p = dist([[0.0], [1.0]], [0.5, 0.5])
+    failed = scipy.optimize.OptimizeResult(success=False, status=4, message="numerical difficulties")
+    with mock.patch.object(bounds.scipy.optimize, "linprog", return_value=failed):
+        with pytest.raises(NotConverged, match="numerical difficulties") as caught:
+            wasserstein_exact(p, p)
+    assert isinstance(caught.value, ComputationError)
 
 
 @pytest.mark.invariant

@@ -6,14 +6,16 @@ construction kept here; MomentOperator must agree with it on apply,
 adjoint, apply_columns, spectral radius and tau, on every path rho()
 can take: dense, ARPACK, the vanishing check and the dense fallback
 after an ARPACK failure; above the cap, tau must bound the dense sweep
-from above.
+from above, and on small operators the exact norms of its powers.
 """
 
+import itertools
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence
 
@@ -158,6 +160,27 @@ def test_operator_tau_matches_dense_sweep(seed, s, n, chain, k_max):
     assert abs(est.value - want) <= 1e-12 * want
 
 
+def exact_power_norms(A, T, k_max):
+    """||L^k||_2 for k = 1..k_max in 60-digit mpmath, from the operator
+    built entry by entry from the float A and T as loop_augmented_matrix
+    lays it out.  Each entry is an exact product of three doubles, so
+    the norms are off the exact ones by far less than a float rounding."""
+    s, n = A.shape[0], A.shape[1]
+    m = n * n
+    with mpmath.workdps(60):
+        M = mpmath.zeros(s * m, s * m)
+        for i, j, a, b, c, d in itertools.product(range(s), range(s), *[range(n)] * 4):
+            M[i * m + a * n + c, j * m + b * n + d] = (
+                mpmath.mpf(T[j, i]) * mpmath.mpf(A[j, a, b]) * mpmath.mpf(A[j, c, d])
+            )
+        P, norms = mpmath.eye(s * m), []
+        for _ in range(k_max):
+            P = P * M
+            top = max(mpmath.eigsy(P.T * P, eigvals_only=True))
+            norms.append(float(mpmath.sqrt(max(top, 0))))
+    return norms
+
+
 @pytest.mark.invariant
 @settings(max_examples=40, deadline=None)
 @given(
@@ -167,22 +190,30 @@ def test_operator_tau_matches_dense_sweep(seed, s, n, chain, k_max):
     chain=st.sampled_from(CHAINS),
     k_max=st.integers(1, 30),
 )
+@example(seed=1306, s=2, n=2, chain="periodic", k_max=30)
 def test_tau_above_cap_bounds_the_dense_sweep(seed, s, n, chain, k_max):
     # L^k is completely positive, so sqrt(||L^k(I)|| ||L*^k(I)||) in the
-    # largest block 2-norm bounds ||M^k||_2 from above at every k.
+    # largest block 2-norm bounds ||M^k||_2 from above at every k.  On
+    # the pinned periodic chain that bound is tight, and float powers of
+    # M are off the exact norm by up to 6.8e-11 at k = 20, so up to
+    # 8 x 8 the norms come from exact_power_norms.
     rng = np.random.default_rng(seed)
     A, T = draw_modes(rng, s, n), draw_chain(rng, s, chain)
     aug = augmented_matrix(MjsModel(A, None, T))
     rho = default_level(spectral_radius(aug))
+    if aug.shape[0] <= 8:
+        norms = exact_power_norms(A, T, k_max)
+    else:
+        powers = itertools.accumulate([aug] * k_max, np.matmul)
+        norms = [float(np.linalg.norm(P, 2)) for P in powers]
     op = MomentOperator(A, T)
-    P = np.eye(aug.shape[0])
-    for bound, _ in op._power_bounds(k_max):
-        P = P @ aug
-        assert bound >= np.linalg.norm(P, 2) * (1.0 - 1e-12)
+    for (bound, _), norm in zip(op._power_bounds(k_max), norms, strict=True):
+        assert bound >= norm * (1.0 - 1e-12)
     with mock.patch.object(stability, "DEFAULT_SIZE_CAP", 0):
         est = op.tau(rho, k_max)
     assert not est.exact
-    assert est.value >= full_tau_sweep(aug, rho, k_max)[0] * (1.0 - 1e-12)
+    swept = max([1.0] + [norm / rho**k for k, norm in enumerate(norms, start=1)])
+    assert est.value >= swept * (1.0 - 1e-12)
 
 
 @pytest.mark.invariant
