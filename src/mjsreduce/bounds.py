@@ -422,16 +422,18 @@ def wasserstein_exact(
     optimum.  Otherwise the violating cells join and the program is
     solved again; every round adds cells, so the loop ends.
 
-    Raises NotNormalized when either mass vector is off 1 by more than
-    1e-9, InputError unless ell >= 1, and NotConverged when HiGHS finds
-    no optimum.
+    Raises NotNormalized when either mass vector sums to NaN or is off 1
+    by more than 1e-9, InputError unless ell >= 1 and every support
+    point is finite, and NotConverged when HiGHS finds no optimum.
     """
     _check_order(ell)
     for name, k in (("first", p), ("second", q)):
-        if abs(k.mass.sum() - 1.0) > 1e-9:
+        if not abs(k.mass.sum() - 1.0) <= 1e-9:  # NaN too
             raise NotNormalized(
                 f"{name} distribution has total mass {k.mass.sum()!r}"
             )
+        if not np.isfinite(k.support).all():
+            raise InputError(f"{name} distribution has a support point that is not finite")
     a = p.mass / p.mass.sum()
     b = q.mass / q.mass.sum()
     m, k = len(a), len(b)

@@ -282,6 +282,13 @@ def test_wasserstein_rejects_unnormalized():
         wasserstein_exact(dist([[0.0]], [0.9]), dist([[0.0]], [1.0]))
 
 
+def test_wasserstein_rejects_a_nan_mass():
+    # NaN is off 1 by no comparable amount; it reached linprog, which
+    # raised a bare ValueError.
+    with pytest.raises(NotNormalized):
+        wasserstein_exact(dist([[0.0], [1.0]], [np.nan, 0.5]), dist([[0.0]], [1.0]))
+
+
 @pytest.mark.parametrize("ell", [0, 0.5, -1, float("nan")])
 def test_transport_order_below_one_is_refused(ell):
     # ell = 0 divided by zero and ell = -1 reached scipy with a NaN cost.
@@ -290,6 +297,17 @@ def test_transport_order_below_one_is_refused(ell):
         wasserstein_exact(p, p, ell=ell)
     with pytest.raises(InputError):
         wasserstein_kernel_bound(reference_inputs(), 3, ell=ell)
+
+
+@pytest.mark.parametrize("point", [[np.inf, 0.0], [0.0, -np.inf], [np.nan, 1.0]])
+def test_wasserstein_refuses_support_points_that_are_not_finite(point):
+    # The cost of such a point is not finite, which linprog refused with
+    # a bare ValueError.
+    bad = dist([point, [0.0, 0.0]], [0.5, 0.5])
+    good = dist([[1.0, 1.0]], [1.0])
+    for p, q in ((bad, good), (good, bad)):
+        with pytest.raises(InputError, match="not finite"):
+            wasserstein_exact(p, q, ell=2)
 
 
 def test_wasserstein_plan_marginals(rng):

@@ -3,10 +3,11 @@
 augmented_matrix builds the (s n^2) x (s n^2) matrix of the same
 operator from its stack of mode krons, and must equal the block-by-block
 construction kept here; MomentOperator must agree with it on apply,
-adjoint, apply_columns, spectral radius and tau, on every path rho()
-can take: dense, ARPACK, the vanishing check and the dense fallback
-after an ARPACK failure; above the cap, tau must bound the dense sweep
-from above, and on small operators the exact norms of its powers.
+adjoint, its restrictions to symmetric and skew stacks, spectral radius
+and tau, on every path rho() can take: dense, ARPACK, the vanishing
+check and the dense fallback after an ARPACK failure; above the cap,
+tau must bound the dense sweep from above, and on small operators the
+exact norms of its powers.
 """
 
 import itertools
@@ -120,23 +121,58 @@ def test_apply_and_adjoint_are_the_augmented_matrix(seed, s, n, chain):
 
 
 @pytest.mark.invariant
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     s=st.integers(1, 8),
     n=st.integers(1, 4),
     chain=st.sampled_from(CHAINS),
-    cols=st.integers(1, 5),
 )
-def test_apply_columns_is_the_augmented_matrix(seed, s, n, chain, cols):
+def test_apply_is_the_augmented_matrix_to_rounding(seed, s, n, chain):
+    # Both sides sum the same s n^2 products; each is off the exact sum
+    # by a few units of rounding of the sum of their moduli.
     rng = np.random.default_rng(seed)
     A, T = draw_modes(rng, s, n), draw_chain(rng, s, chain)
     aug = augmented_matrix(MjsModel(A, None, T))
-    P = rng.standard_normal((s * n * n, cols))
-    want = aug @ P
-    got = MomentOperator(A, T).apply_columns(P)
-    atol = 1e-12 * max(1.0, float(np.abs(aug).max())) * float(np.abs(P).max())
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=atol)
+    X = rng.standard_normal((s, n, n))
+    scale = np.abs(aug) @ np.abs(X.ravel())
+    err = np.abs(MomentOperator(A, T).apply(X).ravel() - aug @ X.ravel())
+    assert np.all(err <= 1e-14 * scale), float((err / np.maximum(scale, 1e-300)).max())
+
+
+@pytest.mark.invariant
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    s=st.integers(1, 8),
+    n=st.integers(1, 4),
+    chain=st.sampled_from(CHAINS),
+)
+def test_restrictions_split_the_augmented_matrix(seed, s, n, chain):
+    # kron(A_j, A_j) commutes with the transpose of an n x n block, so L
+    # keeps symmetric and skew stacks apart: in the orthonormal basis
+    # [Q_sym Q_skew] the augmented matrix is block diagonal, and its
+    # blocks are the kernels the exact tau sweep steps.
+    rng = np.random.default_rng(seed)
+    A, T = draw_modes(rng, s, n), draw_chain(rng, s, chain)
+    aug = augmented_matrix(MjsModel(A, None, T))
+    m = n * n
+    transpose = np.arange(s * m).reshape(s, n, n).transpose(0, 2, 1).ravel()
+    assert np.array_equal(aug[transpose][:, transpose], aug)
+
+    sym, skew = (np.kron(np.eye(s), Q) for Q in stability._halves(n))
+    assert sym.shape[1] == s * n * (n + 1) // 2 and skew.shape[1] == s * n * (n - 1) // 2
+    basis = np.hstack([sym, skew])
+    np.testing.assert_allclose(basis.T @ basis, np.eye(s * m), atol=1e-15)
+    atol = 1e-14 * max(1.0, float(np.abs(aug).max())) * m
+    for cross in (sym.T @ aug @ skew, skew.T @ aug @ sym):
+        np.testing.assert_allclose(cross, 0.0, atol=atol)
+
+    restrictions = MomentOperator(A, T)._restrictions()
+    halves = [Q for Q in (sym, skew) if Q.shape[1]]  # no skew half for n = 1
+    assert len(restrictions) == len(halves) == (1 if n == 1 else 2)
+    for (step, identity), Q in zip(restrictions, halves, strict=True):
+        np.testing.assert_allclose(step(identity), Q.T @ aug @ Q, rtol=1e-12, atol=atol)
 
 
 @pytest.mark.invariant
@@ -144,20 +180,26 @@ def test_apply_columns_is_the_augmented_matrix(seed, s, n, chain, cols):
 @given(
     seed=st.integers(0, 2**32 - 1),
     s=st.integers(1, 6),
-    n=st.integers(1, 3),
+    n=st.integers(1, 4),
     chain=st.sampled_from(CHAINS),
     k_max=st.integers(0, 30),
 )
+@example(seed=4, s=3, n=1, chain="ergodic", k_max=12)  # no skew half
 def test_operator_tau_matches_dense_sweep(seed, s, n, chain, k_max):
-    # Powers L^k built column by column equal M^k = P @ M up to rounding.
+    # Powers of the two restrictions of L, in orthonormal bases, have
+    # the norms of M^k = P @ M up to rounding.
     rng = np.random.default_rng(seed)
     A, T = draw_modes(rng, s, n), draw_chain(rng, s, chain)
     aug = augmented_matrix(MjsModel(A, None, T))
     rho = default_level(spectral_radius(aug))
     est = MomentOperator(A, T).tau(rho, k_max)
-    want, _ = full_tau_sweep(aug, rho, k_max)
+    want, arg = full_tau_sweep(aug, rho, k_max)
     assert est.exact
     assert abs(est.value - want) <= 1e-12 * want
+    powers = itertools.accumulate([aug] * k_max, np.matmul)
+    g = sorted([1.0] + [np.linalg.norm(P, 2) / rho**k for k, P in enumerate(powers, start=1)])
+    if len(g) == 1 or g[-1] - g[-2] > 1e-12 * g[-1]:
+        assert est.argmax_k == arg
 
 
 def exact_power_norms(A, T, k_max):
@@ -207,7 +249,7 @@ def test_tau_above_cap_bounds_the_dense_sweep(seed, s, n, chain, k_max):
         powers = itertools.accumulate([aug] * k_max, np.matmul)
         norms = [float(np.linalg.norm(P, 2)) for P in powers]
     op = MomentOperator(A, T)
-    for (bound, _), norm in zip(op._power_bounds(k_max), norms, strict=True):
+    for [(bound, _)], norm in zip(op._power_bounds(k_max), norms, strict=True):
         assert bound >= norm * (1.0 - 1e-12)
     with mock.patch.object(stability, "DEFAULT_SIZE_CAP", 0):
         est = op.tau(rho, k_max)

@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -198,6 +199,38 @@ def test_tau_estimate_skips_only_what_cannot_win(seed, d, kind, lift, k_max):
     assert est.exact
     if est.complete:  # the sup over every k: a longer sweep adds nothing
         assert full_tau_sweep(M, rho, k_max + 60)[0] <= est.value * (1.0 + 1e-12)
+
+
+@pytest.mark.invariant
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.lists(st.integers(1, 8), min_size=1, max_size=3),
+    kind=st.sampled_from(["general", "triangular", "rank_one", "symmetric"]),
+    lift=st.sampled_from([1.0, 1.05, 1.5]),
+    k_max=st.integers(0, 30),
+)
+def test_sweep_over_blocks_is_the_sweep_of_their_direct_sum(seed, dims, kind, lift, k_max):
+    # The sweep takes a block's 2-norm only where the block's own bound
+    # could raise the maximum; the direct sum of the blocks, swept as
+    # one matrix, has the same powers, so value and (where the top two
+    # g(k) are apart) argmax_k agree.
+    rng = np.random.default_rng(seed)
+    blocks = [draw_matrix(rng, d, kind) * rng.uniform(0.5, 2.0) for d in dims]
+    D = scipy.linalg.block_diag(*blocks)
+    rho = max(spectral_radius(D) * lift, 1e-3)
+    powers = stability._dense_powers(
+        [(lambda P, M=M: P @ M, np.eye(len(M))) for M in blocks], k_max
+    )
+    est = stability._sweep(powers, rho, exact=True)
+    want, arg = full_tau_sweep(D, rho, k_max)
+    assert abs(est.value - want) <= 1e-12 * want
+    norms = [np.linalg.norm(P, 2) for P in itertools.accumulate([D] * k_max, np.matmul)]
+    g = sorted([1.0] + [norm / rho**k for k, norm in enumerate(norms, start=1)])
+    if len(g) == 1 or g[-1] - g[-2] > 1e-12 * g[-1]:
+        assert est.argmax_k == arg
+    if est.complete:
+        assert full_tau_sweep(D, rho, k_max + 60)[0] <= est.value * (1.0 + 1e-12)
 
 
 def test_tau_certified_flag():
