@@ -309,6 +309,16 @@ def _closed_loop_values(model: MjsModel, K, Q, R) -> tuple[np.ndarray, int, floa
     )
 
 
+def _noise_variance(sigma_w) -> float:
+    """sigma_w^2; InputError unless sigma_w is finite and nonnegative
+    and its square is finite."""
+    _check_noise_std(sigma_w, "sigma_w")
+    try:
+        return float(sigma_w) ** 2
+    except OverflowError:
+        raise InputError(f"sigma_w = {sigma_w} has a square beyond the float range") from None
+
+
 def closed_loop_average_cost(
     model: MjsModel, K, Q, R, sigma_w: float
 ) -> CostReport:
@@ -318,13 +328,13 @@ def closed_loop_average_cost(
     Mean-square stability is proved by V itself as a Lyapunov witness,
     and by the spectral radius only where that fails (proof names
     which; see _closed_loop_values).  Raises InputError for a NaN,
-    infinite or negative sigma_w, NotMss for a closed loop that is not
-    mean-square stable, NotConverged after FIXED_POINT_STEPS steps of
-    the value recursion.
+    infinite or negative sigma_w or one whose square overflows, NotMss
+    for a closed loop that is not mean-square stable, NotConverged
+    after FIXED_POINT_STEPS steps of the value recursion.
     """
-    _check_noise_std(sigma_w, "sigma_w")
+    variance = _noise_variance(sigma_w)
     V, iterations, gap, proof = _closed_loop_values(model, K, Q, R)
-    value = sigma_w**2 * float(np.einsum("i,ijj->", model.pi, V))
+    value = variance * float(np.einsum("i,ijj->", model.pi, V))
     return CostReport(
         value=value,
         method="closed_form",
@@ -426,8 +436,10 @@ def reduced_lqr_suboptimality(
     reduced gains over the partition, and evaluates their cost J_hat on
     the full system.  Timing covers the Riccati iterations only.
     Raises NotConverged, naming that model's size, when either Riccati
-    iteration does not converge.
+    iteration does not converge, and InputError up front for a sigma_w
+    that closed_loop_average_cost refuses.
     """
+    _noise_variance(sigma_w)
     if reduction is None:
         reduction = reduce_model(
             model, r, branch=branch, seed=seed, restarts=restarts, weights=weights

@@ -20,13 +20,17 @@ an orthonormal basis of each half, every power of L is block diagonal,
 with blocks of s n(n+1)/2 and s n(n-1)/2 rows (the symmetric Kronecker
 product of Alizadeh, Haeberly & Overton, SIAM J. Optim. 8, 1998, and
 its skew counterpart).  An orthogonal change of basis keeps the 2-norm,
-so ||L^k||_2 is the larger of the two block norms, and the exact sweep
-steps the two restrictions in lockstep, column by column, for about a
-third of the flops of the full power.  Above DEFAULT_SIZE_CAP no dense
-power is formed: L^k is completely positive, so
-||L^k||_2 <= sqrt(||L^k(I)|| ||L*^k(I)||) in the largest block 2-norm,
-and tau is reported as that upper bound, with a running bound on the
-rounding of the iterates added.
+so ||L^k||_2 is the larger of the two block norms.  With T >= 0, as
+for every transition matrix, the symmetric block is the larger: L^k is
+a positive map, so is L^k* L^k, and the top eigenvector of a positive
+map is positive semidefinite (Evans & Hoegh-Krohn, J. London Math.
+Soc. 17, 1978; see MomentOperator._norm_halves).  The exact sweep
+then steps the symmetric restriction alone, at n = 4 about a quarter
+of the flops of the full power; a signed T steps both halves in
+lockstep.  Above DEFAULT_SIZE_CAP no dense power is formed: L^k is
+completely positive, so ||L^k||_2 <= sqrt(||L^k(I)|| ||L*^k(I)||) in
+the largest block 2-norm, and tau is reported as that upper bound,
+with a running bound on the rounding of the iterates added.
 
 The dense form of L is the augmented (s n^2) x (s n^2) block matrix
 whose (i, j) block is T(j, i) * kron(A_j, A_j), built from the same
@@ -40,15 +44,22 @@ them level by level, each level one stacked matmul of the kept prefixes
 with every mode, and keeps the largest 2-norm m_k of each level.  It
 prunes only prefixes whose every extension stays below lower^k, while
 m_k >= JSR^k >= lower^k, so these maxima are exact.  kappa_estimate
-reads them as kappa = sup_k m_k / xi^k.
+reads them as kappa = sup_k m_k / xi^k.  The walk brackets every
+product's 2-norm between cheap bounds and takes the exact, batched
+2-norm only where the bracket leaves the level maximum or the prune
+open, and eigenvalues only for products whose norm could still raise
+the lower bound; numpy's batched linear algebra works matrix by
+matrix, so the bounds are those of the exact walk, bit for bit.
 
 One sweep serves both constants.  g(k) = ||L^k|| / rho^k and
 g(k) = m_k / xi^k are submultiplicative (Jungers, The Joint Spectral
 Radius, 2009, ch. 2), so one swept K with g(K) <= 1 makes the running
-maximum over k < K the sup over every k (complete).  For kappa the
-level K that sets the upper bound has g(K) = (upper / xi)^K < 1 for xi
-above it.  One level check refuses a NaN or nonpositive rho or xi, or
-one below its radius, before either sweep.
+maximum over k < K the sup over every k (complete), and the sweep
+stops at the first such K.  For kappa the level K that sets the upper
+bound has g(K) = (upper / xi)^K < 1 for xi above it.  One level check
+refuses a NaN or nonpositive rho or xi, or one below its radius, before
+either sweep.  A model whose krons, powers, iterates or mode products
+overflow is refused with DegenerateInput.
 """
 
 from __future__ import annotations
@@ -59,7 +70,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
 
-from .errors import NotConverged, RhoTooSmall, TooLarge, XiTooSmall
+from .errors import DegenerateInput, NotConverged, RhoTooSmall, TooLarge, XiTooSmall
 from .model import MjsModel, expand_reduced
 from .clustering import ReductionResult
 from .perturbation import construct_T0, perturbations
@@ -108,9 +119,12 @@ class TransientEstimate:
     """max(1, max_k g(k)) with g(k) = ||M^k|| / level^k over k <= k_max,
     for tau the powers of L and for kappa the level maxima of a JSR walk.
 
-    complete: some K <= k_max has g(K) <= 1, so the value is the sup
-    over every k; unconverged is its negation.  exact: False when g is
-    the matrix-free upper bound on ||L^k|| rather than the norm itself.
+    k_max is the last swept k: the first K with g(K) <= 1 when the sweep
+    certifies, else the whole horizon (the number of powers asked for,
+    or of level maxima).  complete: g(k_max) <= 1, so the value is the
+    sup over every k; unconverged is its negation.  exact: False when g
+    is the matrix-free upper bound on ||L^k|| rather than the norm
+    itself.
     """
 
     value: float
@@ -152,7 +166,15 @@ def augmented_matrix(model: MjsModel) -> np.ndarray:
 def _krons(A: np.ndarray) -> np.ndarray:
     # kron(A_j, A_j) for every mode, shape (s, n^2, n^2).
     s, m = A.shape[0], A.shape[1] ** 2
-    return np.einsum("jab,jcd->jacbd", A, A).reshape(s, m, m)
+    with np.errstate(over="ignore"):
+        krons = np.einsum("jab,jcd->jacbd", A, A).reshape(s, m, m)
+    _check_finite(krons, "the second-moment operator")
+    return krons
+
+
+def _check_finite(X: np.ndarray, what: str) -> None:
+    if not np.isfinite(X).all():
+        raise DegenerateInput(f"{what} overflows: an entry is not finite")
 
 
 def _halves(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -223,32 +245,56 @@ class MomentOperator:
         diagonal in the joined basis, which is orthogonal, so ||L^k||_2
         is the larger of the two block norms, and each block takes its
         own 2-norm only where its own bound could raise the maximum.
+        With T >= 0 the symmetric block is the larger at every k, and
+        only it is stepped (_norm_halves).
         Above DEFAULT_SIZE_CAP, the value is the sweep of the upper bound
         sqrt(||L^k(I)|| ||L*^k(I)||) in the largest block 2-norm, which
         holds because L^k is completely positive (exact=False); a
         running bound on the rounding of the iterates L^k(I) and
-        L*^k(I) is added, so the float bound holds too.
+        L*^k(I) is added, so the float bound holds too.  The sweep
+        stops at the first certifying k (see _sweep).  A power or an
+        iterate that overflows raises DegenerateInput.
         """
         if self.dim > DEFAULT_SIZE_CAP:
             return _sweep(self._power_bounds(k_max), rho, exact=False)
-        return _sweep(_dense_powers(self._restrictions(), k_max), rho, exact=True)
+        powers = _dense_powers(self._restrictions(self._norm_halves()), k_max)
+        return _sweep(powers, rho, exact=True)
 
-    def _restrictions(self) -> list:
-        # (step, identity) for the restrictions of L to the symmetric and
-        # the nonempty skew half: kernels Q' kron(A_j, A_j) Q, stepped on
-        # every column of a power at once, in O(s d^2 + s^2 d) per column
-        # for a half of s d rows.
+    def _norm_halves(self) -> list:
+        # The bases of the halves whose restriction can set ||L^k||_2:
+        # the symmetric one alone when T >= 0.  Then L^k and L*^k map
+        # positive semidefinite stacks to such stacks, complex ones too,
+        # and so does F = L*^k L^k, which is self-adjoint with top
+        # eigenvalue ||L^k||_2^2.  On the real space of Hermitian stacks
+        # F is thus a positive map, and its spectral radius r has a PSD
+        # eigenvector P != 0 (Evans & Hoegh-Krohn, J. London Math. Soc.
+        # 17, 1978).  F is real, so the real part of P is an eigenvector
+        # for r too; it is a real symmetric stack, and not zero, since
+        # its trace is that of P.  So the symmetric block's norm squared
+        # is at least r.  For a real skew Z with F(Z) = m Z, the stack
+        # i Z is Hermitian with F(i Z) = m i Z, so m <= r: the skew
+        # block's norm squared is at most r.  A signed T keeps both.
+        sym, skew = _halves(self.n)
+        if skew.shape[1] == 0 or (self.T >= 0.0).all():
+            return [sym]
+        return [sym, skew]
+
+    def _restrictions(self, bases: list) -> list:
+        # (step, identity) for the restriction of L to the span of each
+        # basis of _halves: kernels Q' kron(A_j, A_j) Q, stepped on every
+        # column of a power at once, in O(s d^2 + s^2 d) per column for a
+        # half of s d rows.  A step may overflow silently: _dense_powers
+        # refuses a power that is not finite.
         s, krons, out = self.s, _krons(self.A), []
-        for Q in _halves(self.n):
+        for Q in bases:
             d = Q.shape[1]
-            if d == 0:
-                continue
             kernels = Q.T @ krons @ Q
 
             def step(P, kernels=kernels, d=d):
                 cols = P.shape[1]
-                pushed = (kernels @ P.reshape(s, d, cols)).reshape(s, d * cols)
-                return (self.T.T @ pushed).reshape(s * d, cols)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    pushed = (kernels @ P.reshape(s, d, cols)).reshape(s, d * cols)
+                    return (self.T.T @ pushed).reshape(s * d, cols)
 
             out.append((step, np.eye(s * d)))
         return out
@@ -276,16 +322,21 @@ class MomentOperator:
         absolute = MomentOperator(np.abs(self.A), self.T)
         X = Y = self._identity()
         bounds, steps, steps_adj = [1.0], [], []
-        for _ in range(k_max):
-            steps.append(local * np.linalg.norm(absolute.apply(np.abs(X))))
-            steps_adj.append(local * np.linalg.norm(absolute.adjoint(np.abs(Y))))
-            X, Y = self.apply(X), self.adjoint(Y)
-            past = bounds[::-1]
-            top = np.linalg.norm(X, 2, axis=(1, 2)).max() + np.dot(past, steps)
-            top_adj = np.linalg.norm(Y, 2, axis=(1, 2)).max() + np.dot(past, steps_adj)
-            # Two roots, not the root of the product, which underflows
-            # first.
-            bounds.append(float(np.sqrt(top) * np.sqrt(top_adj) * (1.0 + gamma)))
+        for k in range(1, k_max + 1):
+            # An iterate that overflows raises; a rounding bound that
+            # does is an infinite, and so still valid, bound.
+            with np.errstate(over="ignore", invalid="ignore"):
+                steps.append(local * np.linalg.norm(absolute.apply(np.abs(X))))
+                steps_adj.append(local * np.linalg.norm(absolute.adjoint(np.abs(Y))))
+                X, Y = self.apply(X), self.adjoint(Y)
+                _check_finite(X, f"L^{k}(I)")
+                _check_finite(Y, f"L*^{k}(I)")
+                past = bounds[::-1]
+                top = np.linalg.norm(X, 2, axis=(1, 2)).max() + np.dot(past, steps)
+                top_adj = np.linalg.norm(Y, 2, axis=(1, 2)).max() + np.dot(past, steps_adj)
+                # Two roots, not the root of the product, which underflows
+                # first.
+                bounds.append(float(np.sqrt(top) * np.sqrt(top_adj) * (1.0 + gamma)))
             yield [(bounds[-1], None)]
 
     def rho(self) -> float:
@@ -310,7 +361,10 @@ class MomentOperator:
         shape = (self.s, self.n, self.n)
 
         def step(v):
-            return self.apply(v.reshape(shape)).ravel()
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = self.apply(v.reshape(shape)).ravel()
+            _check_finite(out, "an ARPACK iterate of the second-moment operator")
+            return out
 
         try:
             return float(np.abs(self._arpack(step, ARPACK_PLAIN_RESTARTS)))
@@ -354,8 +408,10 @@ class MomentOperator:
         # L^k(I) = 0 forces L^k = 0: every (complex) PSD stack lies below
         # a multiple of I, and such stacks span the space.
         X = self._identity()
-        for _ in range(self.n):
-            X = self.apply(X)
+        for k in range(1, self.n + 1):
+            with np.errstate(over="ignore", invalid="ignore"):
+                X = self.apply(X)
+            _check_finite(X, f"step {k} of L from the identity")
             scale = float(np.abs(X).max())
             if scale == 0.0:
                 return True
@@ -402,23 +458,42 @@ def tau_estimate(M: np.ndarray, rho: float, k_max: int = TAU_STEPS) -> Transient
 
 
 def _norm_bound(P: np.ndarray) -> float:
-    # ||P||_2 <= ||P||_F and ||P||_2 <= sqrt(||P||_1 ||P||_inf).
+    # ||P||_2 <= ||P||_F and ||P||_2 <= sqrt(||P||_1 ||P||_inf); inf
+    # where these overflow for a finite P.
     absP = np.abs(P)
-    one, inf = absP.sum(axis=0).max(), absP.sum(axis=1).max()
-    return float(min(np.linalg.norm(P, "fro"), np.sqrt(one * inf)))
+    with np.errstate(over="ignore"):
+        one, inf = absP.sum(axis=0).max(), absP.sum(axis=1).max()
+        return float(min(np.linalg.norm(P, "fro"), np.sqrt(one * inf)))
 
 
 def _dense_powers(blocks, k_max: int):
     # blocks holds (step, P_0) pairs.  Yields, for k = 1..k_max, the
     # pairs (bound on ||P_k||_2, P_k) of every block, P_k = step(P_(k-1)).
+    # A power with an entry that is not finite raises DegenerateInput;
+    # its bound is then not finite either, so only such bounds are
+    # checked entry by entry.
     steps, powers = [step for step, _ in blocks], [P for _, P in blocks]
-    for _ in range(k_max):
+    for k in range(1, k_max + 1):
         powers = [step(P) for step, P in zip(steps, powers)]
-        yield [(_norm_bound(P), P) for P in powers]
+        pairs = [(_norm_bound(P), P) for P in powers]
+        for bound, P in pairs:
+            if not math.isfinite(bound):
+                _check_finite(P, f"power {k} of the second-moment operator")
+        yield pairs
+
+
+def _power(x: float, k: int) -> float:
+    # x^k as a Python float power, inf where it overflows.  numpy's
+    # vectorized powers may differ in the last bit.
+    try:
+        return x**k
+    except OverflowError:
+        return math.inf
 
 
 def _sweep(powers, level: float, exact: bool) -> TransientEstimate:
-    """Running maximum of g(k) = ||M^k||_2 / level^k, k = 1, 2, ...
+    """Running maximum of g(k) = ||M^k||_2 / level^k, k = 1, 2, ...,
+    up to the first certifying k.
 
     powers yields, for each k, a list of pairs (bound, P): the diagonal
     blocks of M^k in an orthonormal basis that makes every power block
@@ -429,15 +504,14 @@ def _sweep(powers, level: float, exact: bool) -> TransientEstimate:
     leaves value and argmax_k as a full sweep would give them; with
     P = None the bound is the norm.  Since g(a + b) <= g(a) g(b), one K
     with g(K) <= 1 makes the sweep over k < K the sup over every k
-    (complete).  A level^k that overflows gives g = 0, and one that
+    (complete), and the sweep stops there: every later g(K + j) is at
+    most g(j) / (1 + BOUND_MARGIN), so it could not pass the strict
+    update.  A level^k that overflows gives g = 0, and one that
     underflows gives g = inf; neither raises.
     """
     best, arg, complete, k = 1.0, 0, False, 0
     for k, blocks in enumerate(powers, start=1):
-        try:
-            rk = level**k
-        except OverflowError:
-            rk = math.inf
+        rk = _power(level, k)
         # (lifted bound / level^k, bound, P) of each nonzero block,
         # largest first: its norm may leave the others no chance.
         tops = sorted(
@@ -447,8 +521,8 @@ def _sweep(powers, level: float, exact: bool) -> TransientEstimate:
         )
         if not tops:  # M^k = 0, and so is every later power
             complete = True
-            continue
-        complete = complete or tops[0][0] <= 1.0
+            break
+        complete = tops[0][0] <= 1.0
         for top, bound, P in tops:
             if top <= best:
                 break
@@ -456,6 +530,8 @@ def _sweep(powers, level: float, exact: bool) -> TransientEstimate:
             val = norm / rk if rk else math.inf
             if val > best:
                 best, arg = val, k
+        if complete:
+            break
     return TransientEstimate(
         value=best, level=level, argmax_k=arg, k_max=k, complete=complete, exact=exact
     )
@@ -466,31 +542,32 @@ def jsr_bounds(A_list, k_max: int = JSR_LEVELS, budget: int = JSR_BUDGET) -> Jsr
 
     Level k stacks the products A_{i_1} ... A_{i_k} of the kept prefixes
     of level k - 1, each extended on the right by every mode, as one
-    matmul with one batched 2-norm and eigvals call (Gripenberg, Linear
-    Algebra Appl. 234, 1996).  It contributes max rho(W)^{1/k} to the
-    lower bound and max ||W||^{1/k} to the upper bound (minimized over
-    levels).  Prefixes that provably cannot influence either bound are
-    pruned; every product, level 1 included, counts against the budget,
-    and when it runs out the bounds from completed levels are returned
-    with complete=False.  Level 1 is always enumerated.
+    matmul (Gripenberg, Linear Algebra Appl. 234, 1996).  It contributes
+    max rho(W)^{1/k} to the lower bound and max ||W||^{1/k} to the upper
+    bound (minimized over levels).  Prefixes that provably cannot
+    influence either bound are pruned; every product, level 1 included,
+    counts against the budget, and when it runs out the bounds from
+    completed levels are returned with complete=False.  Level 1 is
+    always enumerated.  A product that overflows raises
+    DegenerateInput.
+
+    Each product's 2-norm is bracketed by _norm_brackets, and the exact
+    2-norm (one batched call) is taken only where the bracket leaves a
+    decision open: for the level maximum, the products whose upper
+    bound reaches the largest lower bound; for the prune, whose test is
+    monotone in the norm, the products it keeps at the upper bound but
+    not at the lower.  Eigenvalues are taken only where the norm, or
+    its upper bound, could raise the lower bound (_level_radius).
+    numpy's batched linear algebra works matrix by matrix, so every
+    field equals that of the walk that takes all of them.
     """
     mats = np.asarray(A_list, dtype=float)
     W = mats
-    norms = np.linalg.norm(W, 2, axis=(1, 2))
-    beta = float(norms.max())
-    lower, upper, maxima = 0.0, float("inf"), []
+    lower, upper, maxima = 0.0, math.inf, []
     count, complete = 0, True
     for k in range(1, max(k_max, 1) + 1):
         if k > 1:
-            # A prefix W of k - 1 modes is useless once no extension can
-            # reach the current lower bound at any remaining depth j:
-            # ||W V|| <= ||W|| beta^(j-k+1).
-            # The thresholds are Python float powers: numpy's vectorized
-            # powers may differ in the last bit and so prune a different
-            # frontier.
-            mask = np.zeros(len(norms), dtype=bool)
-            for j in range(k, k_max + 1):
-                mask |= norms * beta ** (j - k + 1) >= lower**j
+            mask = _kept_prefixes(W, lo, hi, norms, maxima[0], lower, k, k_max)
             need = int(mask.sum()) * len(mats)
             if need == 0:
                 break
@@ -500,13 +577,17 @@ def jsr_bounds(A_list, k_max: int = JSR_LEVELS, budget: int = JSR_BUDGET) -> Jsr
             if count + need > budget:
                 complete = False
                 break
-            W = (W[mask][:, None] @ mats).reshape(-1, *mats.shape[1:])
-            norms = np.linalg.norm(W, 2, axis=(1, 2))
+            with np.errstate(over="ignore", invalid="ignore"):
+                W = (W[mask][:, None] @ mats).reshape(-1, *mats.shape[1:])
+        _check_finite(W, f"a product of {k} modes")
         count += len(W)
-        rho = np.abs(np.linalg.eigvals(W)).max(axis=1)
-        lower = max(lower, float(rho.max()) ** (1.0 / k))
-        maxima.append(float(norms.max()))
+        lo, hi = _norm_brackets(W)
+        norms = np.full(len(W), np.nan)  # exact 2-norms, where taken
+        top = _exact_norms(W, norms, hi >= lo.max())
+        maxima.append(float(top.max()))
         upper = min(upper, maxima[-1] ** (1.0 / k))
+        bound = np.where(np.isnan(norms), hi, norms)
+        lower = max(lower, _level_radius(W, bound, _power(lower, k)) ** (1.0 / k))
     # rho(W) <= ||W|| holds exactly, but the level roots may round the
     # lower bound one ulp past the upper; a lower bound may only drop.
     return JsrBounds(
@@ -517,6 +598,100 @@ def jsr_bounds(A_list, k_max: int = JSR_LEVELS, budget: int = JSR_BUDGET) -> Jsr
         complete=complete,
         level_maxima=tuple(maxima),
     )
+
+
+def _norm_brackets(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) with lo <= ||W_p||_2 <= hi for each matrix W_p of the
+    finite stack W, widened by BOUND_MARGIN so that they hold for
+    numpy's 2-norms too.
+
+    On S = W_p / max|W_p|, whose largest entry is 1, nothing overflows
+    or underflows that matters.  For the row w of S of largest norm,
+    ||S w|| >= w'w, so ||S||_2 >= ||S w|| / ||w|| >= ||w||; and
+    ||S||_2 <= min(||S||_F, sqrt(||S||_1 ||S||_inf)) (Jungers, The Joint
+    Spectral Radius, 2009, ch. 2).  Scaling back by max|W_p| keeps the
+    relative rounding small while max|W_p| is a normal number; below
+    that the bracket is (0, inf).
+    """
+    amax = np.abs(W).max(axis=(1, 2))
+    S = W / np.where(amax > 0.0, amax, 1.0)[:, None, None]
+    absS = np.abs(S)
+    rows = np.einsum("pab,pab->pa", S, S)
+    w = S[np.arange(len(S)), rows.argmax(axis=1)]
+    Sw = np.einsum("pab,pb->pa", S, w)
+    ww = rows.max(axis=1)
+    lo = np.sqrt(np.einsum("pa,pa->p", Sw, Sw) / np.where(ww > 0.0, ww, 1.0))
+    one, inf = absS.sum(axis=1).max(axis=1), absS.sum(axis=2).max(axis=1)
+    hi = np.minimum(np.sqrt(rows.sum(axis=1)), np.sqrt(one * inf))
+    with np.errstate(over="ignore"):
+        lo = lo * amax * (1.0 - BOUND_MARGIN)
+        hi = hi * amax * (1.0 + BOUND_MARGIN)
+    small = amax < np.finfo(float).tiny
+    lo[small] = 0.0
+    hi[small & (amax > 0.0)] = math.inf
+    return lo, hi
+
+
+def _exact_norms(W: np.ndarray, norms: np.ndarray, sel: np.ndarray) -> np.ndarray:
+    # Fills in the 2-norms of W[sel] not taken yet and returns norms[sel].
+    todo = sel & np.isnan(norms)
+    if todo.any():
+        got = np.linalg.norm(W[todo], 2, axis=(1, 2))
+        _check_finite(got, "the 2-norm of a mode product")
+        norms[todo] = got
+    return norms[sel]
+
+
+def _kept_prefixes(W, lo, hi, norms, beta, lower, k, k_max) -> np.ndarray:
+    # A prefix W of k - 1 modes is useless once no extension can reach
+    # the current lower bound at any remaining depth j:
+    # ||W V|| <= ||W|| beta^(j-k+1).  The thresholds are Python float
+    # powers: numpy's vectorized powers may differ in the last bit and
+    # so prune a different frontier.  lower^j overflows only when some
+    # product of j modes does, since its largest norm is at least JSR^j.
+    pairs = [(_power(beta, j - k + 1), _power(lower, j)) for j in range(k, k_max + 1)]
+    for j, (_, t) in enumerate(pairs, start=k):
+        if t == math.inf:
+            raise DegenerateInput(f"products of {j} modes overflow: their norm reaches {lower}^{j}")
+
+    def keep(x):
+        # Monotone in x: fl(x * c) is, and x * inf is nan (kept: False)
+        # only at x = 0.
+        out = np.zeros(len(x), dtype=bool)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for c, t in pairs:
+                out |= x * c >= t
+        return out
+
+    # keep(lo) and not keep(hi) decide; the rest need the exact norm.
+    mask = keep(lo)
+    undecided = ~mask & (keep(hi) | np.isinf(hi))
+    mask[undecided] = keep(_exact_norms(W, norms, undecided))
+    return mask
+
+
+def _level_radius(W: np.ndarray, bound: np.ndarray, floor: float) -> float:
+    """The largest spectral radius among the products W whose radius
+    could exceed floor, where bound >= ||W_p||_2; 0 when none can.
+
+    numpy's eigenvalues are those of W_p + E with ||E|| within rounding
+    of ||W_p||, so their largest modulus is at most the lifted
+    bound(1 + BOUND_MARGIN) whenever that is a normal number.  Products
+    are visited by falling bound, in batches that double, and a product
+    is skipped once its lifted bound is at most floor or the best radius
+    found; the maximum over the rest is then the maximum over all.
+    """
+    lifted = bound * (1.0 + BOUND_MARGIN)
+    tiny = np.finfo(float).tiny
+    todo = np.flatnonzero((lifted > floor) | ((lifted > 0.0) & (lifted < tiny)))
+    todo = todo[np.argsort(-lifted[todo], kind="stable")]
+    best, size = 0.0, 16
+    while len(todo):
+        batch, todo = todo[:size], todo[size:]
+        best = max(best, float(np.abs(np.linalg.eigvals(W[batch])).max()))
+        todo = todo[(lifted[todo] > best) | (lifted[todo] < tiny)]
+        size *= 2
+    return best
 
 
 def kappa_estimate(jsr: JsrBounds, xi: float) -> TransientEstimate:
@@ -659,7 +834,7 @@ def stability_comparison(
     op_bar = MomentOperator(expanded.A, expanded.T)
     rho_aug_bar = op_bar.rho()
     _check_level("rho", rep_hat.tau.level, rho_aug_bar)
-    tau_bar = op_bar.tau(rep_hat.tau.level, rep_hat.tau.k_max)
+    tau_bar = op_bar.tau(rep_hat.tau.level, TAU_STEPS)
     kappa_bar = rep_hat.kappa  # expanded mode set equals the reduced one
     return StabilityComparison(
         report=rep,

@@ -315,6 +315,15 @@ NILPOTENT_MODEL = json.dumps({
     "s": 2, "n": 2, "p": 0, "A": [[[0, 1], [0, 0]], [[0, 0.5], [0, 0]]], "B": None,
     "T": [[0.5, 0.5], [0.5, 0.5]],
 })
+# One mode entry of 1e50 or 1e160: powers of L, or its krons, and the
+# mode products leave the float range.
+OVERFLOW_MODELS = {
+    f"{big:g}": json.dumps({
+        "s": 2, "n": 2, "p": 0, "A": [[[big, 0.3], [0.1, 0.2]], [[0.5, 0], [0.2, 0.4]]],
+        "B": None, "T": [[0.5, 0.5], [0.5, 0.5]],
+    }).encode()
+    for big in (1e50, 1e160)
+}
 MALFORMED_PARTITIONS = {
     "not-utf8": b"\xff\xfe",
     "strings": b'[[1, "a"], [2]]',
@@ -347,6 +356,7 @@ FLAG_CASES = [
     ),
     ("lqr-nan-sigma-w", ["lqr", "{model}", "--r", "1", "--sigma-w", "nan"], 2, "InputError"),
     ("lqr-negative-sigma-w", ["lqr", "{model}", "--r", "1", "--sigma-w", "-1"], 2, "InputError"),
+    ("lqr-sigma-w-square-overflows", ["lqr", "{model}", "--r", "1", "--sigma-w", "1e200"], 2, "InputError"),
     ("stability-nan-rho", ["stability", "{model}", "--rho", "nan"], 3, "RhoTooSmall"),
     (
         "evaluate-negative-kmeans-eps",
@@ -385,6 +395,10 @@ BAD_INPUT = (
          NILPOTENT_MODEL.encode(), 3, error)
         for flag, error in (("--rho", "RhoTooSmall"), ("--xi", "XiTooSmall"))
         for level in ("0", "-1e-13")
+    ]
+    + [
+        (f"overflow-{name}", ["stability", "{bad}"], payload, 3, "DegenerateInput")
+        for name, payload in OVERFLOW_MODELS.items()
     ]
 )
 

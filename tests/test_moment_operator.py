@@ -152,7 +152,9 @@ def test_restrictions_split_the_augmented_matrix(seed, s, n, chain):
     # kron(A_j, A_j) commutes with the transpose of an n x n block, so L
     # keeps symmetric and skew stacks apart: in the orthonormal basis
     # [Q_sym Q_skew] the augmented matrix is block diagonal, and its
-    # blocks are the kernels the exact tau sweep steps.
+    # blocks are the kernels the exact tau sweep steps.  Both halves are
+    # restricted here for every T, though tau steps the skew one only
+    # for a signed T.
     rng = np.random.default_rng(seed)
     A, T = draw_modes(rng, s, n), draw_chain(rng, s, chain)
     aug = augmented_matrix(MjsModel(A, None, T))
@@ -168,8 +170,9 @@ def test_restrictions_split_the_augmented_matrix(seed, s, n, chain):
     for cross in (sym.T @ aug @ skew, skew.T @ aug @ sym):
         np.testing.assert_allclose(cross, 0.0, atol=atol)
 
-    restrictions = MomentOperator(A, T)._restrictions()
-    halves = [Q for Q in (sym, skew) if Q.shape[1]]  # no skew half for n = 1
+    bases = [Q for Q in stability._halves(n) if Q.shape[1]]  # no skew half for n = 1
+    restrictions = MomentOperator(A, T)._restrictions(bases)
+    halves = [Q for Q in (sym, skew) if Q.shape[1]]
     assert len(restrictions) == len(halves) == (1 if n == 1 else 2)
     for (step, identity), Q in zip(restrictions, halves, strict=True):
         np.testing.assert_allclose(step(identity), Q.T @ aug @ Q, rtol=1e-12, atol=atol)
@@ -200,6 +203,61 @@ def test_operator_tau_matches_dense_sweep(seed, s, n, chain, k_max):
     g = sorted([1.0] + [np.linalg.norm(P, 2) / rho**k for k, P in enumerate(powers, start=1)])
     if len(g) == 1 or g[-1] - g[-2] > 1e-12 * g[-1]:
         assert est.argmax_k == arg
+
+
+@pytest.mark.invariant
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    s=st.integers(1, 6),
+    n=st.integers(2, 4),
+    chain=st.sampled_from(CHAINS + ("nonnegative",)),
+    k_max=st.integers(1, 10),
+)
+def test_skew_block_never_sets_the_norm_when_T_is_nonnegative(seed, s, n, chain, k_max):
+    # With T >= 0, L^k* L^k is a positive map whose top eigenvector is
+    # PSD, so the symmetric block of every power is the larger one, and
+    # tau steps it alone.  "nonnegative" draws a T that is not
+    # stochastic, with zeros.
+    rng = np.random.default_rng(seed)
+    A = draw_modes(rng, s, n)
+    if chain == "nonnegative":
+        T = rng.random((s, s)) * (rng.random((s, s)) < 0.7) * rng.uniform(0.1, 2.0)
+    else:
+        T = draw_chain(rng, s, chain)
+    aug = loop_augmented_matrix(A, T)
+    sym, skew = (np.kron(np.eye(s), Q) for Q in stability._halves(n))
+    P = np.eye(len(aug))
+    for _ in range(k_max):
+        P = P @ aug
+        top_sym = np.linalg.norm(sym.T @ P @ sym, 2)
+        assert np.linalg.norm(skew.T @ P @ skew, 2) <= top_sym * (1.0 + 1e-13)
+    assert len(MomentOperator(A, T)._norm_halves()) == 1
+
+
+@pytest.mark.invariant
+def test_signed_T_sweeps_both_halves():
+    # With this signed T the skew block of L^16 is 2.3 times the
+    # symmetric one, and the symmetric block alone would certify tau at
+    # K = 16, where ||L^16|| / rho^16 = 1.49.  Both halves are swept:
+    # tau is the sweep of the dense powers, and it certifies where the
+    # dense power does.
+    rng = np.random.default_rng(76)
+    s, n = 3, 3
+    A, T = draw_modes(rng, s, n), rng.standard_normal((s, s))
+    aug = loop_augmented_matrix(A, T)
+    sym, skew = (np.kron(np.eye(s), Q) for Q in stability._halves(n))
+    P = np.linalg.matrix_power(aug, 16)
+    assert np.linalg.norm(skew.T @ P @ skew, 2) > 2 * np.linalg.norm(sym.T @ P @ sym, 2)
+    op = MomentOperator(A, T)
+    assert len(op._norm_halves()) == 2
+    rho = 1.01 * spectral_radius(aug)
+    est = op.tau(rho, stability.TAU_STEPS)
+    want, arg = full_tau_sweep(aug, rho, stability.TAU_STEPS)
+    assert abs(est.value - want) <= 1e-12 * want and est.argmax_k == arg
+    assert est.complete
+    K = est.k_max
+    assert np.linalg.norm(np.linalg.matrix_power(aug, K), 2) <= rho**K
 
 
 def exact_power_norms(A, T, k_max):

@@ -13,10 +13,11 @@ from conftest import random_model
 from mjsreduce.bounds import BoundInputs, empirical_traj_diff, transition_kernel_enum
 from mjsreduce.clustering import reduce_model
 from mjsreduce.experiments import demoted_weights
-from mjsreduce.errors import RhoTooSmall, TooLarge, XiTooSmall
+from mjsreduce.errors import DegenerateInput, RhoTooSmall, TooLarge, XiTooSmall
 from mjsreduce.model import (
     MjsModel,
     Partition,
+    expand_reduced,
     is_ergodic,
     simulate_coupled_batch,
     validate_model,
@@ -583,3 +584,223 @@ def test_stability_comparison_report_fields(rng):
     d = comp.to_dict()
     assert {"eps_rho", "lemma_gap_rho", "original", "reduced"} <= set(d)
     assert d["original"]["is_mss"] in (True, False)
+
+
+def plain_jsr_bounds(A_list, k_max, budget):
+    """The walk jsr_bounds brackets, kept as its oracle: the exact
+    2-norm and eigenvalues of every product formed.  Returns the bounds
+    and the number of products formed."""
+    mats = np.asarray(A_list, dtype=float)
+    W = mats
+    norms = np.linalg.norm(W, 2, axis=(1, 2))
+    beta = float(norms.max())
+    lower, upper, maxima = 0.0, float("inf"), []
+    count, complete = 0, True
+    for k in range(1, max(k_max, 1) + 1):
+        if k > 1:
+            mask = np.zeros(len(norms), dtype=bool)
+            for j in range(k, k_max + 1):
+                mask |= norms * beta ** (j - k + 1) >= lower**j
+            need = int(mask.sum()) * len(mats)
+            if need == 0:
+                break
+            if count + need > budget:
+                complete = False
+                break
+            W = (W[mask][:, None] @ mats).reshape(-1, *mats.shape[1:])
+            norms = np.linalg.norm(W, 2, axis=(1, 2))
+        count += len(W)
+        rho = np.abs(np.linalg.eigvals(W)).max(axis=1)
+        lower = max(lower, float(rho.max()) ** (1.0 / k))
+        maxima.append(float(norms.max()))
+        upper = min(upper, maxima[-1] ** (1.0 / k))
+    bounds = stability.JsrBounds(
+        lower=min(lower, upper),
+        upper=upper,
+        k_max=k_max,
+        levels_completed=len(maxima),
+        complete=complete,
+        level_maxima=tuple(maxima),
+    )
+    return bounds, count
+
+
+def draw_family(rng, s, n, family):
+    if family == "repeated":  # equal modes: every norm ties with others
+        return np.repeat(rng.standard_normal((1, n, n)) * rng.uniform(0.3, 1.5), s, axis=0)
+    if family == "orthogonal":  # rho = ||.|| for every product, few scales
+        scales = rng.choice([0.5, 1.0, 1.3], size=s)
+        return np.stack([c * np.linalg.qr(rng.standard_normal((n, n)))[0] for c in scales])
+    if family == "nilpotent":  # every product of n modes vanishes
+        return np.triu(rng.standard_normal((s, n, n)), 1)
+    if family == "sheared":  # large norms with small radii beside rotations
+        shears = np.triu(rng.standard_normal((s, n, n)) * 3.0, 1)
+        rotations = np.linalg.qr(rng.standard_normal((s, n, n)))[0]
+        mats = np.where(rng.random((s, 1, 1)) < 0.5, rotations, shears)
+        return mats + 0.05 * rng.standard_normal((s, n, n))
+    mats = rng.standard_normal((s, n, n)) * rng.uniform(0.2, 1.5) / np.sqrt(n)
+    if family == "zero":  # some modes, or all, are zero
+        mats[rng.random(s) < 0.5] = 0.0
+    return mats
+
+
+@pytest.mark.invariant
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    s=st.integers(1, 6),
+    n=st.integers(1, 4),
+    family=st.sampled_from(["general", "repeated", "orthogonal", "nilpotent", "zero", "sheared"]),
+    # Counted down, so that the small draws hypothesis favours give
+    # deep walks and large budgets as well as shallow and small ones.
+    k_max=st.integers(0, 8).map(lambda k: 8 - k),
+    budget=st.integers(0, 2999).map(lambda b: 3000 - b) | st.integers(1, 300),
+)
+@example(seed=0, s=1, n=1, k_max=4, family="general", budget=3000)
+@example(seed=1, s=3, n=2, k_max=8, family="orthogonal", budget=3000)
+@example(seed=4, s=6, n=3, k_max=8, family="sheared", budget=3000)  # radius off the top norms
+def test_bracketed_walk_is_the_plain_walk(seed, s, n, family, k_max, budget):
+    # Exact norms and eigenvalues are skipped only where the brackets
+    # decide, so every field is that of the plain walk, bit for bit,
+    # also where norms tie, products vanish, or the budget stops the
+    # walk in the middle.
+    mats = draw_family(np.random.default_rng(seed), s, n, family)
+    want, _ = plain_jsr_bounds(mats, k_max, budget)
+    assert jsr_bounds(mats, k_max=k_max, budget=budget) == want
+
+
+@pytest.mark.invariant
+def test_walk_takes_few_eigenvalues_and_norms(monkeypatch):
+    # On an s16n4 certify model the brackets leave most products to
+    # their cheap bounds.
+    model, _, _ = generate(SynthConfig(16, 4, 4, 0, eps_A=0.05, eps_T=0.05, seed=3))
+    seen = {"eigvals": 0, "norm": 0}
+    eigvals, norm = np.linalg.eigvals, np.linalg.norm
+
+    def counted_eigvals(W):
+        seen["eigvals"] += len(W)
+        return eigvals(W)
+
+    def counted_norm(W, *args, **kwargs):
+        if np.ndim(W) == 3:
+            seen["norm"] += len(W)
+        return norm(W, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
+    monkeypatch.setattr(np.linalg, "norm", counted_norm)
+    want, formed = plain_jsr_bounds(model.A, stability.JSR_LEVELS, 10_000)
+    seen.update(eigvals=0, norm=0)
+    assert jsr_bounds(model.A, budget=10_000) == want
+    assert formed > 1000
+    assert 0 < seen["eigvals"] < formed
+    assert 0 < seen["norm"] < formed
+
+
+def plain_sweep(powers, level):
+    """The sweep of _sweep over every yielded k, with no stop at the
+    first certificate, kept as its oracle.  Returns (value, argmax_k,
+    complete, ks swept)."""
+    best, arg, complete, k = 1.0, 0, False, 0
+    for k, blocks in enumerate(powers, start=1):
+        try:
+            rk = level**k
+        except OverflowError:
+            rk = np.inf
+        tops = sorted(
+            ((b * (1.0 + stability.BOUND_MARGIN) / rk if rk else np.inf, b, P)
+             for b, P in blocks if b),
+            key=lambda entry: entry[0],
+            reverse=True,
+        )
+        if not tops:
+            complete = True
+            continue
+        complete = complete or tops[0][0] <= 1.0
+        for top, bound, P in tops:
+            if top <= best:
+                break
+            norm = bound if P is None else float(np.linalg.norm(P, 2))
+            val = norm / rk if rk else np.inf
+            if val > best:
+                best, arg = val, k
+    return best, arg, complete, k
+
+
+@pytest.mark.invariant
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    s=st.integers(1, 6),
+    n=st.integers(1, 4),
+    lift=st.sampled_from([1.0, 1.001, 1.01, 1.2]),
+)
+def test_sweep_stops_at_the_first_certificate(seed, s, n, lift):
+    # Stopping at the first K with g(K) <= 1 leaves value, argmax_k,
+    # complete and exact as the whole TAU_STEPS sweep gives them, for
+    # the dense and the matrix-free tau and for kappa; and the swept K
+    # certifies: ||L^K|| <= rho^K.
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((s, n, n)) * rng.uniform(0.2, 1.0) / np.sqrt(n)
+    T = rng.dirichlet(np.ones(s), size=s)
+    op = MomentOperator(A, T)
+    aug = augmented_matrix(MjsModel(A, None, T))
+    rho = max(spectral_radius(aug) * lift, 1e-3)
+    steps = stability.TAU_STEPS
+    for est, powers in (
+        (op.tau(rho, steps), stability._dense_powers(op._restrictions(op._norm_halves()), steps)),
+        (stability._sweep(op._power_bounds(steps), rho, exact=False), op._power_bounds(steps)),
+    ):
+        value, arg, complete, last = plain_sweep(powers, rho)
+        assert (est.value, est.argmax_k, est.complete) == (value, arg, complete)
+        assert est.k_max <= last == steps
+        if est.complete and est.exact:
+            K = est.k_max
+            assert np.linalg.norm(np.linalg.matrix_power(aug, K), 2) <= rho**K * (1 + 1e-12)
+        elif not est.complete:
+            assert est.k_max == steps
+    jsr = jsr_bounds(A)
+    xi = default_level(jsr.upper) * lift
+    est = kappa_estimate(jsr, xi)
+    value, arg, complete, _ = plain_sweep(([(m, None)] for m in jsr.level_maxima), xi)
+    assert (est.value, est.argmax_k, est.complete) == (value, arg, complete)
+
+
+@pytest.mark.invariant
+def test_comparison_sweeps_tau_bar_over_its_own_horizon():
+    # tau_bar of the expanded model is swept over TAU_STEPS powers, not
+    # over the powers the reduced report needed to certify: here the
+    # reduced tau certifies at K = 1, while tau_bar peaks at k = 2 and
+    # certifies at K = 18.
+    rng = np.random.default_rng(63)
+    A = rng.standard_normal((6, 1, 1)) * rng.uniform(0.2, 0.6)
+    model = MjsModel(A, None, rng.dirichlet(np.full(6, 0.5), size=6))
+    res = reduce_model(model, 2, branch="aggregatable", seed=63)
+    comp = stability_comparison(model, res)
+    rep_hat = comp.report_reduced
+    assert rep_hat.tau.k_max == 1
+    expanded = expand_reduced(
+        res.reduced, res.partition, construct_T0(model.T, res.partition, "aggregatable")
+    )
+    op_bar = MomentOperator(expanded.A, expanded.T)
+    powers = stability._dense_powers(op_bar._restrictions(op_bar._norm_halves()), 64)
+    tau_bar, arg, complete, _ = plain_sweep(powers, rep_hat.tau.level)
+    assert arg == 2 and complete
+    assert comp.bound_rho_reverse == (
+        tau_bar * comp.eps_rho + (rep_hat.tau.level - rep_hat.rho_aug)
+    )
+
+
+@pytest.mark.parametrize("big", [1e50, 1e160])
+def test_models_that_overflow_are_degenerate(big):
+    # Mode entries whose krons, powers of L or mode products leave the
+    # float range are refused as DegenerateInput, with no RuntimeWarning
+    # on the way (tier-1 turns one into an error).
+    A = np.array([[[big, 0.3], [0.1, 0.2]], [[0.5, 0.0], [0.2, 0.4]]])
+    model = MjsModel(A, None, np.full((2, 2), 0.5))
+    with pytest.raises(DegenerateInput, match="overflow"):
+        stability_report(model)
+    with pytest.raises(DegenerateInput, match="overflow"):
+        jsr_bounds(A)
+    op = MomentOperator(A, model.T)
+    with pytest.raises(DegenerateInput, match="overflow"):
+        list(op._power_bounds(stability.TAU_STEPS))  # the matrix-free iterates
