@@ -23,7 +23,7 @@ from .errors import (
     TooLarge,
     TooManySequences,
 )
-from .model import MjsModel, Partition, _check_x0, _resolve_init_dist, simulate_coupled_batch
+from .model import MjsModel, Partition, _check_x0, simulate_coupled_batch
 from .perturbation import perturbations
 from .stability import JSR_BUDGET, stability_report
 
@@ -271,8 +271,9 @@ class KernelDistribution:
         return self.support.shape[0]
 
 
-def transition_kernel_enum(model: MjsModel, x0, t: int, init_dist=None) -> KernelDistribution:
-    """Exact law of x_t for an autonomous model by path enumeration.
+def transition_kernel_enum(model: MjsModel, x0, t: int) -> KernelDistribution:
+    """Exact law of x_t for an autonomous model started from the
+    stationary law model.pi, by path enumeration.
 
     Walks all mode sequences of length t one level at a time (pruning
     zero-probability branches), in the order of a depth-first walk over
@@ -291,7 +292,7 @@ def transition_kernel_enum(model: MjsModel, x0, t: int, init_dist=None) -> Kerne
     if model.s**t > KERNEL_PATHS:
         raise TooManySequences(f"s^t = {model.s**t} exceeds the cap {KERNEL_PATHS}")
     x0 = _check_x0(x0, model.n)
-    init = _resolve_init_dist(model, init_dist)
+    init = model.pi
     if t == 0:
         return KernelDistribution(support=np.array([x0]), mass=np.ones(1), t=0)
     # One row per live path: its last mode, probability and state.

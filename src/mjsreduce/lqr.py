@@ -28,10 +28,10 @@ The recursion also proves the closed loop mean-square stable.  A loop
 is stable iff some W with every W_i > 0 has W_i - L*(W)_i > 0 in every
 mode (ibid., ch. 3), and up to rounding the converged V of a positive
 definite stage is such a W; _witness_certifies checks it against a
-stated rounding bound.  Only when that fails (a semidefinite stage, a
-negative T entry), or when the recursion runs WITNESS_STEPS steps or
-grows past WITNESS_GROWTH unconverged, is the spectral radius
-MomentOperator.rho() computed; NotMss carries it.
+stated rounding bound.  Only when that fails (say, for a semidefinite
+stage), or when the recursion runs WITNESS_STEPS steps or grows past
+WITNESS_GROWTH unconverged, is the spectral radius MomentOperator.rho()
+computed; NotMss carries it.
 """
 
 from __future__ import annotations
@@ -227,8 +227,8 @@ def _witness_certifies(op: MomentOperator, V: np.ndarray) -> bool:
     """True when W = (V + V')/2 proves op mean-square stable, rounding
     included: every W_i > 0 and every W_i - L*(W)_i > 0.
 
-    L* maps positive semidefinite stacks to positive semidefinite ones
-    when T >= 0, so such a W gives L*(W) <= c W with c < 1 and rho < 1.
+    L* maps positive semidefinite stacks to positive semidefinite ones,
+    since MomentOperator holds T >= 0, so such a W gives L*(W) <= c W with c < 1 and rho < 1.
     The products of fl(L*(W)) = fl(fl(A' fl(T W)) A) sum s, n and n
     terms, so |fl(L*(W)) - L*(W)| <= gamma_{s+2n} F entrywise, where
     F_i = |A_i|' (sum_j T_ij |W_j|) |A_i| and gamma_k = k u / (1 - k u)
@@ -248,8 +248,6 @@ def _witness_certifies(op: MomentOperator, V: np.ndarray) -> bool:
     lambda_min(W_i) and lambda_min(D_i) clear these bounds in every
     block.
     """
-    if np.any(op.T < 0.0):
-        return False
     s, n = op.s, op.n
     u, eta = np.finfo(float).eps / 2, np.finfo(float).smallest_subnormal
     W = 0.5 * (V + V.transpose(0, 2, 1))
@@ -327,10 +325,11 @@ def closed_loop_average_cost(
     sigma_w^2 sum_i pi_i tr V_i over the closed-loop value matrices V.
     Mean-square stability is proved by V itself as a Lyapunov witness,
     and by the spectral radius only where that fails (proof names
-    which; see _closed_loop_values).  Raises InputError for a NaN,
-    infinite or negative sigma_w or one whose square overflows, NotMss
-    for a closed loop that is not mean-square stable, NotConverged
-    after FIXED_POINT_STEPS steps of the value recursion.
+    which; see _closed_loop_values).  Raises InputError for a T entry
+    that is not >= 0 and for a NaN, infinite or negative sigma_w or one
+    whose square overflows, NotMss for a closed loop that is not
+    mean-square stable, NotConverged after FIXED_POINT_STEPS steps of
+    the value recursion.
     """
     variance = _noise_variance(sigma_w)
     V, iterations, gap, proof = _closed_loop_values(model, K, Q, R)

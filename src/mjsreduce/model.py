@@ -20,7 +20,6 @@ from .errors import (
     DimensionMismatch,
     InputError,
     NotErgodic,
-    NotNormalized,
     PartitionMismatch,
 )
 
@@ -242,8 +241,8 @@ def validate_model(model: MjsModel) -> list[str]:
         if not np.all(np.isfinite(M)):
             violations.append(f"{name} contains non-finite entries")
     if np.all(np.isfinite(model.T)):
-        if np.any(model.T < -1e-9):
-            i, j = np.argwhere(model.T < -1e-9)[0]
+        if np.any(model.T < 0.0):
+            i, j = np.argwhere(model.T < 0.0)[0]
             violations.append(f"T({i},{j}) = {model.T[i, j]:.6g} is negative")
         sums = model.T.sum(axis=1)
         for i in np.nonzero(np.abs(sums - 1.0) > 1e-9)[0]:
@@ -305,36 +304,6 @@ def _mode_number(value) -> int:
     if isinstance(value, (float, np.floating)) and float(value).is_integer():
         return int(value)
     raise InputError(f"mode numbers must be integers, got {value!r}")
-
-
-def _resolve_init_dist(model: MjsModel, init_dist) -> np.ndarray:
-    """The initial mode law, shape (s,).
-
-    None gives the stationary law model.pi, an int the indicator of that
-    mode, a length-s vector the law itself.  Raises InputError for any
-    other scalar (a bool or a fractional mode), DimensionMismatch for a
-    mode outside range(s) or a vector of the wrong shape, NotNormalized
-    for negative entries or a total mass off 1 by more than 1e-9.
-    """
-    if init_dist is None:
-        return model.pi
-    if np.isscalar(init_dist):
-        if not _is_integer(init_dist):
-            raise InputError(f"initial mode must be an integer, got {init_dist!r}")
-        mode = int(init_dist)
-        if not 0 <= mode < model.s:
-            raise DimensionMismatch(f"initial mode {mode} outside range({model.s})")
-        return np.eye(model.s)[mode]
-    pi = np.asarray(init_dist, dtype=float)
-    if pi.shape != (model.s,):
-        raise DimensionMismatch(
-            f"initial distribution must have shape ({model.s},), got {pi.shape}"
-        )
-    if not (np.all(pi >= 0.0) and abs(pi.sum() - 1.0) <= 1e-9):
-        raise NotNormalized(
-            f"initial distribution must be nonnegative with total mass 1, got {pi}"
-        )
-    return pi
 
 
 def _batch_modes(

@@ -6,7 +6,10 @@ The mean-square side works through the second-moment operator
 
 on stacks of s symmetric n x n blocks (Costa, Fragoso & Marques,
 Discrete-Time Markov Jump Linear Systems, 2005, ch. 3).  Its spectral
-radius below one is equivalent to mean-square stability.
+radius below one is equivalent to mean-square stability.  T is the
+transition matrix of a Markov chain, so T >= 0, and L is then a
+positive map; every result below rests on that, and MomentOperator
+refuses a T with an entry that is not >= 0 (InputError).
 MomentOperator applies L and its adjoint matrix-free, in
 O(s n^3 + s^2 n^2) per step, and takes the spectral radius with ARPACK
 on a LinearOperator, so the mean-square checks have no size cap.
@@ -16,25 +19,23 @@ powers of L, taking the exact 2-norm of a power only where a cheap
 upper bound could still raise the running maximum.  L maps symmetric
 stacks to symmetric stacks and skew stacks to skew stacks, since
 kron(A_j, A_j) commutes with the transpose and T only mixes blocks; in
-an orthonormal basis of each half, every power of L is block diagonal,
-with blocks of s n(n+1)/2 and s n(n-1)/2 rows (the symmetric Kronecker
-product of Alizadeh, Haeberly & Overton, SIAM J. Optim. 8, 1998, and
-its skew counterpart).  An orthogonal change of basis keeps the 2-norm,
-so ||L^k||_2 is the larger of the two block norms.  With T >= 0, as
-for every transition matrix, the symmetric block is the larger: L^k is
-a positive map, so is L^k* L^k, and the top eigenvector of a positive
-map is positive semidefinite (Evans & Hoegh-Krohn, J. London Math.
-Soc. 17, 1978; see MomentOperator._norm_halves).  The exact sweep
-then steps the symmetric restriction alone, at n = 4 about a quarter
-of the flops of the full power; a signed T steps both halves in
-lockstep.  Above DEFAULT_SIZE_CAP no dense power is formed: L^k is
+an orthonormal basis of each half, every power of L is block diagonal
+(the symmetric Kronecker product of Alizadeh, Haeberly & Overton, SIAM
+J. Optim. 8, 1998, and its skew counterpart), and an orthogonal change
+of basis keeps the 2-norm.  With T >= 0 the symmetric block, of
+s n(n+1)/2 rows, has the larger norm: L^k is a positive map, so is
+L^k* L^k, and the top eigenvector of a positive map is positive
+semidefinite (Evans & Hoegh-Krohn, J. London Math. Soc. 17, 1978; see
+MomentOperator._restriction).  The exact sweep steps the symmetric
+restriction alone, at n = 4 about a quarter of the flops of the full
+power.  Above DEFAULT_SIZE_CAP no dense power is formed: L^k is
 completely positive, so ||L^k||_2 <= sqrt(||L^k(I)|| ||L*^k(I)||) in
 the largest block 2-norm, and tau is reported as that upper bound,
 with a running bound on the rounding of the iterates added.
 
 The dense form of L is the augmented (s n^2) x (s n^2) block matrix
 whose (i, j) block is T(j, i) * kron(A_j, A_j), built from the same
-stack of mode krons that the restrictions compress.  It is kept as the
+stack of mode krons that the restriction compresses.  It is kept as the
 fallback of MomentOperator.rho when ARPACK fails and as the oracle the
 tests compare the operator against; it is capped at DEFAULT_SIZE_CAP.
 tau_estimate takes any such matrix and sweeps its powers directly.
@@ -70,7 +71,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
 
-from .errors import DegenerateInput, NotConverged, RhoTooSmall, TooLarge, XiTooSmall
+from .errors import DegenerateInput, InputError, NotConverged, RhoTooSmall, TooLarge, XiTooSmall
 from .model import MjsModel, expand_reduced
 from .clustering import ReductionResult
 from .perturbation import construct_T0, perturbations
@@ -177,20 +178,16 @@ def _check_finite(X: np.ndarray, what: str) -> None:
         raise DegenerateInput(f"{what} overflows: an entry is not finite")
 
 
-def _halves(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # Orthonormal bases of the symmetric and of the skew n x n matrices,
-    # flattened row-major: n^2 x n(n+1)/2 and n^2 x n(n-1)/2, with
-    # columns e_aa, then (e_ab + e_ba) / sqrt(2) and (e_ab - e_ba) / sqrt(2)
-    # for a < b.  The skew basis is empty for n = 1.
+def _symmetric_basis(n: int) -> np.ndarray:
+    # Orthonormal basis of the symmetric n x n matrices, flattened
+    # row-major: n^2 x n(n+1)/2, with columns e_aa, then
+    # (e_ab + e_ba) / sqrt(2) for a < b.
     a, b = np.triu_indices(n, 1)
-    pairs, upper, lower = np.arange(len(a)), a * n + b, b * n + a
-    half = np.sqrt(0.5)
+    pairs = n + np.arange(len(a))
     sym = np.zeros((n * n, n + len(a)))
     sym[np.arange(n) * (n + 1), np.arange(n)] = 1.0
-    sym[upper, n + pairs] = sym[lower, n + pairs] = half
-    skew = np.zeros((n * n, len(a)))
-    skew[upper, pairs], skew[lower, pairs] = half, -half
-    return sym, skew
+    sym[a * n + b, pairs] = sym[b * n + a, pairs] = np.sqrt(0.5)
+    return sym
 
 
 def spectral_radius(M: np.ndarray) -> float:
@@ -206,13 +203,21 @@ class MomentOperator:
     moments E[x x' 1{w = i}]; adjoint maps V to
     L*(V)_i = A_i' (sum_j T(i, j) V_j) A_i, one step of the value
     matrices.  Flattened row-major, apply is the augmented matrix and
-    adjoint its transpose.
+    adjoint its transpose.  T must be entrywise >= 0: InputError names
+    the first entry that is not, negative or NaN.
     """
 
     def __init__(self, A, T) -> None:
         self.A = np.asarray(A, dtype=float)
         self.T = np.asarray(T, dtype=float)
         self.s, self.n = self.A.shape[0], self.A.shape[1]
+        bad = np.argwhere(~(self.T >= 0.0))
+        if len(bad):
+            i, j = bad[0]
+            raise InputError(
+                f"T({i},{j}) = {self.T[i, j]} is not >= 0: the second-moment operator "
+                "needs the nonnegative T of a Markov chain"
+            )
 
     @property
     def dim(self) -> int:
@@ -240,13 +245,10 @@ class MomentOperator:
         has checked against the spectral radius.
 
         Up to DEFAULT_SIZE_CAP the powers are dense and the value is
-        exact.  They are taken on the restrictions of L to symmetric
-        and to skew stacks, in orthonormal bases of each: L^k is block
-        diagonal in the joined basis, which is orthogonal, so ||L^k||_2
-        is the larger of the two block norms, and each block takes its
-        own 2-norm only where its own bound could raise the maximum.
-        With T >= 0 the symmetric block is the larger at every k, and
-        only it is stepped (_norm_halves).
+        exact.  They are taken on the restriction of L to symmetric
+        stacks, in an orthonormal basis, whose norm is ||L^k||_2 at
+        every k since T >= 0 (_restriction); the 2-norm of a power is
+        taken only where its bound could raise the maximum.
         Above DEFAULT_SIZE_CAP, the value is the sweep of the upper bound
         sqrt(||L^k(I)|| ||L*^k(I)||) in the largest block 2-norm, which
         holds because L^k is completely positive (exact=False); a
@@ -257,12 +259,15 @@ class MomentOperator:
         """
         if self.dim > DEFAULT_SIZE_CAP:
             return _sweep(self._power_bounds(k_max), rho, exact=False)
-        powers = _dense_powers(self._restrictions(self._norm_halves()), k_max)
-        return _sweep(powers, rho, exact=True)
+        return _sweep(_dense_powers(*self._restriction(), k_max), rho, exact=True)
 
-    def _norm_halves(self) -> list:
-        # The bases of the halves whose restriction can set ||L^k||_2:
-        # the symmetric one alone when T >= 0.  Then L^k and L*^k map
+    def _restriction(self):
+        # (step, identity) for the restriction of L to symmetric stacks,
+        # in the basis Q of _symmetric_basis: kernels Q' kron(A_j, A_j) Q,
+        # stepped on every column of a power at once, in
+        # O(s d^2 + s^2 d) per column for s d rows.  A step may overflow
+        # silently: _dense_powers refuses a power that is not finite.
+        # Its norm is ||L^k||_2, since T >= 0.  L^k and L*^k then map
         # positive semidefinite stacks to such stacks, complex ones too,
         # and so does F = L*^k L^k, which is self-adjoint with top
         # eigenvalue ||L^k||_2^2.  On the real space of Hermitian stacks
@@ -273,34 +278,21 @@ class MomentOperator:
         # its trace is that of P.  So the symmetric block's norm squared
         # is at least r.  For a real skew Z with F(Z) = m Z, the stack
         # i Z is Hermitian with F(i Z) = m i Z, so m <= r: the skew
-        # block's norm squared is at most r.  A signed T keeps both.
-        sym, skew = _halves(self.n)
-        if skew.shape[1] == 0 or (self.T >= 0.0).all():
-            return [sym]
-        return [sym, skew]
+        # block, the rest of L^k, never has the larger norm.
+        s, Q = self.s, _symmetric_basis(self.n)
+        d = Q.shape[1]
+        kernels = Q.T @ _krons(self.A) @ Q
 
-    def _restrictions(self, bases: list) -> list:
-        # (step, identity) for the restriction of L to the span of each
-        # basis of _halves: kernels Q' kron(A_j, A_j) Q, stepped on every
-        # column of a power at once, in O(s d^2 + s^2 d) per column for a
-        # half of s d rows.  A step may overflow silently: _dense_powers
-        # refuses a power that is not finite.
-        s, krons, out = self.s, _krons(self.A), []
-        for Q in bases:
-            d = Q.shape[1]
-            kernels = Q.T @ krons @ Q
+        def step(P):
+            cols = P.shape[1]
+            with np.errstate(over="ignore", invalid="ignore"):
+                pushed = (kernels @ P.reshape(s, d, cols)).reshape(s, d * cols)
+                return (self.T.T @ pushed).reshape(s * d, cols)
 
-            def step(P, kernels=kernels, d=d):
-                cols = P.shape[1]
-                with np.errstate(over="ignore", invalid="ignore"):
-                    pushed = (kernels @ P.reshape(s, d, cols)).reshape(s, d * cols)
-                    return (self.T.T @ pushed).reshape(s * d, cols)
-
-            out.append((step, np.eye(s * d)))
-        return out
+        return step, np.eye(s * d)
 
     def _power_bounds(self, k_max: int):
-        # Yields [(bound on ||L^k||_2, None)] for k = 1..k_max, carrying
+        # Yields (bound on ||L^k||_2, None) for k = 1..k_max, carrying
         # a running forward-error bound on the float iterates X of L^k(I)
         # and Y of L*^k(I) (Higham, Accuracy and Stability of Numerical
         # Algorithms, 2002, ch. 3).  An entry of L(X) sums s n^2 products
@@ -337,7 +329,7 @@ class MomentOperator:
                 # Two roots, not the root of the product, which underflows
                 # first.
                 bounds.append(float(np.sqrt(top) * np.sqrt(top_adj) * (1.0 + gamma)))
-            yield [(bounds[-1], None)]
+            yield bounds[-1], None
 
     def rho(self) -> float:
         """Spectral radius of L.
@@ -453,8 +445,7 @@ def tau_estimate(M: np.ndarray, rho: float, k_max: int = TAU_STEPS) -> Transient
     """
     M = np.asarray(M, dtype=float)
     _check_level("rho", rho, spectral_radius(M))
-    powers = _dense_powers([(lambda P: P @ M, np.eye(M.shape[0]))], k_max)
-    return _sweep(powers, rho, exact=True)
+    return _sweep(_dense_powers(lambda P: P @ M, np.eye(M.shape[0]), k_max), rho, exact=True)
 
 
 def _norm_bound(P: np.ndarray) -> float:
@@ -466,20 +457,17 @@ def _norm_bound(P: np.ndarray) -> float:
         return float(min(np.linalg.norm(P, "fro"), np.sqrt(one * inf)))
 
 
-def _dense_powers(blocks, k_max: int):
-    # blocks holds (step, P_0) pairs.  Yields, for k = 1..k_max, the
-    # pairs (bound on ||P_k||_2, P_k) of every block, P_k = step(P_(k-1)).
-    # A power with an entry that is not finite raises DegenerateInput;
-    # its bound is then not finite either, so only such bounds are
-    # checked entry by entry.
-    steps, powers = [step for step, _ in blocks], [P for _, P in blocks]
+def _dense_powers(step, P, k_max: int):
+    # Yields (bound on ||P_k||_2, P_k) for k = 1..k_max, from P_0 = P and
+    # P_k = step(P_(k-1)).  A power with an entry that is not finite
+    # raises DegenerateInput; its bound is then not finite either, so
+    # only such a bound is checked entry by entry.
     for k in range(1, k_max + 1):
-        powers = [step(P) for step, P in zip(steps, powers)]
-        pairs = [(_norm_bound(P), P) for P in powers]
-        for bound, P in pairs:
-            if not math.isfinite(bound):
-                _check_finite(P, f"power {k} of the second-moment operator")
-        yield pairs
+        P = step(P)
+        bound = _norm_bound(P)
+        if not math.isfinite(bound):
+            _check_finite(P, f"power {k} of the second-moment operator")
+        yield bound, P
 
 
 def _power(x: float, k: int) -> float:
@@ -495,37 +483,26 @@ def _sweep(powers, level: float, exact: bool) -> TransientEstimate:
     """Running maximum of g(k) = ||M^k||_2 / level^k, k = 1, 2, ...,
     up to the first certifying k.
 
-    powers yields, for each k, a list of pairs (bound, P): the diagonal
-    blocks of M^k in an orthonormal basis that makes every power block
-    diagonal (one block when M has no such split), with
-    bound >= ||P||_2, so that ||M^k||_2 is the largest ||P||_2.  Where P
-    is given, its 2-norm is taken only where its own bound, lifted by
-    BOUND_MARGIN, could still pass the strict update, so skipping
-    leaves value and argmax_k as a full sweep would give them; with
-    P = None the bound is the norm.  Since g(a + b) <= g(a) g(b), one K
-    with g(K) <= 1 makes the sweep over k < K the sup over every k
-    (complete), and the sweep stops there: every later g(K + j) is at
-    most g(j) / (1 + BOUND_MARGIN), so it could not pass the strict
-    update.  A level^k that overflows gives g = 0, and one that
-    underflows gives g = inf; neither raises.
+    powers yields, for each k, a pair (bound, P) with
+    ||P||_2 = ||M^k||_2 <= bound.  Where P is given, its 2-norm is taken
+    only where the bound, lifted by BOUND_MARGIN, could still pass the
+    strict update, so skipping leaves value and argmax_k as a full
+    sweep would give them; with P = None the bound is the norm.  Since
+    g(a + b) <= g(a) g(b), one K with g(K) <= 1 makes the sweep over
+    k < K the sup over every k (complete), and the sweep stops there:
+    every later g(K + j) is at most g(j) / (1 + BOUND_MARGIN), so it
+    could not pass the strict update.  A level^k that overflows gives
+    g = 0, and one that underflows gives g = inf; neither raises.
     """
     best, arg, complete, k = 1.0, 0, False, 0
-    for k, blocks in enumerate(powers, start=1):
-        rk = _power(level, k)
-        # (lifted bound / level^k, bound, P) of each nonzero block,
-        # largest first: its norm may leave the others no chance.
-        tops = sorted(
-            ((b * (1.0 + BOUND_MARGIN) / rk if rk else math.inf, b, P) for b, P in blocks if b),
-            key=lambda entry: entry[0],
-            reverse=True,
-        )
-        if not tops:  # M^k = 0, and so is every later power
+    for k, (bound, P) in enumerate(powers, start=1):
+        if not bound:  # M^k = 0, and so is every later power
             complete = True
             break
-        complete = tops[0][0] <= 1.0
-        for top, bound, P in tops:
-            if top <= best:
-                break
+        rk = _power(level, k)
+        top = bound * (1.0 + BOUND_MARGIN) / rk if rk else math.inf
+        complete = top <= 1.0
+        if top > best:
             norm = bound if P is None else float(np.linalg.norm(P, 2))
             val = norm / rk if rk else math.inf
             if val > best:
@@ -704,7 +681,7 @@ def kappa_estimate(jsr: JsrBounds, xi: float) -> TransientEstimate:
     upper can leave the maximum uncertified (complete=False).
     """
     _check_level("xi", xi, jsr.upper)
-    return _sweep(([(m, None)] for m in jsr.level_maxima), xi, exact=True)
+    return _sweep(((m, None) for m in jsr.level_maxima), xi, exact=True)
 
 
 @dataclass
@@ -752,7 +729,8 @@ def stability_report(
     rho defaults to 1.01 * rho_aug (kept below 1 when rho_aug is); the
     same lift applies to xi on top of the certified joint-spectral-
     radius upper bound.  A NaN or nonpositive rho or xi, or one below
-    its radius, raises RhoTooSmall or XiTooSmall.
+    its radius, raises RhoTooSmall or XiTooSmall; a T entry that is not
+    >= 0 raises InputError.
     """
     op = MomentOperator(model.A, model.T)
     rho_aug = op.rho()

@@ -36,7 +36,7 @@ from mjsreduce.errors import (
     TooLarge,
     TooManySequences,
 )
-from mjsreduce.model import MjsModel, Partition, _resolve_init_dist, stationary_distribution
+from mjsreduce.model import MjsModel, Partition
 from mjsreduce.synth import SynthConfig, fig4_model, generate
 
 SCALAR_PAIR = MjsModel(
@@ -88,10 +88,6 @@ def test_kernel_enum_init_forms():
     at_zero = transition_kernel_enum(SCALAR_PAIR, np.array([1.0]), 0)
     assert at_zero.size == 1 and at_zero.mass[0] == 1.0
     assert at_zero.support[0, 0] == 1.0
-    for mode in (1, np.int64(1)):
-        pinned = transition_kernel_enum(SCALAR_PAIR, np.array([1.0]), 1, init_dist=mode)
-        assert pinned.size == 1
-        assert pinned.support[0, 0] == 3.0
 
 
 def test_kernel_enum_rejections(rng):
@@ -123,10 +119,10 @@ def test_kernel_mass_is_conserved(rng):
             assert k.mass.min() > 0.0
 
 
-def recursive_kernel(model, x0, t, init_dist=None, dedup_tol=1e-10):
+def recursive_kernel(model, x0, t, dedup_tol=1e-10):
     """The depth-first walk with a greedy per-point merge that
     transition_kernel_enum replaces, kept as its oracle."""
-    init = _resolve_init_dist(model, init_dist)
+    init = model.pi
     points, masses = [], []
 
     def walk(depth, mode, x, q):
@@ -182,13 +178,12 @@ def test_kernel_enum_equals_recursive_walk_on_fig4():
     s=st.integers(1, 4),
     n=st.integers(1, 4),
     t=st.integers(0, 5),
-    init=st.sampled_from(["none", "mode", "weights"]),
     commuting=st.booleans(),
     dedup_tol=st.sampled_from([1e-10, 1e-2, 0.3, 1.0]),
 )
-@example(seed=0, s=3, n=2, t=0, init="weights", commuting=False, dedup_tol=1e-10)
-@example(seed=0, s=2, n=4, t=4, init="none", commuting=False, dedup_tol=1.0)
-def test_kernel_enum_equals_recursive_walk(seed, s, n, t, init, commuting, dedup_tol):
+@example(seed=0, s=3, n=2, t=0, commuting=False, dedup_tol=1e-10)
+@example(seed=0, s=2, n=4, t=4, commuting=False, dedup_tol=1.0)
+def test_kernel_enum_equals_recursive_walk(seed, s, n, t, commuting, dedup_tol):
     # Zero-probability transitions prune branches; commuting (diagonal)
     # modes land many paths on one point, and the wide tolerances merge
     # distinct points, so the greedy order is exercised.
@@ -198,22 +193,15 @@ def test_kernel_enum_equals_recursive_walk(seed, s, n, t, init, commuting, dedup
     else:
         A = rng.standard_normal((s, n, n)) / np.sqrt(n)
     T = rng.random((s, s)) * (rng.random((s, s)) < 0.5)
-    # A cycle and a self-loop keep the chain ergodic for init_dist=None.
+    # A cycle and a self-loop keep the chain ergodic: it has a stationary law.
     T[np.arange(s), (np.arange(s) + 1) % s] += 0.1
     T[np.arange(s), np.arange(s)] += 0.05
     T /= T.sum(axis=1, keepdims=True)
     model = MjsModel(A, None, T)
-    init_dist = {
-        "none": None,
-        "mode": int(rng.integers(0, s)),
-        "weights": rng.dirichlet(np.ones(s)) * (rng.random(s) < 0.7) + 0.0,
-    }[init]
-    if init == "weights":
-        init_dist[0] += 1.0 - init_dist.sum()
     x0 = rng.standard_normal(n)
     with mock.patch.object(bounds, "MERGE_TOL", dedup_tol):
-        k = transition_kernel_enum(model, x0, t, init_dist=init_dist)
-    support, mass = recursive_kernel(model, x0, t, init_dist, dedup_tol)
+        k = transition_kernel_enum(model, x0, t)
+    support, mass = recursive_kernel(model, x0, t, dedup_tol)
     assert k.support.shape == support.shape
     np.testing.assert_allclose(k.support, support, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(k.mass, mass, rtol=1e-12, atol=0.0)
@@ -504,12 +492,12 @@ def test_kernels_coincide_at_exact_reducibility(branch):
         SynthConfig(4, 2, 2, 0, branch=branch, seed=17)
     )
     red = average_model(model, partition)
-    pi = stationary_distribution(model.T)
-    pi_red = np.array([pi[list(c)].sum() for c in partition.clusters])
     x0 = np.ones(2)
     for t in range(1, 6):
-        k_full = transition_kernel_enum(model, x0, t, init_dist=pi)
-        k_red = transition_kernel_enum(red, x0, t, init_dist=pi_red)
+        # Each chain starts from its own stationary law; at exact
+        # reducibility the reduced one is the lumped law of the full one.
+        k_full = transition_kernel_enum(model, x0, t)
+        k_red = transition_kernel_enum(red, x0, t)
         assert wasserstein_exact(k_full, k_red, ell=1) <= 1e-9
 
 

@@ -306,6 +306,8 @@ MALFORMED_MODELS = {
     "nan-entry": json.dumps(dict(GOOD_MODEL, A=[[[float("nan")]], [[0.2]]])).encode(),
     "ragged": json.dumps(dict(GOOD_MODEL, A=[[[0.5]], [[0.2, 0.1]]])).encode(),
     "negative-T": json.dumps(dict(GOOD_MODEL, T=[[1.5, -0.5], [0.5, 0.5]])).encode(),
+    # Rows that sum to 1 within 1e-9, but no entry of a chain is negative.
+    "tiny-negative-T": json.dumps(dict(GOOD_MODEL, T=[[1 + 1e-12, -1e-12], [0.5, 0.5]])).encode(),
     "wrong-sizes": json.dumps(dict(GOOD_MODEL, s=3)).encode(),
     "fractional-size": json.dumps(dict(GOOD_MODEL, n=1.7)).encode(),
 }

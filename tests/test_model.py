@@ -23,7 +23,6 @@ from mjsreduce.errors import (
     DimensionMismatch,
     InputError,
     NotErgodic,
-    NotNormalized,
     PartitionMismatch,
 )
 from mjsreduce.model import (
@@ -278,37 +277,6 @@ def test_simulate_injected_modes_match_matrix_product():
             x = A[w] @ x
             assert np.array_equal(states[b, t + 1], x)
     assert np.array_equal(red_states, states)
-
-
-def test_simulate_init_dist_forms():
-    # A mode given by index, by numpy index or by its indicator law
-    # starts the same kernel.
-    m = MjsModel(np.arange(12.0).reshape(3, 2, 2), None, THREE_STATE_T)
-    x0 = np.array([1.0, -1.0])
-    assert np.array_equal(transition_kernel_enum(m, x0, 1, init_dist=1).support, [m.A[1] @ x0])
-    ref = transition_kernel_enum(m, x0, 2, init_dist=1)
-    for form in (np.int64(1), [0.0, 1.0, 0.0]):
-        k = transition_kernel_enum(m, x0, 2, init_dist=form)
-        assert np.array_equal(k.support, ref.support) and np.array_equal(k.mass, ref.mass)
-
-
-@pytest.mark.parametrize(
-    "bad, error",
-    [
-        (9, DimensionMismatch),
-        (-1, DimensionMismatch),
-        ([0.5, 0.5], DimensionMismatch),
-        ([0.5, 0.6, 0.0], NotNormalized),
-        ([1.5, -0.5, 0.0], NotNormalized),
-        (1.5, InputError),
-        (True, InputError),
-    ],
-)
-def test_init_dist_is_validated_by_every_consumer(bad, error):
-    # transition_kernel_enum is the one consumer; simulations start from
-    # the stationary law.
-    with pytest.raises(error):
-        transition_kernel_enum(three_state_model(), np.ones(2), 2, init_dist=bad)
 
 
 def assert_rel_close(got, want):

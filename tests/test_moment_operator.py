@@ -3,11 +3,14 @@
 augmented_matrix builds the (s n^2) x (s n^2) matrix of the same
 operator from its stack of mode krons, and must equal the block-by-block
 construction kept here; MomentOperator must agree with it on apply,
-adjoint, its restrictions to symmetric and skew stacks, spectral radius
-and tau, on every path rho() can take: dense, ARPACK, the vanishing
-check and the dense fallback after an ARPACK failure; above the cap,
-tau must bound the dense sweep from above, and on small operators the
-exact norms of its powers.
+adjoint, its restriction to symmetric stacks, spectral radius and tau,
+on every path rho() can take: dense, ARPACK, the vanishing check and
+the dense fallback after an ARPACK failure; above the cap, tau must
+bound the dense sweep from above, and on small operators the exact
+norms of its powers.  The skew stacks, built here, split L block
+diagonally with the symmetric ones, and with T >= 0 their block never
+has the larger norm, which is why tau steps the symmetric one alone.
+MomentOperator refuses a T with an entry that is not >= 0.
 """
 
 import itertools
@@ -21,7 +24,8 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import mjsreduce.stability as stability
-from mjsreduce.errors import NotConverged
+from mjsreduce.errors import InputError, NotConverged
+from mjsreduce.lqr import closed_loop_average_cost
 from mjsreduce.model import MjsModel
 from mjsreduce.stability import (
     ARPACK_PLAIN_RESTARTS,
@@ -31,6 +35,7 @@ from mjsreduce.stability import (
     augmented_matrix,
     default_level,
     spectral_radius,
+    stability_report,
 )
 from test_stability import full_tau_sweep
 
@@ -68,6 +73,18 @@ def assert_rel_close(got, want, rtol=1e-9):
 
 def arpack_fails(*args, **kwargs):
     raise ArpackNoConvergence("forced failure", np.empty(0), np.empty((0, 0)))
+
+
+def halves(n):
+    """Orthonormal bases of the symmetric and of the skew n x n
+    matrices, flattened row-major: the first from _symmetric_basis, the
+    second with columns (e_ab - e_ba) / sqrt(2) for a < b, empty for
+    n = 1."""
+    a, b = np.triu_indices(n, 1)
+    skew = np.zeros((n * n, len(a)))
+    skew[a * n + b, np.arange(len(a))] = np.sqrt(0.5)
+    skew[b * n + a, np.arange(len(a))] = -np.sqrt(0.5)
+    return stability._symmetric_basis(n), skew
 
 
 def loop_augmented_matrix(A, T):
@@ -152,9 +169,7 @@ def test_restrictions_split_the_augmented_matrix(seed, s, n, chain):
     # kron(A_j, A_j) commutes with the transpose of an n x n block, so L
     # keeps symmetric and skew stacks apart: in the orthonormal basis
     # [Q_sym Q_skew] the augmented matrix is block diagonal, and its
-    # blocks are the kernels the exact tau sweep steps.  Both halves are
-    # restricted here for every T, though tau steps the skew one only
-    # for a signed T.
+    # symmetric block is the kernel the exact tau sweep steps.
     rng = np.random.default_rng(seed)
     A, T = draw_modes(rng, s, n), draw_chain(rng, s, chain)
     aug = augmented_matrix(MjsModel(A, None, T))
@@ -162,7 +177,7 @@ def test_restrictions_split_the_augmented_matrix(seed, s, n, chain):
     transpose = np.arange(s * m).reshape(s, n, n).transpose(0, 2, 1).ravel()
     assert np.array_equal(aug[transpose][:, transpose], aug)
 
-    sym, skew = (np.kron(np.eye(s), Q) for Q in stability._halves(n))
+    sym, skew = (np.kron(np.eye(s), Q) for Q in halves(n))
     assert sym.shape[1] == s * n * (n + 1) // 2 and skew.shape[1] == s * n * (n - 1) // 2
     basis = np.hstack([sym, skew])
     np.testing.assert_allclose(basis.T @ basis, np.eye(s * m), atol=1e-15)
@@ -170,12 +185,8 @@ def test_restrictions_split_the_augmented_matrix(seed, s, n, chain):
     for cross in (sym.T @ aug @ skew, skew.T @ aug @ sym):
         np.testing.assert_allclose(cross, 0.0, atol=atol)
 
-    bases = [Q for Q in stability._halves(n) if Q.shape[1]]  # no skew half for n = 1
-    restrictions = MomentOperator(A, T)._restrictions(bases)
-    halves = [Q for Q in (sym, skew) if Q.shape[1]]
-    assert len(restrictions) == len(halves) == (1 if n == 1 else 2)
-    for (step, identity), Q in zip(restrictions, halves, strict=True):
-        np.testing.assert_allclose(step(identity), Q.T @ aug @ Q, rtol=1e-12, atol=atol)
+    step, identity = MomentOperator(A, T)._restriction()
+    np.testing.assert_allclose(step(identity), sym.T @ aug @ sym, rtol=1e-12, atol=atol)
 
 
 @pytest.mark.invariant
@@ -189,8 +200,8 @@ def test_restrictions_split_the_augmented_matrix(seed, s, n, chain):
 )
 @example(seed=4, s=3, n=1, chain="ergodic", k_max=12)  # no skew half
 def test_operator_tau_matches_dense_sweep(seed, s, n, chain, k_max):
-    # Powers of the two restrictions of L, in orthonormal bases, have
-    # the norms of M^k = P @ M up to rounding.
+    # Powers of the symmetric restriction of L, in an orthonormal
+    # basis, have the norms of M^k = P @ M up to rounding.
     rng = np.random.default_rng(seed)
     A, T = draw_modes(rng, s, n), draw_chain(rng, s, chain)
     aug = augmented_matrix(MjsModel(A, None, T))
@@ -226,38 +237,30 @@ def test_skew_block_never_sets_the_norm_when_T_is_nonnegative(seed, s, n, chain,
     else:
         T = draw_chain(rng, s, chain)
     aug = loop_augmented_matrix(A, T)
-    sym, skew = (np.kron(np.eye(s), Q) for Q in stability._halves(n))
+    sym, skew = (np.kron(np.eye(s), Q) for Q in halves(n))
     P = np.eye(len(aug))
     for _ in range(k_max):
         P = P @ aug
         top_sym = np.linalg.norm(sym.T @ P @ sym, 2)
         assert np.linalg.norm(skew.T @ P @ skew, 2) <= top_sym * (1.0 + 1e-13)
-    assert len(MomentOperator(A, T)._norm_halves()) == 1
 
 
-@pytest.mark.invariant
-def test_signed_T_sweeps_both_halves():
-    # With this signed T the skew block of L^16 is 2.3 times the
-    # symmetric one, and the symmetric block alone would certify tau at
-    # K = 16, where ||L^16|| / rho^16 = 1.49.  Both halves are swept:
-    # tau is the sweep of the dense powers, and it certifies where the
-    # dense power does.
-    rng = np.random.default_rng(76)
-    s, n = 3, 3
-    A, T = draw_modes(rng, s, n), rng.standard_normal((s, s))
-    aug = loop_augmented_matrix(A, T)
-    sym, skew = (np.kron(np.eye(s), Q) for Q in stability._halves(n))
-    P = np.linalg.matrix_power(aug, 16)
-    assert np.linalg.norm(skew.T @ P @ skew, 2) > 2 * np.linalg.norm(sym.T @ P @ sym, 2)
-    op = MomentOperator(A, T)
-    assert len(op._norm_halves()) == 2
-    rho = 1.01 * spectral_radius(aug)
-    est = op.tau(rho, stability.TAU_STEPS)
-    want, arg = full_tau_sweep(aug, rho, stability.TAU_STEPS)
-    assert abs(est.value - want) <= 1e-12 * want and est.argmax_k == arg
-    assert est.complete
-    K = est.k_max
-    assert np.linalg.norm(np.linalg.matrix_power(aug, K), 2) <= rho**K
+@pytest.mark.parametrize("bad", [-1.0, np.nan])
+def test_signed_T_is_refused(bad):
+    # The mean-square theory needs a positive L, so T >= 0.  On this
+    # signed T the dense radius is 2 and ||L^k|| = 2^k, but L(I) = 0,
+    # so the vanishing check would put rho at 0 and the matrix-free
+    # power bounds at 0, and the model would pass as mean-square stable.
+    A, B = np.ones((3, 1, 1)), np.ones((3, 1, 1))
+    T = np.array([[1.0, bad, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+    if bad == -1.0:
+        assert spectral_radius(loop_augmented_matrix(A, T)) == 2.0
+    with pytest.raises(InputError, match=r"T\(0,1\) = (-1.0|nan) is not >= 0"):
+        MomentOperator(A, T)
+    with pytest.raises(InputError):
+        stability_report(MjsModel(A, None, T))
+    with pytest.raises(InputError):
+        closed_loop_average_cost(MjsModel(A, B, T), np.zeros((3, 1, 1)), np.eye(1), np.eye(1), 0.1)
 
 
 def exact_power_norms(A, T, k_max):
@@ -307,7 +310,7 @@ def test_tau_above_cap_bounds_the_dense_sweep(seed, s, n, chain, k_max):
         powers = itertools.accumulate([aug] * k_max, np.matmul)
         norms = [float(np.linalg.norm(P, 2)) for P in powers]
     op = MomentOperator(A, T)
-    for [(bound, _)], norm in zip(op._power_bounds(k_max), norms, strict=True):
+    for (bound, _), norm in zip(op._power_bounds(k_max), norms, strict=True):
         assert bound >= norm * (1.0 - 1e-12)
     with mock.patch.object(stability, "DEFAULT_SIZE_CAP", 0):
         est = op.tau(rho, k_max)
