@@ -35,9 +35,15 @@ MERGE_TOL = 1e-10
 # on reduced costs, relative to the largest cost, under which a solution
 # of the restricted program is accepted as optimal.  With six, the first
 # program was optimal on every fig4 kernel pair of the certify benchmark
-# (seeds 0-31, t = 1-6).
+# (seeds 0-31, t = 1-6).  Measured against 47.4 ms of W2 per fig4 op
+# with six: 3, 4 and 10 neighbours took 63.9, 66.5 and 57.3 ms, HiGHS
+# presolve 59.2 ms and its primal simplex 113 ms; the restricted dual
+# program took 100.8 ms against 38.3 ms for this one.  Most of what is
+# left is scipy's linprog wrapper, which loops in Python over columns.
 TRANSPORT_NEIGHBOURS = 6
 TRANSPORT_SLACK = 1e-13
+# Odd multiplier of the row hash _equal_rows sorts on (2^64 / golden ratio).
+_ROW_HASH = np.uint64(0x9E3779B97F4A7C15)
 
 __all__ = [
     "BoundInputs",
@@ -273,42 +279,71 @@ class KernelDistribution:
 
 def transition_kernel_enum(model: MjsModel, x0, t: int) -> KernelDistribution:
     """Exact law of x_t for an autonomous model started from the
-    stationary law model.pi, by path enumeration.
+    stationary law model.pi, by a walk over the mode sequences.
 
     Walks all mode sequences of length t one level at a time (pruning
     zero-probability branches), in the order of a depth-first walk over
-    the modes, collecting endpoint states and their probabilities.
-    Each point, in that order, is merged into the first kept point that
-    lies within MERGE_TOL * max(||x0||, 1) and shares its cell of a grid
-    of that width; masses are added in point order.  Raises
-    DimensionMismatch for a negative t or an x0 not of shape (n,),
-    TooManySequences when s^t exceeds KERNEL_PATHS, TooLarge when the
-    model has inputs.
+    the modes, and keeps each sequence's probability.  The pair (mode,
+    state) is a Markov chain, so sequences that reach bit-equal states
+    have equal futures (Kemeny & Snell, Finite Markov Chains, 1960,
+    ch. 6): each state is computed once per class of sequences with
+    bit-equal parent states and the same mode, and classes are numbered
+    by their first sequence.  Each endpoint, in sequence order, is
+    merged into the first kept point that lies within
+    MERGE_TOL * max(||x0||, 1) and shares its cell of a grid of that
+    width; masses are added in sequence order.  Support and mass are
+    bit for bit those of a walk that forms every sequence's state.
+
+    At t = 0 the law is the point mass at x0, whatever the chain.
+    Raises DimensionMismatch for a t that is not a nonnegative integer
+    or an x0 not of shape (n,), TooManySequences when s^t exceeds
+    KERNEL_PATHS, TooLarge when the model has inputs.
     """
-    if t < 0:
-        raise DimensionMismatch(f"t must be a nonnegative step count, got {t}")
+    if isinstance(t, bool) or not isinstance(t, (int, np.integer)) or t < 0:
+        raise DimensionMismatch(f"t must be a nonnegative step count, got {t!r}")
+    t = int(t)
     if model.p and np.any(model.B != 0.0):
         raise TooLarge("transition kernels are defined for autonomous models")
     if model.s**t > KERNEL_PATHS:
         raise TooManySequences(f"s^t = {model.s**t} exceeds the cap {KERNEL_PATHS}")
     x0 = _check_x0(x0, model.n)
-    init = model.pi
     if t == 0:
         return KernelDistribution(support=np.array([x0]), mass=np.ones(1), t=0)
-    # One row per live path: its last mode, probability and state.
+    s = model.s
+    init = model.pi
+    # One entry per live sequence: its last mode, its probability and
+    # the class cls of its state; one row of X per class.
     modes = np.flatnonzero(init > 0.0)
     q = init[modes]
+    cls = np.arange(len(modes))
     X = (model.A[modes] @ x0[:, None])[..., 0]
-    for _ in range(t - 1):
-        # Row-major nonzeros: each path's children in mode order, i.e.
-        # the depth-first order of the paths.
+    for level in range(1, t):
+        if level > 1:
+            # Bit-equal states are one class: the int64 view keeps -0.0
+            # and 0.0 apart, which == does not.
+            first, inverse = _equal_rows(X.view(np.int64))
+            X = X[first]
+            cls = inverse[cls]
+        # Row-major nonzeros: each sequence's children in mode order,
+        # i.e. the depth-first order of the sequences.
         weights = q[:, None] * model.T[modes]
-        rows, modes = np.nonzero(weights > 0.0)
-        q = weights[rows, modes]
-        X = (model.A[modes] @ X[rows][..., None])[..., 0]
+        live = weights > 0.0
+        rows, modes = np.nonzero(live)
+        q = weights[live]
+        # A child's state is A[mode] @ X[class]: one class per used
+        # (class, mode) key, numbered by the key's first sequence.
+        key = cls[rows] * s + modes
+        first_seq = np.full(len(X) * s, len(key))
+        np.minimum.at(first_seq, key, np.arange(len(key)))
+        used = np.flatnonzero(first_seq < len(key))
+        used = used[np.argsort(first_seq[used])]
+        number = np.empty(len(X) * s, dtype=np.intp)
+        number[used] = np.arange(len(used))
+        cls = number[key]
+        X = (model.A[used % s] @ X[used // s][..., None])[..., 0]
     tol = MERGE_TOL * max(float(np.linalg.norm(x0)), 1.0)
     support, label = _merge_points(X, tol)
-    mass = np.bincount(label, weights=q, minlength=len(support))
+    mass = np.bincount(label[cls], weights=q, minlength=len(support))
     return KernelDistribution(support=support, mass=mass, t=t)
 
 
@@ -358,18 +393,40 @@ def _surely_within(D: np.ndarray, tol: float) -> np.ndarray:
 def _equal_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Groups of equal rows of X, numbered in order of first appearance:
     the first row of each group, and each row's group."""
-    order = np.lexsort(X.T)  # stable: equal rows keep row order
-    ordered = X[order]
-    starts = np.ones(len(X), dtype=bool)
-    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    # One sort on a 64-bit hash of each row's bits, with 0.0 for -0.0 so
+    # that rows equal under == hash alike and sit side by side.  A run
+    # of equal hashes that holds unequal rows (a collision; NaN rows,
+    # which == never pairs, count too) has two unequal neighbours, and
+    # the rows are then sorted on every column instead.  Neither sort
+    # needs to be stable: a group's first row is its least index.
+    bits = np.ascontiguousarray(X + X.dtype.type(0)).view(np.uint64)
+    h = bits[:, 0]
+    for col in bits.T[1:]:
+        h = h * _ROW_HASH + col
+    order = np.argsort(h)
+    starts = _row_changes(X, order)
+    hashes = h[order]
+    if np.any(starts[1:] & (hashes[1:] == hashes[:-1])):
+        order = np.lexsort(X.T)
+        starts = _row_changes(X, order)
     group = np.cumsum(starts) - 1
-    first = order[starts]
+    first = np.minimum.reduceat(order, np.flatnonzero(starts))
     appearance = np.argsort(first)
     rank = np.empty_like(appearance)
     rank[appearance] = np.arange(len(first))
     inverse = np.empty_like(order)
     inverse[order] = rank[group]
     return first[appearance], inverse
+
+
+def _row_changes(X: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Where the rows of X[order] differ from the row before (True at 0)."""
+    starts = np.zeros(len(X), dtype=bool)
+    starts[:1] = True
+    for col in X.T:
+        c = col[order]
+        starts[1:] |= c[1:] != c[:-1]
+    return starts
 
 
 def kernel_mean_cov(k: KernelDistribution) -> tuple[np.ndarray, np.ndarray]:

@@ -32,6 +32,7 @@ from mjsreduce.errors import (
     DimensionMismatch,
     InputError,
     NotConverged,
+    NotErgodic,
     NotNormalized,
     TooLarge,
     TooManySequences,
@@ -90,6 +91,16 @@ def test_kernel_enum_init_forms():
     assert at_zero.support[0, 0] == 1.0
 
 
+def test_kernel_enum_at_zero_needs_no_stationary_law():
+    # T = I has no unique stationary law, but x_0 = x0 whatever the chain.
+    frozen = MjsModel(np.stack([2.0 * np.eye(2), 3.0 * np.eye(2)]), None, np.eye(2))
+    at_zero = transition_kernel_enum(frozen, np.array([1.0, -1.0]), 0)
+    assert np.array_equal(at_zero.support, [[1.0, -1.0]])
+    assert np.array_equal(at_zero.mass, [1.0])
+    with pytest.raises(NotErgodic):
+        transition_kernel_enum(frozen, np.array([1.0, -1.0]), 1)
+
+
 def test_kernel_enum_rejections(rng):
     # 2^18 = 262 144 mode sequences, above KERNEL_PATHS.
     with pytest.raises(TooManySequences):
@@ -106,6 +117,17 @@ def test_kernel_enum_rejections(rng):
 def test_kernel_enum_refuses_a_negative_horizon(t):
     model, _ = fig4_model()
     with pytest.raises(DimensionMismatch, match="nonnegative"):
+        transition_kernel_enum(model, np.array([1.0, 0.0]), t)
+
+
+@pytest.mark.parametrize("t", [2.0, 2.5, True, np.int64(2)], ids=["2.0", "2.5", "True", "int64"])
+def test_kernel_enum_takes_only_an_integer_horizon(t):
+    model, _ = fig4_model()
+    if isinstance(t, np.integer):
+        k = transition_kernel_enum(model, np.array([1.0, 0.0]), t)
+        assert type(k.t) is int and k.t == 2
+        return
+    with pytest.raises(DimensionMismatch, match="nonnegative step count"):
         transition_kernel_enum(model, np.array([1.0, 0.0]), t)
 
 
@@ -157,6 +179,71 @@ def recursive_kernel(model, x0, t, dedup_tol=1e-10):
     return np.array(kept), np.array(kept_mass)
 
 
+def path_kernel_enum(model, x0, t):
+    """The level-by-level walk that forms one state per mode sequence,
+    which transition_kernel_enum replaces, kept as its oracle: its
+    outputs must match bit for bit."""
+    if t == 0:
+        return np.array([x0]), np.ones(1)
+    init = model.pi
+    modes = np.flatnonzero(init > 0.0)
+    q = init[modes]
+    X = (model.A[modes] @ x0[:, None])[..., 0]
+    for _ in range(t - 1):
+        weights = q[:, None] * model.T[modes]
+        rows, modes = np.nonzero(weights > 0.0)
+        q = weights[rows, modes]
+        X = (model.A[modes] @ X[rows][..., None])[..., 0]
+    tol = bounds.MERGE_TOL * max(float(np.linalg.norm(x0)), 1.0)
+    support, label = bounds._merge_points(X, tol)
+    return support, np.bincount(label, weights=q, minlength=len(support))
+
+
+@pytest.mark.invariant
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    s=st.integers(1, 4),
+    n=st.integers(1, 3),
+    t=st.integers(0, 6),
+    zeros=st.booleans(),
+    commuting=st.booleans(),
+    merge_tol=st.sampled_from([1e-10, 1e-2, 0.3, 1.0]),
+)
+@example(seed=1, s=4, n=3, t=3, zeros=True, commuting=True, merge_tol=1e-10)
+@example(seed=4, s=4, n=1, t=6, zeros=True, commuting=False, merge_tol=1e-10)
+@example(seed=1, s=3, n=3, t=6, zeros=True, commuting=False, merge_tol=0.3)
+def test_kernel_enum_equals_the_path_walk(seed, s, n, t, zeros, commuting, merge_tol):
+    # Commuting modes with entries in {0, 0.5, -1, 2} land many sequences
+    # on bit-equal states, and zeros in x0 give more.  Zero-probability
+    # transitions prune branches and give bit-equal states different
+    # next modes: on the first two examples, numbering the (class, mode)
+    # keys in key order, not by their first sequence, reorders the
+    # support.  The wide tolerances merge distinct points.
+    rng = np.random.default_rng(seed)
+    if commuting:
+        A = np.stack([np.diag(d) for d in rng.choice([0.0, 0.5, -1.0, 2.0], size=(s, n))])
+    else:
+        A = rng.standard_normal((s, n, n)) / np.sqrt(n)
+    T = rng.random((s, s))
+    if zeros:
+        T *= rng.random((s, s)) < 0.5
+    # A cycle and a self-loop keep the chain ergodic: it has a stationary law.
+    T[np.arange(s), (np.arange(s) + 1) % s] += 0.1
+    T[np.arange(s), np.arange(s)] += 0.05
+    T /= T.sum(axis=1, keepdims=True)
+    model = MjsModel(A, None, T)
+    x0 = rng.standard_normal(n) * (rng.random(n) < 0.7)
+    with mock.patch.object(bounds, "MERGE_TOL", merge_tol):
+        k = transition_kernel_enum(model, x0, t)
+        support, mass = path_kernel_enum(model, x0, t)
+    assert np.array_equal(k.support, support)
+    assert np.array_equal(k.mass, mass)
+    # Bits too: == does not tell -0.0 from 0.0.
+    assert k.support.tobytes() == support.tobytes()
+    assert k.mass.tobytes() == mass.tobytes()
+
+
 def test_kernel_enum_equals_recursive_walk_on_fig4():
     # Bit for bit, in the same order: every fig4 kernel of the certify
     # benchmark, full model and reductions of seeds 0-5.
@@ -205,6 +292,40 @@ def test_kernel_enum_equals_recursive_walk(seed, s, n, t, commuting, dedup_tol):
     assert k.support.shape == support.shape
     np.testing.assert_allclose(k.support, support, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(k.mass, mass, rtol=1e-12, atol=0.0)
+
+
+def equal_rows_oracle(X):
+    """Groups of rows equal under ==, by a scan over the rows."""
+    first, inverse = [], []
+    for i, row in enumerate(X):
+        for g, j in enumerate(first):
+            if np.all(X[j] == row):
+                inverse.append(g)
+                break
+        else:
+            inverse.append(len(first))
+            first.append(i)
+    return np.array(first, dtype=np.intp), np.array(inverse, dtype=np.intp)
+
+
+@pytest.mark.parametrize("collide", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_equal_rows_matches_a_scan(n, collide, rng):
+    # Repeated rows, 0.0 and -0.0 (equal under ==), and NaN rows, which
+    # == never pairs, even with a copy of their bits.  With a zero
+    # multiplier every row hashes as its last column, so rows that share
+    # it collide and the sort falls back to every column.
+    values = np.array([0.0, -0.0, 1.0, -2.5, np.nan])
+    X = values[rng.integers(0, len(values), size=(60, n))]
+    X = np.concatenate([X, X[:20]])
+    finite = np.where(np.isnan(X), 3.0, X)
+    ints = rng.integers(-3, 3, size=(50, n))
+    with mock.patch.object(bounds, "_ROW_HASH", np.uint64(0) if collide else bounds._ROW_HASH):
+        for rows in (X, finite, ints, X[:0]):
+            first, inverse = bounds._equal_rows(rows)
+            want_first, want_inverse = equal_rows_oracle(rows)
+            assert np.array_equal(first, want_first)
+            assert np.array_equal(inverse, want_inverse)
 
 
 def test_merge_walks_a_cell_holding_a_chain():
@@ -430,6 +551,24 @@ def test_wasserstein_matches_the_full_program_on_fig4():
                 q = transition_kernel_enum(red, np.array(x0), t)
                 want, _ = full_transport_lp(p, q, 2)
                 assert abs(wasserstein_exact(p, q, ell=2) - want) <= 1e-12 * want, (seed, x0, t)
+
+
+def test_wasserstein_plans_meet_fig4_marginals_below_the_smallest_mass():
+    # HiGHS solves to a primal feasibility tolerance of 1e-7, while the
+    # smallest fig4 kernel masses are about 1e-6: the plans it returns
+    # must still carry every mass to within a millionth of the smallest.
+    model, _ = fig4_model()
+    for seed in range(4):
+        red = reduce_model(model, 3, seed=seed).reduced
+        for x0 in ((1.0, 1.0), (1.0, -1.0), (1.0, 0.0), (0.0, 1.0)):
+            for t in range(1, 7):
+                p = transition_kernel_enum(model, np.array(x0), t)
+                q = transition_kernel_enum(red, np.array(x0), t)
+                _, plan = wasserstein_exact(p, q, ell=2, return_plan=True)
+                tol = 1e-6 * min(p.mass.min(), q.mass.min())
+                assert np.abs(plan.sum(axis=1) - p.mass).max() <= tol, (seed, x0, t)
+                assert np.abs(plan.sum(axis=0) - q.mass).max() <= tol, (seed, x0, t)
+                assert plan.min() >= -tol, (seed, x0, t)
 
 
 def test_wasserstein_adds_cells_the_duals_price_below_zero():
