@@ -39,7 +39,6 @@ from .errors import (
     DegenerateInput,
     DimensionMismatch,
     Diverged,
-    InfeasibleBlock,
     InputError,
     MjsError,
     NotConverged,

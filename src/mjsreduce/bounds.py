@@ -16,14 +16,14 @@ import scipy.optimize
 import scipy.sparse
 
 from .errors import (
-    DimensionMismatch,
+    DegenerateInput,
     InputError,
     NotConverged,
     NotNormalized,
     TooLarge,
     TooManySequences,
 )
-from .model import MjsModel, Partition, _check_x0, simulate_coupled_batch
+from .model import MjsModel, Partition, _check_count, _check_x0, simulate_coupled_batch
 from .perturbation import perturbations
 from .stability import JSR_BUDGET, stability_report
 
@@ -99,16 +99,14 @@ class BoundInputs:
         partition: Partition,
         branch: str,
         x0,
-        u_bar: float = 0.0,
-        rho: float | None = None,
         xi: float | None = None,
         budget: int = JSR_BUDGET,
     ) -> "BoundInputs":
         """The constants of model, partition and x0, with the transient
-        constants of stability_report(model, rho, xi, budget);
-        DimensionMismatch unless x0 has shape (n,)."""
+        constants of stability_report(model, xi=xi, budget=budget) and
+        no input (u_bar = 0); DimensionMismatch unless x0 has shape (n,)."""
         x0 = _check_x0(x0, model.n)
-        rep = stability_report(model, rho=rho, xi=xi, budget=budget)
+        rep = stability_report(model, xi=xi, budget=budget)
         eps = perturbations(model, partition, branch)
         return cls(
             n=model.n,
@@ -126,7 +124,6 @@ class BoundInputs:
             eps_B=eps.eps_B,
             eps_T=eps.eps_T,
             x0_norm=float(np.linalg.norm(x0)),
-            u_bar=u_bar,
         )
 
 
@@ -297,10 +294,10 @@ def transition_kernel_enum(model: MjsModel, x0, t: int) -> KernelDistribution:
     At t = 0 the law is the point mass at x0, whatever the chain.
     Raises DimensionMismatch for a t that is not a nonnegative integer
     or an x0 not of shape (n,), TooManySequences when s^t exceeds
-    KERNEL_PATHS, TooLarge when the model has inputs.
+    KERNEL_PATHS, TooLarge when the model has inputs, DegenerateInput
+    at the first level whose states are not all finite.
     """
-    if isinstance(t, bool) or not isinstance(t, (int, np.integer)) or t < 0:
-        raise DimensionMismatch(f"t must be a nonnegative step count, got {t!r}")
+    _check_count("t, the nonnegative step count,", t, 0)
     t = int(t)
     if model.p and np.any(model.B != 0.0):
         raise TooLarge("transition kernels are defined for autonomous models")
@@ -316,7 +313,7 @@ def transition_kernel_enum(model: MjsModel, x0, t: int) -> KernelDistribution:
     modes = np.flatnonzero(init > 0.0)
     q = init[modes]
     cls = np.arange(len(modes))
-    X = (model.A[modes] @ x0[:, None])[..., 0]
+    X = _finite_states(model.A[modes], x0[None], 1)
     for level in range(1, t):
         if level > 1:
             # Bit-equal states are one class: the int64 view keeps -0.0
@@ -340,11 +337,21 @@ def transition_kernel_enum(model: MjsModel, x0, t: int) -> KernelDistribution:
         number = np.empty(len(X) * s, dtype=np.intp)
         number[used] = np.arange(len(used))
         cls = number[key]
-        X = (model.A[used % s] @ X[used // s][..., None])[..., 0]
+        X = _finite_states(model.A[used % s], X[used // s], level + 1)
     tol = MERGE_TOL * max(float(np.linalg.norm(x0)), 1.0)
     support, label = _merge_points(X, tol)
     mass = np.bincount(label[cls], weights=q, minlength=len(support))
     return KernelDistribution(support=support, mass=mass, t=t)
+
+
+def _finite_states(A: np.ndarray, X: np.ndarray, t: int) -> np.ndarray:
+    """The states A[k] @ X[k] at time t; DegenerateInput unless every
+    entry is finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        X = (A @ X[..., None])[..., 0]
+    if not np.isfinite(X).all():
+        raise DegenerateInput(f"the states at t = {t} overflow: an entry is not finite")
+    return X
 
 
 def _merge_points(X: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -356,8 +363,8 @@ def _merge_points(X: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     # so the greedy pass only visits the distinct rows.
     first, inverse = _equal_rows(X)
     distinct = X[first]
-    keys = np.round(distinct / max(tol, 1e-300)).astype(np.int64)
-    head, cell = _equal_rows(keys)
+    # Float keys: an int64 cast would wrap once |x| / tol passes 2^63.
+    head, cell = _equal_rows(np.round(distinct / max(tol, 1e-300)))
     # A cell whose rows all lie within tol of its first row merges into
     # that row, as the greedy walk would.  Only the other cells walk.
     rep = head[cell]

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: generate | reduce | evaluate | stability | lqr | experiment.
-Shared flags (--seed, --out, --full) are accepted by every subcommand.
+Every subcommand takes --out, every one but stability --seed, and
+experiment alone --full.
 Exit codes: 0 success, 2 input problem (unreadable or malformed files,
 bad flag values), 3 computation failure; the stability subcommand
 additionally returns 1 when the model is not mean-square stable.
@@ -21,7 +22,7 @@ from .clustering import BRANCHES, misclustering_rate, reduce_model
 from .errors import InputError, MjsError
 from .experiments import EXPERIMENT_NAMES, ExperimentSpec, run_experiment
 from .lqr import reduced_lqr_suboptimality
-from .model import Partition, load_model, save_model
+from .model import Partition, _read_json, load_model, save_model
 from .perturbation import mr_bound
 from .stability import stability_report
 from .synth import SynthConfig, generate
@@ -57,13 +58,7 @@ def _truth_sidecar(model_path: str) -> str:
 
 
 def _load_partition(path: str, s: int) -> Partition:
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except OSError as e:
-        raise InputError(f"cannot read partition file {path}: {e}") from e
-    except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
-        raise InputError(f"malformed JSON in {path}: {e}") from e
+    payload = _read_json(path, "partition")
     if isinstance(payload, dict):
         payload = payload.get("partition")
     if not isinstance(payload, list):
@@ -185,13 +180,9 @@ def cmd_experiment(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="root RNG seed")
     common.add_argument("--out", default=".", help="output directory")
-    common.add_argument(
-        "--full",
-        action="store_true",
-        help="run experiments at their large-scale settings",
-    )
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=int, default=0, help="root RNG seed")
 
     parser = argparse.ArgumentParser(
         prog="mjsreduce",
@@ -199,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("generate", parents=[common], help="draw a clustered instance")
+    g = sub.add_parser("generate", parents=[seeded], help="draw a clustered instance")
     g.add_argument("--s", type=int, required=True, help="number of modes")
     g.add_argument("--r", type=int, required=True, help="number of clusters (must divide s)")
     g.add_argument("--n", type=int, default=5, help="state dimension")
@@ -210,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--branch", choices=BRANCHES, default="aggregatable")
     g.set_defaults(func=cmd_generate)
 
-    r = sub.add_parser("reduce", parents=[common], help="cluster modes and average")
+    r = sub.add_parser("reduce", parents=[seeded], help="cluster modes and average")
     r.add_argument("model", help="model JSON file")
     r.add_argument("--r", type=int, required=True, help="target number of clusters")
     r.add_argument("--branch", choices=BRANCHES, default=None)
@@ -219,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--pi-weighted", action="store_true", help="stationary-weighted averaging")
     r.set_defaults(func=cmd_reduce)
 
-    e = sub.add_parser("evaluate", parents=[common], help="perturbations and clustering bound")
+    e = sub.add_parser("evaluate", parents=[seeded], help="perturbations and clustering bound")
     e.add_argument("model", help="model JSON file")
     e.add_argument("--partition", help="partition JSON file (1-based clusters)")
     e.add_argument("--r", type=int, help="cluster first when no partition is given")
@@ -234,17 +225,18 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--xi", type=float, default=None, help="uniform decay level")
     st.set_defaults(func=cmd_stability)
 
-    lq = sub.add_parser("lqr", parents=[common], help="reduced-order regulator suboptimality")
+    lq = sub.add_parser("lqr", parents=[seeded], help="reduced-order regulator suboptimality")
     lq.add_argument("model", help="model JSON file")
     lq.add_argument("--r", type=int, required=True)
     lq.add_argument("--sigma-w", type=float, default=0.1)
     lq.add_argument("--branch", choices=BRANCHES, default=None)
     lq.set_defaults(func=cmd_lqr)
 
-    ex = sub.add_parser("experiment", parents=[common], help="run a canned protocol")
+    ex = sub.add_parser("experiment", parents=[seeded], help="run a canned protocol")
     ex.add_argument("name", choices=EXPERIMENT_NAMES)
     ex.add_argument("--trials", type=int, default=None)
     ex.add_argument("--grid", type=float, nargs="+", default=None)
+    ex.add_argument("--full", action="store_true", help="run at the large-scale settings")
     ex.set_defaults(func=cmd_experiment)
     return parser
 

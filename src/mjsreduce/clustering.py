@@ -24,7 +24,7 @@ from .errors import (
     RankDeficient,
     SizeMismatch,
 )
-from .model import MjsModel, Partition, _is_integer, model_to_dict
+from .model import MjsModel, Partition, _check_count, model_to_dict
 
 __all__ = [
     "BRANCHES",
@@ -49,12 +49,6 @@ def check_branch(branch: str) -> None:
     """Raise DimensionMismatch unless branch is one of BRANCHES."""
     if branch not in BRANCHES:
         raise DimensionMismatch(f"unknown branch {branch!r}; choose from {BRANCHES}")
-
-
-def _check_cluster_count(r) -> None:
-    """Raise DimensionMismatch unless r is an integer of at least 1."""
-    if not _is_integer(r) or r < 1:
-        raise DimensionMismatch(f"cluster count must be an integer of at least 1, got {r!r}")
 
 
 @dataclass
@@ -152,7 +146,7 @@ def build_features_lumpable(
     DegenerateInput if r > s, RankDeficient if sigma_r(H) is
     numerically zero, NotErgodic if the chain has no stationary law.
     """
-    _check_cluster_count(r)
+    _check_count("r", r, 1)
     if r > model.s:
         raise DegenerateInput(f"r = {r} exceeds the mode count s = {model.s}")
     w = default_weights(model) if weights is None else _check_weights(weights)
@@ -167,6 +161,15 @@ def build_features_lumpable(
     S_r = W_r / d[:, None]
     phi = np.hstack([_ab_block(model, w[0], w[1]), w[2] * S_r])
     return FeatureMatrix(phi=phi, weights=w, branch="lumpable", H=H, W_r=W_r, S_r=S_r)
+
+
+def _branch_features(model: MjsModel, r: int, branch: str, weights) -> FeatureMatrix:
+    """The feature matrix of branch, for r clusters; DimensionMismatch
+    for a branch not in BRANCHES."""
+    check_branch(branch)
+    if branch == "aggregatable":
+        return build_features_aggregatable(model, weights)
+    return build_features_lumpable(model, r, weights)
 
 
 # Lloyd gives up on a restart after this many assignment rounds.
@@ -333,21 +336,19 @@ def kmeans_partition(
     distance is zero); its Lloyd iterations stop at the first repeated
     assignment, and its sums run in the order of a lone restart.
 
-    Raises DimensionMismatch if points is not 2-D or r is not an integer
-    of at least 1; InputError if points holds NaN or infinite values or
-    restarts is not an integer of at least 1; DegenerateInput if there
-    are fewer points than clusters, or if squared distances
-    overflow; NotConverged if the winning restart is still moving after
-    MAX_ITER Lloyd iterations.
+    Raises DimensionMismatch if points is not 2-D or r or restarts is
+    not an integer of at least 1; InputError if points holds NaN or
+    infinite values; DegenerateInput if there are fewer points than
+    clusters, or if squared distances overflow; NotConverged if the
+    winning restart is still moving after MAX_ITER Lloyd iterations.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
         raise DimensionMismatch(f"points must form a 2-D array, got shape {points.shape}")
     if not np.all(np.isfinite(points)):
         raise InputError("points must be finite")
-    _check_cluster_count(r)
-    if not _is_integer(restarts) or restarts < 1:
-        raise InputError(f"restarts must be an integer of at least 1, got {restarts!r}")
+    _check_count("r", r, 1)
+    _check_count("restarts", restarts, 1)
     if points.shape[0] < r:
         raise DegenerateInput(
             f"cannot form {r} clusters from {points.shape[0]} points"
@@ -407,11 +408,7 @@ def _reduce_one_branch(
     seed,
     pi_weighted: bool,
 ) -> ReductionResult:
-    check_branch(branch)
-    if branch == "aggregatable":
-        feats = build_features_aggregatable(model, weights)
-    else:
-        feats = build_features_lumpable(model, r, weights)
+    feats = _branch_features(model, r, branch, weights)
     U, _, _ = np.linalg.svd(feats.phi, full_matrices=False)
     embedding = U[:, :r]
     partition, _, objective = kmeans_partition(
@@ -447,11 +444,10 @@ def reduce_model(
     the aggregatable candidate.
 
     Raises DimensionMismatch unless r is an integer of at least 1,
-    DegenerateInput if r > s.
+    DegenerateInput if r > s (kmeans_partition cannot form r clusters
+    from s points).
     """
-    _check_cluster_count(r)
-    if r > model.s:
-        raise DegenerateInput(f"r = {r} exceeds the mode count s = {model.s}")
+    _check_count("r", r, 1)
     if branch is not None:
         return _reduce_one_branch(
             model, r, branch, weights, restarts, seed, pi_weighted

@@ -66,10 +66,6 @@ class TooManySequences(ComputationError):
     pass
 
 
-class InfeasibleBlock(ComputationError):
-    pass
-
-
 class SingularInnerMatrix(ComputationError):
     pass
 

@@ -179,8 +179,8 @@ def _run_fig2(spec: ExperimentSpec, cfg: dict):
     for si, s in enumerate(cfg["s_values"]):
         for ei, eps_norm in enumerate(cfg["eps_norms"]):
             for bi, branch in enumerate(cfg["branches"]):
-
-                def one(trial):
+                mrs = []
+                for trial in range(cfg["trials"]):
                     seed = _child_seed(spec.seed, 2, si, ei, bi, trial)
                     target = float(eps_norm) * s * s
                     model, truth, _ = generate(
@@ -203,9 +203,7 @@ def _run_fig2(spec: ExperimentSpec, cfg: dict):
                         weights=demoted_weights(model),
                         seed=_child_seed(spec.seed, 20, si, ei, bi, trial),
                     )
-                    return misclustering_rate(res.partition, truth)
-
-                mrs = [one(trial) for trial in range(cfg["trials"])]
+                    mrs.append(misclustering_rate(res.partition, truth))
                 q1, med, q3 = np.percentile(mrs, (25.0, 50.0, 75.0))
                 rows.append([s, eps_norm, branch, med, q1, q3])
     return header, rows
@@ -218,8 +216,8 @@ def _run_fig3a(spec: ExperimentSpec, cfg: dict):
     Q, R = np.eye(n), np.eye(p)
     for ai, eps_ab in enumerate(cfg["eps_ab_norms"]):
         for ti, eps_t in enumerate(cfg["eps_t_norms"]):
-
-            def one(trial):
+            vals = []
+            for trial in range(cfg["trials"]):
                 seed = _child_seed(spec.seed, 3, ai, ti, trial)
                 target_ab = float(eps_ab) * s * s
                 target_t = float(eps_t) * s * s
@@ -245,9 +243,7 @@ def _run_fig3a(spec: ExperimentSpec, cfg: dict):
                     branch="aggregatable",
                     seed=_child_seed(spec.seed, 30, ai, ti, trial),
                 )
-                return res.gap / res.J_star
-
-            vals = [one(trial) for trial in range(cfg["trials"])]
+                vals.append(res.gap / res.J_star)
             rows.append([eps_ab, eps_t, float(np.median(vals))])
     return header, rows
 
@@ -258,8 +254,8 @@ def _run_fig3b(spec: ExperimentSpec, cfg: dict):
     r, n, p = cfg["r"], cfg["n"], cfg["p"]
     Q, R = np.eye(n), np.eye(p)
     for si, s in enumerate(cfg["s_values"]):
-
-        def one(trial):
+        pairs = []
+        for trial in range(cfg["trials"]):
             seed = _child_seed(spec.seed, 4, si, trial)
             model, _, _ = generate(
                 SynthConfig(int(s), r, n, p, seed=seed)
@@ -268,9 +264,7 @@ def _run_fig3b(spec: ExperimentSpec, cfg: dict):
                 model, r, branch="aggregatable", seed=_child_seed(spec.seed, 40, si, trial)
             )
             full = riccati_solve(model, Q, R)
-            return full.elapsed_ms, riccati_solve(red.reduced, Q, R).elapsed_ms
-
-        pairs = [one(trial) for trial in range(cfg["trials"])]
+            pairs.append((full.elapsed_ms, riccati_solve(red.reduced, Q, R).elapsed_ms))
         rows.append(
             [
                 s,
@@ -313,21 +307,17 @@ def _run_table2(spec: ExperimentSpec, cfg: dict):
         model, _, _ = generate(
             SynthConfig(s, r, n, p, seed=_child_seed(spec.seed, 6, trial))
         )
-
-        def one(hi, r_hat):
+        for hi, rh in enumerate(cfg["r_hats"]):
             res = reduced_lqr_suboptimality(
                 model,
-                int(r_hat),
+                int(rh),
                 Q,
                 R,
                 sigma_w=cfg["sigma_w"],
                 branch="aggregatable",
                 seed=_child_seed(spec.seed, 60, trial, hi),
             )
-            return res.gap / res.J_star, res.time_reduced_ms / 1e3
-
-        for hi, rh in enumerate(cfg["r_hats"]):
-            per_rhat[rh].append(one(hi, rh))
+            per_rhat[rh].append((res.gap / res.J_star, res.time_reduced_ms / 1e3))
     rows = []
     for rh in cfg["r_hats"]:
         vals = per_rhat[rh]

@@ -276,26 +276,32 @@ def _closed_loop_values(model: MjsModel, K, Q, R) -> tuple[np.ndarray, int, floa
     """Value matrices of u = K x: the solution of V = stage + L*(V).
 
     Iterates V <- stage + L*(V) from V = stage until a step moves no
-    entry by more than 1e-14 times the largest entry of V.  Returns
-    (V, steps, gap of the last step, proof).  The converged V is its
-    own stability witness (proof "witness", see _witness_certifies).
-    The spectral radius is computed only when the witness fails, or
-    once the recursion passes WITNESS_STEPS steps or WITNESS_GROWTH
-    times the largest stage entry unconverged (proof "rho").  Raises
-    NotMss for a closed loop that is not mean-square stable,
-    NotConverged after FIXED_POINT_STEPS steps.
+    entry by more than 1e-14 times the largest entry of V, and the tail
+    left unsummed is as small.  The recursion is a power iteration of
+    L*, so with r the ratio of the last two gaps the tail is about
+    gap r / (1 - r); without a ratio r < 1 the gap must be at most
+    1e-15 max|V|.  Returns (V, steps, gap of the last step, proof).
+    The converged V is its own stability witness (proof "witness", see
+    _witness_certifies).  The spectral radius is computed only when the
+    witness fails, or once the recursion passes WITNESS_STEPS steps or
+    WITNESS_GROWTH times the largest stage entry unconverged (proof
+    "rho").  Raises NotMss for a closed loop that is not mean-square
+    stable, NotConverged after FIXED_POINT_STEPS steps.
     """
     A_cl, stage = _closed_loop(model, K, Q, R)
     op = MomentOperator(A_cl, model.T)
     cap = WITNESS_GROWTH * float(np.abs(stage).max())
     proof = None
     V = stage
+    gap = float("nan")
     for k in range(1, FIXED_POINT_STEPS + 1):
         new = stage + op.adjoint(V)
-        gap = float(np.abs(new - V).max())
+        last, gap = gap, float(np.abs(new - V).max())
         V = new
         top = float(np.abs(V).max())
-        if gap <= 1e-14 * top:
+        r = gap / last if last > 0.0 else 1.0
+        tail_ok = r < 1.0 and gap * r / (1.0 - r) <= 1e-14 * top
+        if gap <= 1e-14 * top and (tail_ok or gap <= 1e-15 * top):
             if proof is None:
                 proof = "witness" if _witness_certifies(op, V) else _rho_proof(op)
             return V, k, gap, proof
@@ -361,10 +367,9 @@ def monte_carlo_cost(
     Averages x' (Q + K' R K) x over steps burn_in..horizon-1 and over
     trajectories; the reported stderr is across trajectory means.  A
     state entry passing MC_BLOWUP marks the estimate diverged (inf).
-    Raises InputError unless n_traj >= 1 and 0 <= burn_in < horizon.
+    Raises InputError unless 0 <= burn_in < horizon, DimensionMismatch
+    unless n_traj is an integer of at least 1 and horizon an integer.
     """
-    if n_traj < 1:
-        raise InputError(f"n_traj must be at least 1, got {n_traj}")
     if not 0 <= burn_in < horizon:
         raise InputError(
             f"burn_in must lie in [0, horizon), got {burn_in} for horizon {horizon}"
@@ -424,8 +429,6 @@ def reduced_lqr_suboptimality(
     sigma_w: float,
     branch: str | None = None,
     seed=None,
-    restarts: int = 50,
-    weights=None,
     reduction: ReductionResult | None = None,
 ) -> SuboptimalityResult:
     """Cost of controlling the full system with cluster-level gains.
@@ -440,9 +443,7 @@ def reduced_lqr_suboptimality(
     """
     _noise_variance(sigma_w)
     if reduction is None:
-        reduction = reduce_model(
-            model, r, branch=branch, seed=seed, restarts=restarts, weights=weights
-        )
+        reduction = reduce_model(model, r, branch=branch, seed=seed)
     sol_hat = riccati_solve(reduction.reduced, Q, R)
     sol_full = riccati_solve(model, Q, R)
     K_lift = lift_gains(sol_hat.K, reduction.partition)

@@ -233,20 +233,29 @@ class Partition:
 def validate_model(model: MjsModel) -> list[str]:
     """Return a list of value-level violations; empty means valid.
 
-    Never raises.  Checks: finite entries, nonnegative T, unit row sums,
-    the last two to within 1e-9.
+    Never raises.  Checks: finite entries, and T a chain by
+    _chain_violations.
     """
-    violations: list[str] = []
-    for name, M in (("A", model.A), ("B", model.B), ("T", model.T)):
-        if not np.all(np.isfinite(M)):
-            violations.append(f"{name} contains non-finite entries")
-    if np.all(np.isfinite(model.T)):
-        if np.any(model.T < 0.0):
-            i, j = np.argwhere(model.T < 0.0)[0]
-            violations.append(f"T({i},{j}) = {model.T[i, j]:.6g} is negative")
-        sums = model.T.sum(axis=1)
-        for i in np.nonzero(np.abs(sums - 1.0) > 1e-9)[0]:
-            violations.append(f"T row {i} sums to {sums[i]:.6g}")
+    violations = [
+        f"{name} contains non-finite entries"
+        for name, M in (("A", model.A), ("B", model.B))
+        if not np.all(np.isfinite(M))
+    ]
+    return violations + _chain_violations(model.T)
+
+
+def _chain_violations(T: np.ndarray) -> list[str]:
+    """The ways T fails to be a chain: a non-finite or negative entry,
+    or a row sum off 1 by more than 1e-9."""
+    if not np.all(np.isfinite(T)):
+        return ["T contains non-finite entries"]
+    violations = []
+    if np.any(T < 0.0):
+        i, j = np.argwhere(T < 0.0)[0]
+        violations.append(f"T({i},{j}) = {T[i, j]:.6g} is negative")
+    sums = T.sum(axis=1)
+    for i in np.nonzero(np.abs(sums - 1.0) > 1e-9)[0]:
+        violations.append(f"T row {i} sums to {sums[i]:.6g}")
     return violations
 
 
@@ -295,6 +304,15 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _check_count(name: str, value, minimum: int) -> None:
+    """Raise DimensionMismatch unless value is an integer (a Python or
+    numpy integer, not a bool) of at least minimum."""
+    if not _is_integer(value) or value < minimum:
+        raise DimensionMismatch(
+            f"{name} must be an integer of at least {minimum}, got {value!r}"
+        )
+
+
 def _mode_number(value) -> int:
     """A mode number as an int: an integer or an integral float.  Raises
     InputError for a bool (True would read as mode 1), a fractional,
@@ -316,6 +334,8 @@ def _batch_modes(
     whose cumulative probability exceeds u (searchsorted side="right"),
     so a mode of probability zero is never picked.
     """
+    _check_count("n_traj", n_traj, 1)
+    _check_count("horizon", horizon, 0)
     modes = np.empty((n_traj, horizon), dtype=int)
     if horizon == 0:
         return modes
@@ -391,7 +411,8 @@ def simulate_coupled_batch(
     A + B K.  Returns (states, red_states, modes): state arrays of shape
     (n_traj, H+1, n) and the original modes (n_traj, H).  Raises
     PartitionMismatch unless partition links the two mode sets,
-    DimensionMismatch unless the state sizes agree.
+    DimensionMismatch unless the state sizes agree, n_traj is an integer
+    of at least 1 and horizon one of at least 0.
     """
     if partition.s != model.s or partition.r != reduced.s:
         raise PartitionMismatch(
@@ -473,14 +494,20 @@ def save_model(model: MjsModel, path) -> None:
         json.dump(model_to_dict(model), f)
 
 
-def load_model(path) -> MjsModel:
+def _read_json(path, what: str):
+    """The JSON value in the file at path; InputError, naming the file
+    as a `what` file, when it cannot be read or parsed."""
     try:
         with open(path) as f:
-            d = json.load(f)
+            return json.load(f)
     except OSError as e:
-        raise InputError(f"cannot read model file {path}: {e}") from e
+        raise InputError(f"cannot read {what} file {path}: {e}") from e
     except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
         raise InputError(f"malformed JSON in {path}: {e}") from e
+
+
+def load_model(path) -> MjsModel:
+    d = _read_json(path, "model")
     if not isinstance(d, dict):
         raise InputError(f"model file {path} must hold a JSON object")
     return model_from_dict(d)

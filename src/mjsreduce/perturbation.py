@@ -11,16 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
-from .errors import InfeasibleBlock, InputError, SizeMismatch
-from .clustering import (
-    FeatureMatrix,
-    build_features_aggregatable,
-    build_features_lumpable,
-    check_branch,
-)
-from .model import MjsModel, Partition
+from .errors import InputError, SizeMismatch
+from .clustering import FeatureMatrix, _branch_features, check_branch
+from .model import MjsModel, Partition, _chain_violations
 
 __all__ = [
     "PerturbationTriple",
@@ -215,15 +209,12 @@ def mr_bound(
 
     Raises InputError unless kmeans_eps is finite and nonnegative.
     """
-    check_branch(branch)
     if not 0 <= kmeans_eps < np.inf:
         raise InputError(f"kmeans_eps must be finite and nonnegative, got {kmeans_eps}")
     r = partition.r
-    if branch == "aggregatable":
-        feats = build_features_aggregatable(model, weights)
-        g1 = g2 = g3 = None
-    else:
-        feats = build_features_lumpable(model, r, weights)
+    feats = _branch_features(model, r, branch, weights)
+    g1 = g2 = g3 = None
+    if branch == "lumpable":
         g1, g2, g3 = _chain_constants(model, r, feats)
     eps = perturbations(model, partition, branch)
     eps_combined = combine_perturbations(feats.weights, eps, g3)
@@ -255,57 +246,41 @@ def mr_bound(
     )
 
 
-def _lp_row_adjustment(
-    row: np.ndarray, partition: Partition, deficits: np.ndarray, i: int
-) -> np.ndarray:
-    """Feasibility LP fallback for one row's block adjustment."""
-    res = scipy.optimize.linprog(
-        c=np.zeros(len(row)),
-        A_eq=(np.arange(partition.r)[:, None] == partition.labels).astype(float),
-        b_eq=deficits,
-        bounds=list(zip(-row, 1.0 - row)),
-        method="highs",
-    )
-    if not res.success:
-        raise InfeasibleBlock(f"no feasible adjustment for row {i}")
-    return res.x
-
-
 def construct_T0(T: np.ndarray, partition: Partition, branch: str = "lumpable") -> np.ndarray:
     """A nearby chain whose cluster-block sums are cluster-constant.
 
     Lumpable branch: within each row i and block C_l, mass is shifted
-    toward the cluster-average block sum, proportionally to headroom
-    (1 - T(i, j)) when adding and to existing mass when removing; every
-    adjusted entry moves in the same direction and stays in [0, 1], and
-    rows stay stochastic.  If a block defeats the proportional scheme a
-    feasibility LP handles that row; if that also fails InfeasibleBlock
-    names the row.
+    toward the cluster-average block sum d, proportionally to headroom
+    (1 - T(i, j)) when adding and to existing mass when removing, and
+    by at most that block's total share: delta = d share / max(total, |d|).
+    Every adjusted entry moves in the same direction and stays in
+    [0, 1], and rows stay stochastic.  A chain's block can take its
+    whole d except by rounding, where the cap leaves it short by that
+    rounding.
 
     Aggregatable branch: each row is replaced by its cluster-average row.
 
     By construction the distance to T, in both the max-absolute-row-sum
     and Frobenius norms, never exceeds the measured branch perturbation
-    of (T, partition).
+    of (T, partition).  Raises InputError unless T is a chain by
+    validate_model's rule: finite, nonnegative, rows summing to 1
+    within 1e-9.
     """
     check_branch(branch)
     T = np.asarray(T, dtype=float)
-    if partition.s != T.shape[0]:
-        raise SizeMismatch(
-            f"partition covers {partition.s} modes, T is {T.shape[0]} x {T.shape[1]}"
-        )
+    if T.shape != (partition.s, partition.s):
+        raise SizeMismatch(f"partition covers {partition.s} modes, T has shape {T.shape}")
+    violations = _chain_violations(T)
+    if violations:
+        raise InputError("T is not a chain: " + "; ".join(violations))
     labels = partition.labels
     if branch == "aggregatable":
         T0 = partition.cluster_means(T)[labels]
     else:
         block = partition.block_sums(T)
-        deficits = partition.cluster_means(block)[labels] - block
-        d = deficits[:, labels]
+        d = (partition.cluster_means(block)[labels] - block)[:, labels]
         share = np.where(d > 0, 1.0 - T, T)
-        total = partition.block_sums(share)[:, labels]
-        delta = np.divide(d * share, total, out=np.zeros_like(T), where=total > 0)
-        for i in np.flatnonzero((total < np.abs(d) - 1e-15).any(axis=1)):
-            delta[i] = _lp_row_adjustment(T[i], partition, deficits[i], i)
-        T0 = T + delta
+        cap = np.maximum(partition.block_sums(share)[:, labels], np.abs(d))
+        T0 = T + np.divide(d * share, cap, out=np.zeros_like(T), where=cap > 0)
     T0 = np.clip(T0, 0.0, 1.0)
     return T0 / T0.sum(axis=1, keepdims=True)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .clustering import check_branch
 from .errors import DegenerateInput, DimensionMismatch
-from .model import MjsModel, Partition
+from .model import MjsModel, Partition, _check_count
 
 __all__ = ["SynthConfig", "generate", "fig4_model"]
 
@@ -36,10 +36,8 @@ class SynthConfig:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        if self.r < 1 or self.n < 0 or self.p < 0:
-            raise DimensionMismatch(
-                f"need r >= 1 and n, p >= 0, got r={self.r}, n={self.n}, p={self.p}"
-            )
+        for name, minimum in (("s", 1), ("r", 1), ("n", 0), ("p", 0)):
+            _check_count(name, getattr(self, name), minimum)
         if self.s % self.r != 0:
             raise DegenerateInput(
                 f"cluster count must divide the mode count, got s={self.s}, r={self.r}"

@@ -29,6 +29,7 @@ from mjsreduce.bounds import (
 from mjsreduce.clustering import average_model, reduce_model
 from mjsreduce.errors import (
     ComputationError,
+    DegenerateInput,
     DimensionMismatch,
     InputError,
     NotConverged,
@@ -131,6 +132,35 @@ def test_kernel_enum_takes_only_an_integer_horizon(t):
         transition_kernel_enum(model, np.array([1.0, 0.0]), t)
 
 
+def big_mode(a):
+    """Modes a I and a contraction, T = 0.5: at t = 6 the states reach
+    a^6 times x0."""
+    return MjsModel(
+        np.stack([a * np.eye(2), [[0.5, 0.1], [0.0, 0.5]]]), None, np.full((2, 2), 0.5)
+    )
+
+
+@pytest.mark.parametrize("a", [40.0, 1e27])
+def test_kernel_enum_keeps_far_states_in_their_cells(a):
+    # 40^6 / MERGE_TOL passes 2^63, where an int64 grid key would wrap.
+    x0 = np.ones(2)
+    k = transition_kernel_enum(big_mode(a), x0, 6)
+    support, mass = path_kernel_enum(big_mode(a), x0, 6)
+    assert np.array_equal(k.support, support) and np.array_equal(k.mass, mass)
+    support, mass = recursive_kernel(big_mode(a), x0, 6)
+    assert k.support.shape == support.shape
+    np.testing.assert_allclose(k.support, support, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(k.mass, mass, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("t", [2, 3])
+def test_kernel_enum_refuses_states_that_overflow(t):
+    model = big_mode(1e200)
+    assert np.isfinite(transition_kernel_enum(model, np.ones(2), 1).support).all()
+    with pytest.raises(DegenerateInput, match="t = 2 overflow"):
+        transition_kernel_enum(model, np.ones(2), t)
+
+
 @pytest.mark.invariant
 def test_kernel_mass_is_conserved(rng):
     for _ in range(5):
@@ -167,7 +197,7 @@ def recursive_kernel(model, x0, t, dedup_tol=1e-10):
     tol = dedup_tol * max(float(np.linalg.norm(x0)), 1.0)
     kept, kept_mass, buckets = [], [], {}
     for x, q in zip(points, masses):
-        key = np.round(x / max(tol, 1e-300)).astype(np.int64).tobytes()
+        key = (np.round(x / max(tol, 1e-300)) + 0.0).tobytes()  # -0.0 as 0.0
         for idx in buckets.get(key, ()):
             if np.linalg.norm(kept[idx] - x) <= tol:
                 kept_mass[idx] += q

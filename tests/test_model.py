@@ -246,6 +246,15 @@ def test_simulate_horizon_zero():
     assert np.array_equal(states[:, 0], np.tile([1.0, 2.0], (3, 1)))
 
 
+@pytest.mark.parametrize(
+    "horizon, n_traj", [(-1, 2), (2.0, 2), (3, 2.5), (3, 0), (3, True)]
+)
+def test_simulate_takes_only_integer_counts(horizon, n_traj):
+    m = three_state_model()
+    with pytest.raises(DimensionMismatch, match="must be an integer of at least"):
+        simulate_coupled_batch(m, m, singletons(m), [1.0, 2.0], horizon, n_traj, seed=0)
+
+
 def test_simulate_rejects_bad_x0():
     m = three_state_model()
     with pytest.raises(DimensionMismatch):

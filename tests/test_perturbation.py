@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mjsreduce.perturbation as perturbation
@@ -296,35 +296,41 @@ def loop_averaged_features(phi, partition):
     return phibar
 
 
-def loop_construct_T0(T, partition, branch):
-    """construct_T0 one row and block at a time, kept as its oracle;
-    rows the proportional scheme cannot serve go to the same LP."""
+def loop_construct_T0(T, partition, branch, capped=True):
+    """construct_T0 one row and block at a time, kept as its oracle.
+    Sums run over 1-D row slices as Partition.block_sums and
+    cluster_means run them, so the results match bit for bit.  With
+    capped=False a block moves by d share / total, the proportional
+    step without the cap, which overshoots on a block with a shortfall
+    (total < |d|)."""
+    s = T.shape[0]
     if branch == "aggregatable":
-        T0 = loop_averaged_features(T, partition)
+        T0 = np.empty_like(T)
+        for ck in partition.clusters:
+            T0[list(ck)] = T[list(ck)].mean(axis=0)
     else:
-        block = np.stack(
-            [T[:, list(cl)].sum(axis=1) for cl in partition.clusters], axis=1
-        )
-        deficits = loop_averaged_features(block, partition) - block
+        block = np.array([[T[i, list(cl)].sum() for cl in partition.clusters] for i in range(s)])
+        target = np.array([block[list(ck)].mean(axis=0) for ck in partition.clusters])
         delta = np.zeros_like(T)
-        for i in range(T.shape[0]):
-            ok = True
+        for i in range(s):
             for l, cl in enumerate(partition.clusters):
                 idx = list(cl)
-                d = deficits[i, l]
-                if d == 0.0:
-                    continue
+                d = target[partition.labels[i], l] - block[i, l]
                 share = 1.0 - T[i, idx] if d > 0 else T[i, idx]
-                total = share.sum()
-                if total < abs(d) - 1e-15:
-                    ok = False
-                    break
-                delta[i, idx] = d * share / total if total > 0 else 0.0
-            if not ok:
-                delta[i] = perturbation._lp_row_adjustment(T[i], partition, deficits[i], i)
+                cap = max(share.sum(), abs(d)) if capped else share.sum()
+                if cap > 0:
+                    delta[i, idx] = d * share / cap
         T0 = T + delta
     T0 = np.clip(T0, 0.0, 1.0)
     return T0 / T0.sum(axis=1, keepdims=True)
+
+
+def shortfall_rows(T, partition):
+    """Rows with a block whose share cannot take its deficit."""
+    block = partition.block_sums(T)
+    d = (partition.cluster_means(block)[partition.labels] - block)[:, partition.labels]
+    share = np.where(d > 0, 1.0 - T, T)
+    return (partition.block_sums(share)[:, partition.labels] < np.abs(d)).any(axis=1)
 
 
 @pytest.mark.invariant
@@ -343,10 +349,8 @@ def test_cluster_aggregates_match_loops(seed, labels, n, p, zeros):
         want = loop_perturbations(model, part, branch)
         for got, ref in zip((eps.eps_A, eps.eps_B, eps.eps_T), want):
             assert got == pytest.approx(ref, rel=1e-13, abs=1e-14)
-        # The loops sum blocks as 2-D rows, Partition.block_sums as 1-D
-        # rows like average_model: the last bits may differ.
         got = construct_T0(model.T, part, branch=branch)
-        assert np.abs(got - loop_construct_T0(model.T, part, branch)).max() <= 1e-14
+        assert np.array_equal(got, loop_construct_T0(model.T, part, branch))
     feats = build_features_aggregatable(model)
     phibar, _ = averaged_feature_matrix(feats, part)
     assert np.array_equal(phibar, loop_averaged_features(feats.phi, part))
@@ -367,8 +371,9 @@ def test_pair_sums_in_chunks_match_one_pass(rng, monkeypatch):
 def saturated_chain():
     """Rows 0-2 put all their mass on mode 3, a singleton cluster; row 2
     puts a hair more than 1 (inside the model tolerance).  The cluster's
-    average block sum then exceeds what rows 0 and 1 can take, so the
-    proportional scheme hands them to the LP fallback."""
+    average block sum then exceeds what rows 0 and 1 can take: their
+    blocks have no headroom, a shortfall, and the capped step leaves
+    them at 1."""
     T = np.zeros((5, 5))
     T[:3, 3] = 1.0
     T[2, 3] += 1e-12
@@ -377,18 +382,58 @@ def saturated_chain():
     return T, Partition([[0, 1, 2], [3], [4]])
 
 
-def test_construct_T0_lp_rows_match_loop(monkeypatch):
+def test_construct_T0_caps_saturated_rows():
     T, part = saturated_chain()
-    calls = []
-    lp = perturbation._lp_row_adjustment
-
-    def spy(row, partition, deficits, i):
-        calls.append(i)
-        return lp(row, partition, deficits, i)
-
-    monkeypatch.setattr(perturbation, "_lp_row_adjustment", spy)
+    assert list(np.flatnonzero(shortfall_rows(T, part))) == [0, 1]
     got = construct_T0(T, part, branch="lumpable")
-    assert calls == [0, 1]
-    calls.clear()
-    assert np.abs(got - loop_construct_T0(T, part, "lumpable")).max() <= 1e-14
-    assert calls == [0, 1]
+    assert np.array_equal(got, loop_construct_T0(T, part, "lumpable"))
+    # Within 1e-14 of the lumpable chain a feasibility program would
+    # pick: every row of the first cluster puts all its mass on mode 3.
+    assert np.abs(got - np.where(T > 0.5, 1.0, T)).max() <= 1e-14
+
+
+@pytest.mark.invariant
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    labels=PARTITION_LABELS,
+    saturated=st.integers(0, 3),
+    jitter=st.sampled_from([0.0, 1e-12, 1e-10]),
+)
+@example(seed=0, labels=[0, 0, 0, 1, 2], saturated=3, jitter=1e-10)
+def test_construct_T0_serves_rows_without_a_shortfall_as_before(seed, labels, saturated, jitter):
+    # Chains with rows that put all their mass on one mode, and row sums
+    # off 1 by up to jitter (inside the model tolerance): the rows whose
+    # blocks can all take their deficit move by the proportional step,
+    # bit for bit; the others by the capped one.
+    rng = np.random.default_rng(seed)
+    s = len(labels)
+    T = rng.dirichlet(np.ones(s), size=s) * (rng.random((s, s)) < 0.7)
+    T[np.arange(s), rng.integers(0, s, size=s)] += 0.1
+    T /= T.sum(axis=1, keepdims=True)
+    rows = rng.choice(s, size=min(saturated, s), replace=False)
+    T[rows] = 0.0
+    T[rows, rng.integers(0, s, size=len(rows))] = 1.0
+    T *= 1.0 + jitter * rng.uniform(-1.0, 1.0, size=(s, 1))
+    part = Partition.from_labels(labels)
+    got = construct_T0(T, part, branch="lumpable")
+    assert np.array_equal(got, loop_construct_T0(T, part, "lumpable"))
+    served = ~shortfall_rows(T, part)
+    old = loop_construct_T0(T, part, "lumpable", capped=False)
+    assert np.array_equal(got[served], old[served])
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        [[1.5, -0.5], [0.5, 0.5]],
+        [[np.nan, 0.5], [0.5, 0.5]],
+        [[0.6, 0.5], [0.5, 0.5]],
+        [[0.0, 0.0], [0.5, 0.5]],
+    ],
+    ids=["negative", "nan", "row-sum-above-1", "zero-row"],
+)
+@pytest.mark.parametrize("branch", ["aggregatable", "lumpable"])
+def test_construct_T0_refuses_a_T_that_is_no_chain(bad, branch):
+    with pytest.raises(InputError, match="T is not a chain"):
+        construct_T0(np.array(bad), Partition([[0, 1]]), branch=branch)

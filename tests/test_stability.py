@@ -56,7 +56,7 @@ def test_certificate_entry_points_take_no_tuning_options():
         (stability_comparison, ("model", "reduction", "branch")),
         (
             BoundInputs.from_model,
-            ("model", "partition", "branch", "x0", "u_bar", "rho", "xi", "budget"),
+            ("model", "partition", "branch", "x0", "xi", "budget"),
         ),
         # Kernels and simulations start from the stationary law.
         (transition_kernel_enum, ("model", "x0", "t")),

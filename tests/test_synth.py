@@ -15,6 +15,14 @@ def test_config_rejects_bad_shapes():
         SynthConfig(6, 3, 2, 1, branch="diagonal")
 
 
+@pytest.mark.parametrize(
+    "counts", [(6, 2.0, 2, 0), (6, 2, 2.5, 0), (6.0, 2, 2, 0), (6, 2, 2, True), (0, 1, 2, 0)]
+)
+def test_config_takes_only_integer_counts(counts):
+    with pytest.raises(DimensionMismatch, match="must be an integer of at least"):
+        SynthConfig(*counts)
+
+
 def test_generate_is_deterministic():
     cfg = SynthConfig(8, 2, 3, 2, eps_A=0.3, eps_T=0.2, seed=42)
     m1, p1, b1 = generate(cfg)
