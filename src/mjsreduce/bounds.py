@@ -354,6 +354,9 @@ def _finite_states(A: np.ndarray, X: np.ndarray, t: int) -> np.ndarray:
     return X
 
 
+# Grid keys, differences, squares and norms of states near the float
+# range overflow to inf, which shares a cell and exceeds tol, as it should.
+@np.errstate(over="ignore")
 def _merge_points(X: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Greedy merge of the rows of X, in row order, into the first kept
     row within tol in the same cell of a grid of width tol.  Returns

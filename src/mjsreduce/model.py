@@ -47,18 +47,18 @@ class MjsModel:
             system (p = 0).
         T: array-like of shape (s, s), the mode transition matrix.
 
-    Shape inconsistencies raise DimensionMismatch.  Value-level problems
-    (bad row sums, negative entries, NaN) are reported by
-    validate_model, not here.  pi, the stationary law of the mode
-    chain, is computed on first access and kept.
+    Shape inconsistencies and n = 0 raise DimensionMismatch.
+    Value-level problems (bad row sums, negative entries, NaN) are
+    reported by validate_model, not here.  pi, the stationary law of
+    the mode chain, is computed on first access and kept.
     """
 
     def __init__(self, A, B, T) -> None:
         A = np.array(A, dtype=float)
         T = np.array(T, dtype=float)
-        if A.ndim != 3 or A.shape[1] != A.shape[2]:
+        if A.ndim != 3 or A.shape[1] != A.shape[2] or A.shape[1] == 0:
             raise DimensionMismatch(
-                f"A must have shape (s, n, n), got {A.shape}"
+                f"A must have shape (s, n, n) with n >= 1, got {A.shape}"
             )
         s, n = A.shape[0], A.shape[1]
         if B is None:

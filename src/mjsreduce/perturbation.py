@@ -251,12 +251,13 @@ def construct_T0(T: np.ndarray, partition: Partition, branch: str = "lumpable") 
 
     Lumpable branch: within each row i and block C_l, mass is shifted
     toward the cluster-average block sum d, proportionally to headroom
-    (1 - T(i, j)) when adding and to existing mass when removing, and
-    by at most that block's total share: delta = d share / max(total, |d|).
-    Every adjusted entry moves in the same direction and stays in
-    [0, 1], and rows stay stochastic.  A chain's block can take its
-    whole d except by rounding, where the cap leaves it short by that
-    rounding.
+    (1 - T(i, j)) when adding and to existing mass when removing:
+    delta = d share / total, with total the block's summed share.
+    Every adjusted entry moves in the same direction; clipped to
+    [0, 1], rows stay stochastic.  A chain's block is short of room
+    (total < |d|) only on a singleton whose cluster mean passes 1, by
+    rounding or the 1e-9 row-sum tolerance, and the clip takes its
+    overshoot back to exactly 1.
 
     Aggregatable branch: each row is replaced by its cluster-average row.
 
@@ -280,7 +281,7 @@ def construct_T0(T: np.ndarray, partition: Partition, branch: str = "lumpable") 
         block = partition.block_sums(T)
         d = (partition.cluster_means(block)[labels] - block)[:, labels]
         share = np.where(d > 0, 1.0 - T, T)
-        cap = np.maximum(partition.block_sums(share)[:, labels], np.abs(d))
-        T0 = T + np.divide(d * share, cap, out=np.zeros_like(T), where=cap > 0)
+        total = partition.block_sums(share)[:, labels]
+        T0 = T + np.divide(d * share, total, out=np.zeros_like(T), where=total > 0)
     T0 = np.clip(T0, 0.0, 1.0)
     return T0 / T0.sum(axis=1, keepdims=True)

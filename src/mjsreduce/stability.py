@@ -11,8 +11,12 @@ transition matrix of a Markov chain, so T >= 0, and L is then a
 positive map; every result below rests on that, and MomentOperator
 refuses a T with an entry that is not >= 0 (InputError).
 MomentOperator applies L and its adjoint matrix-free, in
-O(s n^3 + s^2 n^2) per step, and takes the spectral radius with ARPACK
-on a LinearOperator, so the mean-square checks have no size cap.
+O(s n^3 + s^2 n^2) per step, and takes the spectral radius with one
+ARPACK run on a LinearOperator, so the mean-square checks have no size
+cap.  L is positive, so rho is an eigenvalue (Vandergraft, SIAM J.
+Appl. Math. 16, 1968) and the only one of real part rho: the run asks
+for the rightmost eigenvalue, a single target even on a periodic chain
+with many eigenvalues of modulus rho.
 
 The transient constant tau = sup_k ||L^k||_2 / rho^k is swept on dense
 powers of L, taking the exact 2-norm of a power only where a cheap
@@ -72,7 +76,7 @@ import numpy as np
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
 
 from .errors import DegenerateInput, InputError, NotConverged, RhoTooSmall, TooLarge, XiTooSmall
-from .model import MjsModel, expand_reduced
+from .model import MjsModel, _check_count, expand_reduced
 from .clustering import ReductionResult
 from .perturbation import construct_T0, perturbations
 
@@ -98,10 +102,10 @@ DEFAULT_SIZE_CAP = 4096
 # 0.5-0.8 vs 0.9 ms, dim 64 1.3-2.4 vs 1.3-1.8 ms, dim 72 1.7-2.8 vs
 # 1.1-1.6 ms, dim 144 11.5 vs 1.7 ms.
 DENSE_RHO_MAX = 64
-# Restart budgets of ARPACK.  The plain run stops early: random models
-# need at most ten restarts, while on a periodic chain it may never
-# converge, and a failure hands over to the dense eig or the shifted
-# retry, which gets the larger budget.
+# Restart budgets of ARPACK's run for rho: up to DEFAULT_SIZE_CAP a
+# failure hands over to the dense eig, and random models need at most
+# ten restarts; above it a cyclic chain needs about 15 at period 12,
+# 50 at period 40 and 200 at period 60.
 ARPACK_PLAIN_RESTARTS = 30
 ARPACK_RESTARTS = 300
 # Relative margin on the norm bounds of the tau and kappa sweep, above
@@ -255,8 +259,10 @@ class MomentOperator:
         running bound on the rounding of the iterates L^k(I) and
         L*^k(I) is added, so the float bound holds too.  The sweep
         stops at the first certifying k (see _sweep).  A power or an
-        iterate that overflows raises DegenerateInput.
+        iterate that overflows raises DegenerateInput, and a k_max that
+        is no integer >= 0 raises DimensionMismatch.
         """
+        _check_count("k_max", k_max, 0)
         if self.dim > DEFAULT_SIZE_CAP:
             return _sweep(self._power_bounds(k_max), rho, exact=False)
         return _sweep(_dense_powers(*self._restriction(), k_max), rho, exact=True)
@@ -337,14 +343,12 @@ class MomentOperator:
         Exactly 0 when n steps of L from the identity stack vanish (all
         mode products of length n are zero, as for strictly triangular
         modes); there eigensolvers return rounding noise instead.
-        Otherwise dense eigvals up to DENSE_RHO_MAX and ARPACK eigs
-        above, started from the identity stack so that runs are
-        reproducible.  When ARPACK fails within ARPACK_PLAIN_RESTARTS
-        (e.g. on the many eigenvalues of equal modulus of a long
-        periodic chain), the dense eigvals answers up to
-        DEFAULT_SIZE_CAP; above it ARPACK runs once more, with
-        ARPACK_RESTARTS, on the shifted operator L + c I, and rho raises
-        NotConverged only when that fails too.
+        Otherwise dense eigvals up to DENSE_RHO_MAX, and above it one
+        ARPACK run for the rightmost eigenvalue (see the module
+        docstring) from the identity stack, so that runs are
+        reproducible: within ARPACK_PLAIN_RESTARTS up to
+        DEFAULT_SIZE_CAP, where dense eigvals answers a failure, and
+        ARPACK_RESTARTS above it, where a failure raises NotConverged.
         """
         if self._vanishes():
             return 0.0
@@ -358,37 +362,22 @@ class MomentOperator:
             _check_finite(out, "an ARPACK iterate of the second-moment operator")
             return out
 
+        capped = self.dim <= DEFAULT_SIZE_CAP
         try:
-            return float(np.abs(self._arpack(step, ARPACK_PLAIN_RESTARTS)))
+            vals = eigs(
+                LinearOperator((self.dim, self.dim), matvec=step, dtype=float),
+                k=1, which="LR", tol=0, v0=self._identity().ravel(),
+                maxiter=ARPACK_PLAIN_RESTARTS if capped else ARPACK_RESTARTS,
+                return_eigenvectors=False,
+            )
         except ArpackError as exc:
-            if self.dim <= DEFAULT_SIZE_CAP:
+            if capped:
                 return self._dense_rho()
-            first = exc
-        # In the largest block 2-norm, ||L|| <= c = max_i sum_j
-        # T(j, i) ||A_j||^2, so rho <= c.  Every eigenvalue of L + c I
-        # other than the Perron one, rho + c, is then strictly smaller in
-        # modulus, which leaves ARPACK a single target.
-        norms2 = np.linalg.norm(self.A, 2, axis=(1, 2)) ** 2
-        c = float((self.T * norms2[:, None]).sum(axis=0).max())
-        try:
-            top = self._arpack(lambda v: step(v) + c * v, ARPACK_RESTARTS)
-        except ArpackError as exc:
             raise NotConverged(
-                f"ARPACK found no spectral radius of the {self.dim}-dimensional "
-                f"second-moment operator, neither plain ({first}) nor shifted by "
-                f"{c:.3g} ({exc}), and the dense fallback is capped at "
-                f"{DEFAULT_SIZE_CAP}"
+                f"ARPACK found no spectral radius of the {self.dim}-dimensional second-moment "
+                f"operator ({exc}), and the dense fallback is capped at {DEFAULT_SIZE_CAP}"
             ) from exc
-        return max(float(top.real) - c, 0.0)
-
-    def _arpack(self, matvec, restarts: int) -> np.complex128:
-        # The eigenvalue of largest modulus of the operator matvec.
-        op = LinearOperator((self.dim, self.dim), matvec=matvec, dtype=float)
-        vals = eigs(
-            op, k=1, which="LM", tol=0, v0=self._identity().ravel(),
-            maxiter=restarts, return_eigenvectors=False,
-        )
-        return vals[0]
+        return float(np.abs(vals[0]))
 
     def _dense_rho(self) -> float:
         return spectral_radius(augmented_matrix(MjsModel(self.A, None, self.T)))
@@ -441,8 +430,10 @@ def tau_estimate(M: np.ndarray, rho: float, k_max: int = TAU_STEPS) -> Transient
 
     Requires a positive rho >= spectral_radius(M) (RhoTooSmall
     otherwise; the sup would diverge).  The result is complete when
-    some swept power certifies the sup over every k.
+    some swept power certifies the sup over every k.  A k_max that is
+    no integer >= 0 raises DimensionMismatch.
     """
+    _check_count("k_max", k_max, 0)
     M = np.asarray(M, dtype=float)
     _check_level("rho", rho, spectral_radius(M))
     return _sweep(_dense_powers(lambda P: P @ M, np.eye(M.shape[0]), k_max), rho, exact=True)
@@ -526,7 +517,8 @@ def jsr_bounds(A_list, k_max: int = JSR_LEVELS, budget: int = JSR_BUDGET) -> Jsr
     counts against the budget, and when it runs out the bounds from
     completed levels are returned with complete=False.  Level 1 is
     always enumerated.  A product that overflows raises
-    DegenerateInput.
+    DegenerateInput, and a k_max or budget that is no integer >= 0
+    raises DimensionMismatch.
 
     Each product's 2-norm is bracketed by _norm_brackets, and the exact
     2-norm (one batched call) is taken only where the bracket leaves a
@@ -538,6 +530,8 @@ def jsr_bounds(A_list, k_max: int = JSR_LEVELS, budget: int = JSR_BUDGET) -> Jsr
     numpy's batched linear algebra works matrix by matrix, so every
     field equals that of the walk that takes all of them.
     """
+    _check_count("k_max", k_max, 0)
+    _check_count("budget", budget, 0)
     mats = np.asarray(A_list, dtype=float)
     W = mats
     lower, upper, maxima = 0.0, math.inf, []

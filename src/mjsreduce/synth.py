@@ -36,7 +36,7 @@ class SynthConfig:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        for name, minimum in (("s", 1), ("r", 1), ("n", 0), ("p", 0)):
+        for name, minimum in (("s", 1), ("r", 1), ("n", 1), ("p", 0)):
             _check_count(name, getattr(self, name), minimum)
         if self.s % self.r != 0:
             raise DegenerateInput(

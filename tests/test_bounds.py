@@ -153,6 +153,30 @@ def test_kernel_enum_keeps_far_states_in_their_cells(a):
     np.testing.assert_allclose(k.mass, mass, rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize(
+    "A",
+    [
+        [1e150 * np.eye(2), [[0.5, 0.1], [0.0, 0.5]]],
+        [1e150 * np.eye(2), 1e150 * np.diag([1.0, 2.0])],
+    ],
+    ids=["one-far-state", "far-states-apart"],
+)
+def test_kernel_enum_merges_states_past_the_grid_key_range(A):
+    # States of 1e300 overflow their grid keys (1e300 / MERGE_TOL) to
+    # inf, and on the second model the differences and norms of the
+    # three far states in that one cell overflow too; the warning filter
+    # makes any overflow warning an error here.
+    model = MjsModel(np.array(A), None, np.full((2, 2), 0.5))
+    x0 = np.ones(2)
+    k = transition_kernel_enum(model, x0, 2)
+    support, mass = path_kernel_enum(model, x0, 2)
+    assert np.array_equal(k.support, support) and np.array_equal(k.mass, mass)
+    with np.errstate(over="ignore"):
+        support, mass = recursive_kernel(model, x0, 2)
+    assert np.array_equal(k.support, support) and np.array_equal(k.mass, mass)
+    assert len(k.support) == 3
+
+
 @pytest.mark.parametrize("t", [2, 3])
 def test_kernel_enum_refuses_states_that_overflow(t):
     model = big_mode(1e200)

@@ -383,6 +383,12 @@ FLAG_CASES = [
     ),
     ("generate-r0", ["generate", "--s", "4", "--r", "0"], 2, "DimensionMismatch"),
     ("generate-n-1", ["generate", "--s", "4", "--r", "2", "--n", "-1"], 2, "DimensionMismatch"),
+    (
+        "generate-n-0",
+        ["generate", "--s", "4", "--r", "2", "--n", "0", "--p", "0"],
+        2,
+        "DimensionMismatch",
+    ),
     ("generate-p-1", ["generate", "--s", "4", "--r", "2", "--p", "-1"], 2, "DimensionMismatch"),
     (
         "generate-nan-budget",

@@ -72,6 +72,9 @@ def test_model_rejects_bad_shapes():
         MjsModel(np.zeros((2, 2, 2)), np.zeros((3, 2, 1)), np.eye(2))
     with pytest.raises(DimensionMismatch):
         MjsModel(np.zeros((2, 2, 2)), None, np.eye(3))
+    # No state: every analysis would divide by or index into nothing.
+    with pytest.raises(DimensionMismatch, match="n >= 1"):
+        MjsModel(np.zeros((4, 0, 0)), np.zeros((4, 0, 0)), np.full((4, 4), 0.25))
 
 
 def test_validate_model_reports_value_violations():

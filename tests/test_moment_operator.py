@@ -4,12 +4,13 @@ augmented_matrix builds the (s n^2) x (s n^2) matrix of the same
 operator from its stack of mode krons, and must equal the block-by-block
 construction kept here; MomentOperator must agree with it on apply,
 adjoint, its restriction to symmetric stacks, spectral radius and tau,
-on every path rho() can take: dense, ARPACK, the vanishing check and
-the dense fallback after an ARPACK failure; above the cap, tau must
-bound the dense sweep from above, and on small operators the exact
-norms of its powers.  The skew stacks, built here, split L block
-diagonally with the symmetric ones, and with T >= 0 their block never
-has the larger norm, which is why tau steps the symmetric one alone.
+on every path rho() can take: dense, one ARPACK run for the rightmost
+eigenvalue, the vanishing check and the dense fallback after an ARPACK
+failure; above the cap, tau must bound the dense sweep from above, and
+on small operators the exact norms of its powers.  The skew stacks,
+built here, split L block diagonally with the symmetric ones, and with
+T >= 0 their block never has the larger norm, which is why tau steps
+the symmetric one alone.
 MomentOperator refuses a T with an entry that is not >= 0.
 """
 
@@ -333,6 +334,55 @@ def test_rho_matches_dense_oracle(seed, s, n, chain):
     assert_rel_close(MomentOperator(A, T).rho(), dense_rho(A, T))
 
 
+def cyclic_chain(rng, s, p):
+    """A chain of period p on s >= p modes: mode i moves only to modes
+    j with j = i + 1 (mod p), with random positive weights."""
+    cls = np.arange(s) % p
+    T = (cls[None, :] == (cls[:, None] + 1) % p) * (rng.random((s, s)) + 0.01)
+    return T / T.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.invariant
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 4),
+    chain=st.sampled_from(CHAINS + ("cyclic",)),
+    period=st.integers(2, 20),
+)
+def test_rho_above_dense_size_is_one_rightmost_run(seed, n, chain, period):
+    # Above DENSE_RHO_MAX rho is one ARPACK run for the rightmost
+    # eigenvalue.  On a cyclic chain of period p <= 20 with nonnegative
+    # modes, L is an irreducible nonnegative matrix whose eigenvalues of
+    # modulus rho are the simple rho exp(2 pi i k / p) (Perron-Frobenius):
+    # a run for the largest modulus cannot tell them apart, but in real
+    # part the nearest lies rho (1 - cos(2 pi / p)) below rho, and the
+    # rightmost run converges without the dense eig (over 4 000 draws of
+    # such chains it took at most 10 restarts, while a run for the
+    # largest modulus failed on 60-80% of those of period 11-20).  Signed modes
+    # can put other eigenvalues within any distance of rho in real part;
+    # the dense eig may then answer.
+    rng = np.random.default_rng(seed)
+    low = DENSE_RHO_MAX // n**2 + 1
+    s = int(rng.integers(low, 2 * low + 1))
+    if chain == "cyclic":
+        s = max(s, period)
+        A, T = np.abs(draw_modes(rng, s, n)), cyclic_chain(rng, s, period)
+    else:
+        A, T = draw_modes(rng, s, n), draw_chain(rng, s, chain)
+    spy = mock.Mock(side_effect=stability.eigs)
+    with mock.patch.object(stability, "eigs", spy), mock.patch.object(
+        MomentOperator, "_dense_rho", autospec=True, side_effect=MomentOperator._dense_rho
+    ) as dense:
+        rho = MomentOperator(A, T).rho()
+    assert_rel_close(rho, dense_rho(A, T))
+    spy.assert_called_once()
+    assert spy.call_args.kwargs["which"] == "LR"
+    assert spy.call_args.kwargs["maxiter"] == ARPACK_PLAIN_RESTARTS
+    if chain == "cyclic":
+        dense.assert_not_called()
+
+
 @pytest.mark.parametrize("n", [3, 9, 11])
 def test_single_mode_rho_is_square_of_mode_radius(n):
     # n = 3 takes the dense path, n = 9 and 11 (dim 81, 121) ARPACK.
@@ -385,9 +435,11 @@ def test_arpack_failure_above_cap_raises(monkeypatch):
         MomentOperator(A, T).rho()
 
 
-def test_arpack_failure_above_cap_retries_shifted(monkeypatch):
-    # The cyclic chain defeats plain ARPACK; above the (lowered) cap the
-    # retry on L + c I must answer without the dense eig.
+def test_cyclic_chain_above_cap_takes_one_rightmost_run(monkeypatch):
+    # The cyclic chain gives 12 eigenvalues of modulus rho, which defeat
+    # a run for the largest modulus; rho is the only rightmost one, and
+    # above the (lowered) cap one run with the large budget must answer
+    # without the dense eig.
     rng = np.random.default_rng(0)
     A, T = draw_modes(rng, 12, 3), draw_chain(rng, 12, "periodic")
     monkeypatch.setattr(stability, "DEFAULT_SIZE_CAP", 100)
@@ -397,11 +449,9 @@ def test_arpack_failure_above_cap_retries_shifted(monkeypatch):
     spy = mock.Mock(side_effect=stability.eigs)
     monkeypatch.setattr(stability, "eigs", spy)
     rho = MomentOperator(A, T).rho()
-    assert spy.call_count == 2
-    # The plain run gives up within its small budget; the shifted one
-    # has the large one.
-    budgets = [call.kwargs["maxiter"] for call in spy.call_args_list]
-    assert budgets == [ARPACK_PLAIN_RESTARTS, ARPACK_RESTARTS]
+    spy.assert_called_once()
+    assert spy.call_args.kwargs["which"] == "LR"
+    assert spy.call_args.kwargs["maxiter"] == ARPACK_RESTARTS
     assert_rel_close(rho, dense_rho(A, T))
 
 
@@ -416,8 +466,9 @@ def test_plain_restart_budget_keeps_rho(chain):
 
 
 def test_long_periodic_chain_gets_its_radius():
-    # A cyclic chain of period 60 has 60 eigenvalues of modulus rho, and
-    # ARPACK with k = 1 gives up on it; the dense fallback must answer.
+    # A cyclic chain of period 60 has 60 eigenvalues of modulus rho, whose
+    # real parts crowd towards rho, and the rightmost run gives up within
+    # ARPACK_PLAIN_RESTARTS; the dense fallback must answer.
     rng = np.random.default_rng(0)
     A, T = draw_modes(rng, 60, 4), draw_chain(rng, 60, "periodic")
     dense = MomentOperator._dense_rho

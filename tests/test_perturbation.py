@@ -372,8 +372,9 @@ def saturated_chain():
     """Rows 0-2 put all their mass on mode 3, a singleton cluster; row 2
     puts a hair more than 1 (inside the model tolerance).  The cluster's
     average block sum then exceeds what rows 0 and 1 can take: their
-    blocks have no headroom, a shortfall, and the capped step leaves
-    them at 1."""
+    blocks have no headroom, a shortfall: the capped step of
+    loop_construct_T0 leaves them at 1, and construct_T0's uncapped
+    step overshoots 1, which its clip takes back to 1."""
     T = np.zeros((5, 5))
     T[:3, 3] = 1.0
     T[2, 3] += 1e-12

@@ -12,7 +12,7 @@ from conftest import random_model
 from mjsreduce.bounds import BoundInputs, empirical_traj_diff, transition_kernel_enum
 from mjsreduce.clustering import reduce_model
 from mjsreduce.experiments import demoted_weights
-from mjsreduce.errors import DegenerateInput, RhoTooSmall, TooLarge, XiTooSmall
+from mjsreduce.errors import DegenerateInput, DimensionMismatch, RhoTooSmall, TooLarge, XiTooSmall
 from mjsreduce.model import (
     MjsModel,
     Partition,
@@ -279,6 +279,26 @@ def test_jsr_budget_marks_incomplete():
     mats = [np.eye(3), 2.0 * np.eye(3), np.ones((3, 3))]
     b = jsr_bounds(mats, k_max=8, budget=10)
     assert not b.complete
+
+
+COUNTED_MODES = np.stack([0.5 * np.eye(2), [[0.0, 0.6], [0.3, 0.0]]])
+COUNT_CALLS = {
+    "jsr_bounds-k_max": lambda v: jsr_bounds(COUNTED_MODES, k_max=v),
+    "jsr_bounds-budget": lambda v: jsr_bounds(COUNTED_MODES, k_max=6, budget=v),
+    "tau-k_max": lambda v: MomentOperator(COUNTED_MODES, np.full((2, 2), 0.5)).tau(1.0, v),
+    "tau_estimate-k_max": lambda v: tau_estimate(0.5 * np.eye(3), 1.0, v),
+}
+
+
+@pytest.mark.parametrize("bad", [2.5, 6.0, True, -1, np.nan], ids=repr)
+@pytest.mark.parametrize("call", COUNT_CALLS)
+def test_depths_and_budgets_take_only_integer_counts(call, bad):
+    # A NaN budget used to pass every comparison with a product count and
+    # complete all six levels, 2.5 ended in a bare TypeError, and True
+    # walked one level.
+    with pytest.raises(DimensionMismatch, match="must be an integer of at least 0"):
+        COUNT_CALLS[call](bad)
+    COUNT_CALLS[call](np.int64(0))
 
 
 def test_kappa_identity_family():

@@ -16,7 +16,8 @@ def test_config_rejects_bad_shapes():
 
 
 @pytest.mark.parametrize(
-    "counts", [(6, 2.0, 2, 0), (6, 2, 2.5, 0), (6.0, 2, 2, 0), (6, 2, 2, True), (0, 1, 2, 0)]
+    "counts",
+    [(6, 2.0, 2, 0), (6, 2, 2.5, 0), (6.0, 2, 2, 0), (6, 2, 2, True), (0, 1, 2, 0), (4, 2, 0, 0)],
 )
 def test_config_takes_only_integer_counts(counts):
     with pytest.raises(DimensionMismatch, match="must be an integer of at least"):
