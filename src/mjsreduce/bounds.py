@@ -148,8 +148,10 @@ def mss_traj_bound(b: BoundInputs, t: int) -> float:
     4 sqrt(n sqrt(s)) tau [ rho0^((t-1)/2) sqrt(t Abar ||T|| eps_A) ||x0||
       + sqrt(Bbar) ubar ( sqrt(rho0)/(1-sqrt(rho0))^2 sqrt(Abar ||T|| eps_A)
                           + sqrt(2)/(1-sqrt(rho0)) sqrt(eps_B) ) ].
-    At t = 0 the trajectories share x0, so the bound is 0.
+    At t = 0 the trajectories share x0, so the bound is 0.  A t that is
+    no integer >= 0 raises DimensionMismatch.
     """
+    _check_count("t", t, 0)
     if t == 0:
         return 0.0
     r0 = b.rho0
@@ -210,7 +212,9 @@ def us_traj_bound(b: BoundInputs, t: int) -> float:
     t xi0^(t-1) kappa^2 ||x0|| eps_A
       + 2 (1 + t xi0^t) kappa^2 Bbar ubar / (1 - xi0) eps_A
       + kappa ubar / (1 - xi) eps_B.
+    A t that is no integer >= 0 raises DimensionMismatch.
     """
+    _check_count("t", t, 0)
     x0 = b.xi0
     term1 = t * x0 ** (t - 1) * b.kappa**2 * b.x0_norm * b.eps_A if t > 0 else 0.0
     if b.u_bar > 0.0:
@@ -222,9 +226,9 @@ def us_traj_bound(b: BoundInputs, t: int) -> float:
 
 
 def _check_order(ell) -> None:
-    # Below 1 the transport cost is no metric; 0 would divide by zero.
-    if not ell >= 1:
-        raise InputError(f"transport order ell must be at least 1, got {ell!r}")
+    # Below 1 the cost is no metric, 0 divides by zero, inf makes it 0, 1 or inf.
+    if not 1 <= ell < np.inf:
+        raise InputError(f"transport order ell must be finite and at least 1, got {ell!r}")
 
 
 def wasserstein_kernel_bound(b: BoundInputs, t: int, ell: int = 1) -> float:
@@ -235,9 +239,11 @@ def wasserstein_kernel_bound(b: BoundInputs, t: int, ell: int = 1) -> float:
       + 2 r^2 t kappa ||x0|| r^t (kappa eps_A + xi)^t
         (Tbar + eps_T)^((t-2)/ell) eps_T^(1/ell).
 
-    Raises InputError unless ell >= 1.
+    Raises InputError unless ell is finite and at least 1, and
+    DimensionMismatch unless t is an integer >= 0.
     """
     _check_order(ell)
+    _check_count("t", t, 0)
     x0 = b.xi0
     term1 = t * x0 ** (t - 1) * b.kappa**2 * b.x0_norm * b.eps_A if t > 0 else 0.0
     if b.eps_T > 0.0:
@@ -362,31 +368,29 @@ def _merge_points(X: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     row within tol in the same cell of a grid of width tol.  Returns
     the kept rows, in order of appearance, and each row's kept index.
     """
-    # Equal rows always share a cell and merge into the same kept row,
-    # so the greedy pass only visits the distinct rows.
-    first, inverse = _equal_rows(X)
-    distinct = X[first]
+    # Equal rows share a cell; in a walking cell a copy of row i meets
+    # the kept rows i met, then the row i joined (or i), at distance 0.
     # Float keys: an int64 cast would wrap once |x| / tol passes 2^63.
-    head, cell = _equal_rows(np.round(distinct / max(tol, 1e-300)))
+    head, cell = _equal_rows(np.round(X / max(tol, 1e-300)))
     # A cell whose rows all lie within tol of its first row merges into
     # that row, as the greedy walk would.  Only the other cells walk.
     rep = head[cell]
     walks = np.zeros(len(head), dtype=bool)
-    walks[cell[~_surely_within(distinct - distinct[rep], tol)]] = True
+    walks[cell[~_surely_within(X - X[rep], tol)]] = True
     walking = np.flatnonzero(walks[cell])
     rep[walking] = walking
     kept_in: dict[int, list[int]] = {}
     for i in walking:
         kept = kept_in.setdefault(int(cell[i]), [])
         for j in kept:
-            if np.linalg.norm(distinct[j] - distinct[i]) <= tol:
+            if np.linalg.norm(X[j] - X[i]) <= tol:
                 rep[i] = j
                 break
         else:
             kept.append(i)
-    is_kept = rep == np.arange(len(distinct))
+    is_kept = rep == np.arange(len(X))
     index = np.cumsum(is_kept) - 1
-    return distinct[is_kept], index[rep][inverse]
+    return X[is_kept], index[rep]
 
 
 def _surely_within(D: np.ndarray, tol: float) -> np.ndarray:
@@ -491,8 +495,9 @@ def wasserstein_exact(
     solved again; every round adds cells, so the loop ends.
 
     Raises NotNormalized when either mass vector sums to NaN or is off 1
-    by more than 1e-9, InputError unless ell >= 1 and every support
-    point is finite, and NotConverged when HiGHS finds no optimum.
+    by more than 1e-9, InputError unless ell is finite and at least 1
+    and every support point is finite, and NotConverged when HiGHS finds
+    no optimum.
     """
     _check_order(ell)
     for name, k in (("first", p), ("second", q)):

@@ -53,6 +53,7 @@ from .model import (
     MjsModel,
     Partition,
     _batch_modes,
+    _check_count,
     _check_noise_std,
     _rollout,
 )
@@ -367,10 +368,11 @@ def monte_carlo_cost(
     Averages x' (Q + K' R K) x over steps burn_in..horizon-1 and over
     trajectories; the reported stderr is across trajectory means.  A
     state entry passing MC_BLOWUP marks the estimate diverged (inf).
-    Raises InputError unless 0 <= burn_in < horizon, DimensionMismatch
-    unless n_traj is an integer of at least 1 and horizon an integer.
+    Raises DimensionMismatch unless burn_in and horizon are integers
+    >= 0 and n_traj one >= 1, and InputError unless burn_in < horizon.
     """
-    if not 0 <= burn_in < horizon:
+    _check_count("burn_in", burn_in, 0)
+    if not burn_in < horizon:
         raise InputError(
             f"burn_in must lie in [0, horizon), got {burn_in} for horizon {horizon}"
         )

@@ -47,7 +47,7 @@ class MjsModel:
             system (p = 0).
         T: array-like of shape (s, s), the mode transition matrix.
 
-    Shape inconsistencies and n = 0 raise DimensionMismatch.
+    Shape inconsistencies, s = 0 and n = 0 raise DimensionMismatch.
     Value-level problems (bad row sums, negative entries, NaN) are
     reported by validate_model, not here.  pi, the stationary law of
     the mode chain, is computed on first access and kept.
@@ -56,9 +56,9 @@ class MjsModel:
     def __init__(self, A, B, T) -> None:
         A = np.array(A, dtype=float)
         T = np.array(T, dtype=float)
-        if A.ndim != 3 or A.shape[1] != A.shape[2] or A.shape[1] == 0:
+        if A.ndim != 3 or A.shape[1] != A.shape[2] or 0 in A.shape:
             raise DimensionMismatch(
-                f"A must have shape (s, n, n) with n >= 1, got {A.shape}"
+                f"A must have shape (s, n, n) with s, n >= 1, got {A.shape}"
             )
         s, n = A.shape[0], A.shape[1]
         if B is None:
@@ -205,7 +205,9 @@ class Partition:
 
     @classmethod
     def uniform(cls, s: int, r: int) -> "Partition":
-        """Contiguous clusters of equal size; requires r | s."""
+        """Contiguous clusters of equal size; integers s, r >= 1 with r | s."""
+        _check_count("s", s, 1)
+        _check_count("r", r, 1)
         if s % r != 0:
             raise PartitionMismatch(f"uniform partition needs r | s, got s={s}, r={r}")
         w = s // r

@@ -19,8 +19,8 @@ for the rightmost eigenvalue, a single target even on a periodic chain
 with many eigenvalues of modulus rho.
 
 The transient constant tau = sup_k ||L^k||_2 / rho^k is swept on dense
-powers of L, taking the exact 2-norm of a power only where a cheap
-upper bound could still raise the running maximum.  L maps symmetric
+powers of L, taking the exact 2-norm of a power only where its
+Frobenius norm could still raise the running maximum.  L maps symmetric
 stacks to symmetric stacks and skew stacks to skew stacks, since
 kron(A_j, A_j) commutes with the transpose and T only mixes blocks; in
 an orthonormal basis of each half, every power of L is block diagonal
@@ -52,9 +52,10 @@ m_k >= JSR^k >= lower^k, so these maxima are exact.  kappa_estimate
 reads them as kappa = sup_k m_k / xi^k.  The walk brackets every
 product's 2-norm between cheap bounds and takes the exact, batched
 2-norm only where the bracket leaves the level maximum or the prune
-open, and eigenvalues only for products whose norm could still raise
-the lower bound; numpy's batched linear algebra works matrix by
-matrix, so the bounds are those of the exact walk, bit for bit.
+open.  Each level makes one batched eigvals call, on the products
+whose norm, or its upper bound, exceeds the lower bound reached so
+far; numpy's batched linear algebra works matrix by matrix, so the
+bounds are those of the exact walk, bit for bit.
 
 One sweep serves both constants.  g(k) = ||L^k|| / rho^k and
 g(k) = m_k / xi^k are submultiplicative (Jungers, The Joint Spectral
@@ -439,23 +440,15 @@ def tau_estimate(M: np.ndarray, rho: float, k_max: int = TAU_STEPS) -> Transient
     return _sweep(_dense_powers(lambda P: P @ M, np.eye(M.shape[0]), k_max), rho, exact=True)
 
 
-def _norm_bound(P: np.ndarray) -> float:
-    # ||P||_2 <= ||P||_F and ||P||_2 <= sqrt(||P||_1 ||P||_inf); inf
-    # where these overflow for a finite P.
-    absP = np.abs(P)
-    with np.errstate(over="ignore"):
-        one, inf = absP.sum(axis=0).max(), absP.sum(axis=1).max()
-        return float(min(np.linalg.norm(P, "fro"), np.sqrt(one * inf)))
-
-
 def _dense_powers(step, P, k_max: int):
-    # Yields (bound on ||P_k||_2, P_k) for k = 1..k_max, from P_0 = P and
-    # P_k = step(P_(k-1)).  A power with an entry that is not finite
-    # raises DegenerateInput; its bound is then not finite either, so
-    # only such a bound is checked entry by entry.
+    # Yields (||P_k||_F >= ||P_k||_2, P_k) for k = 1..k_max, from P_0 = P
+    # and P_k = step(P_(k-1)).  A power with an entry that is not finite
+    # raises DegenerateInput; its norm is then not finite either, so only
+    # such a norm (inf also where it overflows) is checked entry by entry.
     for k in range(1, k_max + 1):
         P = step(P)
-        bound = _norm_bound(P)
+        with np.errstate(over="ignore"):
+            bound = float(np.linalg.norm(P, "fro"))
         if not math.isfinite(bound):
             _check_finite(P, f"power {k} of the second-moment operator")
         yield bound, P
@@ -525,8 +518,9 @@ def jsr_bounds(A_list, k_max: int = JSR_LEVELS, budget: int = JSR_BUDGET) -> Jsr
     decision open: for the level maximum, the products whose upper
     bound reaches the largest lower bound; for the prune, whose test is
     monotone in the norm, the products it keeps at the upper bound but
-    not at the lower.  Eigenvalues are taken only where the norm, or
-    its upper bound, could raise the lower bound (_level_radius).
+    not at the lower.  Eigenvalues are taken, in one batched call per
+    level, only where the norm, or its upper bound, could raise the
+    lower bound (_level_radius).
     numpy's batched linear algebra works matrix by matrix, so every
     field equals that of the walk that takes all of them.
     """
@@ -579,21 +573,18 @@ def _norm_brackets(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     On S = W_p / max|W_p|, whose largest entry is 1, nothing overflows
     or underflows that matters.  For the row w of S of largest norm,
     ||S w|| >= w'w, so ||S||_2 >= ||S w|| / ||w|| >= ||w||; and
-    ||S||_2 <= min(||S||_F, sqrt(||S||_1 ||S||_inf)) (Jungers, The Joint
-    Spectral Radius, 2009, ch. 2).  Scaling back by max|W_p| keeps the
-    relative rounding small while max|W_p| is a normal number; below
-    that the bracket is (0, inf).
+    ||S||_2 <= ||S||_F.  Scaling back by max|W_p| keeps the relative
+    rounding small while max|W_p| is a normal number; below that the
+    bracket is (0, inf).
     """
     amax = np.abs(W).max(axis=(1, 2))
     S = W / np.where(amax > 0.0, amax, 1.0)[:, None, None]
-    absS = np.abs(S)
     rows = np.einsum("pab,pab->pa", S, S)
     w = S[np.arange(len(S)), rows.argmax(axis=1)]
     Sw = np.einsum("pab,pb->pa", S, w)
     ww = rows.max(axis=1)
     lo = np.sqrt(np.einsum("pa,pa->p", Sw, Sw) / np.where(ww > 0.0, ww, 1.0))
-    one, inf = absS.sum(axis=1).max(axis=1), absS.sum(axis=2).max(axis=1)
-    hi = np.minimum(np.sqrt(rows.sum(axis=1)), np.sqrt(one * inf))
+    hi = np.sqrt(rows.sum(axis=1))
     with np.errstate(over="ignore"):
         lo = lo * amax * (1.0 - BOUND_MARGIN)
         hi = hi * amax * (1.0 + BOUND_MARGIN)
@@ -647,22 +638,17 @@ def _level_radius(W: np.ndarray, bound: np.ndarray, floor: float) -> float:
 
     numpy's eigenvalues are those of W_p + E with ||E|| within rounding
     of ||W_p||, so their largest modulus is at most the lifted
-    bound(1 + BOUND_MARGIN) whenever that is a normal number.  Products
-    are visited by falling bound, in batches that double, and a product
-    is skipped once its lifted bound is at most floor or the best radius
-    found; the maximum over the rest is then the maximum over all.
+    bound(1 + BOUND_MARGIN) whenever that is a normal number.  One
+    eigvals call takes every product whose lifted bound is above floor,
+    or positive but below the smallest normal number; a product left
+    out has no radius above floor, so the maximum over those taken is
+    the maximum over all.
     """
     lifted = bound * (1.0 + BOUND_MARGIN)
-    tiny = np.finfo(float).tiny
-    todo = np.flatnonzero((lifted > floor) | ((lifted > 0.0) & (lifted < tiny)))
-    todo = todo[np.argsort(-lifted[todo], kind="stable")]
-    best, size = 0.0, 16
-    while len(todo):
-        batch, todo = todo[:size], todo[size:]
-        best = max(best, float(np.abs(np.linalg.eigvals(W[batch])).max()))
-        todo = todo[(lifted[todo] > best) | (lifted[todo] < tiny)]
-        size *= 2
-    return best
+    todo = (lifted > floor) | ((lifted > 0.0) & (lifted < np.finfo(float).tiny))
+    if not todo.any():
+        return 0.0
+    return float(np.abs(np.linalg.eigvals(W[todo])).max())
 
 
 def kappa_estimate(jsr: JsrBounds, xi: float) -> TransientEstimate:

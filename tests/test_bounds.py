@@ -392,15 +392,19 @@ def test_merge_walks_a_cell_holding_a_chain():
     walk = [bool(np.linalg.norm(d) <= tol) for d in gaps]
     assert walk == [True, False, True]
     assert list(bounds._surely_within(gaps, tol)) == walk
-    # Mode i maps x0 = e1 to the i-th point.
-    A = np.stack([np.column_stack([x, np.zeros(2)]) for x in (a, b, c)])
-    model = MjsModel(A, None, np.full((3, 3), 1.0 / 3.0))
+    # Mode i maps x0 = e1 to the i-th point.  The copies of b and c
+    # make the walking cell hold equal rows: each must join the row its
+    # first copy joined.
+    points = (a, b, c, b, c)
+    A = np.stack([np.column_stack([x, np.zeros(2)]) for x in points])
+    model = MjsModel(A, None, np.full((5, 5), 0.2))
     x0 = np.array([1.0, 0.0])
     k = transition_kernel_enum(model, x0, 1)
     support, mass = recursive_kernel(model, x0, 1)
     assert np.array_equal(support, [a, c])
     assert np.array_equal(k.support, support)
     assert np.array_equal(k.mass, mass)
+    assert np.allclose(mass, [0.6, 0.4])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 6])
@@ -452,9 +456,11 @@ def test_wasserstein_rejects_a_nan_mass():
         wasserstein_exact(dist([[0.0], [1.0]], [np.nan, 0.5]), dist([[0.0]], [1.0]))
 
 
-@pytest.mark.parametrize("ell", [0, 0.5, -1, float("nan")])
+@pytest.mark.parametrize("ell", [0, 0.5, -1, float("nan"), float("inf")])
 def test_transport_order_below_one_is_refused(ell):
-    # ell = 0 divided by zero and ell = -1 reached scipy with a NaN cost.
+    # ell = 0 divided by zero and ell = -1 reached scipy with a NaN cost;
+    # ell = inf gave costs of 0 and inf, which scipy refused, and a
+    # finite kernel bound.
     p = dist([[0.0], [1.0]], [0.5, 0.5])
     with pytest.raises(InputError):
         wasserstein_exact(p, p, ell=ell)
@@ -721,6 +727,17 @@ def test_mss_traj_bound_formula():
         * silent.x0_norm
     )
     assert mss_traj_bound(silent, 2) == pytest.approx(expect0, rel=1e-12)
+
+
+@pytest.mark.parametrize("t", [-1, 2.5, 3.0, True, float("nan")])
+def test_bound_horizons_take_only_integer_counts(t):
+    # t = -1 gave NaN with a RuntimeWarning (mss) or 0.0 (us), and
+    # t = 2.5 was evaluated without complaint.
+    b = reference_inputs()
+    for bound in (mss_traj_bound, us_traj_bound, wasserstein_kernel_bound):
+        with pytest.raises(DimensionMismatch, match="t must be an integer"):
+            bound(b, t)
+    assert us_traj_bound(b, np.int64(2)) == us_traj_bound(b, 2)
 
 
 def test_us_traj_bound_formula():

@@ -532,6 +532,9 @@ def test_cost_inputs_are_refused():
         (dict(run, burn_in=10), InputError),
         (dict(run, burn_in=12), InputError),
         (dict(run, burn_in=-1), InputError),
+        # Summed steps 3..9 but divided by 7.5.
+        (dict(run, burn_in=2.5), DimensionMismatch),
+        (dict(run, burn_in=True), DimensionMismatch),
         (dict(run, n_traj=0), InputError),
     ):
         with pytest.raises(error):

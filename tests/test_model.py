@@ -75,6 +75,10 @@ def test_model_rejects_bad_shapes():
     # No state: every analysis would divide by or index into nothing.
     with pytest.raises(DimensionMismatch, match="n >= 1"):
         MjsModel(np.zeros((4, 0, 0)), np.zeros((4, 0, 0)), np.full((4, 4), 0.25))
+    # No mode: pi, the reductions and the stability checks had nothing
+    # to work on, and save_model wrote a file load_model refused.
+    with pytest.raises(DimensionMismatch, match="s, n >= 1"):
+        MjsModel(np.zeros((0, 2, 2)), None, np.zeros((0, 0)))
 
 
 def test_validate_model_reports_value_violations():
@@ -162,6 +166,13 @@ def test_partition_from_labels_and_uniform():
     assert u.clusters == ((0, 1), (2, 3), (4, 5))
     with pytest.raises(PartitionMismatch):
         Partition.uniform(7, 3)
+
+
+@pytest.mark.parametrize("s, r", [(4, 0), (5, 2.5), (0, 1), (4, -2), (4.0, 2), (True, 1)])
+def test_uniform_partition_takes_only_positive_integer_counts(s, r):
+    # r = 0 divided by zero and r = 2.5 ended in a bare TypeError.
+    with pytest.raises(DimensionMismatch):
+        Partition.uniform(s, r)
 
 
 def test_partition_one_based_round_trip():
