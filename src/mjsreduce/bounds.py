@@ -495,9 +495,8 @@ def wasserstein_exact(
     solved again; every round adds cells, so the loop ends.
 
     Raises NotNormalized when either mass vector sums to NaN or is off 1
-    by more than 1e-9, InputError unless ell is finite and at least 1
-    and every support point is finite, and NotConverged when HiGHS finds
-    no optimum.
+    by more than 1e-9, InputError unless ell is finite and >= 1 and every
+    support point is finite, and NotConverged when HiGHS finds no optimum.
     """
     _check_order(ell)
     for name, k in (("first", p), ("second", q)):

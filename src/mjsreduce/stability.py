@@ -19,8 +19,8 @@ for the rightmost eigenvalue, a single target even on a periodic chain
 with many eigenvalues of modulus rho.
 
 The transient constant tau = sup_k ||L^k||_2 / rho^k is swept on dense
-powers of L, taking the exact 2-norm of a power only where its
-Frobenius norm could still raise the running maximum.  L maps symmetric
+powers of L, taking the exact 2-norm of a power only where a cheap
+upper bound could still raise the running maximum.  L maps symmetric
 stacks to symmetric stacks and skew stacks to skew stacks, since
 kron(A_j, A_j) commutes with the transpose and T only mixes blocks; in
 an orthonormal basis of each half, every power of L is block diagonal
@@ -52,10 +52,9 @@ m_k >= JSR^k >= lower^k, so these maxima are exact.  kappa_estimate
 reads them as kappa = sup_k m_k / xi^k.  The walk brackets every
 product's 2-norm between cheap bounds and takes the exact, batched
 2-norm only where the bracket leaves the level maximum or the prune
-open.  Each level makes one batched eigvals call, on the products
-whose norm, or its upper bound, exceeds the lower bound reached so
-far; numpy's batched linear algebra works matrix by matrix, so the
-bounds are those of the exact walk, bit for bit.
+open, and eigenvalues, in one batched call per level, only where the
+norm could still raise the lower bound; numpy's batched linear algebra
+works matrix by matrix, so the bounds are the exact walk's, bit for bit.
 
 One sweep serves both constants.  g(k) = ||L^k|| / rho^k and
 g(k) = m_k / xi^k are submultiplicative (Jungers, The Joint Spectral
@@ -440,15 +439,24 @@ def tau_estimate(M: np.ndarray, rho: float, k_max: int = TAU_STEPS) -> Transient
     return _sweep(_dense_powers(lambda P: P @ M, np.eye(M.shape[0]), k_max), rho, exact=True)
 
 
+def _norm_bound(P: np.ndarray) -> float:
+    # ||P||_2 <= ||P||_F and ||P||_2 <= sqrt(||P||_1 ||P||_inf), inf where
+    # these overflow for a finite P; the tau sweep stops on this bound,
+    # and on a scaled identity only the second one is tight.
+    absP = np.abs(P)
+    with np.errstate(over="ignore"):
+        one, inf = absP.sum(axis=0).max(), absP.sum(axis=1).max()
+        return float(min(np.linalg.norm(P, "fro"), np.sqrt(one * inf)))
+
+
 def _dense_powers(step, P, k_max: int):
-    # Yields (||P_k||_F >= ||P_k||_2, P_k) for k = 1..k_max, from P_0 = P
-    # and P_k = step(P_(k-1)).  A power with an entry that is not finite
-    # raises DegenerateInput; its norm is then not finite either, so only
-    # such a norm (inf also where it overflows) is checked entry by entry.
+    # Yields (bound on ||P_k||_2, P_k) for k = 1..k_max, from P_0 = P and
+    # P_k = step(P_(k-1)).  A power with an entry that is not finite
+    # raises DegenerateInput; its bound is then not finite either, so
+    # only such a bound is checked entry by entry.
     for k in range(1, k_max + 1):
         P = step(P)
-        with np.errstate(over="ignore"):
-            bound = float(np.linalg.norm(P, "fro"))
+        bound = _norm_bound(P)
         if not math.isfinite(bound):
             _check_finite(P, f"power {k} of the second-moment operator")
         yield bound, P
@@ -518,9 +526,8 @@ def jsr_bounds(A_list, k_max: int = JSR_LEVELS, budget: int = JSR_BUDGET) -> Jsr
     decision open: for the level maximum, the products whose upper
     bound reaches the largest lower bound; for the prune, whose test is
     monotone in the norm, the products it keeps at the upper bound but
-    not at the lower.  Eigenvalues are taken, in one batched call per
-    level, only where the norm, or its upper bound, could raise the
-    lower bound (_level_radius).
+    not at the lower.  Eigenvalues, one batched call per level, are taken
+    only where the norm or its upper bound could raise the lower bound.
     numpy's batched linear algebra works matrix by matrix, so every
     field equals that of the walk that takes all of them.
     """
@@ -639,10 +646,8 @@ def _level_radius(W: np.ndarray, bound: np.ndarray, floor: float) -> float:
     numpy's eigenvalues are those of W_p + E with ||E|| within rounding
     of ||W_p||, so their largest modulus is at most the lifted
     bound(1 + BOUND_MARGIN) whenever that is a normal number.  One
-    eigvals call takes every product whose lifted bound is above floor,
-    or positive but below the smallest normal number; a product left
-    out has no radius above floor, so the maximum over those taken is
-    the maximum over all.
+    eigvals call takes every product whose lifted bound is above floor
+    or positive and subnormal; no other product has a radius above floor.
     """
     lifted = bound * (1.0 + BOUND_MARGIN)
     todo = (lifted > floor) | ((lifted > 0.0) & (lifted < np.finfo(float).tiny))

@@ -213,6 +213,20 @@ def test_tau_certified_flag():
     assert tau_estimate(J, 0.55, k_max=80).complete
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("T", [[[1.0]], [[0.5, 0.5], [0.5, 0.5]], [[0.0, 1.0], [1.0, 0.0]]])
+def test_tau_certifies_scaled_identity_modes_at_once(n, T):
+    # With A_j = 0.5 I and a doubly stochastic T, the symmetric
+    # restriction of L^k has 1- and inf-norm 0.25^k = rho^k, so g(1) < 1
+    # certifies tau = 1 at k = 1.  Its Frobenius norm carries a factor of
+    # up to sqrt(s n (n + 1) / 2) and alone would not get below the
+    # level 1.01 rho within TAU_STEPS.
+    s = len(T)
+    rep = stability_report(MjsModel(0.5 * np.stack([np.eye(n)] * s), None, T), budget=10_000)
+    assert rep.rho_aug == pytest.approx(0.25, rel=1e-12)
+    assert (rep.tau.value, rep.tau.k_max, rep.tau.complete) == (1.0, 1, True)
+
+
 def test_tau_levels_whose_powers_overflow_or_underflow():
     # 1e200^k overflows from k = 2 on: g(k) = 0 and g(1) < 1 certifies.
     est = tau_estimate(np.diag([0.5, 0.1]), 1e200, k_max=3)
