@@ -10,9 +10,7 @@ from .bounds import (
     BoundInputs,
     DiffStats,
     KernelDistribution,
-    corollary_sum_bound,
     empirical_traj_diff,
-    kernel_mean_cov,
     mss_premises,
     mss_traj_bound,
     transition_kernel_enum,
@@ -63,28 +61,21 @@ from .lqr import (
     lift_gains,
     monte_carlo_cost,
     reduced_lqr_suboptimality,
-    riccati_operators,
     riccati_solve,
 )
 from .model import (
     MjsModel,
     Partition,
     expand_reduced,
-    is_ergodic,
     load_model,
-    model_from_dict,
     model_to_dict,
     save_model,
     simulate_coupled_batch,
-    stationary_distribution,
     validate_model,
 )
 from .perturbation import (
     MrBoundReport,
     PerturbationTriple,
-    averaged_feature_matrix,
-    bound_from_constants,
-    combine_perturbations,
     construct_T0,
     mr_bound,
     perturbations,

@@ -2,7 +2,9 @@
 
 Quantities feeding the bounds live in BoundInputs: worst-case mode
 norms, transient constants from the stability module, perturbation
-sizes of the partition, and run data (initial state, input ceiling).
+sizes of the partition, and the norm of the initial state.  The bounds
+are those of autonomous runs: there is no input-driven simulator, so
+the paper's input terms are not evaluated.
 Each bound evaluates its formula even when its premises fail; premise
 checks are exposed separately so callers can flag such evaluations.
 """
@@ -51,12 +53,10 @@ __all__ = [
     "DiffStats",
     "mss_premises",
     "mss_traj_bound",
-    "corollary_sum_bound",
     "us_premises",
     "us_traj_bound",
     "wasserstein_kernel_bound",
     "transition_kernel_enum",
-    "kernel_mean_cov",
     "w2_moment_lower_bound",
     "wasserstein_exact",
     "empirical_traj_diff",
@@ -82,7 +82,6 @@ class BoundInputs:
     eps_B: float
     eps_T: float
     x0_norm: float
-    u_bar: float = 0.0
 
     @property
     def rho0(self) -> float:
@@ -103,8 +102,8 @@ class BoundInputs:
         budget: int = JSR_BUDGET,
     ) -> "BoundInputs":
         """The constants of model, partition and x0, with the transient
-        constants of stability_report(model, xi=xi, budget=budget) and
-        no input (u_bar = 0); DimensionMismatch unless x0 has shape (n,)."""
+        constants of stability_report(model, xi=xi, budget=budget);
+        DimensionMismatch unless x0 has shape (n,)."""
         x0 = _check_x0(x0, model.n)
         rep = stability_report(model, xi=xi, budget=budget)
         eps = perturbations(model, partition, branch)
@@ -143,54 +142,18 @@ def mss_premises(b: BoundInputs) -> tuple[bool, list[str]]:
 
 
 def mss_traj_bound(b: BoundInputs, t: int) -> float:
-    """Bound on E||x_t - xhat_t|| under mean-square stability.
+    """Bound on E||x_t - xhat_t|| under mean-square stability:
 
-    4 sqrt(n sqrt(s)) tau [ rho0^((t-1)/2) sqrt(t Abar ||T|| eps_A) ||x0||
-      + sqrt(Bbar) ubar ( sqrt(rho0)/(1-sqrt(rho0))^2 sqrt(Abar ||T|| eps_A)
-                          + sqrt(2)/(1-sqrt(rho0)) sqrt(eps_B) ) ].
+    4 sqrt(n sqrt(s)) tau rho0^((t-1)/2) sqrt(t Abar ||T|| eps_A) ||x0||.
     At t = 0 the trajectories share x0, so the bound is 0.  A t that is
     no integer >= 0 raises DimensionMismatch.
     """
     _check_count("t", t, 0)
     if t == 0:
         return 0.0
-    r0 = b.rho0
     drive = b.a_bar * b.T_norm * b.eps_A
-    term_x0 = r0 ** ((t - 1) / 2.0) * np.sqrt(t * drive) * b.x0_norm
-    sq = np.sqrt(r0)
-    term_u = (
-        np.sqrt(b.b_bar)
-        * b.u_bar
-        * (sq / (1.0 - sq) ** 2 * np.sqrt(drive) + np.sqrt(2.0) / (1.0 - sq) * np.sqrt(b.eps_B))
-        if b.u_bar > 0.0
-        else 0.0
-    )
-    return float(4.0 * np.sqrt(b.n * np.sqrt(b.s)) * b.tau * (term_x0 + term_u))
-
-
-def corollary_sum_bound(b: BoundInputs, delta: float, p: int) -> tuple[float, str]:
-    """Whole-trajectory probabilistic bound in the autonomous case.
-
-    With probability at least 1 - delta,
-    sum_t ||x_t - xhat_t|| <= 4 sqrt(n p) tau ||x0|| sqrt(Abar eps_A)
-                              / (delta (1 - sqrt(rho0))^2),
-    evaluated exactly as stated.  The returned note records that the
-    prefactor uses sqrt(n p) with the input dimension p, unlike the
-    per-step bound's sqrt(n sqrt(s)), so it degenerates for p = 0.
-    """
-    val = (
-        4.0
-        * np.sqrt(b.n * p)
-        * b.tau
-        * b.x0_norm
-        * np.sqrt(b.a_bar * b.eps_A)
-        / (delta * (1.0 - np.sqrt(b.rho0)) ** 2)
-    )
-    note = (
-        "prefactor sqrt(n*p) uses the input dimension and differs from the "
-        "per-step bound's sqrt(n*sqrt(s)); the value is 0 when p = 0"
-    )
-    return float(val), note
+    term_x0 = b.rho0 ** ((t - 1) / 2.0) * np.sqrt(t * drive) * b.x0_norm
+    return float(4.0 * np.sqrt(b.n * np.sqrt(b.s)) * b.tau * term_x0)
 
 
 def us_premises(b: BoundInputs) -> tuple[bool, list[str]]:
@@ -207,22 +170,15 @@ def us_premises(b: BoundInputs) -> tuple[bool, list[str]]:
 
 
 def us_traj_bound(b: BoundInputs, t: int) -> float:
-    """Almost-sure bound on ||x_t - xhat_t|| under uniform stability.
+    """Almost-sure bound on ||x_t - xhat_t|| under uniform stability:
 
-    t xi0^(t-1) kappa^2 ||x0|| eps_A
-      + 2 (1 + t xi0^t) kappa^2 Bbar ubar / (1 - xi0) eps_A
-      + kappa ubar / (1 - xi) eps_B.
+    t xi0^(t-1) kappa^2 ||x0|| eps_A.
     A t that is no integer >= 0 raises DimensionMismatch.
     """
     _check_count("t", t, 0)
-    x0 = b.xi0
-    term1 = t * x0 ** (t - 1) * b.kappa**2 * b.x0_norm * b.eps_A if t > 0 else 0.0
-    if b.u_bar > 0.0:
-        term2 = 2.0 * (1.0 + t * x0**t) * b.kappa**2 * b.b_bar * b.u_bar / (1.0 - x0) * b.eps_A
-        term3 = b.kappa * b.u_bar / (1.0 - b.xi) * b.eps_B
-    else:
-        term2 = term3 = 0.0
-    return float(term1 + term2 + term3)
+    if t == 0:
+        return 0.0
+    return float(t * b.xi0 ** (t - 1) * b.kappa**2 * b.x0_norm * b.eps_A)
 
 
 def _check_order(ell) -> None:
@@ -235,7 +191,7 @@ def wasserstein_kernel_bound(b: BoundInputs, t: int, ell: int = 1) -> float:
     """Bound on the order-ell transport distance between the time-t
     state laws of the original and reduced autonomous systems:
 
-    t xi0^(t-1) kappa^2 ||x0|| eps_A
+    us_traj_bound(b, t)
       + 2 r^2 t kappa ||x0|| r^t (kappa eps_A + xi)^t
         (Tbar + eps_T)^((t-2)/ell) eps_T^(1/ell).
 
@@ -243,9 +199,7 @@ def wasserstein_kernel_bound(b: BoundInputs, t: int, ell: int = 1) -> float:
     DimensionMismatch unless t is an integer >= 0.
     """
     _check_order(ell)
-    _check_count("t", t, 0)
-    x0 = b.xi0
-    term1 = t * x0 ** (t - 1) * b.kappa**2 * b.x0_norm * b.eps_A if t > 0 else 0.0
+    term1 = us_traj_bound(b, t)
     if b.eps_T > 0.0:
         term2 = (
             2.0
@@ -443,13 +397,6 @@ def _row_changes(X: np.ndarray, order: np.ndarray) -> np.ndarray:
     return starts
 
 
-def kernel_mean_cov(k: KernelDistribution) -> tuple[np.ndarray, np.ndarray]:
-    mu = k.mass @ k.support / k.mass.sum()
-    centered = k.support - mu
-    S = (centered * k.mass[:, None]).T @ centered / k.mass.sum()
-    return mu, S
-
-
 def _psd_sqrt(S: np.ndarray) -> np.ndarray:
     w, V = np.linalg.eigh(0.5 * (S + S.T))
     w = np.clip(w, 0.0, None)
@@ -458,9 +405,14 @@ def _psd_sqrt(S: np.ndarray) -> np.ndarray:
 
 def w2_moment_lower_bound(p: KernelDistribution, q: KernelDistribution) -> float:
     """sqrt(||mu_p - mu_q||^2 + d(S_p, S_q)) <= W_2(p, q), where
-    d(S, S') = tr(S + S' - 2 (S^{1/2} S' S^{1/2})^{1/2})."""
-    mp, Sp = kernel_mean_cov(p)
-    mq, Sq = kernel_mean_cov(q)
+    d(S, S') = tr(S + S' - 2 (S^{1/2} S' S^{1/2})^{1/2}), with mu and S
+    the mean and covariance of each law."""
+    moments = []
+    for k in (p, q):
+        mu = k.mass @ k.support / k.mass.sum()
+        centered = k.support - mu
+        moments.append((mu, (centered * k.mass[:, None]).T @ centered / k.mass.sum()))
+    (mp, Sp), (mq, Sq) = moments
     R = _psd_sqrt(Sp)
     cross = _psd_sqrt(R @ Sq @ R)
     d = float(np.trace(Sp) + np.trace(Sq) - 2.0 * np.trace(cross))
@@ -585,15 +537,14 @@ def empirical_traj_diff(
     horizon: int,
     n_traj: int,
     seed=None,
-    noise_std: float = 0.0,
 ) -> DiffStats:
     """Monte Carlo estimate of the coupled trajectory difference.
 
     Runs simulate_coupled_batch: n_traj autonomous runs from x0, the
-    modes drawn from the stationary law model.pi, the noise shared.
+    modes drawn from the stationary law model.pi.
     """
     states, red_states, _ = simulate_coupled_batch(
-        model, reduced, partition, x0, horizon, n_traj, noise_std=noise_std, seed=seed
+        model, reduced, partition, x0, horizon, n_traj, seed=seed
     )
     diff = np.linalg.norm(states - red_states, axis=2)
     return DiffStats(

@@ -109,8 +109,15 @@ def cmd_reduce(args) -> int:
     sidecar = _truth_sidecar(args.model)
     if os.path.exists(sidecar):
         truth = _load_partition(sidecar, model.s)
-        mr = misclustering_rate(result.partition, truth)
-        print(f"MR: {mr:.12g}")
+        if result.partition.r > truth.r:
+            # The rate matches each estimated cluster to a true one.
+            print(
+                f"MR skipped: the estimate has {result.partition.r} clusters, "
+                f"more than the {truth.r} of {sidecar}",
+                file=sys.stderr,
+            )
+        else:
+            print(f"MR: {misclustering_rate(result.partition, truth):.12g}")
     print(out_path)
     return 0
 

@@ -27,8 +27,6 @@ from .errors import (
 from .model import MjsModel, Partition, _check_count, model_to_dict
 
 __all__ = [
-    "BRANCHES",
-    "check_branch",
     "FeatureMatrix",
     "ReductionResult",
     "default_weights",
@@ -248,13 +246,19 @@ def _sizes(labels: np.ndarray, r: int) -> np.ndarray:
     return np.bincount((np.arange(R)[:, None] * r + labels).ravel(), minlength=R * r).reshape(R, r)
 
 
-def _cluster_means(points: np.ndarray, labels: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+def _cluster_means(
+    points: np.ndarray, rows: np.ndarray | None, labels: np.ndarray, r: int
+) -> tuple[np.ndarray, np.ndarray]:
     """Cluster means (restarts, r, d) and sizes (restarts, r) of the
     points under each row of labels (restarts, s); empty clusters get 0.
 
     The sums add rows in the order points[mask].mean(axis=0) adds them:
     one after another when d > 1, and pairwise (numpy's 1-D sum) when
-    d = 1.
+    d = 1.  rows numbers the distinct points, or is None when there are
+    at least r of them; a cluster of copies of one point then gets that
+    point as its mean: c copies summed and divided by c can round off
+    the copy, and a copy seeded into an empty cluster would win them
+    back at distance 0, round after round.
     """
     R = len(labels)
     flat = (np.arange(R)[:, None] * r + labels).ravel()
@@ -271,15 +275,23 @@ def _cluster_means(points: np.ndarray, labels: np.ndarray, r: int) -> tuple[np.n
     else:
         for j, col in enumerate(cols):
             sums[:, j] = np.bincount(flat, weights=col, minlength=R * r)
-    sizes = sizes.reshape(R, r)
-    return sums.reshape(R, r, points.shape[1]) / np.maximum(sizes, 1)[..., None], sizes
+    means = sums / np.maximum(sizes, 1)[:, None]
+    if rows is not None:
+        point = np.tile(np.arange(len(points)), R)
+        member = np.empty(R * r, dtype=int)
+        member[flat] = point
+        mixed = np.bincount(flat, weights=rows[point] != rows[member[flat]], minlength=R * r)
+        copies = np.flatnonzero((sizes > 0) & (mixed == 0))
+        means[copies] = points[member[copies]]
+    return means.reshape(R, r, points.shape[1]), sizes.reshape(R, r)
 
 
 def _lloyd(
-    points: np.ndarray, centers: np.ndarray, dist2: np.ndarray
+    points: np.ndarray, rows: np.ndarray, centers: np.ndarray, dist2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lloyd iterations on every restart's centers (restarts, r, d), in
-    place, from their squared distances dist2 (restarts, s, r).
+    place, from their squared distances dist2 (restarts, s, r); rows
+    numbers the distinct points or is None (see _cluster_means).
 
     A restart stops, without a center update, at the first assignment
     equal to its previous one.  Returns the squared distance from each
@@ -304,7 +316,7 @@ def _lloyd(
         if active.size == 0:
             break
         labels[active] = new
-        means, sizes = _cluster_means(points, new, r)
+        means, sizes = _cluster_means(points, rows, new, r)
         filled = sizes > 0
         update = centers[active]
         update[filled] = means[filled]
@@ -359,7 +371,16 @@ def kmeans_partition(
     pair = _sq_dists(points, points[:, None])[..., 0]
     seeds = _seed(pair, r, rngs)
     centers = points[seeds]
-    near, nearest, moving = _lloyd(points, centers, pair[seeds].transpose(0, 2, 1))
+    # Points with fewer than r distinct values leave clusters empty, and
+    # their clusters of copies then need exact means (see _cluster_means).
+    # A copy lies at distance 0 from an earlier point in pair; so does a
+    # near-copy whose squared distance underflows, which np.unique tells
+    # apart.
+    rows = None
+    if np.count_nonzero(np.tril(pair == 0.0, -1).any(axis=1)) > len(points) - r:
+        distinct, rows = np.unique(points, axis=0, return_inverse=True)
+        rows = rows.reshape(-1) if len(distinct) < r else None
+    near, nearest, moving = _lloyd(points, rows, centers, pair[seeds].transpose(0, 2, 1))
     objectives = near.sum(axis=1)
     best = int(np.argmin(objectives))
     if not np.isfinite(objectives[best]):

@@ -54,7 +54,7 @@ from .model import (
     Partition,
     _batch_modes,
     _check_count,
-    _check_noise_std,
+    _check_sigma_w,
     _rollout,
 )
 from .clustering import ReductionResult, reduce_model
@@ -64,7 +64,6 @@ __all__ = [
     "LqrSolution",
     "CostReport",
     "SuboptimalityResult",
-    "riccati_operators",
     "riccati_solve",
     "lift_gains",
     "closed_loop_average_cost",
@@ -97,17 +96,14 @@ def _check_qr(model: MjsModel, Q: np.ndarray, R: np.ndarray) -> tuple[np.ndarray
     return Q, R
 
 
-def riccati_operators(
-    model: MjsModel, Q, R, X: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One evaluation of the coupling, gain, and Riccati maps at X.
-
-    X has shape (s, n, n).  Returns (phi, K, ricc) with shapes
-    (s, n, n), (s, p, n), (s, n, n).  Raises SingularInnerMatrix when
-    some R + B' phi B cannot be inverted.
+def _riccati_step(
+    model: MjsModel, Q: np.ndarray, R: np.ndarray, X: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One evaluation of the gain and Riccati maps at X, of shape
+    (s, n, n), for checked Q and R.  Returns (K, ricc) with shapes
+    (s, p, n), (s, n, n).  Raises SingularInnerMatrix when some
+    R + B' phi B cannot be inverted.
     """
-    Q, R = _check_qr(model, Q, R)
-    X = np.asarray(X, dtype=float)
     phi = np.einsum("ij,jkl->ikl", model.T, X)
     A, B, At = model.A, model.B, model.A.transpose(0, 2, 1)
     Bt_phi = B.transpose(0, 2, 1) @ phi
@@ -120,8 +116,7 @@ def riccati_operators(
         raise SingularInnerMatrix(
             f"inner matrix R + B' phi B singular at mode {bad}"
         ) from e
-    ricc = Q + At @ phi @ A - At @ phi.transpose(0, 2, 1) @ B @ sol
-    return phi, -sol, ricc
+    return -sol, Q + At @ phi @ A - At @ phi.transpose(0, 2, 1) @ B @ sol
 
 
 @dataclass
@@ -154,7 +149,7 @@ def riccati_solve(model: MjsModel, Q, R) -> LqrSolution:
     p_deltas: list[float] = []
     change = float("nan")  # last change of the tracked gains or values
     for h in range(1, RICCATI_STEPS + 1):
-        _, K, P_new = riccati_operators(model, Q, R, P)
+        K, P_new = _riccati_step(model, Q, R, P)
         P_new = 0.5 * (P_new + P_new.transpose(0, 2, 1))
         p_deltas.append(float(np.linalg.norm(P_new - P, axis=(1, 2)).max()))
         P = P_new
@@ -317,7 +312,7 @@ def _closed_loop_values(model: MjsModel, K, Q, R) -> tuple[np.ndarray, int, floa
 def _noise_variance(sigma_w) -> float:
     """sigma_w^2; InputError unless sigma_w is finite and nonnegative
     and its square is finite."""
-    _check_noise_std(sigma_w, "sigma_w")
+    _check_sigma_w(sigma_w)
     try:
         return float(sigma_w) ** 2
     except OverflowError:

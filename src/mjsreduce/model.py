@@ -27,12 +27,9 @@ __all__ = [
     "MjsModel",
     "Partition",
     "validate_model",
-    "is_ergodic",
-    "stationary_distribution",
     "simulate_coupled_batch",
     "expand_reduced",
     "model_to_dict",
-    "model_from_dict",
     "save_model",
     "load_model",
 ]
@@ -95,11 +92,32 @@ class MjsModel:
 
     @cached_property
     def pi(self) -> np.ndarray:
-        """Stationary law of the mode chain, shape (s,), read-only.
+        """Stationary law of the mode chain, shape (s,), read-only: the
+        left Perron eigenvector of T.
 
-        Raises NotErgodic, on every access, when the chain has none.
+        Raises NotErgodic, on every access, unless some power T^m with
+        m <= s^2 is entrywise above 1e-14.  Once a power is positive
+        every higher power stays positive (each row of a stochastic
+        matrix has a positive entry), so squaring up to the first power
+        of two past s^2 checks every m.
         """
-        pi = stationary_distribution(self.T)
+        T, s = self.T, self.s
+        M, m = T, 1
+        while not np.all(M > 1e-14):
+            if m >= s * s:
+                raise NotErgodic("transition matrix is not ergodic")
+            M = M @ M
+            m *= 2
+        w, V = np.linalg.eig(T.T)
+        k = int(np.argmin(np.abs(w - 1.0)))
+        pi = np.real(V[:, k])
+        pi = pi / pi.sum()
+        # A couple of power steps scrub residual eigensolver noise.
+        for _ in range(2):
+            pi = pi @ T
+            pi = pi / pi.sum()
+        pi = np.maximum(pi, 0.0)
+        pi = pi / pi.sum()
         pi.setflags(write=False)
         return pi
 
@@ -164,9 +182,6 @@ class Partition:
     @property
     def size_smallest(self) -> int:
         return min(self.sizes)
-
-    def cluster_of(self, i: int) -> int:
-        return int(self.labels[i])
 
     def cluster_means(self, X, weights=None) -> np.ndarray:
         """Mean of the rows X[i] (axis 0) over each cluster, shape (r, ...).
@@ -261,46 +276,6 @@ def _chain_violations(T: np.ndarray) -> list[str]:
     return violations
 
 
-def is_ergodic(T: np.ndarray) -> bool:
-    """True iff some power T^m with m <= s^2 is entrywise above 1e-14.
-
-    Once a power is positive every higher power stays positive (each row
-    of a stochastic matrix has a positive entry), so squaring up to the
-    first power of two past s^2 is equivalent to checking every m.
-    """
-    T = np.asarray(T, dtype=float)
-    s = T.shape[0]
-    M = T
-    m = 1
-    while True:
-        if np.all(M > 1e-14):
-            return True
-        if m >= s * s:
-            return False
-        M = M @ M
-        m *= 2
-
-
-def stationary_distribution(T: np.ndarray) -> np.ndarray:
-    """Stationary law of an ergodic chain, via the left Perron eigenvector.
-
-    Raises NotErgodic when no power of T up to s^2 is entrywise positive.
-    """
-    T = np.asarray(T, dtype=float)
-    if not is_ergodic(T):
-        raise NotErgodic("transition matrix is not ergodic")
-    w, V = np.linalg.eig(T.T)
-    k = int(np.argmin(np.abs(w - 1.0)))
-    pi = np.real(V[:, k])
-    pi = pi / pi.sum()
-    # A couple of power steps scrub residual eigensolver noise.
-    for _ in range(2):
-        pi = pi @ T
-        pi = pi / pi.sum()
-    pi = np.maximum(pi, 0.0)
-    return pi / pi.sum()
-
-
 def _is_integer(value) -> bool:
     """True for Python and numpy integers, False for bools and the rest."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
@@ -353,10 +328,11 @@ def _batch_modes(
     return modes
 
 
-def _check_noise_std(std, name: str = "noise_std") -> None:
-    """InputError unless std is a finite nonnegative number."""
-    if not 0.0 <= std < np.inf:
-        raise InputError(f"{name} must be finite and nonnegative, got {std}")
+def _check_sigma_w(sigma_w) -> None:
+    """InputError unless the noise level sigma_w is a finite
+    nonnegative number."""
+    if not 0.0 <= sigma_w < np.inf:
+        raise InputError(f"sigma_w must be finite and nonnegative, got {sigma_w}")
 
 
 def _check_x0(x0, n: int) -> np.ndarray:
@@ -367,28 +343,28 @@ def _check_x0(x0, n: int) -> np.ndarray:
     return x0
 
 
-def _rollout(A: np.ndarray, modes: np.ndarray, x0, noise_std: float, rng):
-    """Stream x_{t+1} = A x + noise for c autonomous jump systems on
-    shared paths.
+def _rollout(A: np.ndarray, modes: np.ndarray, x0, sigma_w: float, rng):
+    """Stream x_{t+1} = A x + w for c autonomous jump systems on shared
+    paths.
 
     A stacks the mode matrices of all c systems, modes of shape (c, N, H)
     indexes into it, one set of N paths per system.  Yields fresh arrays
     X_0..X_H of shape (c, N, n); each step adds one (N, n) standard
-    normal draw, scaled by noise_std, to every system alike.  Raises
+    normal draw, scaled by sigma_w, to every system alike.  Raises
     DimensionMismatch unless x0 has shape (n,), InputError for a NaN,
-    infinite or negative noise_std.
+    infinite or negative sigma_w.
     """
     c, N, H = modes.shape
     n = A.shape[1]
     x0 = _check_x0(x0, n)
-    _check_noise_std(noise_std)
+    _check_sigma_w(sigma_w)
     X = np.empty((c, N, n))
     X[:] = x0
     yield X
     for t in range(H):
         X = np.einsum("cbij,cbj->cbi", A[modes[:, :, t]], X)
-        if noise_std > 0.0:
-            X += noise_std * rng.standard_normal((N, n))
+        if sigma_w > 0.0:
+            X += sigma_w * rng.standard_normal((N, n))
         yield X
 
 
@@ -399,17 +375,14 @@ def simulate_coupled_batch(
     x0,
     horizon: int,
     n_traj: int,
-    noise_std: float = 0.0,
     seed=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Autonomous runs of the original and a reduced system on shared
-    mode paths and noise.
+    mode paths.
 
     The n_traj mode paths w_t are drawn from model.T, started from the
     stationary law model.pi; the reduced system runs on the projected
-    paths partition.labels[w_t].  The rng draws the mode paths first,
-    then one (n_traj, n) noise sample per step, added to both systems.
-    A pair under state feedback u = K x runs as its closed loops
+    paths partition.labels[w_t].  A pair under state feedback u = K x runs as its closed loops
     A + B K.  Returns (states, red_states, modes): state arrays of shape
     (n_traj, H+1, n) and the original modes (n_traj, H).  Raises
     PartitionMismatch unless partition links the two mode sets,
@@ -429,7 +402,7 @@ def simulate_coupled_batch(
     both = np.stack([modes, model.s + partition.labels[modes]])
     A = np.concatenate([model.A, reduced.A])
     states = np.empty((2, n_traj, horizon + 1, model.n))
-    for t, X in enumerate(_rollout(A, both, x0, noise_std, rng)):
+    for t, X in enumerate(_rollout(A, both, x0, 0.0, rng)):
         states[:, :, t] = X
     return states[0], states[1], modes
 
@@ -469,28 +442,6 @@ def model_to_dict(model: MjsModel) -> dict:
     }
 
 
-def model_from_dict(d: dict) -> MjsModel:
-    try:
-        # Sizes stay as given: a fractional one then fails the shape check.
-        n, p, s = d["n"], d["p"], d["s"]
-        A = np.asarray(d["A"], dtype=float)
-        # "B": null stands for an all-zero input map of the declared shape.
-        B = np.zeros((s, n, p)) if d.get("B") is None else np.asarray(d["B"], dtype=float)
-        T = np.asarray(d["T"], dtype=float)
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
-        raise InputError(f"malformed model dictionary: {e}") from e
-    if A.shape != (s, n, n) or B.shape != (s, n, p) or T.shape != (s, s):
-        raise InputError(
-            "model arrays disagree with declared sizes: "
-            f"A {A.shape}, B {B.shape}, T {T.shape} for n={n}, p={p}, s={s}"
-        )
-    model = MjsModel(A, B, T)
-    violations = validate_model(model)
-    if violations:
-        raise InputError("invalid model: " + "; ".join(violations))
-    return model
-
-
 def save_model(model: MjsModel, path) -> None:
     with open(path, "w") as f:
         json.dump(model_to_dict(model), f)
@@ -509,7 +460,29 @@ def _read_json(path, what: str):
 
 
 def load_model(path) -> MjsModel:
+    """The model in the JSON file at path, as model_to_dict writes it
+    ("B": null stands for an all-zero input map of the declared shape).
+    Raises InputError for a file that cannot be read or parsed, arrays
+    that disagree with the declared sizes, and a model validate_model
+    refuses."""
     d = _read_json(path, "model")
     if not isinstance(d, dict):
         raise InputError(f"model file {path} must hold a JSON object")
-    return model_from_dict(d)
+    try:
+        # Sizes stay as given: a fractional one then fails the shape check.
+        n, p, s = d["n"], d["p"], d["s"]
+        A = np.asarray(d["A"], dtype=float)
+        B = np.zeros((s, n, p)) if d.get("B") is None else np.asarray(d["B"], dtype=float)
+        T = np.asarray(d["T"], dtype=float)
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        raise InputError(f"malformed model in {path}: {e}") from e
+    if A.shape != (s, n, n) or B.shape != (s, n, p) or T.shape != (s, s):
+        raise InputError(
+            "model arrays disagree with declared sizes: "
+            f"A {A.shape}, B {B.shape}, T {T.shape} for n={n}, p={p}, s={s}"
+        )
+    model = MjsModel(A, B, T)
+    violations = validate_model(model)
+    if violations:
+        raise InputError("invalid model: " + "; ".join(violations))
+    return model

@@ -20,9 +20,6 @@ __all__ = [
     "PerturbationTriple",
     "MrBoundReport",
     "perturbations",
-    "averaged_feature_matrix",
-    "combine_perturbations",
-    "bound_from_constants",
     "mr_bound",
     "construct_T0",
 ]
@@ -113,52 +110,6 @@ def perturbations(
     return PerturbationTriple(eps_A=eps_A, eps_B=eps_B, eps_T=eps_T, branch=branch)
 
 
-def averaged_feature_matrix(
-    feats: FeatureMatrix, partition: Partition
-) -> tuple[np.ndarray, float]:
-    """Replace each feature row by its cluster mean; also return sigma_r.
-
-    sigma_r is the r-th singular value of the averaged matrix, r being
-    the number of clusters.
-    """
-    phi = feats.phi
-    if phi.shape[0] != partition.s:
-        raise SizeMismatch(
-            f"feature matrix has {phi.shape[0]} rows, partition covers {partition.s}"
-        )
-    phibar = partition.cluster_means(phi)[partition.labels]
-    sv = np.linalg.svd(phibar, compute_uv=False)
-    return phibar, float(sv[partition.r - 1])
-
-
-def combine_perturbations(
-    weights, eps: PerturbationTriple, gamma3: float | None = None
-) -> float:
-    """Weighted combination feeding the misclustering bound.
-
-    Aggregatable: sqrt(aA^2 eA^2 + aB^2 eB^2 + aT^2 eT^2).  The lumpable
-    variant passes gamma3, which multiplies the transition term.
-    """
-    g = 1.0 if gamma3 is None else gamma3
-    wa, wb, wt = weights
-    return float(
-        np.sqrt(
-            (wa * eps.eps_A) ** 2
-            + (wb * eps.eps_B) ** 2
-            + (wt * g * eps.eps_T) ** 2
-        )
-    )
-
-
-def bound_from_constants(
-    sigma_r: float, eps_combined: float, kmeans_eps: float = 1.0
-) -> float:
-    """Misclustering bound 64 (2 + eps) sigma_r^{-2} eps_combined^2."""
-    if sigma_r <= 0:
-        return float("inf")
-    return 64.0 * (2.0 + kmeans_eps) * eps_combined**2 / sigma_r**2
-
-
 def _chain_constants(
     model: MjsModel, r: int, feats: FeatureMatrix
 ) -> tuple[float, float, float]:
@@ -193,9 +144,15 @@ def mr_bound(
 ) -> MrBoundReport:
     """Evaluate the misclustering bound for a given partition.
 
-    The bound is 64 (2 + kmeans_eps) sigma_r^{-2} eps_combined^2, where
-    sigma_r is the r-th singular value of the cluster-averaged feature
-    matrix.  `applicable` records whether the premises hold: full rank
+    The bound is 64 (2 + kmeans_eps) sigma_r^{-2} eps_combined^2 (inf
+    when sigma_r = 0), where sigma_r is the r-th singular value of the
+    feature matrix with each row replaced by its cluster mean, and
+
+        eps_combined = sqrt(aA^2 eA^2 + aB^2 eB^2 + (aT g eT)^2)
+
+    weighs the perturbations by the feature weights (aA, aB, aT), with
+    g = gamma3 on the lumpable branch and 1 on the aggregatable one.
+    `applicable` records whether the premises hold: full rank
     of the averaged features and eps_combined at most
 
         sigma_r sqrt(|C_(r)| + |C_(1)|) / (8 sqrt((2+eps) |C_(1)|))
@@ -217,8 +174,17 @@ def mr_bound(
     if branch == "lumpable":
         g1, g2, g3 = _chain_constants(model, r, feats)
     eps = perturbations(model, partition, branch)
-    eps_combined = combine_perturbations(feats.weights, eps, g3)
-    phibar, sigma_r = averaged_feature_matrix(feats, partition)
+    wa, wb, wt = feats.weights
+    g = 1.0 if g3 is None else g3
+    eps_combined = float(
+        np.sqrt((wa * eps.eps_A) ** 2 + (wb * eps.eps_B) ** 2 + (wt * g * eps.eps_T) ** 2)
+    )
+    phibar = partition.cluster_means(feats.phi)[partition.labels]
+    sigma_r = float(np.linalg.svd(phibar, compute_uv=False)[r - 1])
+    if sigma_r <= 0:
+        bound_value = float("inf")
+    else:
+        bound_value = 64.0 * (2.0 + kmeans_eps) * eps_combined**2 / sigma_r**2
     big = partition.size_largest
     small = partition.size_smallest
     extra = model.s if branch == "lumpable" else 1.0
@@ -236,7 +202,7 @@ def mr_bound(
         sigma_r_phibar=sigma_r,
         threshold_nonzero=float(threshold_nonzero),
         threshold_zero=float(threshold_zero),
-        bound_value=bound_from_constants(sigma_r, eps_combined, kmeans_eps),
+        bound_value=bound_value,
         applicable=bool(applicable),
         predicted_mr_zero=bool(eps_combined <= threshold_zero),
         kmeans_eps=kmeans_eps,

@@ -99,7 +99,7 @@ def test_criterion_1_exact_reducibility_round_trip():
             states, red_states, _ = simulate_coupled_batch(
                 closed_loop(model, lift_gains(K, res.partition)),
                 closed_loop(res.reduced, K),
-                res.partition, x0, 50, 1, noise_std=0.1, seed=i,
+                res.partition, x0, 50, 1, seed=i,
             )
             gap = np.linalg.norm(states - red_states, axis=2).max()
             if gap > 1e-10 * np.linalg.norm(x0):

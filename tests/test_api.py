@@ -5,6 +5,10 @@ list makes it show up in review.  The submodules appear because
 __all__ takes every public name of the package namespace.
 """
 
+import importlib
+
+import pytest
+
 import mjsreduce
 
 PUBLIC = [
@@ -49,16 +53,12 @@ PUBLIC = [
     "XiTooSmall",
     "augmented_matrix",
     "average_model",
-    "averaged_feature_matrix",
-    "bound_from_constants",
     "bounds",
     "build_features_aggregatable",
     "build_features_lumpable",
     "closed_loop_average_cost",
     "clustering",
-    "combine_perturbations",
     "construct_T0",
-    "corollary_sum_bound",
     "default_weights",
     "empirical_traj_diff",
     "errors",
@@ -66,17 +66,14 @@ PUBLIC = [
     "experiments",
     "fig4_model",
     "generate",
-    "is_ergodic",
     "jsr_bounds",
     "kappa_estimate",
-    "kernel_mean_cov",
     "kmeans_partition",
     "lift_gains",
     "load_model",
     "lqr",
     "misclustering_rate",
     "model",
-    "model_from_dict",
     "model_to_dict",
     "monte_carlo_cost",
     "mr_bound",
@@ -86,7 +83,6 @@ PUBLIC = [
     "perturbations",
     "reduce_model",
     "reduced_lqr_suboptimality",
-    "riccati_operators",
     "riccati_solve",
     "run_experiment",
     "save_model",
@@ -95,7 +91,6 @@ PUBLIC = [
     "stability",
     "stability_comparison",
     "stability_report",
-    "stationary_distribution",
     "synth",
     "tau_estimate",
     "transition_kernel_enum",
@@ -110,3 +105,35 @@ PUBLIC = [
 
 def test_public_names_are_pinned():
     assert sorted(mjsreduce.__all__) == PUBLIC
+
+
+# Names deleted because no entry point (the CLI, run_experiment, the
+# benchmark workloads) reached them; none may come back as public.
+REMOVED = [
+    "averaged_feature_matrix",
+    "bound_from_constants",
+    "combine_perturbations",
+    "corollary_sum_bound",
+    "is_ergodic",
+    "kernel_mean_cov",
+    "model_from_dict",
+    "riccati_operators",
+    "stationary_distribution",
+]
+SUBMODULES = [
+    "bounds", "cli", "clustering", "errors", "experiments", "lqr", "model",
+    "perturbation", "stability", "synth",
+]
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_submodule_names_are_package_names(name):
+    module = importlib.import_module(f"mjsreduce.{name}")
+    assert set(getattr(module, "__all__", ())) <= set(mjsreduce.__all__)
+    assert not [r for r in REMOVED if hasattr(module, r) or hasattr(mjsreduce, r)]
+
+
+def test_submodules_are_listed():
+    assert set(SUBMODULES) - {"cli"} == {
+        name for name in mjsreduce.__all__ if type(getattr(mjsreduce, name)) is type(mjsreduce)
+    }

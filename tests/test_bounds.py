@@ -14,9 +14,7 @@ from conftest import random_model, three_state_model
 from mjsreduce.bounds import (
     BoundInputs,
     KernelDistribution,
-    corollary_sum_bound,
     empirical_traj_diff,
-    kernel_mean_cov,
     mss_premises,
     mss_traj_bound,
     transition_kernel_enum,
@@ -64,7 +62,7 @@ def reference_inputs(**overrides):
     base = dict(
         n=2, s=4, r=2, a_bar=1.1, b_bar=0.8, t_bar=0.3, T_norm=1.05,
         rho=0.9, tau=2.5, xi=0.95, kappa=1.7,
-        eps_A=0.01, eps_B=0.02, eps_T=0.03, x0_norm=1.5, u_bar=0.7,
+        eps_A=0.01, eps_B=0.02, eps_T=0.03, x0_norm=1.5,
     )
     base.update(overrides)
     return BoundInputs(**base)
@@ -678,8 +676,7 @@ def test_moment_bounds_sandwich_w2(rng):
         p = random_dist(rng, 4)
         q = random_dist(rng, 5)
         w2 = wasserstein_exact(p, q, ell=2)
-        mp, _ = kernel_mean_cov(p)
-        mq, _ = kernel_mean_cov(q)
+        mp, mq = (k.mass @ k.support for k in (p, q))
         assert np.linalg.norm(mp - mq) <= w2 + 1e-9
         assert w2_moment_lower_bound(p, q) <= w2 + 1e-9
 
@@ -706,27 +703,19 @@ def test_mss_traj_bound_formula():
     for t in (1, 3, 10):
         r0 = 0.5 * (1.0 + b.rho)
         drive = b.a_bar * b.T_norm * b.eps_A
-        sq = np.sqrt(r0)
         expect = 4.0 * np.sqrt(b.n * np.sqrt(b.s)) * b.tau * (
             r0 ** ((t - 1) / 2.0) * np.sqrt(t * drive) * b.x0_norm
-            + np.sqrt(b.b_bar)
-            * b.u_bar
-            * (
-                sq / (1.0 - sq) ** 2 * np.sqrt(drive)
-                + np.sqrt(2.0) / (1.0 - sq) * np.sqrt(b.eps_B)
-            )
         )
         assert mss_traj_bound(b, t) == pytest.approx(expect, rel=1e-12)
-    silent = reference_inputs(u_bar=0.0)
-    expect0 = (
+    expect2 = (
         4.0
-        * np.sqrt(silent.n * np.sqrt(silent.s))
-        * silent.tau
+        * np.sqrt(b.n * np.sqrt(b.s))
+        * b.tau
         * np.sqrt(0.95) ** 1
-        * np.sqrt(2 * silent.a_bar * silent.T_norm * silent.eps_A)
-        * silent.x0_norm
+        * np.sqrt(2 * b.a_bar * b.T_norm * b.eps_A)
+        * b.x0_norm
     )
-    assert mss_traj_bound(silent, 2) == pytest.approx(expect0, rel=1e-12)
+    assert mss_traj_bound(b, 2) == pytest.approx(expect2, rel=1e-12)
 
 
 @pytest.mark.parametrize("t", [-1, 2.5, 3.0, True, float("nan")])
@@ -743,15 +732,10 @@ def test_bound_horizons_take_only_integer_counts(t):
 def test_us_traj_bound_formula():
     b = reference_inputs()
     x0 = 0.5 * (1.0 + b.xi)
-    for t in (0, 1, 4):
-        term1 = t * x0 ** (t - 1) * b.kappa**2 * b.x0_norm * b.eps_A if t else 0.0
-        term2 = (
-            2.0 * (1.0 + t * x0**t) * b.kappa**2 * b.b_bar * b.u_bar
-            / (1.0 - x0) * b.eps_A
-        )
-        term3 = b.kappa * b.u_bar / (1.0 - b.xi) * b.eps_B
-        assert us_traj_bound(b, t) == pytest.approx(term1 + term2 + term3, rel=1e-12)
-    assert us_traj_bound(reference_inputs(u_bar=0.0), 0) == 0.0
+    for t in (1, 4):
+        term1 = t * x0 ** (t - 1) * b.kappa**2 * b.x0_norm * b.eps_A
+        assert us_traj_bound(b, t) == pytest.approx(term1, rel=1e-12)
+    assert us_traj_bound(b, 0) == 0.0
 
 
 def test_wasserstein_kernel_bound_formula():
@@ -774,20 +758,9 @@ def test_wasserstein_kernel_bound_formula():
         only1, rel=1e-12
     )
     assert wasserstein_kernel_bound(b, 0) == 0.0
-
-
-def test_corollary_sum_bound_formula():
-    b = reference_inputs()
-    val, note = corollary_sum_bound(b, delta=0.05, p=3)
-    expect = (
-        4.0 * np.sqrt(b.n * 3) * b.tau * b.x0_norm
-        * np.sqrt(b.a_bar * b.eps_A)
-        / (0.05 * (1.0 - np.sqrt(b.rho0)) ** 2)
-    )
-    assert val == pytest.approx(expect, rel=1e-12)
-    assert "sqrt(n*p)" in note
-    zero_val, _ = corollary_sum_bound(b, delta=0.05, p=0)
-    assert zero_val == 0.0
+    # Without a transition perturbation the bound is the trajectory bound.
+    for t in range(6):
+        assert wasserstein_kernel_bound(lumped_clean, t) == us_traj_bound(lumped_clean, t)
 
 
 def test_premise_checks():
@@ -843,7 +816,7 @@ def test_empirical_traj_diff_reducible():
     )
     red = average_model(model, partition)
     stats = empirical_traj_diff(
-        model, red, partition, np.ones(2), 12, 8, seed=1, noise_std=0.1
+        model, red, partition, np.ones(2), 12, 8, seed=1
     )
     assert stats.t.shape == (13,)
     assert stats.n_traj == 8

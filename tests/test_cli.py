@@ -58,6 +58,22 @@ def test_reduce_without_sidecar_prints_no_mr(tmp_path, capsys):
     assert "MR:" not in stdout
 
 
+def test_reduce_past_the_truth_skips_mr(tmp_path, capsys):
+    # Three clusters against a two-cluster truth: the reduction stands,
+    # and the rate, which needs an estimate no finer than the truth, is
+    # skipped with a note on stderr (it exited 2 with SizeMismatch).
+    gen, _ = gen_dir(tmp_path, capsys, **{"--s": "6", "--r": "2"})
+    code, stdout, stderr = run(
+        capsys, "reduce", str(gen / "model.json"), "--r", "3",
+        "--out", str(tmp_path / "red"),
+    )
+    assert code == 0
+    assert "MR:" not in stdout
+    assert stdout.strip().endswith("reduction.json")
+    assert (tmp_path / "red" / "reduction.json").exists()
+    assert stderr.startswith("MR skipped: the estimate has 3 clusters, more than the 2")
+
+
 def test_evaluate_partition_forms(tmp_path, capsys):
     gen, _ = gen_dir(tmp_path, capsys, name="g2", **{"--s": "4", "--n": "2", "--p": "1"})
     model = str(gen / "model.json")

@@ -33,7 +33,7 @@ from mjsreduce.errors import (
     SizeMismatch,
 )
 from mjsreduce.experiments import demoted_weights
-from mjsreduce.model import MjsModel, Partition, is_ergodic, stationary_distribution
+from mjsreduce.model import MjsModel, Partition
 from mjsreduce.synth import SynthConfig, generate
 
 
@@ -320,8 +320,7 @@ def test_average_model_plain_and_pi_weighted():
     T2 = np.array([[0.5, 0.5, 0.0], [0.2, 0.2, 0.6], [0.4, 0.4, 0.2]])
     m2 = MjsModel(np.arange(12, dtype=float).reshape(3, 2, 2), None, T2)
     part2 = Partition([[0, 1], [2]])
-    pi = stationary_distribution(T2)
-    w = pi[:2] / pi[:2].sum()
+    w = m2.pi[:2] / m2.pi[:2].sum()
     red2 = average_model(m2, part2, pi_weighted=True)
     assert np.abs(red2.A[0] - (w[0] * m2.A[0] + w[1] * m2.A[1])).max() <= 1e-12
     with pytest.raises(SizeMismatch):
@@ -382,7 +381,7 @@ def loop_average_model(model, partition, pi_weighted=False):
     """Cluster averaging one cluster at a time, kept as the oracle of
     average_model."""
     r = partition.r
-    pi = stationary_distribution(model.T) if pi_weighted else None
+    pi = model.pi if pi_weighted else None
     A = np.empty((r, model.n, model.n))
     B = np.empty((r, model.n, model.p))
     T = np.empty((r, r))
@@ -416,7 +415,9 @@ def test_average_model_matches_cluster_loop(seed, labels, n, p, zeros):
     got, want = average_model(model, part), loop_average_model(model, part)
     for X, Y in ((got.A, want.A), (got.B, want.B), (got.T, want.T)):
         assert X.shape == Y.shape and np.array_equal(X, Y)
-    if not is_ergodic(model.T):
+    try:
+        model.pi
+    except NotErgodic:
         with pytest.raises(NotErgodic):
             average_model(model, part, pi_weighted=True)
         return
@@ -475,6 +476,9 @@ def loop_kmeans_plus_plus(points, r, rng):
 
 def loop_lloyd(points, centers, max_iter=300):
     r = centers.shape[0]
+    # With fewer than r distinct points, copies of one point have that
+    # point as their mean.
+    few = len(np.unique(points, axis=0)) < r
     labels = np.full(points.shape[0], -1)
     converged = False
     for _ in range(max_iter):
@@ -498,7 +502,9 @@ def loop_lloyd(points, centers, max_iter=300):
         for k in range(r):
             mask = labels == k
             if np.any(mask):
-                centers[k] = points[mask].mean(axis=0)
+                members = points[mask]
+                copies = few and np.all(members == members[0])
+                centers[k] = members[0] if copies else members.mean(axis=0)
     dist2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
     labels = np.argmin(dist2, axis=1)
     objective = float(dist2[np.arange(len(points)), labels].sum())
@@ -524,6 +530,34 @@ def loop_kmeans(points, r, restarts, seed):
         objective,
         converged,
     )
+
+
+@pytest.mark.invariant
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    distinct=st.integers(1, 3),
+    s=st.integers(2, 11),
+    extra=st.integers(1, 8),
+    d=st.integers(1, 3),
+    restarts=st.integers(1, 12),
+)
+@example(seed=0, distinct=2, s=10, extra=2, d=2, restarts=5)
+def test_kmeans_on_repeated_points_keeps_one_cluster_per_row(seed, distinct, s, extra, d, restarts):
+    # More clusters than distinct rows: each distinct row is one cluster
+    # whose mean is the row itself, not a sum of its copies divided by
+    # their count, which can round off the row and make Lloyd cycle.
+    rng = np.random.default_rng(seed)
+    s = max(s, distinct + 1)
+    values = rng.standard_normal((distinct, d)) * 10.0 ** rng.integers(-3, 4)
+    labels = rng.permutation(np.r_[np.arange(distinct), rng.integers(0, distinct, s - distinct)])
+    points = values[labels]
+    part, centers, objective = kmeans_partition(
+        points, min(distinct + extra, s), restarts=restarts, seed=seed
+    )
+    assert objective == 0.0
+    assert part == Partition.from_labels(labels)
+    assert np.array_equal(centers, points[[c[0] for c in part.clusters]])
 
 
 def kmeans_points(seed, s, d, distinct, lattice):

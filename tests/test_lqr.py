@@ -23,10 +23,9 @@ from mjsreduce.lqr import (
     lift_gains,
     monte_carlo_cost,
     reduced_lqr_suboptimality,
-    riccati_operators,
     riccati_solve,
 )
-from mjsreduce.model import MjsModel, stationary_distribution
+from mjsreduce.model import MjsModel
 from mjsreduce.stability import MomentOperator, augmented_matrix
 from mjsreduce.synth import SynthConfig, generate
 
@@ -61,9 +60,8 @@ def test_scalar_riccati_root():
 
 
 def test_riccati_operators_single_step():
-    phi, K, ricc = riccati_operators(SCALAR, EYE1, EYE1, np.array([[[1.0]]]))
+    K, ricc = lqr._riccati_step(SCALAR, EYE1, EYE1, np.array([[[1.0]]]))
     # phi = T X = 1, G = 1 + 1 = 2, K = -0.5/2, ricc = 1 + 0.25 - 0.25/2.
-    assert phi[0, 0, 0] == 1.0
     assert K[0, 0, 0] == pytest.approx(-0.25, abs=1e-15)
     assert ricc[0, 0, 0] == pytest.approx(1.125, abs=1e-15)
 
@@ -102,7 +100,7 @@ def test_gains_reproduce_from_value_matrices(rng):
     for _ in range(3):
         m = random_model(rng, s=4, n=2, p=1)
         sol = riccati_solve(m, np.eye(2), np.eye(1))
-        _, K, _ = riccati_operators(m, np.eye(2), np.eye(1), sol.P)
+        K, _ = lqr._riccati_step(m, np.eye(2), np.eye(1), sol.P)
         assert np.abs(K - sol.K).max() <= 1e-9
 
 
@@ -174,11 +172,12 @@ def test_singular_inner_matrix():
     B = np.array([[[1.0]], [[0.0]], [[2.0]]])
     mixed = MjsModel(np.full((3, 1, 1), 0.5), B, np.full((3, 3), 1.0 / 3.0))
     with pytest.raises(SingularInnerMatrix, match="at mode 1$"):
-        riccati_operators(mixed, EYE1, np.zeros((1, 1)), np.ones((3, 1, 1)))
+        lqr._riccati_step(mixed, EYE1, np.zeros((1, 1)), np.ones((3, 1, 1)))
 
 
 def loop_riccati_operators(model, Q, R, X):
-    """riccati_operators one mode at a time, kept as its oracle."""
+    """The gain and Riccati maps one mode at a time, kept as the
+    oracle of lqr._riccati_step."""
     phi = np.einsum("ij,jkl->ikl", model.T, X)
     s, n, p = model.s, model.n, model.p
     K = np.empty((s, p, n))
@@ -192,7 +191,7 @@ def loop_riccati_operators(model, Q, R, X):
         else:
             K[i] = np.zeros((0, n))
             ricc[i] = Q + A.T @ ph @ A
-    return phi, K, ricc
+    return K, ricc
 
 
 @pytest.mark.invariant
@@ -210,7 +209,7 @@ def test_riccati_operators_match_mode_loop(seed, labels, n, p, zeros):
     X = np.random.default_rng(seed).standard_normal((model.s, n, n))
     Q, R = np.eye(n), np.eye(p)
     for got, want in zip(
-        riccati_operators(model, Q, R, X), loop_riccati_operators(model, Q, R, X)
+        lqr._riccati_step(model, Q, R, X), loop_riccati_operators(model, Q, R, X)
     ):
         assert got.shape == want.shape and np.array_equal(got, want)
 
@@ -471,8 +470,7 @@ def dense_primal_costs(model, K, Q, R, sigma_w, x0, init):
         m = np.linalg.solve(np.eye(M.shape[0]) - M, q.ravel()).reshape(s, n, n)
         return float(np.einsum("ijk,ikj->", stage, m))
 
-    pi = stationary_distribution(model.T)
-    noise = sigma_w**2 * pi[:, None, None] * np.eye(n)
+    noise = sigma_w**2 * model.pi[:, None, None] * np.eye(n)
     return priced(noise), priced(init[:, None, None] * np.outer(x0, x0))
 
 

@@ -1,5 +1,6 @@
 import json
 import tempfile
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-import mjsreduce.model as model_module
 from conftest import (
     PARTITION_LABELS,
     THREE_STATE_T,
@@ -30,13 +30,10 @@ from mjsreduce.model import (
     Partition,
     _batch_modes,
     expand_reduced,
-    is_ergodic,
     load_model,
-    model_from_dict,
     model_to_dict,
     save_model,
     simulate_coupled_batch,
-    stationary_distribution,
     validate_model,
 )
 from mjsreduce.synth import SynthConfig, fig4_model, generate
@@ -93,12 +90,18 @@ def test_validate_model_reports_value_violations():
     assert any("A" in m for m in validate_model(nan_A))
 
 
+def chain(T):
+    T = np.asarray(T, dtype=float)
+    return MjsModel(np.zeros((len(T), 1, 1)), None, T)
+
+
 def test_is_ergodic_cases():
-    assert is_ergodic(THREE_STATE_T)
-    assert not is_ergodic(np.eye(2))
-    # Periodic two-cycle: no power is entrywise positive.
-    assert not is_ergodic(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert is_ergodic(np.array([[0.5, 0.5], [0.5, 0.5]]))
+    for T in (THREE_STATE_T, [[0.5, 0.5], [0.5, 0.5]]):
+        assert chain(T).pi.shape == (len(T),)
+    # The identity and the periodic two-cycle: no power is entrywise positive.
+    for T in (np.eye(2), [[0.0, 1.0], [1.0, 0.0]]):
+        with pytest.raises(NotErgodic):
+            chain(T).pi
 
 
 def test_stationary_distribution_matches_power_iteration():
@@ -107,19 +110,19 @@ def test_stationary_distribution_matches_power_iteration():
     for _ in range(10_000):
         pi = pi @ THREE_STATE_T
         pi /= pi.sum()
-    pi_hat = stationary_distribution(THREE_STATE_T)
+    pi_hat = chain(THREE_STATE_T).pi
     assert np.abs(pi_hat - pi).max() <= 1e-10
     assert abs(pi_hat.sum() - 1.0) <= 1e-12
 
 
 def test_stationary_distribution_rejects_non_ergodic():
     with pytest.raises(NotErgodic):
-        stationary_distribution(np.eye(3))
+        chain(np.eye(3)).pi
 
 
 def test_model_pi_is_the_read_only_stationary_law():
     m = three_state_model()
-    assert np.array_equal(m.pi, stationary_distribution(m.T))
+    assert np.array_equal(m.pi, chain(m.T).pi)
     assert m.pi is m.pi
     with pytest.raises(ValueError):
         m.pi[0] = 0.5
@@ -133,16 +136,19 @@ def test_model_pi_refuses_a_non_ergodic_chain_on_every_access():
 
 
 def test_stationary_law_is_computed_once_per_model(monkeypatch):
-    # Every stationary computation checks ergodicity exactly once.
+    # Across a reduction, its bound, a regulator and a simulation, the
+    # stationary law is computed once, for the one model that needs it.
     model, _, _ = generate(SynthConfig(4, 2, 2, 1, eps_A=0.1, seed=8))
     calls = []
-    check = model_module.is_ergodic
+    law = MjsModel.__dict__["pi"].func
 
-    def counted(T):
-        calls.append(T)
-        return check(T)
+    def counted(self):
+        calls.append(self)
+        return law(self)
 
-    monkeypatch.setattr(model_module, "is_ergodic", counted)
+    pi = cached_property(counted)
+    pi.__set_name__(MjsModel, "pi")
+    monkeypatch.setattr(MjsModel, "pi", pi)
     Q, R = np.eye(2), np.eye(1)
     res = reduce_model(model, 2, branch=None, seed=0)
     mr_bound(model, res.partition, "lumpable")
@@ -155,7 +161,7 @@ def test_partition_canonical_order():
     p = Partition([[4, 5], [2, 3], [0, 1]])
     assert p.clusters == ((0, 1), (2, 3), (4, 5))
     assert p == Partition([[0, 1], [2, 3], [4, 5]])
-    assert p.cluster_of(3) == 1
+    assert p.labels[3] == 1
     assert p.sizes == (2, 2, 2)
 
 
@@ -281,7 +287,7 @@ def test_simulate_determinism_bit_identical(rng):
     part = Partition([[0], [1, 2]])
     red = random_model(rng, s=2, n=2, p=0)
     a, b = (
-        simulate_coupled_batch(m, red, part, [1.0, -1.0], 9, 5, noise_std=0.1, seed=5)
+        simulate_coupled_batch(m, red, part, [1.0, -1.0], 9, 5, seed=5)
         for _ in range(2)
     )
     for x, y in zip(a, b):
@@ -307,22 +313,19 @@ def assert_rel_close(got, want):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max(initial=0.0))
 
 
-def loop_coupled(model, reduced, partition, x0, horizon, n_traj, noise_std=0.0, seed=None):
+def loop_coupled(model, reduced, partition, x0, horizon, n_traj, seed=None):
     """Per-path, per-step reference for simulate_coupled_batch,
-    independent of the rollout kernel: the same draws (mode paths first,
-    then one (n_traj, n) noise sample per step), one matrix-vector
-    product per system, path and step."""
+    independent of the rollout kernel: the same mode paths, one
+    matrix-vector product per system, path and step."""
     rng = np.random.default_rng(seed)
     modes = _batch_modes(rng, model, n_traj, horizon)
     systems = ((model.A, modes), (reduced.A, partition.labels[modes]))
     states = np.empty((2, n_traj, horizon + 1, model.n))
     states[:, :, 0] = x0
     for t in range(horizon):
-        noise = noise_std * rng.standard_normal((n_traj, model.n)) if noise_std > 0.0 else None
         for c, (A, w) in enumerate(systems):
             for b in range(n_traj):
-                x = A[w[b, t]] @ states[c, b, t]
-                states[c, b, t + 1] = x if noise is None else x + noise[b]
+                states[c, b, t + 1] = A[w[b, t]] @ states[c, b, t]
     return states, modes
 
 
@@ -352,19 +355,18 @@ def test_batched_paths_match_the_scalar_oracle(seed, s, n, horizon, n_traj):
 
 @pytest.mark.invariant
 @settings(max_examples=60, deadline=None)
-@example(seed=0, s=1, n=1, p=0, horizon=0, noise=0.3, n_traj=1)
-@example(seed=1, s=3, n=2, p=2, horizon=5, noise=0.0, n_traj=3)
+@example(seed=0, s=1, n=1, p=0, horizon=0, n_traj=1)
+@example(seed=1, s=3, n=2, p=2, horizon=5, n_traj=3)
 @given(
     seed=st.integers(0, 2**32 - 1),
     s=st.integers(1, 5),
     n=st.integers(1, 4),
     p=st.integers(0, 3),
     horizon=st.integers(0, 12),
-    noise=st.sampled_from([0.0, 0.3]),
     n_traj=st.integers(1, 4),
 )
-def test_kernel_runs_match_the_loop_oracles(seed, s, n, p, horizon, noise, n_traj):
-    # Closed loops u = K x and u = K_red x under shared noise.
+def test_kernel_runs_match_the_loop_oracles(seed, s, n, p, horizon, n_traj):
+    # Closed loops u = K x and u = K_red x.
     rng = np.random.default_rng(seed)
     model = random_model(rng, s=s, n=n, p=p, a_scale=rng.uniform(0.1, 1.2))
     part = random_partition(rng, s, int(rng.integers(1, s + 1)))
@@ -372,9 +374,8 @@ def test_kernel_runs_match_the_loop_oracles(seed, s, n, p, horizon, noise, n_tra
     model = closed_loop(model, 0.3 * rng.standard_normal((s, p, n)))
     reduced = closed_loop(reduced, 0.3 * rng.standard_normal((part.r, p, n)))
     x0 = rng.standard_normal(n)
-    kw = dict(noise_std=noise, seed=seed)
-    full, red, modes = simulate_coupled_batch(model, reduced, part, x0, horizon, n_traj, **kw)
-    oracle, oracle_modes = loop_coupled(model, reduced, part, x0, horizon, n_traj, **kw)
+    full, red, modes = simulate_coupled_batch(model, reduced, part, x0, horizon, n_traj, seed=seed)
+    oracle, oracle_modes = loop_coupled(model, reduced, part, x0, horizon, n_traj, seed=seed)
     assert np.array_equal(modes, oracle_modes)
     assert_rel_close(full, oracle[0])
     assert_rel_close(red, oracle[1])
@@ -390,18 +391,18 @@ def test_kernel_runs_match_the_loop_oracles(seed, s, n, p, horizon, noise, n_tra
 )
 def test_scalar_and_batched_runs_share_the_sampler(seed, s, horizon, n_traj):
     # simulate_coupled_batch and monte_carlo_cost draw the same mode
-    # paths and noise from one seed, so the stage cost averaged over the
-    # simulated states is the Monte Carlo cost.
+    # paths from one seed, so without noise the stage cost averaged over
+    # the simulated states is the Monte Carlo cost.
     rng = np.random.default_rng(seed)
     model = random_model(rng, s=s, n=2, p=0)
     x0 = rng.standard_normal(2)
     states, red_states, modes = simulate_coupled_batch(
-        model, model, singletons(model), x0, horizon, n_traj, noise_std=0.3, seed=seed
+        model, model, singletons(model), x0, horizon, n_traj, seed=seed
     )
     assert np.array_equal(modes, _batch_modes(np.random.default_rng(seed), model, n_traj, horizon))
     assert np.array_equal(red_states, states)
     mc = monte_carlo_cost(
-        model, np.zeros((s, 0, 2)), np.eye(2), np.zeros((0, 0)), 0.3, horizon, n_traj,
+        model, np.zeros((s, 0, 2)), np.eye(2), np.zeros((0, 0)), 0.0, horizon, n_traj,
         seed=seed, x0=x0,
     )
     per_traj = (states[:, :horizon] ** 2).sum(axis=(1, 2)) / horizon
@@ -410,18 +411,10 @@ def test_scalar_and_batched_runs_share_the_sampler(seed, s, horizon, n_traj):
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.1])
 def test_every_simulator_refuses_a_bad_noise_level(bad):
-    m, part, x0 = three_state_model(), Partition([[0], [1, 2]]), np.ones(2)
-    red = MjsModel(np.zeros((2, 2, 2)), None, np.full((2, 2), 0.5))
-    runs = (
-        lambda: simulate_coupled_batch(m, red, part, x0, 3, 2, noise_std=bad, seed=0),
-        lambda: empirical_traj_diff(m, red, part, x0, 3, 2, noise_std=bad, seed=0),
-        lambda: monte_carlo_cost(
-            m, np.zeros((3, 0, 2)), np.eye(2), np.zeros((0, 0)), bad, 3, 2
-        ),
-    )
-    for run in runs:
-        with pytest.raises(InputError, match="finite and nonnegative"):
-            run()
+    # monte_carlo_cost is the one simulator that adds noise.
+    m = three_state_model()
+    with pytest.raises(InputError, match="sigma_w must be finite and nonnegative"):
+        monte_carlo_cost(m, np.zeros((3, 0, 2)), np.eye(2), np.zeros((0, 0)), bad, 3, 2)
 
 
 def test_coupled_runs_reject_unlinked_models():
@@ -492,7 +485,7 @@ def test_markov_frequencies_match_transition_matrix():
     counts = np.zeros((3, 3))
     np.add.at(counts, (modes[:-1], modes[1:]), 1.0)
     freq = counts / counts.sum(axis=1, keepdims=True)
-    tol = 3.0 / np.sqrt(N * stationary_distribution(m.T).min())
+    tol = 3.0 / np.sqrt(N * m.pi.min())
     assert np.abs(freq - m.T).max() <= tol
 
 
@@ -501,7 +494,7 @@ def test_markov_frequencies_match_transition_matrix():
 def test_coupled_runs_agree_on_reducible_models(branch):
     # Exactly reducible instances: under the reduced regulator, lifted
     # to the full modes, the reduced closed loop tracks the full one
-    # along any shared mode path and noise realization.
+    # along any shared mode path.
     model, part, _ = generate(
         SynthConfig(8, 2, 3, 2, branch=branch, seed=11)
     )
@@ -510,7 +503,7 @@ def test_coupled_runs_agree_on_reducible_models(branch):
     x0 = np.array([1.0, -2.0, 0.5])
     states, red_states, _ = simulate_coupled_batch(
         closed_loop(model, lift_gains(K, part)), closed_loop(reduced, K), part,
-        x0, 50, 8, noise_std=0.2, seed=9,
+        x0, 50, 8, seed=9,
     )
     assert np.linalg.norm(states - red_states, axis=2).max() <= 1e-10 * np.linalg.norm(x0)
 
@@ -584,18 +577,18 @@ def json_models(draw):
 @settings(max_examples=80, deadline=None)
 @given(model=json_models())
 def test_model_json_round_trip_is_bit_exact(model):
-    assert same_model(model_from_dict(model_to_dict(model)), model)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.json"
         save_model(model, path)
         assert same_model(load_model(path), model)
-    # "B": null reads as zeros of the declared shape, which then write
-    # out and read back unchanged.
-    d = dict(model_to_dict(model), B=None)
-    nulled = model_from_dict(json.loads(json.dumps(d)))
-    assert same_bits(nulled.B, np.zeros((model.s, model.n, model.p)))
-    assert same_bits(nulled.A, model.A) and same_bits(nulled.T, model.T)
-    assert same_model(model_from_dict(model_to_dict(nulled)), nulled)
+        # "B": null reads as zeros of the declared shape, which then
+        # write out and read back unchanged.
+        write_json(path, dict(model_to_dict(model), B=None))
+        nulled = load_model(path)
+        assert same_bits(nulled.B, np.zeros((model.s, model.n, model.p)))
+        assert same_bits(nulled.A, model.A) and same_bits(nulled.T, model.T)
+        save_model(nulled, path)
+        assert same_model(load_model(path), nulled)
 
 
 @settings(max_examples=80, deadline=None)
@@ -612,24 +605,30 @@ def test_partition_json_round_trip(labels, wrapped):
     assert np.array_equal(loaded.labels, part.labels)
 
 
-def test_model_from_dict_accepts_null_b():
+def write_json(path, payload):
+    path.write_text(json.dumps(payload))
+    return path
+
+
+def test_model_from_dict_accepts_null_b(tmp_path):
     d = {"n": 1, "p": 2, "s": 1, "A": [[[0.5]]], "B": None, "T": [[1.0]]}
-    m = model_from_dict(d)
+    m = load_model(write_json(tmp_path / "model.json", d))
     assert m.p == 2
     assert np.array_equal(m.B, np.zeros((1, 1, 2)))
 
 
-def test_model_from_dict_rejections():
+def test_model_from_dict_rejections(tmp_path):
+    path = tmp_path / "model.json"
     good = {"n": 1, "p": 0, "s": 1, "A": [[[0.5]]], "B": [[[]]], "T": [[1.0]]}
-    model_from_dict(good)
-    with pytest.raises(InputError):
-        model_from_dict({k: v for k, v in good.items() if k != "T"})
+    load_model(write_json(path, good))
+    with pytest.raises(InputError, match="malformed model"):
+        load_model(write_json(path, {k: v for k, v in good.items() if k != "T"}))
     bad_size = dict(good, A=[[[0.5, 0.0]]])
     with pytest.raises(InputError, match="disagree with declared sizes"):
-        model_from_dict(bad_size)
+        load_model(write_json(path, bad_size))
     bad_rows = dict(good, T=[[0.4]])
     with pytest.raises(InputError, match="invalid model"):
-        model_from_dict(bad_rows)
+        load_model(write_json(path, bad_rows))
 
 
 def test_load_model_reports_parse_location(tmp_path):

@@ -16,15 +16,7 @@ from conftest import (
 from mjsreduce.clustering import build_features_aggregatable, reduce_model
 from mjsreduce.errors import DimensionMismatch, InputError, SizeMismatch
 from mjsreduce.model import MjsModel, Partition
-from mjsreduce.perturbation import (
-    averaged_feature_matrix,
-    bound_from_constants,
-    combine_perturbations,
-    construct_T0,
-    mr_bound,
-    perturbations,
-    PerturbationTriple,
-)
+from mjsreduce.perturbation import construct_T0, mr_bound, perturbations
 from mjsreduce.synth import SynthConfig, fig4_model, generate
 
 SPLIT = Partition([[0], [1, 2]])
@@ -163,40 +155,45 @@ def test_construct_T0_fixes_nothing_on_lumpable_chains():
 
 
 def test_combine_perturbations_formula():
-    eps = PerturbationTriple(eps_A=3.0, eps_B=4.0, eps_T=2.0, branch="aggregatable")
-    got = combine_perturbations((0.5, 0.25, 0.25), eps)
-    assert got == pytest.approx(
-        np.sqrt(1.5**2 + 1.0**2 + 0.5**2), rel=1e-12
+    # eps_combined weighs eps_A, eps_B, eps_T by the feature weights; on
+    # the lumpable branch gamma3 scales the transition term only.
+    model, part, _ = generate(
+        SynthConfig(6, 2, 2, 1, eps_A=0.1, eps_B=0.1, eps_T=0.1, seed=5)
     )
-    # gamma3 scales only the transition term.
-    with_g = combine_perturbations((0.5, 0.25, 0.25), eps, gamma3=10.0)
-    assert with_g == pytest.approx(np.sqrt(1.5**2 + 1.0**2 + 25.0), rel=1e-12)
+    for branch in ("aggregatable", "lumpable"):
+        rep = mr_bound(model, part, branch, weights=(0.5, 0.25, 0.25))
+        g = rep.gamma3 if branch == "lumpable" else 1.0
+        e = rep.eps
+        assert min(e.eps_A, e.eps_B, e.eps_T) > 0.0 and np.isfinite(g)
+        want = np.sqrt((0.5 * e.eps_A) ** 2 + (0.25 * e.eps_B) ** 2 + (0.25 * g * e.eps_T) ** 2)
+        assert rep.eps_combined == pytest.approx(want, rel=1e-12)
 
 
 def test_bound_from_constants_values():
-    # 64 * (2 + 1) * 0.25 / 4
-    assert bound_from_constants(2.0, 0.5) == pytest.approx(12.0, abs=1e-12)
-    assert bound_from_constants(2.0, 1.0) == pytest.approx(
-        4.0 * bound_from_constants(2.0, 0.5), rel=1e-12
-    )
-    assert bound_from_constants(0.0, 0.5) == np.inf
-    assert bound_from_constants(2.0, 0.5, kmeans_eps=2.0) == pytest.approx(
-        16.0, abs=1e-12
-    )
+    # 64 (2 + kmeans_eps) eps_combined^2 / sigma_r^2, inf at sigma_r = 0.
+    model, part = fig4_model()
+    for kmeans_eps in (0.0, 1.0, 2.0):
+        rep = mr_bound(model, part, "aggregatable", kmeans_eps=kmeans_eps)
+        want = 64.0 * (2.0 + kmeans_eps) * rep.eps_combined**2 / rep.sigma_r_phibar**2
+        assert rep.bound_value == pytest.approx(want, rel=1e-12)
+    # Zero modes weighed alone: every feature row is 0.
+    still = MjsModel(np.zeros((4, 2, 2)), None, np.full((4, 4), 0.25))
+    rep = mr_bound(still, Partition([[0, 1], [2, 3]]), "aggregatable", weights=(1.0, 0.0, 0.0))
+    assert rep.sigma_r_phibar == 0.0 and rep.bound_value == np.inf
 
 
 def test_averaged_feature_matrix_rows(rng):
+    # sigma_r is the r-th singular value of the feature matrix with each
+    # row replaced by its cluster mean.
     m = random_model(rng, s=4, n=2, p=1)
     part = Partition([[0, 1], [2, 3]])
-    feats = build_features_aggregatable(m)
-    phibar, sigma_r = averaged_feature_matrix(feats, part)
-    assert np.array_equal(phibar[0], phibar[1])
-    assert np.array_equal(phibar[2], phibar[3])
-    assert np.allclose(phibar[0], feats.phi[:2].mean(axis=0), atol=1e-12)
+    phi = build_features_aggregatable(m).phi
+    phibar = np.repeat([phi[:2].mean(axis=0), phi[2:].mean(axis=0)], 2, axis=0)
     sv = np.linalg.svd(phibar, compute_uv=False)
+    sigma_r = mr_bound(m, part, "aggregatable").sigma_r_phibar
     assert sigma_r == pytest.approx(sv[1], abs=1e-12)
     with pytest.raises(SizeMismatch):
-        averaged_feature_matrix(feats, Partition([[0, 1], [2]]))
+        mr_bound(m, Partition([[0, 1], [2]]), "aggregatable")
 
 
 def test_mr_bound_report_formula_and_keys():
@@ -351,9 +348,9 @@ def test_cluster_aggregates_match_loops(seed, labels, n, p, zeros):
             assert got == pytest.approx(ref, rel=1e-13, abs=1e-14)
         got = construct_T0(model.T, part, branch=branch)
         assert np.array_equal(got, loop_construct_T0(model.T, part, branch))
-    feats = build_features_aggregatable(model)
-    phibar, _ = averaged_feature_matrix(feats, part)
-    assert np.array_equal(phibar, loop_averaged_features(feats.phi, part))
+    # mr_bound averages the feature rows over each cluster by cluster_means.
+    phi = build_features_aggregatable(model).phi
+    assert np.array_equal(part.cluster_means(phi)[part.labels], loop_averaged_features(phi, part))
 
 
 def test_pair_sums_in_chunks_match_one_pass(rng, monkeypatch):

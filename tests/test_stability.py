@@ -17,7 +17,6 @@ from mjsreduce.model import (
     MjsModel,
     Partition,
     expand_reduced,
-    is_ergodic,
     simulate_coupled_batch,
     validate_model,
 )
@@ -62,17 +61,16 @@ def test_certificate_entry_points_take_no_tuning_options():
         (transition_kernel_enum, ("model", "x0", "t")),
         (
             simulate_coupled_batch,
-            ("model", "reduced", "partition", "x0", "horizon", "n_traj", "noise_std", "seed"),
+            ("model", "reduced", "partition", "x0", "horizon", "n_traj", "seed"),
         ),
         (
             empirical_traj_diff,
-            ("model", "reduced", "partition", "x0", "horizon", "n_traj", "seed", "noise_std"),
+            ("model", "reduced", "partition", "x0", "horizon", "n_traj", "seed"),
         ),
         (spectral_radius, ("M",)),
         (augmented_matrix, ("model",)),
         (construct_T0, ("T", "partition", "branch")),
         (validate_model, ("model",)),
-        (is_ergodic, ("T",)),
         (demoted_weights, ("model",)),
     ):
         assert tuple(inspect.signature(fn).parameters) == names, fn.__qualname__
