@@ -19,9 +19,12 @@ for the rightmost eigenvalue, a single target even on a periodic chain
 with many eigenvalues of modulus rho.
 
 The transient constant tau = sup_k ||L^k||_2 / rho^k is swept on dense
-powers of L, taking the exact 2-norm of a power only where a cheap
-upper bound could still raise the running maximum.  L maps symmetric
-stacks to symmetric stacks and skew stacks to skew stacks, since
+powers of L, taking the 2-norm of a power only where a cheap upper
+bound could still raise the running maximum.  That norm is the root of
+the top eigenvalue of the power's Gram, from one LAPACK dsyevr call,
+lifted by a stated bound on the rounding of the Gram and of the
+eigensolver, so that tau stays an upper bound (_gram_norm).  L maps
+symmetric stacks to symmetric stacks and skew stacks to skew stacks, since
 kron(A_j, A_j) commutes with the transpose and T only mixes blocks; in
 an orthonormal basis of each half, every power of L is block diagonal
 (the symmetric Kronecker product of Alizadeh, Haeberly & Overton, SIAM
@@ -73,6 +76,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dsyevr
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
 
 from .errors import DegenerateInput, InputError, NotConverged, RhoTooSmall, TooLarge, XiTooSmall
@@ -108,9 +112,11 @@ DENSE_RHO_MAX = 64
 # 50 at period 40 and 200 at period 60.
 ARPACK_PLAIN_RESTARTS = 30
 ARPACK_RESTARTS = 300
-# Relative margin on the norm bounds of the tau and kappa sweep, above
-# the rounding of both the bounds and the exact 2-norm; a swept level
-# certifies the sup only with it.
+# Relative margin on the cheap norm bounds of the tau and kappa sweep
+# and of the JSR walk, above their rounding and that of numpy's 2-norms
+# in the walk; a swept level certifies the sup only with it.  The tau
+# sweep's 2-norms carry their own lift (_gram_norm) and never fall below
+# the norm.
 BOUND_MARGIN = 1e-12
 # Powers of L swept for tau, product lengths enumerated for the JSR and
 # kappa, and products the JSR walk may form before it stops incomplete.
@@ -128,8 +134,8 @@ class TransientEstimate:
     certifies, else the whole horizon (the number of powers asked for,
     or of level maxima).  complete: g(k_max) <= 1, so the value is the
     sup over every k; unconverged is its negation.  exact: False when g
-    is the matrix-free upper bound on ||L^k|| rather than the norm
-    itself.
+    is the matrix-free upper bound on ||L^k|| rather than the norm, which
+    the dense tau takes within a stated lift (_norm_lift).
     """
 
     value: float
@@ -249,10 +255,13 @@ class MomentOperator:
         has checked against the spectral radius.
 
         Up to DEFAULT_SIZE_CAP the powers are dense and the value is
-        exact.  They are taken on the restriction of L to symmetric
-        stacks, in an orthonormal basis, whose norm is ||L^k||_2 at
-        every k since T >= 0 (_restriction); the 2-norm of a power is
-        taken only where its bound could raise the maximum.
+        exact up to a stated rounding lift.  They are taken on the
+        restriction of L to symmetric stacks, in an orthonormal basis,
+        whose norm is ||L^k||_2 at every k since T >= 0 (_restriction);
+        the 2-norm of a power is taken only where its bound could raise
+        the maximum, from the top eigenvalue of its Gram, never below
+        the norm and at most _norm_lift(s n (n + 1) / 2) above it
+        (_gram_norm).
         Above DEFAULT_SIZE_CAP, the value is the sweep of the upper bound
         sqrt(||L^k(I)|| ||L*^k(I)||) in the largest block 2-norm, which
         holds because L^k is completely positive (exact=False); a
@@ -314,8 +323,7 @@ class MomentOperator:
         # at m (B_0 = 1), and likewise for Y.  A block's 2-norm is at most
         # its Frobenius norm, and 1 + gamma on the result covers the
         # 2-norms, the sums and the square root.
-        unit = 0.5 * np.finfo(float).eps * (self.dim + 2)
-        gamma = unit / (1.0 - unit)
+        gamma = _gamma(self.dim + 2)
         local = (1.0 + 3.0 * gamma) * gamma
         absolute = MomentOperator(np.abs(self.A), self.T)
         X = Y = self._identity()
@@ -429,7 +437,8 @@ def tau_estimate(M: np.ndarray, rho: float, k_max: int = TAU_STEPS) -> Transient
     """Transient growth constant sup_k ||M^k||_2 / rho^k, k = 0..k_max.
 
     Requires a positive rho >= spectral_radius(M) (RhoTooSmall
-    otherwise; the sup would diverge).  The result is complete when
+    otherwise; the sup would diverge).  The norms are _sweep's, at
+    most _norm_lift(len(M)) above ||M^k||_2.  The result is complete when
     some swept power certifies the sup over every k.  A k_max that is
     no integer >= 0 raises DimensionMismatch.
     """
@@ -447,6 +456,91 @@ def _norm_bound(P: np.ndarray) -> float:
     with np.errstate(over="ignore"):
         one, inf = absP.sum(axis=0).max(), absP.sum(axis=1).max()
         return float(min(np.linalg.norm(P, "fro"), np.sqrt(one * inf)))
+
+
+UNIT = 0.5 * np.finfo(float).eps  # u = 2^-53, the unit roundoff
+# The lift c u lam of _gram_norm, with c = 2 m + GRAM_ERROR for an m x m
+# Gram G.  Of it, (2 m + 16) u ||G||_2 is the stated backward error of
+# dsyevr's top eigenvalue lam: LAPACK states p(m) eps ||G||_2 with p a
+# modestly growing function and takes p = 1 in its own error bounds
+# (LAPACK Users' Guide, 3rd ed., 1999, sec. 4.7); p(m) = m + 8 covers
+# the Householder tridiagonalization and the bisection's tolerance of
+# eps times the Gershgorin bound, at most 3 ||G||_2.  The other 8 units
+# cover the roundings of the lift.
+GRAM_ERROR = 24
+
+
+def _gamma(k: int) -> float:
+    # gamma_k = k u / (1 - k u), the rounding of a k-term dot product
+    # (Higham, Accuracy and Stability of Numerical Algorithms, 2002, ch. 3).
+    unit = UNIT * k
+    return unit / (1.0 - unit)
+
+
+def _gram_norm(P: np.ndarray, bound: float) -> float:
+    """An upper bound on ||P||_2 for a finite square P != 0 of order m,
+    at most ||P||_2 (1 + _norm_lift(m)), from the top eigenvalue of its
+    Gram; bound is the sweep's bound on ||P||_2.
+
+    S = 2^-e P, with 2^(e-1) <= bound < 2^e, or from max|P| where bound
+    overflowed or underflowed, is exact up to entries that underflow;
+    ||S||_F^2 <= m^2, so the float Gram G = fl(S'S) cannot overflow.
+    Its entries are m-term dot products: G = S'S + E with
+    |E| <= gamma_m |S|'|S| entrywise, so ||E||_2 <= gamma_m ||S||_F^2,
+    also for the triangle dsyevr reads.  One dsyevr call, or two where
+    the first loses the top index in a cluster, returns lam within
+    d u ||G||_2 of the top eigenvalue of G, d = 2 m + 16 (see
+    GRAM_ERROR); and ||G||_2 <= (lam + gamma_m ||S||_F^2) / (1 - d u),
+    since the least eigenvalue of G is at least -gamma_m ||S||_F^2.
+    By Weyl,
+        ||S||_2^2 <= lam + gamma_2m tr(G) + c u lam,  c = 2 m + GRAM_ERROR,
+    where tr(G), summed in floats, is at least (1 - gamma_m)^2 ||S||_F^2,
+    gamma_2m >= 2 gamma_m covers that and the term d u gamma_m ||S||_F^2,
+    and the 8 units of c above d cover the rest of d u / (1 - d u), the
+    three roundings of the sum and the underflow of entries of S or G,
+    whose error is at most m^2 2^-1074, far below u lam >= u / (4 m).  The
+    factor 1 + 4u on the root covers its rounding and that of the
+    product; scaling back by 2^e is exact, and inf where it overflows.
+    Any other nonzero info from dsyevr raises NotConverged.
+    """
+    m = P.shape[0]
+    if not 0.0 < bound < math.inf:
+        bound = max(float(P.max()), -float(P.min()))
+    e = math.frexp(bound)[1]
+    S = np.ldexp(P, -e)
+    G = S.T @ S
+    trace = float(np.trace(G))
+    # G.T is Fortran-ordered, so dsyevr works on it in place.
+    w, _, _, _, info = dsyevr(G.T, compute_v=0, range="I", il=m, iu=m, overwrite_a=1)
+    if info in (2, 3):
+        # The bisection lost index m in a cluster of equal top eigenvalues,
+        # as on a scaled orthogonal P; LAPACK's dstebz documents this for
+        # RANGE='I' and names the cure, all eigenvalues, here by dsterf.
+        G = S.T @ S
+        w, _, _, _, info = dsyevr(G.T, compute_v=0, overwrite_a=1)
+        w = w[-1:]
+    if info:
+        raise NotConverged(f"dsyevr found no top eigenvalue of a {m} x {m} Gram (info = {info})")
+    lam = max(float(w[0]), 0.0)
+    c = 2 * m + GRAM_ERROR
+    root = math.sqrt(lam + _gamma(2 * m) * trace + c * UNIT * lam) * (1.0 + 4.0 * UNIT)
+    try:
+        return math.ldexp(root, e)
+    except OverflowError:
+        return math.inf
+
+
+def _norm_lift(m: int) -> float:
+    """The stated lift: _gram_norm(P) <= ||P||_2 (1 + _norm_lift(m)) for
+    an m x m P.  Its worst case is ||P||_F^2 = m ||P||_2^2, as for a
+    scaled orthogonal P; to first order the radicand of _gram_norm is
+    then ||P||_2^2 (1 + 1.5 m gamma_2m + (2 c - 5) u), c = 2 m + GRAM_ERROR,
+    and the roundings after the root add 6u.  The lift is the root of
+    1 + 2 m gamma_2m + 3 c u, times 1 + 8u, less one; the spare terms
+    cover the second-order ones."""
+    c = 2 * m + GRAM_ERROR
+    radicand = 1.0 + 2.0 * m * _gamma(2 * m) + 3.0 * c * UNIT
+    return math.sqrt(radicand) * (1.0 + 8.0 * UNIT) - 1.0
 
 
 def _dense_powers(step, P, k_max: int):
@@ -476,14 +570,16 @@ def _sweep(powers, level: float, exact: bool) -> TransientEstimate:
     up to the first certifying k.
 
     powers yields, for each k, a pair (bound, P) with
-    ||P||_2 = ||M^k||_2 <= bound.  Where P is given, its 2-norm is taken
-    only where the bound, lifted by BOUND_MARGIN, could still pass the
-    strict update, so skipping leaves value and argmax_k as a full
-    sweep would give them; with P = None the bound is the norm.  Since
-    g(a + b) <= g(a) g(b), one K with g(K) <= 1 makes the sweep over
-    k < K the sup over every k (complete), and the sweep stops there:
-    every later g(K + j) is at most g(j) / (1 + BOUND_MARGIN), so it
-    could not pass the strict update.  A level^k that overflows gives
+    ||P||_2 = ||M^k||_2 <= bound.  Where P is given, its 2-norm is
+    taken, by _gram_norm, only where the bound, lifted by BOUND_MARGIN,
+    could still pass the strict update; with P = None the bound is the
+    norm.  _gram_norm is never below the 2-norm and at most
+    _norm_lift(m) above it, so the value is never below the sup of g
+    over the swept k and at most that lift above it: a skipped k has
+    g(k) below the running maximum.  Since g(a + b) <= g(a) g(b), one K
+    with g(K) <= 1 makes the sweep over k < K the sup over every k
+    (complete), and the sweep stops there: every later g(K + j) is at
+    most g(j) / (1 + BOUND_MARGIN).  A level^k that overflows gives
     g = 0, and one that underflows gives g = inf; neither raises.
     """
     best, arg, complete, k = 1.0, 0, False, 0
@@ -495,7 +591,7 @@ def _sweep(powers, level: float, exact: bool) -> TransientEstimate:
         top = bound * (1.0 + BOUND_MARGIN) / rk if rk else math.inf
         complete = top <= 1.0
         if top > best:
-            norm = bound if P is None else float(np.linalg.norm(P, 2))
+            norm = bound if P is None else _gram_norm(P, bound)
             val = norm / rk if rk else math.inf
             if val > best:
                 best, arg = val, k

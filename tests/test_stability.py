@@ -2,6 +2,7 @@ import functools
 import inspect
 import itertools
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -12,7 +13,14 @@ from conftest import random_model
 from mjsreduce.bounds import BoundInputs, empirical_traj_diff, transition_kernel_enum
 from mjsreduce.clustering import reduce_model
 from mjsreduce.experiments import demoted_weights
-from mjsreduce.errors import DegenerateInput, DimensionMismatch, RhoTooSmall, TooLarge, XiTooSmall
+from mjsreduce.errors import (
+    DegenerateInput,
+    DimensionMismatch,
+    NotConverged,
+    RhoTooSmall,
+    TooLarge,
+    XiTooSmall,
+)
 from mjsreduce.model import (
     MjsModel,
     Partition,
@@ -185,16 +193,19 @@ def draw_matrix(rng, d, kind):
     lift=st.sampled_from([1.0, 1.001, 1.05, 1.5]),
     k_max=st.integers(0, 40),
 )
+@example(seed=0, d=1, kind="general", lift=1.0, k_max=3)  # ties at g = 1
 def test_tau_estimate_skips_only_what_cannot_win(seed, d, kind, lift, k_max):
     # An exact norm is skipped only where its bound cannot pass the
-    # strict update, so value and argmax_k are those of the full sweep,
-    # bit for bit.
+    # strict update, so against the SVD of every power P @ M the sweep
+    # keeps k_max and complete, and its value lies within the stated
+    # lift of the Gram norm above the SVD sweep's.
     rng = np.random.default_rng(seed)
     M = draw_matrix(rng, d, kind)
     rho = max(spectral_radius(M) * lift, 1e-3)
     est = tau_estimate(M, rho, k_max=k_max)
-    assert (est.value, est.argmax_k) == full_tau_sweep(M, rho, k_max)
     assert est.exact
+    g, first = plain_sweep(oracle_powers(M, k_max), rho)
+    assert_sweep_within_lift(est, g, first, stability._norm_lift(d))
     if est.complete:  # the sup over every k: a longer sweep adds nothing
         assert full_tau_sweep(M, rho, k_max + 60)[0] <= est.value * (1.0 + 1e-12)
 
@@ -695,27 +706,69 @@ def test_walk_takes_few_eigenvalues_and_norms(monkeypatch):
     assert 0 < seen["norm"] < formed
 
 
+def oracle_bound(P):
+    """min(||P||_F, sqrt(||P||_1 ||P||_inf)), the bound on which the tau
+    sweep skips norms and stops, from numpy's matrix norms."""
+    one, inf = np.linalg.norm(P, 1), np.linalg.norm(P, np.inf)
+    return float(min(np.linalg.norm(P, "fro"), np.sqrt(one * inf)))
+
+
+def oracle_powers(M, k_max):
+    """(oracle_bound(P), P) for the powers P = M^k, k = 1..k_max, each
+    the last one times M."""
+    P = np.eye(len(M))
+    for _ in range(k_max):
+        P = P @ M
+        yield oracle_bound(P), P
+
+
+def symmetric_block(aug, s, n):
+    """The augmented matrix restricted to symmetric stacks, in an
+    orthonormal basis built here: e_aa, and (e_ab + e_ba) / sqrt(2) for
+    a < b, in row-major pair order.  The 1-, inf- and 2-norms of its
+    powers do not depend on that order."""
+    cols = []
+    for a, b in zip(*np.triu_indices(n)):
+        E = np.zeros((n, n))
+        E[a, b] = E[b, a] = 1.0 if a == b else np.sqrt(0.5)
+        cols.append(E.ravel())
+    Q = np.kron(np.eye(s), np.array(cols).T)
+    return Q.T @ aug @ Q
+
+
 def plain_sweep(powers, level):
     """The sweep of _sweep over every yielded k, with no stop at the
-    first certificate, kept as its oracle.  Returns (value, argmax_k,
-    complete, ks swept)."""
-    best, arg, complete, k = 1.0, 0, False, 0
+    first certificate and no skipped norm, kept as its oracle.  Where P
+    is given, g takes its 2-norm from numpy's SVD.  Returns (g, K): g[k]
+    for k = 0, 1, ..., with g[0] = 1, and the first k whose bound,
+    lifted by BOUND_MARGIN, is at most level^k (None if none is)."""
+    g, first = [1.0], None
     for k, (bound, P) in enumerate(powers, start=1):
         try:
             rk = level**k
         except OverflowError:
             rk = np.inf
-        if not bound:
-            complete = True
-            continue
         top = bound * (1.0 + stability.BOUND_MARGIN) / rk if rk else np.inf
-        complete = complete or top <= 1.0
-        if top > best:
-            norm = bound if P is None else float(np.linalg.norm(P, 2))
-            val = norm / rk if rk else np.inf
-            if val > best:
-                best, arg = val, k
-    return best, arg, complete, k
+        if first is None and (not bound or top <= 1.0):
+            first = k
+        norm = bound if P is None or not bound else float(np.linalg.norm(P, 2))
+        g.append(norm / rk if rk else (np.inf if norm else 0.0))
+    return g, first
+
+
+def assert_sweep_within_lift(est, g, first, lift, tol=0.0):
+    """est against its oracle sweep (g, first): the same k_max and
+    complete; value in [max g, max g (1 + lift)], with lift the stated
+    one of the norms est took (0 for bounds alone); and argmax_k a k
+    whose oracle g lies within that lift of max g.  tol widens the value
+    and argmax brackets where the oracle's powers are rounded apart from
+    the sweep's."""
+    want = max(g)
+    assert est.complete == (first is not None)
+    assert est.k_max == (len(g) - 1 if first is None else first)
+    assert want * (1.0 - tol) <= est.value <= want * (1.0 + lift + tol), (est.value, want)
+    assert est.argmax_k <= est.k_max
+    assert g[est.argmax_k] * (1.0 + lift + tol) >= want
 
 
 @pytest.mark.invariant
@@ -727,10 +780,12 @@ def plain_sweep(powers, level):
     lift=st.sampled_from([1.0, 1.001, 1.01, 1.2]),
 )
 def test_sweep_stops_at_the_first_certificate(seed, s, n, lift):
-    # Stopping at the first K with g(K) <= 1 leaves value, argmax_k,
-    # complete and exact as the whole TAU_STEPS sweep gives them, for
-    # the dense and the matrix-free tau and for kappa; and the swept K
-    # certifies: ||L^K|| <= rho^K.
+    # Stopping at the first K with g(K) <= 1 leaves k_max and complete
+    # as the whole TAU_STEPS sweep gives them, and the value within the
+    # norm's lift: for the dense tau against the SVDs of powers of the
+    # symmetric block built here, and of the augmented matrix; and the
+    # swept K certifies: ||L^K|| <= rho^K.  The matrix-free tau and kappa
+    # sweep bounds only, so they match their oracle exactly.
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((s, n, n)) * rng.uniform(0.2, 1.0) / np.sqrt(n)
     T = rng.dirichlet(np.ones(s), size=s)
@@ -738,23 +793,26 @@ def test_sweep_stops_at_the_first_certificate(seed, s, n, lift):
     aug = augmented_matrix(MjsModel(A, None, T))
     rho = max(spectral_radius(aug) * lift, 1e-3)
     steps = stability.TAU_STEPS
-    for est, powers in (
-        (op.tau(rho, steps), stability._dense_powers(*op._restriction(), steps)),
-        (stability._sweep(op._power_bounds(steps), rho, exact=False), op._power_bounds(steps)),
-    ):
-        value, arg, complete, last = plain_sweep(powers, rho)
-        assert (est.value, est.argmax_k, est.complete) == (value, arg, complete)
-        assert est.k_max <= last == steps
-        if est.complete and est.exact:
-            K = est.k_max
-            assert np.linalg.norm(np.linalg.matrix_power(aug, K), 2) <= rho**K * (1 + 1e-12)
-        elif not est.complete:
-            assert est.k_max == steps
+    est = op.tau(rho, steps)
+    assert est.exact
+    block = symmetric_block(aug, s, n)
+    norm_lift = stability._norm_lift(len(block))
+    g, first = plain_sweep(oracle_powers(block, steps), rho)
+    assert_sweep_within_lift(est, g, first, norm_lift, 1e-12)
+    want = full_tau_sweep(aug, rho, est.k_max)[0]
+    assert want * (1.0 - 1e-12) <= est.value <= want * (1.0 + norm_lift + 1e-12)
+    if est.complete:
+        K = est.k_max
+        assert np.linalg.norm(np.linalg.matrix_power(aug, K), 2) <= rho**K * (1 + 1e-12)
     jsr = jsr_bounds(A)
     xi = default_level(jsr.upper) * lift
-    est = kappa_estimate(jsr, xi)
-    value, arg, complete, _ = plain_sweep(((m, None) for m in jsr.level_maxima), xi)
-    assert (est.value, est.argmax_k, est.complete) == (value, arg, complete)
+    for est, powers in (
+        (stability._sweep(op._power_bounds(steps), rho, exact=False), op._power_bounds(steps)),
+        (kappa_estimate(jsr, xi), ((m, None) for m in jsr.level_maxima)),
+    ):
+        g, first = plain_sweep(powers, est.level)
+        assert_sweep_within_lift(est, g, first, 0.0)
+        assert est.argmax_k == g.index(max(g))
 
 
 @pytest.mark.invariant
@@ -773,13 +831,84 @@ def test_comparison_sweeps_tau_bar_over_its_own_horizon():
     expanded = expand_reduced(
         res.reduced, res.partition, construct_T0(model.T, res.partition, "aggregatable")
     )
-    op_bar = MomentOperator(expanded.A, expanded.T)
-    powers = stability._dense_powers(*op_bar._restriction(), 64)
-    tau_bar, arg, complete, _ = plain_sweep(powers, rep_hat.tau.level)
-    assert arg == 2 and complete
+    level = rep_hat.tau.level
+    g, first = plain_sweep(oracle_powers(augmented_matrix(expanded), 64), level)
+    assert (g.index(max(g)), first) == (2, 18)
+    tau_bar = MomentOperator(expanded.A, expanded.T).tau(level, stability.TAU_STEPS)
+    assert_sweep_within_lift(tau_bar, g, first, stability._norm_lift(expanded.s), 1e-12)
     assert comp.bound_rho_reverse == (
-        tau_bar * comp.eps_rho + (rep_hat.tau.level - rep_hat.rho_aug)
+        tau_bar.value * comp.eps_rho + (level - rep_hat.rho_aug)
     )
+
+
+def sigma_max(P):
+    """||P||_2 in 60-digit mpmath, as exact_power_norms takes it: the
+    root of the top eigenvalue of P'P, formed from the float entries."""
+    with mpmath.workdps(60):
+        M = mpmath.matrix(P.tolist())
+        return mpmath.sqrt(max(max(mpmath.eigsy(M.T * M, eigvals_only=True)), 0))
+
+
+def draw_norm_input(rng, m, kind):
+    if kind == "orthogonal":  # ||P||_F^2 = m ||P||_2^2: the lift's worst case
+        Q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        return Q * rng.uniform(0.5, 2.0)
+    if kind == "absorbed":  # a column whose small squares the Gram's sum rounds away
+        P = np.zeros((m, m))
+        P[0, 0], P[1:, 0] = 1.0, np.sqrt(0.99 * 2.0**-53)
+        return P
+    M = rng.standard_normal((m, m))
+    if kind == "triangular":
+        return np.triu(M)
+    return np.outer(M[0], rng.standard_normal(m))  # rank one
+
+
+@pytest.mark.invariant
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 40),
+    kind=st.sampled_from(["orthogonal", "triangular", "rank_one", "absorbed"]),
+    scale=st.sampled_from([-600, 0, 600]),
+    bound=st.sampled_from(["sweep", "sigma"]),
+)
+@example(seed=0, m=40, kind="orthogonal", scale=0, bound="sweep")
+@example(seed=1, m=40, kind="orthogonal", scale=600, bound="sweep")  # the bound overflows
+@example(seed=2, m=40, kind="orthogonal", scale=-600, bound="sweep")  # it underflows
+@example(seed=149, m=30, kind="orthogonal", scale=0, bound="sweep")  # a second dsyevr call
+@example(seed=0, m=40, kind="absorbed", scale=0, bound="sweep")  # fl(P'P) < P'P by 38u
+def test_gram_norm_lies_within_its_lift_of_the_top_singular_value(seed, m, kind, scale, bound):
+    # sigma <= _gram_norm(P) <= sigma (1 + _norm_lift(m)) with sigma the
+    # 60-digit ||P||_2, at scales 2^+-600 where an unscaled Gram would
+    # overflow or underflow.  The bound is the sweep's own, which is
+    # inf or 0 at those scales, or the float sigma itself.  On the
+    # absorbed column the root of the Gram's top eigenvalue alone falls
+    # below sigma, and only the rounding lift restores the bound.
+    rng = np.random.default_rng(seed)
+    P = np.ldexp(draw_norm_input(rng, m, kind), scale)
+    sigma = sigma_max(P)
+    given_bound = stability._norm_bound(P) if bound == "sweep" else float(sigma)
+    got = stability._gram_norm(P, given_bound)
+    assert isinstance(got, float)
+    with mpmath.workdps(60):
+        assert sigma <= got <= sigma * (1 + mpmath.mpf(stability._norm_lift(m)))
+
+
+@pytest.mark.parametrize("infos", [[1], [-3], [2, 1], [3, 4]])
+def test_gram_norm_raises_when_dsyevr_fails(monkeypatch, infos):
+    # A lost index (info 2 or 3) earns one call for every eigenvalue;
+    # any other nonzero info, on either call, raises.
+    calls = []
+
+    def failing(a, **kwargs):
+        calls.append(kwargs.get("range", "A"))
+        w = np.zeros(len(a))
+        return w, np.zeros((0, 0)), 0, np.zeros(0, dtype=np.int32), infos[len(calls) - 1]
+
+    monkeypatch.setattr(stability, "dsyevr", failing)
+    with pytest.raises(NotConverged, match=rf"dsyevr .* \(info = {infos[-1]}\)"):
+        tau_estimate(np.array([[0.0, 2.0], [0.0, 0.5]]), 1.0)
+    assert calls == ["I", "A"][: len(infos)]
 
 
 @pytest.mark.parametrize("big", [1e50, 1e160])
