@@ -14,8 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
-import scipy.sparse
+# scipy.optimize first: importing the bindings by their own path first
+# made start-up about 5 ms slower (medians of 24 and 30 runs).
+import scipy.optimize  # noqa: F401
+from scipy.optimize._highspy import _core as _highs
 
 from .errors import (
     DegenerateInput,
@@ -37,11 +39,13 @@ MERGE_TOL = 1e-10
 # on reduced costs, relative to the largest cost, under which a solution
 # of the restricted program is accepted as optimal.  With six, the first
 # program was optimal on every fig4 kernel pair of the certify benchmark
-# (seeds 0-31, t = 1-6).  Measured against 47.4 ms of W2 per fig4 op
-# with six: 3, 4 and 10 neighbours took 63.9, 66.5 and 57.3 ms, HiGHS
-# presolve 59.2 ms and its primal simplex 113 ms; the restricted dual
-# program took 100.8 ms against 38.3 ms for this one.  Most of what is
-# left is scipy's linprog wrapper, which loops in Python over columns.
+# (seeds 0-31, t = 1-6).  Measured through scipy's wrapper, against
+# 47.4 ms of W2 per fig4 op with six: 3, 4 and 10 neighbours took 63.9,
+# 66.5 and 57.3 ms, HiGHS presolve 59.2 ms and its primal simplex
+# 113 ms; the restricted dual program took 100.8 ms against 38.3 ms for
+# this one.  Solving through the bindings directly (_transport_solve)
+# took W2 per fig4 op from 22.1 to 12.3 ms (best of 15; t = 1-6: 0.19,
+# 0.28, 0.63, 1.26, 3.05 and 6.91 ms), of which HiGHS's run is 71%.
 TRANSPORT_NEIGHBOURS = 6
 TRANSPORT_SLACK = 1e-13
 # Odd multiplier of the row hash _equal_rows sorts on (2^64 / golden ratio).
@@ -437,8 +441,9 @@ def wasserstein_exact(
     Cuturi, Computational Optimal Transport, 2019, ch. 3; Schmitzer,
     JMIV 2016).  It opens with each source's TRANSPORT_NEIGHBOURS
     cheapest targets and the north-west-corner staircase, which keeps
-    it feasible.  HiGHS solves the restricted program and returns its
-    duals u, v, with reduced cost c(a, b) - u_a - v_b above
+    it feasible.  HiGHS's dual simplex, called through the bindings
+    scipy ships (_transport_solve), solves the restricted program and
+    returns its duals u, v, with reduced cost c(a, b) - u_a - v_b above
     -delta = -TRANSPORT_SLACK * max c on every active cell (measured:
     above -6e-16 max c).  When every inactive cell has one above -delta
     too, (u, v - delta) is feasible for the dual of the full program,
@@ -448,7 +453,8 @@ def wasserstein_exact(
 
     Raises NotNormalized when either mass vector sums to NaN or is off 1
     by more than 1e-9, InputError unless ell is finite and >= 1 and every
-    support point is finite, and NotConverged when HiGHS finds no optimum.
+    support point is finite, and NotConverged, with HiGHS's model
+    status, when it reports no optimum.
     """
     _check_order(ell)
     for name, k in (("first", p), ("second", q)):
@@ -470,35 +476,68 @@ def wasserstein_exact(
     b_eq = np.r_[a, b[:-1]]
     while True:
         rows, cols = np.nonzero(active)
-        cells = np.arange(len(rows))
-        # Cell (i, j) enters the sum of row i and, unless j is the last
-        # column, the sum of column j.
-        in_col = cols < k - 1
-        A_eq = scipy.sparse.csr_array(
-            (
-                np.ones(len(rows) + int(in_col.sum())),
-                (np.r_[rows, m + cols[in_col]], np.r_[cells, cells[in_col]]),
-            ),
-            shape=(m + k - 1, len(rows)),
-        )
-        res = scipy.optimize.linprog(
-            c=cost[rows, cols], A_eq=A_eq, b_eq=b_eq, bounds=(0, None),
-            method="highs", options={"presolve": False},
-        )
-        if not res.success:
-            raise NotConverged(f"transport program failed: {res.message}")
-        dual = res.eqlin.marginals
+        fun, x, dual = _transport_solve(cost[rows, cols], rows, cols, m, b_eq)
         reduced = cost - dual[:m, None] - np.append(dual[m:], 0.0)[None, :]
         violating = ~active & (reduced < -slack)
         if not violating.any():
             break
         active |= violating
-    value = float(max(res.fun, 0.0) ** (1.0 / ell))
+    value = float(max(fun, 0.0) ** (1.0 / ell))
     if return_plan:
         plan = np.zeros((m, k))
-        plan[rows, cols] = res.x
+        plan[rows, cols] = x
         return value, plan
     return value
+
+
+def _transport_solve(
+    c: np.ndarray, rows: np.ndarray, cols: np.ndarray, m: int, b_eq: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Minimize c x over x >= 0, one variable per cell (rows, cols) of
+    an m x k plan, with row sums b_eq[:m] and column sums b_eq[m:] for
+    the first k - 1 columns.  Returns the objective, x and the duals of
+    the sums; NotConverged unless HiGHS reports an optimum.
+
+    The program goes column-wise to scipy's own HiGHS bindings, with
+    presolve off and the log silenced: HiGHS prints to stdout otherwise.
+    """
+    n, n_rows = len(c), len(b_eq)
+    # Cell (i, j) enters the sum of row i and, unless j is the last
+    # column, the sum of column j, in that order.
+    in_col = cols < n_rows - m
+    start = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(1 + in_col, out=start[1:])
+    index = np.empty(start[-1], dtype=np.intp)
+    index[start[:-1]] = rows
+    index[start[:-1][in_col] + 1] = m + cols[in_col]
+    lp = _highs.HighsLp()
+    lp.num_col_, lp.num_row_ = n, n_rows
+    lp.col_cost_ = c
+    lp.col_lower_ = np.zeros(n)
+    lp.col_upper_ = np.full(n, np.inf)
+    lp.row_lower_ = lp.row_upper_ = b_eq
+    A = lp.a_matrix_
+    A.format_ = _highs.MatrixFormat.kColwise
+    A.num_col_, A.num_row_ = n, n_rows
+    # The bindings copy integer vectors element by element, from a list
+    # about twice as fast as from an array.
+    A.start_ = start.tolist()
+    A.index_ = index.tolist()
+    A.value_ = np.ones(len(index))
+    solver = _highs._Highs()
+    solver.setOptionValue("output_flag", False)
+    solver.setOptionValue("presolve", "off")
+    solver.passModel(lp)
+    solver.run()
+    status = solver.getModelStatus()
+    if status != _highs.HighsModelStatus.kOptimal:
+        raise NotConverged(f"transport program failed: {solver.modelStatusToString(status)}")
+    solution = solver.getSolution()
+    return (
+        solver.getInfo().objective_function_value,
+        np.array(solution.col_value),
+        np.array(solution.row_dual),
+    )
 
 
 def _initial_cells(cost: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:

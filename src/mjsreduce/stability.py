@@ -448,14 +448,43 @@ def tau_estimate(M: np.ndarray, rho: float, k_max: int = TAU_STEPS) -> Transient
     return _sweep(_dense_powers(lambda P: P @ M, np.eye(M.shape[0]), k_max), rho, exact=True)
 
 
+SMALLEST_NORMAL = float(np.finfo(float).tiny)  # 2^-1022
+# Norm bounds below this are retaken on a scaled copy (_norm_bound).
+# Above it the float sum of squares is at least 2^-800, so the squares
+# that underflow, each off by at most 2^-1075, move it by a relative
+# m^2 2^-275 at most, and the product ||P||_1 ||P||_inf is normal.
+TINY_BOUND = 2.0**-400
+
+
 def _norm_bound(P: np.ndarray) -> float:
     # ||P||_2 <= ||P||_F and ||P||_2 <= sqrt(||P||_1 ||P||_inf), inf where
     # these overflow for a finite P; the tau sweep stops on this bound,
-    # and on a scaled identity only the second one is tight.
+    # and on a scaled identity only the second one is tight.  Below
+    # TINY_BOUND the squares or the product may have underflowed, to 0
+    # for a P != 0, so the bound is then that of P scaled up by a power
+    # of two, which is exact, scaled back and rounded up.
     absP = np.abs(P)
     with np.errstate(over="ignore"):
         one, inf = absP.sum(axis=0).max(), absP.sum(axis=1).max()
-        return float(min(np.linalg.norm(P, "fro"), np.sqrt(one * inf)))
+        bound = float(min(np.linalg.norm(P, "fro"), np.sqrt(one * inf)))
+    if not bound < TINY_BOUND:
+        return bound
+    top = float(absP.max())
+    if top == 0.0:
+        return 0.0
+    e = math.frexp(top)[1]
+    return _ldexp_up(_norm_bound(np.ldexp(P, -e)), e)
+
+
+def _ldexp_up(x: float, e: int) -> float:
+    """x 2^e rounded up, inf where it overflows: math.ldexp is exact
+    unless the result falls below the normal range, where the next
+    float up covers its rounding."""
+    try:
+        y = math.ldexp(x, e)
+    except OverflowError:
+        return math.inf
+    return y if y >= SMALLEST_NORMAL else math.nextafter(y, math.inf)
 
 
 UNIT = 0.5 * np.finfo(float).eps  # u = 2^-53, the unit roundoff
@@ -483,7 +512,7 @@ def _gram_norm(P: np.ndarray, bound: float) -> float:
     Gram; bound is the sweep's bound on ||P||_2.
 
     S = 2^-e P, with 2^(e-1) <= bound < 2^e, or from max|P| where bound
-    overflowed or underflowed, is exact up to entries that underflow;
+    is 0 or inf, is exact up to entries that underflow;
     ||S||_F^2 <= m^2, so the float Gram G = fl(S'S) cannot overflow.
     Its entries are m-term dot products: G = S'S + E with
     |E| <= gamma_m |S|'|S| entrywise, so ||E||_2 <= gamma_m ||S||_F^2,
@@ -500,7 +529,8 @@ def _gram_norm(P: np.ndarray, bound: float) -> float:
     three roundings of the sum and the underflow of entries of S or G,
     whose error is at most m^2 2^-1074, far below u lam >= u / (4 m).  The
     factor 1 + 4u on the root covers its rounding and that of the
-    product; scaling back by 2^e is exact, and inf where it overflows.
+    product; scaling back by 2^e is exact, rounded up where it falls
+    below the normal range, and inf where it overflows (_ldexp_up).
     Any other nonzero info from dsyevr raises NotConverged.
     """
     m = P.shape[0]
@@ -524,10 +554,7 @@ def _gram_norm(P: np.ndarray, bound: float) -> float:
     lam = max(float(w[0]), 0.0)
     c = 2 * m + GRAM_ERROR
     root = math.sqrt(lam + _gamma(2 * m) * trace + c * UNIT * lam) * (1.0 + 4.0 * UNIT)
-    try:
-        return math.ldexp(root, e)
-    except OverflowError:
-        return math.inf
+    return _ldexp_up(root, e)
 
 
 def _norm_lift(m: int) -> float:

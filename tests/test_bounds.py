@@ -565,11 +565,11 @@ def full_transport_lp(p, q, ell):
 
 
 @pytest.mark.invariant
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    m=st.integers(1, 8),
-    k=st.integers(1, bounds.TRANSPORT_NEIGHBOURS),
+    m=st.integers(1, 12),
+    k=st.integers(1, 3 * bounds.TRANSPORT_NEIGHBOURS),
     n=st.integers(1, 3),
     ell=st.sampled_from([1, 2, 3]),
     duplicates=st.booleans(),
@@ -577,8 +577,10 @@ def full_transport_lp(p, q, ell):
 )
 def test_wasserstein_matches_the_full_program(seed, m, k, n, ell, duplicates, zeros):
     # With at most TRANSPORT_NEIGHBOURS targets every cell is active
-    # from the start.  Repeated support points tie costs, and zero
-    # masses give empty rows and columns, both degenerate programs.
+    # from the start; past that the program opens on a subset of the
+    # cells, and the duals decide which others join.  Repeated support
+    # points tie costs, and zero masses give empty rows and columns,
+    # both degenerate programs.
     rng = np.random.default_rng(seed)
 
     def law(size):
@@ -638,9 +640,8 @@ def test_wasserstein_adds_cells_the_duals_price_below_zero():
     light = np.column_stack([0.07 * np.arange(8), np.full(8, 0.05)])
     p = dist(sources, np.full(5, 0.2))
     q = dist(np.vstack([[100.0, 0.0], light]), np.r_[0.5, np.full(8, 0.5 / 8)])
-    solve = scipy.optimize.linprog
     for ell in (1, 2):
-        with mock.patch.object(bounds.scipy.optimize, "linprog", wraps=solve) as spy:
+        with mock.patch.object(bounds, "_transport_solve", wraps=bounds._transport_solve) as spy:
             got, plan = wasserstein_exact(p, q, ell=ell, return_plan=True)
         assert spy.call_count >= 2
         want, _ = full_transport_lp(p, q, ell)
@@ -649,12 +650,41 @@ def test_wasserstein_adds_cells_the_duals_price_below_zero():
 
 
 def test_wasserstein_failure_is_a_computation_error():
+    # A model status other than optimal raises, with HiGHS's own words.
+    highs = bounds._highs
+    solver_class = highs._Highs
+    stalled = highs.HighsModelStatus.kIterationLimit
+
+    class Stalled:
+        def __init__(self):
+            self.solver = solver_class()
+
+        def __getattr__(self, name):
+            return getattr(self.solver, name)
+
+        def getModelStatus(self):
+            return stalled
+
+    message = solver_class().modelStatusToString(stalled)
+    assert message
     p = dist([[0.0], [1.0]], [0.5, 0.5])
-    failed = scipy.optimize.OptimizeResult(success=False, status=4, message="numerical difficulties")
-    with mock.patch.object(bounds.scipy.optimize, "linprog", return_value=failed):
-        with pytest.raises(NotConverged, match="numerical difficulties") as caught:
+    with mock.patch.object(highs, "_Highs", Stalled):
+        with pytest.raises(NotConverged, match=message) as caught:
             wasserstein_exact(p, p)
     assert isinstance(caught.value, ComputationError)
+
+
+def test_wasserstein_prints_nothing(capfd):
+    # HiGHS logs to the console unless told not to; the benchmark reads
+    # its result from the last line of stdout.
+    model, _ = fig4_model()
+    red = reduce_model(model, 3, seed=0).reduced
+    x0 = np.array([1.0, 1.0])
+    p = transition_kernel_enum(model, x0, 6)
+    q = transition_kernel_enum(red, x0, 6)
+    capfd.readouterr()
+    wasserstein_exact(p, q, ell=2)
+    assert capfd.readouterr() == ("", "")
 
 
 @pytest.mark.invariant

@@ -222,6 +222,29 @@ def test_tau_certified_flag():
     assert tau_estimate(J, 0.55, k_max=80).complete
 
 
+@pytest.mark.parametrize("scale", [2.0**-200, 1e-60])
+def test_tau_of_a_tiny_problem_matches_the_problem_scaled_up(scale):
+    # The entries of (scale J)^3 lie below 1e-162, where the squares and
+    # the product of the cheap norm bound underflow to 0; that bound was
+    # read as M^3 = 0 and certified tau = 2.41.  Up to k = 5 every power
+    # and every scale^k is still a normal float.
+    J = np.array([[1.0, 1.0], [0.0, 1.0]])
+    want = tau_estimate(J * 0.5, 0.5, k_max=5)
+    got = tau_estimate(J * scale, scale, k_max=5)
+    assert abs(got.value - want.value) <= stability._norm_lift(2) * want.value
+    assert (got.argmax_k, got.k_max, got.complete) == (want.argmax_k, want.k_max, want.complete)
+
+
+@pytest.mark.parametrize("e", [-600, -1000, -1070])
+def test_norm_bound_of_a_tiny_power_stays_above_its_norm(e, rng):
+    # Down to subnormal entries, and 0 only for the zero matrix.
+    P = np.ldexp(rng.standard_normal((5, 5)), e)
+    bound = stability._norm_bound(P)
+    with mpmath.workdps(60):
+        assert sigma_max(P) <= bound * (1.0 + stability.BOUND_MARGIN)
+    assert stability._norm_bound(np.zeros((5, 5))) == 0.0
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("T", [[[1.0]], [[0.5, 0.5], [0.5, 0.5]], [[0.0, 1.0], [1.0, 0.0]]])
 def test_tau_certifies_scaled_identity_modes_at_once(n, T):
@@ -708,9 +731,16 @@ def test_walk_takes_few_eigenvalues_and_norms(monkeypatch):
 
 def oracle_bound(P):
     """min(||P||_F, sqrt(||P||_1 ||P||_inf)), the bound on which the tau
-    sweep skips norms and stops, from numpy's matrix norms."""
-    one, inf = np.linalg.norm(P, 1), np.linalg.norm(P, np.inf)
-    return float(min(np.linalg.norm(P, "fro"), np.sqrt(one * inf)))
+    sweep skips norms and stops, from numpy's matrix norms.  They are
+    taken on P scaled by a power of two to a largest entry in [1/2, 1),
+    which is exact, so that no square or product underflows."""
+    top = np.abs(P).max()
+    if top == 0.0:
+        return 0.0
+    e = int(np.frexp(top)[1])
+    S = np.ldexp(P, -e)
+    one, inf = np.linalg.norm(S, 1), np.linalg.norm(S, np.inf)
+    return float(np.ldexp(min(np.linalg.norm(S, "fro"), np.sqrt(one * inf)), e))
 
 
 def oracle_powers(M, k_max):
