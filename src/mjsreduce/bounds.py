@@ -102,14 +102,13 @@ class BoundInputs:
         partition: Partition,
         branch: str,
         x0,
-        xi: float | None = None,
         budget: int = JSR_BUDGET,
     ) -> "BoundInputs":
         """The constants of model, partition and x0, with the transient
-        constants of stability_report(model, xi=xi, budget=budget);
+        constants of stability_report(model, budget=budget);
         DimensionMismatch unless x0 has shape (n,)."""
         x0 = _check_x0(x0, model.n)
-        rep = stability_report(model, xi=xi, budget=budget)
+        rep = stability_report(model, budget=budget)
         eps = perturbations(model, partition, branch)
         return cls(
             n=model.n,

@@ -38,7 +38,9 @@ restriction alone, at n = 4 about a quarter of the flops of the full
 power.  Above DEFAULT_SIZE_CAP no dense power is formed: L^k is
 completely positive, so ||L^k||_2 <= sqrt(||L^k(I)|| ||L*^k(I)||) in
 the largest block 2-norm, and tau is reported as that upper bound,
-with a running bound on the rounding of the iterates added.
+with a running bound on the rounding of the iterates added.  Each
+sweep runs on its operator times the power of two that puts its level
+in [1/2, 1): that scaling is exact, and the level's powers stay normal.
 
 The dense form of L is the augmented (s n^2) x (s n^2) block matrix
 whose (i, j) block is T(j, i) * kron(A_j, A_j), built from the same
@@ -66,8 +68,9 @@ maximum over k < K the sup over every k (complete), and the sweep
 stops at the first such K.  For kappa the level K that sets the upper
 bound has g(K) = (upper / xi)^K < 1 for xi above it.  One level check
 refuses a NaN or nonpositive rho or xi, or one below its radius, before
-either sweep.  A model whose krons, powers, iterates or mode products
-overflow is refused with DegenerateInput.
+either sweep.  A model whose krons or mode products overflow is
+refused with DegenerateInput; a power or iterate of L that overflows
+ends the tau sweep at inf.
 """
 
 from __future__ import annotations
@@ -267,21 +270,25 @@ class MomentOperator:
         holds because L^k is completely positive (exact=False); a
         running bound on the rounding of the iterates L^k(I) and
         L*^k(I) is added, so the float bound holds too.  The sweep
-        stops at the first certifying k (see _sweep).  A power or an
-        iterate that overflows raises DegenerateInput, and a k_max that
-        is no integer >= 0 raises DimensionMismatch.
+        stops at the first certifying k (see _sweep).  Both paths step
+        the operator on T 2^-e, 2^(e-1) <= rho < 2^e, which is L 2^-e
+        exactly unless an entry of T 2^-e falls below the normal range.
+        A power or an iterate that overflows ends the sweep at inf, and
+        a k_max that is no integer >= 0 raises DimensionMismatch.
         """
         _check_count("k_max", k_max, 0)
+        with np.errstate(over="ignore"):
+            scaled = MomentOperator(self.A, np.ldexp(self.T, -_level_exponent(rho)))
         if self.dim > DEFAULT_SIZE_CAP:
-            return _sweep(self._power_bounds(k_max), rho, exact=False)
-        return _sweep(_dense_powers(*self._restriction(), k_max), rho, exact=True)
+            return _sweep(scaled._power_bounds(k_max), rho, exact=False)
+        return _sweep(_dense_powers(*scaled._restriction(), k_max), rho, exact=True)
 
     def _restriction(self):
         # (step, identity) for the restriction of L to symmetric stacks,
         # in the basis Q of _symmetric_basis: kernels Q' kron(A_j, A_j) Q,
         # stepped on every column of a power at once, in
         # O(s d^2 + s^2 d) per column for s d rows.  A step may overflow
-        # silently: _dense_powers refuses a power that is not finite.
+        # silently: the bound of a power that is not finite is not either.
         # Its norm is ||L^k||_2, since T >= 0.  L^k and L*^k then map
         # positive semidefinite stacks to such stacks, complex ones too,
         # and so does F = L*^k L^k, which is self-adjoint with top
@@ -322,21 +329,21 @@ class MomentOperator:
         # is at most sum_j B_(k-j) ||d_j||, with B_m the bound yielded
         # at m (B_0 = 1), and likewise for Y.  A block's 2-norm is at most
         # its Frobenius norm, and 1 + gamma on the result covers the
-        # 2-norms, the sums and the square root.
+        # 2-norms, the sums and the square root.  An iterate that is not
+        # finite ends them at inf, and so may a rounding bound.
         gamma = _gamma(self.dim + 2)
         local = (1.0 + 3.0 * gamma) * gamma
         absolute = MomentOperator(np.abs(self.A), self.T)
         X = Y = self._identity()
         bounds, steps, steps_adj = [1.0], [], []
         for k in range(1, k_max + 1):
-            # An iterate that overflows raises; a rounding bound that
-            # does is an infinite, and so still valid, bound.
             with np.errstate(over="ignore", invalid="ignore"):
                 steps.append(local * np.linalg.norm(absolute.apply(np.abs(X))))
                 steps_adj.append(local * np.linalg.norm(absolute.adjoint(np.abs(Y))))
                 X, Y = self.apply(X), self.adjoint(Y)
-                _check_finite(X, f"L^{k}(I)")
-                _check_finite(Y, f"L*^{k}(I)")
+                if not (np.isfinite(X).all() and np.isfinite(Y).all()):
+                    yield math.inf, None
+                    return
                 past = bounds[::-1]
                 top = np.linalg.norm(X, 2, axis=(1, 2)).max() + np.dot(past, steps)
                 top_adj = np.linalg.norm(Y, 2, axis=(1, 2)).max() + np.dot(past, steps_adj)
@@ -437,54 +444,36 @@ def tau_estimate(M: np.ndarray, rho: float, k_max: int = TAU_STEPS) -> Transient
     """Transient growth constant sup_k ||M^k||_2 / rho^k, k = 0..k_max.
 
     Requires a positive rho >= spectral_radius(M) (RhoTooSmall
-    otherwise; the sup would diverge).  The norms are _sweep's, at
-    most _norm_lift(len(M)) above ||M^k||_2.  The result is complete when
-    some swept power certifies the sup over every k.  A k_max that is
-    no integer >= 0 raises DimensionMismatch.
+    otherwise; the sup would diverge).  The norms are _sweep's, of the
+    powers of M 2^-e, at most _norm_lift(len(M)) above ||M^k||_2 2^-ek.
+    The result is complete when some swept power certifies the sup over
+    every k.  A k_max that is no integer >= 0 raises DimensionMismatch.
     """
     _check_count("k_max", k_max, 0)
     M = np.asarray(M, dtype=float)
     _check_level("rho", rho, spectral_radius(M))
-    return _sweep(_dense_powers(lambda P: P @ M, np.eye(M.shape[0]), k_max), rho, exact=True)
+    with np.errstate(over="ignore"):
+        M = np.ldexp(M, -_level_exponent(rho))
 
+    def step(P):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return P @ M
 
-SMALLEST_NORMAL = float(np.finfo(float).tiny)  # 2^-1022
-# Norm bounds below this are retaken on a scaled copy (_norm_bound).
-# Above it the float sum of squares is at least 2^-800, so the squares
-# that underflow, each off by at most 2^-1075, move it by a relative
-# m^2 2^-275 at most, and the product ||P||_1 ||P||_inf is normal.
-TINY_BOUND = 2.0**-400
+    return _sweep(_dense_powers(step, np.eye(M.shape[0]), k_max), rho, exact=True)
 
 
 def _norm_bound(P: np.ndarray) -> float:
-    # ||P||_2 <= ||P||_F and ||P||_2 <= sqrt(||P||_1 ||P||_inf), inf where
-    # these overflow for a finite P; the tau sweep stops on this bound,
-    # and on a scaled identity only the second one is tight.  Below
-    # TINY_BOUND the squares or the product may have underflowed, to 0
-    # for a P != 0, so the bound is then that of P scaled up by a power
-    # of two, which is exact, scaled back and rounded up.
-    absP = np.abs(P)
-    with np.errstate(over="ignore"):
+    # ||P||_2 <= ||P||_F and ||P||_2 <= sqrt(||P||_1 ||P||_inf); the tau
+    # sweep stops on this bound, and on a scaled identity only the
+    # second one is tight.  m^2 2^-1074 covers the m^2 squares and sums
+    # that may underflow, and changes no sum above 2^-990.  The second
+    # bound, as two roots, is inf only where ||P||_1 or ||P||_inf
+    # overflows, so ||P||_2 >= 2^1024 / sqrt(m), or P is not finite.
+    absP, flat = np.abs(P), P.ravel()
+    with np.errstate(over="ignore", invalid="ignore"):
         one, inf = absP.sum(axis=0).max(), absP.sum(axis=1).max()
-        bound = float(min(np.linalg.norm(P, "fro"), np.sqrt(one * inf)))
-    if not bound < TINY_BOUND:
-        return bound
-    top = float(absP.max())
-    if top == 0.0:
-        return 0.0
-    e = math.frexp(top)[1]
-    return _ldexp_up(_norm_bound(np.ldexp(P, -e)), e)
-
-
-def _ldexp_up(x: float, e: int) -> float:
-    """x 2^e rounded up, inf where it overflows: math.ldexp is exact
-    unless the result falls below the normal range, where the next
-    float up covers its rounding."""
-    try:
-        y = math.ldexp(x, e)
-    except OverflowError:
-        return math.inf
-    return y if y >= SMALLEST_NORMAL else math.nextafter(y, math.inf)
+        fro = math.sqrt(flat.dot(flat) + P.size * math.ulp(0.0))
+        return min(fro, math.sqrt(one) * math.sqrt(inf))
 
 
 UNIT = 0.5 * np.finfo(float).eps  # u = 2^-53, the unit roundoff
@@ -511,8 +500,8 @@ def _gram_norm(P: np.ndarray, bound: float) -> float:
     at most ||P||_2 (1 + _norm_lift(m)), from the top eigenvalue of its
     Gram; bound is the sweep's bound on ||P||_2.
 
-    S = 2^-e P, with 2^(e-1) <= bound < 2^e, or from max|P| where bound
-    is 0 or inf, is exact up to entries that underflow;
+    S = 2^-e P, with 2^(e-1) <= bound < 2^e for the finite bound > 0
+    the sweep passes, is exact up to entries that underflow;
     ||S||_F^2 <= m^2, so the float Gram G = fl(S'S) cannot overflow.
     Its entries are m-term dot products: G = S'S + E with
     |E| <= gamma_m |S|'|S| entrywise, so ||E||_2 <= gamma_m ||S||_F^2,
@@ -529,13 +518,11 @@ def _gram_norm(P: np.ndarray, bound: float) -> float:
     three roundings of the sum and the underflow of entries of S or G,
     whose error is at most m^2 2^-1074, far below u lam >= u / (4 m).  The
     factor 1 + 4u on the root covers its rounding and that of the
-    product; scaling back by 2^e is exact, rounded up where it falls
-    below the normal range, and inf where it overflows (_ldexp_up).
-    Any other nonzero info from dsyevr raises NotConverged.
+    product; scaling back by 2^e is exact, as the sweep's bound is
+    above 2^-k, and inf where it overflows.  Any other nonzero info
+    from dsyevr raises NotConverged.
     """
     m = P.shape[0]
-    if not 0.0 < bound < math.inf:
-        bound = max(float(P.max()), -float(P.min()))
     e = math.frexp(bound)[1]
     S = np.ldexp(P, -e)
     G = S.T @ S
@@ -554,7 +541,7 @@ def _gram_norm(P: np.ndarray, bound: float) -> float:
     lam = max(float(w[0]), 0.0)
     c = 2 * m + GRAM_ERROR
     root = math.sqrt(lam + _gamma(2 * m) * trace + c * UNIT * lam) * (1.0 + 4.0 * UNIT)
-    return _ldexp_up(root, e)
+    return math.ldexp(root, e - 1) * 2.0  # root < 2: only the product may overflow, to inf
 
 
 def _norm_lift(m: int) -> float:
@@ -572,15 +559,11 @@ def _norm_lift(m: int) -> float:
 
 def _dense_powers(step, P, k_max: int):
     # Yields (bound on ||P_k||_2, P_k) for k = 1..k_max, from P_0 = P and
-    # P_k = step(P_(k-1)).  A power with an entry that is not finite
-    # raises DegenerateInput; its bound is then not finite either, so
-    # only such a bound is checked entry by entry.
-    for k in range(1, k_max + 1):
+    # P_k = step(P_(k-1)).  A power that is not finite has a bound that
+    # is not finite either, which ends the sweep.
+    for _ in range(k_max):
         P = step(P)
-        bound = _norm_bound(P)
-        if not math.isfinite(bound):
-            _check_finite(P, f"power {k} of the second-moment operator")
-        yield bound, P
+        yield _norm_bound(P), P
 
 
 def _power(x: float, k: int) -> float:
@@ -592,34 +575,46 @@ def _power(x: float, k: int) -> float:
         return math.inf
 
 
+def _level_exponent(level: float) -> int:
+    # e with 2^(e-1) <= level < 2^e: the sweeps run at 2^-e level.
+    return math.frexp(level)[1]
+
+
 def _sweep(powers, level: float, exact: bool) -> TransientEstimate:
     """Running maximum of g(k) = ||M^k||_2 / level^k, k = 1, 2, ...,
     up to the first certifying k.
 
-    powers yields, for each k, a pair (bound, P) with
-    ||P||_2 = ||M^k||_2 <= bound.  Where P is given, its 2-norm is
-    taken, by _gram_norm, only where the bound, lifted by BOUND_MARGIN,
-    could still pass the strict update; with P = None the bound is the
-    norm.  _gram_norm is never below the 2-norm and at most
-    _norm_lift(m) above it, so the value is never below the sup of g
-    over the swept k and at most that lift above it: a skipped k has
-    g(k) below the running maximum.  Since g(a + b) <= g(a) g(b), one K
-    with g(K) <= 1 makes the sweep over k < K the sup over every k
+    powers yields, for each k, a pair (bound, P) with ||P||_2 =
+    ||(2^-e M)^k||_2 <= bound, e = _level_exponent(level): the powers
+    of M 2^-e, which the caller forms exactly.  So g(k) = ||P||_2 / u^k
+    with u = 2^-e level in [1/2, 1), and u^k in [2^-k, 1] is normal for
+    every k <= 1022.  Where P is given, its 2-norm is taken, by
+    _gram_norm, only where the bound, lifted by BOUND_MARGIN, could
+    still pass the strict update; with P = None the bound is the norm.
+    _gram_norm is never below the 2-norm and at most _norm_lift(m)
+    above it, so the value is never below the sup of g over the swept k
+    and at most that lift above it: a skipped k has g(k) below the
+    running maximum.  Since g(a + b) <= g(a) g(b), one K with
+    g(K) <= 1 makes the sweep over k < K the sup over every k
     (complete), and the sweep stops there: every later g(K + j) is at
-    most g(j) / (1 + BOUND_MARGIN).  A level^k that overflows gives
-    g = 0, and one that underflows gives g = inf; neither raises.
+    most g(j) / (1 + BOUND_MARGIN).  Only a bound above 2^-k / (1 +
+    BOUND_MARGIN) can keep g(k) from certifying; a P that underflowed
+    lies far below that.  A bound that is not finite, as from a P that
+    overflowed, ends the sweep with value inf, argmax_k = k and
+    complete False.
     """
+    unit = math.ldexp(level, -_level_exponent(level))
     best, arg, complete, k = 1.0, 0, False, 0
     for k, (bound, P) in enumerate(powers, start=1):
-        if not bound:  # M^k = 0, and so is every later power
-            complete = True
+        if not bound < math.inf:
+            best, arg = math.inf, k
             break
-        rk = _power(level, k)
-        top = bound * (1.0 + BOUND_MARGIN) / rk if rk else math.inf
+        rk = unit**k
+        top = bound * (1.0 + BOUND_MARGIN) / rk
         complete = top <= 1.0
         if top > best:
             norm = bound if P is None else _gram_norm(P, bound)
-            val = norm / rk if rk else math.inf
+            val = norm / rk
             if val > best:
                 best, arg = val, k
         if complete:
@@ -786,10 +781,14 @@ def kappa_estimate(jsr: JsrBounds, xi: float) -> TransientEstimate:
     xi must be positive and dominate jsr.upper (XiTooSmall otherwise).
     The level K that sets jsr.upper has g(K) = (upper / xi)^K < 1
     whenever xi > upper, so only an xi within the 1e-12 slack below
-    upper can leave the maximum uncertified (complete=False).
+    upper can leave the maximum uncertified (complete=False).  The
+    sweep reads m_k 2^-ek, 2^(e-1) <= xi < 2^e (see _sweep).
     """
     _check_level("xi", xi, jsr.upper)
-    return _sweep(((m, None) for m in jsr.level_maxima), xi, exact=True)
+    e = _level_exponent(xi) * np.arange(1, len(jsr.level_maxima) + 1)
+    with np.errstate(over="ignore"):
+        scaled = np.ldexp(jsr.level_maxima, -e)
+    return _sweep(((float(m), None) for m in scaled), xi, exact=True)
 
 
 @dataclass

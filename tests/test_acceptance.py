@@ -6,6 +6,7 @@ package contract; loosening them is a behavior change.
 """
 
 import csv
+import dataclasses
 import itertools
 import os
 import subprocess
@@ -41,7 +42,7 @@ from mjsreduce.model import (
     simulate_coupled_batch,
 )
 from mjsreduce.perturbation import construct_T0, mr_bound
-from mjsreduce.stability import augmented_matrix, spectral_radius
+from mjsreduce.stability import augmented_matrix, spectral_radius, stability_report
 from mjsreduce.synth import SynthConfig, fig4_model, generate
 
 
@@ -252,8 +253,11 @@ def test_criterion_6_uniform_stability_dominance():
             )
         )
         xi = max(np.linalg.norm(model.A[j], 2) for j in range(s)) + 1e-9
-        b = BoundInputs.from_model(
-            model, truth, "aggregatable", x0=np.ones(3), xi=xi, budget=10_000
+        kappa = stability_report(model, xi=xi, budget=10_000).kappa
+        b = dataclasses.replace(
+            BoundInputs.from_model(model, truth, "aggregatable", x0=np.ones(3), budget=10_000),
+            xi=kappa.level,
+            kappa=kappa.value,
         )
         ok_premise, reasons = us_premises(b)
         if not ok_premise:

@@ -211,9 +211,10 @@ def test_stability_levels_far_from_the_radius(tmp_path, capsys):
 
 
 def test_json_outputs_are_strict(tmp_path, capsys):
-    # On the one-mode 3 x 3 shift, rho^2 underflows where ||L^2|| = 1,
-    # so tau is infinite; it is written as the string "inf", not as the
-    # bare token Infinity that strict parsers refuse.
+    # On the one-mode 3 x 3 shift, ||L^2|| / rho^2 = 1e400 leaves the
+    # float range, so tau is infinite and not certified; it is written
+    # as the string "inf", not as the bare token Infinity that strict
+    # parsers refuse.
     shift = tmp_path / "shift.json"
     save_model(MjsModel([np.eye(3, k=1)], None, [[1.0]]), shift)
     out = tmp_path / "out"
@@ -226,7 +227,25 @@ def test_json_outputs_are_strict(tmp_path, capsys):
     with open(out / "stability.json") as fh:
         payload = json.load(fh, parse_constant=refuse)
     assert payload["tau"] == "inf"
+    assert payload["tau_certified"] is False
     assert json.loads(stdout, parse_constant=refuse) == payload
+
+
+def test_stability_tau_does_not_depend_on_the_scale_of_the_modes(tmp_path, capsys):
+    # tau of one Jordan block J = [[1, 1], [0, 1]] is that of any multiple
+    # of it.  At 2^-300 J the powers of L underflowed below the level's
+    # powers, and tau was reported as 2.59, certified at k = 2.
+    J = np.array([[1.0, 1.0], [0.0, 1.0]])
+    keys = ("tau", "tau_argmax_k", "tau_certified")
+    got = {}
+    for e in (-1, -300):
+        path = tmp_path / f"J{e}.json"
+        save_model(MjsModel([np.ldexp(J, e)], None, [[1.0]]), path)
+        code, stdout, err = run(capsys, "stability", str(path), "--out", str(tmp_path / str(e)))
+        assert code == 0, err
+        got[e] = [json.loads(stdout)[key] for key in keys]
+    assert got[-300] == got[-1]
+    assert got[-1][1:] == [64, False]
 
 
 def test_stability_fig4_golden(tmp_path, capsys):

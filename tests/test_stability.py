@@ -1,6 +1,8 @@
+import dataclasses
 import functools
 import inspect
 import itertools
+import math
 
 import mpmath
 import numpy as np
@@ -63,7 +65,7 @@ def test_certificate_entry_points_take_no_tuning_options():
         (stability_comparison, ("model", "reduction", "branch")),
         (
             BoundInputs.from_model,
-            ("model", "partition", "branch", "x0", "xi", "budget"),
+            ("model", "partition", "branch", "x0", "budget"),
         ),
         # Kernels and simulations start from the stationary law.
         (transition_kernel_enum, ("model", "x0", "t")),
@@ -235,6 +237,75 @@ def test_tau_of_a_tiny_problem_matches_the_problem_scaled_up(scale):
     assert (got.argmax_k, got.k_max, got.complete) == (want.argmax_k, want.k_max, want.complete)
 
 
+def sweep_key(est):
+    return est.value, est.argmax_k, est.k_max, est.complete
+
+
+@pytest.mark.invariant
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    s=st.integers(1, 6),
+    n=st.integers(1, 3),
+    j=st.integers(-200, 200),
+    lift=st.sampled_from([1.0, 1.001, 1.2]),
+)
+def test_transient_sweeps_do_not_depend_on_the_scale_of_the_operator(seed, s, n, j, lift):
+    # Modes scaled by 2^j scale L by 2^2j and the level maxima of the JSR
+    # walk by 2^jk; a matrix M is scaled by 2^j.  With the level scaled
+    # alike, each sweep runs on the same operator scaled to a level in
+    # [1/2, 1), so tau and kappa are bit-identical to those at j = 0.
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((s, n, n)) * rng.uniform(0.2, 1.0) / np.sqrt(n)
+    T = rng.dirichlet(np.ones(s), size=s)
+    rho = default_level(MomentOperator(A, T).rho()) * lift
+    taus = [
+        MomentOperator(np.ldexp(A, i), T).tau(math.ldexp(rho, 2 * i), stability.TAU_STEPS)
+        for i in (0, j)
+    ]
+    assert sweep_key(taus[1]) == sweep_key(taus[0])
+    M = augmented_matrix(MjsModel(A, None, T))
+    ests = [tau_estimate(np.ldexp(M, i), math.ldexp(rho, i)) for i in (0, j)]
+    assert sweep_key(ests[1]) == sweep_key(ests[0])
+    # The maxima are scaled by 2^hk, h = j // 2, which keeps all 8 in range.
+    jsr, h = jsr_bounds(A), j // 2
+    scaled = dataclasses.replace(
+        jsr,
+        lower=math.ldexp(jsr.lower, h),
+        upper=math.ldexp(jsr.upper, h),
+        level_maxima=tuple(math.ldexp(m, h * k) for k, m in enumerate(jsr.level_maxima, 1)),
+    )
+    xi = default_level(jsr.upper) * lift
+    kappas = [kappa_estimate(jsr, xi), kappa_estimate(scaled, math.ldexp(xi, h))]
+    assert sweep_key(kappas[1]) == sweep_key(kappas[0])
+
+
+@pytest.mark.invariant
+def test_matrix_free_tau_does_not_depend_on_the_scale_of_the_operator():
+    # Just above DEFAULT_SIZE_CAP (s n^2 = 4112): the iterates of L and
+    # L* and their rounding bounds scale exactly with 2^-200 L.
+    rng = np.random.default_rng(5)
+    s, n = 257, 4
+    A = rng.standard_normal((s, n, n)) * 0.5 / np.sqrt(n)
+    T = rng.dirichlet(np.full(s, 0.2), size=s)
+    assert s * n * n > stability.DEFAULT_SIZE_CAP
+    want = MomentOperator(A, T).tau(0.3, stability.TAU_STEPS)
+    got = MomentOperator(np.ldexp(A, -100), T).tau(math.ldexp(0.3, -200), stability.TAU_STEPS)
+    assert not want.exact and want.argmax_k >= 1 and want.k_max > 2
+    assert sweep_key(got) == sweep_key(want)
+
+
+def test_long_tau_sweep_keeps_the_bounds_of_powers_whose_squares_underflow():
+    # At level rho = 0.5 the powers (0.5 J)^k have norm about k 2^-k;
+    # past k = 537 their squares underflow to 0.  The sweep must still
+    # read g(k) = ||J^k|| = (k + sqrt(k^2 + 4)) / 2 and never certify.
+    J = np.array([[1.0, 1.0], [0.0, 1.0]])
+    est = tau_estimate(0.5 * J, 0.5, k_max=600)
+    want = (600 + math.sqrt(600**2 + 4)) / 2
+    assert want <= est.value <= want * (1.0 + stability._norm_lift(2))
+    assert (est.argmax_k, est.k_max, est.complete) == (600, 600, False)
+
+
 @pytest.mark.parametrize("e", [-600, -1000, -1070])
 def test_norm_bound_of_a_tiny_power_stays_above_its_norm(e, rng):
     # Down to subnormal entries, and 0 only for the zero matrix.
@@ -260,13 +331,15 @@ def test_tau_certifies_scaled_identity_modes_at_once(n, T):
 
 
 def test_tau_levels_whose_powers_overflow_or_underflow():
-    # 1e200^k overflows from k = 2 on: g(k) = 0 and g(1) < 1 certifies.
+    # The sweep runs on M 2^-e with 2^(e-1) <= level < 2^e.  At 1e200
+    # the scaled powers underflow and g(1) < 1 certifies.
     est = tau_estimate(np.diag([0.5, 0.1]), 1e200, k_max=3)
     assert (est.value, est.argmax_k, est.complete) == (1.0, 0, True)
-    # 1e-200^2 underflows while ||S^2|| = 1: g(2) = inf; S^3 = 0 certifies.
+    # At 1e-200, ||S^2|| / 1e-200^2 = 1e400 leaves the float range: the
+    # scaled S^2 overflows, and the sweep stops there, uncertified.
     S = np.eye(3, k=1)
     est = tau_estimate(S, 1e-200, k_max=4)
-    assert (est.value, est.argmax_k, est.complete) == (np.inf, 2, True)
+    assert (est.value, est.argmax_k, est.k_max, est.complete) == (np.inf, 2, 2, False)
     for rho in (0.0, -1e-13):  # level^k would vanish or flip its sign
         with pytest.raises(RhoTooSmall, match="is not positive"):
             tau_estimate(S, rho)
@@ -815,7 +888,8 @@ def test_sweep_stops_at_the_first_certificate(seed, s, n, lift):
     # norm's lift: for the dense tau against the SVDs of powers of the
     # symmetric block built here, and of the augmented matrix; and the
     # swept K certifies: ||L^K|| <= rho^K.  The matrix-free tau and kappa
-    # sweep bounds only, so they match their oracle exactly.
+    # sweep bounds only, so they match their oracle exactly; both are fed
+    # as _sweep takes them, scaled by 2^-e with 2^(e-1) <= level < 2^e.
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((s, n, n)) * rng.uniform(0.2, 1.0) / np.sqrt(n)
     T = rng.dirichlet(np.ones(s), size=s)
@@ -836,11 +910,18 @@ def test_sweep_stops_at_the_first_certificate(seed, s, n, lift):
         assert np.linalg.norm(np.linalg.matrix_power(aug, K), 2) <= rho**K * (1 + 1e-12)
     jsr = jsr_bounds(A)
     xi = default_level(jsr.upper) * lift
-    for est, powers in (
-        (stability._sweep(op._power_bounds(steps), rho, exact=False), op._power_bounds(steps)),
-        (kappa_estimate(jsr, xi), ((m, None) for m in jsr.level_maxima)),
+    e_rho, e_xi = stability._level_exponent(rho), stability._level_exponent(xi)
+    scaled = MomentOperator(A, np.ldexp(T, -e_rho))
+    maxima = [math.ldexp(m, -e_xi * k) for k, m in enumerate(jsr.level_maxima, start=1)]
+    for est, powers, e in (
+        (
+            stability._sweep(scaled._power_bounds(steps), rho, exact=False),
+            scaled._power_bounds(steps),
+            e_rho,
+        ),
+        (kappa_estimate(jsr, xi), ((m, None) for m in maxima), e_xi),
     ):
-        g, first = plain_sweep(powers, est.level)
+        g, first = plain_sweep(powers, math.ldexp(est.level, -e))
         assert_sweep_within_lift(est, g, first, 0.0)
         assert est.argmax_k == g.index(max(g))
 
@@ -903,15 +984,15 @@ def draw_norm_input(rng, m, kind):
     bound=st.sampled_from(["sweep", "sigma"]),
 )
 @example(seed=0, m=40, kind="orthogonal", scale=0, bound="sweep")
-@example(seed=1, m=40, kind="orthogonal", scale=600, bound="sweep")  # the bound overflows
-@example(seed=2, m=40, kind="orthogonal", scale=-600, bound="sweep")  # it underflows
+@example(seed=1, m=40, kind="orthogonal", scale=600, bound="sweep")  # P'P overflows
+@example(seed=2, m=40, kind="orthogonal", scale=-600, bound="sweep")  # P'P underflows
 @example(seed=149, m=30, kind="orthogonal", scale=0, bound="sweep")  # a second dsyevr call
 @example(seed=0, m=40, kind="absorbed", scale=0, bound="sweep")  # fl(P'P) < P'P by 38u
 def test_gram_norm_lies_within_its_lift_of_the_top_singular_value(seed, m, kind, scale, bound):
     # sigma <= _gram_norm(P) <= sigma (1 + _norm_lift(m)) with sigma the
     # 60-digit ||P||_2, at scales 2^+-600 where an unscaled Gram would
-    # overflow or underflow.  The bound is the sweep's own, which is
-    # inf or 0 at those scales, or the float sigma itself.  On the
+    # overflow or underflow.  The bound is the sweep's own, finite at
+    # those scales too, or the float sigma itself.  On the
     # absorbed column the root of the Gram's top eigenvalue alone falls
     # below sigma, and only the rounding lift restores the bound.
     rng = np.random.default_rng(seed)
@@ -943,9 +1024,10 @@ def test_gram_norm_raises_when_dsyevr_fails(monkeypatch, infos):
 
 @pytest.mark.parametrize("big", [1e50, 1e160])
 def test_models_that_overflow_are_degenerate(big):
-    # Mode entries whose krons, powers of L or mode products leave the
-    # float range are refused as DegenerateInput, with no RuntimeWarning
-    # on the way (tier-1 turns one into an error).
+    # Mode entries whose krons or mode products leave the float range
+    # are refused as DegenerateInput, and iterates of L that do end the
+    # tau sweep at inf, with no RuntimeWarning on the way (tier-1 turns
+    # one into an error).
     A = np.array([[[big, 0.3], [0.1, 0.2]], [[0.5, 0.0], [0.2, 0.4]]])
     model = MjsModel(A, None, np.full((2, 2), 0.5))
     with pytest.raises(DegenerateInput, match="overflow"):
@@ -953,5 +1035,7 @@ def test_models_that_overflow_are_degenerate(big):
     with pytest.raises(DegenerateInput, match="overflow"):
         jsr_bounds(A)
     op = MomentOperator(A, model.T)
-    with pytest.raises(DegenerateInput, match="overflow"):
-        list(op._power_bounds(stability.TAU_STEPS))  # the matrix-free iterates
+    bounds = [bound for bound, _ in op._power_bounds(stability.TAU_STEPS)]  # matrix-free
+    K = bounds.index(np.inf) + 1
+    est = stability._sweep(op._power_bounds(stability.TAU_STEPS), 0.5, exact=False)
+    assert (est.value, est.argmax_k, est.k_max, est.complete) == (np.inf, K, K, False)
