@@ -8,7 +8,12 @@ coupled Riccati map.  With phi_i(X) = sum_j T(i, j) X_j:
                 - A_i' phi_i(X)' B_i (R + B_i' phi_i(X) B_i)^{-1}
                   B_i' phi_i(X) A_i
 
-iterated from X = (Q, ..., Q) until the gains settle.  riccati_solve
+iterated from X = (Q, ..., Q) until the gains settle: the stop rule is
+max_i ||K_i - K_prev_i||_2 < RICCATI_TOL.  Those 2-norms, one SVD per
+mode, are taken only on a step whose largest Frobenius gain change is
+at most sqrt(min(p, n)) RICCATI_TOL, lifted by a rounding margin; no
+other step can stop, since ||D||_2 >= ||D||_F / sqrt(min(p, n)), so
+the iteration stops where a per-step 2-norm test would.  riccati_solve
 either returns a converged LqrSolution, timed over its iteration, or
 raises: NotConverged when RICCATI_STEPS steps do not settle it,
 Diverged when a value matrix passes RICCATI_CAP, SingularInnerMatrix
@@ -36,6 +41,7 @@ computed; NotMss carries it.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -82,6 +88,13 @@ WITNESS_GROWTH = 1e12
 RICCATI_STEPS = 100_000
 RICCATI_TOL = 1e-12
 RICCATI_CAP = 1e12
+# Relative margin of the Riccati stop test's Frobenius gate (see
+# riccati_solve).  It covers the rounding of both computed norms: numpy's
+# Frobenius norm of a p x n block is off by at most (p n + 2) u, and
+# LAPACK's top singular value by p(p, n) eps, p a modestly growing
+# function (LAPACK Users' Guide, 3rd ed., 1999, sec. 4.9), far below
+# 1e-9 at any size the package handles.
+GAIN_GATE_MARGIN = 1e-9
 # State norm past which a Monte Carlo run counts as diverged.
 MC_BLOWUP = 1e8
 
@@ -119,6 +132,11 @@ def _riccati_step(
     return -sol, Q + At @ phi @ A - At @ phi.transpose(0, 2, 1) @ B @ sol
 
 
+def _gain_change(delta: np.ndarray) -> float:
+    """Largest 2-norm of the per-mode gain changes delta, shape (s, p, n)."""
+    return float(np.linalg.norm(delta, 2, axis=(1, 2)).max())
+
+
 @dataclass
 class LqrSolution:
     """A converged Riccati fixed point; elapsed_ms times its iteration."""
@@ -134,18 +152,26 @@ class LqrSolution:
 def riccati_solve(model: MjsModel, Q, R) -> LqrSolution:
     """Fixed point of the coupled Riccati map, started from X = Q.
 
-    Stops when the largest gain change between consecutive iterations
-    drops below RICCATI_TOL.  Raises Diverged when any value matrix
-    norm passes RICCATI_CAP (e.g. unstabilizable dynamics), and
-    NotConverged, naming the model size, after RICCATI_STEPS steps.
+    Stops when the largest gain change between consecutive iterations,
+    max_i ||K_i - K_prev_i||_2, drops below RICCATI_TOL.  The 2-norms
+    cost one SVD per mode, so they are taken only on steps that could
+    stop: since ||D||_2 >= ||D||_F / sqrt(min(p, n)) (Golub & Van Loan,
+    Matrix Computations, 2013, sec. 2.3), a step whose largest Frobenius
+    change passes sqrt(min(p, n)) RICCATI_TOL (1 + GAIN_GATE_MARGIN)
+    cannot, and skips them.  Every step and every result is the one the
+    2-norm test at each step gives.  Raises Diverged when any value
+    matrix norm passes RICCATI_CAP (e.g. unstabilizable dynamics), and
+    NotConverged, naming the model size and the 2-norm of the last gain
+    change, after RICCATI_STEPS steps.
     """
     Q, R = _check_qr(model, Q, R)
     t0 = time.perf_counter()
     P = np.tile(Q, (model.s, 1, 1))
-    K_prev = None
+    K_prev = delta = None
     # Identically zero inputs leave nothing for the gain test to see;
     # fall back to the value-delta stop so divergence is still caught.
     track_gains = bool(model.p) and bool(np.any(model.B != 0.0))
+    gate = math.sqrt(min(model.p, model.n)) * RICCATI_TOL * (1.0 + GAIN_GATE_MARGIN)
     p_deltas: list[float] = []
     change = float("nan")  # last change of the tracked gains or values
     for h in range(1, RICCATI_STEPS + 1):
@@ -157,7 +183,12 @@ def riccati_solve(model: MjsModel, Q, R) -> LqrSolution:
             raise Diverged(f"value iteration passed {RICCATI_CAP:.0e} at step {h}")
         if track_gains:
             if K_prev is not None:
-                change = float(np.linalg.norm(K - K_prev, 2, axis=(1, 2)).max())
+                delta = K - K_prev
+                # NaN fails the gate and takes the SVD, as it would without it.
+                if np.linalg.norm(delta, axis=(1, 2)).max() > gate:
+                    change = math.inf
+                else:
+                    change = _gain_change(delta)
             K_prev = K
         else:
             # No gains to track; settle on the value matrices instead.
@@ -171,6 +202,8 @@ def riccati_solve(model: MjsModel, Q, R) -> LqrSolution:
                 elapsed_ms=(time.perf_counter() - t0) * 1e3,
                 p_deltas=p_deltas,
             )
+    if delta is not None:
+        change = _gain_change(delta)
     raise NotConverged(
         f"Riccati iteration on (s, n, p) = ({model.s}, {model.n}, {model.p}) "
         f"did not converge in {RICCATI_STEPS} steps "
@@ -366,6 +399,8 @@ def monte_carlo_cost(
     Raises DimensionMismatch unless burn_in and horizon are integers
     >= 0 and n_traj one >= 1, and InputError unless burn_in < horizon.
     """
+    _check_count("horizon", horizon, 0)
+    _check_count("n_traj", n_traj, 1)
     _check_count("burn_in", burn_in, 0)
     if not burn_in < horizon:
         raise InputError(
@@ -377,7 +412,8 @@ def monte_carlo_cost(
     x0 = np.zeros(model.n) if x0 is None else x0
     totals = np.zeros(n_traj)
     for t, X in enumerate(_rollout(A_cl, modes[None], x0, sigma_w, rng)):
-        if t and (not np.all(np.isfinite(X)) or np.abs(X).max() > MC_BLOWUP):
+        # One reduction; NaN and inf fail the comparison too.
+        if t and not np.abs(X).max() <= MC_BLOWUP:
             return CostReport(
                 value=float("inf"),
                 method="monte_carlo",
@@ -385,7 +421,9 @@ def monte_carlo_cost(
                 diverged=True,
             )
         if burn_in <= t < horizon:
-            totals += np.einsum("bj,bjk,bk->b", X[0], stage[modes[:, t]], X[0])
+            x = X[0]
+            Sx = np.einsum("bjk,bk->bj", np.take(stage, modes[:, t], axis=0), x)
+            totals += np.einsum("bj,bj->b", x, Sx)
     per_traj = totals / (horizon - burn_in)
     return CostReport(
         value=float(per_traj.mean()),

@@ -309,7 +309,10 @@ def _batch_modes(
 
     One rng.random(n_traj) draw per step.  A draw u picks the first mode
     whose cumulative probability exceeds u (searchsorted side="right"),
-    so a mode of probability zero is never picked.
+    so a mode of probability zero is never picked.  For T >= 0 each cdf
+    row is nondecreasing and ends at exactly 1.0 > u, so that mode is
+    also the count of entries <= u: argmin over the row's "<= u" flags
+    finds it with one gather and compare per step.
     """
     _check_count("n_traj", n_traj, 1)
     _check_count("horizon", horizon, 0)
@@ -323,7 +326,7 @@ def _batch_modes(
     prev = np.full(n_traj, model.s)
     for t in range(horizon):
         u = rng.random(n_traj)
-        modes[:, t] = np.minimum((cdf[prev] <= u[:, None]).sum(axis=1), model.s - 1)
+        modes[:, t] = np.argmin(np.take(cdf, prev, axis=0) <= u[:, None], axis=1)
         prev = modes[:, t]
     return modes
 
@@ -350,7 +353,9 @@ def _rollout(A: np.ndarray, modes: np.ndarray, x0, sigma_w: float, rng):
     A stacks the mode matrices of all c systems, modes of shape (c, N, H)
     indexes into it, one set of N paths per system.  Yields fresh arrays
     X_0..X_H of shape (c, N, n); each step adds one (N, n) standard
-    normal draw, scaled by sigma_w, to every system alike.  Raises
+    normal draw, scaled by sigma_w, to every system alike.  The draw
+    fills one buffer in place, the same numbers rng.standard_normal((N,
+    n)) returns, so the stream and the sums match a fresh draw.  Raises
     DimensionMismatch unless x0 has shape (n,), InputError for a NaN,
     infinite or negative sigma_w.
     """
@@ -361,10 +366,13 @@ def _rollout(A: np.ndarray, modes: np.ndarray, x0, sigma_w: float, rng):
     X = np.empty((c, N, n))
     X[:] = x0
     yield X
+    noise = np.empty((N, n))
     for t in range(H):
         X = np.einsum("cbij,cbj->cbi", A[modes[:, :, t]], X)
         if sigma_w > 0.0:
-            X += sigma_w * rng.standard_normal((N, n))
+            rng.standard_normal(out=noise)
+            noise *= sigma_w
+            X += noise
         yield X
 
 

@@ -40,7 +40,8 @@ completely positive, so ||L^k||_2 <= sqrt(||L^k(I)|| ||L*^k(I)||) in
 the largest block 2-norm, and tau is reported as that upper bound,
 with a running bound on the rounding of the iterates added.  Each
 sweep runs on its operator times the power of two that puts its level
-in [1/2, 1): that scaling is exact, and the level's powers stay normal.
+in [1/2, 1): that scaling is exact, and the level's powers stay normal
+for the at most SWEEP_STEPS_MAX steps a sweep may take.
 
 The dense form of L is the augmented (s n^2) x (s n^2) block matrix
 whose (i, j) block is T(j, i) * kron(A_j, A_j), built from the same
@@ -82,7 +83,15 @@ import numpy as np
 from scipy.linalg.lapack import dsyevr
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
 
-from .errors import DegenerateInput, InputError, NotConverged, RhoTooSmall, TooLarge, XiTooSmall
+from .errors import (
+    DegenerateInput,
+    DimensionMismatch,
+    InputError,
+    NotConverged,
+    RhoTooSmall,
+    TooLarge,
+    XiTooSmall,
+)
 from .model import MjsModel, _check_count, expand_reduced
 from .clustering import ReductionResult
 from .perturbation import construct_T0, perturbations
@@ -126,6 +135,9 @@ BOUND_MARGIN = 1e-12
 TAU_STEPS = 64
 JSR_LEVELS = 8
 JSR_BUDGET = 100_000
+# Most steps a tau or kappa sweep may take: at a level u in [1/2, 1),
+# u^k is normal for every k <= 1022 (see _sweep).
+SWEEP_STEPS_MAX = 1022
 
 
 @dataclass
@@ -274,9 +286,10 @@ class MomentOperator:
         the operator on T 2^-e, 2^(e-1) <= rho < 2^e, which is L 2^-e
         exactly unless an entry of T 2^-e falls below the normal range.
         A power or an iterate that overflows ends the sweep at inf, and
-        a k_max that is no integer >= 0 raises DimensionMismatch.
+        a k_max that is no integer in [0, SWEEP_STEPS_MAX] raises
+        DimensionMismatch.
         """
-        _check_count("k_max", k_max, 0)
+        _check_sweep_steps("k_max", k_max)
         with np.errstate(over="ignore"):
             scaled = MomentOperator(self.A, np.ldexp(self.T, -_level_exponent(rho)))
         if self.dim > DEFAULT_SIZE_CAP:
@@ -447,9 +460,10 @@ def tau_estimate(M: np.ndarray, rho: float, k_max: int = TAU_STEPS) -> Transient
     otherwise; the sup would diverge).  The norms are _sweep's, of the
     powers of M 2^-e, at most _norm_lift(len(M)) above ||M^k||_2 2^-ek.
     The result is complete when some swept power certifies the sup over
-    every k.  A k_max that is no integer >= 0 raises DimensionMismatch.
+    every k.  A k_max that is no integer in [0, SWEEP_STEPS_MAX] raises
+    DimensionMismatch.
     """
-    _check_count("k_max", k_max, 0)
+    _check_sweep_steps("k_max", k_max)
     M = np.asarray(M, dtype=float)
     _check_level("rho", rho, spectral_radius(M))
     with np.errstate(over="ignore"):
@@ -580,6 +594,17 @@ def _level_exponent(level: float) -> int:
     return math.frexp(level)[1]
 
 
+def _check_sweep_steps(name: str, steps) -> None:
+    """DimensionMismatch unless steps is an integer in [0,
+    SWEEP_STEPS_MAX]: past it the level's power u^k in _sweep leaves the
+    normal range, and then rounds or vanishes."""
+    _check_count(name, steps, 0)
+    if steps > SWEEP_STEPS_MAX:
+        raise DimensionMismatch(
+            f"{name} must be at most {SWEEP_STEPS_MAX}, the longest sweep, got {steps}"
+        )
+
+
 def _sweep(powers, level: float, exact: bool) -> TransientEstimate:
     """Running maximum of g(k) = ||M^k||_2 / level^k, k = 1, 2, ...,
     up to the first certifying k.
@@ -588,9 +613,11 @@ def _sweep(powers, level: float, exact: bool) -> TransientEstimate:
     ||(2^-e M)^k||_2 <= bound, e = _level_exponent(level): the powers
     of M 2^-e, which the caller forms exactly.  So g(k) = ||P||_2 / u^k
     with u = 2^-e level in [1/2, 1), and u^k in [2^-k, 1] is normal for
-    every k <= 1022.  Where P is given, its 2-norm is taken, by
-    _gram_norm, only where the bound, lifted by BOUND_MARGIN, could
-    still pass the strict update; with P = None the bound is the norm.
+    every k <= 1022 = SWEEP_STEPS_MAX, the most steps an entry point
+    lets a sweep take (_check_sweep_steps).  Where P is given, its
+    2-norm is taken, by _gram_norm, only where the bound, lifted by
+    BOUND_MARGIN, could still pass the strict update; with P = None the
+    bound is the norm.
     _gram_norm is never below the 2-norm and at most _norm_lift(m)
     above it, so the value is never below the sup of g over the swept k
     and at most that lift above it: a skipped k has g(k) below the
@@ -782,8 +809,10 @@ def kappa_estimate(jsr: JsrBounds, xi: float) -> TransientEstimate:
     The level K that sets jsr.upper has g(K) = (upper / xi)^K < 1
     whenever xi > upper, so only an xi within the 1e-12 slack below
     upper can leave the maximum uncertified (complete=False).  The
-    sweep reads m_k 2^-ek, 2^(e-1) <= xi < 2^e (see _sweep).
+    sweep reads m_k 2^-ek, 2^(e-1) <= xi < 2^e (see _sweep).  A walk of
+    more than SWEEP_STEPS_MAX levels raises DimensionMismatch.
     """
+    _check_sweep_steps("the number of JSR levels kappa sweeps", len(jsr.level_maxima))
     _check_level("xi", xi, jsr.upper)
     e = _level_exponent(xi) * np.arange(1, len(jsr.level_maxima) + 1)
     with np.errstate(over="ignore"):

@@ -1,5 +1,6 @@
 
 import inspect
+import warnings
 
 import numpy as np
 import pytest
@@ -84,6 +85,92 @@ def test_riccati_reports_an_unconverged_solve(monkeypatch, model, R):
     size = rf"\(s, n, p\) = \(1, 1, {model.p}\)"
     with pytest.raises(NotConverged, match=rf"{size} .* in 3 steps \(last {what} change"):
         riccati_solve(model, EYE1, R)
+
+
+def svd_rule_riccati(model, Q, R):
+    """riccati_solve with the 2-norm of the gain change taken at every
+    step, the oracle of its Frobenius gate.  Returns (iterations,
+    final_gain_delta, K, P) and the 2-norm of every gain change."""
+    P, K_prev, changes = np.tile(Q, (model.s, 1, 1)), None, []
+    for h in range(1, lqr.RICCATI_STEPS + 1):
+        K, P_new = lqr._riccati_step(model, Q, R, P)
+        P = 0.5 * (P_new + P_new.transpose(0, 2, 1))
+        if K_prev is not None:
+            changes.append(float(np.linalg.norm(K - K_prev, 2, axis=(1, 2)).max()))
+            if changes[-1] < lqr.RICCATI_TOL:
+                return (h, changes[-1], K, P), changes
+        K_prev = K
+    raise AssertionError("the reference solve did not settle")
+
+
+def gate_model(seed, s, n, p, a_scale, zero_column):
+    # Every |A_i|_2 <= a_scale < 1: the open loop is mean-square stable,
+    # so the iteration settles.
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, s=s, n=n, p=p, a_scale=a_scale)
+    if zero_column:
+        B = model.B.copy()
+        B[:, :, rng.integers(0, p)] = 0.0
+        model = MjsModel(model.A, B, model.T)
+    return model
+
+
+def assert_solves_match(sol, want):
+    iterations, delta, K, P = want
+    assert (sol.iterations, sol.final_gain_delta) == (iterations, delta)
+    assert np.array_equal(sol.K, K) and np.array_equal(sol.P, P)
+
+
+@pytest.mark.invariant
+@settings(max_examples=60, deadline=None)
+@example(seed=0, s=2, n=3, p=1, a_scale=0.5, zero_column=False)
+@example(seed=1, s=3, n=2, p=4, a_scale=0.9, zero_column=True)
+# The stopping change has 2-norm 9.33e-13 but Frobenius norm 1.04e-12:
+# only the sqrt(min(p, n)) of the gate keeps its SVD.
+@example(seed=119, s=4, n=4, p=2, a_scale=0.8, zero_column=False)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    s=st.integers(1, 6),
+    n=st.integers(1, 4),
+    p=st.integers(1, 5),
+    a_scale=st.floats(0.1, 0.95),
+    zero_column=st.booleans(),
+)
+def test_riccati_stops_where_a_two_norm_test_at_every_step_does(
+    seed, s, n, p, a_scale, zero_column
+):
+    # p > n, p = 1 and inputs with a zero column (p >= 2, so some input
+    # still acts) all stop on the same step, with the same bits.
+    model = gate_model(seed, s, n, p, a_scale, zero_column and p > 1)
+    Q, R = np.eye(n), np.eye(p)
+    want, _ = svd_rule_riccati(model, Q, R)
+    assert_solves_match(riccati_solve(model, Q, R), want)
+
+
+def test_riccati_takes_the_two_norm_of_a_change_the_gate_cannot_decide(monkeypatch):
+    # Here the change before the stopping one has Frobenius norm 1.053e-12,
+    # inside the gate sqrt(2) 1e-12, but 2-norm 1.039e-12 >= RICCATI_TOL:
+    # the SVD runs, and the iteration goes on.
+    model = gate_model(5, 3, 2, 2, 0.8, False)
+    Q, R = np.eye(2), np.eye(2)
+    taken = []
+    gain_change = lqr._gain_change
+    monkeypatch.setattr(lqr, "_gain_change", lambda d: taken.append(gain_change(d)) or taken[-1])
+    sol = riccati_solve(model, Q, R)
+    want, changes = svd_rule_riccati(model, Q, R)
+    assert_solves_match(sol, want)
+    assert taken == changes[-2:]
+    assert taken[0] >= lqr.RICCATI_TOL > taken[1]
+
+
+def test_unconverged_riccati_reports_the_two_norm_of_its_last_gain_change(monkeypatch):
+    # At p = n = 2 the 2-norm and the Frobenius norm of a change differ.
+    model = gate_model(5, 3, 2, 2, 0.8, False)
+    Q, R = np.eye(2), np.eye(2)
+    _, changes = svd_rule_riccati(model, Q, R)
+    monkeypatch.setattr(lqr, "RICCATI_STEPS", 3)
+    with pytest.raises(NotConverged, match=rf"last gain change {changes[1]:.3e}\)"):
+        riccati_solve(model, Q, R)
 
 
 def test_riccati_and_monte_carlo_take_no_tuning_options():
@@ -261,6 +348,81 @@ def test_monte_carlo_flags_divergence():
         horizon=200, n_traj=2, seed=1,
     )
     assert rep.diverged and rep.value == np.inf
+
+
+def test_monte_carlo_flags_a_state_that_overflows_without_warnings():
+    # One step takes the state from 1e200 past the float range, to
+    # (inf, inf - inf) = (inf, NaN); numpy warnings here are errors.
+    A = 1e200 * np.array([[[1.0, 1.0], [1.0, -1.0]]])
+    model = MjsModel(A, None, np.array([[1.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = monte_carlo_cost(
+            model, np.zeros((1, 0, 2)), np.eye(2), np.zeros((0, 0)), 0.5,
+            horizon=10, n_traj=3, seed=0, x0=np.full(2, 1e200),
+        )
+    assert rep.diverged and rep.value == np.inf and rep.stderr is None
+
+
+def loop_monte_carlo(model, K, Q, R, sigma_w, horizon, n_traj, burn_in, seed, x0):
+    """Per-path, per-step reference for monte_carlo_cost, independent of
+    the sampler and the rollout kernel.  It draws the same stream: the
+    step uniforms first, one draw of n_traj per step, then one
+    (n_traj, n) normal draw per step.  Returns (value, stderr)."""
+    rng = np.random.default_rng(seed)
+    cdf = np.cumsum(np.vstack([model.T, model.pi]), axis=1)
+    cdf = cdf / cdf[:, -1:]
+    modes = np.empty((n_traj, horizon), dtype=int)
+    prev = [model.s] * n_traj
+    for t in range(horizon):
+        u = rng.random(n_traj)
+        for b in range(n_traj):
+            modes[b, t] = prev[b] = int(np.searchsorted(cdf[prev[b]], u[b], side="right"))
+    A_cl = [model.A[i] + model.B[i] @ K[i] for i in range(model.s)]
+    stage = [Q + K[i].T @ R @ K[i] for i in range(model.s)]
+    x = np.tile(np.asarray(x0, dtype=float), (n_traj, 1))
+    totals = np.zeros(n_traj)
+    for t in range(horizon):
+        w = rng.standard_normal((n_traj, model.n))
+        for b in range(n_traj):
+            if t >= burn_in:
+                totals[b] += x[b] @ stage[modes[b, t]] @ x[b]
+            x[b] = A_cl[modes[b, t]] @ x[b] + sigma_w * w[b]
+    per_traj = totals / (horizon - burn_in)
+    return per_traj.mean(), per_traj.std(ddof=1) / np.sqrt(n_traj)
+
+
+@pytest.mark.invariant
+@settings(max_examples=40, deadline=None)
+@example(seed=0, s=1, n=1, p=0, horizon=2, n_traj=2, burn_frac=0.0, sigma_w=1.0)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    s=st.integers(1, 5),
+    n=st.integers(1, 3),
+    p=st.integers(0, 2),
+    # The summed steps include one past the first, so the noise spreads
+    # the trajectory means and stderr is no rounding residue.
+    horizon=st.integers(2, 40),
+    n_traj=st.integers(2, 6),
+    burn_frac=st.floats(0.0, 0.9),
+    sigma_w=st.floats(0.01, 3.0),
+)
+def test_noisy_monte_carlo_matches_a_per_path_loop(
+    seed, s, n, p, horizon, n_traj, burn_frac, sigma_w
+):
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, s=s, n=n, p=p, a_scale=rng.uniform(0.1, 0.9))
+    K = 0.2 * rng.standard_normal((s, p, n))
+    Q, R = np.eye(n), np.eye(p)
+    x0 = rng.standard_normal(n)
+    burn_in = int(burn_frac * horizon)
+    rep = monte_carlo_cost(
+        model, K, Q, R, sigma_w, horizon, n_traj, burn_in=burn_in, seed=seed, x0=x0
+    )
+    value, stderr = loop_monte_carlo(model, K, Q, R, sigma_w, horizon, n_traj, burn_in, seed, x0)
+    assert not rep.diverged
+    assert rep.value == pytest.approx(value, rel=1e-12)
+    assert rep.stderr == pytest.approx(stderr, rel=1e-12)
 
 
 def test_average_cost_requires_mss():
@@ -534,6 +696,10 @@ def test_cost_inputs_are_refused():
         (dict(run, burn_in=2.5), DimensionMismatch),
         (dict(run, burn_in=True), DimensionMismatch),
         (dict(run, n_traj=0), InputError),
+        # Checked before burn_in < horizon, which would end in a TypeError.
+        (dict(run, horizon=None), DimensionMismatch),
+        (dict(run, horizon="10"), DimensionMismatch),
+        (dict(run, n_traj=None), DimensionMismatch),
     ):
         with pytest.raises(error):
             monte_carlo_cost(SCALAR, sol.K, EYE1, EYE1, 0.3, **bad)

@@ -2,6 +2,7 @@ import json
 import tempfile
 from functools import cached_property
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -474,6 +475,86 @@ def test_mode_sampler_skips_zero_probability_modes():
     T = np.array([[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])
     m = MjsModel(np.zeros((3, 1, 1)), None, T)
     assert np.all(_batch_modes(Zeros(), m, 2, 4) == [0, 1, 0, 1])
+
+
+def count_rule_modes(rng, chain, n_traj, horizon):
+    """The sampler's rule stated as compare-and-sum, the oracle of
+    _batch_modes: over the same uniforms, the next mode is the count of
+    normalized cdf entries <= u, capped at s - 1."""
+    s = chain.s
+    cdf = np.cumsum(np.vstack([chain.T, chain.pi]), axis=1)
+    cdf = cdf / cdf[:, -1:]
+    modes = np.empty((n_traj, horizon), dtype=int)
+    prev = np.full(n_traj, s)
+    for t in range(horizon):
+        u = rng.random(n_traj)
+        modes[:, t] = np.minimum((cdf[prev] <= u[:, None]).sum(axis=1), s - 1)
+        prev = modes[:, t]
+    return modes
+
+
+class PooledUniforms:
+    """A generator whose draws come from a fixed pool of values in
+    [0, 1): with the chain's cdf entries in the pool, many draws tie an
+    entry exactly."""
+
+    def __init__(self, seed, pool):
+        self.rng, self.pool = np.random.default_rng(seed), np.asarray(pool)
+
+    def random(self, size):
+        return self.rng.choice(self.pool, size)
+
+
+def sampler_chain(seed, s, zeros, saturated, hair):
+    """A chain and an initial law, as _batch_modes reads them (T, pi,
+    s), with about a share `zeros` of zero entries; `saturated` puts all
+    of one row's mass on one mode, and `hair` leaves every row and the
+    law summing a few units of roundoff under 1."""
+    rng = np.random.default_rng(seed)
+    T = rng.uniform(0.05, 1.0, (s + 1, s))
+    T[rng.random((s + 1, s)) < zeros] = 0.0
+    T[np.arange(s + 1), rng.integers(0, s, s + 1)] += 0.5
+    if saturated:
+        row = rng.integers(0, s + 1)
+        T[row] = 0.0
+        T[row, rng.integers(0, s)] = 1.0
+    T /= T.sum(axis=1, keepdims=True)
+    if hair:
+        T *= 1.0 - rng.integers(1, 9, (s + 1, 1)) * 2.0**-53
+    return SimpleNamespace(T=T[:s], pi=T[s], s=s)
+
+
+@pytest.mark.invariant
+@settings(max_examples=80, deadline=None)
+@example(seed=0, s=40, zeros=0.6, saturated=True, hair=True, tied=True, horizon=30, n_traj=8)
+@example(seed=1, s=1, zeros=0.0, saturated=False, hair=False, tied=False, horizon=5, n_traj=2)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    s=st.integers(1, 40),
+    zeros=st.sampled_from([0.0, 0.3, 0.8]),
+    saturated=st.booleans(),
+    hair=st.booleans(),
+    tied=st.booleans(),
+    horizon=st.integers(0, 30),
+    n_traj=st.integers(1, 8),
+)
+def test_mode_paths_match_the_count_rule(seed, s, zeros, saturated, hair, tied, horizon, n_traj):
+    # Bit-equal paths from the same uniforms, fresh ones or ones that tie
+    # the cdf entries, 0 and the largest double below 1; and no step
+    # takes a transition of probability zero.
+    chain = sampler_chain(seed, s, zeros, saturated, hair)
+    if tied:
+        cdf = np.cumsum(np.vstack([chain.T, chain.pi]), axis=1)
+        cdf = (cdf / cdf[:, -1:]).ravel()
+        pool = np.concatenate([cdf[cdf < 1.0], [0.0, np.nextafter(1.0, 0.0)]])
+        draws = lambda: PooledUniforms(seed, pool)
+    else:
+        draws = lambda: np.random.default_rng(seed)
+    got = _batch_modes(draws(), chain, n_traj, horizon)
+    assert np.array_equal(got, count_rule_modes(draws(), chain, n_traj, horizon))
+    if horizon:
+        assert np.all(chain.pi[got[:, 0]] > 0.0)
+        assert np.all(chain.T[got[:, :-1], got[:, 1:]] > 0.0)
 
 
 @pytest.mark.invariant

@@ -306,6 +306,37 @@ def test_long_tau_sweep_keeps_the_bounds_of_powers_whose_squares_underflow():
     assert (est.argmax_k, est.k_max, est.complete) == (600, 600, False)
 
 
+def test_sweeps_refuse_more_steps_than_keep_the_level_powers_normal():
+    # At u = 1/2, u^k is subnormal past k = 1022 and 0 past k = 1074; these
+    # two sweeps of the Jordan block ran uncertified that far and ended
+    # in a ZeroDivisionError.
+    J = np.array([[1.0, 1.0], [0.0, 1.0]])
+    assert stability.SWEEP_STEPS_MAX == 1022
+    for sweep in (
+        lambda k: tau_estimate(0.5 * J, 0.5, k),
+        lambda k: MomentOperator([0.5 * J], [[1.0]]).tau(0.25, k),
+    ):
+        with pytest.raises(DimensionMismatch, match="k_max must be at most 1022"):
+            sweep(1100)
+        with pytest.raises(DimensionMismatch, match="k_max must be at most 1022"):
+            sweep(1023)
+        est = sweep(1022)
+        assert (est.argmax_k, est.k_max, est.complete) == (1022, 1022, False)
+        assert est.value >= (1022 + math.sqrt(1022**2 + 4)) / 2
+    # kappa sweeps the level maxima of a walk, at most 1022 of them; a
+    # deep walk of 0.9 I is written out, as walking it takes seconds.
+    walk = jsr_bounds([0.9 * np.eye(2)], k_max=1)
+    for depth in (1022, 1023):
+        deep = dataclasses.replace(
+            walk, k_max=depth, level_maxima=tuple(0.9**k for k in range(1, depth + 1))
+        )
+        if depth > stability.SWEEP_STEPS_MAX:
+            with pytest.raises(DimensionMismatch, match="JSR levels .* at most 1022"):
+                kappa_estimate(deep, 0.95)
+        else:
+            assert kappa_estimate(deep, 0.95).value == 1.0
+
+
 @pytest.mark.parametrize("e", [-600, -1000, -1070])
 def test_norm_bound_of_a_tiny_power_stays_above_its_norm(e, rng):
     # Down to subnormal entries, and 0 only for the zero matrix.
