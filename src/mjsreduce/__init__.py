@@ -47,7 +47,6 @@ from .errors import (
     RankDeficient,
     RhoTooSmall,
     SingularInnerMatrix,
-    SizeMismatch,
     TooLarge,
     TooManySequences,
     XiTooSmall,
@@ -71,7 +70,6 @@ from .model import (
     model_to_dict,
     save_model,
     simulate_coupled_batch,
-    validate_model,
 )
 from .perturbation import (
     MrBoundReport,

@@ -21,6 +21,7 @@ from scipy.optimize._highspy import _core as _highs
 
 from .errors import (
     DegenerateInput,
+    DimensionMismatch,
     InputError,
     NotConverged,
     NotNormalized,
@@ -220,17 +221,30 @@ def wasserstein_kernel_bound(b: BoundInputs, t: int, ell: int = 1) -> float:
     return float(term1 + term2)
 
 
-@dataclass
+@dataclass(frozen=True)
 class KernelDistribution:
-    """Finitely supported law of x_t: support points and their masses."""
+    """Finitely supported law of x_t: support points, one per row, and
+    their masses, as read-only copies.  DimensionMismatch unless each
+    point has one mass, NotNormalized unless the masses are nonnegative
+    and sum to 1 within 1e-9, InputError for a point that is not finite."""
 
     support: np.ndarray
     mass: np.ndarray
     t: int
 
     def __post_init__(self) -> None:
-        self.support = np.atleast_2d(np.asarray(self.support, dtype=float))
-        self.mass = np.asarray(self.mass, dtype=float)
+        support = np.atleast_2d(np.array(self.support, dtype=float))
+        mass = np.array(self.mass, dtype=float)
+        if mass.ndim != 1 or support.shape[0] != mass.shape[0]:
+            raise DimensionMismatch(f"{mass.shape} masses for {support.shape[0]} support points")
+        if not (abs(mass.sum() - 1.0) <= 1e-9 and (mass >= 0.0).all()):  # NaN too
+            least = mass.min(initial=np.inf)
+            raise NotNormalized(f"masses sum to {mass.sum():.12g}, least {least:.6g}")
+        if not np.isfinite(support).all():
+            raise InputError("law has a support point that is not finite")
+        for name, M in (("support", support), ("mass", mass)):
+            M.setflags(write=False)
+            object.__setattr__(self, name, M)
 
     @property
     def size(self) -> int:
@@ -450,19 +464,10 @@ def wasserstein_exact(
     optimum.  Otherwise the violating cells join and the program is
     solved again; every round adds cells, so the loop ends.
 
-    Raises NotNormalized when either mass vector sums to NaN or is off 1
-    by more than 1e-9, InputError unless ell is finite and >= 1 and every
-    support point is finite, and NotConverged, with HiGHS's model
-    status, when it reports no optimum.
+    Raises InputError unless ell is finite and >= 1, and NotConverged,
+    with HiGHS's model status, when it reports no optimum.
     """
     _check_order(ell)
-    for name, k in (("first", p), ("second", q)):
-        if not abs(k.mass.sum() - 1.0) <= 1e-9:  # NaN too
-            raise NotNormalized(
-                f"{name} distribution has total mass {k.mass.sum()!r}"
-            )
-        if not np.isfinite(k.support).all():
-            raise InputError(f"{name} distribution has a support point that is not finite")
     a = p.mass / p.mass.sum()
     b = q.mass / q.mass.sum()
     m, k = len(a), len(b)
@@ -587,7 +592,8 @@ def empirical_traj_diff(
     diff = np.linalg.norm(states - red_states, axis=2)
     return DiffStats(
         t=np.arange(horizon + 1),
-        mean_diff=diff.mean(axis=0),
+        # Contiguous rows: each step's mean sums as diff[:, t].mean() does.
+        mean_diff=np.ascontiguousarray(diff.T).mean(axis=1),
         max_diff=diff.max(axis=0),
         n_traj=n_traj,
     )

@@ -21,10 +21,10 @@ from .errors import (
     DimensionMismatch,
     InputError,
     NotConverged,
+    PartitionMismatch,
     RankDeficient,
-    SizeMismatch,
 )
-from .model import MjsModel, Partition, _check_count, model_to_dict
+from .model import MjsModel, Partition, _check_count, _check_seed, model_to_dict
 
 __all__ = [
     "FeatureMatrix",
@@ -348,11 +348,12 @@ def kmeans_partition(
     distance is zero); its Lloyd iterations stop at the first repeated
     assignment, and its sums run in the order of a lone restart.
 
-    Raises DimensionMismatch if points is not 2-D or r or restarts is
-    not an integer of at least 1; InputError if points holds NaN or
-    infinite values; DegenerateInput if there are fewer points than
-    clusters, or if squared distances overflow; NotConverged if the
-    winning restart is still moving after MAX_ITER Lloyd iterations.
+    Raises DimensionMismatch if points is not 2-D, r or restarts is
+    not an integer of at least 1 or an integer seed is negative;
+    InputError if points holds NaN or infinite values; DegenerateInput
+    if there are fewer points than clusters, or if squared distances
+    overflow; NotConverged if the winning restart is still moving after
+    MAX_ITER Lloyd iterations.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
@@ -361,6 +362,7 @@ def kmeans_partition(
         raise InputError("points must be finite")
     _check_count("r", r, 1)
     _check_count("restarts", restarts, 1)
+    _check_seed(seed)
     if points.shape[0] < r:
         raise DegenerateInput(
             f"cannot form {r} clusters from {points.shape[0]} points"
@@ -409,10 +411,7 @@ def average_model(
     pi_weighted=True the averages use stationary-probability weights
     instead of uniform ones (no equivalence between the two is claimed).
     """
-    if partition.s != model.s:
-        raise SizeMismatch(
-            f"partition covers {partition.s} modes, model has {model.s}"
-        )
+    partition._check_covers(model.s)
     w = model.pi if pi_weighted else None
     A = partition.cluster_means(model.A, w)
     B = partition.cluster_means(model.B, w)
@@ -504,15 +503,12 @@ def misclustering_rate(estimated: Partition, truth: Partition) -> float:
     An estimate with fewer clusters than the truth, as kmeans_partition
     returns when the points carry fewer than r distinct values, is
     padded with empty clusters, so a truth cluster left without a match
-    costs 1.  Raises SizeMismatch if the mode counts differ or the
+    costs 1.  Raises PartitionMismatch if the mode counts differ or the
     estimate has more clusters than the truth.
     """
-    if estimated.s != truth.s:
-        raise SizeMismatch(
-            f"partitions cover different mode counts: {estimated.s} vs {truth.s}"
-        )
+    estimated._check_covers(truth.s)
     if estimated.r > truth.r:
-        raise SizeMismatch(
+        raise PartitionMismatch(
             f"estimate has more clusters than the truth: {estimated.r} vs {truth.r}"
         )
     r = truth.r

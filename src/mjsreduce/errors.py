@@ -26,10 +26,6 @@ class PartitionMismatch(InputError):
     pass
 
 
-class SizeMismatch(InputError):
-    pass
-
-
 class BadWeights(InputError):
     pass
 

@@ -43,11 +43,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundInputs, mss_traj_bound
+from .bounds import BoundInputs, empirical_traj_diff, mss_traj_bound
 from .clustering import BRANCHES, default_weights, misclustering_rate, reduce_model
 from .errors import InputError
 from .lqr import reduced_lqr_suboptimality, riccati_solve
-from .model import simulate_coupled_batch
+from .model import _check_count
 from .synth import SynthConfig, fig4_model, generate
 
 EXPERIMENT_NAMES = ("fig2", "fig3a", "fig3b", "fig4", "table2")
@@ -62,7 +62,7 @@ class ExperimentSpec:
     cluster counts for table2; fig4 has no sweep).  Counts must be
     whole numbers; integer-valued floats such as 10.0 are accepted.
     trials overrides the per-cell trial count (the trajectory count
-    for fig4).
+    for fig4); seed >= 0 and trials >= 1 are integers (DimensionMismatch).
     """
 
     name: str
@@ -87,8 +87,9 @@ class ExperimentSpec:
                     raise InputError(
                         f"{self.name} sweeps counts; got fractional grid values {fractional}"
                     )
-        if self.trials is not None and self.trials < 1:
-            raise InputError("trials must be positive")
+        _check_count("seed", self.seed, 0)
+        if self.trials is not None:
+            _check_count("trials", self.trials, 1)
 
 
 def _child_seed(root: int, *key: int) -> int:
@@ -282,7 +283,7 @@ def _run_fig4(spec: ExperimentSpec, cfg: dict):
     x0 = np.ones(2)
     res = reduce_model(model, 3, seed=_child_seed(spec.seed, 5, 0))
     b = BoundInputs.from_model(model, res.partition, "aggregatable", x0=x0)
-    states, red_states, _ = simulate_coupled_batch(
+    diff = empirical_traj_diff(
         model,
         res.reduced,
         res.partition,
@@ -291,11 +292,9 @@ def _run_fig4(spec: ExperimentSpec, cfg: dict):
         cfg["n_traj"],
         seed=_child_seed(spec.seed, 5, 1),
     )
-    diffs = np.linalg.norm(states - red_states, axis=2)
-    rows = []
-    for t in range(cfg["horizon"] + 1):
-        rows.append([t, float(diffs[:, t].mean()), mss_traj_bound(b, t)])
-    return header, rows
+    return header, [
+        [t, float(mean), mss_traj_bound(b, t)] for t, mean in enumerate(diff.mean_diff)
+    ]
 
 
 def _run_table2(spec: ExperimentSpec, cfg: dict):

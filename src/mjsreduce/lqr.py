@@ -53,6 +53,7 @@ from .errors import (
     InputError,
     NotConverged,
     NotMss,
+    PartitionMismatch,
     SingularInnerMatrix,
 )
 from .model import (
@@ -60,6 +61,7 @@ from .model import (
     Partition,
     _batch_modes,
     _check_count,
+    _check_seed,
     _check_sigma_w,
     _rollout,
 )
@@ -213,8 +215,12 @@ def riccati_solve(model: MjsModel, Q, R) -> LqrSolution:
 
 def lift_gains(K_reduced: np.ndarray, partition: Partition) -> np.ndarray:
     """Copy each cluster's gain to all of its modes: u_t = K_k x_t
-    whenever the active mode lies in cluster k."""
-    return np.asarray(K_reduced)[partition.labels]
+    whenever the active mode lies in cluster k.  Raises
+    PartitionMismatch unless there is one gain per cluster."""
+    K_reduced = np.asarray(K_reduced)
+    if K_reduced.shape[:1] != (partition.r,):
+        raise PartitionMismatch(f"gains of shape {K_reduced.shape} for {partition.r} clusters")
+    return K_reduced[partition.labels]
 
 
 def _closed_loop(model: MjsModel, K, Q, R) -> tuple[np.ndarray, np.ndarray]:
@@ -397,11 +403,13 @@ def monte_carlo_cost(
     trajectories; the reported stderr is across trajectory means.  A
     state entry passing MC_BLOWUP marks the estimate diverged (inf).
     Raises DimensionMismatch unless burn_in and horizon are integers
-    >= 0 and n_traj one >= 1, and InputError unless burn_in < horizon.
+    >= 0, n_traj one >= 1 and an integer seed is not negative, and
+    InputError unless burn_in < horizon.
     """
     _check_count("horizon", horizon, 0)
     _check_count("n_traj", n_traj, 1)
     _check_count("burn_in", burn_in, 0)
+    _check_seed(seed)
     if not burn_in < horizon:
         raise InputError(
             f"burn_in must lie in [0, horizon), got {burn_in} for horizon {horizon}"

@@ -26,7 +26,6 @@ from .errors import (
 __all__ = [
     "MjsModel",
     "Partition",
-    "validate_model",
     "simulate_coupled_batch",
     "expand_reduced",
     "model_to_dict",
@@ -44,10 +43,11 @@ class MjsModel:
             system (p = 0).
         T: array-like of shape (s, s), the mode transition matrix.
 
-    Shape inconsistencies, s = 0 and n = 0 raise DimensionMismatch.
-    Value-level problems (bad row sums, negative entries, NaN) are
-    reported by validate_model, not here.  pi, the stationary law of
-    the mode chain, is computed on first access and kept.
+    Shape inconsistencies, s = 0 and n = 0 raise DimensionMismatch, and
+    values that make no jump system InputError ("invalid model: ..."),
+    listing each: A or B not finite, or T no chain by _chain_violations.
+    pi, the stationary law of the mode chain, is computed on first
+    access and kept.
     """
 
     def __init__(self, A, B, T) -> None:
@@ -70,6 +70,13 @@ class MjsModel:
             raise DimensionMismatch(
                 f"T must have shape ({s}, {s}), got {T.shape}"
             )
+        violations = [
+            f"{name} contains non-finite entries"
+            for name, M in (("A", A), ("B", B))
+            if not np.isfinite(M).all()
+        ] + _chain_violations(T)
+        if violations:
+            raise InputError("invalid model: " + "; ".join(violations))
         for M in (A, B, T):
             M.setflags(write=False)
         self.__dict__.update(A=A, B=B, T=T)
@@ -228,6 +235,10 @@ class Partition:
         w = s // r
         return cls([range(k * w, (k + 1) * w) for k in range(r)], s=s)
 
+    def _check_covers(self, s: int) -> None:
+        if self.s != s:
+            raise PartitionMismatch(f"partition covers {self.s} modes, not {s}")
+
     def to_lists_1based(self) -> list[list[int]]:
         return [[i + 1 for i in c] for c in self.clusters]
 
@@ -247,33 +258,18 @@ class Partition:
         return f"Partition({list(map(list, self.clusters))})"
 
 
-def validate_model(model: MjsModel) -> list[str]:
-    """Return a list of value-level violations; empty means valid.
-
-    Never raises.  Checks: finite entries, and T a chain by
-    _chain_violations.
-    """
-    violations = [
-        f"{name} contains non-finite entries"
-        for name, M in (("A", model.A), ("B", model.B))
-        if not np.all(np.isfinite(M))
-    ]
-    return violations + _chain_violations(model.T)
-
-
 def _chain_violations(T: np.ndarray) -> list[str]:
     """The ways T fails to be a chain: a non-finite or negative entry,
     or a row sum off 1 by more than 1e-9."""
-    if not np.all(np.isfinite(T)):
+    if not np.isfinite(T).all():
         return ["T contains non-finite entries"]
-    violations = []
-    if np.any(T < 0.0):
-        i, j = np.argwhere(T < 0.0)[0]
-        violations.append(f"T({i},{j}) = {T[i, j]:.6g} is negative")
     sums = T.sum(axis=1)
-    for i in np.nonzero(np.abs(sums - 1.0) > 1e-9)[0]:
-        violations.append(f"T row {i} sums to {sums[i]:.6g}")
-    return violations
+    if T.min(initial=0.0) >= 0.0 and np.abs(sums - 1.0).max(initial=0.0) <= 1e-9:
+        return []  # a chain, in two passes
+    violations = [f"T({i},{j}) = {T[i, j]:.6g} is negative" for i, j in np.argwhere(T < 0.0)[:1]]
+    return violations + [
+        f"T row {i} sums to {sums[i]:.6g}" for i in np.flatnonzero(np.abs(sums - 1.0) > 1e-9)
+    ]
 
 
 def _is_integer(value) -> bool:
@@ -288,6 +284,12 @@ def _check_count(name: str, value, minimum: int) -> None:
         raise DimensionMismatch(
             f"{name} must be an integer of at least {minimum}, got {value!r}"
         )
+
+
+def _check_seed(seed) -> None:
+    """DimensionMismatch for an integer seed below 0; numpy takes the rest."""
+    if _is_integer(seed):
+        _check_count("seed", seed, 0)
 
 
 def _mode_number(value) -> int:
@@ -309,10 +311,10 @@ def _batch_modes(
 
     One rng.random(n_traj) draw per step.  A draw u picks the first mode
     whose cumulative probability exceeds u (searchsorted side="right"),
-    so a mode of probability zero is never picked.  For T >= 0 each cdf
-    row is nondecreasing and ends at exactly 1.0 > u, so that mode is
-    also the count of entries <= u: argmin over the row's "<= u" flags
-    finds it with one gather and compare per step.
+    so a mode of probability zero is never picked.  MjsModel holds T >= 0,
+    so each cdf row is nondecreasing and ends at exactly 1.0 > u, and
+    that mode is also the count of entries <= u: argmin over the row's
+    "<= u" flags finds it with one gather and compare per step.
     """
     _check_count("n_traj", n_traj, 1)
     _check_count("horizon", horizon, 0)
@@ -395,7 +397,7 @@ def simulate_coupled_batch(
     (n_traj, H+1, n) and the original modes (n_traj, H).  Raises
     PartitionMismatch unless partition links the two mode sets,
     DimensionMismatch unless the state sizes agree, n_traj is an integer
-    of at least 1 and horizon one of at least 0.
+    of at least 1, horizon one of at least 0 and a seed not negative.
     """
     if partition.s != model.s or partition.r != reduced.s:
         raise PartitionMismatch(
@@ -405,6 +407,7 @@ def simulate_coupled_batch(
         )
     if reduced.n != model.n:
         raise DimensionMismatch("reduced model state size disagrees with model")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     modes = _batch_modes(rng, model, n_traj, horizon)
     both = np.stack([modes, model.s + partition.labels[modes]])
@@ -421,17 +424,12 @@ def expand_reduced(
     """Lift a reduced system back to the full mode set.
 
     Every mode in cluster k receives copies of the reduced matrices
-    (A_k, B_k); the supplied s x s transition matrix T_bar drives the
-    expanded chain.
+    (A_k, B_k); the supplied s x s chain T_bar drives the expanded
+    chain, checked as every model's T is.
     """
     if partition.r != reduced.s:
         raise PartitionMismatch(
             f"partition has {partition.r} clusters, reduced model has {reduced.s} modes"
-        )
-    T_bar = np.asarray(T_bar, dtype=float)
-    if T_bar.shape != (partition.s, partition.s):
-        raise DimensionMismatch(
-            f"T_bar must have shape ({partition.s}, {partition.s}), got {T_bar.shape}"
         )
     labels = partition.labels
     A = reduced.A[labels]
@@ -471,7 +469,7 @@ def load_model(path) -> MjsModel:
     """The model in the JSON file at path, as model_to_dict writes it
     ("B": null stands for an all-zero input map of the declared shape).
     Raises InputError for a file that cannot be read or parsed, arrays
-    that disagree with the declared sizes, and a model validate_model
+    that disagree with the declared sizes, and values MjsModel
     refuses."""
     d = _read_json(path, "model")
     if not isinstance(d, dict):
@@ -489,8 +487,4 @@ def load_model(path) -> MjsModel:
             "model arrays disagree with declared sizes: "
             f"A {A.shape}, B {B.shape}, T {T.shape} for n={n}, p={p}, s={s}"
         )
-    model = MjsModel(A, B, T)
-    violations = validate_model(model)
-    if violations:
-        raise InputError("invalid model: " + "; ".join(violations))
-    return model
+    return MjsModel(A, B, T)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, SizeMismatch
+from .errors import InputError, PartitionMismatch
 from .clustering import FeatureMatrix, _branch_features, check_branch
 from .model import MjsModel, Partition, _chain_violations
 
@@ -99,10 +99,7 @@ def perturbations(
     whole transition rows in the l1 norm.
     """
     check_branch(branch)
-    if partition.s != model.s:
-        raise SizeMismatch(
-            f"partition covers {partition.s} modes, model has {model.s}"
-        )
+    partition._check_covers(model.s)
     eps_A = _pair_norm_sum(model.A, partition, 2)
     eps_B = _pair_norm_sum(model.B, partition, 2)
     rows = partition.block_sums(model.T) if branch == "lumpable" else model.T
@@ -229,14 +226,14 @@ def construct_T0(T: np.ndarray, partition: Partition, branch: str = "lumpable") 
 
     By construction the distance to T, in both the max-absolute-row-sum
     and Frobenius norms, never exceeds the measured branch perturbation
-    of (T, partition).  Raises InputError unless T is a chain by
-    validate_model's rule: finite, nonnegative, rows summing to 1
-    within 1e-9.
+    of (T, partition).  Raises PartitionMismatch unless T is s x s, and
+    InputError unless T is a chain by MjsModel's rule: finite,
+    nonnegative, rows summing to 1 within 1e-9.
     """
     check_branch(branch)
     T = np.asarray(T, dtype=float)
     if T.shape != (partition.s, partition.s):
-        raise SizeMismatch(f"partition covers {partition.s} modes, T has shape {T.shape}")
+        raise PartitionMismatch(f"partition covers {partition.s} modes, T has shape {T.shape}")
     violations = _chain_violations(T)
     if violations:
         raise InputError("T is not a chain: " + "; ".join(violations))

@@ -182,10 +182,15 @@ def augmented_matrix(model: MjsModel) -> np.ndarray:
     Block (i, j) equals T(j, i) * kron(A_j, A_j).  Raises TooLarge when
     s * n^2 exceeds DEFAULT_SIZE_CAP.
     """
-    dim = model.s * model.n * model.n
+    return _augmented(model.A, model.T)
+
+
+def _augmented(A: np.ndarray, T: np.ndarray) -> np.ndarray:
+    # The dense form of L for any T >= 0, stochastic or not.
+    dim = A.shape[0] * A.shape[1] ** 2
     if dim > DEFAULT_SIZE_CAP:
         raise TooLarge(f"augmented matrix would be {dim} x {dim}, cap is {DEFAULT_SIZE_CAP}")
-    blocks = np.einsum("ji,jab->iajb", model.T, _krons(model.A), order="C")
+    blocks = np.einsum("ji,jab->iajb", T, _krons(A), order="C")
     return blocks.reshape(dim, dim)
 
 
@@ -408,7 +413,7 @@ class MomentOperator:
         return float(np.abs(vals[0]))
 
     def _dense_rho(self) -> float:
-        return spectral_radius(augmented_matrix(MjsModel(self.A, None, self.T)))
+        return spectral_radius(_augmented(self.A, self.T))
 
     def _identity(self) -> np.ndarray:
         return np.tile(np.eye(self.n), (self.s, 1, 1))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .clustering import check_branch
 from .errors import DegenerateInput, DimensionMismatch
-from .model import MjsModel, Partition, _check_count
+from .model import MjsModel, Partition, _check_count, _check_seed
 
 __all__ = ["SynthConfig", "generate", "fig4_model"]
 
@@ -38,6 +38,7 @@ class SynthConfig:
     def __post_init__(self) -> None:
         for name, minimum in (("s", 1), ("r", 1), ("n", 1), ("p", 0)):
             _check_count(name, getattr(self, name), minimum)
+        _check_seed(self.seed)
         if self.s % self.r != 0:
             raise DegenerateInput(
                 f"cluster count must divide the mode count, got s={self.s}, r={self.r}"

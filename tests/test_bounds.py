@@ -469,12 +469,62 @@ def test_transport_order_below_one_is_refused(ell):
 @pytest.mark.parametrize("point", [[np.inf, 0.0], [0.0, -np.inf], [np.nan, 1.0]])
 def test_wasserstein_refuses_support_points_that_are_not_finite(point):
     # The cost of such a point is not finite, which linprog refused with
-    # a bare ValueError.
-    bad = dist([point, [0.0, 0.0]], [0.5, 0.5])
-    good = dist([[1.0, 1.0]], [1.0])
-    for p, q in ((bad, good), (good, bad)):
-        with pytest.raises(InputError, match="not finite"):
-            wasserstein_exact(p, q, ell=2)
+    # a bare ValueError.  The law refuses the point when it is built.
+    with pytest.raises(InputError, match="not finite"):
+        wasserstein_exact(dist([point, [0.0, 0.0]], [0.5, 0.5]), dist([[1.0, 1.0]], [1.0]), ell=2)
+
+
+# One violation per kind, injected at point or mass i of a valid law,
+# with the class and words of the error that must name it.
+LAW_VIOLATIONS = {
+    "negative mass": (NotNormalized, r", least -0\.2[45]"),
+    "total above": (NotNormalized, r"masses sum to 1\.0000000"),
+    "total below": (NotNormalized, r"masses sum to 0\.9999999"),
+    "NaN mass": (NotNormalized, "masses sum to nan"),
+    "NaN point": (InputError, "not finite"),
+    "inf point": (InputError, "not finite"),
+    "extra point": (DimensionMismatch, "masses for"),
+    "missing point": (DimensionMismatch, "masses for"),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(2, 6),
+    n=st.integers(1, 3),
+    kind=st.sampled_from(sorted(LAW_VIOLATIONS)),
+    where=st.integers(0, 2**16),
+)
+def test_law_refuses_each_injected_violation(seed, m, n, kind, where):
+    rng = np.random.default_rng(seed)
+    support, mass = rng.standard_normal((m, n)), rng.dirichlet(np.ones(m))
+    i = where % m
+    # Totals within 1e-9 of 1, from either side, are a law, held read-only.
+    for off in (-5e-10, 5e-10):
+        near = mass.copy()
+        near[int(np.argmax(near))] += off
+        k = dist(support, near)
+        assert not (k.support.flags.writeable or k.mass.flags.writeable)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            k.mass = mass
+    assert support.flags.writeable and mass.flags.writeable
+    if kind == "negative mass":
+        # The total stays 1: the sign alone is refused.
+        moved = mass[i] + 0.25
+        mass[i] -= moved
+        mass[(i + 1) % m] += moved
+    elif kind.startswith("total"):
+        mass[int(np.argmax(mass))] += 2e-9 if kind == "total above" else -2e-9
+    elif kind == "NaN mass":
+        mass[i] = np.nan
+    elif kind.endswith("point") and kind[0] in "Ni":
+        support[i, where % n] = np.nan if kind == "NaN point" else np.inf
+    else:
+        support = support[:-1] if kind == "missing point" else np.vstack([support, support[:1]])
+    error, words = LAW_VIOLATIONS[kind]
+    with pytest.raises(error, match=words):
+        dist(support, mass)
 
 
 def test_wasserstein_plan_marginals(rng):

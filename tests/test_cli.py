@@ -448,6 +448,12 @@ FLAG_CASES = [
         "InputError",
     ),
     ("reduce-zero-restarts", ["reduce", "{model}", "--r", "2", "--restarts", "0"], 2, "DimensionMismatch"),
+    # numpy refuses a negative seed with a bare ValueError.
+    ("generate-seed-1", ["generate", "--s", "4", "--r", "2", "--seed", "-1"], 2, "DimensionMismatch"),
+    ("reduce-seed-1", ["reduce", "{model}", "--r", "2", "--seed", "-1"], 2, "DimensionMismatch"),
+    ("evaluate-seed-1", ["evaluate", "{model}", "--r", "2", "--seed", "-1"], 2, "DimensionMismatch"),
+    ("lqr-seed-1", ["lqr", "{model}", "--r", "2", "--seed", "-1"], 2, "DimensionMismatch"),
+    ("experiment-seed-1", ["experiment", "fig4", "--seed", "-1"], 2, "DimensionMismatch"),
     (
         "evaluate-nan-kmeans-eps",
         ["evaluate", "{model}", "--r", "1", "--kmeans-eps", "nan"],

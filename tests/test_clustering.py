@@ -29,8 +29,8 @@ from mjsreduce.errors import (
     InputError,
     NotConverged,
     NotErgodic,
+    PartitionMismatch,
     RankDeficient,
-    SizeMismatch,
 )
 from mjsreduce.experiments import demoted_weights
 from mjsreduce.model import MjsModel, Partition
@@ -153,7 +153,7 @@ def test_short_partition_scores_against_the_truth():
     assert part == Partition([[0, 1, 2], [3]])
     truth = Partition([[0, 1], [2], [3]])
     assert misclustering_rate(part, truth) == 1.0
-    with pytest.raises(SizeMismatch):
+    with pytest.raises(PartitionMismatch):
         misclustering_rate(truth, part)
 
 
@@ -286,13 +286,13 @@ def test_mr_frozen_examples():
     # Interleaved split: each truth cluster loses one of its two modes.
     b = Partition([[0, 2], [1, 3]])
     assert misclustering_rate(a, b) == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(SizeMismatch):
+    with pytest.raises(PartitionMismatch):
         misclustering_rate(a, Partition([[0, 1, 2], [3, 4]]))
     # A short estimate is padded with an empty cluster, which costs 1;
     # an estimate with more clusters than the truth is refused.
     finer = Partition([[0, 1], [2], [3]])
     assert misclustering_rate(a, finer) == 1.0
-    with pytest.raises(SizeMismatch):
+    with pytest.raises(PartitionMismatch):
         misclustering_rate(finer, a)
 
 
@@ -323,7 +323,7 @@ def test_average_model_plain_and_pi_weighted():
     w = m2.pi[:2] / m2.pi[:2].sum()
     red2 = average_model(m2, part2, pi_weighted=True)
     assert np.abs(red2.A[0] - (w[0] * m2.A[0] + w[1] * m2.A[1])).max() <= 1e-12
-    with pytest.raises(SizeMismatch):
+    with pytest.raises(PartitionMismatch):
         average_model(m2, part)
 
 

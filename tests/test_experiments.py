@@ -7,7 +7,7 @@ import pytest
 
 import mjsreduce.experiments as experiments
 import mjsreduce.lqr as lqr
-from mjsreduce.errors import InputError, NotConverged
+from mjsreduce.errors import DimensionMismatch, InputError, NotConverged
 from mjsreduce.experiments import (
     EXPERIMENT_NAMES,
     ExperimentSpec,
@@ -32,8 +32,16 @@ def test_spec_validation():
         ExperimentSpec("fig9")
     with pytest.raises(InputError, match="empty"):
         ExperimentSpec("fig2", grid=())
-    with pytest.raises(InputError, match="positive"):
+    with pytest.raises(DimensionMismatch, match="trials must be an integer of at least 1"):
         ExperimentSpec("fig2", trials=0)
+    # Fractions, bools and strings are refused here, not deep in a protocol.
+    for trials in (2.5, True, "3", -1):
+        with pytest.raises(DimensionMismatch, match="trials"):
+            ExperimentSpec("fig4", trials=trials)
+    for seed in (-1, 1.5, None, "0"):
+        with pytest.raises(DimensionMismatch, match="seed must be an integer of at least 0"):
+            ExperimentSpec("fig4", seed=seed)
+    assert ExperimentSpec("fig4", seed=np.int64(3), trials=np.int32(2)).trials == 2
     assert ExperimentSpec("fig2", grid=[0.0, 1.0]).grid == (0.0, 1.0)
 
 

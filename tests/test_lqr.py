@@ -16,6 +16,7 @@ from mjsreduce.errors import (
     InputError,
     NotConverged,
     NotMss,
+    PartitionMismatch,
     SingularInnerMatrix,
     TooLarge,
 )
@@ -312,6 +313,11 @@ def test_lift_gains_copies_by_label():
     assert np.array_equal(lifted[2], K_red[0])
     assert np.array_equal(lifted[1], K_red[1])
     assert np.array_equal(lifted[3], K_red[1])
+    # One gain per cluster: fewer would index past the end, and more
+    # would be dropped unseen.
+    for K in (K_red[:1], np.concatenate([K_red, K_red[:1]]), K_red[0, 0, 0]):
+        with pytest.raises(PartitionMismatch, match="for 2 clusters"):
+            lift_gains(K, part)
 
 
 def test_scalar_average_cost_closed_form():

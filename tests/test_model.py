@@ -35,7 +35,6 @@ from mjsreduce.model import (
     model_to_dict,
     save_model,
     simulate_coupled_batch,
-    validate_model,
 )
 from mjsreduce.synth import SynthConfig, fig4_model, generate
 from mjsreduce.bounds import BoundInputs, empirical_traj_diff, transition_kernel_enum
@@ -79,16 +78,68 @@ def test_model_rejects_bad_shapes():
         MjsModel(np.zeros((0, 2, 2)), None, np.zeros((0, 0)))
 
 
-def test_validate_model_reports_value_violations():
-    ok = three_state_model()
-    assert validate_model(ok) == []
-    bad_T = MjsModel(np.zeros((2, 1, 1)), None, [[1.2, -0.2], [0.5, 0.5]])
-    msgs = validate_model(bad_T)
-    assert any("negative" in m for m in msgs)
-    bad_sum = MjsModel(np.zeros((2, 1, 1)), None, [[0.6, 0.6], [0.5, 0.5]])
-    assert any("sums to" in m for m in validate_model(bad_sum))
-    nan_A = MjsModel(np.full((1, 1, 1), np.nan), None, [[1.0]])
-    assert any("A" in m for m in validate_model(nan_A))
+def test_model_refuses_value_violations():
+    # load_model, and so the CLI after "InputError: ", prints these words.
+    three_state_model()  # a chain passes
+    with pytest.raises(InputError, match=r"^invalid model: T\(0,1\) = -0.2 is negative$"):
+        MjsModel(np.zeros((2, 1, 1)), None, [[1.2, -0.2], [0.5, 0.5]])
+    with pytest.raises(InputError, match=r"^invalid model: T row 0 sums to 1.2$"):
+        MjsModel(np.zeros((2, 1, 1)), None, [[0.6, 0.6], [0.5, 0.5]])
+    with pytest.raises(InputError, match=r"^invalid model: A contains non-finite entries$"):
+        MjsModel(np.full((1, 1, 1), np.nan), None, [[1.0]])
+    # Every violation is listed, in the order A, B, T.
+    with pytest.raises(
+        InputError,
+        match=r"^invalid model: A contains non-finite entries; B contains non-finite "
+        r"entries; T row 1 sums to 0$",
+    ):
+        MjsModel(np.full((2, 1, 1), np.inf), np.full((2, 1, 1), np.nan), [[1.0, 0.0], [0.0, 0.0]])
+
+
+# One violation per kind, injected at entry (i, j) of a valid model, and
+# the words InputError must name it with.
+MODEL_VIOLATIONS = {
+    "negative T": ("T", -0.25, r"T\({i},{j}\) = -0.25 is negative"),
+    "NaN T": ("T", np.nan, "T contains non-finite entries"),
+    "inf T": ("T", np.inf, "T contains non-finite entries"),
+    "row sum": ("T", 2e-9, r"T row {i} sums to"),
+    "NaN A": ("A", np.nan, "A contains non-finite entries"),
+    "inf A": ("A", -np.inf, "A contains non-finite entries"),
+    "NaN B": ("B", np.nan, "B contains non-finite entries"),
+    "inf B": ("B", np.inf, "B contains non-finite entries"),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    s=st.integers(1, 5),
+    n=st.integers(1, 3),
+    p=st.integers(1, 2),
+    kind=st.sampled_from(sorted(MODEL_VIOLATIONS)),
+    where=st.integers(0, 2**16),
+    sign=st.sampled_from([-1.0, 1.0]),
+)
+def test_model_refuses_each_injected_violation(seed, s, n, p, kind, where, sign):
+    rng = np.random.default_rng(seed)
+    arrays = {
+        "A": rng.standard_normal((s, n, n)),
+        "B": rng.standard_normal((s, n, p)),
+        "T": rng.dirichlet(np.ones(s), size=s),
+    }
+    i, j = divmod(where % (s * s), s)
+    # Rows within 1e-9 of 1, from either side, are a chain.
+    near = arrays["T"].copy()
+    near[i, j] += sign * 5e-10 if near[i, j] >= 5e-10 else 5e-10
+    MjsModel(arrays["A"], arrays["B"], near)
+    name, value, words = MODEL_VIOLATIONS[kind]
+    M = arrays[name]
+    if kind == "row sum":
+        M[i, j] += sign * value if M[i, j] >= value else value
+    else:
+        M.reshape(s, -1)[i, where % M[i].size] = value
+    with pytest.raises(InputError, match="^invalid model: .*" + words.format(i=i, j=j)):
+        MjsModel(arrays["A"], arrays["B"], arrays["T"])
 
 
 def chain(T):

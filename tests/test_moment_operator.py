@@ -266,6 +266,31 @@ def test_signed_T_is_refused(bad):
         closed_loop_average_cost(MjsModel(A, B, T), np.zeros((3, 1, 1)), np.eye(1), np.eye(1), 0.1)
 
 
+def test_a_chain_with_a_signed_row_is_refused_as_a_model_and_as_raw_arrays():
+    # Row 1 sums to 1 but has a negative entry, so it is no chain.  The
+    # model refuses it, so no simulator, kernel walk or Riccati solve
+    # can receive it, and MomentOperator refuses it as raw arrays.
+    A = np.stack([0.5 * np.eye(2), 0.9 * np.eye(2)])
+    T = np.array([[0.6, 0.4], [1.05, -0.05]])
+    with pytest.raises(InputError, match=r"^invalid model: T\(1,1\) = -0.05 is negative$"):
+        MjsModel(A, np.ones((2, 2, 1)), T)
+    with pytest.raises(InputError, match=r"T\(1,1\) = -0.05 is not >= 0"):
+        MomentOperator(A, T)
+
+
+def test_rho_of_a_substochastic_T_takes_the_dense_path():
+    # L is linear in T, so halving T halves rho; such a T is no model's,
+    # and the dense path builds the operator from the raw arrays.
+    rng = np.random.default_rng(5)
+    A, T = draw_modes(rng, 3, 2), draw_chain(rng, 3, "ergodic")
+    half = MomentOperator(A, 0.5 * T)
+    assert half.dim <= DENSE_RHO_MAX
+    with mock.patch.object(stability, "eigs", side_effect=AssertionError("ARPACK ran")):
+        got = half.rho()
+    assert_rel_close(got, dense_rho(A, 0.5 * T), rtol=1e-12)
+    assert_rel_close(got, 0.5 * dense_rho(A, T), rtol=1e-12)
+
+
 def exact_power_norms(A, T, k_max):
     """||L^k||_2 for k = 1..k_max in 60-digit mpmath, from the operator
     built entry by entry from the float A and T as loop_augmented_matrix

@@ -14,7 +14,7 @@ from conftest import (
     three_state_model,
 )
 from mjsreduce.clustering import build_features_aggregatable, reduce_model
-from mjsreduce.errors import DimensionMismatch, InputError, SizeMismatch
+from mjsreduce.errors import DimensionMismatch, InputError, PartitionMismatch
 from mjsreduce.model import MjsModel, Partition
 from mjsreduce.perturbation import construct_T0, mr_bound, perturbations
 from mjsreduce.synth import SynthConfig, fig4_model, generate
@@ -61,7 +61,7 @@ def test_pair_sums_count_ordered_pairs(rng):
 
 def test_perturbations_validates_sizes(rng):
     m = random_model(rng, s=4)
-    with pytest.raises(SizeMismatch):
+    with pytest.raises(PartitionMismatch):
         perturbations(m, SPLIT, "aggregatable")
     with pytest.raises(DimensionMismatch):
         perturbations(m, Partition([[0, 1], [2, 3]]), "nonsense")
@@ -192,7 +192,7 @@ def test_averaged_feature_matrix_rows(rng):
     sv = np.linalg.svd(phibar, compute_uv=False)
     sigma_r = mr_bound(m, part, "aggregatable").sigma_r_phibar
     assert sigma_r == pytest.approx(sv[1], abs=1e-12)
-    with pytest.raises(SizeMismatch):
+    with pytest.raises(PartitionMismatch):
         mr_bound(m, Partition([[0, 1], [2]]), "aggregatable")
 
 

@@ -28,7 +28,6 @@ from mjsreduce.model import (
     Partition,
     expand_reduced,
     simulate_coupled_batch,
-    validate_model,
 )
 from mjsreduce.perturbation import construct_T0
 from mjsreduce.stability import (
@@ -80,7 +79,6 @@ def test_certificate_entry_points_take_no_tuning_options():
         (spectral_radius, ("M",)),
         (augmented_matrix, ("model",)),
         (construct_T0, ("T", "partition", "branch")),
-        (validate_model, ("model",)),
         (demoted_weights, ("model",)),
     ):
         assert tuple(inspect.signature(fn).parameters) == names, fn.__qualname__
