@@ -11,6 +11,7 @@ checks are exposed separately so callers can flag such evaluations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -221,12 +222,32 @@ def wasserstein_kernel_bound(b: BoundInputs, t: int, ell: int = 1) -> float:
     return float(term1 + term2)
 
 
+def _law_tolerance(t: int) -> float:
+    """How far the masses of a law of x_t may sum from 1: 1e-9 up to
+    t = 1, and (1 + 1e-9)^t - 1 beyond.
+
+    A chain's rows sum to 1 within 1e-9 (MjsModel's rule), and
+    transition_kernel_enum's law of x_t is pi carried through t - 1
+    levels of T: a sequence of mass q passes q T(i, j) to each child,
+    whose masses total q times a row sum.  So the law's total lies
+    within [(1 - 1e-9)^(t-1), (1 + 1e-9)^(t-1)] times pi's, that is
+    within (1 + 1e-9)^(t-1) - 1 of it, since (1 + e)^k + (1 - e)^k >= 2.
+    (1 + 1e-9)^t - 1 exceeds that by (1 + 1e-9)^(t-1) * 1e-9 >= 1e-9,
+    which covers pi's total, off 1 by rounding, and the rounding of
+    the products and sums: at most KERNEL_PATHS masses, each a product
+    of t factors, which move the total by about (t + KERNEL_PATHS) *
+    2^-53, 2e-11 at the cap, relative.
+    """
+    return 1e-9 if t <= 1 else math.expm1(t * math.log1p(1e-9))
+
+
 @dataclass(frozen=True)
 class KernelDistribution:
     """Finitely supported law of x_t: support points, one per row, and
     their masses, as read-only copies.  DimensionMismatch unless each
     point has one mass, NotNormalized unless the masses are nonnegative
-    and sum to 1 within 1e-9, InputError for a point that is not finite."""
+    and sum to 1 within _law_tolerance(t), which is 1e-9 up to t = 1 and
+    about t * 1e-9 beyond, InputError for a point that is not finite."""
 
     support: np.ndarray
     mass: np.ndarray
@@ -237,7 +258,7 @@ class KernelDistribution:
         mass = np.array(self.mass, dtype=float)
         if mass.ndim != 1 or support.shape[0] != mass.shape[0]:
             raise DimensionMismatch(f"{mass.shape} masses for {support.shape[0]} support points")
-        if not (abs(mass.sum() - 1.0) <= 1e-9 and (mass >= 0.0).all()):  # NaN too
+        if not (abs(mass.sum() - 1.0) <= _law_tolerance(self.t) and (mass >= 0.0).all()):  # NaN too
             least = mass.min(initial=np.inf)
             raise NotNormalized(f"masses sum to {mass.sum():.12g}, least {least:.6g}")
         if not np.isfinite(support).all():

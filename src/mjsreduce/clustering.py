@@ -10,6 +10,7 @@ cluster estimate; averaging within clusters yields the reduced model.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.optimize
@@ -196,32 +197,74 @@ def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return out
 
 
-def _seed(pair: np.ndarray, r: int, rngs: list) -> np.ndarray:
-    """k-means++ seeds as point indices (restarts, r), one generator per
-    restart; pair[i] holds the squared distances from point i.
+class _Streams(NamedTuple):
+    """What each restart's k-means++ seeding draws from its generator,
+    default_rng(SeedSequence(seed).spawn(restarts)[i]): integers(s) for
+    the first center, then random(r - 1), which numpy fills with the
+    numbers of r - 1 scalar random() calls.  children keeps the spawned
+    SeedSequences, from which _seed replays a restart whose squared
+    distances vanish."""
 
-    Each generator draws what a lone restart draws, in the same order:
-    integers(s) for the first center, then per further center one
-    uniform, mapped through the cdf of the squared distances as
-    Generator.choice(s, p=d2 / d2.sum()) maps it, or integers(s) once
-    every squared distance is zero.
+    children: list
+    first: np.ndarray  # (restarts,)
+    uniforms: np.ndarray  # (restarts, r - 1)
+
+
+def _restart_streams(s: int, r: int, restarts: int, seed) -> _Streams:
+    """The restart streams of k-means on s points into r clusters.
+
+    Raises DimensionMismatch unless restarts is an integer of at least 1
+    and an integer seed is nonnegative, DegenerateInput if s < r.
+    """
+    _check_count("restarts", restarts, 1)
+    _check_seed(seed)
+    if s < r:
+        raise DegenerateInput(f"cannot form {r} clusters from {s} points")
+    children = np.random.SeedSequence(seed).spawn(restarts)
+    first = np.empty(restarts, dtype=int)
+    uniforms = np.empty((restarts, r - 1))
+    for i, child in enumerate(children):
+        rng = np.random.default_rng(child)
+        first[i] = rng.integers(s)
+        uniforms[i] = rng.random(r - 1)
+    return _Streams(children, first, uniforms)
+
+
+def _seed(pair: np.ndarray, r: int, streams: _Streams) -> np.ndarray:
+    """k-means++ seeds as point indices (restarts, r), from each
+    restart's stream; pair[i] holds the squared distances from point i.
+
+    Each further center maps the restart's next uniform through the cdf
+    of the squared distances, as Generator.choice(s, p=d2 / d2.sum())
+    maps it.  Once every squared distance is zero, at step k, a lone
+    restart's generator draws integers(s) for each remaining center
+    instead; for such a restart the generator is rebuilt from its
+    SeedSequence child and advanced past its first k draws to draw them.
     """
     s = len(pair)
-    seeds = np.empty((len(rngs), r), dtype=int)
-    seeds[:, 0] = [g.integers(s) for g in rngs]
-    d2 = pair[seeds[:, 0]]
+    children, first, uniforms = streams
+    seeds = np.empty((len(first), r), dtype=int)
+    seeds[:, 0] = first
+    live = np.arange(len(first))
+    d2 = pair[first]
     for k in range(1, r):
         total = d2.sum(axis=1)
         if not np.all(np.isfinite(total)):
             raise DegenerateInput("squared distances between the points overflow")
-        live = total > 0
-        cdf = (d2[live] / total[live, None]).cumsum(axis=1)
+        if not total.all():
+            # All remaining points duplicate chosen centers, for good.
+            for i in live[total == 0]:
+                rng = np.random.default_rng(children[i])
+                rng.integers(s)
+                rng.random(k - 1)
+                seeds[i, k:] = [rng.integers(s) for _ in range(k, r)]
+            keep = total > 0
+            live, d2, total = live[keep], d2[keep], total[keep]
+        cdf = (d2 / total[:, None]).cumsum(axis=1)
         cdf /= cdf[:, -1:]
-        u = np.array([g.random() for g, on in zip(rngs, live) if on])
-        seeds[live, k] = (cdf <= u[:, None]).sum(axis=1)
-        # All remaining points duplicate chosen centers.
-        seeds[~live, k] = [g.integers(s) for g, on in zip(rngs, live) if not on]
-        d2 = np.minimum(d2, pair[seeds[:, k]])
+        chosen = (cdf <= uniforms[live, k - 1, None]).sum(axis=1)
+        seeds[live, k] = chosen
+        d2 = np.minimum(d2, pair[chosen])
     return seeds
 
 
@@ -289,48 +332,49 @@ def _cluster_means(
 def _lloyd(
     points: np.ndarray, rows: np.ndarray, centers: np.ndarray, dist2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lloyd iterations on every restart's centers (restarts, r, d), in
-    place, from their squared distances dist2 (restarts, s, r); rows
+    """Lloyd iterations on every restart's centers (restarts, r, d) and
+    their squared distances dist2 (restarts, s, r), both in place; rows
     numbers the distinct points or is None (see _cluster_means).
 
     A restart stops, without a center update, at the first assignment
-    equal to its previous one.  Returns the squared distance from each
-    point to its nearest final center (restarts, s), the index of that
-    center, and the indices of the restarts still moving after MAX_ITER
-    assignments.
+    equal to its previous one.  A round recomputes only the distance
+    columns of centers whose bits changed: the distances are a function
+    of the center's bits, so the others keep theirs.  Returns the squared
+    distance from each point to its nearest final center (restarts, s),
+    the index of that center, and the indices of the restarts still
+    moving after MAX_ITER assignments.
     """
     R, r, _ = centers.shape
     labels = np.full((R, points.shape[0]), -1)
-    near = np.empty(labels.shape)
-    nearest = np.empty_like(labels)
     active = np.arange(R)
     for _ in range(MAX_ITER):
-        new = dist2.argmin(axis=2)
+        new = dist2[active].argmin(axis=2)
         for a in np.flatnonzero((_sizes(new, r) == 0).any(axis=1)):
-            _repair(points, centers[active[a]], new[a], dist2[a])
+            _repair(points, centers[active[a]], new[a], dist2[active[a]])
         moved = (new != labels[active]).any(axis=1)
         # A stopped restart's centers are final, and so are its distances.
-        near[active[~moved]] = dist2[~moved].min(axis=2)
-        nearest[active[~moved]] = dist2[~moved].argmin(axis=2)
         active, new = active[moved], new[moved]
         if active.size == 0:
             break
         labels[active] = new
         means, sizes = _cluster_means(points, rows, new, r)
-        filled = sizes > 0
-        update = centers[active]
-        update[filled] = means[filled]
+        old = centers[active]
+        update = np.where((sizes > 0)[..., None], means, old)
         centers[active] = update
-        dist2 = _sq_dists(points, update)
-    else:
-        # Out of rounds: the distances to the last centers are final.
-        near[active] = dist2.min(axis=2)
-        nearest[active] = dist2.argmin(axis=2)
-    return near, nearest, active
+        # != misses -0.0 against 0.0, whose squared distances agree.
+        a, k = np.nonzero((update != old).any(axis=2))
+        dist2[active[a], :, k] = _sq_dists(points, update[a, k][:, None])[..., 0]
+    nearest = dist2.argmin(axis=2)
+    return np.take_along_axis(dist2, nearest[..., None], 2)[..., 0], nearest, active
 
 
 def kmeans_partition(
-    points: np.ndarray, r: int, restarts: int = 50, seed=None
+    points: np.ndarray,
+    r: int,
+    restarts: int = 50,
+    seed=None,
+    *,
+    _streams: _Streams | None = None,
 ) -> tuple[Partition, np.ndarray, float]:
     """Best-of-restarts k-means on the rows of `points`.
 
@@ -346,7 +390,14 @@ def kmeans_partition(
     restarts)[i]), which draws integers(s) for the first center and then
     one uniform per further center (integers(s) once every squared
     distance is zero); its Lloyd iterations stop at the first repeated
-    assignment, and its sums run in the order of a lone restart.
+    assignment, and its sums run in the order of a lone restart.  The
+    uniforms come from one random(r - 1) call per generator, which numpy
+    fills with the numbers of r - 1 scalar calls; a restart whose
+    squared distances all vanish at step k, as happens when the points
+    carry fewer than r distinct values, is replayed from its SeedSequence
+    child through step k - 1 and then draws integers(s).  _streams,
+    private to reduce_model, passes streams built for the same s, r,
+    restarts and seed, so its two branches draw them once.
 
     Raises DimensionMismatch if points is not 2-D, r or restarts is
     not an integer of at least 1 or an integer seed is negative;
@@ -361,17 +412,12 @@ def kmeans_partition(
     if not np.all(np.isfinite(points)):
         raise InputError("points must be finite")
     _check_count("r", r, 1)
-    _check_count("restarts", restarts, 1)
-    _check_seed(seed)
-    if points.shape[0] < r:
-        raise DegenerateInput(
-            f"cannot form {r} clusters from {points.shape[0]} points"
-        )
-    rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(restarts)]
+    if _streams is None:
+        _streams = _restart_streams(points.shape[0], r, restarts, seed)
     # Seeds are points, so one table of point-to-point distances serves
     # the seeding and the first assignment.
     pair = _sq_dists(points, points[:, None])[..., 0]
-    seeds = _seed(pair, r, rngs)
+    seeds = _seed(pair, r, _streams)
     centers = points[seeds]
     # Points with fewer than r distinct values leave clusters empty, and
     # their clusters of copies then need exact means (see _cluster_means).
@@ -427,12 +473,13 @@ def _reduce_one_branch(
     restarts: int,
     seed,
     pi_weighted: bool,
+    streams: _Streams | None = None,
 ) -> ReductionResult:
     feats = _branch_features(model, r, branch, weights)
     U, _, _ = np.linalg.svd(feats.phi, full_matrices=False)
     embedding = U[:, :r]
     partition, _, objective = kmeans_partition(
-        embedding, r, restarts=restarts, seed=seed
+        embedding, r, restarts=restarts, seed=seed, _streams=streams
     )
     reduced = average_model(model, partition, pi_weighted=pi_weighted)
     return ReductionResult(
@@ -461,7 +508,11 @@ def reduce_model(
     branch=None both run and the partition whose measured perturbation
     vector (eps_T, eps_A + eps_B) is lexicographically smaller wins,
     each branch scored under its own transition semantics; ties go to
-    the aggregatable candidate.
+    the aggregatable candidate.  Both branches cluster the s modes into
+    r groups from the same seed, so they share one set of restart
+    streams (see kmeans_partition) and one computation of the default
+    weights; each equals the reduction with that branch given.  Under
+    seed=None the two branches therefore share one draw of entropy.
 
     Raises DimensionMismatch unless r is an integer of at least 1,
     DegenerateInput if r > s (kmeans_partition cannot form r clusters
@@ -475,12 +526,19 @@ def reduce_model(
     # perturbation imports this module at load time, so import it here.
     from .perturbation import perturbations
 
+    # The checks run in the order the aggregatable branch runs them.
+    weights = default_weights(model) if weights is None else _check_weights(weights)
+    streams = _restart_streams(model.s, r, restarts, seed)
     candidates = [
-        _reduce_one_branch(model, r, "aggregatable", weights, restarts, seed, pi_weighted)
+        _reduce_one_branch(
+            model, r, "aggregatable", weights, restarts, seed, pi_weighted, streams
+        )
     ]
     try:
         candidates.append(
-            _reduce_one_branch(model, r, "lumpable", weights, restarts, seed, pi_weighted)
+            _reduce_one_branch(
+                model, r, "lumpable", weights, restarts, seed, pi_weighted, streams
+            )
         )
     except ComputationError:
         pass  # lumpable features unavailable (e.g. non-ergodic chain)

@@ -76,3 +76,21 @@ def test_tracer_counts_fill(bench_modules, monkeypatch):
     assert c["model.simulate_coupled_batch.steps"] == 4 * 5
     names = {sp.name for sp in tracer.spans}
     assert {"stability.jsr_bounds", "stability.kappa_estimate"} <= names
+
+
+def test_an_auto_reduction_traces_the_kmeans_run_of_each_branch(bench_modules):
+    # reduce_model(branch=None) draws one set of restart streams for its
+    # two branches, and each branch's k-means still runs through
+    # kmeans_partition, so the per-layer k-means metrics count both.
+    layers, spans = bench_modules
+    model, _, _ = mj.generate(mj.SynthConfig(6, 2, 2, 1, seed=3))
+    tracer = spans.Tracer(layers.TARGETS)
+    try:
+        tracer.install()
+        mj.reduce_model(model, 2, restarts=3, seed=0)
+    finally:
+        tracer.uninstall()
+    calls = [sp for sp in tracer.spans if sp.name == "clustering.kmeans_partition"]
+    assert len(calls) == 2
+    assert tracer.counters["clustering.kmeans_partition.restarts"] == 2 * 3
+    assert tracer.counters["clustering.kmeans_partition.short"] == 0

@@ -183,6 +183,34 @@ def test_kernel_enum_refuses_states_that_overflow(t):
         transition_kernel_enum(model, np.ones(2), t)
 
 
+@pytest.mark.parametrize("t", [3, 4])
+def test_kernel_enum_takes_a_chain_whose_rows_sum_to_the_tolerance(t):
+    # Rows off 1 by 0.9e-9 are a chain, and the law of x_t carries them
+    # through t - 1 levels, so its total is off 1 by (t - 1) * 0.9e-9:
+    # past 1e-9 from t = 3, where the law was refused as NotNormalized.
+    e = 0.9e-9
+    model = MjsModel(
+        np.stack([0.5 * np.eye(2), 0.9 * np.eye(2)]),
+        None,
+        np.array([[0.5, 0.5 + e], [0.3, 0.7 + e]]),
+    )
+    law = transition_kernel_enum(model, (1.0, 2.0), t)
+    assert law.mass.sum() - 1.0 == pytest.approx((t - 1) * e, rel=1e-6)
+    assert wasserstein_exact(law, law) == 0.0
+
+
+def test_law_tolerance_grows_with_the_horizon():
+    # 1e-9 up to t = 1, so every injected total violation still fails
+    # there, and (1 + 1e-9)^t - 1, about t * 1e-9, beyond.
+    for t in (0, 1, 2, 3, 10):
+        room = max(t, 1) * 1e-9
+        for off in (-0.99 * room, 0.99 * room):
+            dist([[0.0], [1.0]], [0.5, 0.5 + off], t)
+        for off in (-1.01 * room, 1.01 * room):
+            with pytest.raises(NotNormalized):
+                dist([[0.0], [1.0]], [0.5, 0.5 + off], t)
+
+
 @pytest.mark.invariant
 def test_kernel_mass_is_conserved(rng):
     for _ in range(5):

@@ -27,6 +27,7 @@ from mjsreduce.errors import (
     DegenerateInput,
     DimensionMismatch,
     InputError,
+    MjsError,
     NotConverged,
     NotErgodic,
     PartitionMismatch,
@@ -34,6 +35,7 @@ from mjsreduce.errors import (
 )
 from mjsreduce.experiments import demoted_weights
 from mjsreduce.model import MjsModel, Partition
+from mjsreduce.perturbation import perturbations
 from mjsreduce.synth import SynthConfig, generate
 
 
@@ -369,6 +371,84 @@ def test_auto_branch_prefers_smaller_transition_residual():
     assert res.branch == "aggregatable"
 
 
+def better_explicit_reduction(model, r, **kw):
+    """The branch=None contract spelled out: each branch reduced on its
+    own, and the smaller (eps_T, eps_A + eps_B) wins, ties going to the
+    aggregatable branch."""
+    candidates = [reduce_model(model, r, branch="aggregatable", **kw)]
+    try:
+        candidates.append(reduce_model(model, r, branch="lumpable", **kw))
+    except ComputationError:
+        pass
+
+    def score(res):
+        eps = perturbations(model, res.partition, res.branch)
+        return (eps.eps_T, eps.eps_A + eps.eps_B)
+
+    return min(candidates, key=score)  # the first of equal scores
+
+
+@pytest.mark.invariant
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    labels=PARTITION_LABELS,
+    n=st.integers(1, 3),
+    p=st.integers(0, 2),
+    zeros=st.booleans(),
+    r=st.integers(1, 6),
+    restarts=st.integers(1, 8),
+    demoted=st.booleans(),
+)
+@example(seed=0, labels=[0] * 9 + [1] * 11, n=2, p=1, zeros=False, r=4, restarts=8, demoted=False)
+@example(seed=3, labels=[0, 0, 0, 0], n=1, p=0, zeros=True, r=2, restarts=5, demoted=False)
+def test_auto_branch_equals_the_better_explicit_branch(seed, labels, n, p, zeros, r, restarts, demoted):
+    # The branches share one set of restart streams and the default
+    # weights, and each must still be the reduction of its own call.
+    model, _ = draw_instance(seed, labels, n, p, zeros)
+    r = min(r, model.s)
+    kw = dict(restarts=restarts, seed=seed, weights=demoted_weights(model) if demoted else None)
+    try:
+        want = better_explicit_reduction(model, r, **kw)
+    except MjsError as err:
+        with pytest.raises(type(err)) as got:
+            reduce_model(model, r, **kw)
+        assert str(got.value) == str(err)
+        return
+    got = reduce_model(model, r, **kw)
+    assert got.branch == want.branch and got.restarts_used == want.restarts_used
+    assert np.array_equal(got.partition.labels, want.partition.labels)
+    assert got.objective == want.objective
+    assert np.array_equal(got.embedding, want.embedding)
+    for X, Y in (
+        (got.reduced.A, want.reduced.A),
+        (got.reduced.B, want.reduced.B),
+        (got.reduced.T, want.reduced.T),
+    ):
+        assert X.shape == Y.shape and np.array_equal(X, Y)
+
+
+def test_auto_branch_refuses_bad_input_as_the_aggregatable_branch_does():
+    # The aggregatable branch runs first, so its first refusal is the
+    # auto path's: restarts, then the seed, then r > s.
+    model = reversible_chain_model()[0]  # s = 4
+    for r, restarts, seed in itertools.product((2, 5), (3, 0, 2.5), (0, -1)):
+        if (r, restarts, seed) == (2, 3, 0):
+            continue
+        with pytest.raises(MjsError) as want:
+            reduce_model(model, r, branch="aggregatable", restarts=restarts, seed=seed)
+        with pytest.raises(MjsError) as got:
+            reduce_model(model, r, restarts=restarts, seed=seed)
+        assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+        if restarts != 3:
+            expected = f"restarts must be an integer of at least 1, got {restarts!r}"
+        elif seed:
+            expected = "seed must be an integer of at least 0, got -1"
+        else:
+            expected = "cannot form 5 clusters from 4 points"
+        assert str(got.value) == expected
+
+
 def test_reduction_result_serialization(rng):
     model = random_model(rng, s=4, n=2, p=1)
     res = reduce_model(model, 2, branch="aggregatable", seed=0)
@@ -575,11 +655,11 @@ def kmeans_points(seed, s, d, distinct, lattice):
 @settings(max_examples=150, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    s=st.integers(1, 24),
-    d=st.integers(1, 6),
-    r=st.integers(1, 24),
+    s=st.integers(1, 36),
+    d=st.integers(1, 30),
+    r=st.integers(1, 30),
     restarts=st.integers(1, 12),
-    distinct=st.integers(1, 24),
+    distinct=st.integers(1, 36),
     lattice=st.booleans(),
 )
 @example(seed=0, s=10, d=2, r=4, restarts=5, distinct=3, lattice=False)  # repair
@@ -590,6 +670,13 @@ def kmeans_points(seed, s, d, distinct, lattice):
 @example(seed=9, s=6, d=2, r=6, restarts=6, distinct=6, lattice=False)  # r = s
 @example(seed=11, s=18, d=4, r=3, restarts=1, distinct=18, lattice=False)  # one restart
 @example(seed=2, s=8, d=2, r=2, restarts=10, distinct=4, lattice=True)  # ties
+# Squared distances over 9 or more coordinates are summed with 8
+# accumulators; regulate clusters at d = r up to 24.
+@example(seed=4, s=30, d=9, r=9, restarts=8, distinct=30, lattice=False)
+@example(seed=5, s=36, d=24, r=24, restarts=6, distinct=36, lattice=False)
+# Two distinct rows: every restart's squared distances vanish at
+# seeding step 2, so each is replayed from its SeedSequence child.
+@example(seed=1, s=12, d=3, r=6, restarts=7, distinct=2, lattice=False)
 def test_kmeans_matches_the_restart_loop(seed, s, d, r, restarts, distinct, lattice):
     r, distinct = min(r, s), min(distinct, s)
     points = kmeans_points(seed, s, d, distinct, lattice)
