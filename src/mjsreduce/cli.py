@@ -124,15 +124,15 @@ def cmd_reduce(args) -> int:
 
 def cmd_evaluate(args) -> int:
     model = load_model(args.model)
+    weights = tuple(args.weights) if args.weights else None
     if args.partition:
         partition = _load_partition(args.partition, model.s)
-    elif args.r:
+    elif args.r is not None:
         partition = reduce_model(
-            model, args.r, branch=args.branch, seed=args.seed
+            model, args.r, branch=args.branch, weights=weights, seed=args.seed
         ).partition
     else:
         raise InputError("evaluate needs --partition or --r")
-    weights = tuple(args.weights) if args.weights else None
     report = mr_bound(
         model,
         partition,

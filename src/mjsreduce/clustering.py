@@ -111,7 +111,7 @@ def _check_weights(weights) -> tuple[float, float, float]:
     if not np.all(np.isfinite(w)) or np.any(w < 0):
         raise BadWeights(f"weights must be finite and nonnegative, got {w.tolist()}")
     if abs(w.sum() - 1.0) > 1e-12:
-        raise BadWeights(f"weights must sum to 1, got {w.sum()!r}")
+        raise BadWeights(f"weights must sum to 1, got {float(w.sum())!r}")
     return (float(w[0]), float(w[1]), float(w[2]))
 
 
@@ -396,8 +396,10 @@ def kmeans_partition(
     squared distances all vanish at step k, as happens when the points
     carry fewer than r distinct values, is replayed from its SeedSequence
     child through step k - 1 and then draws integers(s).  _streams,
-    private to reduce_model, passes streams built for the same s, r,
-    restarts and seed, so its two branches draw them once.
+    private to reduce_model, passes the streams that reduce_model builds
+    once, before its branch loop, from the same s, r, restarts and seed,
+    so every branch draws the same streams; restarts and seed were
+    checked when the streams were built.
 
     Raises DimensionMismatch if points is not 2-D, r or restarts is
     not an integer of at least 1 or an integer seed is negative;
@@ -465,33 +467,6 @@ def average_model(
     return MjsModel(A, B, T)
 
 
-def _reduce_one_branch(
-    model: MjsModel,
-    r: int,
-    branch: str,
-    weights,
-    restarts: int,
-    seed,
-    pi_weighted: bool,
-    streams: _Streams | None = None,
-) -> ReductionResult:
-    feats = _branch_features(model, r, branch, weights)
-    U, _, _ = np.linalg.svd(feats.phi, full_matrices=False)
-    embedding = U[:, :r]
-    partition, _, objective = kmeans_partition(
-        embedding, r, restarts=restarts, seed=seed, _streams=streams
-    )
-    reduced = average_model(model, partition, pi_weighted=pi_weighted)
-    return ReductionResult(
-        partition=partition,
-        reduced=reduced,
-        objective=objective,
-        restarts_used=restarts,
-        branch=branch,
-        embedding=embedding,
-    )
-
-
 def reduce_model(
     model: MjsModel,
     r: int,
@@ -505,49 +480,61 @@ def reduce_model(
 
     branch selects the transition features: "aggregatable" uses raw
     transition rows, "lumpable" uses the spectral summary S_r.  With
-    branch=None both run and the partition whose measured perturbation
-    vector (eps_T, eps_A + eps_B) is lexicographically smaller wins,
-    each branch scored under its own transition semantics; ties go to
-    the aggregatable candidate.  Both branches cluster the s modes into
-    r groups from the same seed, so they share one set of restart
-    streams (see kmeans_partition) and one computation of the default
-    weights; each equals the reduction with that branch given.  Under
-    seed=None the two branches therefore share one draw of entropy.
+    branch=None the branches run in the order of BRANCHES, and one
+    replaces the best so far only if its measured perturbation vector
+    (eps_T, eps_A + eps_B) is lexicographically smaller, each branch
+    scored under its own transition semantics; ties therefore keep the
+    aggregatable candidate.  A lumpable branch that fails with a
+    ComputationError (e.g. a non-ergodic chain) drops out.  Only the
+    winner is averaged.  Every branch clusters the s modes into r groups
+    from the same seed, so one set of restart streams (see
+    kmeans_partition) and one computation of the weights serve them all,
+    and each equals the reduction with that branch given; under
+    seed=None they share one draw of entropy.
 
-    Raises DimensionMismatch unless r is an integer of at least 1,
-    DegenerateInput if r > s (kmeans_partition cannot form r clusters
-    from s points).
+    Bad input is refused in one order, whatever the branch: r, the
+    branch, the weights, restarts, the seed, then r > s.  Raises
+    DimensionMismatch unless r and restarts are integers of at least 1,
+    the branch is one of BRANCHES and an integer seed is nonnegative;
+    BadWeights for weights that are no nonnegative triple summing to 1;
+    DegenerateInput if r > s (k-means cannot form r clusters from s
+    points).
     """
     _check_count("r", r, 1)
     if branch is not None:
-        return _reduce_one_branch(
-            model, r, branch, weights, restarts, seed, pi_weighted
-        )
+        check_branch(branch)
     # perturbation imports this module at load time, so import it here.
     from .perturbation import perturbations
 
-    # The checks run in the order the aggregatable branch runs them.
     weights = default_weights(model) if weights is None else _check_weights(weights)
     streams = _restart_streams(model.s, r, restarts, seed)
-    candidates = [
-        _reduce_one_branch(
-            model, r, "aggregatable", weights, restarts, seed, pi_weighted, streams
-        )
-    ]
-    try:
-        candidates.append(
-            _reduce_one_branch(
-                model, r, "lumpable", weights, restarts, seed, pi_weighted, streams
+    best = score = None
+    for name in BRANCHES if branch is None else (branch,):
+        try:
+            feats = _branch_features(model, r, name, weights)
+            embedding = np.linalg.svd(feats.phi, full_matrices=False)[0][:, :r]
+            partition, _, objective = kmeans_partition(
+                embedding, r, restarts=restarts, seed=seed, _streams=streams
             )
-        )
-    except ComputationError:
-        pass  # lumpable features unavailable (e.g. non-ergodic chain)
-    scored = []
-    for res in candidates:
-        eps = perturbations(model, res.partition, res.branch)
-        scored.append(((eps.eps_T, eps.eps_A + eps.eps_B), res))
-    scored.sort(key=lambda t: (t[0], t[1].branch))  # aggregatable wins ties
-    return scored[0][1]
+        except ComputationError:
+            if best is None:  # the only or the aggregatable branch
+                raise
+            continue
+        if branch is None:
+            eps = perturbations(model, partition, name)
+            score = (eps.eps_T, eps.eps_A + eps.eps_B)
+            if best is not None and not score < best[0]:
+                continue
+        best = (score, name, partition, objective, embedding)
+    _, name, partition, objective, embedding = best
+    return ReductionResult(
+        partition=partition,
+        reduced=average_model(model, partition, pi_weighted=pi_weighted),
+        objective=objective,
+        restarts_used=restarts,
+        branch=name,
+        embedding=embedding,
+    )
 
 
 def misclustering_rate(estimated: Partition, truth: Partition) -> float:

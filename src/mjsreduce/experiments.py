@@ -59,8 +59,9 @@ class ExperimentSpec:
 
     grid overrides the primary sweep of the protocol (eps_norm values
     for fig2, eps_AB values for fig3a, mode counts for fig3b, candidate
-    cluster counts for table2; fig4 has no sweep).  Counts must be
-    whole numbers; integer-valued floats such as 10.0 are accepted.
+    cluster counts for table2).  fig4 has no sweep, so a grid for it
+    is refused (InputError).  Counts must be whole numbers;
+    integer-valued floats such as 10.0 are accepted.
     trials overrides the per-cell trial count (the trajectory count
     for fig4); seed >= 0 and trials >= 1 are integers (DimensionMismatch).
     """
@@ -78,6 +79,8 @@ class ExperimentSpec:
                 f"unknown experiment {self.name!r}; choose from {EXPERIMENT_NAMES}"
             )
         if self.grid is not None:
+            if self.name == "fig4":
+                raise InputError("fig4 has no sweep, so it takes no grid")
             if len(self.grid) == 0:
                 raise InputError("empty sweep grid")
             object.__setattr__(self, "grid", tuple(self.grid))

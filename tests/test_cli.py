@@ -7,7 +7,7 @@ import pytest
 
 from mjsreduce.cli import build_parser, main
 from mjsreduce.model import MjsModel, save_model
-from mjsreduce.synth import fig4_model
+from mjsreduce.synth import SynthConfig, fig4_model, generate
 
 
 def run(capsys, *argv):
@@ -101,6 +101,33 @@ def test_evaluate_partition_forms(tmp_path, capsys):
     code, _, err = run(capsys, "evaluate", model, "--out", str(tmp_path / "e4"))
     assert code == 2
     assert "evaluate needs" in err
+
+
+def test_evaluate_clusters_under_the_given_weights(tmp_path, capsys):
+    # evaluate --r clusters with --weights, so it reports the bound of
+    # the partition that reduce finds under those weights.
+    model, _, _ = generate(SynthConfig(12, 3, 3, 2, eps_A=60, eps_T=60, seed=0))
+    path = str(tmp_path / "model.json")
+    save_model(model, path)
+    flags = ["--weights", "0", "0", "1", "--seed", "0"]
+    code, _, err = run(
+        capsys, "evaluate", path, "--r", "3", *flags, "--out", str(tmp_path / "direct")
+    )
+    assert code == 0, err
+    code, _, err = run(
+        capsys, "reduce", path, "--r", "3", "--branch", "aggregatable", *flags,
+        "--out", str(tmp_path / "red"),
+    )
+    assert code == 0, err
+    code, _, err = run(
+        capsys, "evaluate", path, "--partition", str(tmp_path / "red" / "reduction.json"),
+        *flags, "--out", str(tmp_path / "via"),
+    )
+    assert code == 0, err
+    direct = (tmp_path / "direct" / "evaluate.json").read_text()
+    assert direct == (tmp_path / "via" / "evaluate.json").read_text()
+    # The default weights cluster differently: eps_A 31.03.
+    assert json.loads(direct)["eps_A"] == pytest.approx(39.5348, abs=1e-4)
 
 
 def test_malformed_model_file(tmp_path, capsys):
@@ -316,6 +343,15 @@ def test_experiment_refuses_fractional_counts(tmp_path, capsys, name):
     assert not (tmp_path / f"{name}.csv").exists()
 
 
+def test_experiment_fig4_refuses_a_grid(tmp_path, capsys):
+    # fig4 has no sweep, and its config digest would not record one.
+    code, _, err = run(
+        capsys, "experiment", "fig4", "--grid", "1", "2", "--trials", "1", "--out", str(tmp_path)
+    )
+    assert (code, err.split(":")[0]) == (2, "InputError"), err
+    assert not (tmp_path / "fig4.csv").exists()
+
+
 def test_unknown_command_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bogus"])
@@ -386,6 +422,8 @@ NILPOTENT_MODEL = json.dumps({
     "s": 2, "n": 2, "p": 0, "A": [[[0, 1], [0, 0]], [[0, 0.5], [0, 0]]], "B": None,
     "T": [[0.5, 0.5], [0.5, 0.5]],
 })
+# The identity chain never mixes, so it has no stationary law.
+NON_ERGODIC_MODEL = json.dumps(dict(GOOD_MODEL, T=[[1.0, 0.0], [0.0, 1.0]])).encode()
 # One mode entry of 1e50 or 1e160: powers of L, or its krons, and the
 # mode products leave the float range.
 OVERFLOW_MODELS = {
@@ -452,6 +490,7 @@ FLAG_CASES = [
     ("generate-seed-1", ["generate", "--s", "4", "--r", "2", "--seed", "-1"], 2, "DimensionMismatch"),
     ("reduce-seed-1", ["reduce", "{model}", "--r", "2", "--seed", "-1"], 2, "DimensionMismatch"),
     ("evaluate-seed-1", ["evaluate", "{model}", "--r", "2", "--seed", "-1"], 2, "DimensionMismatch"),
+    ("evaluate-r0", ["evaluate", "{model}", "--r", "0"], 2, "DimensionMismatch"),
     ("lqr-seed-1", ["lqr", "{model}", "--r", "2", "--seed", "-1"], 2, "DimensionMismatch"),
     ("experiment-seed-1", ["experiment", "fig4", "--seed", "-1"], 2, "DimensionMismatch"),
     (
@@ -482,6 +521,16 @@ BAD_INPUT = (
     + [
         (f"overflow-{name}", ["stability", "{bad}"], payload, 3, "DegenerateInput")
         for name, payload in OVERFLOW_MODELS.items()
+    ]
+    + [
+        # The flags are checked before the lumpable branch finds that the
+        # chain has no stationary law.
+        (f"non-ergodic-lumpable-{name}", ["reduce", "{bad}", "--branch", "lumpable"] + flags,
+         NON_ERGODIC_MODEL, code, error)
+        for name, flags, code, error in (
+            ("restarts0", ["--r", "1", "--restarts", "0"], 2, "DimensionMismatch"),
+            ("valid-flags", ["--r", "1"], 3, "NotErgodic"),
+        )
     ]
 )
 

@@ -429,24 +429,80 @@ def test_auto_branch_equals_the_better_explicit_branch(seed, labels, n, p, zeros
 
 
 def test_auto_branch_refuses_bad_input_as_the_aggregatable_branch_does():
-    # The aggregatable branch runs first, so its first refusal is the
-    # auto path's: restarts, then the seed, then r > s.
-    model = reversible_chain_model()[0]  # s = 4
-    for r, restarts, seed in itertools.product((2, 5), (3, 0, 2.5), (0, -1)):
-        if (r, restarts, seed) == (2, 3, 0):
-            continue
-        with pytest.raises(MjsError) as want:
-            reduce_model(model, r, branch="aggregatable", restarts=restarts, seed=seed)
-        with pytest.raises(MjsError) as got:
-            reduce_model(model, r, restarts=restarts, seed=seed)
-        assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
-        if restarts != 3:
-            expected = f"restarts must be an integer of at least 1, got {restarts!r}"
-        elif seed:
-            expected = "seed must be an integer of at least 0, got -1"
-        else:
-            expected = "cannot form 5 clusters from 4 points"
-        assert str(got.value) == expected
+    # Every branch, and the auto path, checks its input before any branch
+    # builds features: the weights, restarts, the seed, then r > s.  So
+    # the lumpable branch refuses as the aggregatable one does, even on a
+    # chain with no stationary law, which its features would refuse.
+    ergodic = reversible_chain_model()[0]  # s = 4
+    non_ergodic = MjsModel(ergodic.A, None, np.eye(4))
+    for model in (ergodic, non_ergodic):
+        for r, restarts, seed, weights in itertools.product(
+            (2, 5), (3, 0, 2.5), (0, -1), (None, (0.5, 0.5, 0.5))
+        ):
+            if (r, restarts, seed, weights) == (2, 3, 0, None):
+                continue
+            kw = dict(restarts=restarts, seed=seed, weights=weights)
+            with pytest.raises(MjsError) as want:
+                reduce_model(model, r, branch="aggregatable", **kw)
+            for branch in (None, "lumpable"):
+                with pytest.raises(MjsError) as got:
+                    reduce_model(model, r, branch=branch, **kw)
+                assert type(got.value) is type(want.value)
+                assert str(got.value) == str(want.value)
+            if weights is not None:
+                expected = "weights must sum to 1, got 1.5"
+            elif restarts != 3:
+                expected = f"restarts must be an integer of at least 1, got {restarts!r}"
+            elif seed:
+                expected = "seed must be an integer of at least 0, got -1"
+            else:
+                expected = "cannot form 5 clusters from 4 points"
+            assert str(got.value) == expected
+    with pytest.raises(NotErgodic):
+        reduce_model(non_ergodic, 2, branch="lumpable", restarts=3, seed=0)
+
+
+def test_auto_reduction_averages_only_the_winner(monkeypatch):
+    # Both branches cluster this chain, and the lumpable one wins.
+    import mjsreduce.clustering as clustering
+
+    averaged = []
+    original = clustering.average_model
+
+    def counted(model, partition, **kw):
+        averaged.append(partition)
+        return original(model, partition, **kw)
+
+    monkeypatch.setattr(clustering, "average_model", counted)
+    model, truth = reversible_chain_model()
+    res = reduce_model(model, 2, seed=0)
+    assert res.branch == "lumpable"
+    assert averaged == [res.partition] == [truth]
+
+
+def test_auto_reduction_drops_a_lumpable_branch_whose_kmeans_fails(monkeypatch):
+    # The lumpable branch wins on this chain, until its k-means fails to
+    # settle: then the auto reduction is the aggregatable one.
+    import mjsreduce.clustering as clustering
+
+    model, _ = reversible_chain_model()
+    lumpable = reduce_model(model, 2, branch="lumpable", seed=0)
+    want = reduce_model(model, 2, branch="aggregatable", seed=0)
+    original = clustering.kmeans_partition
+
+    def unsettled_on_lumpable(points, r, **kw):
+        if np.array_equal(points, lumpable.embedding):
+            raise NotConverged("k-means restart 0 still moves")
+        return original(points, r, **kw)
+
+    monkeypatch.setattr(clustering, "kmeans_partition", unsettled_on_lumpable)
+    got = reduce_model(model, 2, seed=0)
+    assert got.branch == "aggregatable"
+    assert got.partition == want.partition and got.objective == want.objective
+    assert np.array_equal(got.embedding, want.embedding)
+    assert np.array_equal(got.reduced.T, want.reduced.T)
+    with pytest.raises(NotConverged):
+        reduce_model(model, 2, branch="lumpable", seed=0)
 
 
 def test_reduction_result_serialization(rng):

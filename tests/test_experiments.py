@@ -32,6 +32,10 @@ def test_spec_validation():
         ExperimentSpec("fig9")
     with pytest.raises(InputError, match="empty"):
         ExperimentSpec("fig2", grid=())
+    # fig4 has no sweep; its config digest would not record a grid.
+    for grid in ((1.0, 2.0), ()):
+        with pytest.raises(InputError, match="fig4 has no sweep"):
+            ExperimentSpec("fig4", grid=grid)
     with pytest.raises(DimensionMismatch, match="trials must be an integer of at least 1"):
         ExperimentSpec("fig2", trials=0)
     # Fractions, bools and strings are refused here, not deep in a protocol.
