@@ -125,14 +125,14 @@ def cmd_reduce(args) -> int:
 def cmd_evaluate(args) -> int:
     model = load_model(args.model)
     weights = tuple(args.weights) if args.weights else None
-    if args.partition:
-        partition = _load_partition(args.partition, model.s)
-    elif args.r is not None:
+    if (args.partition is None) == (args.r is None):
+        raise InputError("evaluate needs exactly one of --partition and --r")
+    if args.partition is None:
         partition = reduce_model(
             model, args.r, branch=args.branch, weights=weights, seed=args.seed
         ).partition
     else:
-        raise InputError("evaluate needs --partition or --r")
+        partition = _load_partition(args.partition, model.s)
     report = mr_bound(
         model,
         partition,
@@ -220,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("evaluate", parents=[seeded], help="perturbations and clustering bound")
     e.add_argument("model", help="model JSON file")
     e.add_argument("--partition", help="partition JSON file (1-based clusters)")
-    e.add_argument("--r", type=int, help="cluster first when no partition is given")
+    e.add_argument("--r", type=int, help="cluster first instead of reading a partition")
     e.add_argument("--branch", choices=BRANCHES, default="aggregatable")
     e.add_argument("--kmeans-eps", type=float, default=1.0)
     e.add_argument("--weights", type=float, nargs=3, metavar=("WA", "WB", "WT"))
@@ -261,9 +261,5 @@ def main(argv=None) -> int:
         return 3
 
 
-def entry() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entry()
+    sys.exit(main())

@@ -52,14 +52,13 @@ def check_branch(branch: str) -> None:
 
 @dataclass
 class FeatureMatrix:
-    """Per-mode feature rows plus the pieces used to build them."""
+    """Per-mode feature rows; on the lumpable branch, sv holds the
+    singular values of the scaled chain H they were built from."""
 
     phi: np.ndarray
     weights: tuple[float, float, float]
     branch: str
-    H: np.ndarray | None = None
-    W_r: np.ndarray | None = None
-    S_r: np.ndarray | None = None
+    sv: np.ndarray | None = None
 
     @property
     def d(self) -> int:
@@ -156,10 +155,9 @@ def build_features_lumpable(
         raise RankDeficient(
             f"sigma_{r}(H) = {sv[r - 1]:.3e} is numerically zero"
         )
-    W_r = U[:, :r]
-    S_r = W_r / d[:, None]
+    S_r = U[:, :r] / d[:, None]
     phi = np.hstack([_ab_block(model, w[0], w[1]), w[2] * S_r])
-    return FeatureMatrix(phi=phi, weights=w, branch="lumpable", H=H, W_r=W_r, S_r=S_r)
+    return FeatureMatrix(phi=phi, weights=w, branch="lumpable", sv=sv)
 
 
 def _branch_features(model: MjsModel, r: int, branch: str, weights) -> FeatureMatrix:

@@ -8,17 +8,20 @@ coupled Riccati map.  With phi_i(X) = sum_j T(i, j) X_j:
                 - A_i' phi_i(X)' B_i (R + B_i' phi_i(X) B_i)^{-1}
                   B_i' phi_i(X) A_i
 
-iterated from X = (Q, ..., Q) until the gains settle: the stop rule is
-max_i ||K_i - K_prev_i||_2 < RICCATI_TOL.  Those 2-norms, one SVD per
-mode, are taken only on a step whose largest Frobenius gain change is
-at most sqrt(min(p, n)) RICCATI_TOL, lifted by a rounding margin; no
-other step can stop, since ||D||_2 >= ||D||_F / sqrt(min(p, n)), so
-the iteration stops where a per-step 2-norm test would.  riccati_solve
-either returns a converged LqrSolution, timed over its iteration, or
-raises: NotConverged when RICCATI_STEPS steps do not settle it,
-Diverged when a value matrix passes RICCATI_CAP, SingularInnerMatrix
-when some R + B' phi B cannot be inverted.  Callers never check
-convergence themselves.
+iterated from X = (Q, ..., Q) until the gains settle.  The one stop
+rule is max_i ||K_i - K_prev_i||_2 < RICCATI_TOL.  Those 2-norms, one
+SVD per mode, are taken only on a step whose largest Frobenius gain
+change is at most sqrt(min(p, n)) RICCATI_TOL, lifted by a rounding
+margin; no other step can stop, since ||D||_2 >= ||D||_F / sqrt(min(p, n)),
+so the iteration stops where a per-step 2-norm test would.  With B
+identically zero there is no gain to settle, and the solution is the
+zero gain's closed-loop value below.  riccati_solve either returns a
+converged LqrSolution, timed over its iteration, or raises:
+NotConverged when its step budget does not settle it, Diverged when a
+value matrix passes RICCATI_CAP times the largest |Q| entry,
+SingularInnerMatrix when some R + B' phi B cannot be inverted, NotMss
+for a loop without inputs that is not mean-square stable.  Callers
+never check convergence themselves.
 
 A fixed gain u = K x is priced through its closed-loop value matrices,
 the solution of V = stage + L*(V) with stage_i = Q + K_i' R K_i and L*
@@ -43,7 +46,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,7 +89,8 @@ FIXED_POINT_STEPS = 1_000_000
 # its loop through the spectral radius rather than its own witness.
 WITNESS_STEPS = 1_000
 WITNESS_GROWTH = 1e12
-# Step budget, stop tolerance and divergence cap of the Riccati iteration.
+# Step budget, stop tolerance and divergence cap, relative to the largest
+# |Q| entry, of the Riccati iteration.
 RICCATI_STEPS = 100_000
 RICCATI_TOL = 1e-12
 RICCATI_CAP = 1e12
@@ -148,7 +152,6 @@ class LqrSolution:
     iterations: int
     final_gain_delta: float
     elapsed_ms: float
-    p_deltas: list[float] = field(default_factory=list, repr=False)
 
 
 def riccati_solve(model: MjsModel, Q, R) -> LqrSolution:
@@ -162,54 +165,44 @@ def riccati_solve(model: MjsModel, Q, R) -> LqrSolution:
     change passes sqrt(min(p, n)) RICCATI_TOL (1 + GAIN_GATE_MARGIN)
     cannot, and skips them.  Every step and every result is the one the
     2-norm test at each step gives.  Raises Diverged when any value
-    matrix norm passes RICCATI_CAP (e.g. unstabilizable dynamics), and
-    NotConverged, naming the model size and the 2-norm of the last gain
-    change, after RICCATI_STEPS steps.
+    matrix norm passes RICCATI_CAP times the largest |Q| entry (e.g.
+    unstabilizable dynamics), so (c Q, c R) gives c P and the same K
+    and steps, and NotConverged, naming the model size and the 2-norm of
+    the last gain change, after RICCATI_STEPS steps.
+
+    With B identically zero no gain acts: P is the value of the zero
+    gain, from _closed_loop_values with its stop rule, stability proof
+    and FIXED_POINT_STEPS budget, so a loop that is not mean-square
+    stable raises NotMss, and no inner matrix is formed.
     """
     Q, R = _check_qr(model, Q, R)
     t0 = time.perf_counter()
+    if not np.any(model.B):
+        K = np.zeros((model.s, model.p, model.n))
+        V, steps, _, _ = _closed_loop_values(model, K, Q, R)
+        P = 0.5 * (V + V.transpose(0, 2, 1))
+        return LqrSolution(P, K, steps, 0.0, (time.perf_counter() - t0) * 1e3)
     P = np.tile(Q, (model.s, 1, 1))
+    cap = RICCATI_CAP * float(np.abs(Q).max())
     K_prev = delta = None
-    # Identically zero inputs leave nothing for the gain test to see;
-    # fall back to the value-delta stop so divergence is still caught.
-    track_gains = bool(model.p) and bool(np.any(model.B != 0.0))
     gate = math.sqrt(min(model.p, model.n)) * RICCATI_TOL * (1.0 + GAIN_GATE_MARGIN)
-    p_deltas: list[float] = []
-    change = float("nan")  # last change of the tracked gains or values
     for h in range(1, RICCATI_STEPS + 1):
-        K, P_new = _riccati_step(model, Q, R, P)
-        P_new = 0.5 * (P_new + P_new.transpose(0, 2, 1))
-        p_deltas.append(float(np.linalg.norm(P_new - P, axis=(1, 2)).max()))
-        P = P_new
-        if float(np.linalg.norm(P, axis=(1, 2)).max()) > RICCATI_CAP:
-            raise Diverged(f"value iteration passed {RICCATI_CAP:.0e} at step {h}")
-        if track_gains:
-            if K_prev is not None:
-                delta = K - K_prev
-                # NaN fails the gate and takes the SVD, as it would without it.
-                if np.linalg.norm(delta, axis=(1, 2)).max() > gate:
-                    change = math.inf
-                else:
-                    change = _gain_change(delta)
-            K_prev = K
-        else:
-            # No gains to track; settle on the value matrices instead.
-            change = p_deltas[-1]
-        if change < RICCATI_TOL:
-            return LqrSolution(
-                P=P,
-                K=K,
-                iterations=len(p_deltas),
-                final_gain_delta=change if track_gains else 0.0,
-                elapsed_ms=(time.perf_counter() - t0) * 1e3,
-                p_deltas=p_deltas,
-            )
-    if delta is not None:
-        change = _gain_change(delta)
+        K, P = _riccati_step(model, Q, R, P)
+        P = 0.5 * (P + P.transpose(0, 2, 1))
+        if float(np.linalg.norm(P, axis=(1, 2)).max()) > cap:
+            raise Diverged(f"value iteration passed {RICCATI_CAP:.0e} max|Q| at step {h}")
+        if K_prev is not None:
+            delta = K - K_prev
+            # NaN fails the gate and takes the SVD, as it would without it.
+            if not np.linalg.norm(delta, axis=(1, 2)).max() > gate:
+                change = _gain_change(delta)
+                if change < RICCATI_TOL:
+                    return LqrSolution(P, K, h, change, (time.perf_counter() - t0) * 1e3)
+        K_prev = K
+    change = float("nan") if delta is None else _gain_change(delta)
     raise NotConverged(
         f"Riccati iteration on (s, n, p) = ({model.s}, {model.n}, {model.p}) "
-        f"did not converge in {RICCATI_STEPS} steps "
-        f"(last {'gain' if track_gains else 'value'} change {change:.3e})"
+        f"did not converge in {RICCATI_STEPS} steps (last gain change {change:.3e})"
     )
 
 
@@ -343,8 +336,8 @@ def _closed_loop_values(model: MjsModel, K, Q, R) -> tuple[np.ndarray, int, floa
         if proof is None and (k >= WITNESS_STEPS or top > cap):
             proof = _rho_proof(op)
     raise NotConverged(
-        f"closed-loop values did not settle in {FIXED_POINT_STEPS} steps "
-        f"(last change {gap:.3e})"
+        f"closed-loop values on (s, n, p) = ({model.s}, {model.n}, {model.p}) did not "
+        f"settle in {FIXED_POINT_STEPS} steps (last change {gap:.3e})"
     )
 
 

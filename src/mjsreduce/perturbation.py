@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, PartitionMismatch
-from .clustering import FeatureMatrix, _branch_features, check_branch
+from .clustering import _branch_features, check_branch
 from .model import MjsModel, Partition, _chain_violations
 
 __all__ = [
@@ -108,15 +108,15 @@ def perturbations(
 
 
 def _chain_constants(
-    model: MjsModel, r: int, feats: FeatureMatrix
+    model: MjsModel, r: int, sv: np.ndarray
 ) -> tuple[float, float, float]:
-    """(gamma1, gamma2, gamma3) for the lumpable bound."""
+    """(gamma1, gamma2, gamma3) for the lumpable bound, from the
+    singular values sv of the scaled chain H (see FeatureMatrix)."""
     eigs = np.linalg.eigvals(model.T)
     perron = int(np.argmin(np.abs(eigs - 1.0)))
     rest = np.delete(eigs, perron)
     gaps = np.abs(1.0 - rest)
     gamma1 = float(np.sum(1.0 / gaps)) if np.all(gaps > 0) else float("inf")
-    sv = np.linalg.svd(feats.H, compute_uv=False)
     tail = sv[r] if r < len(sv) else 0.0
     gamma2 = float(min(sv[r - 1] - tail, 1.0))
     if gamma2 <= 0 or not np.isfinite(gamma1):
@@ -169,7 +169,7 @@ def mr_bound(
     feats = _branch_features(model, r, branch, weights)
     g1 = g2 = g3 = None
     if branch == "lumpable":
-        g1, g2, g3 = _chain_constants(model, r, feats)
+        g1, g2, g3 = _chain_constants(model, r, feats.sv)
     eps = perturbations(model, partition, branch)
     wa, wb, wt = feats.weights
     g = 1.0 if g3 is None else g3

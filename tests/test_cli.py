@@ -1,6 +1,9 @@
 import argparse
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -182,6 +185,21 @@ def test_stability_exit_codes(tmp_path, capsys):
     )
     assert code == 1
     assert json.loads(stdout)["is_mss"] is False
+
+
+def test_module_run_returns_the_exit_code(tmp_path):
+    # `python -m mjsreduce.cli` hands main's code to the shell, as the
+    # console script does.
+    path = tmp_path / "shaky.json"
+    save_model(MjsModel(np.array([[[1.2]]]), None, np.array([[1.0]])), str(path))
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "mjsreduce.cli", "stability", str(path), "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 1, done.stderr
+    assert json.loads(done.stdout)["is_mss"] is False
 
 
 def test_stability_on_zero_modes(tmp_path, capsys):
@@ -511,6 +529,11 @@ BAD_INPUT = (
     + [
         (f"partition-{name}", ["evaluate", "{model}", "--partition", "{bad}"], payload, 2, "InputError")
         for name, payload in MALFORMED_PARTITIONS.items()
+    ]
+    + [
+        # A valid partition and --r: neither may silently win.
+        ("evaluate-partition-and-r", ["evaluate", "{model}", "--partition", "{bad}", "--r", "2"],
+         b"[[1], [2]]", 2, "InputError"),
     ]
     + [
         (f"nilpotent{flag}={level}", ["stability", "{bad}", f"{flag}={level}"],

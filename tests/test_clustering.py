@@ -94,15 +94,17 @@ def test_lumpable_features_spectral_summary():
     m, part = reversible_chain_model()
     f = build_features_lumpable(m, 2)
     assert f.d == 4 + 0 + 2
+    # The transition block is a_T S_r.  The stationary law is uniform
+    # here, so H = T and S_r = 2 W_r.
+    S_r = f.phi[:, 4:] / f.weights[2]
+    W_r = S_r / 2.0
     # Top-r left singular vectors are orthonormal.
-    assert np.abs(f.W_r.T @ f.W_r - np.eye(2)).max() <= 1e-10
-    # Uniform stationary law here, so S_r = 2 W_r and H = T.
-    assert np.abs(f.S_r - 2.0 * f.W_r).max() <= 1e-12
-    assert np.abs(f.H - m.T).max() <= 1e-12
+    assert np.abs(W_r.T @ W_r - np.eye(2)).max() <= 1e-10
+    assert np.abs(f.sv - np.linalg.svd(m.T, compute_uv=False)).max() <= 1e-12
     # Rows of S_r are constant on the planted clusters.
     for ck in part.clusters:
         idx = list(ck)
-        assert np.abs(f.S_r[idx] - f.S_r[idx[0]]).max() <= 1e-8
+        assert np.abs(S_r[idx] - S_r[idx[0]]).max() <= 1e-8
 
 
 def test_lumpable_features_rejections():

@@ -55,7 +55,6 @@ def test_scalar_riccati_root():
     sol = riccati_solve(SCALAR, EYE1, EYE1)
     assert sol.P[0, 0, 0] == pytest.approx(oracle, abs=1e-10)
     assert sol.final_gain_delta < 1e-12
-    assert sol.iterations == len(sol.p_deltas)
     assert sol.elapsed_ms >= 0.0
     p = sol.P[0, 0, 0]
     assert sol.K[0, 0, 0] == pytest.approx(-0.5 * p / (1.0 + p), abs=1e-10)
@@ -69,8 +68,9 @@ def test_riccati_operators_single_step():
 
 
 def test_riccati_autonomous_stops_on_value_delta():
+    # No gain acts, so the solve is the zero gain's value recursion.
     sol = riccati_solve(AUTO, EYE1, np.zeros((0, 0)))
-    assert sol.final_gain_delta == 0.0
+    assert sol.final_gain_delta == 0.0 and sol.K.shape == (1, 0, 1)
     # Value fixed point of p = 1 + 0.25 p.
     assert sol.P[0, 0, 0] == pytest.approx(4.0 / 3.0, abs=1e-10)
 
@@ -81,10 +81,12 @@ def test_riccati_autonomous_stops_on_value_delta():
 def test_riccati_reports_an_unconverged_solve(monkeypatch, model, R):
     # With and without gains to track, a spent step budget raises and
     # names the model size, the budget and the last tracked change.
-    monkeypatch.setattr(lqr, "RICCATI_STEPS", 3)
-    what = "gain" if model.p else "value"
+    # Without inputs the budget is that of the closed-loop values.
+    budget = "RICCATI_STEPS" if model.p else "FIXED_POINT_STEPS"
+    monkeypatch.setattr(lqr, budget, 3)
+    what = "gain " if model.p else ""
     size = rf"\(s, n, p\) = \(1, 1, {model.p}\)"
-    with pytest.raises(NotConverged, match=rf"{size} .* in 3 steps \(last {what} change"):
+    with pytest.raises(NotConverged, match=rf"{size} .* in 3 steps \(last {what}change"):
         riccati_solve(model, EYE1, R)
 
 
@@ -206,12 +208,24 @@ def test_value_matrices_constant_on_clusters_at_zero_perturbation():
                 assert np.linalg.norm(sol.P[i] - sol.P[lead]) <= 1e-8 * scale
 
 
+def riccati_value_changes(model, Q, R, steps):
+    """max_i ||P_i - P_prev_i||_F over the first steps iterations of the
+    symmetrized Riccati map from X = Q."""
+    P, changes = np.tile(Q, (model.s, 1, 1)), []
+    for _ in range(steps):
+        _, P_new = lqr._riccati_step(model, Q, R, P)
+        P_new = 0.5 * (P_new + P_new.transpose(0, 2, 1))
+        changes.append(float(np.linalg.norm(P_new - P, axis=(1, 2)).max()))
+        P = P_new
+    return changes
+
+
 @pytest.mark.invariant
 def test_value_iteration_tail_is_monotone(rng):
     for _ in range(3):
         m = random_model(rng, s=3, n=2, p=1)
         sol = riccati_solve(m, np.eye(2), np.eye(1))
-        tail = sol.p_deltas[-50:]
+        tail = riccati_value_changes(m, np.eye(2), np.eye(1), sol.iterations)[-50:]
         for a, b in zip(tail, tail[1:]):
             assert b <= a * (1.0 + 1e-9) + 1e-15
 
@@ -242,25 +256,92 @@ def test_noise_free_costs_vanish():
 
 
 def test_riccati_divergence():
+    # The second state doubles each step whatever the gain, and feeds
+    # the first, so the gains keep moving while the values blow up.
     hopeless = MjsModel(
-        np.array([[[2.0]]]), np.array([[[0.0]]]), np.array([[1.0]])
+        np.array([[[2.0, 1.0], [0.0, 2.0]]]), np.array([[[1.0], [0.0]]]), np.array([[1.0]])
     )
-    with pytest.raises(Diverged):
-        riccati_solve(hopeless, EYE1, EYE1)
+    with pytest.raises(Diverged, match="at step 20$"):
+        riccati_solve(hopeless, np.eye(2), EYE1)
+    # Without inputs the loop is priced as it stands, and its radius refuses it.
+    loose = MjsModel(np.array([[[2.0]]]), np.array([[[0.0]]]), np.array([[1.0]]))
+    with pytest.raises(NotMss, match="radius 4.000000"):
+        riccati_solve(loose, EYE1, EYE1)
+    # Q = 0 leaves nothing to grow; the radius still refuses the loop.
+    with pytest.raises(NotMss, match="radius 4.000000"):
+        riccati_solve(loose, np.zeros((1, 1)), EYE1)
 
 
 def test_singular_inner_matrix():
+    # With no input anywhere no inner matrix is formed, so R = 0 is
+    # harmless: the value of p = 1 + 0.25 p.
     degenerate = MjsModel(
         np.array([[[0.5]]]), np.array([[[0.0]]]), np.array([[1.0]])
     )
-    with pytest.raises(SingularInnerMatrix):
-        riccati_solve(degenerate, EYE1, np.zeros((1, 1)))
+    sol = riccati_solve(degenerate, EYE1, np.zeros((1, 1)))
+    assert sol.P[0, 0, 0] == pytest.approx(4.0 / 3.0, rel=1e-14)
     # Only mode 1 has no input, so only its inner matrix R + B' phi B
     # (with R = 0) is singular.
     B = np.array([[[1.0]], [[0.0]], [[2.0]]])
     mixed = MjsModel(np.full((3, 1, 1), 0.5), B, np.full((3, 3), 1.0 / 3.0))
     with pytest.raises(SingularInnerMatrix, match="at mode 1$"):
         lqr._riccati_step(mixed, EYE1, np.zeros((1, 1)), np.ones((3, 1, 1)))
+    with pytest.raises(SingularInnerMatrix, match="at mode 1$"):
+        riccati_solve(mixed, EYE1, np.zeros((1, 1)))
+
+
+def dense_values(model, Q):
+    """The solution of P = Q + L*(P), L*(P)_i = A_i' sum_j T_ij P_j A_i,
+    by one dense solve on row-major vectorized blocks."""
+    s, n = model.s, model.n
+    N = np.block(
+        [[model.T[i, j] * np.kron(model.A[i].T, model.A[i].T) for j in range(s)] for i in range(s)]
+    )
+    v = np.linalg.solve(np.eye(s * n * n) - N, np.tile(Q.ravel(), s))
+    return v.reshape(s, n, n)
+
+
+@st.composite
+def lqr_problems(draw):
+    """(model, Q, R): a random model, stable in the mean square without
+    input, with p in {0, 1, 2}, its B zeroed in about half the draws,
+    and positive definite weights."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    s, n, p = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, s=s, n=n, p=p, a_scale=rng.uniform(0.1, 0.9))
+    if draw(st.booleans()):
+        model = MjsModel(model.A, np.zeros_like(model.B), model.T)
+    G, H = rng.standard_normal((n, n)), rng.standard_normal((p, p))
+    return model, G @ G.T + 0.1 * np.eye(n), H @ H.T + np.eye(p)
+
+
+# A loop without inputs at Q = 1e6 I: an absolute stop on the value
+# change, max ||P - P_prev||_F < 1e-12, never came within reach of its
+# values of about 1e6, and ran out of its 10^5 steps.
+S1N3 = MjsModel(
+    np.array([[[-0.1, 0.5, 0.5], [0.2, 0.2, 0.2], [-0.1, -0.4, 0.2]]]), None, np.array([[1.0]])
+)
+
+
+@pytest.mark.invariant
+@settings(max_examples=60, deadline=None)
+@example(problem=(S1N3, 1e6 * np.eye(3), np.zeros((0, 0))), j=0)
+# Q = R = 2^40 I puts the scalar P near 1.2e12, past an absolute cap of 1e12.
+@example(problem=(SCALAR, EYE1, EYE1), j=40)
+@given(problem=lqr_problems(), j=st.integers(-40, 60))
+def test_riccati_is_homogeneous_in_its_weights(problem, j):
+    # Both the gain iteration and the value recursion of a loop without
+    # inputs scale exactly: (c Q, c R) with c a power of two takes the
+    # same steps to the same K and to c P, bit for bit.
+    model, Q, R = problem
+    c = 2.0**j
+    base, scaled = riccati_solve(model, Q, R), riccati_solve(model, c * Q, c * R)
+    assert (scaled.iterations, scaled.final_gain_delta) == (base.iterations, base.final_gain_delta)
+    assert np.array_equal(scaled.K, base.K) and np.array_equal(scaled.P, c * base.P)
+    if not np.any(model.B):
+        want = dense_values(model, Q)
+        assert np.abs(base.P - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def loop_riccati_operators(model, Q, R, X):
