@@ -171,28 +171,72 @@ def _branch_features(model: MjsModel, r: int, branch: str, weights) -> FeatureMa
 
 # Lloyd gives up on a restart after this many assignment rounds.
 MAX_ITER = 300
-# Elements of the (restarts, s, r, d) difference block built at a time.
+# Elements of the (d, centers, s) block of squared differences built at
+# a time.
 _BLOCK = 1 << 16
 
 
+def _add_planes(planes: np.ndarray) -> np.ndarray:
+    """Sum over the first axis of planes (n, ...) of nonnegative terms,
+    in the order in which np.add.reduce sums a contiguous row of n
+    terms.  Sums in place and returns planes[0], or zeros when n = 0.
+
+    numpy adds the row to 0, which leaves a nonnegative sum's bits as
+    they are.  Below 8 terms it keeps a running sum.  Up to 128 terms, 8
+    accumulators take every 8th term, fold as ((a0 + a1) + (a2 + a3)) +
+    ((a4 + a5) + (a6 + a7)), and the n % 8 terms left over follow one at
+    a time.  Above 128, the halves, split at a multiple of 8, are summed
+    so and then added.
+    """
+    n = len(planes)
+    if n == 0:
+        return np.zeros(planes.shape[1:])
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        total = _add_planes(planes[:half])
+        total += _add_planes(planes[half:])
+        return total
+    rest = 1
+    if n >= 8:
+        acc = planes[:8]
+        for i in range(8, n - n % 8, 8):
+            acc += planes[i : i + 8]
+        acc[0::2] += acc[1::2]
+        acc[0::4] += acc[2::4]
+        acc[0] += acc[4]
+        rest = n - n % 8
+    for i in range(rest, n):
+        planes[0] += planes[i]
+    return planes[0]
+
+
 def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Squared distances (restarts, s, r) from the points to each
+    """Squared distances (restarts, s, r) from the points (s, d) to each
     restart's centers (restarts, r, d).
 
-    Each entry is summed over the last axis of a difference block, as a
-    lone restart sums its (s, r, d) block; the block is built a few
-    restarts at a time to bound the temporaries.  An overflow leaves
-    inf in place silently; the callers refuse it as DegenerateInput.
+    Each distance has the bits of np.square(p - c).sum(), the row sum
+    of a lone restart's difference block, so the partitions, centers
+    and objectives are those of restarts run one by one: the d
+    coordinate planes of squared differences, each a contiguous
+    (centers, s) array, are added in np.add.reduce's order for a row of
+    d terms (see _add_planes).  Walking the planes costs a few
+    whole-array operations per coordinate, where numpy's reduction loop
+    pays a fixed cost for every short row.  The planes are built a few
+    centers at a time to bound the temporaries.  The result is a view
+    whose memory is laid out (restarts, r, s).  An overflow leaves inf
+    in place silently; the callers refuse it as DegenerateInput.
     """
     R, r, d = centers.shape
     s = points.shape[0]
-    step = max(1, _BLOCK // max(1, s * r * d))
-    out = np.empty((R, s, r))
+    cols = np.ascontiguousarray(points.T)[:, None, :]
+    flat = np.ascontiguousarray(centers.reshape(R * r, d).T)[:, :, None]
+    step = max(1, _BLOCK // max(1, s * d))
+    out = np.empty((R * r, s))
     with np.errstate(over="ignore"):
-        for lo in range(0, R, step):
-            diff = points[None, :, None, :] - centers[lo : lo + step, None]
-            out[lo : lo + step] = np.square(diff, out=diff).sum(axis=3)
-    return out
+        for lo in range(0, R * r, step):
+            planes = cols - flat[:, lo : lo + step]
+            out[lo : lo + step] = _add_planes(np.square(planes, out=planes))
+    return out.reshape(R, r, s).transpose(0, 2, 1)
 
 
 class _Streams(NamedTuple):
@@ -278,7 +322,7 @@ def _repair(points: np.ndarray, centers: np.ndarray, labels: np.ndarray, dist2: 
             continue  # nothing to split off; cluster stays empty
         centers[k] = points[far]
         labels[far] = k
-        dist2[:, k] = np.square(points - centers[k]).sum(axis=1)
+        dist2[:, k] = _sq_dists(points, centers[k][None, None])[0, :, 0]
 
 
 def _sizes(labels: np.ndarray, r: int) -> np.ndarray:
@@ -336,11 +380,15 @@ def _lloyd(
 
     A restart stops, without a center update, at the first assignment
     equal to its previous one.  A round recomputes only the distance
-    columns of centers whose bits changed: the distances are a function
-    of the center's bits, so the others keep theirs.  Returns the squared
-    distance from each point to its nearest final center (restarts, s),
-    the index of that center, and the indices of the restarts still
-    moving after MAX_ITER assignments.
+    columns of centers whose bits changed, possibly none: the distances
+    are a function of the center's bits, so the others keep theirs.
+    Every distance comes from _sq_dists, summed over the coordinates in
+    numpy's row order, as a lone restart's np.square(diff).sum(axis=-1)
+    sums it; another order could move a near-tie between two centers,
+    and with it the assignment.  Returns the squared distance from each
+    point to its nearest final center (restarts, s), the index of that
+    center, and the indices of the restarts still moving after MAX_ITER
+    assignments.
     """
     R, r, _ = centers.shape
     labels = np.full((R, points.shape[0]), -1)
@@ -388,7 +436,11 @@ def kmeans_partition(
     restarts)[i]), which draws integers(s) for the first center and then
     one uniform per further center (integers(s) once every squared
     distance is zero); its Lloyd iterations stop at the first repeated
-    assignment, and its sums run in the order of a lone restart.  The
+    assignment, and its sums run in the order of a lone restart: a
+    squared distance adds its d terms in np.add.reduce's order for a
+    contiguous row (a running sum below 8 terms, 8 accumulators up to
+    128, halves above; see _sq_dists), and a cluster sum adds rows in
+    points[mask].mean(axis=0)'s order (see _cluster_means).  The
     uniforms come from one random(r - 1) call per generator, which numpy
     fills with the numbers of r - 1 scalar calls; a restart whose
     squared distances all vanish at step k, as happens when the points

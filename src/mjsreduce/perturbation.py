@@ -75,12 +75,11 @@ class MrBoundReport:
 PAIR_CHUNK = 1 << 22
 
 
-def _pair_norm_sum(X: np.ndarray, partition: Partition, ord: int) -> float:
+def _pair_norm_sum(X: np.ndarray, pairs: np.ndarray, ord: int) -> float:
     """Sum of ||X[i] - X[i']|| over ordered within-cluster pairs (i, i'),
-    each X[i] flattened: ord=2 gives Frobenius norms, ord=1 l1 norms."""
+    given the unordered pairs i < i' as rows of pairs, each X[i]
+    flattened: ord=2 gives Frobenius norms, ord=1 l1 norms."""
     flat = X.reshape(len(X), X[0].size)
-    labels = partition.labels
-    pairs = np.argwhere(np.triu(labels[:, None] == labels, 1))
     step = max(1, PAIR_CHUNK // max(1, flat.shape[1]))
     return 2.0 * sum(
         float(np.linalg.norm(flat[ij[:, 0]] - flat[ij[:, 1]], ord, axis=1).sum())
@@ -100,10 +99,12 @@ def perturbations(
     """
     check_branch(branch)
     partition._check_covers(model.s)
-    eps_A = _pair_norm_sum(model.A, partition, 2)
-    eps_B = _pair_norm_sum(model.B, partition, 2)
+    labels = partition.labels
+    pairs = np.argwhere(np.triu(labels[:, None] == labels, 1))
+    eps_A = _pair_norm_sum(model.A, pairs, 2)
+    eps_B = _pair_norm_sum(model.B, pairs, 2)
     rows = partition.block_sums(model.T) if branch == "lumpable" else model.T
-    eps_T = _pair_norm_sum(rows, partition, 1)
+    eps_T = _pair_norm_sum(rows, pairs, 1)
     return PerturbationTriple(eps_A=eps_A, eps_B=eps_B, eps_T=eps_T, branch=branch)
 
 
@@ -176,8 +177,12 @@ def mr_bound(
     eps_combined = float(
         np.sqrt((wa * eps.eps_A) ** 2 + (wb * eps.eps_B) ** 2 + (wt * g * eps.eps_T) ** 2)
     )
-    phibar = partition.cluster_means(feats.phi)[partition.labels]
-    sigma_r = float(np.linalg.svd(phibar, compute_uv=False)[r - 1])
+    # phibar, the features with each row replaced by its cluster mean,
+    # has phibar^T phibar = M^T diag(|C|) M for the cluster means M, so
+    # the r x d matrix diag(sqrt|C|) M has its nonzero singular values.
+    root = np.sqrt(np.array(partition.sizes, dtype=float))
+    scaled = root[:, None] * partition.cluster_means(feats.phi)
+    sigma_r = float(np.linalg.svd(scaled, compute_uv=False)[r - 1])
     if sigma_r <= 0:
         bound_value = float("inf")
     else:

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from conftest import (
     random_model,
     random_partition,
 )
+import mjsreduce.clustering as clustering
 from mjsreduce.clustering import (
     average_model,
     build_features_aggregatable,
@@ -735,6 +737,10 @@ def kmeans_points(seed, s, d, distinct, lattice):
 # Two distinct rows: every restart's squared distances vanish at
 # seeding step 2, so each is replayed from its SeedSequence child.
 @example(seed=1, s=12, d=3, r=6, restarts=7, distinct=2, lattice=False)
+# numpy sums 64 terms with 8 accumulators and 130 as two halves of 64
+# and 66; _sq_dists follows both orders plane by plane.
+@example(seed=7, s=20, d=64, r=5, restarts=4, distinct=20, lattice=False)
+@example(seed=8, s=16, d=130, r=4, restarts=3, distinct=16, lattice=False)
 def test_kmeans_matches_the_restart_loop(seed, s, d, r, restarts, distinct, lattice):
     r, distinct = min(r, s), min(distinct, s)
     points = kmeans_points(seed, s, d, distinct, lattice)
@@ -747,3 +753,70 @@ def test_kmeans_matches_the_restart_loop(seed, s, d, r, restarts, distinct, latt
     assert np.array_equal(part.labels, want.labels)
     assert centers.shape == want_centers.shape and np.array_equal(centers, want_centers)
     assert objective == want_objective
+
+
+# d = 0 and each summation regime of np.add.reduce on a row of d terms:
+# a running sum below 8, 8 accumulators up to 128, halves above.
+KERNEL_DIMS = [*range(41), 63, 64, 127, 128, 129, 200, 300]
+
+
+@pytest.mark.invariant
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.sampled_from(KERNEL_DIMS),
+    s=st.integers(1, 12),
+    restarts=st.integers(1, 3),
+    r=st.integers(0, 8),
+    scale=st.sampled_from([1.0, 1e-3, 1e160, 1e-160, 1e-310]),
+    copies=st.booleans(),
+)
+@example(seed=0, d=300, s=12, restarts=3, r=8, scale=1.0, copies=False)  # several blocks
+@example(seed=1, d=129, s=4, restarts=1, r=0, scale=1.0, copies=False)  # no centers
+@example(seed=2, d=9, s=5, restarts=2, r=3, scale=1e160, copies=False)  # overflow
+@example(seed=3, d=40, s=6, restarts=2, r=2, scale=1e-310, copies=True)  # subnormal
+def test_sq_dists_has_the_bits_of_numpy_row_sums(seed, d, s, restarts, r, scale, copies):
+    # The plane-wise kernel against the difference block it replaces, bit
+    # for bit; a numpy release that sums rows in another order fails here.
+    rng = np.random.default_rng(seed)
+    points = rng.standard_normal((s, d)) * scale
+    centers = rng.standard_normal((restarts, r, d)) * scale
+    if copies and r:
+        centers[:, 0] = points[rng.integers(s)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = clustering._sq_dists(points, centers)
+    want = np.empty((restarts, s, r))
+    with np.errstate(over="ignore"):
+        for i, c in enumerate(centers):
+            want[i] = np.square(points[:, None] - c).sum(-1)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want), (
+        f"numpy {np.__version__} sums rows of {d} squared differences in "
+        "another order than _add_planes"
+    )
+
+
+def test_kmeans_on_zero_width_points_gives_one_cluster():
+    for r in (1, 2, 5):
+        part, centers, objective = kmeans_partition(np.zeros((5, 0)), r, restarts=3, seed=1)
+        assert part == Partition([[0, 1, 2, 3, 4]])
+        assert centers.shape == (1, 0) and objective == 0.0
+
+
+def test_lloyd_round_without_moved_centers_passes_no_centers(monkeypatch):
+    # r = s: each point is its own cluster and its own mean, so the first
+    # Lloyd round changes no center's bits and asks for no distances.
+    shapes = []
+    kernel = clustering._sq_dists
+
+    def spy(points, centers):
+        shapes.append(centers.shape)
+        return kernel(points, centers)
+
+    monkeypatch.setattr(clustering, "_sq_dists", spy)
+    points = np.array([[0.0, 1.0], [2.0, -1.0], [5.0, 3.0]])
+    part, centers, objective = kmeans_partition(points, 3, restarts=2, seed=0)
+    assert (0, 1, 2) in shapes
+    assert part == Partition([[0], [1], [2]])
+    assert np.array_equal(centers, points) and objective == 0.0

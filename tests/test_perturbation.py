@@ -13,7 +13,7 @@ from conftest import (
     random_partition,
     three_state_model,
 )
-from mjsreduce.clustering import build_features_aggregatable, reduce_model
+from mjsreduce.clustering import build_features_aggregatable, build_features_lumpable, reduce_model
 from mjsreduce.errors import DimensionMismatch, InputError, PartitionMismatch
 from mjsreduce.model import MjsModel, Partition
 from mjsreduce.perturbation import construct_T0, mr_bound, perturbations
@@ -194,6 +194,30 @@ def test_averaged_feature_matrix_rows(rng):
     assert sigma_r == pytest.approx(sv[1], abs=1e-12)
     with pytest.raises(PartitionMismatch):
         mr_bound(m, Partition([[0, 1], [2]]), "aggregatable")
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    labels=PARTITION_LABELS,
+    n=st.integers(1, 3),
+    p=st.integers(0, 2),
+    branch=st.sampled_from(["aggregatable", "lumpable"]),
+)
+@example(seed=0, labels=[0] * 9 + [1] * 11, n=2, p=1, branch="lumpable")
+def test_sigma_r_is_that_of_the_averaged_feature_rows(seed, labels, n, p, branch):
+    # mr_bound takes sigma_r from the r x d matrix diag(sqrt|C|) M of
+    # cluster means; it agrees with the s x d matrix of averaged rows.
+    model, part = draw_instance(seed, labels, n, p)
+    r = part.r
+    if branch == "lumpable":
+        phi = build_features_lumpable(model, r).phi
+    else:
+        phi = build_features_aggregatable(model).phi
+    phibar = part.cluster_means(phi)[part.labels]
+    want = np.linalg.svd(phibar, compute_uv=False)[r - 1]
+    got = mr_bound(model, part, branch).sigma_r_phibar
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_mr_bound_report_formula_and_keys():
