@@ -108,7 +108,9 @@ class BoundInputs:
     ) -> "BoundInputs":
         """The constants of model, partition and x0, with the transient
         constants of stability_report(model, budget=budget);
+        PartitionMismatch unless the partition covers the model's modes,
         DimensionMismatch unless x0 has shape (n,)."""
+        partition._check_covers(model.s)
         x0 = _check_x0(x0, model.n)
         rep = stability_report(model, budget=budget)
         eps = perturbations(model, partition, branch)

@@ -243,11 +243,8 @@ class _Streams(NamedTuple):
     """What each restart's k-means++ seeding draws from its generator,
     default_rng(SeedSequence(seed).spawn(restarts)[i]): integers(s) for
     the first center, then random(r - 1), which numpy fills with the
-    numbers of r - 1 scalar random() calls.  children keeps the spawned
-    SeedSequences, from which _seed replays a restart whose squared
-    distances vanish."""
+    numbers of r - 1 scalar random() calls."""
 
-    children: list
     first: np.ndarray  # (restarts,)
     uniforms: np.ndarray  # (restarts, r - 1)
 
@@ -262,14 +259,13 @@ def _restart_streams(s: int, r: int, restarts: int, seed) -> _Streams:
     _check_seed(seed)
     if s < r:
         raise DegenerateInput(f"cannot form {r} clusters from {s} points")
-    children = np.random.SeedSequence(seed).spawn(restarts)
     first = np.empty(restarts, dtype=int)
     uniforms = np.empty((restarts, r - 1))
-    for i, child in enumerate(children):
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(restarts)):
         rng = np.random.default_rng(child)
         first[i] = rng.integers(s)
         uniforms[i] = rng.random(r - 1)
-    return _Streams(children, first, uniforms)
+    return _Streams(first, uniforms)
 
 
 def _seed(pair: np.ndarray, r: int, streams: _Streams) -> np.ndarray:
@@ -278,15 +274,17 @@ def _seed(pair: np.ndarray, r: int, streams: _Streams) -> np.ndarray:
 
     Each further center maps the restart's next uniform through the cdf
     of the squared distances, as Generator.choice(s, p=d2 / d2.sum())
-    maps it.  Once every squared distance is zero, at step k, a lone
-    restart's generator draws integers(s) for each remaining center
-    instead; for such a restart the generator is rebuilt from its
-    SeedSequence child and advanced past its first k draws to draw them.
+    maps it.  The squared distances vanish once every point lies at
+    distance 0 from a chosen center: it copies one (kmeans_partition
+    answers fewer than r distinct rows before seeding, unless a squared
+    distance overflows) or differs from one by less than about 1e-162.
+    Such a restart repeats its first seed for each remaining center:
+    every point ties with an earlier center at distance 0, so the
+    repeat's cluster stays empty, as that of a lone restart's
+    integers(s) draw would.
     """
-    s = len(pair)
-    children, first, uniforms = streams
-    seeds = np.empty((len(first), r), dtype=int)
-    seeds[:, 0] = first
+    first, uniforms = streams
+    seeds = np.repeat(first[:, None], r, axis=1)
     live = np.arange(len(first))
     d2 = pair[first]
     for k in range(1, r):
@@ -294,12 +292,6 @@ def _seed(pair: np.ndarray, r: int, streams: _Streams) -> np.ndarray:
         if not np.all(np.isfinite(total)):
             raise DegenerateInput("squared distances between the points overflow")
         if not total.all():
-            # All remaining points duplicate chosen centers, for good.
-            for i in live[total == 0]:
-                rng = np.random.default_rng(children[i])
-                rng.integers(s)
-                rng.random(k - 1)
-                seeds[i, k:] = [rng.integers(s) for _ in range(k, r)]
             keep = total > 0
             live, d2, total = live[keep], d2[keep], total[keep]
         cdf = (d2 / total[:, None]).cumsum(axis=1)
@@ -331,19 +323,13 @@ def _sizes(labels: np.ndarray, r: int) -> np.ndarray:
     return np.bincount((np.arange(R)[:, None] * r + labels).ravel(), minlength=R * r).reshape(R, r)
 
 
-def _cluster_means(
-    points: np.ndarray, rows: np.ndarray | None, labels: np.ndarray, r: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _cluster_means(points: np.ndarray, labels: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     """Cluster means (restarts, r, d) and sizes (restarts, r) of the
     points under each row of labels (restarts, s); empty clusters get 0.
 
     The sums add rows in the order points[mask].mean(axis=0) adds them:
     one after another when d > 1, and pairwise (numpy's 1-D sum) when
-    d = 1.  rows numbers the distinct points, or is None when there are
-    at least r of them; a cluster of copies of one point then gets that
-    point as its mean: c copies summed and divided by c can round off
-    the copy, and a copy seeded into an empty cluster would win them
-    back at distance 0, round after round.
+    d = 1.
     """
     R = len(labels)
     flat = (np.arange(R)[:, None] * r + labels).ravel()
@@ -361,22 +347,14 @@ def _cluster_means(
         for j, col in enumerate(cols):
             sums[:, j] = np.bincount(flat, weights=col, minlength=R * r)
     means = sums / np.maximum(sizes, 1)[:, None]
-    if rows is not None:
-        point = np.tile(np.arange(len(points)), R)
-        member = np.empty(R * r, dtype=int)
-        member[flat] = point
-        mixed = np.bincount(flat, weights=rows[point] != rows[member[flat]], minlength=R * r)
-        copies = np.flatnonzero((sizes > 0) & (mixed == 0))
-        means[copies] = points[member[copies]]
     return means.reshape(R, r, points.shape[1]), sizes.reshape(R, r)
 
 
 def _lloyd(
-    points: np.ndarray, rows: np.ndarray, centers: np.ndarray, dist2: np.ndarray
+    points: np.ndarray, centers: np.ndarray, dist2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lloyd iterations on every restart's centers (restarts, r, d) and
-    their squared distances dist2 (restarts, s, r), both in place; rows
-    numbers the distinct points or is None (see _cluster_means).
+    their squared distances dist2 (restarts, s, r), both in place.
 
     A restart stops, without a center update, at the first assignment
     equal to its previous one.  A round recomputes only the distance
@@ -403,7 +381,7 @@ def _lloyd(
         if active.size == 0:
             break
         labels[active] = new
-        means, sizes = _cluster_means(points, rows, new, r)
+        means, sizes = _cluster_means(points, new, r)
         old = centers[active]
         update = np.where((sizes > 0)[..., None], means, old)
         centers[active] = update
@@ -424,28 +402,32 @@ def kmeans_partition(
 ) -> tuple[Partition, np.ndarray, float]:
     """Best-of-restarts k-means on the rows of `points`.
 
-    Seeding is k-means++ per restart; each restart runs Lloyd iterations
-    to a fixed assignment.  Returns (partition, centers, objective) of
-    the lowest-objective run (first found wins ties).  Clusters that
-    stay empty after repair are dropped, so the partition can have fewer
-    than r clusters when the points carry fewer than r distinct values.
+    Points with fewer than r distinct rows and finite squared distances
+    get one cluster per distinct row, the rows in order of first
+    appearance as centers, and objective 0.0: the optimum, which every
+    restart reaches unless two rows lie within underflow distance.
+    Otherwise seeding is k-means++ per restart; each restart runs Lloyd
+    iterations to a fixed assignment.  Returns (partition, centers,
+    objective) of the lowest-objective run (first found wins ties).
+    Clusters that stay empty after repair are dropped, so the partition
+    can have fewer than r clusters when rows differ by less than about
+    1e-162, so that their squared distances underflow to 0.
 
     All restarts run together, as arrays with a leading restart axis,
     and the result equals that of running them one by one: restart i
     seeds from its own generator, default_rng(SeedSequence(seed).spawn(
     restarts)[i]), which draws integers(s) for the first center and then
-    one uniform per further center (integers(s) once every squared
-    distance is zero); its Lloyd iterations stop at the first repeated
-    assignment, and its sums run in the order of a lone restart: a
-    squared distance adds its d terms in np.add.reduce's order for a
-    contiguous row (a running sum below 8 terms, 8 accumulators up to
-    128, halves above; see _sq_dists), and a cluster sum adds rows in
-    points[mask].mean(axis=0)'s order (see _cluster_means).  The
-    uniforms come from one random(r - 1) call per generator, which numpy
-    fills with the numbers of r - 1 scalar calls; a restart whose
-    squared distances all vanish at step k, as happens when the points
-    carry fewer than r distinct values, is replayed from its SeedSequence
-    child through step k - 1 and then draws integers(s).  _streams,
+    one uniform per further center; its Lloyd iterations stop at the
+    first repeated assignment, and its sums run in the order of a lone
+    restart: a squared distance adds its d terms in np.add.reduce's
+    order for a contiguous row (a running sum below 8 terms, 8
+    accumulators up to 128, halves above; see _sq_dists), and a cluster
+    sum adds rows in points[mask].mean(axis=0)'s order (see
+    _cluster_means).  The uniforms come from one random(r - 1) call per
+    generator, which numpy fills with the numbers of r - 1 scalar calls.
+    A restart whose squared distances all vanish repeats its first seed
+    where a lone restart draws integers(s); either center's cluster
+    stays empty (see _seed).  _streams,
     private to reduce_model, passes the streams that reduce_model builds
     once, before its branch loop, from the same s, r, restarts and seed,
     so every branch draws the same streams; restarts and seed were
@@ -469,18 +451,20 @@ def kmeans_partition(
     # Seeds are points, so one table of point-to-point distances serves
     # the seeding and the first assignment.
     pair = _sq_dists(points, points[:, None])[..., 0]
+    # Fewer than r distinct rows: one cluster per row.  A copy lies at
+    # distance 0 from an earlier point in pair; so does a near-copy whose
+    # squared distance underflows, which np.unique tells apart.  A pair
+    # table that overflows is left to the overflow checks below.
+    if (
+        np.count_nonzero(np.tril(pair == 0.0, -1).any(axis=1)) > len(points) - r
+        and np.all(np.isfinite(pair))
+    ):
+        _, first, rows = np.unique(points, axis=0, return_index=True, return_inverse=True)
+        if len(first) < r:
+            return Partition.from_labels(rows.reshape(-1)), points[np.sort(first)], 0.0
     seeds = _seed(pair, r, _streams)
     centers = points[seeds]
-    # Points with fewer than r distinct values leave clusters empty, and
-    # their clusters of copies then need exact means (see _cluster_means).
-    # A copy lies at distance 0 from an earlier point in pair; so does a
-    # near-copy whose squared distance underflows, which np.unique tells
-    # apart.
-    rows = None
-    if np.count_nonzero(np.tril(pair == 0.0, -1).any(axis=1)) > len(points) - r:
-        distinct, rows = np.unique(points, axis=0, return_inverse=True)
-        rows = rows.reshape(-1) if len(distinct) < r else None
-    near, nearest, moving = _lloyd(points, rows, centers, pair[seeds].transpose(0, 2, 1))
+    near, nearest, moving = _lloyd(points, centers, pair[seeds].transpose(0, 2, 1))
     objectives = near.sum(axis=1)
     best = int(np.argmin(objectives))
     if not np.isfinite(objectives[best]):

@@ -162,8 +162,11 @@ def mr_bound(
     eps_combined <= sigma_r / (8 sqrt((2+eps) |C_(1)|)) under which the
     estimated partition is error free.
 
-    Raises InputError unless kmeans_eps is finite and nonnegative.
+    Raises PartitionMismatch unless the partition covers the model's
+    modes, on either branch; InputError unless kmeans_eps is finite and
+    nonnegative.
     """
+    partition._check_covers(model.s)
     if not 0 <= kmeans_eps < np.inf:
         raise InputError(f"kmeans_eps must be finite and nonnegative, got {kmeans_eps}")
     r = partition.r

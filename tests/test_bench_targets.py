@@ -3,7 +3,8 @@
 bench/layers.py names each traced function as a string; its tracer
 looks them up only when a run is traced.  These tests import the
 benchmark's target list and resolve every name, so a renamed or removed
-function fails here instead of in a traced run.
+function fails here instead of in a traced run, and check that each
+target is called on some workload.
 """
 
 import importlib
@@ -94,3 +95,26 @@ def test_an_auto_reduction_traces_the_kmeans_run_of_each_branch(bench_modules):
     assert len(calls) == 2
     assert tracer.counters["clustering.kmeans_partition.restarts"] == 2 * 3
     assert tracer.counters["clustering.kmeans_partition.short"] == 0
+
+
+# Targets that no workload calls; ROADMAP item 1a drops them from
+# bench/layers.py.
+UNCALLED = {"stability.tau_estimate", "stability.augmented_matrix"}
+
+
+def test_every_traced_target_is_called_on_some_workload(bench_modules):
+    # One round of each workload at seed 0, set-up included, since
+    # synth.generate runs only there.  A target that no workload calls
+    # reads 0 on every per-layer metric and measures nothing.
+    layers, spans = bench_modules
+    workloads = importlib.import_module("workloads")
+    tracer = spans.Tracer(layers.TARGETS)
+    try:
+        tracer.install()
+        for make_inputs, make_ops in workloads.WORKLOADS.values():
+            for op in make_ops(make_inputs(0), None):
+                op.run()
+    finally:
+        tracer.uninstall()
+    called = spans.per_function(tracer.spans)
+    assert {t.name for t in layers.TARGETS if t.name not in called} == UNCALLED

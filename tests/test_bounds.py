@@ -33,6 +33,7 @@ from mjsreduce.errors import (
     NotConverged,
     NotErgodic,
     NotNormalized,
+    PartitionMismatch,
     TooLarge,
     TooManySequences,
 )
@@ -916,6 +917,14 @@ def test_inputs_from_model_fig4():
     assert b.rho == pytest.approx(min(1.01 * 0.954, 0.5 * 1.954), abs=1e-9)
     assert b.T_norm == pytest.approx(np.linalg.norm(model.T, 2), rel=1e-15)
     assert b.rho0 == pytest.approx(0.5 * (1.0 + b.rho), rel=1e-15)
+
+
+def test_inputs_from_model_refuse_the_partition_before_the_report():
+    model, _ = fig4_model()
+    with mock.patch.object(bounds, "stability_report") as report:
+        with pytest.raises(PartitionMismatch):
+            BoundInputs.from_model(model, Partition.uniform(4, 2), "aggregatable", x0=np.ones(2))
+    report.assert_not_called()
 
 
 def test_empirical_traj_diff_reducible():

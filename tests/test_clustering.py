@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -151,6 +151,15 @@ def test_kmeans_duplicate_points_drop_empty_clusters():
     assert obj == 0.0
 
 
+def test_kmeans_on_copies_whose_distance_sums_overflow():
+    # Each squared distance is finite and their sums are not; one cluster
+    # per distinct row needs no sum.
+    pts = np.array([[0.0], [1.3e154], [1.3e154], [0.0], [1.3e154]])
+    part, centers, obj = kmeans_partition(pts, 3, seed=0)
+    assert part == Partition([[0, 3], [1, 2, 4]])
+    assert np.array_equal(centers, [[0.0], [1.3e154]]) and obj == 0.0
+
+
 def test_short_partition_scores_against_the_truth():
     # Two distinct values for three clusters: k-means returns two, and
     # the truth cluster left without a match costs 1.
@@ -170,6 +179,8 @@ def test_short_partition_scores_against_the_truth():
         ([[0.0], [np.inf], [1.0]], 2, 4, InputError),
         ([[1e200], [-1e200], [0.0]], 2, 4, ComputationError),
         ([[1e200], [-1e200]], 1, 4, ComputationError),
+        # Fewer than r distinct rows, but their squared distance overflows.
+        ([[1e200], [1e200], [-1e200], [-1e200]], 3, 4, DegenerateInput),
         ([0.0, 1.0, 2.0], 2, 4, DimensionMismatch),
         ([[0.0], [1.0], [2.0]], True, 4, DimensionMismatch),
         ([[0.0], [1.0], [2.0]], 2.5, 4, DimensionMismatch),
@@ -181,6 +192,7 @@ def test_short_partition_scores_against_the_truth():
         "inf",
         "overflow-seeding",
         "overflow-objective",
+        "overflow-copies",
         "one-dim",
         "bool-r",
         "fractional-r",
@@ -683,13 +695,14 @@ def loop_kmeans(points, r, restarts, seed):
     restarts=st.integers(1, 12),
 )
 @example(seed=0, distinct=2, s=10, extra=2, d=2, restarts=5)
+@example(seed=3, distinct=2, s=10, extra=2, d=2, restarts=5)  # rows at 1e-170
 def test_kmeans_on_repeated_points_keeps_one_cluster_per_row(seed, distinct, s, extra, d, restarts):
     # More clusters than distinct rows: each distinct row is one cluster
-    # whose mean is the row itself, not a sum of its copies divided by
-    # their count, which can round off the row and make Lloyd cycle.
+    # whose center is the row itself, at objective 0, also for rows at
+    # 1e-170 whose squared distances underflow to 0.
     rng = np.random.default_rng(seed)
     s = max(s, distinct + 1)
-    values = rng.standard_normal((distinct, d)) * 10.0 ** rng.integers(-3, 4)
+    values = rng.standard_normal((distinct, d)) * rng.choice([1e-170, *10.0 ** np.arange(-3, 4)])
     labels = rng.permutation(np.r_[np.arange(distinct), rng.integers(0, distinct, s - distinct)])
     points = values[labels]
     part, centers, objective = kmeans_partition(
@@ -721,29 +734,38 @@ def kmeans_points(seed, s, d, distinct, lattice):
     restarts=st.integers(1, 12),
     distinct=st.integers(1, 36),
     lattice=st.booleans(),
+    tiny=st.booleans(),
 )
-@example(seed=0, s=10, d=2, r=4, restarts=5, distinct=3, lattice=False)  # repair
-@example(seed=0, s=10, d=2, r=4, restarts=5, distinct=2, lattice=False)  # cycles
+# Fewer distinct rows than clusters: kmeans_partition answers with one
+# cluster per row, which every restart of the loop reaches.
+@example(seed=0, s=10, d=2, r=4, restarts=5, distinct=3, lattice=False, tiny=False)
+@example(seed=0, s=10, d=2, r=4, restarts=5, distinct=2, lattice=False, tiny=False)
+@example(seed=1, s=12, d=3, r=6, restarts=7, distinct=2, lattice=False, tiny=False)
 # d = 1: numpy sums a single column pairwise, several row by row.
-@example(seed=6, s=24, d=1, r=2, restarts=8, distinct=24, lattice=False)
-@example(seed=0, s=24, d=1, r=1, restarts=6, distinct=24, lattice=False)  # r = 1
-@example(seed=9, s=6, d=2, r=6, restarts=6, distinct=6, lattice=False)  # r = s
-@example(seed=11, s=18, d=4, r=3, restarts=1, distinct=18, lattice=False)  # one restart
-@example(seed=2, s=8, d=2, r=2, restarts=10, distinct=4, lattice=True)  # ties
+@example(seed=6, s=24, d=1, r=2, restarts=8, distinct=24, lattice=False, tiny=False)
+@example(seed=0, s=24, d=1, r=1, restarts=6, distinct=24, lattice=False, tiny=False)  # r = 1
+@example(seed=9, s=6, d=2, r=6, restarts=6, distinct=6, lattice=False, tiny=False)  # r = s
+@example(seed=11, s=18, d=4, r=3, restarts=1, distinct=18, lattice=False, tiny=False)  # one restart
+@example(seed=2, s=8, d=2, r=2, restarts=10, distinct=4, lattice=True, tiny=False)  # ties
 # Squared distances over 9 or more coordinates are summed with 8
 # accumulators; regulate clusters at d = r up to 24.
-@example(seed=4, s=30, d=9, r=9, restarts=8, distinct=30, lattice=False)
-@example(seed=5, s=36, d=24, r=24, restarts=6, distinct=36, lattice=False)
-# Two distinct rows: every restart's squared distances vanish at
-# seeding step 2, so each is replayed from its SeedSequence child.
-@example(seed=1, s=12, d=3, r=6, restarts=7, distinct=2, lattice=False)
+@example(seed=4, s=30, d=9, r=9, restarts=8, distinct=30, lattice=False, tiny=False)
+@example(seed=5, s=36, d=24, r=24, restarts=6, distinct=36, lattice=False, tiny=False)
 # numpy sums 64 terms with 8 accumulators and 130 as two halves of 64
 # and 66; _sq_dists follows both orders plane by plane.
-@example(seed=7, s=20, d=64, r=5, restarts=4, distinct=20, lattice=False)
-@example(seed=8, s=16, d=130, r=4, restarts=3, distinct=16, lattice=False)
-def test_kmeans_matches_the_restart_loop(seed, s, d, r, restarts, distinct, lattice):
+@example(seed=7, s=20, d=64, r=5, restarts=4, distinct=20, lattice=False, tiny=False)
+@example(seed=8, s=16, d=130, r=4, restarts=3, distinct=16, lattice=False, tiny=False)
+# Rows at 1e-170, all distinct: every squared distance underflows, so
+# every restart's seeding vanishes after its first center.
+@example(seed=3, s=12, d=3, r=4, restarts=5, distinct=12, lattice=False, tiny=True)
+def test_kmeans_matches_the_restart_loop(seed, s, d, r, restarts, distinct, lattice, tiny):
     r, distinct = min(r, s), min(distinct, s)
     points = kmeans_points(seed, s, d, distinct, lattice)
+    if tiny:
+        # Squared distances underflow to 0; with fewer than r distinct
+        # rows kmeans_partition tells the rows apart, the loop does not.
+        points *= 1e-170
+        assume(len(np.unique(points, axis=0)) >= r)
     want, want_centers, want_objective, converged = loop_kmeans(points, r, restarts, seed)
     if not converged:
         with pytest.raises(NotConverged):

@@ -192,8 +192,12 @@ def test_averaged_feature_matrix_rows(rng):
     sv = np.linalg.svd(phibar, compute_uv=False)
     sigma_r = mr_bound(m, part, "aggregatable").sigma_r_phibar
     assert sigma_r == pytest.approx(sv[1], abs=1e-12)
+    for branch in ("aggregatable", "lumpable"):
+        with pytest.raises(PartitionMismatch):
+            mr_bound(m, Partition([[0, 1], [2]]), branch)
+    # More clusters than modes: the partition is refused, not r > s.
     with pytest.raises(PartitionMismatch):
-        mr_bound(m, Partition([[0, 1], [2]]), "aggregatable")
+        mr_bound(m, Partition.uniform(20, 10), "lumpable")
 
 
 @settings(max_examples=80, deadline=None)
