@@ -276,12 +276,17 @@ def _seed(pair: np.ndarray, r: int, streams: _Streams) -> np.ndarray:
     of the squared distances, as Generator.choice(s, p=d2 / d2.sum())
     maps it.  The squared distances vanish once every point lies at
     distance 0 from a chosen center: it copies one (kmeans_partition
-    answers fewer than r distinct rows before seeding, unless a squared
-    distance overflows) or differs from one by less than about 1e-162.
+    answers fewer than r distinct rows before seeding) or differs from
+    one by less than about 1e-162.
     Such a restart repeats its first seed for each remaining center:
     every point ties with an earlier center at distance 0, so the
     repeat's cluster stays empty, as that of a lone restart's
     integers(s) draw would.
+
+    The entries of pair are finite (kmeans_partition refuses a table
+    that is not), but a sum of them may overflow: the first sums raise
+    DegenerateInput then.  Each later sum adds, in the same order, terms
+    no larger than those of the one before, so it is finite too.
     """
     first, uniforms = streams
     seeds = np.repeat(first[:, None], r, axis=1)
@@ -289,7 +294,7 @@ def _seed(pair: np.ndarray, r: int, streams: _Streams) -> np.ndarray:
     d2 = pair[first]
     for k in range(1, r):
         total = d2.sum(axis=1)
-        if not np.all(np.isfinite(total)):
+        if k == 1 and not np.all(np.isfinite(total)):
             raise DegenerateInput("squared distances between the points overflow")
         if not total.all():
             keep = total > 0
@@ -402,7 +407,8 @@ def kmeans_partition(
 ) -> tuple[Partition, np.ndarray, float]:
     """Best-of-restarts k-means on the rows of `points`.
 
-    Points with fewer than r distinct rows and finite squared distances
+    Points two of which lie at a squared distance that overflows are
+    refused, whatever the seed.  Points with fewer than r distinct rows
     get one cluster per distinct row, the rows in order of first
     appearance as centers, and objective 0.0: the optimum, which every
     restart reaches unless two rows lie within underflow distance.
@@ -436,9 +442,10 @@ def kmeans_partition(
     Raises DimensionMismatch if points is not 2-D, r or restarts is
     not an integer of at least 1 or an integer seed is negative;
     InputError if points holds NaN or infinite values; DegenerateInput
-    if there are fewer points than clusters, or if squared distances
-    overflow; NotConverged if the winning restart is still moving after
-    MAX_ITER Lloyd iterations.
+    if there are fewer points than clusters, or if a squared distance
+    between two points, or a sum of them in the seeding or in a
+    restart's objective, overflows; NotConverged if the winning restart
+    is still moving after MAX_ITER Lloyd iterations.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
@@ -451,14 +458,12 @@ def kmeans_partition(
     # Seeds are points, so one table of point-to-point distances serves
     # the seeding and the first assignment.
     pair = _sq_dists(points, points[:, None])[..., 0]
+    if not np.all(np.isfinite(pair)):
+        raise DegenerateInput("squared distances between the points overflow")
     # Fewer than r distinct rows: one cluster per row.  A copy lies at
     # distance 0 from an earlier point in pair; so does a near-copy whose
-    # squared distance underflows, which np.unique tells apart.  A pair
-    # table that overflows is left to the overflow checks below.
-    if (
-        np.count_nonzero(np.tril(pair == 0.0, -1).any(axis=1)) > len(points) - r
-        and np.all(np.isfinite(pair))
-    ):
+    # squared distance underflows, which np.unique tells apart.
+    if np.count_nonzero(np.tril(pair == 0.0, -1).any(axis=1)) > len(points) - r:
         _, first, rows = np.unique(points, axis=0, return_index=True, return_inverse=True)
         if len(first) < r:
             return Partition.from_labels(rows.reshape(-1)), points[np.sort(first)], 0.0

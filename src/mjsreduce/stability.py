@@ -20,10 +20,13 @@ with many eigenvalues of modulus rho.
 
 The transient constant tau = sup_k ||L^k||_2 / rho^k is swept on dense
 powers of L, taking the 2-norm of a power only where a cheap upper
-bound could still raise the running maximum.  That norm is the root of
-the top eigenvalue of the power's Gram, from one LAPACK dsyevr call,
-lifted by a stated bound on the rounding of the Gram and of the
-eigensolver, so that tau stays an upper bound (_gram_norm).  L maps
+bound could still raise the running maximum; each part of that bound,
+and of the norm, is paid for only where it can change a decision of
+the sweep (_sweep).  That norm is the root of the top eigenvalue of
+the power's Gram, from one LAPACK dsyevr call, lifted by a stated bound
+on the rounding of the Gram and of the eigensolver, so that tau stays
+an upper bound; the call is skipped where the Gram's Frobenius norm
+already keeps the power below the running maximum (_gram_norm).  L maps
 symmetric stacks to symmetric stacks and skew stacks to skew stacks, since
 kron(A_j, A_j) commutes with the transpose and T only mixes blocks; in
 an orthonormal basis of each half, every power of L is block diagonal
@@ -280,7 +283,8 @@ class MomentOperator:
         whose norm is ||L^k||_2 at every k since T >= 0 (_restriction);
         the 2-norm of a power is taken only where its bound could raise
         the maximum, from the top eigenvalue of its Gram, never below
-        the norm and at most _norm_lift(s n (n + 1) / 2) above it
+        the norm and at most _norm_lift(s n (n + 1) / 2) above it, and
+        only where the Gram's Frobenius norm leaves that open
         (_gram_norm).
         Above DEFAULT_SIZE_CAP, the value is the sweep of the upper bound
         sqrt(||L^k(I)|| ||L*^k(I)||) in the largest block 2-norm, which
@@ -481,18 +485,55 @@ def tau_estimate(M: np.ndarray, rho: float, k_max: int = TAU_STEPS) -> Transient
     return _sweep(_dense_powers(step, np.eye(M.shape[0]), k_max), rho, exact=True)
 
 
-def _norm_bound(P: np.ndarray) -> float:
-    # ||P||_2 <= ||P||_F and ||P||_2 <= sqrt(||P||_1 ||P||_inf); the tau
-    # sweep stops on this bound, and on a scaled identity only the
-    # second one is tight.  m^2 2^-1074 covers the m^2 squares and sums
-    # that may underflow, and changes no sum above 2^-990.  The second
-    # bound, as two roots, is inf only where ||P||_1 or ||P||_inf
-    # overflows, so ||P||_2 >= 2^1024 / sqrt(m), or P is not finite.
-    absP, flat = np.abs(P), P.ravel()
+def _norm_bound(P: np.ndarray, fro: float) -> tuple[float, tuple[int, int]]:
+    """(min(fro, sqrt(||P||_1 ||P||_inf)), (i, j)) for the Frobenius
+    bound fro of P that _dense_powers yields, with i the row and j the
+    column of |P| of largest sum.
+
+    ||P||_2 <= sqrt(||P||_1 ||P||_inf); on a scaled identity or a scaled
+    orthogonal P only this half is tight.  The two roots are inf only
+    where ||P||_1 or ||P||_inf overflows, so ||P||_2 >= 2^1024 / sqrt(m),
+    or P is not finite.  This half takes three passes over |P|, which
+    _sweep spares where _norm_floor settles its decisions instead.
+    """
+    absP = np.abs(P)
     with np.errstate(over="ignore", invalid="ignore"):
-        one, inf = absP.sum(axis=0).max(), absP.sum(axis=1).max()
-        fro = math.sqrt(flat.dot(flat) + P.size * math.ulp(0.0))
-        return min(fro, math.sqrt(one) * math.sqrt(inf))
+        cols, rows = absP.sum(axis=0), absP.sum(axis=1)
+    i, j = int(rows.argmax()), int(cols.argmax())
+    return min(fro, math.sqrt(cols[j]) * math.sqrt(rows[i])), (i, j)
+
+
+def _norm_floor(P: np.ndarray, peak: tuple[int, int] | None) -> float:
+    """A float that is at most the second half sqrt(||P||_1 ||P||_inf)
+    of _norm_bound as it rounds it, from row i and column j of |P| for
+    peak = (i, j); 0 without a peak.
+
+    Each sum adds the m nonnegative terms of a row or column of the
+    m x m P.  Added in any order they land within gamma_(m-1) of the
+    exact sum (Higham, Accuracy and Stability of Numerical Algorithms,
+    2002, ch. 4); nonnegative additions do not underflow, since a sum in
+    the subnormal range is exact.  So with C and R the exact sums of
+    column j and row i, _norm_bound's ||P||_1 >= C (1 - gamma_(m-1)) and
+    ||P||_inf >= R (1 - gamma_(m-1)), and its second half is at least
+    sqrt(C R) (1 - gamma_(m-1)) (1 - u)^3 after two roots and a
+    product.  The sums here are at most C (1 + gamma_(m-1)) and
+    R (1 + gamma_(m-1)), and the roots, the two products and the
+    rounded factor 1 - 2 gamma_(m+8) add five roundings up, so the
+    floor is at most sqrt(C R) (1 + gamma_(m-1)) (1 + u)^5
+    (1 - 2 gamma_(m+8)).  To first order that is below the half by
+    2 gamma_(m+8) - 2 gamma_(m-1) - 8u >= 10u; the spare 10u covers the
+    second-order terms, and the one extra unit a product near 2^-1022
+    loses to gradual underflow.  _sweep reads the floor only against
+    rk / (1 + BOUND_MARGIN) >= 2^-1022 (1 - 2^-39), so a smaller
+    product decides nothing.
+    """
+    if peak is None:
+        return 0.0
+    i, j = peak
+    shrink = 1.0 - 2.0 * _gamma(P.shape[0] + 8)
+    with np.errstate(over="ignore", invalid="ignore"):
+        col, row = np.abs(P[:, j]).sum(), np.abs(P[i]).sum()
+    return math.sqrt(col) * math.sqrt(row) * shrink
 
 
 UNIT = 0.5 * np.finfo(float).eps  # u = 2^-53, the unit roundoff
@@ -514,17 +555,20 @@ def _gamma(k: int) -> float:
     return unit / (1.0 - unit)
 
 
-def _gram_norm(P: np.ndarray, bound: float) -> float:
+def _gram_norm(P: np.ndarray, bound: float, rk: float, best: float) -> float:
     """An upper bound on ||P||_2 for a finite square P != 0 of order m,
-    at most ||P||_2 (1 + _norm_lift(m)), from the top eigenvalue of its
-    Gram; bound is the sweep's bound on ||P||_2.
+    from its Gram: at most ||P||_2 (1 + _norm_lift(m)), unless the
+    screen below shows that the sweep's strict update, norm / rk > best,
+    cannot fire; then it is the screen's bound ub, at most about
+    m^(1/4) ||P||_2.  bound is the sweep's bound on ||P||_2.
 
     S = 2^-e P, with 2^(e-1) <= bound < 2^e for the finite bound > 0
     the sweep passes, is exact up to entries that underflow;
     ||S||_F^2 <= m^2, so the float Gram G = fl(S'S) cannot overflow.
-    Its entries are m-term dot products: G = S'S + E with
-    |E| <= gamma_m |S|'|S| entrywise, so ||E||_2 <= gamma_m ||S||_F^2,
-    also for the triangle dsyevr reads.  One dsyevr call, or two where
+    numpy forms S'S with one syrk call, so G is exactly symmetric, and
+    dsyevr reads all of it.  Its entries are m-term dot products:
+    G = S'S + E with |E| <= gamma_m |S|'|S| entrywise, so
+    ||E||_2 <= gamma_m ||S||_F^2.  One dsyevr call, or two where
     the first loses the top index in a cluster, returns lam within
     d u ||G||_2 of the top eigenvalue of G, d = 2 m + 16 (see
     GRAM_ERROR); and ||G||_2 <= (lam + gamma_m ||S||_F^2) / (1 - d u),
@@ -540,12 +584,40 @@ def _gram_norm(P: np.ndarray, bound: float) -> float:
     product; scaling back by 2^e is exact, as the sweep's bound is
     above 2^-k, and inf where it overflows.  Any other nonzero info
     from dsyevr raises NotConverged.
+
+    The screen reads G before dsyevr does.  The top eigenvalue of the
+    symmetric G is at most its Frobenius norm ||G||_F (the Schatten-4
+    bound ||S||_2^4 <= ||S'S||_F^2, up to E), so lam <= ||G||_F (1 + d u).
+    With F the float root of the m^2-term sum of squares of G,
+    ||G||_F <= F / ((1 - gamma_(m^2))^(1/2) (1 - u)); that sum's
+    underflow, at most m^2 2^-1074, lies far below u ||G||_F, since
+    ||G||_F >= ||S||_2^2 is about 1 / (4 m) or more.  Carried through
+    the roundings of the radicand (three units), of the root and of its
+    product with 1 + 4u (two units each on the square) and through that
+    factor (eight units), this puts the square of the returned value
+    below 4^e (F + gamma_2m tr(G)) (1 + gamma_(m^2) / 2 + (c + d + 16) u)
+    to first order.  ub = 2^e sqrt((F + gamma_2m tr(G)) (1 + lift)), with
+    lift = gamma_(m^2) + (2 c + 16) u = gamma_(m^2) + (4 m + 64) u,
+    loses at most six units to its own roundings (two in the sum, one
+    in 1 + lift, one in the product, two in the root), and c + d + 22 =
+    4 m + 62: the last 2u and gamma_(m^2) / 2 cover the second-order
+    terms, at most about 4 m^2 u^2.  So ub is never below the value
+    dsyevr would lead to, and where ub / rk <= best neither is that value
+    / rk above best: ub is returned, and dsyevr is not called.
     """
     m = P.shape[0]
     e = math.frexp(bound)[1]
     S = np.ldexp(P, -e)
     G = S.T @ S
     trace = float(np.trace(G))
+    gamma, c = _gamma(2 * m), 2 * m + GRAM_ERROR
+    flat = G.ravel()
+    lift = _gamma(m * m) + (2 * c + 16) * UNIT
+    root = math.sqrt((math.sqrt(flat.dot(flat)) + gamma * trace) * (1.0 + lift))
+    with np.errstate(over="ignore"):
+        ub = float(np.ldexp(root, e))  # inf where it overflows
+    if ub / rk <= best:
+        return ub
     # G.T is Fortran-ordered, so dsyevr works on it in place.
     w, _, _, _, info = dsyevr(G.T, compute_v=0, range="I", il=m, iu=m, overwrite_a=1)
     if info in (2, 3):
@@ -558,8 +630,7 @@ def _gram_norm(P: np.ndarray, bound: float) -> float:
     if info:
         raise NotConverged(f"dsyevr found no top eigenvalue of a {m} x {m} Gram (info = {info})")
     lam = max(float(w[0]), 0.0)
-    c = 2 * m + GRAM_ERROR
-    root = math.sqrt(lam + _gamma(2 * m) * trace + c * UNIT * lam) * (1.0 + 4.0 * UNIT)
+    root = math.sqrt(lam + gamma * trace + c * UNIT * lam) * (1.0 + 4.0 * UNIT)
     return math.ldexp(root, e - 1) * 2.0  # root < 2: only the product may overflow, to inf
 
 
@@ -577,12 +648,21 @@ def _norm_lift(m: int) -> float:
 
 
 def _dense_powers(step, P, k_max: int):
-    # Yields (bound on ||P_k||_2, P_k) for k = 1..k_max, from P_0 = P and
-    # P_k = step(P_(k-1)).  A power that is not finite has a bound that
-    # is not finite either, which ends the sweep.
+    """Yields (fro, P_k) for k = 1..k_max, from P_0 = P and
+    P_k = step(P_(k-1)), with fro >= ||P_k||_F >= ||P_k||_2 the
+    Frobenius half of _norm_bound's bound, from one dot product.
+
+    m^2 2^-1074 covers the m^2 squares and sums that may underflow, and
+    changes no sum above 2^-990.  A power that is not finite has a fro
+    that is not finite either, and so has its full bound, which ends
+    the sweep.
+    """
     for _ in range(k_max):
         P = step(P)
-        yield _norm_bound(P), P
+        flat = P.ravel()
+        with np.errstate(over="ignore", invalid="ignore"):
+            fro = math.sqrt(flat.dot(flat) + P.size * math.ulp(0.0))
+        yield fro, P
 
 
 def _power(x: float, k: int) -> float:
@@ -619,33 +699,50 @@ def _sweep(powers, level: float, exact: bool) -> TransientEstimate:
     of M 2^-e, which the caller forms exactly.  So g(k) = ||P||_2 / u^k
     with u = 2^-e level in [1/2, 1), and u^k in [2^-k, 1] is normal for
     every k <= 1022 = SWEEP_STEPS_MAX, the most steps an entry point
-    lets a sweep take (_check_sweep_steps).  Where P is given, its
-    2-norm is taken, by _gram_norm, only where the bound, lifted by
-    BOUND_MARGIN, could still pass the strict update; with P = None the
-    bound is the norm.
-    _gram_norm is never below the 2-norm and at most _norm_lift(m)
-    above it, so the value is never below the sup of g over the swept k
-    and at most that lift above it: a skipped k has g(k) below the
-    running maximum.  Since g(a + b) <= g(a) g(b), one K with
-    g(K) <= 1 makes the sweep over k < K the sup over every k
-    (complete), and the sweep stops there: every later g(K + j) is at
-    most g(j) / (1 + BOUND_MARGIN).  Only a bound above 2^-k / (1 +
-    BOUND_MARGIN) can keep g(k) from certifying; a P that underflowed
-    lies far below that.  A bound that is not finite, as from a P that
-    overflowed, ends the sweep with value inf, argmax_k = k and
-    complete False.
+    lets a sweep take (_check_sweep_steps).  With P = None the bound is
+    the norm.  Where P is given, it comes from _dense_powers, and the
+    bound is its Frobenius half fro.
+    The sweep reads a power's bound b, as top = b (1 + BOUND_MARGIN) /
+    u^k, for two decisions only: top > best takes the 2-norm of P, and
+    top <= 1 certifies.  The full bound min(fro, h), h =
+    sqrt(||P||_1 ||P||_inf), is taken (_norm_bound) unless fro settles
+    both: its top is at most best, and either at most 1, or the floor of
+    h from the row and column where h last peaked (_norm_floor) already
+    gives a top above 1.  Every step of top is monotone, so the top of
+    the minimum is the smaller of the two tops: it is then at most best
+    too, and at most 1 exactly when fro's top is, and both decisions
+    are those of the full bound.  The 2-norm, where taken, is
+    _gram_norm's: never below the 2-norm and at most _norm_lift(m)
+    above it, unless its screen shows it cannot pass the strict update.
+    So the value is never below the sup of g over the swept k and at
+    most that lift above it: a skipped k has g(k) below the running
+    maximum.  Since g(a + b) <= g(a) g(b), one K with g(K) <= 1 makes
+    the sweep over k < K the sup over every k (complete), and the sweep
+    stops there: every later g(K + j) is at most g(j) / (1 +
+    BOUND_MARGIN).  Only a bound above 2^-k / (1 + BOUND_MARGIN) can
+    keep g(k) from certifying; a P that underflowed lies far below that.
+    A bound that is not finite, as from a P that overflowed, ends the
+    sweep with value inf, argmax_k = k and complete False; a fro that
+    is not finite never settles the decisions.
     """
     unit = math.ldexp(level, -_level_exponent(level))
-    best, arg, complete, k = 1.0, 0, False, 0
+    best, arg, complete, k, peak = 1.0, 0, False, 0, None
     for k, (bound, P) in enumerate(powers, start=1):
+        rk = unit**k
+        if P is not None:
+            top = bound * (1.0 + BOUND_MARGIN) / rk
+            settled = top <= best and (
+                top <= 1.0 or _norm_floor(P, peak) * (1.0 + BOUND_MARGIN) / rk > 1.0
+            )
+            if not settled:
+                bound, peak = _norm_bound(P, bound)
         if not bound < math.inf:
             best, arg = math.inf, k
             break
-        rk = unit**k
         top = bound * (1.0 + BOUND_MARGIN) / rk
         complete = top <= 1.0
         if top > best:
-            norm = bound if P is None else _gram_norm(P, bound)
+            norm = bound if P is None else _gram_norm(P, bound, rk, best)
             val = norm / rk
             if val > best:
                 best, arg = val, k

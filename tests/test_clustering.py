@@ -160,6 +160,39 @@ def test_kmeans_on_copies_whose_distance_sums_overflow():
     assert np.array_equal(centers, [[0.0], [1.3e154]]) and obj == 0.0
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_kmeans_refuses_an_overflowing_pair_table_for_every_seed(seed):
+    # (0.9e154 + 0.9e154)^2 overflows.  Whether the first seeding sum
+    # overflowed too used to depend on the first seed: seeds 1, 2, 4
+    # and 5 returned three clusters at objective 0.
+    pts = np.array([[0.0], [0.0], [0.9e154], [-0.9e154]])
+    with pytest.raises(DegenerateInput, match="overflow"):
+        kmeans_partition(pts, 4, restarts=1, seed=seed)
+
+
+def test_kmeans_fills_a_cluster_that_lloyd_empties(monkeypatch):
+    # On these points the one restart of seed 2 empties a cluster during
+    # Lloyd, and _repair moves the farthest point into it; the result is
+    # the restart loop's, bit for bit.
+    moved = []
+    repair = clustering._repair
+
+    def spy(points, centers, labels, dist2):
+        before = labels.copy()
+        repair(points, centers, labels, dist2)
+        moved.append(int(np.count_nonzero(labels != before)))
+
+    monkeypatch.setattr(clustering, "_repair", spy)
+    pts = np.array([[1.0], [19.0], [-20.0], [-16.0], [5.0], [4.0]])
+    part, centers, objective = kmeans_partition(pts, 3, restarts=1, seed=2)
+    assert any(moved)
+    want, want_centers, want_objective, converged = loop_kmeans(pts, 3, 1, 2)
+    assert converged
+    assert part == want == Partition([[0, 4, 5], [1], [2, 3]])
+    assert np.array_equal(centers, want_centers)
+    assert objective == want_objective == 16.666666666666668
+
+
 def test_short_partition_scores_against_the_truth():
     # Two distinct values for three clusters: k-means returns two, and
     # the truth cluster left without a match costs 1.

@@ -339,10 +339,10 @@ def test_sweeps_refuse_more_steps_than_keep_the_level_powers_normal():
 def test_norm_bound_of_a_tiny_power_stays_above_its_norm(e, rng):
     # Down to subnormal entries, and 0 only for the zero matrix.
     P = np.ldexp(rng.standard_normal((5, 5)), e)
-    bound = stability._norm_bound(P)
+    bound = cheap_bound(P)
     with mpmath.workdps(60):
         assert sigma_max(P) <= bound * (1.0 + stability.BOUND_MARGIN)
-    assert stability._norm_bound(np.zeros((5, 5))) == 0.0
+    assert cheap_bound(np.zeros((5, 5))) == 0.0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -831,6 +831,13 @@ def test_walk_takes_few_eigenvalues_and_norms(monkeypatch):
     assert 0 < seen["norm"] < formed
 
 
+def cheap_bound(P):
+    """The sweep's full bound min(||P||_F, sqrt(||P||_1 ||P||_inf)) on
+    ||P||_2, its Frobenius half as _dense_powers yields it."""
+    ((fro, _),) = stability._dense_powers(lambda _: P, None, 1)
+    return stability._norm_bound(P, fro)[0]
+
+
 def oracle_bound(P):
     """min(||P||_F, sqrt(||P||_1 ||P||_inf)), the bound on which the tau
     sweep skips norms and stops, from numpy's matrix norms.  They are
@@ -1003,20 +1010,32 @@ def draw_norm_input(rng, m, kind):
     return np.outer(M[0], rng.standard_normal(m))  # rank one
 
 
-@pytest.mark.invariant
-@settings(max_examples=40, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    m=st.integers(1, 40),
-    kind=st.sampled_from(["orthogonal", "triangular", "rank_one", "absorbed"]),
-    scale=st.sampled_from([-600, 0, 600]),
-    bound=st.sampled_from(["sweep", "sigma"]),
-)
-@example(seed=0, m=40, kind="orthogonal", scale=0, bound="sweep")
-@example(seed=1, m=40, kind="orthogonal", scale=600, bound="sweep")  # P'P overflows
-@example(seed=2, m=40, kind="orthogonal", scale=-600, bound="sweep")  # P'P underflows
-@example(seed=149, m=30, kind="orthogonal", scale=0, bound="sweep")  # a second dsyevr call
-@example(seed=0, m=40, kind="absorbed", scale=0, bound="sweep")  # fl(P'P) < P'P by 38u
+def gram_norm_draws(test):
+    """The draws of P = 2^scale times draw_norm_input(m, kind), and of
+    the bound passed with it, for the tests of _gram_norm."""
+    for decorator in reversed(
+        [
+            pytest.mark.invariant,
+            settings(max_examples=40, deadline=None),
+            given(
+                seed=st.integers(0, 2**32 - 1),
+                m=st.integers(1, 40),
+                kind=st.sampled_from(["orthogonal", "triangular", "rank_one", "absorbed"]),
+                scale=st.sampled_from([-600, 0, 600]),
+                bound=st.sampled_from(["sweep", "sigma"]),
+            ),
+            example(seed=0, m=40, kind="orthogonal", scale=0, bound="sweep"),
+            example(seed=1, m=40, kind="orthogonal", scale=600, bound="sweep"),  # P'P overflows
+            example(seed=2, m=40, kind="orthogonal", scale=-600, bound="sweep"),  # P'P underflows
+            example(seed=149, m=30, kind="orthogonal", scale=0, bound="sweep"),  # a second dsyevr
+            example(seed=0, m=40, kind="absorbed", scale=0, bound="sweep"),  # fl(P'P) < P'P by 38u
+        ]
+    ):
+        test = decorator(test)
+    return test
+
+
+@gram_norm_draws
 def test_gram_norm_lies_within_its_lift_of_the_top_singular_value(seed, m, kind, scale, bound):
     # sigma <= _gram_norm(P) <= sigma (1 + _norm_lift(m)) with sigma the
     # 60-digit ||P||_2, at scales 2^+-600 where an unscaled Gram would
@@ -1027,11 +1046,144 @@ def test_gram_norm_lies_within_its_lift_of_the_top_singular_value(seed, m, kind,
     rng = np.random.default_rng(seed)
     P = np.ldexp(draw_norm_input(rng, m, kind), scale)
     sigma = sigma_max(P)
-    given_bound = stability._norm_bound(P) if bound == "sweep" else float(sigma)
-    got = stability._gram_norm(P, given_bound)
+    given_bound = cheap_bound(P) if bound == "sweep" else float(sigma)
+    got = stability._gram_norm(P, given_bound, 1.0, -math.inf)  # no screen
     assert isinstance(got, float)
     with mpmath.workdps(60):
         assert sigma <= got <= sigma * (1 + mpmath.mpf(stability._norm_lift(m)))
+
+
+@gram_norm_draws
+def test_gram_screen_is_never_below_the_gram_norm(seed, m, kind, scale, bound):
+    # With best = inf the screen answers every P, with its bound ub; with
+    # best = -inf it answers none, and dsyevr gives the lifted norm.  ub
+    # may stand in for that norm only if it is never below it.  On a
+    # rank-one P, ||G||_F is the top eigenvalue, and only the lift of
+    # the screen covers the roundings.
+    rng = np.random.default_rng(seed)
+    P = np.ldexp(draw_norm_input(rng, m, kind), scale)
+    given_bound = cheap_bound(P) if bound == "sweep" else float(sigma_max(P))
+    ub = stability._gram_norm(P, given_bound, 1.0, math.inf)
+    norm = stability._gram_norm(P, given_bound, 1.0, -math.inf)
+    assert norm <= ub <= norm * m**0.25 * 1.01
+
+
+def eager_sweep(powers, level):
+    """_sweep as it was before it skipped work: the full _norm_bound of
+    every power _dense_powers yields, and _gram_norm without its screen
+    (best = -inf) on every power whose bound passes the running
+    maximum.  Kept as the oracle of the skips, which must leave every
+    field of the estimate as it is."""
+    unit = math.ldexp(level, -stability._level_exponent(level))
+    best, arg, complete, k = 1.0, 0, False, 0
+    for k, (fro, P) in enumerate(powers, start=1):
+        bound = stability._norm_bound(P, fro)[0]
+        if not bound < math.inf:
+            best, arg = math.inf, k
+            break
+        rk = unit**k
+        top = bound * (1.0 + stability.BOUND_MARGIN) / rk
+        complete = top <= 1.0
+        if top > best:
+            val = stability._gram_norm(P, bound, rk, -math.inf) / rk
+            if val > best:
+                best, arg = val, k
+        if complete:
+            break
+    return stability.TransientEstimate(best, level, arg, k, complete, True)
+
+
+def eager_tau_estimate(M, rho, k_max):
+    M = np.ldexp(np.asarray(M, dtype=float), -stability._level_exponent(rho))
+
+    def step(P):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return P @ M
+
+    return eager_sweep(stability._dense_powers(step, np.eye(len(M)), k_max), rho)
+
+
+def eager_operator_tau(op, rho, k_max):
+    scaled = MomentOperator(op.A, np.ldexp(op.T, -stability._level_exponent(rho)))
+    return eager_sweep(stability._dense_powers(*scaled._restriction(), k_max), rho)
+
+
+def draw_sweep_modes(rng, count, n, kind):
+    """count modes of order n: Gaussian, or scaled identities or scaled
+    orthogonal matrices, on which sqrt(||P||_1 ||P||_inf) is the tight
+    half of the bound and the Gram's top eigenvalue is a cluster."""
+    if kind not in ("identity", "orthogonal"):
+        return np.stack([draw_matrix(rng, n, kind) for _ in range(count)])
+    scales = 2.0 ** rng.uniform(-2.0, 2.0, count)
+    if kind == "identity":
+        return scales[:, None, None] * np.eye(n)
+    return np.stack([a * np.linalg.qr(rng.standard_normal((n, n)))[0] for a in scales])
+
+
+@pytest.mark.invariant
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 12),
+    kind=st.sampled_from(["general", "triangular", "rank_one", "identity", "orthogonal"]),
+    s=st.integers(1, 6),
+    n=st.integers(1, 3),
+    periodic=st.booleans(),
+    lift=st.sampled_from([1.0, 1.001, 1.05, 1.5]),
+    scale=st.sampled_from([-600, 0, 600]),
+    k_max=st.integers(0, stability.TAU_STEPS),
+)
+# Two scaled identities swapped by a periodic chain: g(1) is large, and
+# at k = 2 only sqrt(||P||_1 ||P||_inf) certifies.
+@example(
+    seed=1, d=2, kind="identity", s=2, n=2, periodic=True, lift=1.001, scale=0, k_max=64
+)
+def test_sweep_has_the_bits_of_the_eager_sweep(
+    seed, d, kind, s, n, periodic, lift, scale, k_max
+):
+    # Every field of tau_estimate's and MomentOperator.tau's estimate
+    # equals that of the sweep that takes the full bound of every power
+    # and the eigensolve of every candidate.  The operator's modes are
+    # scaled by 2^(scale / 2), so L and rho are scaled by 2^scale.
+    rng = np.random.default_rng(seed)
+    M = draw_sweep_modes(rng, 1, d, kind)[0] * 2.0**scale
+    rho = max(spectral_radius(M) * lift, 2.0**scale * 1e-3)
+    est = tau_estimate(M, rho, k_max)
+    assert dataclasses.astuple(est) == dataclasses.astuple(eager_tau_estimate(M, rho, k_max))
+    A = draw_sweep_modes(rng, s, n, kind) * 2.0 ** (scale // 2)
+    T = np.roll(np.eye(s), 1, axis=1) if periodic else rng.dirichlet(np.ones(s), size=s)
+    op = MomentOperator(A, T)
+    rho = max(op.rho() * lift, 2.0**scale * 1e-3)
+    est = op.tau(rho, k_max)
+    assert dataclasses.astuple(est) == dataclasses.astuple(eager_operator_tau(op, rho, k_max))
+
+
+@pytest.mark.invariant
+def test_sweep_keeps_a_certificate_that_one_rounding_decides():
+    # M swaps two blocks, 16 I and C = (I + N / 1000) / 32, so that
+    # M^2 = 16 diag(C, C) lies near I / 2: at k = 2 only
+    # sqrt(||P||_1 ||P||_inf) certifies, and the Frobenius bound is
+    # below g(1).  The column of |M^2| where the column sums of M peaked
+    # sums one ulp higher in numpy's 1-D order than among numpy's column
+    # sums, and the level puts the certificate inside that ulp: the
+    # sweep may skip the full bound only with _norm_floor's margin.
+    h = 8
+    rng = np.random.default_rng(18)
+    N = rng.random((h, h))
+    N[:, 0] += 1.0
+    N[0] += 1.0
+    C = (np.eye(h) + 1e-3 * N) / 32.0
+    M = np.block([[np.zeros((h, h)), 16.0 * np.eye(h)], [C, np.zeros((h, h))]])
+    rho = 0.7117381051068377
+    P = M @ M
+    absP = np.abs(P)
+    half = math.sqrt(absP.sum(axis=0).max()) * math.sqrt(absP.sum(axis=1).max())
+    unmargined = math.sqrt(absP[:, h].sum()) * math.sqrt(absP[0].sum())
+    lifted = 1.0 + stability.BOUND_MARGIN
+    assert half * lifted / rho**2 <= 1.0 < unmargined * lifted / rho**2
+    est = tau_estimate(M, rho, 8)
+    assert dataclasses.astuple(est) == dataclasses.astuple(eager_tau_estimate(M, rho, 8))
+    assert (est.k_max, est.complete) == (2, True)
 
 
 @pytest.mark.parametrize("infos", [[1], [-3], [2, 1], [3, 4]])
