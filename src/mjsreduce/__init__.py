@@ -10,9 +10,11 @@ from .bounds import (
     BoundInputs,
     DiffStats,
     KernelDistribution,
+    StabilityComparison,
     empirical_traj_diff,
     mss_premises,
     mss_traj_bound,
+    stability_comparison,
     transition_kernel_enum,
     us_premises,
     us_traj_bound,
@@ -81,14 +83,12 @@ from .perturbation import (
 from .stability import (
     JsrBounds,
     MomentOperator,
-    StabilityComparison,
     StabilityReport,
     TransientEstimate,
     augmented_matrix,
     jsr_bounds,
     kappa_estimate,
     spectral_radius,
-    stability_comparison,
     stability_report,
     tau_estimate,
 )

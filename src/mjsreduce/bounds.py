@@ -1,8 +1,12 @@
 """Trajectory and distribution approximation bounds.
 
-Quantities feeding the bounds live in BoundInputs: worst-case mode
-norms, transient constants from the stability module, perturbation
-sizes of the partition, and the norm of the initial state.  The bounds
+This module certifies a reduction against its original: it sits above
+both the reduction (clustering, perturbation) and the analysis of one
+system (stability).  Quantities feeding the bounds live in BoundInputs:
+worst-case mode norms, transient constants from the stability module,
+perturbation sizes of the partition, and the norm of the initial state.
+stability_comparison sets the stability levels of a model and its
+reduction side by side, with their two-sided perturbation bounds.  The bounds
 are those of autonomous runs: there is no input-driven simulator, so
 the paper's input terms are not evaluated.
 Each bound evaluates its formula even when its premises fail; premise
@@ -29,9 +33,12 @@ from .errors import (
     TooLarge,
     TooManySequences,
 )
-from .model import MjsModel, Partition, _check_count, _check_x0, simulate_coupled_batch
-from .perturbation import perturbations
-from .stability import JSR_BUDGET, stability_report
+from .clustering import ReductionResult
+from .model import MjsModel, Partition, _check_count, _check_x0, expand_reduced
+from .model import simulate_coupled_batch
+from .perturbation import construct_T0, perturbations
+from .stability import JSR_BUDGET, TAU_STEPS, MomentOperator, StabilityReport, _check_level
+from .stability import stability_report
 
 # Largest number s^t of mode sequences transition_kernel_enum walks, and
 # the merge distance of its endpoints relative to max(||x0||, 1).
@@ -50,6 +57,10 @@ MERGE_TOL = 1e-10
 # 0.28, 0.63, 1.26, 3.05 and 6.91 ms), of which HiGHS's run is 71%.
 TRANSPORT_NEIGHBOURS = 6
 TRANSPORT_SLACK = 1e-13
+# HiGHS's primal and dual feasibility tolerances in the transport
+# program.  At its default of 1e-7 a plan could miss masses below about
+# 1e-7, moving W by up to 3e-7 relative on laws with such masses.
+TRANSPORT_FEASIBILITY = 1e-10
 # Odd multiplier of the row hash _equal_rows sorts on (2^64 / golden ratio).
 _ROW_HASH = np.uint64(0x9E3779B97F4A7C15)
 
@@ -57,11 +68,13 @@ __all__ = [
     "BoundInputs",
     "KernelDistribution",
     "DiffStats",
+    "StabilityComparison",
     "mss_premises",
     "mss_traj_bound",
     "us_premises",
     "us_traj_bound",
     "wasserstein_kernel_bound",
+    "stability_comparison",
     "transition_kernel_enum",
     "w2_moment_lower_bound",
     "wasserstein_exact",
@@ -222,6 +235,87 @@ def wasserstein_kernel_bound(b: BoundInputs, t: int, ell: int = 1) -> float:
     else:
         term2 = 0.0
     return float(term1 + term2)
+
+
+@dataclass
+class StabilityComparison:
+    report: StabilityReport
+    report_reduced: StabilityReport
+    eps_rho: float
+    rho_gap_forward: float
+    rho_gap_reverse: float
+    bound_rho_forward: float
+    bound_rho_reverse: float
+    xi_gap_forward_certified: float
+    xi_gap_reverse_certified: float
+    bound_xi_forward: float
+    bound_xi_reverse: float
+    lemma_gap_rho: float
+
+    def to_dict(self) -> dict:
+        return {
+            "eps_rho": self.eps_rho,
+            "rho_gap_forward": self.rho_gap_forward,
+            "rho_gap_reverse": self.rho_gap_reverse,
+            "bound_rho_forward": self.bound_rho_forward,
+            "bound_rho_reverse": self.bound_rho_reverse,
+            "xi_gap_forward_certified": self.xi_gap_forward_certified,
+            "xi_gap_reverse_certified": self.xi_gap_reverse_certified,
+            "bound_xi_forward": self.bound_xi_forward,
+            "bound_xi_reverse": self.bound_xi_reverse,
+            "lemma_gap_rho": self.lemma_gap_rho,
+            "original": self.report.to_dict(),
+            "reduced": self.report_reduced.to_dict(),
+        }
+
+
+def stability_comparison(
+    model: MjsModel, reduction: ReductionResult, branch: str | None = None
+) -> StabilityComparison:
+    """Compare stability levels of a model and its reduction, each
+    reported by stability_report at its default levels.
+
+    Evaluates the two-sided spectral-radius perturbation bounds with
+    eps_rho = sqrt(s) ((2 Abar + eps_A) eps_A + Abar^2 eps_T) and the
+    analogous joint-spectral-radius bounds with kappa eps_A.  The
+    reverse direction uses the transient constants of the expanded
+    system (reduced matrices copied over each cluster, transition
+    matrix from construct_T0), whose augmented spectral radius agrees
+    with the reduced one; lemma_gap_rho records that agreement.
+    """
+    branch = branch or reduction.branch
+    partition = reduction.partition
+    reduced = reduction.reduced
+    eps = perturbations(model, partition, branch)
+    rep = stability_report(model)
+    rep_hat = stability_report(reduced)
+    eps_rho = float(
+        np.sqrt(model.s)
+        * ((2.0 * rep.a_bar + eps.eps_A) * eps.eps_A + rep.a_bar**2 * eps.eps_T)
+    )
+    T_bar = construct_T0(model.T, partition, branch=branch)
+    expanded = expand_reduced(reduced, partition, T_bar)
+    op_bar = MomentOperator(expanded.A, expanded.T)
+    rho_aug_bar = op_bar.rho()
+    _check_level("rho", rep_hat.tau.level, rho_aug_bar)
+    tau_bar = op_bar.tau(rep_hat.tau.level, TAU_STEPS)
+    kappa_bar = rep_hat.kappa  # expanded mode set equals the reduced one
+    return StabilityComparison(
+        report=rep,
+        report_reduced=rep_hat,
+        eps_rho=eps_rho,
+        rho_gap_forward=rep_hat.rho_aug - rep.rho_aug,
+        rho_gap_reverse=rep.rho_aug - rep_hat.rho_aug,
+        bound_rho_forward=rep.tau.value * eps_rho + (rep.tau.level - rep.rho_aug),
+        bound_rho_reverse=tau_bar.value * eps_rho
+        + (rep_hat.tau.level - rep_hat.rho_aug),
+        xi_gap_forward_certified=rep_hat.jsr.lower - rep.jsr.upper,
+        xi_gap_reverse_certified=rep.jsr.lower - rep_hat.jsr.upper,
+        bound_xi_forward=rep.kappa.value * eps.eps_A + (rep.kappa.level - rep.jsr.lower),
+        bound_xi_reverse=kappa_bar.value * eps.eps_A
+        + (rep_hat.kappa.level - rep_hat.jsr.lower),
+        lemma_gap_rho=abs(rho_aug_bar - rep_hat.rho_aug),
+    )
 
 
 def _law_tolerance(t: int) -> float:
@@ -526,7 +620,8 @@ def _transport_solve(
     the sums; NotConverged unless HiGHS reports an optimum.
 
     The program goes column-wise to scipy's own HiGHS bindings, with
-    presolve off and the log silenced: HiGHS prints to stdout otherwise.
+    presolve off, both feasibility tolerances at TRANSPORT_FEASIBILITY
+    and the log silenced: HiGHS prints to stdout otherwise.
     """
     n, n_rows = len(c), len(b_eq)
     # Cell (i, j) enters the sum of row i and, unless j is the last
@@ -554,6 +649,8 @@ def _transport_solve(
     solver = _highs._Highs()
     solver.setOptionValue("output_flag", False)
     solver.setOptionValue("presolve", "off")
+    solver.setOptionValue("primal_feasibility_tolerance", TRANSPORT_FEASIBILITY)
+    solver.setOptionValue("dual_feasibility_tolerance", TRANSPORT_FEASIBILITY)
     solver.passModel(lp)
     solver.run()
     status = solver.getModelStatus()

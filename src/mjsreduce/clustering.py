@@ -5,6 +5,9 @@ dynamics matrices and either its raw transition row (aggregatable
 branch) or a rank-r spectral summary of the chain (lumpable branch).
 k-means on the top singular subspace of the feature matrix yields the
 cluster estimate; averaging within clusters yields the reduced model.
+perturbations measures how far a partition is from exact reducibility;
+its pair sums run over ordered pairs (i, i') within a cluster, so each
+unordered pair contributes twice, and diagonal terms vanish.
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ from .errors import (
 from .model import MjsModel, Partition, _check_count, _check_seed, model_to_dict
 
 __all__ = [
+    "PerturbationTriple",
+    "perturbations",
     "FeatureMatrix",
     "ReductionResult",
     "default_weights",
@@ -48,6 +53,52 @@ def check_branch(branch: str) -> None:
     """Raise DimensionMismatch unless branch is one of BRANCHES."""
     if branch not in BRANCHES:
         raise DimensionMismatch(f"unknown branch {branch!r}; choose from {BRANCHES}")
+
+
+@dataclass
+class PerturbationTriple:
+    eps_A: float
+    eps_B: float
+    eps_T: float
+    branch: str
+
+
+# Pair differences are formed this many entries at a time, which bounds
+# the memory of the pair sums on large clusters.
+PAIR_CHUNK = 1 << 22
+
+
+def _pair_norm_sum(X: np.ndarray, pairs: np.ndarray, ord: int) -> float:
+    """Sum of ||X[i] - X[i']|| over ordered within-cluster pairs (i, i'),
+    given the unordered pairs i < i' as rows of pairs, each X[i]
+    flattened: ord=2 gives Frobenius norms, ord=1 l1 norms."""
+    flat = X.reshape(len(X), X[0].size)
+    step = max(1, PAIR_CHUNK // max(1, flat.shape[1]))
+    return 2.0 * sum(
+        float(np.linalg.norm(flat[ij[:, 0]] - flat[ij[:, 1]], ord, axis=1).sum())
+        for ij in np.split(pairs, range(step, len(pairs), step))
+    )
+
+
+def perturbations(
+    model: MjsModel, partition: Partition, branch: str
+) -> PerturbationTriple:
+    """How far (model, partition) is from exact reducibility.
+
+    eps_A and eps_B sum Frobenius distances between the dynamics of
+    within-cluster mode pairs.  eps_T depends on the branch:
+    "lumpable" compares cluster-block row sums, "aggregatable" compares
+    whole transition rows in the l1 norm.
+    """
+    check_branch(branch)
+    partition._check_covers(model.s)
+    labels = partition.labels
+    pairs = np.argwhere(np.triu(labels[:, None] == labels, 1))
+    eps_A = _pair_norm_sum(model.A, pairs, 2)
+    eps_B = _pair_norm_sum(model.B, pairs, 2)
+    rows = partition.block_sums(model.T) if branch == "lumpable" else model.T
+    eps_T = _pair_norm_sum(rows, pairs, 1)
+    return PerturbationTriple(eps_A=eps_A, eps_B=eps_B, eps_T=eps_T, branch=branch)
 
 
 @dataclass
@@ -88,18 +139,15 @@ def default_weights(model: MjsModel) -> tuple[float, float, float]:
 
     alpha_A ~ 1 / max_i ||A_i||, alpha_B ~ 1 / max_i ||B_i||,
     alpha_T ~ 1 / ||T|| (spectral norms), normalized to sum to one.
-    A block with zero scale (e.g. p = 0) gets weight zero.
+    A block with zero scale (e.g. p = 0) gets weight zero.  The T block
+    always has a positive weight: MjsModel holds a chain, whose rows sum
+    to within 1e-9 of 1, so ||T|| >= 1 - 1e-9.
     """
     a = np.linalg.norm(model.A, 2, axis=(1, 2)).max()
     b = np.linalg.norm(model.B, 2, axis=(1, 2)).max() if model.p else 0.0
     t = np.linalg.norm(model.T, 2)
-    raw = np.array(
-        [1.0 / a if a > 0 else 0.0, 1.0 / b if b > 0 else 0.0, 1.0 / t if t > 0 else 0.0]
-    )
-    total = raw.sum()
-    if total <= 0:
-        raise BadWeights("model has no nonzero feature block")
-    w = raw / total
+    raw = np.array([1.0 / a if a > 0 else 0.0, 1.0 / b if b > 0 else 0.0, 1.0 / t])
+    w = raw / raw.sum()
     return (float(w[0]), float(w[1]), float(w[2]))
 
 
@@ -542,9 +590,6 @@ def reduce_model(
     _check_count("r", r, 1)
     if branch is not None:
         check_branch(branch)
-    # perturbation imports this module at load time, so import it here.
-    from .perturbation import perturbations
-
     weights = default_weights(model) if weights is None else _check_weights(weights)
     streams = _restart_streams(model.s, r, restarts, seed)
     best = score = None

@@ -8,20 +8,24 @@ coupled Riccati map.  With phi_i(X) = sum_j T(i, j) X_j:
                 - A_i' phi_i(X)' B_i (R + B_i' phi_i(X) B_i)^{-1}
                   B_i' phi_i(X) A_i
 
-iterated from X = (Q, ..., Q) until the gains settle.  The one stop
-rule is max_i ||K_i - K_prev_i||_2 < RICCATI_TOL.  Those 2-norms, one
-SVD per mode, are taken only on a step whose largest Frobenius gain
-change is at most sqrt(min(p, n)) RICCATI_TOL, lifted by a rounding
-margin; no other step can stop, since ||D||_2 >= ||D||_F / sqrt(min(p, n)),
-so the iteration stops where a per-step 2-norm test would.  With B
-identically zero there is no gain to settle, and the solution is the
-zero gain's closed-loop value below.  riccati_solve either returns a
-converged LqrSolution, timed over its iteration, or raises:
-NotConverged when its step budget does not settle it, Diverged when a
-value matrix passes RICCATI_CAP times the largest |Q| entry,
-SingularInnerMatrix when some R + B' phi B cannot be inverted, NotMss
-for a loop without inputs that is not mean-square stable.  Callers
-never check convergence themselves.
+iterated from X = (Q, ..., Q) until the gains and the values settle
+and the gain is proved stabilizing.  The gain test is
+max_i ||K_i - K_prev_i||_2 < RICCATI_TOL.  Those 2-norms, one SVD per
+mode, are taken only on a step whose largest Frobenius gain change is
+at most sqrt(min(p, n)) RICCATI_TOL, lifted by a rounding margin; no
+other step can stop, since ||D||_2 >= ||D||_F / sqrt(min(p, n)), so the
+iteration stops where a per-step 2-norm test would.  The values settle
+when no block moves by more than RICCATI_SETTLE of the largest entry,
+and the previous values, a Lyapunov witness of the new gain, prove it
+stabilizing (riccati_solve).  With B identically zero there is no gain
+to settle, and the solution is the zero gain's closed-loop value below.
+riccati_solve either returns a converged, stabilizing LqrSolution,
+timed over its iteration, or raises: NotConverged when its step budget
+does not settle it, Diverged when a value matrix passes RICCATI_CAP
+times the largest |Q| entry, SingularInnerMatrix when some
+R + B' phi B cannot be inverted, NotMss for a settled gain or a loop
+without inputs that is not mean-square stable.  Callers never check
+convergence themselves.
 
 A fixed gain u = K x is priced through its closed-loop value matrices,
 the solution of V = stage + L*(V) with stage_i = Q + K_i' R K_i and L*
@@ -89,17 +93,20 @@ FIXED_POINT_STEPS = 1_000_000
 # its loop through the spectral radius rather than its own witness.
 WITNESS_STEPS = 1_000
 WITNESS_GROWTH = 1e12
-# Step budget, stop tolerance and divergence cap, relative to the largest
-# |Q| entry, of the Riccati iteration.
+# Step budget, stop tolerances on the gain change and on the value
+# change relative to the largest |P| entry, and divergence cap, relative
+# to the largest |Q| entry, of the Riccati iteration.
 RICCATI_STEPS = 100_000
 RICCATI_TOL = 1e-12
+RICCATI_SETTLE = 1e-10
 RICCATI_CAP = 1e12
-# Relative margin of the Riccati stop test's Frobenius gate (see
-# riccati_solve).  It covers the rounding of both computed norms: numpy's
-# Frobenius norm of a p x n block is off by at most (p n + 2) u, and
+# Relative margin of the Riccati stop tests on computed norms (see
+# riccati_solve and _margin_certifies).  It covers their rounding:
+# numpy's Frobenius norm of a p x n block is off by at most (p n + 2) u,
 # LAPACK's top singular value by p(p, n) eps, p a modestly growing
-# function (LAPACK Users' Guide, 3rd ed., 1999, sec. 4.9), far below
-# 1e-9 at any size the package handles.
+# function (LAPACK Users' Guide, 3rd ed., 1999, sec. 4.9), and a sum of
+# a few products of such norms by a few u more, far below 1e-9 at any
+# size the package handles.
 GAIN_GATE_MARGIN = 1e-9
 # State norm past which a Monte Carlo run counts as diverged.
 MC_BLOWUP = 1e8
@@ -157,18 +164,27 @@ class LqrSolution:
 def riccati_solve(model: MjsModel, Q, R) -> LqrSolution:
     """Fixed point of the coupled Riccati map, started from X = Q.
 
-    Stops when the largest gain change between consecutive iterations,
-    max_i ||K_i - K_prev_i||_2, drops below RICCATI_TOL.  The 2-norms
-    cost one SVD per mode, so they are taken only on steps that could
-    stop: since ||D||_2 >= ||D||_F / sqrt(min(p, n)) (Golub & Van Loan,
-    Matrix Computations, 2013, sec. 2.3), a step whose largest Frobenius
-    change passes sqrt(min(p, n)) RICCATI_TOL (1 + GAIN_GATE_MARGIN)
-    cannot, and skips them.  Every step and every result is the one the
-    2-norm test at each step gives.  Raises Diverged when any value
-    matrix norm passes RICCATI_CAP times the largest |Q| entry (e.g.
-    unstabilizable dynamics), so (c Q, c R) gives c P and the same K
-    and steps, and NotConverged, naming the model size and the 2-norm of
-    the last gain change, after RICCATI_STEPS steps.
+    Stops at the first step h that passes three tests, each on the
+    iterates P_{h-1} and P_h and the gain K_h computed from P_{h-1}:
+
+    - the gain has settled: max_i ||K_h,i - K_{h-1},i||_2 < RICCATI_TOL;
+    - the values have settled: max_i ||P_h,i - P_{h-1},i||_F is at most
+      RICCATI_SETTLE times the largest |P_h| entry, since a weak input
+      settles its gain, which moves by about B dP, while P still moves;
+    - K_h is proved stabilizing with P_{h-1} as its Lyapunov witness,
+      by the margin of _margin_certifies, else by _witness_certifies on
+      A + B K_h, else by the spectral radius of that closed loop, which
+      raises NotMss when it is not below 1.
+
+    The gain 2-norms cost one SVD per mode, so they are taken only on
+    steps that could stop: since ||D||_2 >= ||D||_F / sqrt(min(p, n))
+    (Golub & Van Loan, Matrix Computations, 2013, sec. 2.3), a step whose
+    largest Frobenius change passes sqrt(min(p, n)) RICCATI_TOL
+    (1 + GAIN_GATE_MARGIN) cannot, and skips them.  Raises Diverged when
+    any value matrix norm passes RICCATI_CAP times the largest |Q| entry
+    (e.g. unstabilizable dynamics), so (c Q, c R) gives c P and the same
+    K and steps, and NotConverged, naming the model size and the 2-norm
+    of the last gain change, after RICCATI_STEPS steps.
 
     With B identically zero no gain acts: P is the value of the zero
     gain, from _closed_loop_values with its stop rule, stability proof
@@ -187,7 +203,8 @@ def riccati_solve(model: MjsModel, Q, R) -> LqrSolution:
     K_prev = delta = None
     gate = math.sqrt(min(model.p, model.n)) * RICCATI_TOL * (1.0 + GAIN_GATE_MARGIN)
     for h in range(1, RICCATI_STEPS + 1):
-        K, P = _riccati_step(model, Q, R, P)
+        X = P
+        K, P = _riccati_step(model, Q, R, X)
         P = 0.5 * (P + P.transpose(0, 2, 1))
         if float(np.linalg.norm(P, axis=(1, 2)).max()) > cap:
             raise Diverged(f"value iteration passed {RICCATI_CAP:.0e} max|Q| at step {h}")
@@ -196,7 +213,12 @@ def riccati_solve(model: MjsModel, Q, R) -> LqrSolution:
             # NaN fails the gate and takes the SVD, as it would without it.
             if not np.linalg.norm(delta, axis=(1, 2)).max() > gate:
                 change = _gain_change(delta)
-                if change < RICCATI_TOL:
+                moves = np.linalg.norm(P - X, axis=(1, 2))
+                if change < RICCATI_TOL and moves.max() <= RICCATI_SETTLE * np.abs(P).max():
+                    if not _margin_certifies(model, Q, R, X, K, P, moves):
+                        op = MomentOperator(_closed_loop(model, K, Q, R)[0], model.T)
+                        if not _witness_certifies(op, X):
+                            _rho_proof(op)
                     return LqrSolution(P, K, h, change, (time.perf_counter() - t0) * 1e3)
         K_prev = K
     change = float("nan") if delta is None else _gain_change(delta)
@@ -204,6 +226,85 @@ def riccati_solve(model: MjsModel, Q, R) -> LqrSolution:
         f"Riccati iteration on (s, n, p) = ({model.s}, {model.n}, {model.p}) "
         f"did not converge in {RICCATI_STEPS} steps (last gain change {change:.3e})"
     )
+
+
+def _margin_certifies(
+    model: MjsModel, Q: np.ndarray, R: np.ndarray, X: np.ndarray, K: np.ndarray,
+    P: np.ndarray, moves: np.ndarray,
+) -> bool:
+    """True when X = P_{h-1} proves the gain K = K_h, computed from it,
+    stabilizing, rounding included: every X_i > 0 and every
+    X_i - L*_K(X)_i > 0, with L*_K the adjoint of the second-moment
+    operator of A + B K.  P = P_h is the step's symmetrized value and
+    moves[i] the computed ||P_i - X_i||_F.
+
+    With phi_i = sum_j T_ij X_j, G = R + B' phi B, M = B' phi A and
+    sol = -K, completing the square gives, exactly and per mode,
+
+        X - L*_K(X) = Q + K' R K - (Y - X) - sol' r,
+
+    where Y = Q + A' phi A - A' phi B sol is what _riccati_step rounds
+    into P, and r = G sol - M is the residual of its solve.  So with the
+    symmetric part of R positive semidefinite, and lam(Q) the least
+    eigenvalue of the symmetric part of Q, for every unit x
+
+        x' (X - L*_K(X)) x >= lam(Q) - ||P - X|| - ||sym(Y) - P|| - ||sol|| ||r||,
+
+    all norms per mode and Frobenius.  The rounding terms follow Higham
+    (Accuracy and Stability of Numerical Algorithms, 2002, ch. 3): an
+    entry of P, or of the residual r^ recomputed here, collects at most
+    N = s + 2n + p + 2 roundings along its chain of products and sums,
+    so with psi_i = sum_j T_ij ||X_j|| >= ||phi_i||, a, b and k the norms
+    of A_i, B_i and K_i, and gamma_N = N u / (1 - N u),
+
+        ||sym(Y) - P|| <= gamma_N (||Q|| + psi a (a + b k)) + 2 u ||P||,
+        ||r|| <= ||r^|| + gamma_N (k ||R|| + psi b (b k + a)),
+
+    whose gamma_N terms add up, in the bound, to gamma_N (||Q||
+    + k^2 ||R|| + psi (a + b k)^2).  Underflow adds at most eta / 2 per
+    rounding, eta the smallest subnormal, carried through at most two
+    factors on each side of the chain, each with absolute row and column
+    sums at most sqrt(n) (1 + a + b) (1 + k); N n^2 (1 + a + b)^2
+    (1 + k)^2 eta covers it.  A computed eigenvalue of a symmetric Z is
+    off by at most 8 n^2 u ||Z||, plus u ||Z|| for forming a symmetric
+    part, and GAIN_GATE_MARGIN lifts the sum of the terms for the
+    rounding of the norms.
+
+    X_i > 0 is shown by a Cholesky factorization of Z = fl(X_i - c I),
+    c = 2 gamma_{n+2} tr(X_i).  One that runs to completion gives
+    R'R = Z + dZ with |dZ| <= gamma_{n+1} |R'| |R| (Higham, ch. 10), so
+    ||dZ||_2 <= gamma_{n+1} tr(R'R) <= gamma_{n+2} tr(X_i), and forming Z
+    moves its diagonal by at most u tr(X_i); then
+    X_i >= (c - gamma_{n+2} tr(X_i) - u tr(X_i)) I > 0.
+    """
+    s, n, p = model.s, model.n, model.p
+    u, eta = np.finfo(float).eps / 2, np.finfo(float).smallest_subnormal
+    N = s + 2 * n + p + 2
+    gamma = N * u / (1.0 - N * u)
+    norm_Q, norm_R = float(np.linalg.norm(Q)), float(np.linalg.norm(R))
+    lam_Q = float(np.linalg.eigvalsh(0.5 * (Q + Q.T))[0]) - (8 * n * n + 1) * u * norm_Q
+    lam_R = float(np.linalg.eigvalsh(0.5 * (R + R.T))[0]) - (8 * p * p + 1) * u * norm_R
+    phi = (model.T @ X.reshape(s, n * n)).reshape(s, n, n)
+    Bt_phi = model.B.transpose(0, 2, 1) @ phi
+    r = (R + Bt_phi @ model.B) @ -K - Bt_phi @ model.A
+    psi = model.T @ np.linalg.norm(X, axis=(1, 2))
+    a, b = np.linalg.norm(model.A, axis=(1, 2)), np.linalg.norm(model.B, axis=(1, 2))
+    k = np.linalg.norm(K, axis=(1, 2))
+    off = (
+        moves
+        + k * np.linalg.norm(r, axis=(1, 2))
+        + gamma * (norm_Q + k * k * norm_R + psi * (a + b * k) ** 2)
+        + 2 * u * np.linalg.norm(P, axis=(1, 2))
+        + N * n * n * (1.0 + a + b) ** 2 * (1.0 + k) ** 2 * eta
+    )
+    if not (lam_R >= 0.0 and np.all(lam_Q > off * (1.0 + GAIN_GATE_MARGIN))):
+        return False
+    shift = 2.0 * (n + 2) * u / (1.0 - (n + 2) * u) * np.trace(X, axis1=1, axis2=2)
+    try:
+        np.linalg.cholesky(X - shift[:, None, None] * np.eye(n))
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def lift_gains(K_reduced: np.ndarray, partition: Partition) -> np.ndarray:

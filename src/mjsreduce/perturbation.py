@@ -1,9 +1,11 @@
-"""Partition perturbation metrics and the misclustering bound.
+"""The misclustering bound and the nearby exactly lumpable chain.
 
-All pair sums run over ordered pairs (i, i') within a cluster, so each
-unordered pair contributes twice; diagonal terms vanish.  Cluster means
-and block sums come from Partition; mr_bound refuses a negative,
-infinite or NaN kmeans_eps with InputError.
+The perturbation sizes themselves, perturbations and PerturbationTriple,
+live in clustering, beside the two notions of exact reducibility they
+measure, so that reduce_model can score its branches without importing
+this module; they are imported back here.  Cluster means and block sums
+come from Partition; mr_bound refuses a negative, infinite or NaN
+kmeans_eps with InputError.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, PartitionMismatch
-from .clustering import _branch_features, check_branch
+from .clustering import PerturbationTriple, _branch_features, check_branch, perturbations
 from .model import MjsModel, Partition, _chain_violations
 
 __all__ = [
@@ -23,14 +25,6 @@ __all__ = [
     "mr_bound",
     "construct_T0",
 ]
-
-
-@dataclass
-class PerturbationTriple:
-    eps_A: float
-    eps_B: float
-    eps_T: float
-    branch: str
 
 
 @dataclass
@@ -68,44 +62,6 @@ class MrBoundReport:
             "applicable": self.applicable,
             "predicted_mr_zero": self.predicted_mr_zero,
         }
-
-
-# Pair differences are formed this many entries at a time, which bounds
-# the memory of the pair sums on large clusters.
-PAIR_CHUNK = 1 << 22
-
-
-def _pair_norm_sum(X: np.ndarray, pairs: np.ndarray, ord: int) -> float:
-    """Sum of ||X[i] - X[i']|| over ordered within-cluster pairs (i, i'),
-    given the unordered pairs i < i' as rows of pairs, each X[i]
-    flattened: ord=2 gives Frobenius norms, ord=1 l1 norms."""
-    flat = X.reshape(len(X), X[0].size)
-    step = max(1, PAIR_CHUNK // max(1, flat.shape[1]))
-    return 2.0 * sum(
-        float(np.linalg.norm(flat[ij[:, 0]] - flat[ij[:, 1]], ord, axis=1).sum())
-        for ij in np.split(pairs, range(step, len(pairs), step))
-    )
-
-
-def perturbations(
-    model: MjsModel, partition: Partition, branch: str
-) -> PerturbationTriple:
-    """How far (model, partition) is from exact reducibility.
-
-    eps_A and eps_B sum Frobenius distances between the dynamics of
-    within-cluster mode pairs.  eps_T depends on the branch:
-    "lumpable" compares cluster-block row sums, "aggregatable" compares
-    whole transition rows in the l1 norm.
-    """
-    check_branch(branch)
-    partition._check_covers(model.s)
-    labels = partition.labels
-    pairs = np.argwhere(np.triu(labels[:, None] == labels, 1))
-    eps_A = _pair_norm_sum(model.A, pairs, 2)
-    eps_B = _pair_norm_sum(model.B, pairs, 2)
-    rows = partition.block_sums(model.T) if branch == "lumpable" else model.T
-    eps_T = _pair_norm_sum(rows, pairs, 1)
-    return PerturbationTriple(eps_A=eps_A, eps_B=eps_B, eps_T=eps_T, branch=branch)
 
 
 def _chain_constants(

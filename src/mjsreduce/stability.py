@@ -1,5 +1,9 @@
 """Mean-square and uniform stability analysis.
 
+This module is the operator math of one jump system and imports only
+model and errors; comparing a reduction with its original
+(stability_comparison) belongs to bounds.
+
 The mean-square side works through the second-moment operator
 
     L(X)_i = sum_j T(j, i) A_j X_j A_j'
@@ -95,23 +99,19 @@ from .errors import (
     TooLarge,
     XiTooSmall,
 )
-from .model import MjsModel, _check_count, expand_reduced
-from .clustering import ReductionResult
-from .perturbation import construct_T0, perturbations
+from .model import MjsModel, _check_count
 
 __all__ = [
     "TransientEstimate",
     "JsrBounds",
     "MomentOperator",
     "StabilityReport",
-    "StabilityComparison",
     "augmented_matrix",
     "spectral_radius",
     "tau_estimate",
     "jsr_bounds",
     "kappa_estimate",
     "stability_report",
-    "stability_comparison",
 ]
 
 DEFAULT_SIZE_CAP = 4096
@@ -986,85 +986,4 @@ def stability_report(
         a_bar=jsr.level_maxima[0],
         b_bar=float(np.linalg.norm(model.B, 2, axis=(1, 2)).max()) if model.p else 0.0,
         t_bar=float(model.T.max()),
-    )
-
-
-@dataclass
-class StabilityComparison:
-    report: StabilityReport
-    report_reduced: StabilityReport
-    eps_rho: float
-    rho_gap_forward: float
-    rho_gap_reverse: float
-    bound_rho_forward: float
-    bound_rho_reverse: float
-    xi_gap_forward_certified: float
-    xi_gap_reverse_certified: float
-    bound_xi_forward: float
-    bound_xi_reverse: float
-    lemma_gap_rho: float
-
-    def to_dict(self) -> dict:
-        return {
-            "eps_rho": self.eps_rho,
-            "rho_gap_forward": self.rho_gap_forward,
-            "rho_gap_reverse": self.rho_gap_reverse,
-            "bound_rho_forward": self.bound_rho_forward,
-            "bound_rho_reverse": self.bound_rho_reverse,
-            "xi_gap_forward_certified": self.xi_gap_forward_certified,
-            "xi_gap_reverse_certified": self.xi_gap_reverse_certified,
-            "bound_xi_forward": self.bound_xi_forward,
-            "bound_xi_reverse": self.bound_xi_reverse,
-            "lemma_gap_rho": self.lemma_gap_rho,
-            "original": self.report.to_dict(),
-            "reduced": self.report_reduced.to_dict(),
-        }
-
-
-def stability_comparison(
-    model: MjsModel, reduction: ReductionResult, branch: str | None = None
-) -> StabilityComparison:
-    """Compare stability levels of a model and its reduction, each
-    reported by stability_report at its default levels.
-
-    Evaluates the two-sided spectral-radius perturbation bounds with
-    eps_rho = sqrt(s) ((2 Abar + eps_A) eps_A + Abar^2 eps_T) and the
-    analogous joint-spectral-radius bounds with kappa eps_A.  The
-    reverse direction uses the transient constants of the expanded
-    system (reduced matrices copied over each cluster, transition
-    matrix from construct_T0), whose augmented spectral radius agrees
-    with the reduced one; lemma_gap_rho records that agreement.
-    """
-    branch = branch or reduction.branch
-    partition = reduction.partition
-    reduced = reduction.reduced
-    eps = perturbations(model, partition, branch)
-    rep = stability_report(model)
-    rep_hat = stability_report(reduced)
-    eps_rho = float(
-        np.sqrt(model.s)
-        * ((2.0 * rep.a_bar + eps.eps_A) * eps.eps_A + rep.a_bar**2 * eps.eps_T)
-    )
-    T_bar = construct_T0(model.T, partition, branch=branch)
-    expanded = expand_reduced(reduced, partition, T_bar)
-    op_bar = MomentOperator(expanded.A, expanded.T)
-    rho_aug_bar = op_bar.rho()
-    _check_level("rho", rep_hat.tau.level, rho_aug_bar)
-    tau_bar = op_bar.tau(rep_hat.tau.level, TAU_STEPS)
-    kappa_bar = rep_hat.kappa  # expanded mode set equals the reduced one
-    return StabilityComparison(
-        report=rep,
-        report_reduced=rep_hat,
-        eps_rho=eps_rho,
-        rho_gap_forward=rep_hat.rho_aug - rep.rho_aug,
-        rho_gap_reverse=rep.rho_aug - rep_hat.rho_aug,
-        bound_rho_forward=rep.tau.value * eps_rho + (rep.tau.level - rep.rho_aug),
-        bound_rho_reverse=tau_bar.value * eps_rho
-        + (rep_hat.tau.level - rep_hat.rho_aug),
-        xi_gap_forward_certified=rep_hat.jsr.lower - rep.jsr.upper,
-        xi_gap_reverse_certified=rep.jsr.lower - rep_hat.jsr.upper,
-        bound_xi_forward=rep.kappa.value * eps.eps_A + (rep.kappa.level - rep.jsr.lower),
-        bound_xi_reverse=kappa_bar.value * eps.eps_A
-        + (rep_hat.kappa.level - rep_hat.jsr.lower),
-        lemma_gap_rho=abs(rho_aug_bar - rep_hat.rho_aug),
     )

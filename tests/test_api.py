@@ -5,7 +5,10 @@ list makes it show up in review.  The submodules appear because
 __all__ takes every public name of the package namespace.
 """
 
+import ast
+import graphlib
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -139,3 +142,36 @@ def test_submodules_are_listed():
     assert set(SUBMODULES) - {"cli"} == {
         name for name in mjsreduce.__all__ if type(getattr(mjsreduce, name)) is type(mjsreduce)
     }
+
+
+def _package_imports(tree: ast.Module) -> tuple[set[str], set[str]]:
+    """(every module imported, modules imported inside a function) of
+    one parsed module, by package-relative imports."""
+    found, deferred = set(), set()
+
+    def visit(node, in_function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ImportFrom) and child.level:
+                names = [child.module] if child.module else [a.name for a in child.names]
+                names = {n.split(".")[0] for n in names}
+                found.update(names)
+                if in_function:
+                    deferred.update(names)
+            visit(child, in_function or isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)))
+
+    visit(tree, False)
+    return found, deferred
+
+
+def test_package_imports_run_one_way():
+    # model -> clustering -> perturbation -> bounds and
+    # model -> stability -> {bounds, lqr}: the operator math imports no
+    # reduction code, and no module defers an import to call time.
+    src = Path(mjsreduce.__file__).parent
+    graph, deferred = {}, {}
+    for path in sorted(src.glob("*.py")):
+        graph[path.stem], deferred[path.stem] = _package_imports(ast.parse(path.read_text()))
+    assert not {name: found for name, found in deferred.items() if found}
+    graphlib.TopologicalSorter(graph).prepare()  # CycleError on a cycle
+    assert graph["stability"] == {"errors", "model"}
+    assert "perturbation" not in graph["clustering"]

@@ -635,9 +635,13 @@ def full_transport_lp(p, q, ell):
         ],
         format="csr",
     )
+    tol = bounds.TRANSPORT_FEASIBILITY
     res = scipy.optimize.linprog(
         c=cost.ravel(), A_eq=A_eq, b_eq=np.concatenate([a, b[:-1]]),
         bounds=(0, None), method="highs",
+        options=dict(
+            presolve=False, primal_feasibility_tolerance=tol, dual_feasibility_tolerance=tol
+        ),
     )
     assert res.success, res.message
     return float(max(res.fun, 0.0) ** (1.0 / ell)), res.x.reshape(m, k)
@@ -692,10 +696,33 @@ def test_wasserstein_matches_the_full_program_on_fig4():
                 assert abs(wasserstein_exact(p, q, ell=2) - want) <= 1e-12 * want, (seed, x0, t)
 
 
+def test_wasserstein_carries_masses_below_the_default_highs_tolerance():
+    # Dirichlet(0.1) masses, a fifth of them zero, run far below HiGHS's
+    # default feasibility tolerance of 1e-7, which let a plan miss them
+    # and moved W by up to 3e-7 relative.
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+
+        def law():
+            size = rng.integers(1, 40)
+            mass = rng.dirichlet(np.full(size, 0.1))
+            mass[rng.random(size) < 0.2] = 0.0
+            mass[rng.integers(0, size)] += 1.0 - mass.sum()
+            return dist(rng.standard_normal((size, 2)), mass)
+
+        p, q = law(), law()
+        want, _ = full_transport_lp(p, q, 2)
+        got, plan = wasserstein_exact(p, q, ell=2, return_plan=True)
+        assert abs(got - want) <= 1e-8 * want, seed
+        assert np.abs(plan.sum(axis=1) - p.mass).max() <= 1e-8, seed
+        assert np.abs(plan.sum(axis=0) - q.mass).max() <= 1e-8, seed
+
+
 def test_wasserstein_plans_meet_fig4_marginals_below_the_smallest_mass():
-    # HiGHS solves to a primal feasibility tolerance of 1e-7, while the
-    # smallest fig4 kernel masses are about 1e-6: the plans it returns
-    # must still carry every mass to within a millionth of the smallest.
+    # HiGHS solves to feasibility tolerances of TRANSPORT_FEASIBILITY =
+    # 1e-10, while the smallest fig4 kernel masses are about 1e-6: the
+    # plans it returns must carry every mass to within a millionth of
+    # the smallest.
     model, _ = fig4_model()
     for seed in range(4):
         red = reduce_model(model, 3, seed=seed).reduced

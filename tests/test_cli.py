@@ -341,6 +341,15 @@ def test_lqr_cli_beyond_dense_cap(tmp_path, capsys):
     assert payload["J_hat"] >= payload["J_star"] * (1.0 - 1e-9) > 0.0
 
 
+def test_lqr_cli_refuses_a_settled_gain_that_does_not_stabilize(tmp_path, capsys):
+    # Only the second state is driven, and the first doubles each step:
+    # the gain settles while the values grow, and the solve raises.
+    path = tmp_path / "model.json"
+    save_model(MjsModel(np.array([np.diag([2.0, 0.5])]), [[[0.0], [1.0]]], [[1.0]]), path)
+    code, _, err = run(capsys, "lqr", str(path), "--r", "1", "--out", str(tmp_path / "lqr"))
+    assert (code, err.split(":")[0]) == (3, "Diverged"), err
+
+
 def test_experiment_cli(tmp_path, capsys):
     code, stdout, _ = run(
         capsys, "experiment", "fig4", "--trials", "5", "--out", str(tmp_path)

@@ -28,7 +28,7 @@ from mjsreduce.lqr import (
     riccati_solve,
 )
 from mjsreduce.model import MjsModel
-from mjsreduce.stability import MomentOperator, augmented_matrix
+from mjsreduce.stability import MomentOperator, augmented_matrix, spectral_radius
 from mjsreduce.synth import SynthConfig, generate
 
 SCALAR = MjsModel(
@@ -92,15 +92,17 @@ def test_riccati_reports_an_unconverged_solve(monkeypatch, model, R):
 
 def svd_rule_riccati(model, Q, R):
     """riccati_solve with the 2-norm of the gain change taken at every
-    step, the oracle of its Frobenius gate.  Returns (iterations,
-    final_gain_delta, K, P) and the 2-norm of every gain change."""
+    step, the oracle of its Frobenius gate, for loops its stabilizing
+    proof accepts.  Returns (iterations, final_gain_delta, K, P) and the
+    2-norm of every gain change."""
     P, K_prev, changes = np.tile(Q, (model.s, 1, 1)), None, []
     for h in range(1, lqr.RICCATI_STEPS + 1):
         K, P_new = lqr._riccati_step(model, Q, R, P)
-        P = 0.5 * (P_new + P_new.transpose(0, 2, 1))
+        P, P_prev = 0.5 * (P_new + P_new.transpose(0, 2, 1)), P
         if K_prev is not None:
             changes.append(float(np.linalg.norm(K - K_prev, 2, axis=(1, 2)).max()))
-            if changes[-1] < lqr.RICCATI_TOL:
+            moves = np.linalg.norm(P - P_prev, axis=(1, 2)).max()
+            if changes[-1] < lqr.RICCATI_TOL and moves <= lqr.RICCATI_SETTLE * np.abs(P).max():
                 return (h, changes[-1], K, P), changes
         K_prev = K
     raise AssertionError("the reference solve did not settle")
@@ -174,6 +176,120 @@ def test_unconverged_riccati_reports_the_two_norm_of_its_last_gain_change(monkey
     monkeypatch.setattr(lqr, "RICCATI_STEPS", 3)
     with pytest.raises(NotConverged, match=rf"last gain change {changes[1]:.3e}\)"):
         riccati_solve(model, Q, R)
+
+
+# A settles its gain in 11 steps while P_11 grows fourfold a step: the
+# uncontrolled first state doubles, and A + B K has radius 4.
+SETTLED_UNSTABLE = MjsModel(
+    np.array([np.diag([2.0, 0.5])]), np.array([[[0.0], [1.0]]]), np.array([[1.0]])
+)
+
+
+def test_riccati_refuses_a_settled_gain_that_does_not_stabilize():
+    with pytest.raises(Diverged, match="at step 20$"):
+        riccati_solve(SETTLED_UNSTABLE, np.eye(2), EYE1)
+
+
+def test_riccati_waits_for_the_values_under_a_weak_input():
+    # B = 1e-6 moves the gain by about B dP, so it settles at step 67,
+    # 6e-7 (relative) short of P; the value test holds the stop until P
+    # has settled too.  The scalar fixed point solves
+    # b^2 p^2 + (1 - a^2 - b^2) p - 1 = 0, taken in its stable form.
+    a, b = 0.9, 1e-6
+    model = MjsModel(np.array([[[a]]]), np.array([[[b]]]), np.array([[1.0]]))
+    c = 1.0 - a * a - b * b
+    root = 2.0 / (c + np.sqrt(c * c + 4.0 * b * b))
+    sol = riccati_solve(model, EYE1, EYE1)
+    assert sol.iterations > 67
+    assert sol.P[0, 0, 0] == pytest.approx(root, rel=1e-9)
+
+
+def count_proofs(monkeypatch) -> dict:
+    """Calls of each stabilizing proof of riccati_solve, by outcome."""
+    calls = {}
+    for name in ("_margin_certifies", "_witness_certifies"):
+        proof = getattr(lqr, name)
+
+        def counted(*args, proof=proof, name=name):
+            out = proof(*args)
+            calls.setdefault(name, []).append(out)
+            return out
+
+        monkeypatch.setattr(lqr, name, counted)
+    return calls
+
+
+def test_riccati_proves_a_semidefinite_weight_by_its_witness(monkeypatch):
+    # Q = diag(1, 0): the margin lam(Q) = 0 decides nothing, while
+    # P_{h-1} > 0, since A feeds the second state into the priced first
+    # one, and K' R K covers the unpriced direction, so the witness
+    # proves it.
+    model = MjsModel(
+        np.array([[[0.5, 0.5], [0.0, 0.5]]]), np.eye(2)[None], np.array([[1.0]])
+    )
+    calls = count_proofs(monkeypatch)
+    rho_calls = count_rho_calls(monkeypatch)
+    sol = riccati_solve(model, np.diag([1.0, 0.0]), np.eye(2))
+    assert calls == {"_margin_certifies": [False], "_witness_certifies": [True]}
+    assert rho_calls == []
+    A_cl = model.A + model.B @ sol.K
+    assert spectral_radius(augmented_matrix(MjsModel(A_cl, None, model.T))) < 1.0
+
+
+@pytest.mark.parametrize("a, radius", [(0.5, None), (2.0, "4.000000")])
+def test_riccati_at_zero_weight_takes_the_radius(monkeypatch, a, radius):
+    # Q = 0 keeps P = 0 and K = 0, which no witness can prove: the
+    # spectral radius of a decides, where the gain test alone would
+    # return the zero gain of an unstable loop.
+    model = MjsModel(np.array([[[a]]]), np.array([[[1.0]]]), np.array([[1.0]]))
+    calls = count_proofs(monkeypatch)
+    rho_calls = count_rho_calls(monkeypatch)
+    if radius is None:
+        sol = riccati_solve(model, np.zeros((1, 1)), EYE1)
+        assert not np.any(sol.K) and not np.any(sol.P)
+    else:
+        with pytest.raises(NotMss, match=f"radius {radius}"):
+            riccati_solve(model, np.zeros((1, 1)), EYE1)
+    assert calls == {"_margin_certifies": [False], "_witness_certifies": [False]}
+    assert len(rho_calls) == 1
+
+
+@pytest.mark.invariant
+@settings(max_examples=60, deadline=None)
+@example(seed=0, s=1, n=2, p=1, a_scale=2.0, weight="definite", cut=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    s=st.integers(1, 4),
+    n=st.integers(1, 3),
+    p=st.integers(1, 2),
+    a_scale=st.floats(0.1, 2.0),
+    weight=st.sampled_from(["definite", "singular", "zero"]),
+    cut=st.booleans(),
+)
+def test_riccati_returns_only_stabilizing_gains(seed, s, n, p, a_scale, weight, cut):
+    # Open loops up to twice the unit radius, weights that are positive
+    # definite, singular or zero, and with cut the first state decoupled
+    # from the others, in the dynamics and in the weight, and not
+    # driven, so the gain can settle while its value grows: a returned
+    # gain always stabilizes by the dense oracle; otherwise the solve
+    # raises.
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, s=s, n=n, p=p, a_scale=a_scale)
+    G = rng.standard_normal((n, n))
+    Q = {"definite": G @ G.T + 0.1 * np.eye(n), "singular": G[:, 1:] @ G[:, 1:].T}
+    Q = Q.get(weight, np.zeros((n, n)))
+    if cut:
+        A, B = model.A.copy(), model.B.copy()
+        A[:, 1:, 0] = A[:, 0, 1:] = B[:, 0] = Q[1:, 0] = Q[0, 1:] = 0.0
+        model = MjsModel(A, B, model.T)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lqr, "RICCATI_STEPS", 2_000)
+        try:
+            sol = riccati_solve(model, Q, np.eye(p))
+        except (Diverged, NotMss, NotConverged):
+            return
+    A_cl = model.A + model.B @ sol.K
+    assert spectral_radius(augmented_matrix(MjsModel(A_cl, None, model.T))) < 1.0
 
 
 def test_riccati_and_monte_carlo_take_no_tuning_options():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import mjsreduce.perturbation as perturbation
+import mjsreduce.clustering as clustering
 from conftest import (
     PARTITION_LABELS,
     REVERSIBLE_LUMPABLE_T,
@@ -385,7 +385,7 @@ def test_pair_sums_in_chunks_match_one_pass(rng, monkeypatch):
     model = random_model(rng, s=12, n=3, p=2)
     part = random_partition(rng, 12, 2)
     whole = perturbations(model, part, "lumpable")
-    monkeypatch.setattr(perturbation, "PAIR_CHUNK", 20)  # two pairs of A rows
+    monkeypatch.setattr(clustering, "PAIR_CHUNK", 20)  # two pairs of A rows
     chunked = perturbations(model, part, "lumpable")
     for a, b in zip(
         (whole.eps_A, whole.eps_B, whole.eps_T), (chunked.eps_A, chunked.eps_B, chunked.eps_T)

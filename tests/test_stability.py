@@ -12,7 +12,12 @@ from hypothesis import strategies as st
 
 import mjsreduce.stability as stability
 from conftest import random_model
-from mjsreduce.bounds import BoundInputs, empirical_traj_diff, transition_kernel_enum
+from mjsreduce.bounds import (
+    BoundInputs,
+    empirical_traj_diff,
+    stability_comparison,
+    transition_kernel_enum,
+)
 from mjsreduce.clustering import reduce_model
 from mjsreduce.experiments import demoted_weights
 from mjsreduce.errors import (
@@ -37,7 +42,6 @@ from mjsreduce.stability import (
     jsr_bounds,
     kappa_estimate,
     spectral_radius,
-    stability_comparison,
     stability_report,
     tau_estimate,
 )
