@@ -59,7 +59,7 @@ TRANSPORT_NEIGHBOURS = 6
 TRANSPORT_SLACK = 1e-13
 # HiGHS's primal and dual feasibility tolerances in the transport
 # program.  At its default of 1e-7 a plan could miss masses below about
-# 1e-7, moving W by up to 3e-7 relative on laws with such masses.
+# 1e-7, moving W by up to about 5e-7 relative on laws with such masses.
 TRANSPORT_FEASIBILITY = 1e-10
 # Odd multiplier of the row hash _equal_rows sorts on (2^64 / golden ratio).
 _ROW_HASH = np.uint64(0x9E3779B97F4A7C15)

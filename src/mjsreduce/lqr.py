@@ -100,13 +100,12 @@ RICCATI_STEPS = 100_000
 RICCATI_TOL = 1e-12
 RICCATI_SETTLE = 1e-10
 RICCATI_CAP = 1e12
-# Relative margin of the Riccati stop tests on computed norms (see
-# riccati_solve and _margin_certifies).  It covers their rounding:
-# numpy's Frobenius norm of a p x n block is off by at most (p n + 2) u,
+# Relative margin of the Riccati stop test's Frobenius gate (see
+# riccati_solve).  It covers the rounding of both computed norms: numpy's
+# Frobenius norm of a p x n block is off by at most (p n + 2) u, and
 # LAPACK's top singular value by p(p, n) eps, p a modestly growing
-# function (LAPACK Users' Guide, 3rd ed., 1999, sec. 4.9), and a sum of
-# a few products of such norms by a few u more, far below 1e-9 at any
-# size the package handles.
+# function (LAPACK Users' Guide, 3rd ed., 1999, sec. 4.9), far below
+# 1e-9 at any size the package handles.
 GAIN_GATE_MARGIN = 1e-9
 # State norm past which a Monte Carlo run counts as diverged.
 MC_BLOWUP = 1e8
@@ -172,9 +171,8 @@ def riccati_solve(model: MjsModel, Q, R) -> LqrSolution:
       RICCATI_SETTLE times the largest |P_h| entry, since a weak input
       settles its gain, which moves by about B dP, while P still moves;
     - K_h is proved stabilizing with P_{h-1} as its Lyapunov witness,
-      by the margin of _margin_certifies, else by _witness_certifies on
-      A + B K_h, else by the spectral radius of that closed loop, which
-      raises NotMss when it is not below 1.
+      by _witness_certifies on A + B K_h, else by the spectral radius of
+      that closed loop, which raises NotMss when it is not below 1.
 
     The gain 2-norms cost one SVD per mode, so they are taken only on
     steps that could stop: since ||D||_2 >= ||D||_F / sqrt(min(p, n))
@@ -213,12 +211,11 @@ def riccati_solve(model: MjsModel, Q, R) -> LqrSolution:
             # NaN fails the gate and takes the SVD, as it would without it.
             if not np.linalg.norm(delta, axis=(1, 2)).max() > gate:
                 change = _gain_change(delta)
-                moves = np.linalg.norm(P - X, axis=(1, 2))
-                if change < RICCATI_TOL and moves.max() <= RICCATI_SETTLE * np.abs(P).max():
-                    if not _margin_certifies(model, Q, R, X, K, P, moves):
-                        op = MomentOperator(_closed_loop(model, K, Q, R)[0], model.T)
-                        if not _witness_certifies(op, X):
-                            _rho_proof(op)
+                moves = np.linalg.norm(P - X, axis=(1, 2)).max()
+                if change < RICCATI_TOL and moves <= RICCATI_SETTLE * np.abs(P).max():
+                    op = MomentOperator(model.A + model.B @ K, model.T)
+                    if not _witness_certifies(op, X):
+                        _rho_proof(op)
                     return LqrSolution(P, K, h, change, (time.perf_counter() - t0) * 1e3)
         K_prev = K
     change = float("nan") if delta is None else _gain_change(delta)
@@ -226,85 +223,6 @@ def riccati_solve(model: MjsModel, Q, R) -> LqrSolution:
         f"Riccati iteration on (s, n, p) = ({model.s}, {model.n}, {model.p}) "
         f"did not converge in {RICCATI_STEPS} steps (last gain change {change:.3e})"
     )
-
-
-def _margin_certifies(
-    model: MjsModel, Q: np.ndarray, R: np.ndarray, X: np.ndarray, K: np.ndarray,
-    P: np.ndarray, moves: np.ndarray,
-) -> bool:
-    """True when X = P_{h-1} proves the gain K = K_h, computed from it,
-    stabilizing, rounding included: every X_i > 0 and every
-    X_i - L*_K(X)_i > 0, with L*_K the adjoint of the second-moment
-    operator of A + B K.  P = P_h is the step's symmetrized value and
-    moves[i] the computed ||P_i - X_i||_F.
-
-    With phi_i = sum_j T_ij X_j, G = R + B' phi B, M = B' phi A and
-    sol = -K, completing the square gives, exactly and per mode,
-
-        X - L*_K(X) = Q + K' R K - (Y - X) - sol' r,
-
-    where Y = Q + A' phi A - A' phi B sol is what _riccati_step rounds
-    into P, and r = G sol - M is the residual of its solve.  So with the
-    symmetric part of R positive semidefinite, and lam(Q) the least
-    eigenvalue of the symmetric part of Q, for every unit x
-
-        x' (X - L*_K(X)) x >= lam(Q) - ||P - X|| - ||sym(Y) - P|| - ||sol|| ||r||,
-
-    all norms per mode and Frobenius.  The rounding terms follow Higham
-    (Accuracy and Stability of Numerical Algorithms, 2002, ch. 3): an
-    entry of P, or of the residual r^ recomputed here, collects at most
-    N = s + 2n + p + 2 roundings along its chain of products and sums,
-    so with psi_i = sum_j T_ij ||X_j|| >= ||phi_i||, a, b and k the norms
-    of A_i, B_i and K_i, and gamma_N = N u / (1 - N u),
-
-        ||sym(Y) - P|| <= gamma_N (||Q|| + psi a (a + b k)) + 2 u ||P||,
-        ||r|| <= ||r^|| + gamma_N (k ||R|| + psi b (b k + a)),
-
-    whose gamma_N terms add up, in the bound, to gamma_N (||Q||
-    + k^2 ||R|| + psi (a + b k)^2).  Underflow adds at most eta / 2 per
-    rounding, eta the smallest subnormal, carried through at most two
-    factors on each side of the chain, each with absolute row and column
-    sums at most sqrt(n) (1 + a + b) (1 + k); N n^2 (1 + a + b)^2
-    (1 + k)^2 eta covers it.  A computed eigenvalue of a symmetric Z is
-    off by at most 8 n^2 u ||Z||, plus u ||Z|| for forming a symmetric
-    part, and GAIN_GATE_MARGIN lifts the sum of the terms for the
-    rounding of the norms.
-
-    X_i > 0 is shown by a Cholesky factorization of Z = fl(X_i - c I),
-    c = 2 gamma_{n+2} tr(X_i).  One that runs to completion gives
-    R'R = Z + dZ with |dZ| <= gamma_{n+1} |R'| |R| (Higham, ch. 10), so
-    ||dZ||_2 <= gamma_{n+1} tr(R'R) <= gamma_{n+2} tr(X_i), and forming Z
-    moves its diagonal by at most u tr(X_i); then
-    X_i >= (c - gamma_{n+2} tr(X_i) - u tr(X_i)) I > 0.
-    """
-    s, n, p = model.s, model.n, model.p
-    u, eta = np.finfo(float).eps / 2, np.finfo(float).smallest_subnormal
-    N = s + 2 * n + p + 2
-    gamma = N * u / (1.0 - N * u)
-    norm_Q, norm_R = float(np.linalg.norm(Q)), float(np.linalg.norm(R))
-    lam_Q = float(np.linalg.eigvalsh(0.5 * (Q + Q.T))[0]) - (8 * n * n + 1) * u * norm_Q
-    lam_R = float(np.linalg.eigvalsh(0.5 * (R + R.T))[0]) - (8 * p * p + 1) * u * norm_R
-    phi = (model.T @ X.reshape(s, n * n)).reshape(s, n, n)
-    Bt_phi = model.B.transpose(0, 2, 1) @ phi
-    r = (R + Bt_phi @ model.B) @ -K - Bt_phi @ model.A
-    psi = model.T @ np.linalg.norm(X, axis=(1, 2))
-    a, b = np.linalg.norm(model.A, axis=(1, 2)), np.linalg.norm(model.B, axis=(1, 2))
-    k = np.linalg.norm(K, axis=(1, 2))
-    off = (
-        moves
-        + k * np.linalg.norm(r, axis=(1, 2))
-        + gamma * (norm_Q + k * k * norm_R + psi * (a + b * k) ** 2)
-        + 2 * u * np.linalg.norm(P, axis=(1, 2))
-        + N * n * n * (1.0 + a + b) ** 2 * (1.0 + k) ** 2 * eta
-    )
-    if not (lam_R >= 0.0 and np.all(lam_Q > off * (1.0 + GAIN_GATE_MARGIN))):
-        return False
-    shift = 2.0 * (n + 2) * u / (1.0 - (n + 2) * u) * np.trace(X, axis1=1, axis2=2)
-    try:
-        np.linalg.cholesky(X - shift[:, None, None] * np.eye(n))
-    except np.linalg.LinAlgError:
-        return False
-    return True
 
 
 def lift_gains(K_reduced: np.ndarray, partition: Partition) -> np.ndarray:

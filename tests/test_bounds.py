@@ -699,7 +699,7 @@ def test_wasserstein_matches_the_full_program_on_fig4():
 def test_wasserstein_carries_masses_below_the_default_highs_tolerance():
     # Dirichlet(0.1) masses, a fifth of them zero, run far below HiGHS's
     # default feasibility tolerance of 1e-7, which let a plan miss them
-    # and moved W by up to 3e-7 relative.
+    # and moved W by up to about 5e-7 relative.
     for seed in range(40):
         rng = np.random.default_rng(seed)
 

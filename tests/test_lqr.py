@@ -204,33 +204,30 @@ def test_riccati_waits_for_the_values_under_a_weak_input():
     assert sol.P[0, 0, 0] == pytest.approx(root, rel=1e-9)
 
 
-def count_proofs(monkeypatch) -> dict:
-    """Calls of each stabilizing proof of riccati_solve, by outcome."""
-    calls = {}
-    for name in ("_margin_certifies", "_witness_certifies"):
-        proof = getattr(lqr, name)
+def count_witness_proofs(monkeypatch) -> list:
+    """Outcomes of riccati_solve's calls of _witness_certifies."""
+    calls = []
+    witness = lqr._witness_certifies
 
-        def counted(*args, proof=proof, name=name):
-            out = proof(*args)
-            calls.setdefault(name, []).append(out)
-            return out
+    def counted(*args):
+        calls.append(witness(*args))
+        return calls[-1]
 
-        monkeypatch.setattr(lqr, name, counted)
+    monkeypatch.setattr(lqr, "_witness_certifies", counted)
     return calls
 
 
 def test_riccati_proves_a_semidefinite_weight_by_its_witness(monkeypatch):
-    # Q = diag(1, 0): the margin lam(Q) = 0 decides nothing, while
-    # P_{h-1} > 0, since A feeds the second state into the priced first
-    # one, and K' R K covers the unpriced direction, so the witness
-    # proves it.
+    # Q = diag(1, 0): P_{h-1} > 0, since A feeds the second state into
+    # the priced first one, and K' R K covers the unpriced direction, so
+    # the witness proves the gain without the spectral radius.
     model = MjsModel(
         np.array([[[0.5, 0.5], [0.0, 0.5]]]), np.eye(2)[None], np.array([[1.0]])
     )
-    calls = count_proofs(monkeypatch)
+    calls = count_witness_proofs(monkeypatch)
     rho_calls = count_rho_calls(monkeypatch)
     sol = riccati_solve(model, np.diag([1.0, 0.0]), np.eye(2))
-    assert calls == {"_margin_certifies": [False], "_witness_certifies": [True]}
+    assert calls == [True]
     assert rho_calls == []
     A_cl = model.A + model.B @ sol.K
     assert spectral_radius(augmented_matrix(MjsModel(A_cl, None, model.T))) < 1.0
@@ -242,7 +239,7 @@ def test_riccati_at_zero_weight_takes_the_radius(monkeypatch, a, radius):
     # spectral radius of a decides, where the gain test alone would
     # return the zero gain of an unstable loop.
     model = MjsModel(np.array([[[a]]]), np.array([[[1.0]]]), np.array([[1.0]]))
-    calls = count_proofs(monkeypatch)
+    calls = count_witness_proofs(monkeypatch)
     rho_calls = count_rho_calls(monkeypatch)
     if radius is None:
         sol = riccati_solve(model, np.zeros((1, 1)), EYE1)
@@ -250,7 +247,7 @@ def test_riccati_at_zero_weight_takes_the_radius(monkeypatch, a, radius):
     else:
         with pytest.raises(NotMss, match=f"radius {radius}"):
             riccati_solve(model, np.zeros((1, 1)), EYE1)
-    assert calls == {"_margin_certifies": [False], "_witness_certifies": [False]}
+    assert calls == [False]
     assert len(rho_calls) == 1
 
 
@@ -272,7 +269,9 @@ def test_riccati_returns_only_stabilizing_gains(seed, s, n, p, a_scale, weight, 
     # from the others, in the dynamics and in the weight, and not
     # driven, so the gain can settle while its value grows: a returned
     # gain always stabilizes by the dense oracle; otherwise the solve
-    # raises.
+    # raises.  A definite weight on an open loop of dense radius below
+    # 0.95 has a stabilizing solution, which the solve must return:
+    # 4 000 scratch draws of this kind took at most 380 steps.
     rng = np.random.default_rng(seed)
     model = random_model(rng, s=s, n=n, p=p, a_scale=a_scale)
     G = rng.standard_normal((n, n))
@@ -282,11 +281,14 @@ def test_riccati_returns_only_stabilizing_gains(seed, s, n, p, a_scale, weight, 
         A, B = model.A.copy(), model.B.copy()
         A[:, 1:, 0] = A[:, 0, 1:] = B[:, 0] = Q[1:, 0] = Q[0, 1:] = 0.0
         model = MjsModel(A, B, model.T)
+    solvable = weight == "definite" and spectral_radius(augmented_matrix(model)) < 0.95
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lqr, "RICCATI_STEPS", 2_000)
         try:
             sol = riccati_solve(model, Q, np.eye(p))
         except (Diverged, NotMss, NotConverged):
+            if solvable:
+                raise
             return
     A_cl = model.A + model.B @ sol.K
     assert spectral_radius(augmented_matrix(MjsModel(A_cl, None, model.T))) < 1.0
