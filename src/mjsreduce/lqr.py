@@ -1,7 +1,8 @@
 """Coupled Riccati synthesis and closed-loop cost evaluation.
 
 The infinite-horizon jump LQR solution is the fixed point of the
-coupled Riccati map.  With phi_i(X) = sum_j T(i, j) X_j:
+coupled Riccati map.  With phi_i(X) = sum_j T(i, j) X_j, the T-mix of
+the open loop's second-moment operator (stability.MomentOperator.mix):
 
     gain_i(X) = -(R + B_i' phi_i(X) B_i)^{-1} B_i' phi_i(X) A_i
     ricc_i(X) = Q + A_i' phi_i(X) A_i
@@ -22,10 +23,10 @@ to settle, and the solution is the zero gain's closed-loop value below.
 riccati_solve either returns a converged, stabilizing LqrSolution,
 timed over its iteration, or raises: NotConverged when its step budget
 does not settle it, Diverged when a value matrix passes RICCATI_CAP
-times the largest |Q| entry, SingularInnerMatrix when some
-R + B' phi B cannot be inverted, NotMss for a settled gain or a loop
-without inputs that is not mean-square stable.  Callers never check
-convergence themselves.
+times the largest |Q| entry or stops being finite, SingularInnerMatrix
+when some R + B' phi B cannot be inverted, NotMss for a settled gain
+or a loop without inputs that is not mean-square stable.  Callers
+never check convergence themselves.
 
 A fixed gain u = K x is priced through its closed-loop value matrices,
 the solution of V = stage + L*(V) with stage_i = Q + K_i' R K_i and L*
@@ -34,7 +35,8 @@ the adjoint of the closed loop's second-moment operator
 the pairing sigma_w^2 sum_i pi_i tr V_i (Costa, Fragoso & Marques,
 Discrete-Time Markov Jump Linear Systems, 2005, ch. 3).
 monte_carlo_cost estimates the same cost by rolling the closed loop
-A + B K out from the stationary law.
+A + B K out from the stationary law.  _closed_loop alone forms A + B K,
+for the value recursion, the rollout and the Riccati stop's proof.
 
 The recursion also proves the closed loop mean-square stable.  A loop
 is stable iff some W with every W_i > 0 has W_i - L*(W)_i > 0 in every
@@ -43,7 +45,9 @@ definite stage is such a W; _witness_certifies checks it against a
 stated rounding bound.  Only when that fails (say, for a semidefinite
 stage), or when the recursion runs WITNESS_STEPS steps or grows past
 WITNESS_GROWTH unconverged, is the spectral radius MomentOperator.rho()
-computed; NotMss carries it.
+computed; NotMss carries it.  Values that overflow are proved by the
+spectral radius too: NotMss when it is at least 1, DegenerateInput
+otherwise, or when the operator itself overflows.
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DegenerateInput,
     DimensionMismatch,
     Diverged,
     InputError,
@@ -122,15 +127,16 @@ def _check_qr(model: MjsModel, Q: np.ndarray, R: np.ndarray) -> tuple[np.ndarray
 
 
 def _riccati_step(
-    model: MjsModel, Q: np.ndarray, R: np.ndarray, X: np.ndarray
+    op: MomentOperator, B: np.ndarray, Q: np.ndarray, R: np.ndarray, X: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """One evaluation of the gain and Riccati maps at X, of shape
-    (s, n, n), for checked Q and R.  Returns (K, ricc) with shapes
-    (s, p, n), (s, n, n).  Raises SingularInnerMatrix when some
-    R + B' phi B cannot be inverted.
+    (s, n, n), for the open loop's operator op, input maps B and checked
+    Q and R.  Returns (K, ricc) with shapes (s, p, n), (s, n, n).
+    Raises SingularInnerMatrix when some R + B' phi B cannot be
+    inverted.
     """
-    phi = np.einsum("ij,jkl->ikl", model.T, X)
-    A, B, At = model.A, model.B, model.A.transpose(0, 2, 1)
+    phi = op.mix(X)
+    A, At = op.A, op.A.transpose(0, 2, 1)
     Bt_phi = B.transpose(0, 2, 1) @ phi
     G = R + Bt_phi @ B
     try:
@@ -181,8 +187,10 @@ def riccati_solve(model: MjsModel, Q, R) -> LqrSolution:
     (1 + GAIN_GATE_MARGIN) cannot, and skips them.  Raises Diverged when
     any value matrix norm passes RICCATI_CAP times the largest |Q| entry
     (e.g. unstabilizable dynamics), so (c Q, c R) gives c P and the same
-    K and steps, and NotConverged, naming the model size and the 2-norm
-    of the last gain change, after RICCATI_STEPS steps.
+    K and steps, or is not finite (values beyond the float range), and
+    NotConverged, naming the model size and the 2-norm of the last gain
+    change, after RICCATI_STEPS steps.  phi comes from the open loop's
+    MomentOperator, built once per solve.
 
     With B identically zero no gain acts: P is the value of the zero
     gain, from _closed_loop_values with its stop rule, stability proof
@@ -196,16 +204,23 @@ def riccati_solve(model: MjsModel, Q, R) -> LqrSolution:
         V, steps, _, _ = _closed_loop_values(model, K, Q, R)
         P = 0.5 * (V + V.transpose(0, 2, 1))
         return LqrSolution(P, K, steps, 0.0, (time.perf_counter() - t0) * 1e3)
+    op = MomentOperator(model.A, model.T)
     P = np.tile(Q, (model.s, 1, 1))
     cap = RICCATI_CAP * float(np.abs(Q).max())
     K_prev = delta = None
     gate = math.sqrt(min(model.p, model.n)) * RICCATI_TOL * (1.0 + GAIN_GATE_MARGIN)
     for h in range(1, RICCATI_STEPS + 1):
         X = P
-        K, P = _riccati_step(model, Q, R, X)
-        P = 0.5 * (P + P.transpose(0, 2, 1))
-        if float(np.linalg.norm(P, axis=(1, 2)).max()) > cap:
-            raise Diverged(f"value iteration passed {RICCATI_CAP:.0e} max|Q| at step {h}")
+        # Values past the float range overflow silently; inf and NaN
+        # both fail the cap test.
+        with np.errstate(over="ignore", invalid="ignore"):
+            K, P = _riccati_step(op, model.B, Q, R, X)
+            P = 0.5 * (P + P.transpose(0, 2, 1))
+            size = float(np.linalg.norm(P, axis=(1, 2)).max())
+        if not size <= cap:
+            raise Diverged(
+                f"value iteration passed {RICCATI_CAP:.0e} max|Q| or the float range at step {h}"
+            )
         if K_prev is not None:
             delta = K - K_prev
             # NaN fails the gate and takes the SVD, as it would without it.
@@ -213,9 +228,9 @@ def riccati_solve(model: MjsModel, Q, R) -> LqrSolution:
                 change = _gain_change(delta)
                 moves = np.linalg.norm(P - X, axis=(1, 2)).max()
                 if change < RICCATI_TOL and moves <= RICCATI_SETTLE * np.abs(P).max():
-                    op = MomentOperator(model.A + model.B @ K, model.T)
-                    if not _witness_certifies(op, X):
-                        _rho_proof(op)
+                    closed = MomentOperator(_closed_loop(model, K, Q, R)[0], model.T)
+                    if not _witness_certifies(closed, X):
+                        _rho_proof(closed)
                     return LqrSolution(P, K, h, change, (time.perf_counter() - t0) * 1e3)
         K_prev = K
     change = float("nan") if delta is None else _gain_change(delta)
@@ -244,7 +259,7 @@ def _closed_loop(model: MjsModel, K, Q, R) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionMismatch(
             f"gains must have shape ({model.s}, {model.p}, {model.n}), got {K.shape}"
         )
-    A_cl = model.A + np.einsum("ijk,ikl->ijl", model.B, K)
+    A_cl = model.A + model.B @ K
     return A_cl, Q + np.einsum("ikj,kl,ilm->ijm", K, R, K)
 
 
@@ -332,8 +347,12 @@ def _closed_loop_values(model: MjsModel, K, Q, R) -> tuple[np.ndarray, int, floa
     _witness_certifies).  The spectral radius is computed only when the
     witness fails, or once the recursion passes WITNESS_STEPS steps or
     WITNESS_GROWTH times the largest stage entry unconverged (proof
-    "rho").  Raises NotMss for a closed loop that is not mean-square
-    stable, NotConverged after FIXED_POINT_STEPS steps.
+    "rho").  A step whose values are not finite takes the spectral
+    radius too, since inf <= inf would pass the stop test: NotMss when
+    it is at least 1, DegenerateInput when the operator overflows or,
+    below 1, the values leave the float range.  Raises NotMss for a
+    closed loop that is not mean-square stable, NotConverged after
+    FIXED_POINT_STEPS steps.
     """
     A_cl, stage = _closed_loop(model, K, Q, R)
     op = MomentOperator(A_cl, model.T)
@@ -342,10 +361,18 @@ def _closed_loop_values(model: MjsModel, K, Q, R) -> tuple[np.ndarray, int, floa
     V = stage
     gap = float("nan")
     for k in range(1, FIXED_POINT_STEPS + 1):
-        new = stage + op.adjoint(V)
-        last, gap = gap, float(np.abs(new - V).max())
+        with np.errstate(over="ignore", invalid="ignore"):
+            new = stage + op.adjoint(V)
+            last, gap = gap, float(np.abs(new - V).max())
         V = new
         top = float(np.abs(V).max())
+        if not math.isfinite(top):
+            if proof is None:
+                _rho_proof(op)
+            raise DegenerateInput(
+                f"closed-loop values leave the float range at step {k}, "
+                "though the loop is mean-square stable"
+            )
         r = gap / last if last > 0.0 else 1.0
         tail_ok = r < 1.0 and gap * r / (1.0 - r) <= 1e-14 * top
         if gap <= 1e-14 * top and (tail_ok or gap <= 1e-15 * top):

@@ -98,9 +98,10 @@ def mr_bound(
 ) -> MrBoundReport:
     """Evaluate the misclustering bound for a given partition.
 
-    The bound is 64 (2 + kmeans_eps) sigma_r^{-2} eps_combined^2 (inf
-    when sigma_r = 0), where sigma_r is the r-th singular value of the
-    feature matrix with each row replaced by its cluster mean, and
+    The bound is 64 (2 + kmeans_eps) (eps_combined / sigma_r)^2 (inf
+    when sigma_r = 0 or past the float range), where sigma_r is the
+    r-th singular value of the feature matrix with each row replaced by
+    its cluster mean, and
 
         eps_combined = sqrt(aA^2 eA^2 + aB^2 eB^2 + (aT g eT)^2)
 
@@ -142,10 +143,10 @@ def mr_bound(
     root = np.sqrt(np.array(partition.sizes, dtype=float))
     scaled = root[:, None] * partition.cluster_means(feats.phi)
     sigma_r = float(np.linalg.svd(scaled, compute_uv=False)[r - 1])
-    if sigma_r <= 0:
-        bound_value = float("inf")
-    else:
-        bound_value = 64.0 * (2.0 + kmeans_eps) * eps_combined**2 / sigma_r**2
+    # The ratio is squared, not its terms: sigma_r^2 underflows, and
+    # eps_combined^2 overflows, where the bound is a float.
+    ratio = eps_combined / sigma_r if sigma_r > 0 else float("inf")
+    bound_value = 64.0 * (2.0 + kmeans_eps) * ratio * ratio
     big = partition.size_largest
     small = partition.size_smallest
     extra = model.s if branch == "lumpable" else 1.0

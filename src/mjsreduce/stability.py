@@ -234,10 +234,12 @@ class MomentOperator:
     apply maps a stack X of shape (s, n, n) to
     L(X)_i = sum_j T(j, i) A_j X_j A_j', one step of the per-mode second
     moments E[x x' 1{w = i}]; adjoint maps V to
-    L*(V)_i = A_i' (sum_j T(i, j) V_j) A_i, one step of the value
-    matrices.  Flattened row-major, apply is the augmented matrix and
-    adjoint its transpose.  T must be entrywise >= 0: InputError names
-    the first entry that is not, negative or NaN.
+    L*(V)_i = A_i' phi_i(V) A_i, one step of the value matrices, where
+    mix gives phi_i(V) = sum_j T(i, j) V_j, the values mixed over the
+    next mode, which the coupled Riccati map of lqr shares.  Flattened
+    row-major, apply is the augmented matrix and adjoint its transpose.
+    T must be entrywise >= 0: InputError names the first entry that is
+    not, negative or NaN.
     """
 
     def __init__(self, A, T) -> None:
@@ -266,12 +268,15 @@ class MomentOperator:
         pushed = (self.A @ X @ self.A.transpose(0, 2, 1)).reshape(s, n * n)
         return (self.T.T @ pushed).reshape(s, n, n)
 
-    def adjoint(self, V: np.ndarray) -> np.ndarray:
-        # Two BLAS products rather than einsum: the closed-loop value
-        # recursion of lqr runs one adjoint per step.
+    def mix(self, V: np.ndarray) -> np.ndarray:
+        """phi(V)_i = sum_j T(i, j) V_j for a stack V of shape (s, n, n)."""
+        # One BLAS product rather than einsum: the closed-loop value
+        # recursion and the Riccati iteration of lqr run one per step.
         s, n = self.s, self.n
-        phi = (self.T @ V.reshape(s, n * n)).reshape(s, n, n)
-        return self.A.transpose(0, 2, 1) @ phi @ self.A
+        return (self.T @ V.reshape(s, n * n)).reshape(s, n, n)
+
+    def adjoint(self, V: np.ndarray) -> np.ndarray:
+        return self.A.transpose(0, 2, 1) @ self.mix(V) @ self.A
 
     def tau(self, rho: float, k_max: int) -> TransientEstimate:
         """sup_k ||L^k||_2 / rho^k over k <= k_max, for a rho the caller

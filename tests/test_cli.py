@@ -1,12 +1,17 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mjsreduce.cli import build_parser, main
 from mjsreduce.model import MjsModel, save_model
@@ -597,3 +602,81 @@ def test_evaluate_lumpable_on_one_mode(tmp_path, capsys):
     payload = json.loads(stdout)
     assert payload["gamma1"] == 0.0 and payload["applicable"] is True
     assert all(np.isfinite(v) for v in payload.values() if isinstance(v, float))
+
+
+# The Riccati values of lqr overflow to NaN, which passed the
+# divergence cap, and the gain change's SVD raised LinAlgError.
+RICCATI_NAN = MjsModel([[[1e160]]], [[[1.0]]], [[1.0]])
+# The closed-loop values overflow, inf <= inf passed their stop test,
+# and the witness's eigvalsh raised LinAlgError.
+VALUES_INF = MjsModel(1e300 * np.eye(3)[None], None, [[1.0]])
+# sigma_r^2 of the averaged features underflows to 0, and mr_bound
+# divided by it.
+SIGMA_UNDERFLOW = MjsModel(
+    np.array([np.diag([1e-170, 2e-170])] * 2 + [np.diag([3e-170, 1e-170])] * 2),
+    np.zeros((4, 2, 1)),
+    np.full((4, 4), 0.25),
+)
+
+
+@st.composite
+def scaled_models(draw):
+    """A model with s, n <= 3 and p <= 2, A and B scaled by powers of
+    ten across the float range, a random chain, and a cluster count."""
+    s, n, p = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.standard_normal((s, n, n)) * 10.0 ** draw(st.integers(-300, 300))
+    B = rng.standard_normal((s, n, p)) * 10.0 ** draw(st.integers(-300, 300))
+    T = rng.dirichlet(np.ones(s), size=s)
+    if draw(st.booleans()):
+        T[rng.random((s, s)) < 0.4] = 0.0
+        T[np.arange(s), rng.integers(0, s, size=s)] += 0.5
+        T /= T.sum(axis=1, keepdims=True)
+    return MjsModel(A, B, T), draw(st.integers(1, s))
+
+
+def exit_codes(model, r):
+    """(argv, exit code, stderr) of reduce, evaluate on both branches,
+    stability and lqr on model, with r clusters where asked."""
+    with tempfile.TemporaryDirectory() as out:
+        path = os.path.join(out, "model.json")
+        save_model(model, path)
+        runs = []
+        for argv in (
+            ["reduce", path, "--r", str(r)],
+            ["evaluate", path, "--r", str(r), "--branch", "aggregatable"],
+            ["evaluate", path, "--r", str(r), "--branch", "lumpable"],
+            ["stability", path],
+            ["lqr", path, "--r", str(r)],
+        ):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv + ["--out", out])
+            runs.append((argv[0], code, err.getvalue()))
+        return runs
+
+
+@settings(max_examples=100, deadline=None)
+@example(case=(RICCATI_NAN, 1))
+@example(case=(VALUES_INF, 1))
+@example(case=(SIGMA_UNDERFLOW, 2))
+@given(case=scaled_models())
+def test_no_command_ends_in_a_traceback(case):
+    # Every model the constructor takes gets an exit code from each
+    # command, 0, 1 (stability only), 2 or 3, and never an exception;
+    # numpy's overflow warnings in the package are errors here too.
+    for command, code, err in exit_codes(*case):
+        assert code in ((0, 1, 2, 3) if command == "stability" else (0, 2, 3)), (command, err)
+
+
+@pytest.mark.parametrize(
+    "model, r, command, code, error",
+    [
+        (RICCATI_NAN, 1, "lqr", 3, "Diverged"),
+        (VALUES_INF, 1, "lqr", 3, "DegenerateInput"),
+        (SIGMA_UNDERFLOW, 2, "evaluate", 0, ""),
+    ],
+)
+def test_values_past_the_float_range_end_in_a_named_error(model, r, command, code, error):
+    got = [(c, err.split(":")[0]) for name, c, err in exit_codes(model, r) if name == command]
+    assert got[0] == (code, error)

@@ -11,6 +11,7 @@ from conftest import PARTITION_LABELS, draw_instance, random_model
 from mjsreduce.clustering import reduce_model
 import mjsreduce.lqr as lqr
 from mjsreduce.errors import (
+    DegenerateInput,
     DimensionMismatch,
     Diverged,
     InputError,
@@ -60,8 +61,13 @@ def test_scalar_riccati_root():
     assert sol.K[0, 0, 0] == pytest.approx(-0.5 * p / (1.0 + p), abs=1e-10)
 
 
+def riccati_step(model, Q, R, X):
+    """lqr._riccati_step at X on the open loop of model."""
+    return lqr._riccati_step(MomentOperator(model.A, model.T), model.B, Q, R, X)
+
+
 def test_riccati_operators_single_step():
-    K, ricc = lqr._riccati_step(SCALAR, EYE1, EYE1, np.array([[[1.0]]]))
+    K, ricc = riccati_step(SCALAR, EYE1, EYE1, np.array([[[1.0]]]))
     # phi = T X = 1, G = 1 + 1 = 2, K = -0.5/2, ricc = 1 + 0.25 - 0.25/2.
     assert K[0, 0, 0] == pytest.approx(-0.25, abs=1e-15)
     assert ricc[0, 0, 0] == pytest.approx(1.125, abs=1e-15)
@@ -97,7 +103,7 @@ def svd_rule_riccati(model, Q, R):
     2-norm of every gain change."""
     P, K_prev, changes = np.tile(Q, (model.s, 1, 1)), None, []
     for h in range(1, lqr.RICCATI_STEPS + 1):
-        K, P_new = lqr._riccati_step(model, Q, R, P)
+        K, P_new = riccati_step(model, Q, R, P)
         P, P_prev = 0.5 * (P_new + P_new.transpose(0, 2, 1)), P
         if K_prev is not None:
             changes.append(float(np.linalg.norm(K - K_prev, 2, axis=(1, 2)).max()))
@@ -308,7 +314,7 @@ def test_gains_reproduce_from_value_matrices(rng):
     for _ in range(3):
         m = random_model(rng, s=4, n=2, p=1)
         sol = riccati_solve(m, np.eye(2), np.eye(1))
-        K, _ = lqr._riccati_step(m, np.eye(2), np.eye(1), sol.P)
+        K, _ = riccati_step(m, np.eye(2), np.eye(1), sol.P)
         assert np.abs(K - sol.K).max() <= 1e-9
 
 
@@ -326,12 +332,39 @@ def test_value_matrices_constant_on_clusters_at_zero_perturbation():
                 assert np.linalg.norm(sol.P[i] - sol.P[lead]) <= 1e-8 * scale
 
 
+def test_riccati_values_past_the_float_range_diverge():
+    # 1e160^2 overflows, so the values turn NaN at step 1.  NaN passed
+    # the cap test `norm > cap`, and the SVD of the gain change raised
+    # numpy's LinAlgError.
+    with pytest.raises(Diverged, match="float range at step 1$"):
+        riccati_solve(MjsModel([[[1e160]]], [[[1.0]]], [[1.0]]), EYE1, EYE1)
+
+
+@pytest.mark.parametrize(
+    "a, q, error, what",
+    [
+        # rho = 1e10: the loop is not mean-square stable.
+        (1e5, 1e300, NotMss, "spectral radius"),
+        # rho = 0.25, but q + L*(q) = 1.25 q passes the float range.
+        (0.5, 1.5e308, DegenerateInput, "values leave the float range at step 1"),
+        # L itself overflows, and so does rho.
+        (1e160, 1.0, DegenerateInput, "of L from the identity overflows"),
+    ],
+)
+def test_values_past_the_float_range_take_the_spectral_radius(a, q, error, what):
+    # inf <= inf passed the value recursion's stop test, and the
+    # witness's eigvalsh then raised numpy's LinAlgError.
+    model = MjsModel([[[a]]], None, [[1.0]])
+    with pytest.raises(error, match=what):
+        closed_loop_average_cost(model, np.zeros((1, 0, 1)), [[q]], np.zeros((0, 0)), 1.0)
+
+
 def riccati_value_changes(model, Q, R, steps):
     """max_i ||P_i - P_prev_i||_F over the first steps iterations of the
     symmetrized Riccati map from X = Q."""
     P, changes = np.tile(Q, (model.s, 1, 1)), []
     for _ in range(steps):
-        _, P_new = lqr._riccati_step(model, Q, R, P)
+        _, P_new = riccati_step(model, Q, R, P)
         P_new = 0.5 * (P_new + P_new.transpose(0, 2, 1))
         changes.append(float(np.linalg.norm(P_new - P, axis=(1, 2)).max()))
         P = P_new
@@ -403,7 +436,7 @@ def test_singular_inner_matrix():
     B = np.array([[[1.0]], [[0.0]], [[2.0]]])
     mixed = MjsModel(np.full((3, 1, 1), 0.5), B, np.full((3, 3), 1.0 / 3.0))
     with pytest.raises(SingularInnerMatrix, match="at mode 1$"):
-        lqr._riccati_step(mixed, EYE1, np.zeros((1, 1)), np.ones((3, 1, 1)))
+        riccati_step(mixed, EYE1, np.zeros((1, 1)), np.ones((3, 1, 1)))
     with pytest.raises(SingularInnerMatrix, match="at mode 1$"):
         riccati_solve(mixed, EYE1, np.zeros((1, 1)))
 
@@ -465,8 +498,19 @@ def test_riccati_is_homogeneous_in_its_weights(problem, j):
 def loop_riccati_operators(model, Q, R, X):
     """The gain and Riccati maps one mode at a time, kept as the
     oracle of lqr._riccati_step."""
-    phi = np.einsum("ij,jkl->ikl", model.T, X)
     s, n, p = model.s, model.n, model.p
+    # phi_i = sum_j T(i, j) X_j as the one product of MomentOperator.mix.
+    # Each of it and the einsum sum is off the exact sum by at most
+    # gamma_s (|T| |X|) (Higham, Accuracy and Stability of Numerical
+    # Algorithms, 2002, ch. 3), which the float |T| |X| underestimates by
+    # at most a factor 1 - gamma_s.
+    phi = (model.T @ X.reshape(s, n * n)).reshape(s, n, n)
+    u = np.finfo(float).eps / 2
+    gamma = s * u / (1 - s * u)
+    mass = np.einsum("ij,jkl->ikl", np.abs(model.T), np.abs(X))
+    assert np.all(
+        np.abs(phi - np.einsum("ij,jkl->ikl", model.T, X)) <= 2 * gamma / (1 - gamma) * mass
+    )
     K = np.empty((s, p, n))
     ricc = np.empty((s, n, n))
     for i in range(s):
@@ -496,7 +540,8 @@ def test_riccati_operators_match_mode_loop(seed, labels, n, p, zeros):
     X = np.random.default_rng(seed).standard_normal((model.s, n, n))
     Q, R = np.eye(n), np.eye(p)
     for got, want in zip(
-        lqr._riccati_step(model, Q, R, X), loop_riccati_operators(model, Q, R, X)
+        riccati_step(model, Q, R, X),
+        loop_riccati_operators(model, Q, R, X),
     ):
         assert got.shape == want.shape and np.array_equal(got, want)
 

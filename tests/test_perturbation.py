@@ -170,7 +170,7 @@ def test_combine_perturbations_formula():
 
 
 def test_bound_from_constants_values():
-    # 64 (2 + kmeans_eps) eps_combined^2 / sigma_r^2, inf at sigma_r = 0.
+    # 64 (2 + kmeans_eps) (eps_combined / sigma_r)^2, inf at sigma_r = 0.
     model, part = fig4_model()
     for kmeans_eps in (0.0, 1.0, 2.0):
         rep = mr_bound(model, part, "aggregatable", kmeans_eps=kmeans_eps)
@@ -180,6 +180,20 @@ def test_bound_from_constants_values():
     still = MjsModel(np.zeros((4, 2, 2)), None, np.full((4, 4), 0.25))
     rep = mr_bound(still, Partition([[0, 1], [2, 3]]), "aggregatable", weights=(1.0, 0.0, 0.0))
     assert rep.sigma_r_phibar == 0.0 and rep.bound_value == np.inf
+
+
+def test_bound_squares_the_ratio_where_sigma_r_squared_underflows():
+    # Within-cluster spread 1e-150 and cluster means 1e-163 apart:
+    # sigma_r^2 underflows to 0, and dividing by it raised
+    # ZeroDivisionError; the bound is about 6e30.
+    d, e = 1e-150 * np.diag([1.0, 2.0]), 1e-163 * np.diag([1.0, 0.0])
+    model = MjsModel(np.array([d, -d, d + e, -d + e]), None, np.full((4, 4), 0.25))
+    rep = mr_bound(model, Partition([[0, 1], [2, 3]]), "aggregatable")
+    sigma, eps = rep.sigma_r_phibar, rep.eps_combined
+    assert sigma > 0.0 and sigma**2 == 0.0
+    # The same quotient with both terms lifted by 2^600 into the normal range.
+    want = 64.0 * 3.0 * (eps * 2.0**600) ** 2 / (sigma * 2.0**600) ** 2
+    assert rep.bound_value == pytest.approx(want, rel=1e-14)
 
 
 def test_averaged_feature_matrix_rows(rng):
