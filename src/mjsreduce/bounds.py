@@ -373,7 +373,8 @@ def transition_kernel_enum(model: MjsModel, x0, t: int) -> KernelDistribution:
     stationary law model.pi, by a walk over the mode sequences.
 
     Walks all mode sequences of length t one level at a time (pruning
-    zero-probability branches), in the order of a depth-first walk over
+    zero-probability branches) from a start state whose one step draws
+    the first mode from model.pi, in the order of a depth-first walk over
     the modes, and keeps each sequence's probability.  The pair (mode,
     state) is a Markov chain, so sequences that reach bit-equal states
     have equal futures (Kemeny & Snell, Finite Markov Chains, 1960,
@@ -401,14 +402,12 @@ def transition_kernel_enum(model: MjsModel, x0, t: int) -> KernelDistribution:
     if t == 0:
         return KernelDistribution(support=np.array([x0]), mass=np.ones(1), t=0)
     s = model.s
-    init = model.pi
+    # Row s of T is a start state whose step draws the stationary law.
+    T = np.vstack([model.T, model.pi])
     # One entry per live sequence: its last mode, its probability and
     # the class cls of its state; one row of X per class.
-    modes = np.flatnonzero(init > 0.0)
-    q = init[modes]
-    cls = np.arange(len(modes))
-    X = _finite_states(model.A[modes], x0[None], 1)
-    for level in range(1, t):
+    modes, q, cls, X = np.array([s]), np.ones(1), np.zeros(1, dtype=np.intp), x0[None]
+    for level in range(t):
         if level > 1:
             # Bit-equal states are one class: the int64 view keeps -0.0
             # and 0.0 apart, which == does not.
@@ -417,7 +416,7 @@ def transition_kernel_enum(model: MjsModel, x0, t: int) -> KernelDistribution:
             cls = inverse[cls]
         # Row-major nonzeros: each sequence's children in mode order,
         # i.e. the depth-first order of the sequences.
-        weights = q[:, None] * model.T[modes]
+        weights = q[:, None] * T[modes]
         live = weights > 0.0
         rows, modes = np.nonzero(live)
         q = weights[live]
@@ -569,8 +568,8 @@ def wasserstein_exact(
 
     The program is solved on a growing set of active cells (Peyre &
     Cuturi, Computational Optimal Transport, 2019, ch. 3; Schmitzer,
-    JMIV 2016).  It opens with each source's TRANSPORT_NEIGHBOURS
-    cheapest targets and the north-west-corner staircase, which keeps
+    JMIV 2016).  It opens with each source's min(TRANSPORT_NEIGHBOURS,
+    k) cheapest targets and the north-west-corner staircase, which keeps
     it feasible.  HiGHS's dual simplex, called through the bindings
     scipy ships (_transport_solve), solves the restricted program and
     returns its duals u, v, with reduced cost c(a, b) - u_a - v_b above
@@ -666,13 +665,12 @@ def _transport_solve(
 
 def _initial_cells(cost: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The first active cells of the transport program: each row's
-    TRANSPORT_NEIGHBOURS cheapest columns and the north-west-corner
+    min(TRANSPORT_NEIGHBOURS, k) cheapest of the k columns and the north-west-corner
     staircase of the marginals a, b, which carries a feasible plan."""
     m, k = cost.shape
-    if k <= TRANSPORT_NEIGHBOURS:
-        return np.ones((m, k), dtype=bool)
     active = np.zeros((m, k), dtype=bool)
-    near = np.argpartition(cost, TRANSPORT_NEIGHBOURS - 1, axis=1)[:, :TRANSPORT_NEIGHBOURS]
+    opened = min(TRANSPORT_NEIGHBOURS, k)
+    near = np.argpartition(cost, opened - 1, axis=1)[:, :opened]
     active[np.arange(m)[:, None], near] = True
     # The staircase steps down a row where the row's cumulative mass
     # ends and right a column where the column's does.

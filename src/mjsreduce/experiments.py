@@ -104,8 +104,6 @@ def _child_seed(root: int, *key: int) -> int:
 def _fmt(v) -> str:
     if isinstance(v, str):
         return v
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     return format(float(v), ".12g")

@@ -508,10 +508,10 @@ def _norm_bound(P: np.ndarray, fro: float) -> tuple[float, tuple[int, int]]:
     return min(fro, math.sqrt(cols[j]) * math.sqrt(rows[i])), (i, j)
 
 
-def _norm_floor(P: np.ndarray, peak: tuple[int, int] | None) -> float:
+def _norm_floor(P: np.ndarray, peak: tuple[int, int]) -> float:
     """A float that is at most the second half sqrt(||P||_1 ||P||_inf)
     of _norm_bound as it rounds it, from row i and column j of |P| for
-    peak = (i, j); 0 without a peak.
+    peak = (i, j).
 
     Each sum adds the m nonnegative terms of a row or column of the
     m x m P.  Added in any order they land within gamma_(m-1) of the
@@ -532,8 +532,6 @@ def _norm_floor(P: np.ndarray, peak: tuple[int, int] | None) -> float:
     rk / (1 + BOUND_MARGIN) >= 2^-1022 (1 - 2^-39), so a smaller
     product decides nothing.
     """
-    if peak is None:
-        return 0.0
     i, j = peak
     shrink = 1.0 - 2.0 * _gamma(P.shape[0] + 8)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -713,7 +711,9 @@ def _sweep(powers, level: float, exact: bool) -> TransientEstimate:
     sqrt(||P||_1 ||P||_inf), is taken (_norm_bound) unless fro settles
     both: its top is at most best, and either at most 1, or the floor of
     h from the row and column where h last peaked (_norm_floor) already
-    gives a top above 1.  Every step of top is monotone, so the top of
+    gives a top above 1.  h has peaked whenever the floor is read: that
+    needs best > 1, and best rises only on a step _norm_bound takes.
+    Every step of top is monotone, so the top of
     the minimum is the smaller of the two tops: it is then at most best
     too, and at most 1 exactly when fro's top is, and both decisions
     are those of the full bound.  The 2-norm, where taken, is
@@ -731,7 +731,7 @@ def _sweep(powers, level: float, exact: bool) -> TransientEstimate:
     is not finite never settles the decisions.
     """
     unit = math.ldexp(level, -_level_exponent(level))
-    best, arg, complete, k, peak = 1.0, 0, False, 0, None
+    best, arg, complete, k, peak = 1.0, 0, False, 0, (0, 0)
     for k, (bound, P) in enumerate(powers, start=1):
         rk = unit**k
         if P is not None:
