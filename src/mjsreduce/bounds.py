@@ -122,7 +122,8 @@ class BoundInputs:
         """The constants of model, partition and x0, with the transient
         constants of stability_report(model, budget=budget);
         PartitionMismatch unless the partition covers the model's modes,
-        DimensionMismatch unless x0 has shape (n,)."""
+        DimensionMismatch unless x0 has shape (n,), InputError unless
+        it is finite."""
         partition._check_covers(model.s)
         x0 = _check_x0(x0, model.n)
         rep = stability_report(model, budget=budget)
@@ -381,16 +382,17 @@ def transition_kernel_enum(model: MjsModel, x0, t: int) -> KernelDistribution:
     ch. 6): each state is computed once per class of sequences with
     bit-equal parent states and the same mode, and classes are numbered
     by their first sequence.  Each endpoint, in sequence order, is
-    merged into the first kept point that lies within
-    MERGE_TOL * max(||x0||, 1) and shares its cell of a grid of that
-    width; masses are added in sequence order.  Support and mass are
+    merged into the first kept point that lies within MERGE_TOL * ||x0||
+    and shares its cell of a grid of that width, so the law scales with
+    x0; masses are added in sequence order.  Support and mass are
     bit for bit those of a walk that forms every sequence's state.
 
     At t = 0 the law is the point mass at x0, whatever the chain.
     Raises DimensionMismatch for a t that is not a nonnegative integer
-    or an x0 not of shape (n,), TooManySequences when s^t exceeds
-    KERNEL_PATHS, TooLarge when the model has inputs, DegenerateInput
-    at the first level whose states are not all finite.
+    or an x0 not of shape (n,), InputError for an x0 that is not
+    finite, TooManySequences when s^t exceeds KERNEL_PATHS, TooLarge
+    when the model has inputs, DegenerateInput at the first level whose
+    states are not all finite.
     """
     _check_count("t, the nonnegative step count,", t, 0)
     t = int(t)
@@ -431,7 +433,7 @@ def transition_kernel_enum(model: MjsModel, x0, t: int) -> KernelDistribution:
         number[used] = np.arange(len(used))
         cls = number[key]
         X = _finite_states(model.A[used % s], X[used // s], level + 1)
-    tol = MERGE_TOL * max(float(np.linalg.norm(x0)), 1.0)
+    tol = MERGE_TOL * float(np.linalg.norm(x0))
     support, label = _merge_points(X, tol)
     mass = np.bincount(label[cls], weights=q, minlength=len(support))
     return KernelDistribution(support=support, mass=mass, t=t)
@@ -587,7 +589,12 @@ def wasserstein_exact(
     a = p.mass / p.mass.sum()
     b = q.mass / q.mass.sum()
     m, k = len(a), len(b)
-    diff = p.support[:, None, :] - q.support[None, :, :]
+    # HiGHS's tolerances are absolute, and it reads a cost from 1e20 up
+    # as infinite: the program is solved on the supports times 2^-e,
+    # exactly, with the largest |coordinate| in [1/2, 1), and the
+    # distance scaled back by 2^e.
+    e = int(np.frexp(max(np.abs(p.support).max(), np.abs(q.support).max()))[1])
+    diff = np.ldexp(p.support, -e)[:, None, :] - np.ldexp(q.support, -e)[None, :, :]
     cost = np.linalg.norm(diff, axis=2) ** ell
     slack = TRANSPORT_SLACK * float(cost.max())
     active = _initial_cells(cost, a, b)
@@ -602,7 +609,8 @@ def wasserstein_exact(
         if not violating.any():
             break
         active |= violating
-    value = float(max(fun, 0.0) ** (1.0 / ell))
+    with np.errstate(over="ignore"):
+        value = float(np.ldexp(max(fun, 0.0) ** (1.0 / ell), e))
     if return_plan:
         plan = np.zeros((m, k))
         plan[rows, cols] = x

@@ -75,9 +75,26 @@ def _pair_norm_sum(X: np.ndarray, pairs: np.ndarray, ord: int) -> float:
     flat = X.reshape(len(X), X[0].size)
     step = max(1, PAIR_CHUNK // max(1, flat.shape[1]))
     return 2.0 * sum(
-        float(np.linalg.norm(flat[ij[:, 0]] - flat[ij[:, 1]], ord, axis=1).sum())
+        _norm_sum(flat[ij[:, 0]], flat[ij[:, 1]], ord)
         for ij in np.split(pairs, range(step, len(pairs), step))
     )
+
+
+# A sum past the float range is inf, as it should be.
+@np.errstate(over="ignore")
+def _norm_sum(U: np.ndarray, V: np.ndarray, ord: int) -> float:
+    """Sum of ||U[k] - V[k]|| over the finite rows of U and V.  A norm
+    that overflows is taken again on its two rows times 2^-e, exactly,
+    with e the exponent of their largest |entry|, and scaled back by
+    2^e, so finite norms keep their bits."""
+    norms = np.linalg.norm(U - V, ord, axis=1)
+    far = ~np.isfinite(norms)
+    if far.any():
+        U, V = U[far], V[far]
+        e = np.frexp(np.maximum(np.abs(U), np.abs(V)).max(axis=1))[1]
+        scaled = np.ldexp(U, -e[:, None]) - np.ldexp(V, -e[:, None])
+        norms[far] = np.ldexp(np.linalg.norm(scaled, ord, axis=1), e)
+    return float(norms.sum())
 
 
 def perturbations(
@@ -341,7 +358,8 @@ def _seed(pair: np.ndarray, r: int, streams: _Streams) -> np.ndarray:
     live = np.arange(len(first))
     d2 = pair[first]
     for k in range(1, r):
-        total = d2.sum(axis=1)
+        with np.errstate(over="ignore"):
+            total = d2.sum(axis=1)
         if k == 1 and not np.all(np.isfinite(total)):
             raise DegenerateInput("squared distances between the points overflow")
         if not total.all():
@@ -518,7 +536,8 @@ def kmeans_partition(
     seeds = _seed(pair, r, _streams)
     centers = points[seeds]
     near, nearest, moving = _lloyd(points, centers, pair[seeds].transpose(0, 2, 1))
-    objectives = near.sum(axis=1)
+    with np.errstate(over="ignore"):
+        objectives = near.sum(axis=1)
     best = int(np.argmin(objectives))
     if not np.isfinite(objectives[best]):
         raise DegenerateInput("squared distances between the points overflow")

@@ -443,7 +443,7 @@ def monte_carlo_cost(
     state entry passing MC_BLOWUP marks the estimate diverged (inf).
     Raises DimensionMismatch unless burn_in and horizon are integers
     >= 0, n_traj one >= 1 and an integer seed is not negative, and
-    InputError unless burn_in < horizon.
+    InputError unless burn_in < horizon and x0 is finite.
     """
     _check_count("horizon", horizon, 0)
     _check_count("n_traj", n_traj, 1)

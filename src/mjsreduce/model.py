@@ -341,10 +341,13 @@ def _check_sigma_w(sigma_w) -> None:
 
 
 def _check_x0(x0, n: int) -> np.ndarray:
-    """x0 as a float array; DimensionMismatch unless it has shape (n,)."""
+    """x0 as a float array; DimensionMismatch unless it has shape (n,),
+    InputError unless every entry is finite."""
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (n,):
         raise DimensionMismatch(f"x0 must have shape ({n},), got {x0.shape}")
+    if not np.isfinite(x0).all():
+        raise InputError(f"x0 must be finite, got {x0.tolist()}")
     return x0
 
 
@@ -358,8 +361,8 @@ def _rollout(A: np.ndarray, modes: np.ndarray, x0, sigma_w: float, rng):
     normal draw, scaled by sigma_w, to every system alike.  The draw
     fills one buffer in place, the same numbers rng.standard_normal((N,
     n)) returns, so the stream and the sums match a fresh draw.  Raises
-    DimensionMismatch unless x0 has shape (n,), InputError for a NaN,
-    infinite or negative sigma_w.
+    DimensionMismatch unless x0 has shape (n,), InputError for an x0
+    that is not finite or a NaN, infinite or negative sigma_w.
     """
     c, N, H = modes.shape
     n = A.shape[1]
@@ -397,7 +400,8 @@ def simulate_coupled_batch(
     (n_traj, H+1, n) and the original modes (n_traj, H).  Raises
     PartitionMismatch unless partition links the two mode sets,
     DimensionMismatch unless the state sizes agree, n_traj is an integer
-    of at least 1, horizon one of at least 0 and a seed not negative.
+    of at least 1, horizon one of at least 0 and a seed not negative,
+    InputError for an x0 that is not finite.
     """
     if partition.s != model.s or partition.r != reduced.s:
         raise PartitionMismatch(

@@ -245,7 +245,7 @@ def recursive_kernel(model, x0, t, dedup_tol=1e-10):
         for i in range(model.s):
             if init[i] > 0.0:
                 walk(0, i, x0, float(init[i]))
-    tol = dedup_tol * max(float(np.linalg.norm(x0)), 1.0)
+    tol = dedup_tol * float(np.linalg.norm(x0))
     kept, kept_mass, buckets = [], [], {}
     for x, q in zip(points, masses):
         key = (np.round(x / max(tol, 1e-300)) + 0.0).tobytes()  # -0.0 as 0.0
@@ -275,7 +275,7 @@ def path_kernel_enum(model, x0, t):
         rows, modes = np.nonzero(weights > 0.0)
         q = weights[rows, modes]
         X = (model.A[modes] @ X[rows][..., None])[..., 0]
-    tol = bounds.MERGE_TOL * max(float(np.linalg.norm(x0)), 1.0)
+    tol = bounds.MERGE_TOL * float(np.linalg.norm(x0))
     support, label = bounds._merge_points(X, tol)
     return support, np.bincount(label, weights=q, minlength=len(support))
 
@@ -469,6 +469,36 @@ def test_wasserstein_translation_is_shift_norm(rng):
         assert wasserstein_exact(p, q, ell=ell) == pytest.approx(
             np.linalg.norm(v), rel=1e-9
         )
+
+
+def planted_pair():
+    """A six-mode model and its average on the planted partition."""
+    model, truth, _ = generate(SynthConfig(6, 2, 2, 0, eps_A=2.0, eps_T=1.0, seed=1))
+    return model, average_model(model, truth)
+
+
+@pytest.mark.parametrize("ell", [1, 2])
+def test_wasserstein_scales_with_the_supports(ell):
+    # HiGHS's tolerances are absolute and it reads costs from 1e20 up as
+    # infinite: W2 came out 6.7 times too large at 2^-16, and the solve
+    # raised NotConverged from 2^36 up.
+    p, q = (transition_kernel_enum(m, np.ones(2), 3) for m in planted_pair())
+    w = wasserstein_exact(p, q, ell)
+    for j in range(-80, 81, 4):
+        scaled = [dist(np.ldexp(k.support, j), k.mass, 3) for k in (p, q)]
+        assert np.ldexp(wasserstein_exact(*scaled, ell), -j) == pytest.approx(w, rel=1e-12), j
+
+
+def test_kernel_enum_scales_with_x0():
+    # A merge tolerance of MERGE_TOL * max(||x0||, 1) stops shrinking
+    # below ||x0|| = 1 and merges distinct states: from 1e-8 (1, 1), W1
+    # read 0.00860 for 0.00891.
+    model, _ = planted_pair()
+    k = transition_kernel_enum(model, np.ones(2), 3)
+    for j in range(-60, 61):
+        kj = transition_kernel_enum(model, np.ldexp(np.ones(2), j), 3)
+        assert kj.support.tobytes() == np.ldexp(k.support, j).tobytes(), j
+        assert kj.mass.tobytes() == k.mass.tobytes(), j
 
 
 def test_wasserstein_rejects_unnormalized():

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mjsreduce.cli import build_parser, main
+from mjsreduce.cli import _plain, build_parser, main
 from mjsreduce.model import MjsModel, save_model
 from mjsreduce.synth import SynthConfig, fig4_model, generate
 
@@ -587,6 +587,22 @@ def test_bad_input_exits_with_a_class_name(tmp_path, capsys, argv, payload, code
     got, _, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
     assert (got, err.split(":")[0]) == (code, error), err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("payload", ['{"partition": 3}', '"[[1], [2]]"', '{"clusters": [[1], [2]]}'])
+def test_evaluate_refuses_a_partition_that_is_not_a_list(tmp_path, capsys, payload):
+    model, part = tmp_path / "model.json", tmp_path / "partition.json"
+    model.write_text(json.dumps(GOOD_MODEL))
+    part.write_text(payload)
+    code, _, err = run(capsys, "evaluate", str(model), "--partition", str(part))
+    assert code == 2 and err.startswith("InputError:") and "expected a list" in err, err
+
+
+def test_json_payloads_take_numpy_values():
+    payload = {"a": np.array([1.0, np.inf]), "b": np.float64(-np.inf), "c": (np.int64(3), np.nan)}
+    plain = _plain(payload)
+    assert plain == {"a": [1.0, "inf"], "b": "-inf", "c": [3, "nan"]}
+    assert type(plain["c"][0]) is int
 
 
 def test_evaluate_lumpable_on_one_mode(tmp_path, capsys):

@@ -170,6 +170,33 @@ def test_kmeans_refuses_an_overflowing_pair_table_for_every_seed(seed):
         kmeans_partition(pts, 4, restarts=1, seed=seed)
 
 
+@pytest.mark.parametrize(
+    "points, r",
+    [
+        ([[0.0], [1e154], [1e154], [1e154]], 2),
+        ([[0.0], [1.3e154]] * 5, 1),
+        ([[1e308, 0.0], [1e308, 1.0]], 1),
+    ],
+    ids=["seeding-sum", "objective-sum", "cluster-mean"],
+)
+def test_kmeans_refuses_sums_that_overflow(points, r):
+    # Every squared distance is finite.  On the first two, numpy's
+    # overflow warning in the seeding sum or in the objectives' came
+    # before the refusal and, as an error, ended the call; on the third
+    # the cluster mean overflows.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateInput, match="overflow"):
+            kmeans_partition(np.array(points), r, seed=0)
+
+
+def test_kmeans_refuses_a_winner_still_moving(monkeypatch):
+    monkeypatch.setattr(clustering, "MAX_ITER", 1)
+    pts = np.array([[1.0], [19.0], [-20.0], [-16.0], [5.0], [4.0]])
+    with pytest.raises(NotConverged, match="still moves after 1 Lloyd iterations"):
+        kmeans_partition(pts, 3, restarts=1, seed=2)
+
+
 def test_kmeans_fills_a_cluster_that_lloyd_empties(monkeypatch):
     # On these points the one restart of seed 2 empties a cluster during
     # Lloyd, and _repair moves the farthest point into it; the result is

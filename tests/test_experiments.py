@@ -180,6 +180,17 @@ def test_golden_outputs_reproduce(tmp_path, name):
     )
 
 
+def test_a_failed_write_removes_the_partial_file(monkeypatch, tmp_path):
+    # The provenance line and the header are on disk when a row fails.
+    def full_disk(v):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(experiments, "_fmt", full_disk)
+    with pytest.raises(OSError, match="no space left"):
+        run_experiment(ExperimentSpec("fig4", trials=1, out_dir=str(tmp_path)))
+    assert not (tmp_path / "fig4.csv").exists()
+
+
 @pytest.mark.parametrize("which", ["reduced", "full"])
 def test_fig3b_refuses_to_time_an_unconverged_solve(monkeypatch, tmp_path, which):
     spec = ExperimentSpec("fig3b", trials=1, grid=(10,), out_dir=str(tmp_path))

@@ -958,6 +958,22 @@ def test_cost_inputs_are_refused():
             monte_carlo_cost(SCALAR, sol.K, EYE1, EYE1, 0.3, x0=x0, **run)
 
 
+@pytest.mark.parametrize(
+    "Q, R, words",
+    [(np.eye(3), np.eye(1), r"Q must be 2 x 2, got \(3, 3\)"), (np.eye(2), np.eye(2), r"R must be 1 x 1, got \(2, 2\)")],
+    ids=["Q", "R"],
+)
+def test_weights_of_the_wrong_shape_are_refused(rng, Q, R, words):
+    with pytest.raises(DimensionMismatch, match=words):
+        riccati_solve(random_model(rng, s=3, n=2, p=1), Q, R)
+
+
+def test_gains_of_the_wrong_shape_are_refused(rng):
+    model = random_model(rng, s=3, n=2, p=1)
+    with pytest.raises(DimensionMismatch, match=r"gains must have shape \(3, 1, 2\), got \(3, 2, 1\)"):
+        closed_loop_average_cost(model, np.zeros((3, 2, 1)), np.eye(2), np.eye(1), 0.1)
+
+
 def test_suboptimality_report_shape(monkeypatch):
     model, _, _ = generate(SynthConfig(4, 2, 2, 1, eps_A=0.1, seed=8))
     red = reduce_model(model, 2, branch="aggregatable", seed=8)

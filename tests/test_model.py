@@ -217,6 +217,13 @@ def test_partition_canonical_order():
     assert p.sizes == (2, 2, 2)
 
 
+def test_partition_hashes_and_prints_by_its_clusters():
+    p = Partition([[2, 3], [0, 1]])
+    assert hash(p) == hash(Partition.from_labels([0, 0, 1, 1]))
+    assert len({p, Partition.from_labels([0, 0, 1, 1]), Partition([[0], [1, 2, 3]])}) == 2
+    assert repr(p) == "Partition([[0, 1], [2, 3]])"
+
+
 def test_partition_from_labels_and_uniform():
     p = Partition.from_labels([1, 0, 1, 0])
     assert p.clusters == ((0, 2), (1, 3))
@@ -513,6 +520,27 @@ def test_every_x0_entry_point_refuses_a_wrong_length(run):
     m, part = fig4_model()
     with pytest.raises(DimensionMismatch, match="x0 must have shape"):
         run(m, part, np.ones(m.n + 1))
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda m, part, x0: BoundInputs.from_model(m, part, "aggregatable", x0),
+        lambda m, part, x0: transition_kernel_enum(m, x0, 2),
+        lambda m, part, x0: simulate_coupled_batch(m, m, singletons(m), x0, 3, 2, seed=0),
+        lambda m, part, x0: monte_carlo_cost(
+            m, np.zeros((m.s, m.p, m.n)), np.eye(m.n), np.zeros((m.p, m.p)), 0.1, 3, 2, x0=x0
+        ),
+    ],
+    ids=["BoundInputs.from_model", "transition_kernel_enum", "simulate_coupled_batch", "monte_carlo_cost"],
+)
+@pytest.mark.parametrize("x0", [[np.nan, 1.0], [1.0, -np.inf]], ids=["nan", "-inf"])
+def test_every_x0_entry_point_refuses_an_x0_that_is_not_finite(run, x0):
+    # NaN got through: the kernel walk raised DegenerateInput, every
+    # trajectory bound was nan, and the simulators ran nan states.
+    m, part = fig4_model()
+    with pytest.raises(InputError, match="x0 must be finite"):
+        run(m, part, np.array(x0))
 
 
 def test_mode_sampler_skips_zero_probability_modes():

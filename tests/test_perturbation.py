@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -113,6 +115,22 @@ def test_generated_instances_stay_within_budgets(branch):
         assert eps.eps_A <= ea + 1e-12
         assert eps.eps_B <= eb + 1e-12
         assert eps.eps_T <= et + 1e-12
+
+
+def test_perturbations_sum_norms_whose_squares_overflow():
+    # (2e155)^2 overflows: eps_B read inf, with numpy's overflow warning.
+    model = MjsModel(
+        np.array([[[0.5]], [[0.4]]]), np.array([[[1e155]], [[-1e155]]]), np.full((2, 2), 0.5)
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        eps = perturbations(model, Partition([[0, 1]]), "aggregatable")
+    assert eps.eps_B == 4e155
+
+
+def test_construct_T0_refuses_a_T_of_another_size():
+    with pytest.raises(PartitionMismatch, match=r"covers 3 modes, T has shape \(2, 2\)"):
+        construct_T0(np.full((2, 2), 0.5), SPLIT)
 
 
 def test_construct_T0_aggregatable_shortcut():
