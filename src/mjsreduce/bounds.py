@@ -38,7 +38,7 @@ from .model import MjsModel, Partition, _check_count, _check_x0, expand_reduced
 from .model import simulate_coupled_batch
 from .perturbation import construct_T0, perturbations
 from .stability import JSR_BUDGET, TAU_STEPS, MomentOperator, StabilityReport, _check_level
-from .stability import stability_report
+from .stability import _level_exponent, stability_report
 
 # Largest number s^t of mode sequences transition_kernel_enum walks, and
 # the merge distance of its endpoints relative to max(||x0||, 1).
@@ -433,7 +433,10 @@ def transition_kernel_enum(model: MjsModel, x0, t: int) -> KernelDistribution:
         number[used] = np.arange(len(used))
         cls = number[key]
         X = _finite_states(model.A[used % s], X[used // s], level + 1)
-    tol = MERGE_TOL * float(np.linalg.norm(x0))
+    # ||x0|| from x0 times 2^-e, exactly, so that its square cannot
+    # overflow and the tolerance is finite.
+    e = _level_exponent(np.abs(x0).max())
+    tol = math.ldexp(MERGE_TOL * float(np.linalg.norm(np.ldexp(x0, -e))), e)
     support, label = _merge_points(X, tol)
     mass = np.bincount(label[cls], weights=q, minlength=len(support))
     return KernelDistribution(support=support, mass=mass, t=t)
@@ -591,9 +594,8 @@ def wasserstein_exact(
     m, k = len(a), len(b)
     # HiGHS's tolerances are absolute, and it reads a cost from 1e20 up
     # as infinite: the program is solved on the supports times 2^-e,
-    # exactly, with the largest |coordinate| in [1/2, 1), and the
-    # distance scaled back by 2^e.
-    e = int(np.frexp(max(np.abs(p.support).max(), np.abs(q.support).max()))[1])
+    # exactly, and the distance scaled back by 2^e.
+    e = _level_exponent(max(np.abs(p.support).max(), np.abs(q.support).max()))
     diff = np.ldexp(p.support, -e)[:, None, :] - np.ldexp(q.support, -e)[None, :, :]
     cost = np.linalg.norm(diff, axis=2) ** ell
     slack = TRANSPORT_SLACK * float(cost.max())
@@ -673,8 +675,9 @@ def _transport_solve(
 
 def _initial_cells(cost: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The first active cells of the transport program: each row's
-    min(TRANSPORT_NEIGHBOURS, k) cheapest of the k columns and the north-west-corner
-    staircase of the marginals a, b, which carries a feasible plan."""
+    min(TRANSPORT_NEIGHBOURS, k) cheapest of the k columns and the
+    north-west-corner staircase of the marginals a, b, which carries a
+    feasible plan."""
     m, k = cost.shape
     active = np.zeros((m, k), dtype=bool)
     opened = min(TRANSPORT_NEIGHBOURS, k)

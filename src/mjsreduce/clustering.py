@@ -83,10 +83,10 @@ def _pair_norm_sum(X: np.ndarray, pairs: np.ndarray, ord: int) -> float:
 # A sum past the float range is inf, as it should be.
 @np.errstate(over="ignore")
 def _norm_sum(U: np.ndarray, V: np.ndarray, ord: int) -> float:
-    """Sum of ||U[k] - V[k]|| over the finite rows of U and V.  A norm
-    that overflows is taken again on its two rows times 2^-e, exactly,
-    with e the exponent of their largest |entry|, and scaled back by
-    2^e, so finite norms keep their bits."""
+    """Sum of ||U[k] - V[k]|| over the rows of U and V, whose entries
+    are finite.  A norm that overflows is taken again on its two rows
+    times 2^-e, exactly, with e the exponent of their largest |entry|,
+    and scaled back by 2^e, so finite norms keep their bits."""
     norms = np.linalg.norm(U - V, ord, axis=1)
     far = ~np.isfinite(norms)
     if far.any():

@@ -713,8 +713,8 @@ def _sweep(powers, level: float, exact: bool) -> TransientEstimate:
     h from the row and column where h last peaked (_norm_floor) already
     gives a top above 1.  h has peaked whenever the floor is read: that
     needs best > 1, and best rises only on a step _norm_bound takes.
-    Every step of top is monotone, so the top of
-    the minimum is the smaller of the two tops: it is then at most best
+    Every step of top is monotone, so the top of the minimum is the
+    smaller of the two tops: it is then at most best
     too, and at most 1 exactly when fro's top is, and both decisions
     are those of the full bound.  The 2-norm, where taken, is
     _gram_norm's: never below the 2-norm and at most _norm_lift(m)
