@@ -602,7 +602,7 @@ def wasserstein_exact(
     active = _initial_cells(cost, a, b)
     # Row sums, then column sums with the last one dropped as redundant
     # (its dual is 0).
-    b_eq = np.r_[a, b[:-1]]
+    b_eq = np.concatenate([a, b[:-1]])
     while True:
         rows, cols = np.nonzero(active)
         fun, x, dual = _transport_solve(cost[rows, cols], rows, cols, m, b_eq)
@@ -687,7 +687,10 @@ def _initial_cells(cost: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray
     # ends and right a column where the column's does.
     ends = np.concatenate([np.cumsum(a)[:-1], np.cumsum(b)[:-1]])
     down = np.argsort(ends, kind="stable") < m - 1
-    active[np.r_[0, np.cumsum(down)], np.r_[0, np.cumsum(~down)]] = True
+    # After i steps it has gone down rows[i] times, right i - rows[i].
+    rows = np.zeros(len(ends) + 1, dtype=np.intp)
+    np.cumsum(down, out=rows[1:])
+    active[rows, np.arange(len(rows)) - rows] = True
     return active
 
 
